@@ -54,6 +54,7 @@
 //! detected corruption is logged as `CORRUPT <file> <partition>` on
 //! stderr.
 
+use spcache_net::poll::default_io_shards;
 use spcache_net::{MasterClient, MasterServer, WorkerServer};
 use spcache_store::backing::UnderStore;
 use spcache_store::fault::FaultLog;
@@ -132,11 +133,9 @@ fn run_worker(args: &[String]) {
     let log = Arc::new(FaultLog::new());
     // A standalone worker has no shared under-store to spill into, so a
     // budgeted one backs itself privately (spawn_worker_opts does this).
-    let server = match flag_value(args, "--io-shards") {
-        Some(n) => WorkerServer::spawn_sharded(id, &bind, &cfg, log, parse("--io-shards", &n)),
-        None => WorkerServer::spawn(id, &bind, &cfg, log),
-    }
-    .unwrap_or_else(|e| {
+    let io_shards = flag_value(args, "--io-shards")
+        .map_or_else(default_io_shards, |n| parse("--io-shards", &n));
+    let server = WorkerServer::spawn(id, &bind, &cfg, log, io_shards, None).unwrap_or_else(|e| {
         eprintln!("spcached: cannot bind {bind}: {e}");
         exit(1);
     });

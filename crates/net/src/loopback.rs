@@ -70,13 +70,13 @@ impl TcpCluster {
     pub fn spawn_with_under_store(cfg: StoreConfig, under: Option<Arc<UnderStore>>) -> Self {
         assert!(cfg.n_workers > 0, "need at least one worker");
         let fault_log = Arc::new(FaultLog::new());
-        let io_shards = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let io_shards = crate::poll::default_io_shards();
         let workers: Vec<WorkerServer> = (0..cfg.n_workers)
             .map(|id| {
                 // Budgeted workers spill into the cluster's shared
                 // under-store tier (mirrors `StoreCluster`): whole-file
                 // checkpoints there make evictions free drops.
-                WorkerServer::spawn_sharded_with_spill(
+                WorkerServer::spawn(
                     id,
                     "127.0.0.1:0",
                     &cfg,
@@ -173,17 +173,12 @@ impl TcpCluster {
     /// configured degraded-mode admission policy; the cluster's
     /// under-store, if any, is attached for read-path healing.
     pub fn client(&self) -> Client {
-        let mut c = Client::new(Arc::new(self.master_client()), self.transport.clone())
-            .with_retry(self.cfg.retry)
-            .with_hedge(self.cfg.hedge)
-            .with_fencing(self.cfg.supervisor.enabled)
-            .with_degraded_policy(self.cfg.supervisor.degraded)
-            .with_verify(self.cfg.verify_reads)
-            .with_parity(self.cfg.parity);
-        if let Some(under) = &self.under {
-            c = c.with_under_store(under.clone());
-        }
-        c
+        Client::from_config(
+            Arc::new(self.master_client()),
+            self.transport.clone(),
+            &self.cfg,
+            self.under.clone(),
+        )
     }
 
     /// Collects per-worker service counters over the wire. Workers that

@@ -32,7 +32,6 @@ use spcache_store::master::{Master, MetaService};
 use spcache_store::FileIntegrity;
 use spcache_store::repartitioner::{run_parallel_with_deadline, DEFAULT_EXECUTOR_DEADLINE};
 use spcache_store::rpc::{StoreError, MASTER_ENDPOINT};
-use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
@@ -41,7 +40,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::frame::{read_frame, write_frame, Frame, FrameBuilder};
-use crate::poll::{FrameReader, PumpStatus, WireFrame, WriteQueue};
+use crate::poll::{accept_burst, ServerConns, WireFrame};
 use crate::tcp::TcpTransport;
 
 // Master-protocol opcodes.
@@ -639,15 +638,6 @@ const META_LISTENER: Token = Token(1);
 /// First connection token.
 const META_CONN_BASE: usize = 2;
 
-/// One metadata connection owned by the loop.
-struct MetaConn {
-    stream: TcpStream,
-    reader: FrameReader,
-    wq: WriteQueue,
-    writable_armed: bool,
-    closing: bool,
-}
-
 /// The master's single event loop: every metadata call is served
 /// inline (they are fast in-memory operations), while `Rebalance` —
 /// which drives worker RPCs — runs on a detached thread and completes
@@ -666,8 +656,7 @@ fn meta_loop(
         .register(listener, META_LISTENER, Interest::READABLE);
     let (done_tx, done_rx) = crossbeam::channel::unbounded::<(usize, u64, MetaReply)>();
     let mut events = Events::with_capacity(64);
-    let mut conns: HashMap<usize, MetaConn> = HashMap::new();
-    let mut next_token = META_CONN_BASE;
+    let mut conns = ServerConns::new(META_CONN_BASE);
     let mut inbound: Vec<bytes::Bytes> = Vec::new();
     let mut stopping = false;
 
@@ -676,17 +665,9 @@ fn meta_loop(
             break 'run;
         }
 
-        let mut dirty: Vec<usize> = Vec::new();
-
         // Finished rebalances.
         while let Ok((token, req_id, reply)) = done_rx.try_recv() {
-            if let Some(conn) = conns.get_mut(&token) {
-                conn.wq
-                    .push(WireFrame::contiguous(encode_meta_reply(&reply, req_id)));
-                if !dirty.contains(&token) {
-                    dirty.push(token);
-                }
-            }
+            conns.push(token, WireFrame::contiguous(encode_meta_reply(&reply, req_id)));
         }
 
         for ev in &events {
@@ -695,48 +676,12 @@ fn meta_loop(
                 continue;
             }
             if t == META_LISTENER.0 {
-                if stopping {
-                    continue;
-                }
-                loop {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let _ = stream.set_nodelay(true);
-                            if stream.set_nonblocking(true).is_err() {
-                                continue;
-                            }
-                            let token = next_token;
-                            next_token += 1;
-                            if poll
-                                .registry()
-                                .register(&stream, Token(token), Interest::READABLE)
-                                .is_ok()
-                            {
-                                conns.insert(
-                                    token,
-                                    MetaConn {
-                                        stream,
-                                        reader: FrameReader::new(),
-                                        wq: WriteQueue::new(),
-                                        writable_armed: false,
-                                        closing: false,
-                                    },
-                                );
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(_) => break,
-                    }
+                if !stopping {
+                    accept_burst(listener, |stream| conns.adopt(&poll, stream));
                 }
                 continue;
             }
-
-            // Connection readiness.
-            let Some(closing) = conns.get(&t).map(|c| c.closing) else {
-                continue;
-            };
-            if (ev.is_readable() || ev.is_error()) && !closing {
+            if (ev.is_readable() || ev.is_error()) && conns.is_open(t) {
                 stopping |= serve_conn_input(
                     &mut conns,
                     t,
@@ -746,34 +691,29 @@ fn meta_loop(
                     &done_tx,
                     waker,
                     &mut inbound,
-                    &mut dirty,
                 );
             }
-            if ev.is_writable() && conns.contains_key(&t) && !dirty.contains(&t) {
-                dirty.push(t);
+            if ev.is_writable() {
+                conns.touch(t);
             }
         }
 
-        for token in dirty {
-            flush_meta_conn(&poll, &mut conns, token);
-        }
+        conns.flush_dirty(&poll);
 
         // Shutdown: once the ack (and everything else) has flushed,
         // close up shop.
-        if stopping && conns.values().all(|c| c.wq.is_empty()) {
+        if stopping && conns.drained() {
             break 'run;
         }
     }
-    for (_, conn) in conns.drain() {
-        let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-    }
+    conns.close_all();
 }
 
 /// Pumps one readable metadata connection and serves every decoded
 /// request. Returns `true` when a `Shutdown` was served.
 #[allow(clippy::too_many_arguments)]
 fn serve_conn_input(
-    conns: &mut HashMap<usize, MetaConn>,
+    conns: &mut ServerConns,
     token: usize,
     master: &Arc<Master>,
     worker_addrs: &[SocketAddr],
@@ -781,13 +721,8 @@ fn serve_conn_input(
     done_tx: &crossbeam::channel::Sender<(usize, u64, MetaReply)>,
     waker: &Arc<Waker>,
     inbound: &mut Vec<bytes::Bytes>,
-    dirty: &mut Vec<usize>,
 ) -> bool {
-    let Some(conn) = conns.get_mut(&token) else {
-        return false;
-    };
-    inbound.clear();
-    let status = conn.reader.pump(&mut conn.stream, inbound);
+    let open = conns.pump(token, inbound);
     let mut shutdown = false;
     for buf in inbound.drain(..) {
         let (req_id, req) = match Frame::parse(buf).and_then(|f| {
@@ -796,15 +731,9 @@ fn serve_conn_input(
         }) {
             Ok(ok) => ok,
             Err(e) => {
-                // Protocol violation: answer best-effort and cut the
-                // connection once the error flushes.
-                conn.wq
-                    .push(WireFrame::contiguous(encode_meta_reply(&MetaReply::Err(e), 0)));
-                conn.closing = true;
-                if !dirty.contains(&token) {
-                    dirty.push(token);
-                }
-                return false;
+                let answer = encode_meta_reply(&MetaReply::Err(e), 0);
+                conns.push_last(token, WireFrame::contiguous(answer));
+                return shutdown;
             }
         };
         match req {
@@ -826,63 +755,14 @@ fn serve_conn_input(
             other => {
                 shutdown |= matches!(other, MetaRequest::Shutdown);
                 let reply = serve_meta(master, worker_addrs, other, executor_deadline);
-                conn.wq
-                    .push(WireFrame::contiguous(encode_meta_reply(&reply, req_id)));
-                if !dirty.contains(&token) {
-                    dirty.push(token);
-                }
+                conns.push(token, WireFrame::contiguous(encode_meta_reply(&reply, req_id)));
             }
         }
     }
-    let dead = match status {
-        Ok(PumpStatus::Open) => false,
-        Ok(PumpStatus::Closed) | Err(_) => true,
-    };
-    if dead {
-        if let Some(conn) = conns.remove(&token) {
-            let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-        }
+    if !open {
+        conns.close(token);
     }
     shutdown
-}
-
-/// Flushes one metadata connection, mirroring the worker server's
-/// interest-arming discipline.
-fn flush_meta_conn(poll: &Poll, conns: &mut HashMap<usize, MetaConn>, token: usize) {
-    let Some(conn) = conns.get_mut(&token) else {
-        return;
-    };
-    match conn.wq.flush(&mut conn.stream) {
-        Ok(true) => {
-            if conn.closing {
-                let _ = poll.registry().deregister(&conn.stream);
-                let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-                conns.remove(&token);
-                return;
-            }
-            if conn.writable_armed {
-                conn.writable_armed = false;
-                let _ = poll
-                    .registry()
-                    .reregister(&conn.stream, Token(token), Interest::READABLE);
-            }
-        }
-        Ok(false) => {
-            if !conn.writable_armed {
-                conn.writable_armed = true;
-                let _ = poll.registry().reregister(
-                    &conn.stream,
-                    Token(token),
-                    Interest::READABLE | Interest::WRITABLE,
-                );
-            }
-        }
-        Err(_) => {
-            let _ = poll.registry().deregister(&conn.stream);
-            let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-            conns.remove(&token);
-        }
-    }
 }
 
 fn serve_meta(

@@ -1,23 +1,27 @@
 //! Event-loop plumbing shared by the TCP client and servers: an
 //! incremental frame decoder for non-blocking sockets, a vectored
 //! write queue that batches many frames into one `writev` syscall,
-//! and a deadline timer heap.
+//! a deadline timer heap, and the server side's connection table.
 //!
-//! These three pieces are deliberately free of any socket ownership or
-//! threading policy — the readiness loops in [`crate::tcp`],
+//! The first three pieces are deliberately free of any socket ownership
+//! or threading policy — the readiness loops in [`crate::tcp`],
 //! [`crate::server`] and [`crate::master_net`] compose them around a
 //! [`mio::Poll`] instance. Keeping them standalone makes the decoder
 //! and write queue testable against plain in-memory readers/writers
 //! (the codec proptests drive [`FrameReader`] with adversarial split
-//! points without a socket in sight).
+//! points without a socket in sight). [`ServerConns`] is what the two
+//! server loops share: accepted sockets, their read pump, their batched
+//! flush with write-interest arming, and the protocol-violation cut.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsFd;
 use std::time::Instant;
 
 use bytes::Bytes;
+use mio::{Interest, Poll, Token};
 
 use crate::frame::{HEADER_LEN, MAX_FRAME};
 
@@ -562,6 +566,194 @@ pub fn tune_socket<F: AsFd>(s: &F) {
 pub fn tune_allocator_once() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(sys::tune_allocator);
+}
+
+/// One I/O shard per core by default (this machine's parallelism).
+pub fn default_io_shards() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+// ---------------------------------------------------------------------------
+// ServerConns: the accepted connections of one server event loop
+// ---------------------------------------------------------------------------
+
+/// Accepts every connection `listener` has ready, handing each to
+/// `each`.
+pub fn accept_burst(listener: &TcpListener, mut each: impl FnMut(TcpStream)) {
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => each(stream),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            // `WouldBlock` ends the burst; so does a failing listener.
+            Err(_) => return,
+        }
+    }
+}
+
+/// One accepted connection owned by a server loop.
+struct ServerConn {
+    stream: TcpStream,
+    reader: FrameReader,
+    wq: WriteQueue,
+    /// Whether the socket is currently registered for write readiness.
+    writable_armed: bool,
+    /// Close the socket once the write queue drains (fault injection
+    /// or protocol violation).
+    closing: bool,
+}
+
+/// The accepted connections of one server event loop, keyed by poll
+/// token, plus the set touched since the last flush pass — so a burst
+/// of replies to one connection shares one `writev` round.
+pub struct ServerConns {
+    conns: HashMap<usize, ServerConn>,
+    next_token: usize,
+    dirty: Vec<usize>,
+}
+
+impl ServerConns {
+    /// An empty table handing out tokens from `first_token` up.
+    pub fn new(first_token: usize) -> Self {
+        ServerConns {
+            conns: HashMap::new(),
+            next_token: first_token,
+            dirty: Vec::new(),
+        }
+    }
+
+    /// Takes ownership of an accepted socket and registers it for read
+    /// readiness; a socket that cannot be set up is dropped.
+    pub fn adopt(&mut self, poll: &Poll, stream: TcpStream) {
+        let token = self.next_token;
+        let _ = stream.set_nodelay(true);
+        if stream.set_nonblocking(true).is_err()
+            || poll
+                .registry()
+                .register(&stream, Token(token), Interest::READABLE)
+                .is_err()
+        {
+            return;
+        }
+        self.next_token += 1;
+        self.conns.insert(
+            token,
+            ServerConn {
+                stream,
+                reader: FrameReader::new(),
+                wq: WriteQueue::new(),
+                writable_armed: false,
+                closing: false,
+            },
+        );
+    }
+
+    /// Whether `token` names a live connection that still takes input
+    /// and output (not closing).
+    pub fn is_open(&self, token: usize) -> bool {
+        self.conns.get(&token).is_some_and(|c| !c.closing)
+    }
+
+    /// Marks `token` for the next [`flush_dirty`](Self::flush_dirty).
+    pub fn touch(&mut self, token: usize) {
+        if self.conns.contains_key(&token) && !self.dirty.contains(&token) {
+            self.dirty.push(token);
+        }
+    }
+
+    /// Reads whatever `token` has buffered, leaving the complete frames
+    /// in `inbound`. `false` when the peer closed or died: the caller
+    /// serves `inbound`, then [`close`](Self::close)s.
+    pub fn pump(&mut self, token: usize, inbound: &mut Vec<Bytes>) -> bool {
+        inbound.clear();
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return false;
+        };
+        matches!(
+            conn.reader.pump(&mut conn.stream, inbound),
+            Ok(PumpStatus::Open)
+        )
+    }
+
+    /// Queues `frame` on `token` (dropped if the connection is gone or
+    /// closing: a closing stream ends at its last queued byte, and
+    /// appending a full frame behind a torn one would let the peer
+    /// misparse those bytes as the torn frame's body).
+    pub fn push(&mut self, token: usize, frame: WireFrame) {
+        if let Some(conn) = self.conns.get_mut(&token).filter(|c| !c.closing) {
+            conn.wq.push(frame);
+            self.touch(token);
+        }
+    }
+
+    /// Queues `last` as the final bytes `token` will ever carry and cuts
+    /// the connection once they flush — the answer to a protocol
+    /// violation (framing can no longer be trusted), or a scripted torn
+    /// frame.
+    pub fn push_last(&mut self, token: usize, last: WireFrame) {
+        self.push(token, last);
+        if let Some(conn) = self.conns.get_mut(&token) {
+            conn.closing = true;
+        }
+    }
+
+    /// Drops `token` without flushing anything.
+    pub fn close(&mut self, token: usize) {
+        if let Some(conn) = self.conns.remove(&token) {
+            let _ = conn.stream.shutdown(Shutdown::Both);
+        }
+    }
+
+    /// One flush per touched connection: everything queued since the
+    /// last pass goes out in batched vectored writes.
+    pub fn flush_dirty(&mut self, poll: &Poll) {
+        for token in std::mem::take(&mut self.dirty) {
+            self.flush(poll, token);
+        }
+    }
+
+    /// Flushes every connection (the shutdown drain).
+    pub fn flush_all(&mut self, poll: &Poll) {
+        let tokens: Vec<usize> = self.conns.keys().copied().collect();
+        for token in tokens {
+            self.flush(poll, token);
+        }
+    }
+
+    /// Whether no connection holds unsent bytes.
+    pub fn drained(&self) -> bool {
+        self.conns.values().all(|c| c.wq.is_empty())
+    }
+
+    /// Shuts every connection down.
+    pub fn close_all(&mut self) {
+        for (_, conn) in self.conns.drain() {
+            let _ = conn.stream.shutdown(Shutdown::Both);
+        }
+    }
+
+    /// Flushes one connection's write queue, arming/disarming write
+    /// interest; closes it on error or once a closing queue drains.
+    fn flush(&mut self, poll: &Poll, token: usize) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        let interest = match conn.wq.flush(&mut conn.stream) {
+            Ok(true) if !conn.closing => Interest::READABLE,
+            Ok(false) => Interest::READABLE | Interest::WRITABLE,
+            Ok(true) | Err(_) => {
+                let _ = poll.registry().deregister(&conn.stream);
+                self.close(token);
+                return;
+            }
+        };
+        let armed = interest != Interest::READABLE;
+        if armed != conn.writable_armed {
+            conn.writable_armed = armed;
+            let _ = poll
+                .registry()
+                .reregister(&conn.stream, Token(token), interest);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 
 use crate::frame::{decode_request, encode_reply, encode_reply_parts, Frame};
-use crate::poll::{FrameReader, PumpStatus, Timers, WireFrame, WriteQueue};
+use crate::poll::{accept_burst, ServerConns, Timers, WireFrame};
 
 /// How long the reply pump waits on the channel worker before treating
 /// a request as unanswerable. A `LoseReply` data fault looks exactly
@@ -167,50 +167,20 @@ pub struct WorkerServer {
 impl WorkerServer {
     /// Spawns worker `id` of a cluster described by `cfg`, listening on
     /// `bind` (use port 0 for an ephemeral port; the chosen address is
-    /// [`WorkerServer::addr`]), with one I/O shard per core. The worker
-    /// thread receives the *data* half of `cfg.faults`; the wire half
-    /// fires in this server. Both log into `fault_log`.
+    /// [`WorkerServer::addr`]) with `io_shards` I/O loops (the
+    /// `spcached --io-shards` flag lands here; see
+    /// [`crate::poll::default_io_shards`]). The worker thread receives
+    /// the *data* half of `cfg.faults`; the wire half fires in this
+    /// server. Both log into `fault_log`. A budgeted worker's evicted
+    /// partitions land in `spill` (normally the deployment's shared
+    /// under-store, so whole-file checkpoints there make evictions free
+    /// drops); without one it backs itself with a private under-store —
+    /// eviction stays a performance event either way.
     ///
     /// # Errors
     ///
     /// I/O errors binding the listener or creating the pollers.
     pub fn spawn(
-        id: usize,
-        bind: &str,
-        cfg: &StoreConfig,
-        fault_log: Arc<FaultLog>,
-    ) -> io::Result<WorkerServer> {
-        let shards = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Self::spawn_sharded(id, bind, cfg, fault_log, shards)
-    }
-
-    /// Like [`spawn`](WorkerServer::spawn) with an explicit I/O shard
-    /// count (the `spcached --io-shards` flag lands here).
-    ///
-    /// # Errors
-    ///
-    /// I/O errors binding the listener or creating the pollers.
-    pub fn spawn_sharded(
-        id: usize,
-        bind: &str,
-        cfg: &StoreConfig,
-        fault_log: Arc<FaultLog>,
-        io_shards: usize,
-    ) -> io::Result<WorkerServer> {
-        Self::spawn_sharded_with_spill(id, bind, cfg, fault_log, io_shards, None)
-    }
-
-    /// Like [`spawn_sharded`](WorkerServer::spawn_sharded) with an
-    /// explicit spill tier for the budgeted worker: evicted partitions
-    /// land in `spill` (normally the deployment's shared under-store,
-    /// so whole-file checkpoints there make evictions free drops).
-    /// Without one, a budgeted worker backs itself with a private
-    /// under-store — eviction stays a performance event either way.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors binding the listener or creating the pollers.
-    pub fn spawn_sharded_with_spill(
         id: usize,
         bind: &str,
         cfg: &StoreConfig,
@@ -225,26 +195,13 @@ impl WorkerServer {
         // window is already wide during the handshake.
         crate::poll::tune_socket(&listener);
         let addr = listener.local_addr()?;
-        let mut opts = WorkerOptions::new(
+        let worker = spawn_worker_opts(WorkerOptions::from_config(
             id,
-            cfg.bandwidth,
-            cfg.stragglers.clone(),
-            cfg.seed.wrapping_add(id as u64),
-        )
-        .with_scripts(
+            cfg,
             cfg.faults.data_script_for(id),
-            cfg.faults.heartbeat_script_for(id),
             Arc::clone(&fault_log),
-        )
-        .with_memory_budget(cfg.memory_budget)
-        .with_background_fraction(cfg.background_fraction)
-        .with_max_transfer_wait(Some(cfg.executor_deadline))
-        .with_verify_reads(cfg.verify_reads)
-        .with_corruption_log(cfg.log_corruptions);
-        if let Some(u) = spill {
-            opts = opts.with_spill(u);
-        }
-        let worker = spawn_worker_opts(opts);
+            spill,
+        ));
         let wire_script = cfg.faults.wire_script_for(id);
 
         let n = io_shards.max(1);
@@ -323,17 +280,6 @@ impl WorkerServer {
 // Shard I/O loop
 // ---------------------------------------------------------------------------
 
-/// One client connection owned by a shard.
-struct SrvConn {
-    stream: TcpStream,
-    reader: FrameReader,
-    wq: WriteQueue,
-    writable_armed: bool,
-    /// Close the socket once the write queue drains (fault injection
-    /// or protocol violation).
-    closing: bool,
-}
-
 /// The shard readiness loop: accepts (shard 0), reads request frames
 /// into the service queue, applies reply completions (with scripted
 /// delays on the timer heap), and batch-flushes write queues.
@@ -351,8 +297,7 @@ fn srv_shard_loop(
             .register(l, LISTENER_TOK, Interest::READABLE);
     }
     let mut events = Events::with_capacity(256);
-    let mut conns: HashMap<usize, SrvConn> = HashMap::new();
-    let mut next_token = CONN_BASE;
+    let mut conns = ServerConns::new(CONN_BASE);
     let mut rr = 0usize; // round-robin dealing cursor (shard 0)
     // Scripted reply delays: a timer per delayed completion.
     let mut timers: Timers<u64> = Timers::new();
@@ -368,35 +313,12 @@ fn srv_shard_loop(
             break 'run;
         }
 
-        let mut dirty: Vec<usize> = Vec::new();
-
         // Commands: adoptions and reply completions.
         loop {
             match rx.try_recv() {
                 Ok(SrvCmd::Adopt(stream)) => {
-                    let token = next_token;
-                    next_token += 1;
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
                     crate::poll::tune_socket(&stream);
-                    if poll
-                        .registry()
-                        .register(&stream, Token(token), Interest::READABLE)
-                        .is_ok()
-                    {
-                        conns.insert(
-                            token,
-                            SrvConn {
-                                stream,
-                                reader: FrameReader::new(),
-                                wq: WriteQueue::new(),
-                                writable_armed: false,
-                                closing: false,
-                            },
-                        );
-                    }
+                    conns.adopt(&poll, stream);
                 }
                 Ok(SrvCmd::Complete {
                     token,
@@ -404,7 +326,7 @@ fn srv_shard_loop(
                     delay,
                 }) => {
                     if delay.is_zero() {
-                        apply_action(&mut conns, token, action, &mut dirty);
+                        apply_action(&mut conns, token, action);
                     } else {
                         timers.insert(Instant::now() + delay, delay_seq);
                         delayed.insert(delay_seq, (token, action));
@@ -425,18 +347,21 @@ fn srv_shard_loop(
             }
             if t == LISTENER_TOK.0 {
                 if let Some(l) = &listener {
-                    accept_burst(l, &all, &mut rr);
+                    // Deal round-robin across the shards (self-adoption
+                    // also rides the command queue so token assignment
+                    // stays in one place).
+                    accept_burst(l, |stream| {
+                        all[rr % all.len()].send(SrvCmd::Adopt(stream));
+                        rr += 1;
+                    });
                 }
                 continue;
             }
-            let Some(closing) = conns.get(&t).map(|c| c.closing) else {
-                continue;
-            };
-            if (ev.is_readable() || ev.is_error()) && !closing {
-                read_requests(&mut conns, t, &me, job_tx, &mut inbound, &mut dirty);
+            if (ev.is_readable() || ev.is_error()) && conns.is_open(t) {
+                read_requests(&mut conns, t, &me, job_tx, &mut inbound);
             }
-            if ev.is_writable() && conns.contains_key(&t) && !dirty.contains(&t) {
-                dirty.push(t);
+            if ev.is_writable() {
+                conns.touch(t);
             }
         }
 
@@ -444,70 +369,35 @@ fn srv_shard_loop(
         let now = Instant::now();
         while let Some(seq) = timers.pop_due(now) {
             if let Some((token, action)) = delayed.remove(&seq) {
-                apply_action(&mut conns, token, action, &mut dirty);
+                apply_action(&mut conns, token, action);
             }
         }
 
-        // One flush per touched connection.
-        for token in dirty {
-            flush_srv_conn(&poll, &mut conns, token);
-        }
+        conns.flush_dirty(&poll);
     }
 
     // Stop: drain unsent replies (bounded), then close everything.
     let drain_until = Instant::now() + DRAIN_DEADLINE;
     while Instant::now() < drain_until {
-        let mut left = false;
-        let tokens: Vec<usize> = conns.keys().copied().collect();
-        for token in tokens {
-            flush_srv_conn(&poll, &mut conns, token);
-            if conns.get(&token).is_some_and(|c| !c.wq.is_empty()) {
-                left = true;
-            }
-        }
-        if !left {
+        conns.flush_all(&poll);
+        if conns.drained() {
             break;
         }
         std::thread::sleep(Duration::from_millis(5));
     }
-    for (_, conn) in conns.drain() {
-        let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-    }
-}
-
-/// Accepts every connection the listener has ready and deals them
-/// round-robin across the shards (self-adoption also rides the command
-/// queue so token assignment stays in one place).
-fn accept_burst(listener: &TcpListener, all: &[ShardRef], rr: &mut usize) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                all[*rr % all.len()].send(SrvCmd::Adopt(stream));
-                *rr += 1;
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return,
-        }
-    }
+    conns.close_all();
 }
 
 /// Pumps one readable connection, decoding request frames into jobs.
 /// Kills the connection on protocol violations or death.
 fn read_requests(
-    conns: &mut HashMap<usize, SrvConn>,
+    conns: &mut ServerConns,
     token: usize,
     me: &ShardRef,
     job_tx: &Sender<Job>,
     inbound: &mut Vec<Bytes>,
-    dirty: &mut Vec<usize>,
 ) {
-    let Some(conn) = conns.get_mut(&token) else {
-        return;
-    };
-    inbound.clear();
-    let status = conn.reader.pump(&mut conn.stream, inbound);
-    let mut service_gone = false;
+    let open = conns.pump(token, inbound);
     for buf in inbound.drain(..) {
         match Frame::parse(buf).and_then(|f| decode_request(&f).map(|req| (f.req_id, req))) {
             Ok((req_id, req)) => {
@@ -520,106 +410,31 @@ fn read_requests(
                     },
                 };
                 if job_tx.send(job).is_err() {
-                    service_gone = true; // post-shutdown
-                    break;
+                    conns.close(token); // post-shutdown: the service is gone
+                    return;
                 }
             }
             Err(e) => {
-                // Protocol violation: answer (best effort, the req_id
-                // may be unknowable) and cut the connection once the
-                // error flushes — framing can no longer be trusted.
-                conn.wq.push(encode_reply_parts(&Reply::Err(e), 0));
-                conn.closing = true;
-                if !dirty.contains(&token) {
-                    dirty.push(token);
-                }
+                // Answer best effort (the req_id may be unknowable).
+                conns.push_last(token, encode_reply_parts(&Reply::Err(e), 0));
                 return;
             }
         }
     }
-    let dead = service_gone
-        || match status {
-            Ok(PumpStatus::Open) => false,
-            Ok(PumpStatus::Closed) | Err(_) => true, // peer closed or died
-        };
-    if dead {
-        if let Some(conn) = conns.remove(&token) {
-            let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-        }
+    if !open {
+        conns.close(token); // peer closed or died
     }
 }
 
 /// Applies a completion action to a connection (no-op if the
 /// connection already died).
-fn apply_action(
-    conns: &mut HashMap<usize, SrvConn>,
-    token: usize,
-    action: Action,
-    dirty: &mut Vec<usize>,
-) {
-    let Some(conn) = conns.get_mut(&token) else {
-        return;
-    };
+fn apply_action(conns: &mut ServerConns, token: usize, action: Action) {
     match action {
-        Action::Frame(wf) => {
-            // A closing stream ends at the torn half-frame: appending a
-            // full frame behind it would let the peer misparse those
-            // bytes as the torn frame's body.
-            if !conn.closing {
-                conn.wq.push(wf);
-            }
-        }
-        Action::Close => {
-            let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-            conns.remove(&token);
-            return;
-        }
+        Action::Frame(wf) => conns.push(token, wf),
+        Action::Close => conns.close(token),
         Action::Truncate(full) => {
             let half = full.len() / 2;
-            conn.wq.push(WireFrame::contiguous(full[..half].to_vec()));
-            conn.closing = true;
-        }
-    }
-    if !dirty.contains(&token) {
-        dirty.push(token);
-    }
-}
-
-/// Flushes one connection's write queue, arming/disarming write
-/// interest; closes it on error or once a closing queue drains.
-fn flush_srv_conn(poll: &Poll, conns: &mut HashMap<usize, SrvConn>, token: usize) {
-    let Some(conn) = conns.get_mut(&token) else {
-        return;
-    };
-    match conn.wq.flush(&mut conn.stream) {
-        Ok(true) => {
-            if conn.closing {
-                let _ = poll.registry().deregister(&conn.stream);
-                let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-                conns.remove(&token);
-                return;
-            }
-            if conn.writable_armed {
-                conn.writable_armed = false;
-                let _ = poll
-                    .registry()
-                    .reregister(&conn.stream, Token(token), Interest::READABLE);
-            }
-        }
-        Ok(false) => {
-            if !conn.writable_armed {
-                conn.writable_armed = true;
-                let _ = poll.registry().reregister(
-                    &conn.stream,
-                    Token(token),
-                    Interest::READABLE | Interest::WRITABLE,
-                );
-            }
-        }
-        Err(_) => {
-            let _ = poll.registry().deregister(&conn.stream);
-            let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-            conns.remove(&token);
+            conns.push_last(token, WireFrame::contiguous(full[..half].to_vec()));
         }
     }
 }

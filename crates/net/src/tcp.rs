@@ -124,7 +124,7 @@ impl TcpTransport {
     ///
     /// Panics if `addrs` is empty or the poller cannot be created.
     pub fn connect(addrs: Vec<SocketAddr>) -> Self {
-        let shards = default_shards().min(addrs.len().max(1));
+        let shards = crate::poll::default_io_shards().min(addrs.len().max(1));
         Self::connect_sharded(addrs, shards)
     }
 
@@ -223,24 +223,14 @@ impl TcpTransport {
     }
 }
 
-/// One I/O shard per core by default (this machine's parallelism).
-fn default_shards() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 impl Transport for TcpTransport {
     fn n_workers(&self) -> usize {
         self.peers.len()
     }
 
     fn submit(&self, worker: usize, req: Request) -> Result<Receiver<Reply>, StoreError> {
-        assert!(worker < self.peers.len(), "worker index out of range");
-        self.ensure_connected(worker)?;
-        let (cmd, rx) = self.make_submit(worker, &req);
-        let shard = self.shard_of(worker);
-        shard.tx.send(cmd).map_err(|_| StoreError::Io(worker))?;
-        let _ = shard.waker.wake();
-        Ok(rx)
+        let mut routes = self.submit_batch(vec![(worker, req)])?;
+        Ok(routes.pop().expect("one route per request"))
     }
 
     /// Batched submission: every frame reaches its shard before a

@@ -13,21 +13,12 @@ use std::time::{Duration, Instant};
 use spcache_net::TcpCluster;
 use spcache_store::backing::{checkpoint, UnderStore};
 use spcache_store::rpc::PartKey;
-use spcache_store::{RetryPolicy, StoreConfig};
+use spcache_store::StoreConfig;
+
+mod common;
+use common::{payload, retry};
 
 const FILE_LEN: usize = 30_000;
-
-fn payload(len: usize) -> Vec<u8> {
-    (0..len).map(|i| ((i * 37 + 11) % 256) as u8).collect()
-}
-
-fn retry() -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: 4,
-        base_backoff: Duration::from_millis(2),
-        deadline: Duration::from_secs(2),
-    }
-}
 
 /// A one-byte budget spills every partition straight through to the
 /// under-store tier, so each read reloads (and therefore re-verifies)
@@ -74,11 +65,11 @@ fn spill_rot_heals_from_the_under_store_over_sockets() {
     let under = Arc::new(UnderStore::new());
     let cluster = TcpCluster::spawn_with_under_store(evicting_config(), Some(under.clone()));
     let client = cluster.client();
-    let data = payload(FILE_LEN);
+    let data = payload(1, FILE_LEN);
     client.write(1, &data, &[0, 1, 2]).unwrap();
     // A colder file landing on worker 0 evicts `(1, 0)` — no checkpoint
     // of file 1 exists yet, so the eviction writes it to the spill area.
-    let cold = payload(FILE_LEN / 3);
+    let cold = payload(2, FILE_LEN / 3);
     client.write(2, &cold, &[0]).unwrap();
     assert!(
         under.spill_contains(PartKey::new(1, 0)),
@@ -111,7 +102,7 @@ fn spill_rot_rebuilds_from_parity_over_sockets() {
     let cluster =
         TcpCluster::spawn_with_under_store(spilling_config().with_parity(1), Some(under.clone()));
     let client = cluster.client();
-    let data = payload(FILE_LEN);
+    let data = payload(1, FILE_LEN);
     client.write(1, &data, &[0, 1, 2]).unwrap();
     assert_eq!(client.read_quiet(1).unwrap(), data, "pre-flip read");
 

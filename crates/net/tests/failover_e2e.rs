@@ -18,6 +18,9 @@ use std::process::{Child, ChildStdout, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+mod common;
+use common::{await_until, payload};
+
 const N_WORKERS: usize = 3;
 const N_FILES: u64 = 5;
 const FILE_LEN: usize = 30_000;
@@ -98,19 +101,6 @@ fn respawn_daemon(args: &[&str], deadline: Duration) -> Daemon {
         );
         std::thread::sleep(Duration::from_millis(50));
     }
-}
-
-/// Polls `cond` until it holds, failing the test after `deadline`.
-fn await_until(what: &str, deadline: Duration, mut cond: impl FnMut() -> bool) {
-    let t0 = Instant::now();
-    while !cond() {
-        assert!(t0.elapsed() <= deadline, "{what} did not happen within {deadline:?}");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-fn payload(id: u64, len: usize) -> Vec<u8> {
-    (0..len).map(|i| ((i * 139 + id as usize * 23 + 7) % 256) as u8).collect()
 }
 
 fn placement(id: u64) -> Vec<usize> {

@@ -4,25 +4,15 @@
 
 use spcache_net::TcpCluster;
 use spcache_store::fault::FaultAction;
-use spcache_store::rpc::{PartKey, Reply, Request, StoreError};
+use spcache_store::master::MetaService;
+use spcache_store::rpc::{PartKey, Reply, Request, StoreError, WorkerStats};
 use spcache_store::transport::Transport;
-use spcache_store::{FaultPlan, RetryPolicy, StoreCluster, StoreConfig};
+use spcache_store::{Client, FaultPlan, StoreCluster, StoreConfig};
 use std::time::{Duration, Instant};
 
-const N_WORKERS: usize = 4;
+mod common;
+use common::{N_WORKERS, payload, retry};
 
-/// Deterministic payload, distinct per file.
-fn payload(id: u64, len: usize) -> Vec<u8> {
-    (0..len).map(|i| ((i * 131 + id as usize * 17 + 3) % 256) as u8).collect()
-}
-
-fn retry() -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: 4,
-        base_backoff: Duration::from_millis(2),
-        deadline: Duration::from_secs(2),
-    }
-}
 
 /// The acceptance bar: the same workload against the in-process channel
 /// transport and against real loopback sockets returns identical bytes.
@@ -190,5 +180,60 @@ fn stats_travel_the_wire() {
     assert_eq!(puts, 2);
     assert_eq!(gets, 2);
     assert_eq!(stats.iter().map(|s| s.resident_parts).sum::<usize>(), 2);
+    tcp.shutdown();
+}
+
+/// A degraded `k = 3, r = 1` read costs exactly `k + r` worker requests:
+/// the erasure widens the attempt with the parity fetch instead of
+/// starting a second `k + r` fan-out, so each surviving data shard is
+/// fetched once. Same count over channels and over sockets.
+#[test]
+fn degraded_read_costs_k_plus_r_gets_on_both_transports() {
+    fn check(client: &Client, transport: &dyn Transport, stats: &dyn Fn() -> Vec<WorkerStats>) {
+        let data = payload(1, 9_000);
+        client.write(1, &data, &[0, 1, 2]).unwrap();
+        let key = PartKey::new(1, 0);
+        let gone = transport.call(0, Request::Delete { key }, Duration::from_secs(5));
+        assert_eq!(gone, Ok(Reply::Flag(true)));
+        let before = stats();
+        assert_eq!(client.read(1).unwrap(), data);
+        let moved: Vec<u64> = stats().iter().zip(&before).map(|(a, b)| a.gets - b.gets).collect();
+        // Workers 0–2: one Get each (worker 0's is the NotFound); the
+        // one GetParity lands on a spare.
+        assert_eq!(moved[..3], [1, 1, 1], "a surviving data shard was fetched twice");
+        assert_eq!(moved.iter().sum::<u64>(), 4, "k + r = 4 requests, got {moved:?}");
+    }
+    let cfg = || StoreConfig::unthrottled(5).with_verify_reads(true).with_parity(1);
+    let chan = StoreCluster::spawn(cfg());
+    check(&chan.client(), chan.transport().as_ref(), &|| chan.worker_stats().unwrap());
+    let tcp = TcpCluster::spawn(cfg());
+    check(&tcp.client(), tcp.transport().as_ref(), &|| tcp.worker_stats().unwrap());
+    tcp.shutdown();
+}
+
+/// Placements reach the client from callers and from the master over
+/// the wire; an empty one, or one naming a worker outside the fleet, is
+/// a typed permanent error on every path — never an index panic inside
+/// a transport.
+#[test]
+fn bad_placements_are_typed_errors_on_both_transports() {
+    fn check(client: &Client, master: &dyn MetaService) {
+        let bad = |r: Result<(), StoreError>| {
+            let e = r.expect_err("bad placement accepted");
+            assert!(matches!(e, StoreError::Codec(_)) && !e.is_retryable(), "got {e:?}");
+        };
+        bad(client.write(1, b"nowhere", &[]));
+        bad(client.write(1, b"off the end", &[0, N_WORKERS]));
+        bad(client.write_many(&[(1, b"batch".to_vec().into(), vec![])]));
+        // Metadata naming a worker the fleet does not have.
+        master.register(2, 100, vec![1, N_WORKERS + 5]).unwrap();
+        bad(client.read(2).map(drop));
+        bad(client.read_scattered(2).map(drop));
+        assert_eq!(client.delete(2), Ok(0));
+    }
+    let chan = StoreCluster::spawn(StoreConfig::unthrottled(N_WORKERS).with_retry(retry()));
+    check(&chan.client(), chan.master().as_ref());
+    let tcp = TcpCluster::spawn(StoreConfig::unthrottled(N_WORKERS).with_retry(retry()));
+    check(&tcp.client(), &tcp.master_client());
     tcp.shutdown();
 }

@@ -13,7 +13,9 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const N_WORKERS: usize = 4;
+mod common;
+use common::{N_WORKERS, await_until, payload};
+
 const N_FILES: u64 = 6;
 const FILE_LEN: usize = 40_000;
 
@@ -102,19 +104,6 @@ fn respawn_daemon(args: &[&str], deadline: Duration) -> Daemon {
         );
         std::thread::sleep(Duration::from_millis(50));
     }
-}
-
-/// Polls `cond` until it holds, failing the test after `deadline`.
-fn await_until(what: &str, deadline: Duration, mut cond: impl FnMut() -> bool) {
-    let t0 = Instant::now();
-    while !cond() {
-        assert!(t0.elapsed() <= deadline, "{what} did not happen within {deadline:?}");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-fn payload(id: u64, len: usize) -> Vec<u8> {
-    (0..len).map(|i| ((i * 131 + id as usize * 17 + 3) % 256) as u8).collect()
 }
 
 #[test]

@@ -28,18 +28,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-const N_WORKERS: usize = 4;
+mod common;
+use common::{N_WORKERS, chaos_seed};
+
 const N_CLIENTS: usize = 1_000;
 /// Put+get rounds per client.
 const ROUNDS: u64 = 3;
 const VAL_LEN: usize = 512;
-
-fn chaos_seed() -> u64 {
-    std::env::var("SPCACHE_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
 
 /// Distinct bytes per (client, version) — a cross-wired or stale reply
 /// can never collide with the expected pattern.

@@ -336,8 +336,9 @@ pub fn recovery_targets(live: &[usize], k: usize, id: u64) -> Vec<usize> {
 ///
 /// [`StoreError::Degraded`] when another repair of this file is already
 /// in flight (not retryable — wait it out or shed the op);
-/// [`StoreError::UnknownFile`] if no checkpoint exists; worker errors
-/// if a target is down too.
+/// [`StoreError::UnknownFile`] if no checkpoint exists;
+/// [`StoreError::Codec`] for an empty `new_servers` or one naming a
+/// worker outside the fleet; worker errors if a target is down too.
 pub fn recover_file(
     client: &Client,
     master: &dyn MetaService,
@@ -345,7 +346,6 @@ pub fn recover_file(
     id: u64,
     new_servers: &[usize],
 ) -> Result<(), StoreError> {
-    assert!(!new_servers.is_empty(), "need at least one target server");
     if !master.begin_repair(id) {
         return Err(StoreError::Degraded(id));
     }
@@ -362,12 +362,13 @@ pub fn recover_file(
         // GC partitions of the old layout that the new one did not
         // overwrite (same index on the same server). Dead holders are
         // skipped silently — their copies died with them.
-        for (j, &server) in old_servers.iter().enumerate() {
-            let kept = new_servers.get(j).is_some_and(|&s| s == server);
-            if !kept {
-                client.discard_partition(server, crate::rpc::PartKey::new(id, j as u32));
-            }
-        }
+        let stale = old_servers.iter().enumerate();
+        client.discard(
+            stale
+                .filter(|&(j, server)| new_servers.get(j) != Some(server))
+                .map(|(j, &server)| (server, crate::rpc::PartKey::new(id, j as u32)))
+                .collect(),
+        );
         Ok(())
     })();
     master.end_repair(id);

@@ -1,9 +1,10 @@
-//! The SP-Client: parallel fork-join reads and writes, with a robust,
-//! zero-copy, select-driven data path (single per-read deadline, bounded
-//! retry, hedged under-store range reads).
+//! The SP-Client: parallel fork-join reads and writes over the store's
+//! one fork-join engine ([`crate::forkjoin`]) — a zero-copy data path
+//! with a single per-attempt deadline, bounded retry, hedged under-store
+//! range reads and parity decode, all as "obtain any `k` of the
+//! outstanding shards".
 
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, RecvTimeoutError, Select, TryRecvError};
 use parking_lot::Mutex;
 use spcache_core::online::partition_range;
 use spcache_ec::{split_shards_bytes, ReedSolomon};
@@ -12,7 +13,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::backing::UnderStore;
-use crate::config::{DegradedPolicy, HedgePolicy, RetryPolicy};
+use crate::config::{DegradedPolicy, HedgePolicy, RetryPolicy, StoreConfig};
+use crate::forkjoin::{empty_placement, Fanout};
 use crate::master::MetaService;
 use crate::metalog::FileIntegrity;
 use crate::rpc::{PartKey, Reply, Request, StoreError};
@@ -30,7 +32,7 @@ use crate::transport::Transport;
 ///
 /// Reads are **robust** and **out-of-order**: all `k` partition fetches
 /// are issued at once and their replies consumed as they land via a
-/// ready-set [`Select`] over the reply channels — no partition waits
+/// ready-set select over the reply channels — no partition waits
 /// behind a slower, lower-indexed one. One [`RetryPolicy::deadline`]
 /// covers the whole read attempt (the fork-join of Fig. 9a really is
 /// bounded by its slowest partition, not by `k` stacked timeouts). A
@@ -41,15 +43,18 @@ use crate::transport::Transport;
 /// still outstanding at the threshold is served from its exact byte range
 /// in the under-store checkpoint ([`UnderStore::load_range`]) — the
 /// late-binding trick of EC-Cache, adapted to a redundancy-free cache
-/// where the checkpoint is the only second copy.
+/// where the checkpoint is the only second copy. An erased partition
+/// (`Corrupt`, `NotFound`, a checksum mismatch) widens the same attempt
+/// with the file's parity fetches, after which any `k` of the `k + r`
+/// shards finish the read (DESIGN.md §4.7).
 ///
 /// Reads are also **zero-copy** up to the final assembly:
 /// [`Client::write_bytes`] slices one backing buffer into partition
 /// views, workers store and reply with views of that same allocation,
 /// and [`Client::read_scattered`] hands those views back without ever
 /// materializing a contiguous copy. [`Client::read`] performs exactly
-/// one copy: each reply is scattered directly into its offset of a
-/// single preallocated output buffer as it arrives.
+/// one copy: replies are appended in order to a single pre-sized output
+/// buffer as they arrive.
 #[derive(Debug, Clone)]
 pub struct Client {
     master: Arc<dyn MetaService>,
@@ -99,7 +104,6 @@ impl Client {
     /// with a single-attempt [`RetryPolicy::none`] and hedging disabled
     /// (the seed behaviour).
     pub fn new(master: Arc<dyn MetaService>, transport: Arc<dyn Transport>) -> Self {
-        assert!(transport.n_workers() > 0, "need at least one worker");
         Client {
             master,
             transport,
@@ -118,6 +122,30 @@ impl Client {
         }
     }
 
+    /// The client a cluster configured by `cfg` hands out: its retry and
+    /// hedge policies, end-to-end verification and parity width; under a
+    /// supervisor additionally **fenced** (stamps registration epochs
+    /// onto data requests) with the configured degraded-mode admission
+    /// policy; `under`, if any, attached for hedges and read-path
+    /// healing.
+    pub fn from_config(
+        master: Arc<dyn MetaService>,
+        transport: Arc<dyn Transport>,
+        cfg: &StoreConfig,
+        under: Option<Arc<UnderStore>>,
+    ) -> Self {
+        Client {
+            retry: cfg.retry,
+            hedge: cfg.hedge,
+            under,
+            fenced: cfg.supervisor.enabled,
+            degraded: cfg.supervisor.degraded,
+            verify: cfg.verify_reads,
+            parity: cfg.parity,
+            ..Client::new(master, transport)
+        }
+    }
+
     /// Sets the retry policy (builder style).
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
@@ -132,22 +160,6 @@ impl Client {
     /// unchanged.
     pub fn with_fencing(mut self, fenced: bool) -> Self {
         self.fenced = fenced;
-        self
-    }
-
-    /// Sets the degraded-mode admission policy (builder style):
-    /// [`DegradedPolicy::Queue`] keeps retrying while a repair is in
-    /// flight elsewhere; [`DegradedPolicy::FastFail`] surfaces
-    /// [`StoreError::Degraded`] immediately.
-    pub fn with_degraded_policy(mut self, policy: DegradedPolicy) -> Self {
-        self.degraded = policy;
-        self
-    }
-
-    /// Sets the hedge policy (builder style). Hedging only fires when an
-    /// under-store is attached too.
-    pub fn with_hedge(mut self, hedge: HedgePolicy) -> Self {
-        self.hedge = hedge;
         self
     }
 
@@ -255,7 +267,8 @@ impl Client {
     /// # Errors
     ///
     /// Propagates worker failures; metadata registration errors if the id
-    /// is taken.
+    /// is taken; [`StoreError::Codec`] for an empty placement or one
+    /// naming a worker outside the fleet.
     pub fn write_bytes(&self, id: u64, data: Bytes, servers: &[usize]) -> Result<(), StoreError> {
         let size = data.len();
         let sums = self.push_partitions(id, &data, servers)?;
@@ -291,35 +304,15 @@ impl Client {
         if files.is_empty() {
             return Ok(());
         }
-        let mut reqs = Vec::new();
-        let mut targets = Vec::new();
-        let mut rows = Vec::with_capacity(files.len());
+        let mut rows = Vec::new();
+        let mut placed = Vec::with_capacity(files.len());
         let mut integrity = Vec::with_capacity(files.len());
         for (id, data, servers) in files {
-            assert!(!servers.is_empty(), "need at least one target server");
-            let shards = split_shards_bytes(data, servers.len());
-            let sums = spcache_integrity::sums(&shards);
-            for (j, (shard, &server)) in shards.into_iter().zip(servers).enumerate() {
-                reqs.push((
-                    server,
-                    Request::Put {
-                        key: PartKey::new(*id, j as u32),
-                        data: shard,
-                        sum: sums[j],
-                    },
-                ));
-                targets.push(server);
-            }
-            rows.push((*id, data.len(), servers.clone()));
-            integrity.push((*id, sums));
+            integrity.push((*id, split_rows(*id, data, servers, &mut rows)?));
+            placed.push((*id, data.len(), servers.clone()));
         }
-        let rxs = self.submit_batch(reqs)?;
-        let deadline = Instant::now() + self.retry.deadline;
-        for (server, rx) in targets.into_iter().zip(rxs) {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            self.await_reply(server, &rx, remaining)?.unit()?;
-        }
-        self.master.register_batch(&rows)?;
+        self.put_all(rows)?;
+        self.master.register_batch(&placed)?;
         if self.verify || self.parity > 0 {
             // The bulk-seeding path records checksum rows but skips the
             // parity fan-out (seed corpora are re-derivable; parity is
@@ -344,37 +337,9 @@ impl Client {
         data: &Bytes,
         servers: &[usize],
     ) -> Result<Vec<u64>, StoreError> {
-        assert!(!servers.is_empty(), "need at least one target server");
-        let shards = split_shards_bytes(data, servers.len());
-        let sums = spcache_integrity::sums(&shards);
-
-        // Fire all puts as ONE batch (socket transports coalesce the
-        // frames into shared `writev` rounds), then collect completions
-        // under one shared deadline (parallel fan-out: the write is
-        // bounded by its slowest partition, not by the sum of
-        // per-partition waits).
-        let reqs = shards
-            .into_iter()
-            .zip(servers)
-            .enumerate()
-            .map(|(j, (shard, &server))| {
-                (
-                    server,
-                    Request::Put {
-                        key: PartKey::new(id, j as u32),
-                        data: shard,
-                        sum: sums[j],
-                    },
-                )
-            })
-            .collect();
-        let rxs = self.submit_batch(reqs)?;
-        let pending: Vec<(usize, _)> = servers.iter().copied().zip(rxs).collect();
-        let deadline = Instant::now() + self.retry.deadline;
-        for (server, rx) in pending {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            self.await_reply(server, &rx, remaining)?.unit()?;
-        }
+        let mut rows = Vec::with_capacity(servers.len());
+        let sums = split_rows(id, data, servers, &mut rows)?;
+        self.put_all(rows)?;
         Ok(sums)
     }
 
@@ -405,52 +370,59 @@ impl Client {
         // Rotate the spare list by file id so parity load spreads across
         // the fleet instead of piling onto the lowest-indexed workers.
         let rot = (id as usize) % spare.len();
-        let place = |p: usize| spare[(rot + p) % spare.len()];
-        let reqs = parity
-            .into_iter()
-            .enumerate()
-            .map(|(p, shard)| {
-                (
-                    place(p),
-                    Request::Put {
-                        key: PartKey::parity(id, p as u32),
-                        data: shard,
-                        sum: sums[p],
-                    },
-                )
-            })
+        let row: Vec<(usize, u64)> = (0..r)
+            .map(|p| (spare[(rot + p) % spare.len()], sums[p]))
             .collect();
-        let rxs = self.submit_batch(reqs)?;
-        let deadline = Instant::now() + self.retry.deadline;
-        let mut row = Vec::with_capacity(r);
-        for (p, rx) in rxs.iter().enumerate() {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            self.await_reply(place(p), rx, remaining)?.unit()?;
-            row.push((place(p), sums[p]));
-        }
+        let rows = parity
+            .into_iter()
+            .zip(&row)
+            .enumerate()
+            .map(|(p, (shard, &(server, sum)))| (server, PartKey::parity(id, p as u32), shard, sum))
+            .collect();
+        self.put_all(rows)?;
         Ok(row)
     }
 
-    /// Best-effort partition drop on one worker (recovery GC); errors
-    /// and dead workers are ignored. Deliberately unfenced (a stale
-    /// epoch must not block GC), but background-stamped like the rest
-    /// of a maintenance client's traffic.
-    pub(crate) fn discard_partition(&self, server: usize, key: PartKey) {
-        let mut req = Request::Delete { key };
-        if self.background {
-            req = req.background();
-        }
-        if let Ok(rx) = self.transport.submit(server, req) {
-            let _ = rx.recv_timeout(self.retry.deadline);
+    /// The one Put fan-out: forks `rows` as a single stamped batch and
+    /// joins the acks under one shared deadline (the write is bounded by
+    /// its slowest partition, not by the sum of per-partition waits).
+    fn put_all(&self, rows: Vec<PutRow>) -> Result<(), StoreError> {
+        self.io().fork(puts(rows))?.acks(self.retry.deadline)
+    }
+
+    /// Best-effort drop of partitions on their holders (delete, recovery
+    /// GC); returns how many were resident. Errors and dead workers are
+    /// ignored. Deliberately unfenced (a stale epoch must not block GC)
+    /// and health-silent (a fenced zombie's answer must not revive it),
+    /// but background-stamped like the rest of a maintenance client's
+    /// traffic.
+    pub(crate) fn discard(&self, keys: Vec<(usize, PartKey)>) -> usize {
+        let deletes = keys
+            .into_iter()
+            .map(|(server, key)| (server, Request::Delete { key }))
+            .collect();
+        self.io().discard(deletes, self.retry.deadline)
+    }
+
+    /// This client as a fork-join engine: its master, transport and
+    /// request stamps.
+    fn io(&self) -> Fanout<'_> {
+        Fanout {
+            master: self.master.as_ref(),
+            transport: self.transport.as_ref(),
+            fence: self.fenced.then_some(&*self.epochs),
+            background: self.background,
+            master_stamp: self.master_stamp,
+            health: true,
         }
     }
 
     /// Reads a file: locates its partitions via the master (which counts
-    /// the access), fetches them all in parallel, and scatters each reply
-    /// into its offset of one preallocated buffer (the fork-join of
-    /// Fig. 9a, out of order). Failed attempts are retried per the
-    /// [`RetryPolicy`], recovering from the under-store when one is
-    /// attached.
+    /// the access), fetches them all in parallel, and assembles the
+    /// replies in order into one pre-sized buffer as they land (the
+    /// fork-join of Fig. 9a, out of order). Failed attempts are retried
+    /// per the [`RetryPolicy`], recovering from the under-store when one
+    /// is attached.
     ///
     /// # Errors
     ///
@@ -458,18 +430,12 @@ impl Client {
     /// missing partitions, timeouts, transport I/O failures and dead
     /// workers.
     pub fn read(&self, id: u64) -> Result<Vec<u8>, StoreError> {
-        match self.read_robust(id, true, true)? {
-            ReadOut::Contiguous(buf) => Ok(buf),
-            ReadOut::Scattered(f) => Ok(gather(f)),
-        }
+        Ok(self.read_with(id, true, true)?.into_vec())
     }
 
     /// Reads without bumping the popularity counter.
     pub fn read_quiet(&self, id: u64) -> Result<Vec<u8>, StoreError> {
-        match self.read_robust(id, false, true)? {
-            ReadOut::Contiguous(buf) => Ok(buf),
-            ReadOut::Scattered(f) => Ok(gather(f)),
-        }
+        Ok(self.read_with(id, false, true)?.into_vec())
     }
 
     /// Zero-copy read: returns the file as its in-index-order partition
@@ -486,135 +452,38 @@ impl Client {
     ///
     /// Same contract as [`Client::read`].
     pub fn read_scattered(&self, id: u64) -> Result<ScatteredFile, StoreError> {
-        match self.read_robust(id, true, false)? {
-            ReadOut::Scattered(f) => Ok(f),
-            ReadOut::Contiguous(_) => unreachable!("scattered mode returns views"),
-        }
+        Ok(self.read_with(id, true, false)?.into_scattered())
     }
 
-    /// One robust read: locate → fetch-all-partitions → retry/heal loop.
-    /// With `contiguous` set, each partition is copied into its offset of
-    /// one preallocated output buffer **as its reply lands**, so the
-    /// read's single copy overlaps the wait for slower partitions instead
-    /// of running serially after the join.
-    fn read_robust(
+    /// The retry loop around [`Client::attempt`]: locate → attempt →
+    /// (heal, back off, re-locate) until the attempt succeeds, the error
+    /// is permanent or the [`RetryPolicy`] is exhausted.
+    fn read_with(
         &self,
         id: u64,
         count_access: bool,
         contiguous: bool,
-    ) -> Result<ReadOut, StoreError> {
+    ) -> Result<Assembly, StoreError> {
         let mut attempt = 0u32;
         let started = Instant::now();
         loop {
             attempt += 1;
             // Re-locate every attempt: recovery and repartition both
             // change the placement under us.
-            let located = if count_access && attempt == 1 {
+            let (size, servers) = if count_access && attempt == 1 {
                 self.master.locate(id)
             } else {
                 self.master.peek(id)
-            };
-            let (size, servers) = located?;
-            // The integrity row travels beside the placement: the
-            // checksum half drives end-to-end verification, the parity
-            // half names the recovery set (§4.15).
-            let integ = if self.verify {
-                self.master.integrity(id)
-            } else {
-                None
-            };
-            let sums = integ
-                .as_ref()
-                .map(|i| i.sums.as_slice())
-                // A row of the wrong width predates a re-split that has
-                // not recorded fresh sums yet — don't verify against it.
-                .filter(|s| s.len() == servers.len());
-            let mut sink = if contiguous {
-                ReadSink::contiguous(size, servers.len())
-            } else {
-                ReadSink::parts(servers.len())
-            };
-            let err = match self.fetch_into(id, size, &servers, sums, &mut sink) {
-                Ok(()) => return Ok(sink.finish(size)),
+            }?;
+            let mut asm = Assembly::new(size, servers.len(), contiguous);
+            let err = match self.attempt(id, &servers, &mut asm) {
+                Ok(()) => return Ok(asm),
                 Err(e) => e,
             };
-            // A corrupt partition is an *erasure* — and so is a lost
-            // one (`NotFound` with no spill copy left). The parity set
-            // exists for exactly this: rebuild the file from any `k` of
-            // its `k + r` verified partitions, with no under-store
-            // round-trip. This is part of the same read attempt (it
-            // runs even under a single-attempt policy); failure here
-            // (parity unreachable, too few verified shards) falls
-            // through to the heal-and-retry path.
-            if matches!(err, StoreError::Corrupt(_) | StoreError::NotFound(_)) {
-                let row = match integ {
-                    Some(i) => Some(i),
-                    // Workers verify even when this client doesn't
-                    // (e.g. `verify_reads` on the fleet only): fetch
-                    // the row we skipped above.
-                    None => self.master.integrity(id),
-                };
-                let row = row
-                    .filter(|r| !r.parity.is_empty() && r.sums.len() == servers.len());
-                if let Some(row) = row {
-                    if let Ok(parts) = self.read_via_parity(id, size, &servers, &row) {
-                        let f = ScatteredFile { size, parts };
-                        return Ok(if contiguous {
-                            ReadOut::Contiguous(gather(f))
-                        } else {
-                            ReadOut::Scattered(f)
-                        });
-                    }
-                }
-            }
             if !err.is_retryable() || attempt >= self.retry.max_attempts {
                 return Err(err);
             }
-            // Heal before retrying: recover the file from the
-            // under-store onto live workers, so the next attempt reads
-            // a fresh placement instead of the same hole. A denied
-            // repair slot means someone else (the supervisor's sweep or
-            // another client) is already healing this file — under
-            // `FastFail` that sheds the operation immediately, under
-            // `Queue` the retry loop simply waits the repair out.
-            if let Some(under) = &self.under {
-                if under.contains(id) {
-                    let live = self.master.live_workers(self.transport.n_workers());
-                    if !live.is_empty() {
-                        let targets =
-                            crate::backing::recovery_targets(&live, servers.len(), id);
-                        // The heal's partition pushes are maintenance
-                        // traffic riding next to this foreground read:
-                        // stamp them background so the refill cannot
-                        // starve other clients' reads.
-                        let healed = crate::backing::recover_file(
-                            &self.as_background(),
-                            self.master.as_ref(),
-                            under,
-                            id,
-                            &targets,
-                        );
-                        if matches!(healed, Err(StoreError::Degraded(_))) {
-                            match self.degraded {
-                                DegradedPolicy::FastFail => {
-                                    return Err(StoreError::Degraded(id));
-                                }
-                                // A TTL'd queue keeps waiting the repair
-                                // out only while this operation is
-                                // young; past the TTL it sheds like
-                                // FastFail so degraded reads have a
-                                // bounded worst case.
-                                DegradedPolicy::QueueTtl(ttl)
-                                    if started.elapsed() >= ttl =>
-                                {
-                                    return Err(StoreError::Degraded(id));
-                                }
-                                _ => {}
-                            }
-                        }
-                    }
-                }
-            }
+            self.heal(id, servers.len(), started)?;
             let backoff = self.retry.base_backoff * 2u32.saturating_pow(attempt - 1);
             if backoff > Duration::ZERO {
                 std::thread::sleep(backoff);
@@ -622,411 +491,226 @@ impl Client {
         }
     }
 
-    /// One fork-join attempt against a fixed placement: fire all `k`
-    /// fetches as a single transport batch, then consume replies **as
-    /// they land** via a ready-set select over the reply channels, under
-    /// a **single deadline** for the whole attempt. Each landed reply is
-    /// placed into `sink` immediately — for a contiguous sink that copy
-    /// runs while slower partitions are still on the wire.
-    ///
-    /// When hedging is armed, one hedge timer covers the read: at the
-    /// straggler threshold, every partition still outstanding — i.e. the
-    /// actual stragglers, whatever their index — is served from its byte
-    /// range in the under-store checkpoint instead.
-    /// With `sums` present, every landed worker reply is additionally
-    /// verified against its stored checksum; a mismatch aborts the
-    /// attempt with [`StoreError::Corrupt`] — the same erasure a
-    /// verifying worker reports. (Hedged under-store ranges are the
-    /// checkpoint ground truth and are not re-checked.)
-    fn fetch_into(
-        &self,
-        id: u64,
-        size: usize,
-        servers: &[usize],
-        sums: Option<&[u64]>,
-        sink: &mut ReadSink,
-    ) -> Result<(), StoreError> {
-        let k = servers.len();
-        let start = Instant::now();
-        let deadline = start + self.retry.deadline;
-
-        // Fork: issue every partition fetch up front, in one batch.
-        let reqs = servers
-            .iter()
-            .enumerate()
-            .map(|(j, &server)| {
-                (
-                    server,
-                    Request::Get {
-                        key: PartKey::new(id, j as u32),
-                    },
-                )
-            })
-            .collect();
-        let replies = self.submit_batch(reqs)?;
-
-        let hedging = self.hedge.enabled && self.under.is_some();
-        let mut hedge_at = if hedging {
-            Some(start + self.hedge.straggler_threshold.min(self.retry.deadline))
-        } else {
-            None
+    /// Heals before a retry: recovers the file from the under-store onto
+    /// live workers, so the next attempt reads a fresh placement instead
+    /// of the same hole. A denied repair slot means someone else (the
+    /// supervisor's sweep or another client) is already healing this
+    /// file — under `FastFail` that sheds the operation with
+    /// [`StoreError::Degraded`], under `Queue` the retry loop simply
+    /// waits the repair out.
+    fn heal(&self, id: u64, k: usize, started: Instant) -> Result<(), StoreError> {
+        let Some(under) = self.under.as_ref().filter(|u| u.contains(id)) else {
+            return Ok(());
         };
-
-        // Join: a ready-set wait over all outstanding reply channels.
-        let mut remaining = k;
-        while remaining > 0 {
-            let wait_until = hedge_at.map_or(deadline, |h| h.min(deadline));
-            let mut sel = Select::new();
-            let mut outstanding = Vec::with_capacity(remaining);
-            for (j, rx) in replies.iter().enumerate() {
-                if sink.is_pending(j) {
-                    outstanding.push(j);
-                    sel.recv(rx);
-                }
-            }
-            match sel.ready_deadline(wait_until) {
-                Ok(i) => {
-                    let j = outstanding[i];
-                    match replies[j].try_recv() {
-                        Ok(reply) => {
-                            let data = self.absorb_reply(servers[j], reply)?.bytes()?;
-                            if let Some(sums) = sums {
-                                if !spcache_integrity::verify(&data, sums[j]) {
-                                    return Err(StoreError::Corrupt(PartKey::new(
-                                        id, j as u32,
-                                    )));
-                                }
-                            }
-                            sink.place(j, data);
-                            remaining -= 1;
-                        }
-                        Err(TryRecvError::Disconnected) => {
-                            return Err(self.worker_down(servers[j]));
-                        }
-                        // Spurious readiness; go wait again.
-                        Err(TryRecvError::Empty) => {}
-                    }
-                }
-                Err(_) if hedge_at.is_some_and(|h| h < deadline) => {
-                    // Hedge timer fired before the deadline: late-bind
-                    // every partition still outstanding to its exact byte
-                    // range in the under-store checkpoint. If there is no
-                    // checkpoint, disarm the hedge and wait out the rest
-                    // of the deadline.
-                    hedge_at = None;
-                    let under = self.under.as_ref().expect("hedging requires under-store");
-                    for &j in &outstanding {
-                        let range = partition_range(size as u64, k, j);
-                        let Some(data) = under.load_range(id, range.start, range.len())
-                        else {
-                            break;
-                        };
-                        self.master.suspect(servers[j]);
-                        self.hedged_fetches.fetch_add(1, Ordering::Relaxed);
-                        self.hedged_bytes
-                            .fetch_add(data.len() as u64, Ordering::Relaxed);
-                        sink.place(j, data);
-                        remaining -= 1;
-                    }
-                }
-                Err(_) => {
-                    // The read deadline expired with partitions missing:
-                    // the slowest partition really is the read's fate
-                    // (Eq. 9). Suspect and report its actual holder.
-                    let straggler = servers[outstanding[0]];
-                    return Err(self.timeout(straggler));
-                }
-            }
+        let live = self.master.live_workers(self.transport.n_workers());
+        if live.is_empty() {
+            return Ok(());
+        }
+        let targets = crate::backing::recovery_targets(&live, k, id);
+        // The heal's partition pushes are maintenance traffic riding
+        // next to this foreground read: stamp them background so the
+        // refill cannot starve other clients' reads.
+        let healed = crate::backing::recover_file(
+            &self.as_background(),
+            self.master.as_ref(),
+            under,
+            id,
+            &targets,
+        );
+        let shed = match self.degraded {
+            DegradedPolicy::FastFail => true,
+            // A TTL'd queue keeps waiting the repair out only while this
+            // operation is young; past the TTL it sheds like FastFail so
+            // degraded reads have a bounded worst case.
+            DegradedPolicy::QueueTtl(ttl) => started.elapsed() >= ttl,
+            DegradedPolicy::Queue => false,
+        };
+        if shed && matches!(healed, Err(StoreError::Degraded(_))) {
+            return Err(StoreError::Degraded(id));
         }
         Ok(())
     }
 
-    /// Corruption-to-erasure recovery (§4.15): re-reads the file
-    /// through its parity set. All `k` data fetches and `r` parity
-    /// fetches fire as one batch; replies are consumed as they land and
-    /// **verified** against the integrity row (this read is recovering
-    /// from a corruption — nothing is taken on trust). As soon as any
-    /// `k` of the `k + r` shards verify, the rest are abandoned
-    /// (EC-Cache's late binding, repurposed from straggler evasion to
-    /// erasure repair) and the missing data partitions are rebuilt by
-    /// the Cauchy decode. Rebuilt partitions are re-pushed to their
-    /// placement in the background (read repair), so the next read is
-    /// clean — all without touching the under-store.
-    fn read_via_parity(
+    /// One fork-join read attempt against a fixed placement: *obtain any
+    /// `k` of the outstanding shards* (DESIGN.md §4.7 describes the
+    /// states and events). The outstanding set starts as the `k` data
+    /// `Get`s, forked as one batch and joined as they land under a
+    /// **single deadline**; each landed shard goes into `asm` at once.
+    /// The first erasure (`Corrupt`, `NotFound`, a checksum mismatch)
+    /// **widens** the same set once with the file's `r` `GetParity`
+    /// fetches, after which any `k` of the `k + r` end the wait; any
+    /// other failure before widening fails the attempt (the retry loop
+    /// heals). The hedge timer serves still-outstanding *data* shards
+    /// from their under-store byte ranges. With `k` shards in hand,
+    /// missing data shards are decoded, proved and re-landed.
+    fn attempt(&self, id: u64, servers: &[usize], asm: &mut Assembly) -> Result<(), StoreError> {
+        let k = servers.len();
+        // The integrity row travels beside the placement: fetched up
+        // front only when this client verifies, else on the first
+        // erasure (workers may verify even when the client doesn't).
+        let mut row = if self.verify {
+            self.master.integrity(id)
+        } else {
+            None
+        };
+        let start = Instant::now();
+        let deadline = start + self.retry.deadline;
+        let gets = servers
+            .iter()
+            .enumerate()
+            .map(|(j, &server)| (server, Request::Get { key: PartKey::new(id, j as u32) }))
+            .collect();
+        let mut join = self.io().fork(gets)?;
+        let mut hedge = self
+            .under
+            .as_deref()
+            .filter(|_| self.hedge.enabled)
+            .map(|under| (start + self.hedge.straggler_threshold.min(self.retry.deadline), under));
+        // Set by the widening: the erasure that caused it, and the
+        // landed parity shards.
+        let mut erasure: Option<StoreError> = None;
+        let mut parity: Vec<Option<Bytes>> = Vec::new();
+        let mut have = 0;
+
+        while have < k {
+            let wake = hedge.map_or(deadline, |(at, _)| at.min(deadline));
+            let Some((i, landed)) = join.next(wake) else {
+                if join.pending() == 0 {
+                    // Every route answered and fewer than k shards are
+                    // usable: the parity set cannot cover this failure.
+                    return Err(erasure.expect("only a widened attempt survives failed shards"));
+                }
+                if let Some((_, under)) = hedge.take().filter(|&(at, _)| at < deadline) {
+                    // Late-bind every data shard still outstanding to its
+                    // exact byte range in the checkpoint. Without a
+                    // checkpoint the hedge stays disarmed and the rest of
+                    // the deadline is waited out.
+                    let stragglers: Vec<usize> = join.outstanding().filter(|&j| j < k).collect();
+                    for j in stragglers {
+                        let range = partition_range(asm.size as u64, k, j);
+                        let Some(data) = under.load_range(id, range.start, range.len()) else {
+                            break;
+                        };
+                        join.give_up(j);
+                        self.hedged_fetches.fetch_add(1, Ordering::Relaxed);
+                        self.hedged_bytes.fetch_add(data.len() as u64, Ordering::Relaxed);
+                        asm.place(j, data);
+                        have += 1;
+                    }
+                    continue;
+                }
+                // The slowest partition really is the read's fate (Eq. 9).
+                let late = join.expire();
+                return Err(erasure.unwrap_or(late));
+            };
+            // A row whose width ≠ k predates a re-split that has not
+            // recorded fresh sums yet — don't verify against it.
+            let want = row
+                .as_ref()
+                .filter(|r| r.sums.len() == k && (self.verify || erasure.is_some()))
+                .map(|r| if i < k { r.sums[i] } else { r.parity[i - k].1 });
+            let shard = landed.and_then(Reply::bytes).and_then(|data| match want {
+                Some(sum) if !spcache_integrity::verify(&data, sum) => {
+                    Err(StoreError::Corrupt(PartKey::new(id, i as u32)))
+                }
+                _ => Ok(data),
+            });
+            match shard {
+                Ok(data) => {
+                    if i < k {
+                        asm.place(i, data);
+                    } else {
+                        parity[i - k] = Some(data);
+                    }
+                    have += 1;
+                }
+                // Widened: a failed shard is just not one of the k.
+                Err(_) if erasure.is_some() => {}
+                Err(e @ (StoreError::Corrupt(_) | StoreError::NotFound(_))) => {
+                    if row.is_none() {
+                        row = self.master.integrity(id);
+                    }
+                    let Some(set) = row
+                        .as_ref()
+                        .filter(|r| !r.parity.is_empty() && r.sums.len() == k)
+                    else {
+                        return Err(e);
+                    };
+                    let gets = set
+                        .parity
+                        .iter()
+                        .enumerate()
+                        .map(|(p, &(server, _))| {
+                            (server, Request::GetParity { key: PartKey::parity(id, p as u32) })
+                        })
+                        .collect();
+                    if join.widen(gets).is_err() {
+                        return Err(e);
+                    }
+                    parity = vec![None; set.parity.len()];
+                    erasure = Some(e);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        match (erasure, row) {
+            (Some(erasure), Some(row)) => self
+                .rebuild(id, servers, &row, &parity, asm)
+                .ok_or(erasure),
+            _ => Ok(()),
+        }
+    }
+
+    /// Decodes the data shards `asm` is missing from the `k` data and
+    /// parity shards in hand, proves each against its recorded sum and
+    /// lands it — in `asm`, and back on its holder (read repair:
+    /// background-stamped, fire-and-forget; the worker counts the
+    /// overwrite of a corrupted-erased key as a decode reconstruction).
+    /// `None` when the decode fails or a rebuilt shard does not prove.
+    fn rebuild(
         &self,
         id: u64,
-        size: usize,
         servers: &[usize],
         row: &FileIntegrity,
-    ) -> Result<Vec<Bytes>, StoreError> {
-        let k = servers.len();
-        let r = row.parity.len();
-        let deadline = Instant::now() + self.retry.deadline;
-
-        let mut reqs = Vec::with_capacity(k + r);
-        for (j, &server) in servers.iter().enumerate() {
-            reqs.push((
-                server,
-                Request::Get {
-                    key: PartKey::new(id, j as u32),
-                },
-            ));
-        }
-        for (p, &(server, _)) in row.parity.iter().enumerate() {
-            reqs.push((
-                server,
-                Request::GetParity {
-                    key: PartKey::parity(id, p as u32),
-                },
-            ));
-        }
-        let endpoints: Vec<usize> = reqs.iter().map(|&(s, _)| s).collect();
-        let replies = self.submit_batch(reqs)?;
-
-        // Late-binding join: any k verified shards end the wait.
-        let mut got: Vec<Option<Bytes>> = vec![None; k + r];
-        let mut done = vec![false; k + r];
-        let mut verified = 0usize;
-        let mut last_err = StoreError::Corrupt(PartKey::new(id, 0));
-        while verified < k {
-            let mut sel = Select::new();
-            let mut outstanding = Vec::new();
-            for (i, rx) in replies.iter().enumerate() {
-                if !done[i] {
-                    outstanding.push(i);
-                    sel.recv(rx);
-                }
-            }
-            if outstanding.is_empty() {
-                // Every channel answered and fewer than k shards
-                // verified: the parity set cannot cover this failure.
-                return Err(last_err);
-            }
-            match sel.ready_deadline(deadline) {
-                Ok(sel_i) => {
-                    let i = outstanding[sel_i];
-                    match replies[i].try_recv() {
-                        Ok(reply) => {
-                            done[i] = true;
-                            match self
-                                .absorb_reply(endpoints[i], reply)
-                                .and_then(|rep| rep.bytes())
-                            {
-                                Ok(data) => {
-                                    let want = if i < k {
-                                        row.sums[i]
-                                    } else {
-                                        row.parity[i - k].1
-                                    };
-                                    if spcache_integrity::verify(&data, want) {
-                                        got[i] = Some(data);
-                                        verified += 1;
-                                    }
-                                }
-                                Err(e) => last_err = e,
-                            }
-                        }
-                        Err(TryRecvError::Disconnected) => {
-                            done[i] = true;
-                            last_err = self.worker_down(endpoints[i]);
-                        }
-                        Err(TryRecvError::Empty) => {}
-                    }
-                }
-                Err(_) => return Err(self.timeout(endpoints[outstanding[0]])),
-            }
-        }
-
-        let missing: Vec<usize> = (0..k).filter(|&j| got[j].is_none()).collect();
-        if missing.is_empty() {
-            // All data partitions verified after all (the corrupt copy
-            // was already overwritten under us) — no decode needed.
-            return Ok(got.into_iter().take(k).map(|b| b.expect("verified")).collect());
-        }
-
+        parity: &[Option<Bytes>],
+        asm: &mut Assembly,
+    ) -> Option<()> {
+        let (k, size) = (servers.len(), asm.size);
         // Data partitions arrive ragged; the codec works on the equal
         // `ceil(size / k)` slot layout they are views of (see
         // `split_shards_bytes` / `split_into_shards`) — zero-pad each to
         // its slot, decode, and slice the ragged views back out.
         let shard_len = size.div_ceil(k).max(1);
-        let mut shards: Vec<Option<Vec<u8>>> = got
-            .iter()
-            .map(|s| {
-                s.as_ref().map(|b| {
-                    let mut v = b.to_vec();
-                    v.resize(shard_len, 0);
-                    v
-                })
-            })
+        let slot = |part: &[u8]| {
+            let mut v = part.to_vec();
+            v.resize(shard_len, 0);
+            v
+        };
+        let mut shards: Vec<Option<Vec<u8>>> = (0..k)
+            .map(|j| asm.part(j).map(slot))
+            .chain(parity.iter().map(|p| p.as_deref().map(slot)))
             .collect();
-        let data = ReedSolomon::new_cauchy(k, k + r)
+        let data = ReedSolomon::new_cauchy(k, k + parity.len())
             .reconstruct_data(&mut shards)
-            .map_err(|_| StoreError::Corrupt(PartKey::new(id, missing[0] as u32)))?;
+            .ok()?;
         let data = Bytes::from(data);
-        let parts: Vec<Bytes> = (0..k)
-            .map(|j| {
-                let start = j * shard_len;
-                let end = ((j + 1) * shard_len).min(size);
-                if start >= size {
-                    Bytes::new()
-                } else {
-                    data.slice(start..end)
-                }
-            })
-            .collect();
-        for &j in &missing {
-            // The decode is only as good as the integrity row it used;
-            // prove each rebuilt partition against its recorded sum
-            // before handing it out (or re-landing it) as truth.
-            if !spcache_integrity::verify(&parts[j], row.sums[j]) {
-                return Err(StoreError::Corrupt(PartKey::new(id, j as u32)));
+        let mut repairs = Vec::new();
+        for j in (0..k).filter(|&j| !asm.has(j)).collect::<Vec<_>>() {
+            let range = partition_range(size as u64, k, j);
+            let part = data.slice(range.start as usize..range.end as usize);
+            // The decode is only as good as the integrity row it used.
+            if !spcache_integrity::verify(&part, row.sums[j]) {
+                return None;
             }
+            repairs.push((servers[j], PartKey::new(id, j as u32), part.clone(), row.sums[j]));
+            asm.place(j, part);
         }
-
-        // Read repair: re-land the erased partitions on their placement
-        // (background-stamped, fire-and-forget). The worker counts the
-        // overwrite of a corrupted-erased key as a decode
-        // reconstruction.
-        for &j in &missing {
-            let req = Request::Put {
-                key: PartKey::new(id, j as u32),
-                data: parts[j].clone(),
-                sum: row.sums[j],
-            }
-            .background();
-            let _ = self.transport.submit(servers[j], req);
-        }
-        Ok(parts)
-    }
-
-    /// Submits a fan-out of requests — each stamped with its target's
-    /// fencing epoch when fencing is on — folding a submission failure
-    /// into the health table (a closed channel is definitive death; a
-    /// socket error is suspicion-worthy but survivable). The whole
-    /// batch goes to the transport in one call so a socket transport
-    /// can coalesce the frames into shared `writev` rounds (one
-    /// event-loop wakeup per shard instead of one per request).
-    fn submit_batch(
-        &self,
-        reqs: Vec<(usize, Request)>,
-    ) -> Result<Vec<Receiver<Reply>>, StoreError> {
-        let reqs = if self.fenced || self.background || self.master_stamp {
-            reqs.into_iter()
-                .map(|(server, req)| (server, self.stamp(server, req)))
-                .collect()
-        } else {
-            reqs
+        let repair = Fanout {
+            background: true,
+            ..self.io().best_effort()
         };
-        self.transport.submit_batch(reqs).inspect_err(|e| {
-            self.note_error(e);
-        })
-    }
-
-    /// Applies this client's request stamps in canonical nesting order:
-    /// background class inside, epoch fence (worker epoch + optional
-    /// master epoch) outside.
-    fn stamp(&self, server: usize, req: Request) -> Request {
-        let req = if self.background {
-            req.background()
-        } else {
-            req
-        };
-        let epoch = if self.fenced { self.epoch_of(server) } else { 0 };
-        let master = if self.master_stamp {
-            self.master.master_epoch()
-        } else {
-            0
-        };
-        req.fenced_master(epoch, master)
-    }
-
-    /// The cached fencing epoch of `server`, fetching the table from
-    /// the master while no worker has been granted one yet (0 = don't
-    /// stamp). The cache refreshes on every stale-epoch bounce.
-    fn epoch_of(&self, server: usize) -> u64 {
-        let mut cache = self.epochs.lock();
-        if cache.iter().all(|&e| e == 0) {
-            *cache = self.master.worker_epochs(self.transport.n_workers());
-        }
-        cache.get(server).copied().unwrap_or(0)
-    }
-
-    /// Re-fetches the epoch table — a worker just bounced one of our
-    /// stamps, so the fleet registered past our cache.
-    fn refresh_epochs(&self) {
-        *self.epochs.lock() = self.master.worker_epochs(self.transport.n_workers());
-    }
-
-    /// Folds an error's health signal into the master's table. Endpoint
-    /// indices outside the worker fleet (e.g. the master sentinel used by
-    /// wire transports) carry no worker-health signal and are ignored.
-    fn note_error(&self, e: &StoreError) {
-        match e {
-            StoreError::WorkerDown(w) if *w < self.transport.n_workers() => {
-                self.master.mark_dead(*w);
-            }
-            StoreError::Timeout(w) | StoreError::Io(w)
-                if *w < self.transport.n_workers() =>
-            {
-                self.master.suspect(*w);
-            }
-            _ => {}
-        }
-    }
-
-    /// Interprets one landed reply from `server` for the health table:
-    /// an application-level error (e.g. `NotFound`) is still a live
-    /// worker answering, but a transport error a wire transport folded
-    /// into the reply stream (`Io`/`Timeout`) is not a sign of life.
-    fn absorb_reply(&self, server: usize, reply: Reply) -> Result<Reply, StoreError> {
-        match reply {
-            Reply::Err(e @ (StoreError::Io(_) | StoreError::Timeout(_) | StoreError::WorkerDown(_))) => {
-                self.note_error(&e);
-                Err(e)
-            }
-            Reply::Err(e @ StoreError::StaleEpoch(_)) => {
-                // The worker answered — it is alive — but our stamp (or
-                // its registration) is out of date. Refresh the epoch
-                // cache so the retry stamps current grants.
-                self.master.mark_alive(server);
-                self.refresh_epochs();
-                Err(e)
-            }
-            Reply::Err(e) => {
-                self.master.mark_alive(server);
-                Err(e)
-            }
-            ok => {
-                self.master.mark_alive(server);
-                Ok(ok)
-            }
-        }
-    }
-
-    /// Records a closed channel (definitive death) and returns the error.
-    fn worker_down(&self, server: usize) -> StoreError {
-        self.master.mark_dead(server);
-        StoreError::WorkerDown(server)
-    }
-
-    /// Records a timeout (suspicion, not proof of death) and returns the
-    /// error.
-    fn timeout(&self, server: usize) -> StoreError {
-        self.master.suspect(server);
-        StoreError::Timeout(server)
-    }
-
-    fn await_reply(
-        &self,
-        server: usize,
-        rx: &Receiver<Reply>,
-        deadline: Duration,
-    ) -> Result<Reply, StoreError> {
-        match rx.recv_timeout(deadline) {
-            Ok(reply) => self.absorb_reply(server, reply),
-            Err(RecvTimeoutError::Disconnected) => Err(self.worker_down(server)),
-            Err(RecvTimeoutError::Timeout) => Err(self.timeout(server)),
-        }
+        let _ = repair.fork(puts(repairs));
+        Some(())
     }
 
     /// Deletes a file's partitions and metadata; returns how many data
@@ -1040,33 +724,46 @@ impl Client {
             .master
             .unregister_file(id)
             .ok_or(StoreError::UnknownFile(id))?;
-        let mut removed = 0;
-        for (j, &server) in servers.iter().enumerate() {
-            if let Ok(rx) = self.transport.submit(
-                server,
-                Request::Delete {
-                    key: PartKey::new(id, j as u32),
-                },
-            ) {
-                if let Ok(Reply::Flag(true)) = rx.recv_timeout(self.retry.deadline) {
-                    removed += 1;
-                }
-            }
-        }
+        let data = servers.iter().enumerate();
+        let removed = self.discard(data.map(|(j, &s)| (s, PartKey::new(id, j as u32))).collect());
         if let Some(integ) = integ {
-            for (p, &(server, _)) in integ.parity.iter().enumerate() {
-                if let Ok(rx) = self.transport.submit(
-                    server,
-                    Request::Delete {
-                        key: PartKey::parity(id, p as u32),
-                    },
-                ) {
-                    let _ = rx.recv_timeout(self.retry.deadline);
-                }
-            }
+            let parity = integ.parity.iter().enumerate();
+            self.discard(parity.map(|(p, &(s, _))| (s, PartKey::parity(id, p as u32))).collect());
         }
         Ok(removed)
     }
+}
+
+/// One Put of a fan-out: `(target worker, key, shard, checksum)`.
+type PutRow = (usize, PartKey, Bytes, u64);
+
+/// Turns Put rows into the requests of one batch.
+fn puts(rows: Vec<PutRow>) -> Vec<(usize, Request)> {
+    rows.into_iter()
+        .map(|(server, key, data, sum)| (server, Request::Put { key, data, sum }))
+        .collect()
+}
+
+/// Appends the Put rows of `data` split over `servers` (zero-copy views
+/// of its allocation) and returns the shards' checksums.
+///
+/// # Errors
+///
+/// [`StoreError::Codec`] for an empty placement (nothing to split over).
+fn split_rows(
+    id: u64,
+    data: &Bytes,
+    servers: &[usize],
+    rows: &mut Vec<PutRow>,
+) -> Result<Vec<u64>, StoreError> {
+    if servers.is_empty() {
+        return Err(empty_placement());
+    }
+    let shards = split_shards_bytes(data, servers.len());
+    let sums = spcache_integrity::sums(&shards);
+    let keyed = shards.into_iter().zip(servers).enumerate();
+    rows.extend(keyed.map(|(j, (shard, &server))| (server, PartKey::new(id, j as u32), shard, sums[j])));
+    Ok(sums)
 }
 
 /// A file read without reassembly: its size and partition views in index
@@ -1091,129 +788,96 @@ impl ScatteredFile {
 
     /// Materializes the contiguous file content (one copy).
     pub fn to_vec(&self) -> Vec<u8> {
-        gather(self.clone())
+        let mut asm = Assembly::new(self.size, self.parts.len(), true);
+        for (j, part) in self.parts.iter().enumerate() {
+            asm.place(j, part.clone());
+        }
+        asm.into_vec()
     }
 }
 
-/// What one robust read produced: partition views (scattered mode) or
-/// the already-assembled contiguous buffer (the sink copied each reply
-/// into place as it arrived).
-enum ReadOut {
-    Scattered(ScatteredFile),
-    Contiguous(Vec<u8>),
-}
-
-/// Where one fork-join attempt lands its partitions.
+/// Where one read attempt lands its data shards.
 ///
-/// `Parts` collects the index-ordered zero-copy views
-/// [`Client::read_scattered`] hands out. `Contiguous` assembles the
-/// output buffer **as replies arrive**: whenever the landed parts form
-/// a prefix of the file, they are appended to the buffer immediately,
+/// Scattered (`buf` absent), it collects the index-ordered zero-copy
+/// views [`Client::read_scattered`] hands out. Contiguous, it assembles
+/// the output buffer **as replies arrive**: whenever the landed parts
+/// form a prefix of the file they are appended to the buffer at once,
 /// so the single copy of [`Client::read`] overlaps the wait for slower
-/// partitions instead of running serially after the join (the old
-/// `gather`-after-join path cost ~15% of contiguous read throughput at
-/// 64MB/k16). Out-of-order arrivals are staged as zero-copy views
-/// until their turn. Appending into reserved-but-uninitialized
-/// capacity matters: a pre-zeroed `vec![0; size]` buffer pays a full
-/// extra memset pass whenever the allocator recycles a dirty block.
-enum ReadSink {
-    Parts(Vec<Option<Bytes>>),
-    Contiguous {
-        /// The in-order assembled prefix of the file.
-        buf: Vec<u8>,
-        /// Parts landed but not yet appendable (a predecessor missing).
-        staged: Vec<Option<Bytes>>,
-        /// How many parts have been appended to `buf`.
-        appended: usize,
-        /// Logical file size (`buf`'s final length).
-        size: usize,
-    },
+/// partitions instead of running serially after the join (that cost
+/// ~15% of contiguous read throughput at 64MB/k16). Out-of-order
+/// arrivals are staged as zero-copy views until their turn. Appending
+/// into reserved-but-uninitialized capacity matters: a pre-zeroed
+/// `vec![0; size]` buffer pays a full extra memset pass whenever the
+/// allocator recycles a dirty block.
+struct Assembly {
+    /// Logical file size (`buf`'s final length).
+    size: usize,
+    /// Landed parts not yet appended (all landed parts when scattered).
+    parts: Vec<Option<Bytes>>,
+    /// The in-order assembled prefix of the file.
+    buf: Option<Vec<u8>>,
+    /// How many parts have been appended to `buf`.
+    appended: usize,
 }
 
-impl ReadSink {
-    fn parts(k: usize) -> Self {
-        ReadSink::Parts((0..k).map(|_| None).collect())
-    }
-
-    fn contiguous(size: usize, k: usize) -> Self {
-        ReadSink::Contiguous {
-            buf: Vec::with_capacity(size),
-            staged: vec![None; k],
-            appended: 0,
+impl Assembly {
+    fn new(size: usize, k: usize, contiguous: bool) -> Self {
+        Assembly {
             size,
+            parts: vec![None; k],
+            buf: contiguous.then(|| Vec::with_capacity(size)),
+            appended: 0,
         }
     }
 
-    /// Is partition `j` still outstanding?
-    fn is_pending(&self, j: usize) -> bool {
-        match self {
-            ReadSink::Parts(parts) => parts[j].is_none(),
-            ReadSink::Contiguous { staged, appended, .. } => {
-                j >= *appended && staged[j].is_none()
+    /// Has data shard `j` landed?
+    fn has(&self, j: usize) -> bool {
+        j < self.appended || self.parts[j].is_some()
+    }
+
+    /// The bytes of landed data shard `j`.
+    fn part(&self, j: usize) -> Option<&[u8]> {
+        match &self.buf {
+            Some(buf) if j < self.appended => {
+                let range = partition_range(self.size as u64, self.parts.len(), j);
+                Some(&buf[range.start as usize..range.end as usize])
             }
+            _ => self.parts[j].as_deref(),
         }
     }
 
-    /// Lands partition `j`. In contiguous mode the part is staged, then
+    /// Lands data shard `j`. In contiguous mode the part is staged, then
     /// every ready prefix part is appended to the buffer — this is the
     /// read's one copy, running while later partitions are still on the
     /// wire. A short part (tolerated, never produced by current write
     /// paths) gets its tail zero-padded to its range length.
     fn place(&mut self, j: usize, data: Bytes) {
-        match self {
-            ReadSink::Parts(parts) => parts[j] = Some(data),
-            ReadSink::Contiguous { buf, staged, appended, size } => {
-                staged[j] = Some(data);
-                let k = staged.len();
-                while *appended < k {
-                    let Some(part) = staged[*appended].take() else { break };
-                    let range = partition_range(*size as u64, k, *appended);
-                    let take = (range.len() as usize).min(part.len());
-                    buf.extend_from_slice(&part[..take]);
-                    buf.resize(range.end as usize, 0);
-                    *appended += 1;
-                }
-            }
+        self.parts[j] = Some(data);
+        let Some(buf) = &mut self.buf else { return };
+        let k = self.parts.len();
+        while self.appended < k {
+            let Some(part) = self.parts[self.appended].take() else { break };
+            let range = partition_range(self.size as u64, k, self.appended);
+            let take = (range.len() as usize).min(part.len());
+            buf.extend_from_slice(&part[..take]);
+            buf.resize(range.end as usize, 0);
+            self.appended += 1;
         }
     }
 
-    /// Converts the fully-landed sink into the read's result.
-    fn finish(self, size: usize) -> ReadOut {
-        match self {
-            ReadSink::Parts(parts) => ReadOut::Scattered(ScatteredFile {
-                size,
-                parts: parts.into_iter().map(|p| p.expect("all joined")).collect(),
-            }),
-            ReadSink::Contiguous { buf, appended, staged, .. } => {
-                debug_assert_eq!(appended, staged.len(), "finish before full join");
-                ReadOut::Contiguous(buf)
-            }
+    /// The fully-landed contiguous assembly's buffer.
+    fn into_vec(self) -> Vec<u8> {
+        debug_assert_eq!(self.appended, self.parts.len(), "finish before full join");
+        self.buf.expect("contiguous assembly")
+    }
+
+    /// The fully-landed scattered assembly's views.
+    fn into_scattered(self) -> ScatteredFile {
+        ScatteredFile {
+            size: self.size,
+            parts: self.parts.into_iter().map(|p| p.expect("all joined")).collect(),
         }
     }
-}
-
-/// Scatters partition views into one preallocated contiguous buffer —
-/// the single copy of the read path. Each partition lands at its
-/// `partition_range` offset; legacy zero-padded tails are trimmed.
-fn gather(file: ScatteredFile) -> Vec<u8> {
-    let size = file.size;
-    let k = file.parts.len();
-    // Parts arrive in index order over contiguous ranges, so a
-    // sequential append fills the buffer without the upfront zeroing a
-    // positioned scatter into `vec![0; size]` would pay.
-    let mut out = Vec::with_capacity(size);
-    for (j, part) in file.parts.iter().enumerate() {
-        let range = partition_range(size as u64, k, j);
-        let want = (range.end - range.start) as usize;
-        let take = want.min(part.len());
-        out.extend_from_slice(&part[..take]);
-        // A short part (never produced by the current write paths, but
-        // tolerated) leaves its tail zeroed rather than shifting later
-        // partitions out of place.
-        out.resize(out.len() + (want - take), 0);
-    }
-    debug_assert_eq!(out.len(), size);
-    out
 }
 
 #[cfg(test)]
@@ -1222,6 +886,7 @@ mod tests {
     use crate::cluster::StoreCluster;
     use crate::config::StoreConfig;
     use crate::fault::{CorruptSite, FaultPlan};
+    use crossbeam::channel::Receiver;
 
     fn payload(len: usize) -> Vec<u8> {
         (0..len).map(|i| ((i * 31 + 7) % 256) as u8).collect()
@@ -1618,8 +1283,7 @@ mod tests {
     fn client_side_verify_catches_what_blind_workers_serve() {
         // Workers do NOT verify; the client does, against the master's
         // integrity row. The flipped resident copy is served as-is by
-        // worker 0 (twice — the data fetch and the parity path's
-        // re-fetch both fail verification) and the file still comes
+        // worker 0, fails the client's check, and the file still comes
         // back byte-exact via the Cauchy decode.
         let cfg = StoreConfig::unthrottled(5)
             .with_parity(1)
@@ -1668,6 +1332,64 @@ mod tests {
         assert_eq!(c.read(1).unwrap(), data); // op 2: flip fires → heal
         let stats = cluster.worker_stats().unwrap();
         assert_eq!(stats.iter().map(|s| s.corruptions_detected).sum::<u64>(), 1);
+    }
+
+    /// A `k = 3, r = 1` cluster holding `data` as file 1 on workers
+    /// 0–2 (parity on a spare), checkpointed into an attached
+    /// under-store, with partition 0 then deleted out from under it.
+    /// Worker ops so far: 0 = put, 1 = checkpoint get (+ 2 = the delete
+    /// on worker 0).
+    fn degraded_cluster(faults: FaultPlan, hedge: HedgePolicy, data: &[u8]) -> (StoreCluster, Client) {
+        let cfg = StoreConfig::unthrottled(5)
+            .with_verify_reads(true)
+            .with_parity(1)
+            .with_faults(faults)
+            .with_retry(RetryPolicy::none().with_deadline(Duration::from_secs(2)))
+            .with_hedge(hedge);
+        let under = Arc::new(UnderStore::new());
+        let cluster = StoreCluster::spawn_with_under_store(cfg, Some(under.clone()));
+        let c = cluster.client();
+        c.write(1, data, &[0, 1, 2]).unwrap();
+        crate::backing::checkpoint(&c, &under, 1).unwrap();
+        let key = PartKey::new(1, 0);
+        let gone = cluster.transport().call(0, Request::Delete { key }, Duration::from_secs(5));
+        assert_eq!(gone, Ok(Reply::Flag(true)));
+        (cluster, c)
+    }
+
+    #[test]
+    fn late_erasure_keeps_the_shards_that_already_landed() {
+        // Worker 0 answers the read's Get (its op 3) with NotFound only
+        // after a 100 ms pause, long after partitions 1 and 2 landed.
+        // The attempt widens with the parity fetch and decodes from
+        // what it holds: workers 1 and 2 are never asked again.
+        let faults = FaultPlan::none().hang(0, 3, Duration::from_millis(100));
+        let data = payload(9_000);
+        let (cluster, c) = degraded_cluster(faults, HedgePolicy::disabled(), &data);
+        let before = cluster.worker_stats().unwrap();
+        assert_eq!(c.read(1).unwrap(), data);
+        let after = cluster.worker_stats().unwrap();
+        for w in [1, 2] {
+            assert_eq!(after[w].gets - before[w].gets, 1, "worker {w} was asked twice");
+        }
+        assert_eq!(c.hedged_fetches(), 0);
+    }
+
+    #[test]
+    fn hedge_and_erasure_in_one_attempt_return_exact_bytes() {
+        // Partition 0 is lost (erasure → parity widening) while worker 1
+        // hangs 300 ms on the read's Get (its op 2): the hedge serves
+        // partition 1 from the checkpoint, partition 2 and the parity
+        // land normally, and partition 0 is decoded from those three.
+        let faults = FaultPlan::none().hang(1, 2, Duration::from_millis(300));
+        let data = payload(10_000);
+        let hedge = HedgePolicy::after(Duration::from_millis(25));
+        let (_cluster, c) = degraded_cluster(faults, hedge, &data);
+        let t0 = Instant::now();
+        assert_eq!(c.read(1).unwrap(), data);
+        assert!(t0.elapsed() < Duration::from_millis(250), "hedge should beat the 300 ms hang");
+        assert_eq!(c.hedged_fetches(), 1, "exactly the straggler was hedged");
+        assert_eq!(c.hedged_bytes(), partition_range(data.len() as u64, 3, 1).len());
     }
 
     #[test]

@@ -69,30 +69,13 @@ impl StoreCluster {
         let fault_log = Arc::new(FaultLog::new());
         let workers: Vec<WorkerHandle> = (0..cfg.n_workers)
             .map(|id| {
-                let mut opts = WorkerOptions::new(
+                spawn_worker_opts(WorkerOptions::from_config(
                     id,
-                    cfg.bandwidth,
-                    cfg.stragglers.clone(),
-                    cfg.seed.wrapping_add(id as u64),
-                )
-                .with_scripts(
+                    &cfg,
                     cfg.faults.script_for(id),
-                    cfg.faults.heartbeat_script_for(id),
                     Arc::clone(&fault_log),
-                )
-                .with_memory_budget(cfg.memory_budget)
-                .with_background_fraction(cfg.background_fraction)
-                .with_max_transfer_wait(Some(cfg.executor_deadline))
-                .with_verify_reads(cfg.verify_reads)
-                .with_corruption_log(cfg.log_corruptions);
-                // Budgeted workers spill evicted partitions into the
-                // cluster's under-store tier, so whole-file checkpoints
-                // there turn evictions into free drops; without one,
-                // spawn_worker_opts backs each worker privately.
-                if let Some(u) = &under {
-                    opts = opts.with_spill(Arc::clone(u));
-                }
-                spawn_worker_opts(opts)
+                    under.clone(),
+                ))
             })
             .collect();
         let transport = Arc::new(ChannelTransport::new(
@@ -159,17 +142,12 @@ impl StoreCluster {
     /// configured degraded-mode admission policy; the cluster's
     /// under-store, if any, is attached for read-path healing.
     pub fn client(&self) -> Client {
-        let mut c = Client::new(self.master.clone(), self.transport.clone())
-            .with_retry(self.cfg.retry)
-            .with_hedge(self.cfg.hedge)
-            .with_fencing(self.cfg.supervisor.enabled)
-            .with_degraded_policy(self.cfg.supervisor.degraded)
-            .with_verify(self.cfg.verify_reads)
-            .with_parity(self.cfg.parity);
-        if let Some(under) = &self.under {
-            c = c.with_under_store(under.clone());
-        }
-        c
+        Client::from_config(
+            self.master.clone(),
+            self.transport.clone(),
+            &self.cfg,
+            self.under.clone(),
+        )
     }
 
     /// Collects per-worker service counters. Dead workers report

@@ -32,6 +32,7 @@ pub mod client;
 pub mod cluster;
 pub mod config;
 pub mod fault;
+mod forkjoin;
 pub mod master;
 pub mod metalog;
 pub mod online;

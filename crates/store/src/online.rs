@@ -16,66 +16,44 @@
 //! TCP.
 
 use bytes::Bytes;
-use crossbeam::channel::RecvTimeoutError;
 use spcache_core::online::OnlinePlan;
 use std::time::Duration;
 
+use crate::forkjoin::Fanout;
 use crate::master::MetaService;
-use crate::rpc::{PartKey, Reply, Request, StoreError};
+use crate::rpc::{PartKey, Request, StoreError};
 use crate::transport::Transport;
 
 /// Upper bound on any single worker wait during an adjustment, so a
 /// worker dying mid-build cannot hang the executor.
 const ADJUST_DEADLINE: Duration = Duration::from_secs(5);
 
-/// One synchronous worker call with the adjuster's deadline. Unlike the
-/// client this does no health bookkeeping: adjustments pre-check
-/// liveness and treat any failure as fatal to the (replannable) job.
-fn call(transport: &dyn Transport, server: usize, req: Request) -> Result<Reply, StoreError> {
-    let rx = transport.submit(server, req)?;
-    match rx.recv_timeout(ADJUST_DEADLINE) {
-        Ok(Reply::Err(e)) => Err(e),
-        Ok(reply) => Ok(reply),
-        Err(RecvTimeoutError::Disconnected) => Err(StoreError::WorkerDown(server)),
-        Err(RecvTimeoutError::Timeout) => Err(StoreError::Timeout(server)),
-    }
-}
-
 /// Builds one new partition on its target worker under the staged key.
 fn build_partition(
     file: u64,
     part: &spcache_core::online::NewPartition,
-    transport: &dyn Transport,
+    io: Fanout<'_>,
 ) -> Result<(), StoreError> {
     let mut buf = Vec::with_capacity(part.range.len() as usize);
     for pull in &part.pulls {
-        let bytes = call(
-            transport,
-            pull.from_server,
-            Request::GetRange {
-                key: PartKey::new(file, pull.from_part),
-                offset: pull.offset_in_part,
-                len: pull.len,
-            },
-        )?
-        .bytes()?;
+        let range = Request::GetRange {
+            key: PartKey::new(file, pull.from_part),
+            offset: pull.offset_in_part,
+            len: pull.len,
+        };
+        let bytes = io.call(pull.from_server, range, ADJUST_DEADLINE)?.bytes()?;
         debug_assert_eq!(bytes.len() as u64, pull.len, "short range read");
         buf.extend_from_slice(&bytes);
     }
     // Stamp the staged partition's checksum: the file's master-side
     // integrity row dies with the re-split, so the worker-held sum is
     // what keeps verified reads working after the swap.
-    let sum = spcache_integrity::sum(&buf);
-    call(
-        transport,
-        part.server,
-        Request::Put {
-            key: PartKey::new(file, part.index).staged(),
-            data: Bytes::from(buf),
-            sum,
-        },
-    )?
-    .unit()
+    let put = Request::Put {
+        key: PartKey::new(file, part.index).staged(),
+        sum: spcache_integrity::sum(&buf),
+        data: Bytes::from(buf),
+    };
+    io.call(part.server, put, ADJUST_DEADLINE)?.unit()
 }
 
 /// Executes an online adjustment for `file`: builds staged partitions in
@@ -113,12 +91,13 @@ pub fn execute_adjust(
             }
         }
     }
+    let io = Fanout::plain(master, transport);
 
     // Phase 1: build, parallel across target servers.
     let results: Vec<Result<(), StoreError>> = std::thread::scope(|s| {
         plan.parts
             .iter()
-            .map(|part| s.spawn(move || build_partition(file, part, transport)))
+            .map(|part| s.spawn(move || build_partition(file, part, io)))
             .collect::<Vec<_>>()
             .into_iter()
             .map(|h| h.join().expect("build thread panicked"))
@@ -127,27 +106,20 @@ pub fn execute_adjust(
     results.into_iter().collect::<Result<(), _>>()?;
 
     // Phase 2: commit — drop old keys, unstage new ones, swap metadata.
-    for (j, &server) in old_servers.iter().enumerate() {
-        if let Ok(rx) = transport.submit(
-            server,
-            Request::Delete {
-                key: PartKey::new(file, j as u32),
-            },
-        ) {
-            let _ = rx.recv_timeout(ADJUST_DEADLINE);
-        }
-    }
+    let old_keys = old_servers.iter().enumerate();
+    io.discard(
+        old_keys
+            .map(|(j, &server)| (server, Request::Delete { key: PartKey::new(file, j as u32) }))
+            .collect(),
+        ADJUST_DEADLINE,
+    );
     for part in &plan.parts {
         let key = PartKey::new(file, part.index);
-        let renamed = call(
-            transport,
-            part.server,
-            Request::Rename {
-                from: key.staged(),
-                to: key,
-            },
-        )?
-        .flag()?;
+        let rename = Request::Rename {
+            from: key.staged(),
+            to: key,
+        };
+        let renamed = io.call(part.server, rename, ADJUST_DEADLINE)?.flag()?;
         assert!(renamed, "staged partition vanished before commit");
     }
     master.apply_placement(file, plan.new_servers())

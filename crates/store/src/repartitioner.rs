@@ -18,11 +18,11 @@
 //! the foreground read path it is trying to improve.
 
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, RecvTimeoutError};
 use spcache_core::repartition::{RepartitionJob, RepartitionPlan};
 use spcache_ec::{join_shards_bytes, split_shards_bytes};
 use std::time::Duration;
 
+use crate::forkjoin::Fanout;
 use crate::master::MetaService;
 use crate::rpc::{PartKey, Reply, Request, StoreError};
 use crate::transport::Transport;
@@ -44,76 +44,29 @@ fn is_availability(e: &StoreError) -> bool {
     )
 }
 
-/// Awaits one executor-side reply with the deadline, updating the
-/// master's health table from the outcome.
-fn await_executor_reply(
-    master: &dyn MetaService,
-    server: usize,
-    rx: &Receiver<Reply>,
-    deadline: Duration,
-) -> Result<Reply, StoreError> {
-    match rx.recv_timeout(deadline) {
-        Ok(Reply::Err(e)) => {
-            if is_availability(&e) {
-                master.suspect(server);
-            } else {
-                master.mark_alive(server);
-            }
-            Err(e)
-        }
-        Ok(reply) => {
-            master.mark_alive(server);
-            Ok(reply)
-        }
-        Err(RecvTimeoutError::Disconnected) => {
-            master.mark_dead(server);
-            Err(StoreError::WorkerDown(server))
-        }
-        Err(RecvTimeoutError::Timeout) => {
-            master.suspect(server);
-            Err(StoreError::Timeout(server))
-        }
-    }
-}
-
-/// One synchronous executor-side call with health bookkeeping.
-fn call(
-    master: &dyn MetaService,
-    transport: &dyn Transport,
-    server: usize,
-    req: Request,
-    deadline: Duration,
-) -> Result<Reply, StoreError> {
-    let rx = transport.submit(server, req).inspect_err(|e| {
-        match e {
-            StoreError::WorkerDown(_) => master.mark_dead(server),
-            StoreError::Io(_) | StoreError::Timeout(_) => {
-                master.suspect(server);
-            }
-            _ => {}
-        }
-    })?;
-    await_executor_reply(master, server, &rx, deadline)
-}
-
-/// Pushes one shard to `server`, synchronously.
-fn push_shard(
-    master: &dyn MetaService,
-    transport: &dyn Transport,
-    server: usize,
-    key: PartKey,
-    shard: Bytes,
-    deadline: Duration,
-) -> Result<(), StoreError> {
+/// The background-stamped Put of one shard, carrying its checksum.
+fn put(key: PartKey, shard: Bytes) -> Request {
     let sum = spcache_integrity::sum(&shard);
-    call(
-        master,
-        transport,
-        server,
-        Request::Put { key, data: shard, sum }.background(),
-        deadline,
-    )?
-    .unit()
+    Request::Put { key, data: shard, sum }.background()
+}
+
+/// The background-stamped `Get` of partition `j` of `file`.
+fn get(file: u64, j: usize) -> Request {
+    let key = PartKey::new(file, j as u32);
+    Request::Get { key }.background()
+}
+
+/// The background-stamped best-effort deletes of `file`'s partitions
+/// (staged or final) on `servers`, index by index.
+fn deletes(file: u64, servers: &[usize], staged: bool) -> Vec<(usize, Request)> {
+    let holders = servers.iter().enumerate();
+    holders
+        .map(|(j, &server)| {
+            let key = PartKey::new(file, j as u32);
+            let key = if staged { key.staged() } else { key };
+            (server, Request::Delete { key }.background())
+        })
+        .collect()
 }
 
 /// Executes one repartition job: pull old partitions, reassemble,
@@ -128,10 +81,10 @@ fn push_shard(
 fn execute_job(
     job: &RepartitionJob,
     file_id: u64,
-    master: &dyn MetaService,
-    transport: &dyn Transport,
+    io: Fanout<'_>,
     deadline: Duration,
 ) -> Result<(), StoreError> {
+    let master = io.master;
     let (size, _) = master.peek(file_id)?;
 
     // Pull the old partitions (the executor's own partition needs no
@@ -140,11 +93,7 @@ fn execute_job(
     // short-circuit-free path).
     let mut shards: Vec<Bytes> = Vec::with_capacity(job.old_servers.len());
     for (j, &server) in job.old_servers.iter().enumerate() {
-        let req = Request::Get {
-            key: PartKey::new(file_id, j as u32),
-        }
-        .background();
-        shards.push(call(master, transport, server, req, deadline)?.bytes()?);
+        shards.push(io.call(server, get(file_id, j), deadline)?.bytes()?);
     }
     let data = join_shards_bytes(&shards, size);
 
@@ -152,7 +101,7 @@ fn execute_job(
     // keeping the distinct-server invariant within the file.
     let mut targets = job.new_servers.clone();
     let substitute_targets = |targets: &mut Vec<usize>, failed: Option<usize>| {
-        let live = master.live_workers(transport.n_workers());
+        let live = master.live_workers(io.transport.n_workers());
         for i in 0..targets.len() {
             let dead = Some(targets[i]) == failed || !master.is_alive(targets[i]);
             if dead {
@@ -177,58 +126,31 @@ fn execute_job(
     // re-routed to a substitute.
     let data = Bytes::from(data);
     let new_shards: Vec<Bytes> = split_shards_bytes(&data, targets.len());
+    let staged = |j: usize| PartKey::new(file_id, j as u32).staged();
+    // Re-routes shard `j`, whose target `server` failed with `e`, to a
+    // live substitute.
+    let reroute = |targets: &mut Vec<usize>, j: usize, server: usize, e: StoreError| {
+        substitute_targets(targets, Some(server));
+        if targets[j] == server {
+            return Err(e); // no live substitute left
+        }
+        let retry = put(staged(j), new_shards[j].clone());
+        io.call(targets[j], retry, deadline)?.unit()
+    };
     let push_result = (|| {
+        // One fork per shard, so a failed submit names its target.
         let mut pending = Vec::with_capacity(new_shards.len());
         for j in 0..new_shards.len() {
             let server = targets[j];
-            let key = PartKey::new(file_id, j as u32).staged();
-            match transport.submit(
-                server,
-                Request::Put {
-                    key,
-                    data: new_shards[j].clone(),
-                    sum: spcache_integrity::sum(&new_shards[j]),
-                }
-                .background(),
-            ) {
-                Ok(rx) => pending.push((j, server, rx)),
-                Err(_) => {
-                    master.mark_dead(server);
-                    substitute_targets(&mut targets, Some(server));
-                    if targets[j] == server {
-                        return Err(StoreError::WorkerDown(server));
-                    }
-                    push_shard(
-                        master,
-                        transport,
-                        targets[j],
-                        key,
-                        new_shards[j].clone(),
-                        deadline,
-                    )?;
-                }
+            match io.fork(vec![(server, put(staged(j), new_shards[j].clone()))]) {
+                Ok(push) => pending.push((j, server, push)),
+                Err(e) => reroute(&mut targets, j, server, e)?,
             }
         }
-        for (j, server, rx) in pending {
-            if let Err(e) =
-                await_executor_reply(master, server, &rx, deadline).and_then(Reply::unit)
-            {
-                if is_availability(&e) {
-                    substitute_targets(&mut targets, Some(server));
-                    if targets[j] == server {
-                        return Err(e); // no live substitute left
-                    }
-                    push_shard(
-                        master,
-                        transport,
-                        targets[j],
-                        PartKey::new(file_id, j as u32).staged(),
-                        new_shards[j].clone(),
-                        deadline,
-                    )?;
-                } else {
-                    return Err(e);
-                }
+        for (j, server, push) in pending {
+            match push.one(deadline).and_then(Reply::unit) {
+                Err(e) if is_availability(&e) => reroute(&mut targets, j, server, e)?,
+                acked => acked?,
             }
         }
         Ok(())
@@ -236,47 +158,24 @@ fn execute_job(
     if let Err(e) = push_result {
         // Abort: clear any staged keys (best effort) and leave the old
         // layout — still fully readable — in place.
-        for (j, &server) in targets.iter().enumerate() {
-            discard(
-                transport,
-                server,
-                PartKey::new(file_id, j as u32).staged(),
-                deadline,
-            );
-        }
+        io.discard(deletes(file_id, &targets, true), deadline);
         return Err(e);
     }
 
     // Commit: drop old keys, unstage new ones, swap the metadata. (Same
     // sequence as the online adjuster; a target dying inside this window
     // leaves the file degraded, which the under-store heal repairs.)
-    for (j, &server) in job.old_servers.iter().enumerate() {
-        discard(transport, server, PartKey::new(file_id, j as u32), deadline);
-    }
+    io.discard(deletes(file_id, &job.old_servers, false), deadline);
     for (j, &server) in targets.iter().enumerate() {
         let key = PartKey::new(file_id, j as u32);
-        let renamed = call(
-            master,
-            transport,
-            server,
-            Request::Rename {
-                from: key.staged(),
-                to: key,
-            }
-            .background(),
-            deadline,
-        )?
-        .flag()?;
+        let rename = Request::Rename {
+            from: key.staged(),
+            to: key,
+        };
+        let renamed = io.call(server, rename.background(), deadline)?.flag()?;
         debug_assert!(renamed, "staged partition vanished before commit");
     }
     master.apply_placement(file_id, targets)
-}
-
-/// Best-effort delete of one key; errors and dead workers are ignored.
-fn discard(transport: &dyn Transport, server: usize, key: PartKey, deadline: Duration) {
-    if let Ok(rx) = transport.submit(server, Request::Delete { key }.background()) {
-        let _ = rx.recv_timeout(deadline);
-    }
 }
 
 /// Runs the plan with one executor thread per involved worker, each
@@ -318,6 +217,7 @@ pub fn run_parallel_with_deadline(
     transport: &dyn Transport,
     deadline: Duration,
 ) -> Result<Vec<u64>, StoreError> {
+    let io = Fanout::plain(master, transport);
     let by_executor = plan.jobs_by_executor(transport.n_workers());
     let results: Vec<Result<Vec<u64>, StoreError>> = std::thread::scope(|s| {
         let handles: Vec<_> = by_executor
@@ -327,7 +227,7 @@ pub fn run_parallel_with_deadline(
                 s.spawn(move || {
                     let mut skipped = Vec::new();
                     for job in jobs {
-                        match execute_job(job, ids[job.file], master, transport, deadline) {
+                        match execute_job(job, ids[job.file], io, deadline) {
                             Ok(()) => {}
                             Err(e) if is_availability(&e) => {
                                 skipped.push(ids[job.file]);
@@ -382,16 +282,13 @@ pub fn run_sequential_with_deadline(
 ) -> Result<(), StoreError> {
     // Unchanged files are still collected and re-written in place (that is
     // what makes the strawman slow).
+    let io = Fanout::plain(master, transport);
     for &i in &plan.unchanged {
         let file_id = ids[i];
         let (size, servers) = master.peek(file_id)?;
         let mut shards: Vec<Bytes> = Vec::with_capacity(servers.len());
         for (j, &server) in servers.iter().enumerate() {
-            let req = Request::Get {
-                key: PartKey::new(file_id, j as u32),
-            }
-            .background();
-            shards.push(call(master, transport, server, req, deadline)?.bytes()?);
+            shards.push(io.call(server, get(file_id, j), deadline)?.bytes()?);
         }
         let data = Bytes::from(join_shards_bytes(&shards, size));
         for (j, (&server, shard)) in servers
@@ -399,18 +296,12 @@ pub fn run_sequential_with_deadline(
             .zip(split_shards_bytes(&data, servers.len()))
             .enumerate()
         {
-            push_shard(
-                master,
-                transport,
-                server,
-                PartKey::new(file_id, j as u32),
-                shard,
-                deadline,
-            )?;
+            let rewrite = put(PartKey::new(file_id, j as u32), shard);
+            io.call(server, rewrite, deadline)?.unit()?;
         }
     }
     for job in &plan.jobs {
-        execute_job(job, ids[job.file], master, transport, deadline)?;
+        execute_job(job, ids[job.file], io, deadline)?;
     }
     Ok(())
 }

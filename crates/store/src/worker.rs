@@ -165,6 +165,43 @@ impl WorkerOptions {
         }
     }
 
+    /// Worker `id` of a cluster described by `cfg`: its NIC model, memory
+    /// budget and pacing, verification and logging switches, with every
+    /// emulated transfer capped at the executor deadline. `script` is
+    /// the op-indexed fault script this worker thread consumes (the
+    /// whole [`crate::fault::FaultPlan::script_for`] behind a channel,
+    /// only [`crate::fault::FaultPlan::data_script_for`] behind a socket
+    /// server, which injects the wire half itself); fired faults land in
+    /// `log`. Budgeted workers spill evicted partitions into `spill` —
+    /// normally the deployment's shared under-store, so whole-file
+    /// checkpoints there turn evictions into free drops; without one,
+    /// [`spawn_worker_opts`] backs the worker privately.
+    pub fn from_config(
+        id: usize,
+        cfg: &crate::config::StoreConfig,
+        script: WorkerScript,
+        log: Arc<FaultLog>,
+        spill: Option<Arc<UnderStore>>,
+    ) -> Self {
+        WorkerOptions {
+            background_fraction: cfg.background_fraction,
+            script,
+            heartbeat_script: cfg.faults.heartbeat_script_for(id),
+            log,
+            memory_budget: cfg.memory_budget,
+            spill,
+            max_transfer_wait: Some(cfg.executor_deadline),
+            verify_reads: cfg.verify_reads,
+            log_corruptions: cfg.log_corruptions,
+            ..WorkerOptions::new(
+                id,
+                cfg.bandwidth,
+                cfg.stragglers.clone(),
+                cfg.seed.wrapping_add(id as u64),
+            )
+        }
+    }
+
     /// Installs both fault scripts and the shared log.
     pub fn with_scripts(
         mut self,
@@ -207,12 +244,6 @@ impl WorkerOptions {
         self.verify_reads = verify;
         self
     }
-
-    /// Enables `CORRUPT` log lines on checksum failures.
-    pub fn with_corruption_log(mut self, log: bool) -> Self {
-        self.log_corruptions = log;
-        self
-    }
 }
 
 /// Spawns a worker thread with the given NIC bandwidth and straggler
@@ -226,52 +257,7 @@ pub fn spawn_worker(
     spawn_worker_opts(WorkerOptions::new(id, bandwidth, stragglers, seed))
 }
 
-/// Spawns a worker that consults `script` before serving each data-path
-/// request, recording fired faults into the shared `log`
-/// (see [`crate::fault`]).
-pub fn spawn_worker_with_faults(
-    id: usize,
-    bandwidth: f64,
-    stragglers: StragglerModel,
-    seed: u64,
-    script: WorkerScript,
-    log: Arc<FaultLog>,
-) -> WorkerHandle {
-    spawn_worker_opts(
-        WorkerOptions::new(id, bandwidth, stragglers, seed).with_scripts(
-            script,
-            WorkerScript::empty(),
-            log,
-        ),
-    )
-}
-
-/// Spawns a worker with both fault scripts: `script` fires on the
-/// data-path op counter, `heartbeat_script` on the ping counter (see
-/// [`crate::fault::FaultPlan::heartbeat_script_for`]). The two counters
-/// are independent, so supervisor cadence never shifts a scripted data
-/// fault and vice versa.
-#[allow(clippy::too_many_arguments)]
-pub fn spawn_worker_with_scripts(
-    id: usize,
-    bandwidth: f64,
-    stragglers: StragglerModel,
-    seed: u64,
-    script: WorkerScript,
-    heartbeat_script: WorkerScript,
-    log: Arc<FaultLog>,
-) -> WorkerHandle {
-    spawn_worker_opts(
-        WorkerOptions::new(id, bandwidth, stragglers, seed).with_scripts(
-            script,
-            heartbeat_script,
-            log,
-        ),
-    )
-}
-
-/// Spawns a fully-configured worker thread (the general form every
-/// other `spawn_worker*` delegates to).
+/// Spawns a fully-configured worker thread.
 pub fn spawn_worker_opts(mut opts: WorkerOptions) -> WorkerHandle {
     // A budget without a spill tier could turn eviction into data loss;
     // back it with a private under-store so it never does.
@@ -1136,13 +1122,12 @@ mod tests {
             .drop_connection(0, 1)
             .delay_frame(0, 2, Duration::from_millis(60));
         let log = Arc::new(FaultLog::new());
-        let h = spawn_worker_with_faults(
-            0,
-            f64::INFINITY,
-            StragglerModel::none(),
-            1,
-            plan.script_for(0),
-            Arc::clone(&log),
+        let h = spawn_worker_opts(
+            WorkerOptions::new(0, f64::INFINITY, StragglerModel::none(), 1).with_scripts(
+                plan.script_for(0),
+                WorkerScript::empty(),
+                Arc::clone(&log),
+            ),
         );
         put(&h, PartKey::new(1, 0), b"w"); // op 0
         // Op 1: DropConnection ≈ lost reply → receiver disconnects.
@@ -1247,13 +1232,12 @@ mod tests {
         use crate::fault::FaultPlan;
         let plan = FaultPlan::none().crash_restart(0, 2);
         let log = Arc::new(FaultLog::new());
-        let h = spawn_worker_with_faults(
-            0,
-            f64::INFINITY,
-            StragglerModel::none(),
-            1,
-            plan.script_for(0),
-            Arc::clone(&log),
+        let h = spawn_worker_opts(
+            WorkerOptions::new(0, f64::INFINITY, StragglerModel::none(), 1).with_scripts(
+                plan.script_for(0),
+                WorkerScript::empty(),
+                Arc::clone(&log),
+            ),
         );
         assert_eq!(call(&h, Request::SetEpoch(4)), Reply::Done);
         put(&h, PartKey::new(1, 0), b"gone"); // op 0
@@ -1282,14 +1266,12 @@ mod tests {
         use crate::fault::FaultPlan;
         let plan = FaultPlan::none().drop_heartbeat(0, 1).stale_epoch(0, 0);
         let log = Arc::new(FaultLog::new());
-        let h = spawn_worker_with_scripts(
-            0,
-            f64::INFINITY,
-            StragglerModel::none(),
-            1,
-            plan.data_script_for(0),
-            plan.heartbeat_script_for(0),
-            Arc::clone(&log),
+        let h = spawn_worker_opts(
+            WorkerOptions::new(0, f64::INFINITY, StragglerModel::none(), 1).with_scripts(
+                plan.data_script_for(0),
+                plan.heartbeat_script_for(0),
+                Arc::clone(&log),
+            ),
         );
         // Ping 0 answers normally.
         assert_eq!(call(&h, Request::Ping).pong_epoch().unwrap(), (0, 0));

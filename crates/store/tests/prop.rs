@@ -10,7 +10,8 @@ use spcache_core::online::plan_adjust;
 use spcache_store::backing::{checkpoint, recovery_targets, UnderStore};
 use spcache_store::fault::FaultRecord;
 use spcache_store::online::execute_adjust;
-use spcache_store::rpc::StoreError;
+use spcache_store::rpc::{PartKey, Reply, Request, StoreError};
+use spcache_store::transport::Transport;
 use spcache_store::{FaultPlan, RetryPolicy, StoreCluster, StoreConfig};
 
 /// One operation outcome, comparable across runs. Reads carry their
@@ -168,21 +169,34 @@ proptest! {
     /// Scatter-gather reads are byte-exact for arbitrary (ragged) sizes
     /// and partition counts — `size % k != 0`, `size < k`, `size == 0`
     /// all included — whichever way the file is consumed (scattered
-    /// views or the gathered contiguous buffer).
+    /// views or the gathered contiguous buffer), and whether or not a
+    /// partition (`lost < k`) was erased first and has to be decoded
+    /// from the parity set.
     #[test]
     fn scattered_reads_are_byte_exact_for_ragged_shapes(
         data in proptest::collection::vec(any::<u8>(), 0..10_000),
         k in 1usize..9,
+        lost in 0usize..16,
     ) {
-        let cluster = StoreCluster::spawn(StoreConfig::unthrottled(4));
+        // Worker 4 holds no data partition, so it takes the parity.
+        let cluster = StoreCluster::spawn(StoreConfig::unthrottled(5).with_parity(1));
         let client = cluster.client();
         let servers: Vec<usize> = (0..k).map(|j| j % 4).collect();
-        client.write(1, &data, &servers).unwrap();
+        // One file per way of reading, so each read meets the erasure
+        // rather than the other's read repair.
+        for id in [1, 2] {
+            client.write(id, &data, &servers).unwrap();
+            if lost < k {
+                let key = PartKey::new(id, lost as u32);
+                let gone = cluster.transport().call(servers[lost], Request::Delete { key }, Duration::from_secs(5));
+                prop_assert_eq!(gone, Ok(Reply::Flag(true)));
+            }
+        }
         let file = client.read_scattered(1).unwrap();
         prop_assert_eq!(file.size(), data.len());
         prop_assert_eq!(file.parts().len(), k);
         prop_assert_eq!(file.to_vec(), data.clone());
-        prop_assert_eq!(client.read_quiet(1).unwrap(), data);
+        prop_assert_eq!(client.read_quiet(2).unwrap(), data);
     }
 
     /// A memory budget is a hard invariant, not a hint: after every

@@ -19,18 +19,15 @@ use spcache::store::{
 };
 use spcache::workload::zipf::ZipfSampler;
 
+mod common;
+use common::payload;
+
 const N_WORKERS: usize = 4;
 const N_FILES: u64 = 16;
 const FILE_LEN: usize = 100_000;
 const BANDWIDTH: f64 = 40e6; // 40 MB/s per worker
 const BG_FRACTION: f64 = 0.5;
 const DOOMED: usize = 1;
-
-fn payload(id: u64) -> Vec<u8> {
-    (0..FILE_LEN)
-        .map(|i| ((i as u64).wrapping_mul(167).wrapping_add(id * 23 + 9) % 256) as u8)
-        .collect()
-}
 
 #[test]
 fn heal_under_load_stays_inside_the_background_fraction() {
@@ -52,7 +49,7 @@ fn heal_under_load_stays_inside_the_background_fraction() {
         client
             .write(
                 id,
-                &payload(id),
+                &payload(id, FILE_LEN),
                 &[id as usize % N_WORKERS, (id as usize + 1) % N_WORKERS],
             )
             .unwrap();
@@ -85,7 +82,7 @@ fn heal_under_load_stays_inside_the_background_fraction() {
                 while !stop.load(Ordering::Relaxed) {
                     let id = sampler.sample(&mut rng) as u64;
                     if let Ok(data) = client.read_quiet(id) {
-                        assert_eq!(data, payload(id), "read of file {id} not byte-exact");
+                        assert_eq!(data, payload(id, FILE_LEN), "read of file {id} not byte-exact");
                         good.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -120,7 +117,7 @@ fn heal_under_load_stays_inside_the_background_fraction() {
     let verify = cluster.client().with_under_store(Arc::clone(&under));
     for (id, servers) in cluster.master().placements() {
         assert!(servers.iter().all(|&s| s != DOOMED), "file {id} on dead worker");
-        assert_eq!(verify.read_quiet(id).unwrap(), payload(id));
+        assert_eq!(verify.read_quiet(id).unwrap(), payload(id, FILE_LEN));
     }
     assert!(good_reads.load(Ordering::Relaxed) > 0, "storm never read anything");
 

@@ -20,31 +20,12 @@ use spcache::store::rpc::{PartKey, WorkerStats};
 use spcache::store::{FaultPlan, RetryPolicy, StoreCluster, StoreConfig};
 use spcache::workload::zipf::ZipfSampler;
 
-const N_WORKERS: usize = 6;
-const N_FILES: u64 = 20;
-const FILE_LEN: usize = 12_000;
+mod common;
+use common::{FILE_LEN, N_FILES, N_WORKERS, chaos_seed, payload, placement};
+
 const N_READS: usize = 400;
 /// Parity partitions per file in the parity scenario (`r`).
 const PARITY: usize = 2;
-
-/// Workload seed: 42 unless the CI seed sweep overrides it via
-/// `SPCACHE_CHAOS_SEED`.
-fn chaos_seed() -> u64 {
-    std::env::var("SPCACHE_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
-
-fn payload(id: u64, len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| ((i as u64).wrapping_mul(131).wrapping_add(id * 17 + 3) % 256) as u8)
-        .collect()
-}
-
-fn placement(id: u64) -> Vec<usize> {
-    vec![id as usize % N_WORKERS, (id as usize + 1) % N_WORKERS]
-}
 
 /// The parity-scenario script. Op indices are per-worker *data request*
 /// counts, which the sequential write phase pins exactly:

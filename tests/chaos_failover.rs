@@ -37,8 +37,9 @@ use spcache::store::{
 };
 use spcache::workload::zipf::ZipfSampler;
 
-const N_WORKERS: usize = 6;
-const N_FILES: u64 = 20;
+mod common;
+use common::{N_FILES, N_WORKERS, chaos_seed, payload, placement};
+
 const FILE_LEN: usize = 9_000;
 /// Reads per phase (one phase under each master).
 const PHASE_READS: usize = 150;
@@ -52,24 +53,6 @@ const PARTITIONED_WORKER: usize = 4;
 const MARKER_FILE: u64 = 3;
 const ADDR_A: &str = "10.0.0.1:9000";
 const ADDR_B: &str = "10.0.0.2:9000";
-
-/// Workload seed, overridable for the CI seed sweep.
-fn chaos_seed() -> u64 {
-    std::env::var("SPCACHE_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
-
-fn payload(id: u64, len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| ((i as u64).wrapping_mul(137).wrapping_add(id * 19 + 5) % 256) as u8)
-        .collect()
-}
-
-fn placement(id: u64) -> Vec<usize> {
-    vec![id as usize % N_WORKERS, (id as usize + 1) % N_WORKERS]
-}
 
 /// Files with a partition on [`PARTITIONED_WORKER`] — what B's sweep
 /// must heal, ascending (the sweep enumerates degraded ids sorted).

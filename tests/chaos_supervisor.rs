@@ -29,9 +29,9 @@ use spcache::store::supervisor::{Supervisor, SweepRecord};
 use spcache::store::{FaultPlan, RetryPolicy, StoreCluster, StoreConfig, SupervisorConfig};
 use spcache::workload::zipf::ZipfSampler;
 
-const N_WORKERS: usize = 6;
-const N_FILES: u64 = 20;
-const FILE_LEN: usize = 12_000;
+mod common;
+use common::{FILE_LEN, N_FILES, N_WORKERS, chaos_seed, payload, placement};
+
 const N_READS: usize = 400;
 /// Reads between supervisor ticks.
 const TICK_EVERY: usize = 25;
@@ -39,24 +39,6 @@ const TICK_EVERY: usize = 25;
 const ZOMBIE_WORKER: usize = 2;
 /// Crashes for good: its partitions only survive in the under-store.
 const DOOMED_WORKER: usize = 4;
-
-/// Workload seed, overridable for the CI seed sweep.
-fn chaos_seed() -> u64 {
-    std::env::var("SPCACHE_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
-
-fn payload(id: u64, len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| ((i as u64).wrapping_mul(131).wrapping_add(id * 17 + 3) % 256) as u8)
-        .collect()
-}
-
-fn placement(id: u64) -> Vec<usize> {
-    vec![id as usize % N_WORKERS, (id as usize + 1) % N_WORKERS]
-}
 
 /// Both victims hold 6 files' partitions and spend 12 data ops in setup
 /// (6 puts + 6 checkpoint gets), so both faults fire well into the read
