@@ -1,4 +1,4 @@
-//! `perf` — the reproducible data-path performance harness.
+//! `perf` — the store measurements `spbench` has no workload for.
 //!
 //! ```text
 //! cargo run -p spcache-bench --release --bin perf              # full grid
@@ -7,11 +7,13 @@
 //! cargo run -p spcache-bench --release --bin perf -- --validate BENCH_store.json
 //! ```
 //!
-//! Measures the real store's read/write paths (legacy copying join vs
-//! the select-driven zero-copy join) over a `file size × k × NIC` grid
-//! and writes a schema-stable `BENCH_store.json`. `--validate` checks an
-//! existing report (required keys present, all metrics finite and
-//! positive) and exits non-zero on violation — the CI bench-smoke step.
+//! Measures the supervisor's recovery sweep, unpaced and paced under a
+//! foreground storm, and the checksum-verified read over a
+//! `file size × k × NIC` grid and writes a schema-stable
+//! `BENCH_store.json`. `--validate` checks an existing report (required
+//! keys and variants present, all metrics finite and positive,
+//! `paced_bg_utilization` and `verify_overhead` inside their bounds) and
+//! exits non-zero on violation — the CI step.
 
 use std::process::ExitCode;
 
@@ -106,8 +108,8 @@ fn main() -> ExitCode {
             );
         }
         println!(
-            "  read speedup ×{:.2} (scattered) ×{:.2} (contiguous), write ×{:.2}",
-            p.read_speedup_scattered, p.read_speedup_contiguous, p.write_speedup
+            "  paced_bg_utilization {:.3}, verify_overhead {:.3}",
+            p.paced_bg_utilization, p.verify_overhead
         );
     }
     ExitCode::SUCCESS

@@ -12,6 +12,12 @@
 //! Run everything: `cargo run --release -p spcache-bench --bin experiments -- all`
 //! Run one:        `cargo run --release -p spcache-bench --bin experiments -- fig13`
 //! Faster pass:    add `--quick`.
+//!
+//! The [`perf`] module (the `perf` binary) measures the three store rows
+//! the end-to-end benchmark in `benchmark/` has no workload for —
+//! recovery, paced recovery and the verified read — and validates
+//! `BENCH_store.json` against their bounds. The Criterion files under
+//! `benches/` time the building blocks EXPERIMENTS.md quotes.
 
 pub mod experiments;
 pub mod perf;

@@ -2,6 +2,8 @@
 //! the in-process transport, repartition over the wire, wire-level fault
 //! injection, and graceful drain-then-exit shutdown.
 
+use bytes::Bytes;
+use spcache_net::master_net::{MetaReply, MetaRequest};
 use spcache_net::TcpCluster;
 use spcache_store::fault::FaultAction;
 use spcache_store::master::MetaService;
@@ -235,5 +237,68 @@ fn bad_placements_are_typed_errors_on_both_transports() {
     check(&chan.client(), chan.master().as_ref());
     let tcp = TcpCluster::spawn(StoreConfig::unthrottled(N_WORKERS).with_retry(retry()));
     check(&tcp.client(), &tcp.master_client());
+    tcp.shutdown();
+}
+
+/// `Client::write_many` end to end: a corpus streamed in chunks (one
+/// put wave and one `register_batch` per chunk) reads back byte-exact,
+/// and a chunk carrying an id an earlier chunk registered surfaces
+/// `AlreadyExists` without disturbing what already landed.
+#[test]
+fn write_many_round_trips_on_both_transports() {
+    fn check(client: &Client) {
+        const FILES: u64 = 300;
+        const CHUNK: usize = 128;
+        let file = |id: u64| -> (u64, Bytes, Vec<usize>) {
+            let k = 1 + id as usize % 3;
+            let servers = (0..k).map(|j| (id as usize + j) % N_WORKERS).collect();
+            (id, payload(id, 200 + (id as usize * 37) % 900).into(), servers)
+        };
+        let corpus: Vec<_> = (0..FILES).map(file).collect();
+        for chunk in corpus.chunks(CHUNK) {
+            client.write_many(chunk).unwrap();
+        }
+        let dup = [file(FILES), file(7), file(FILES + 1)];
+        assert_eq!(client.write_many(&dup), Err(StoreError::AlreadyExists(7)));
+        for (id, data, _) in &corpus {
+            assert_eq!(client.read(*id).unwrap(), data[..], "file {id}");
+        }
+    }
+    let chan = StoreCluster::spawn(StoreConfig::unthrottled(N_WORKERS));
+    check(&chan.client());
+    let tcp = TcpCluster::spawn(StoreConfig::unthrottled(N_WORKERS));
+    check(&tcp.client());
+    tcp.shutdown();
+}
+
+/// Nothing a peer can frame may reach an `assert!` on the master: its
+/// event loop is one thread, so a panic there ends the metadata plane
+/// (and one on the detached rebalance thread strands the caller until
+/// its deadline). Each malformed request gets a typed error, and the
+/// same server keeps answering afterwards.
+#[test]
+fn master_outlives_bad_input() {
+    let tcp = TcpCluster::spawn(StoreConfig::unthrottled(N_WORKERS));
+    let mc = tcp.master_client();
+    let refused = |req: &MetaRequest| {
+        let reply = mc.roundtrip(req).unwrap();
+        assert!(matches!(reply, MetaReply::Err(StoreError::Codec(_))), "{req:?} got {reply:?}");
+    };
+    let rebalance = MetaRequest::Rebalance { bandwidth: 1e9, lambda: 100.0, seed: 42 };
+    refused(&MetaRequest::Register { id: 1, size: 10, servers: vec![] });
+    refused(&MetaRequest::RegisterBatch { entries: vec![(2, 10, vec![0]), (3, 10, vec![])] });
+    refused(&MetaRequest::ApplyPlacement { id: 1, servers: vec![] });
+    // Nothing is registered (the batch above was refused whole).
+    refused(&rebalance);
+
+    let (_, active, files, _) = mc.status().unwrap();
+    assert!(active && files == 0);
+    mc.register(1, 10, vec![0, 1]).unwrap();
+    assert_eq!(mc.locate(1), Ok((10, vec![0, 1])));
+
+    // A registered file but nobody alive to plan against.
+    (0..N_WORKERS).for_each(|w| mc.mark_dead(w));
+    refused(&rebalance);
+    assert_eq!(mc.peek(1), Ok((10, vec![0, 1])));
     tcp.shutdown();
 }

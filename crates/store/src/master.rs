@@ -11,6 +11,7 @@ use spcache_core::repartition::{plan_repartition, RepartitionPlan};
 use spcache_core::tuner::{tune_scale_factor_hetero, Tuned, TunerConfig};
 use spcache_sim::Xoshiro256StarStar;
 
+use crate::forkjoin::empty_placement;
 use crate::metalog::{FileIntegrity, MasterImage, MetaLog, MetaOp};
 use crate::rpc::StoreError;
 
@@ -493,11 +494,14 @@ impl Master {
     /// # Errors
     ///
     /// Returns [`StoreError::AlreadyExists`] on the first duplicate id;
-    /// earlier entries in the batch stay registered.
+    /// earlier entries in the batch stay registered. A batch holding an
+    /// empty placement is refused whole with [`StoreError::Codec`].
     pub fn register_batch(&self, entries: &[(u64, usize, Vec<usize>)]) -> Result<(), StoreError> {
+        if entries.iter().any(|(_, _, servers)| servers.is_empty()) {
+            return Err(empty_placement());
+        }
         let mut files = self.files.write();
         for (id, size, servers) in entries {
-            assert!(!servers.is_empty(), "file must have at least one partition");
             if files.contains_key(id) {
                 return Err(StoreError::AlreadyExists(*id));
             }
@@ -713,9 +717,12 @@ impl Master {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::AlreadyExists`] if the id is taken.
+    /// Returns [`StoreError::AlreadyExists`] if the id is taken, and
+    /// [`StoreError::Codec`] for an empty placement.
     pub fn register(&self, id: u64, size: usize, servers: Vec<usize>) -> Result<(), StoreError> {
-        assert!(!servers.is_empty(), "file must have at least one partition");
+        if servers.is_empty() {
+            return Err(empty_placement());
+        }
         let mut files = self.files.write();
         if files.contains_key(&id) {
             return Err(StoreError::AlreadyExists(id));
@@ -907,9 +914,12 @@ impl Master {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::UnknownFile`] if not registered.
+    /// Returns [`StoreError::UnknownFile`] if not registered, and
+    /// [`StoreError::Codec`] for an empty placement.
     pub fn apply_placement(&self, id: u64, servers: Vec<usize>) -> Result<(), StoreError> {
-        assert!(!servers.is_empty());
+        if servers.is_empty() {
+            return Err(empty_placement());
+        }
         let mut files = self.files.write();
         let info = files.get_mut(&id).ok_or(StoreError::UnknownFile(id))?;
         info.servers = servers;
