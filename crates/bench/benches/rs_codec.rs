@@ -1,5 +1,5 @@
-//! Reed–Solomon codec throughput (Fig. 4's substrate) and the GF(2⁸)
-//! slice-kernel ablation (log/exp table vs ISA-L-style split nibbles).
+//! Reed–Solomon codec throughput (Fig. 4's substrate) and its GF(2⁸)
+//! slice kernel on its own.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -49,19 +49,12 @@ fn bench_decode(c: &mut Criterion) {
 }
 
 fn bench_gf_kernels(c: &mut Criterion) {
-    // DESIGN.md §5 ablation: which accumulate kernel should the codec use?
     let src = sample(1 << 20);
     let mut g = c.benchmark_group("gf256_mul_acc_1MiB");
     g.throughput(Throughput::Bytes(src.len() as u64));
-    g.bench_function("log_exp_table", |b| {
-        let mut dst = vec![0u8; src.len()];
-        b.iter(|| gf256::mul_acc_slice(black_box(0x57), black_box(&src), black_box(&mut dst)));
-    });
     g.bench_function("split_nibble", |b| {
         let mut dst = vec![0u8; src.len()];
-        b.iter(|| {
-            gf256::mul_acc_slice_nibble(black_box(0x57), black_box(&src), black_box(&mut dst))
-        });
+        b.iter(|| gf256::mul_acc_slice(black_box(0x57), black_box(&src), black_box(&mut dst)));
     });
     g.finish();
 }

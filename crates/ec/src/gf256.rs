@@ -6,12 +6,15 @@
 //!
 //! Element addition is XOR; multiplication uses compile-time exp/log
 //! tables. The hot encode/decode path is not per-byte multiplication but
-//! the slice kernels [`mul_slice`] / [`mul_acc_slice`]: per coding row they
-//! stream over shard-sized byte slices. Two implementations are provided —
-//! a log/exp-table kernel and an ISA-L-style split-nibble kernel
-//! ([`mul_acc_slice_nibble`]) that replaces the log/exp indirection with
-//! two 16-entry product tables; the `rs_codec` bench compares them (the
-//! ablation listed in DESIGN.md §5).
+//! the one slice kernel, [`mul_acc_slice`]: per coding row it streams
+//! `dst ^= c·src` over shard-sized byte slices. It is the ISA-L
+//! split-nibble kernel: multiplication by a constant is linear over
+//! GF(2), so `c·s = c·(s & 0x0f) ^ c·(s & 0xf0)` and two 16-entry tables
+//! per coefficient replace the log/exp indirection and its zero test.
+//! Sixteen entries are exactly one `pshufb` register, which looks up 16
+//! bytes at once: on x86_64 with SSSE3 detected at run time the kernel
+//! takes 16-byte blocks that way, and the same tables in a scalar loop
+//! handle the tail there and the whole slice on every other machine.
 
 /// Reduction polynomial x⁸+x⁴+x³+x²+1 (the `0x1D` low byte).
 pub const POLY: u16 = 0x11D;
@@ -46,6 +49,29 @@ const fn build_tables() -> Tables {
 }
 
 static TABLES: Tables = build_tables();
+
+/// `MUL_LO[c][n] = c·n` and `MUL_HI[c][n] = c·(n << 4)`: the two
+/// 16-entry product tables of every coefficient (the
+/// `MUL_TABLE_LOW`/`MUL_TABLE_HIGH` shape of ISA-L and
+/// `reed_solomon_erasure::galois_8`).
+static MUL_LO: [[u8; 16]; 256] = build_nibble_products(0);
+static MUL_HI: [[u8; 16]; 256] = build_nibble_products(4);
+
+const fn build_nibble_products(shift: u32) -> [[u8; 16]; 256] {
+    let t = build_tables();
+    let mut products = [[0u8; 16]; 256];
+    let mut c = 1;
+    while c < 256 {
+        let mut n = 1;
+        while n < 16 {
+            let logs = t.log[c] as usize + t.log[n << shift] as usize;
+            products[c][n] = t.exp[logs];
+            n += 1;
+        }
+        c += 1;
+    }
+    products
+}
 
 /// Field addition (and subtraction): XOR.
 #[inline(always)]
@@ -110,31 +136,6 @@ pub fn exp2(i: usize) -> u8 {
     TABLES.exp[i % 255]
 }
 
-/// `dst[i] = c * src[i]` — the row-initialization kernel.
-///
-/// # Panics
-///
-/// Panics if slice lengths differ.
-pub fn mul_slice(c: u8, src: &[u8], dst: &mut [u8]) {
-    assert_eq!(src.len(), dst.len(), "shard length mismatch");
-    if c == 0 {
-        dst.fill(0);
-        return;
-    }
-    if c == 1 {
-        dst.copy_from_slice(src);
-        return;
-    }
-    let lc = TABLES.log[c as usize] as usize;
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = if s == 0 {
-            0
-        } else {
-            TABLES.exp[lc + TABLES.log[s as usize] as usize]
-        };
-    }
-}
-
 /// `dst[i] ^= c * src[i]` — the accumulate kernel dominating encode and
 /// decode time (one call per (coding row × shard) pair).
 ///
@@ -146,36 +147,61 @@ pub fn mul_acc_slice(c: u8, src: &[u8], dst: &mut [u8]) {
     if c == 0 {
         return;
     }
-    if c == 1 {
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d ^= s;
-        }
-        return;
+    let (lo, hi) = (&MUL_LO[c as usize], &MUL_HI[c as usize]);
+    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("ssse3") {
+        // SAFETY: `ssse3` was detected on this CPU just above, which is
+        // the function's only requirement.
+        done = unsafe { ssse3::mul_acc_blocks(lo, hi, src, dst) };
     }
-    let lc = TABLES.log[c as usize] as usize;
+    mul_acc_bytes(lo, hi, &src[done..], &mut dst[done..]);
+}
+
+/// The kernel one byte at a time: the whole portable path, and the tail
+/// of the `pshufb` one.
+fn mul_acc_bytes(lo: &[u8; 16], hi: &[u8; 16], src: &[u8], dst: &mut [u8]) {
     for (d, &s) in dst.iter_mut().zip(src) {
-        if s != 0 {
-            *d ^= TABLES.exp[lc + TABLES.log[s as usize] as usize];
-        }
+        *d ^= lo[(s & 0x0F) as usize] ^ hi[(s >> 4) as usize];
     }
 }
 
-/// ISA-L-style split-nibble accumulate kernel: precomputes the 16 products
-/// of `c` with each low nibble and each (shifted) high nibble, then does two
-/// table lookups and one XOR per byte with no zero-test branch.
-pub fn mul_acc_slice_nibble(c: u8, src: &[u8], dst: &mut [u8]) {
-    assert_eq!(src.len(), dst.len(), "shard length mismatch");
-    if c == 0 {
-        return;
-    }
-    let mut lo = [0u8; 16];
-    let mut hi = [0u8; 16];
-    for i in 0..16u8 {
-        lo[i as usize] = mul(c, i);
-        hi[i as usize] = mul(c, i << 4);
-    }
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d ^= lo[(s & 0x0F) as usize] ^ hi[(s >> 4) as usize];
+#[cfg(target_arch = "x86_64")]
+mod ssse3 {
+    use std::arch::x86_64::*;
+
+    /// Runs the kernel over every whole 16-byte block the two slices
+    /// share and returns how many bytes that covered.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `ssse3`.
+    #[target_feature(enable = "ssse3")]
+    pub(super) unsafe fn mul_acc_blocks(
+        lo: &[u8; 16],
+        hi: &[u8; 16],
+        src: &[u8],
+        dst: &mut [u8],
+    ) -> usize {
+        // SAFETY: both tables are 16-byte arrays; the loads are unaligned.
+        let lo = _mm_loadu_si128(lo.as_ptr().cast());
+        let hi = _mm_loadu_si128(hi.as_ptr().cast());
+        let nibble = _mm_set1_epi8(0x0F);
+        let blocks = src.chunks_exact(16).zip(dst.chunks_exact_mut(16));
+        let done = 16 * blocks.len();
+        for (s, d) in blocks {
+            // SAFETY: `chunks_exact(16)` hands out slices of exactly 16
+            // bytes, the width of every unaligned load and store here.
+            let sv = _mm_loadu_si128(s.as_ptr().cast());
+            let product = _mm_xor_si128(
+                _mm_shuffle_epi8(lo, _mm_and_si128(sv, nibble)),
+                _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi64::<4>(sv), nibble)),
+            );
+            let dv = _mm_loadu_si128(d.as_ptr().cast());
+            _mm_storeu_si128(d.as_mut_ptr().cast(), _mm_xor_si128(dv, product));
+        }
+        done
     }
 }
 
@@ -306,35 +332,27 @@ mod tests {
 
     #[test]
     fn slice_kernels_agree() {
+        // The dispatched kernel and the portable loop called directly,
+        // both against per-byte `mul`, across the 16-byte block edge.
         let src: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
         for &c in &[0u8, 1, 2, 73, 255] {
-            let mut a = vec![0xAA; 1000];
-            let mut b = vec![0xAA; 1000];
-            mul_acc_slice(c, &src, &mut a);
-            mul_acc_slice_nibble(c, &src, &mut b);
-            assert_eq!(a, b, "c={c}");
-
-            let mut d = vec![0u8; 1000];
-            mul_slice(c, &src, &mut d);
-            let expect: Vec<u8> = src.iter().map(|&s| mul(c, s)).collect();
-            assert_eq!(d, expect, "c={c}");
+            for len in [0usize, 1, 15, 16, 17, 31, 32, 1000] {
+                let src = &src[..len];
+                let expect: Vec<u8> = src.iter().map(|&s| 0xAA ^ mul(c, s)).collect();
+                let mut a = vec![0xAA; len];
+                mul_acc_slice(c, src, &mut a);
+                assert_eq!(a, expect, "dispatched, c={c} len={len}");
+                let mut b = vec![0xAA; len];
+                mul_acc_bytes(&MUL_LO[c as usize], &MUL_HI[c as usize], src, &mut b);
+                assert_eq!(b, expect, "portable, c={c} len={len}");
+            }
         }
-    }
-
-    #[test]
-    fn mul_slice_special_cases() {
-        let src = vec![9u8, 0, 255];
-        let mut dst = vec![1u8; 3];
-        mul_slice(0, &src, &mut dst);
-        assert_eq!(dst, vec![0, 0, 0]);
-        mul_slice(1, &src, &mut dst);
-        assert_eq!(dst, src);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn slice_length_mismatch_panics() {
         let mut d = vec![0u8; 2];
-        mul_slice(3, &[1, 2, 3], &mut d);
+        mul_acc_slice(3, &[1, 2, 3], &mut d);
     }
 }

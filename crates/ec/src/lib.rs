@@ -9,8 +9,8 @@
 //! reimplements the same algebra from scratch:
 //!
 //! * [`gf256`] — arithmetic in GF(2⁸) with the polynomial
-//!   `x⁸+x⁴+x³+x²+1` (0x11D), including the byte-slice kernels
-//!   (`mul_slice`, `mul_acc_slice`) that dominate encode/decode time,
+//!   `x⁸+x⁴+x³+x²+1` (0x11D), including the byte-slice kernel
+//!   (`mul_acc_slice`) that dominates encode/decode time,
 //! * [`matrix`] — dense matrices over GF(2⁸) with Gauss-Jordan inversion
 //!   and Cauchy/Vandermonde constructions,
 //! * [`rs`] — the systematic Reed–Solomon codec: encode, verify,

@@ -337,6 +337,8 @@ pub fn recovery_targets(live: &[usize], k: usize, id: u64) -> Vec<usize> {
 /// [`StoreError::Degraded`] when another repair of this file is already
 /// in flight (not retryable — wait it out or shed the op);
 /// [`StoreError::UnknownFile`] if no checkpoint exists;
+/// [`StoreError::Corrupt`] when the checkpoint's bytes no longer match
+/// the file's integrity row (placement and row are left untouched);
 /// [`StoreError::Codec`] for an empty `new_servers` or one naming a
 /// worker outside the fleet; worker errors if a target is down too.
 pub fn recover_file(
@@ -352,7 +354,11 @@ pub fn recover_file(
     let result = (|| {
         let data = under.load(id).ok_or(StoreError::UnknownFile(id))?;
         let (_, old_servers) = master.peek(id)?;
-        let sums = client.push_partitions(id, &data, new_servers)?;
+        // A checkpoint is outside the cache's integrity domain: prove it
+        // against the file's recorded sums before it becomes the bytes
+        // every later read verifies against.
+        let proof = master.integrity(id);
+        let sums = client.push_partitions(id, &data, new_servers, proof.as_ref())?;
         master.apply_placement(id, new_servers.to_vec())?;
         // The placement swap invalidated the old integrity row; record
         // a fresh data-only one so verified reads keep working. The heal
@@ -525,6 +531,35 @@ mod tests {
             read_or_recover(&client, cluster.master().as_ref(), &under, 1, &[1]).unwrap_err(),
             StoreError::UnknownFile(1)
         );
+    }
+
+    #[test]
+    fn rotted_checkpoint_is_refused_and_the_clean_one_heals() {
+        let mut cluster = StoreCluster::spawn(StoreConfig::unthrottled(4));
+        let client = cluster.client().with_verify(true);
+        let data = payload(6_000);
+        client.write(1, &data, &[0, 1]).unwrap();
+        let under = UnderStore::new();
+        checkpoint(&client, &under, 1).unwrap();
+        // The checkpoint rots: one flipped bit in partition 1's half.
+        let mut rotted = data.clone();
+        rotted[4_500] ^= 0x10;
+        under.persist(1, Bytes::from(rotted));
+
+        cluster.kill_worker(1);
+        let master = cluster.master();
+        let before = (master.peek(1).unwrap(), master.integrity(1));
+        assert!(before.1.is_some(), "a verifying write records the row");
+        assert_eq!(
+            recover_file(&client, master.as_ref(), &under, 1, &[0, 2]),
+            Err(StoreError::Corrupt(PartKey::new(1, 1)))
+        );
+        assert_eq!((master.peek(1).unwrap(), master.integrity(1)), before);
+
+        under.persist(1, Bytes::from(data.clone()));
+        recover_file(&client, master.as_ref(), &under, 1, &[0, 2]).unwrap();
+        assert_eq!(master.peek(1).unwrap().1, vec![0, 2]);
+        assert_eq!(client.read(1).unwrap(), data);
     }
 
     #[test]

@@ -271,7 +271,7 @@ impl Client {
     /// naming a worker outside the fleet.
     pub fn write_bytes(&self, id: u64, data: Bytes, servers: &[usize]) -> Result<(), StoreError> {
         let size = data.len();
-        let sums = self.push_partitions(id, &data, servers)?;
+        let sums = self.push_partitions(id, &data, servers, None)?;
         self.master.register(id, size, servers.to_vec())?;
         if self.verify || self.parity > 0 {
             // Record the integrity row only after the file exists: the
@@ -331,14 +331,32 @@ impl Client {
     /// allocation (see [`split_shards_bytes`]). Returns the partitions'
     /// checksums (each Put is stamped with its shard's sum, so workers
     /// can verify later reads and spill reloads).
+    ///
+    /// `proof` is the integrity row `data` must still match when it
+    /// comes from a checkpoint rather than from the writer: a row of
+    /// this placement's width is compared before any Put leaves.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] naming the first partition whose bytes
+    /// differ from `proof`; nothing was pushed.
     pub(crate) fn push_partitions(
         &self,
         id: u64,
         data: &Bytes,
         servers: &[usize],
+        proof: Option<&FileIntegrity>,
     ) -> Result<Vec<u64>, StoreError> {
         let mut rows = Vec::with_capacity(servers.len());
         let sums = split_rows(id, data, servers, &mut rows)?;
+        if let Some(proof) = proof.filter(|p| p.sums.len() == sums.len()) {
+            let rotted = |(&want, &got): (&u64, &u64)| {
+                want != spcache_integrity::UNVERIFIED && want != got
+            };
+            if let Some(j) = proof.sums.iter().zip(&sums).position(rotted) {
+                return Err(StoreError::Corrupt(PartKey::new(id, j as u32)));
+            }
+        }
         self.put_all(rows)?;
         Ok(sums)
     }
@@ -566,6 +584,16 @@ impl Client {
             .as_deref()
             .filter(|_| self.hedge.enabled)
             .map(|under| (start + self.hedge.straggler_threshold.min(self.retry.deadline), under));
+        // The sum shard `i` must prove against: none unless this client
+        // verifies or the attempt has widened. A row whose width ≠ k
+        // predates a re-split that has not recorded fresh sums yet —
+        // don't verify against it.
+        let verify = self.verify;
+        let want = |row: &Option<FileIntegrity>, widened: bool, i: usize| {
+            row.as_ref()
+                .filter(|r| r.sums.len() == k && (verify || widened))
+                .map(|r| if i < k { r.sums[i] } else { r.parity[i - k].1 })
+        };
         // Set by the widening: the erasure that caused it, and the
         // landed parity shards.
         let mut erasure: Option<StoreError> = None;
@@ -591,6 +619,12 @@ impl Client {
                         let Some(data) = under.load_range(id, range.start, range.len()) else {
                             break;
                         };
+                        // Checkpoint bytes prove like a landed shard; a
+                        // rotted range leaves its partition outstanding.
+                        let sum = want(&row, erasure.is_some(), j);
+                        if sum.is_some_and(|sum| !spcache_integrity::verify(&data, sum)) {
+                            continue;
+                        }
                         join.give_up(j);
                         self.hedged_fetches.fetch_add(1, Ordering::Relaxed);
                         self.hedged_bytes.fetch_add(data.len() as u64, Ordering::Relaxed);
@@ -603,13 +637,8 @@ impl Client {
                 let late = join.expire();
                 return Err(erasure.unwrap_or(late));
             };
-            // A row whose width ≠ k predates a re-split that has not
-            // recorded fresh sums yet — don't verify against it.
-            let want = row
-                .as_ref()
-                .filter(|r| r.sums.len() == k && (self.verify || erasure.is_some()))
-                .map(|r| if i < k { r.sums[i] } else { r.parity[i - k].1 });
-            let shard = landed.and_then(Reply::bytes).and_then(|data| match want {
+            let sum = want(&row, erasure.is_some(), i);
+            let shard = landed.and_then(Reply::bytes).and_then(|data| match sum {
                 Some(sum) if !spcache_integrity::verify(&data, sum) => {
                     Err(StoreError::Corrupt(PartKey::new(id, i as u32)))
                 }
@@ -1164,6 +1193,29 @@ mod tests {
         // Partition 0 of a 5000-byte file split 2 ways is 2500 bytes —
         // the hedge pulled exactly that range, not the whole file.
         assert_eq!(c.hedged_bytes(), 2_500);
+    }
+
+    #[test]
+    fn hedge_refuses_a_rotted_checkpoint_range() {
+        // The same hang and threshold, but the client verifies and the
+        // checkpoint's copy of partition 0 has rotted: the hedge leaves
+        // the partition outstanding and the straggler's own reply, when
+        // it lands, is what the read returns.
+        let cfg = StoreConfig::unthrottled(2)
+            .with_faults(FaultPlan::none().hang(0, 2, Duration::from_millis(300)))
+            .with_retry(RetryPolicy::none().with_deadline(Duration::from_secs(2)))
+            .with_hedge(HedgePolicy::after(Duration::from_millis(20)));
+        let cluster = StoreCluster::spawn(cfg);
+        let under = Arc::new(UnderStore::new());
+        let c = cluster.client().with_verify(true).with_under_store(under.clone());
+        let data = payload(5_000);
+        c.write(1, &data, &[0, 1]).unwrap(); // op 0 on both
+        crate::backing::checkpoint(&c, &under, 1).unwrap(); // op 1 on both
+        let mut rotted = data.clone();
+        rotted[100] ^= 0x01;
+        under.persist(1, Bytes::from(rotted));
+        assert_eq!(c.read(1).unwrap(), data); // op 2: worker 0 hangs
+        assert_eq!(c.hedged_fetches(), 0);
     }
 
     /// Polls `f` until it holds or ~2 s pass (read repair is
