@@ -620,18 +620,30 @@ mod tests {
     /// harness times wall clock, so a second concurrent run would only
     /// add scheduler noise to both.
     ///
-    /// Its measured `paced_bg_utilization` is replaced by a mid-range
-    /// value: `cargo test` builds the sweep unoptimized, where it sits
-    /// at ~0.07 whatever the kernels do, so the floor is held by CI's
-    /// release `--quick` + `--validate` steps and by the committed
-    /// baseline below, not by this build.
+    /// The measured `paced_bg_utilization` is held here to the half of
+    /// its contract no build profile moves — a sweep that moved bytes
+    /// and stayed within 1.1x of its carve-out. The floor is a
+    /// release-build number (an unoptimized sweep is compute-bound far
+    /// below it), so only a value under the floor is replaced by a
+    /// mid-range one before the report goes to the validator; CI's
+    /// release `--quick` + `--validate` steps and the committed
+    /// baseline below hold the floor itself.
     fn quick_report_json() -> &'static str {
         static JSON: OnceLock<String> = OnceLock::new();
         JSON.get_or_init(|| {
             let report = run_grid(&default_grid(true), true);
             assert_eq!(report.points.len(), 1);
+            let measured = report.points[0].paced_bg_utilization;
+            assert!(
+                (POSITIVE..=1.1).contains(&measured),
+                "paced_bg_utilization {measured} outside [{POSITIVE}, 1.1]"
+            );
             let json = report_to_json(&report, &machine_descriptor());
-            planted(&json, "paced_bg_utilization", "0.500000")
+            if measured < PACED_UTILIZATION_FLOOR {
+                planted(&json, "paced_bg_utilization", "0.500000")
+            } else {
+                json
+            }
         })
     }
 

@@ -23,9 +23,9 @@ use std::time::Duration;
 use bytes::Bytes;
 use parking_lot::RwLock;
 
-use crate::client::Client;
+use crate::client::{split_rows, Client};
 use crate::master::MetaService;
-use crate::rpc::StoreError;
+use crate::rpc::{PartKey, StoreError};
 
 /// A stable storage tier holding whole-file copies, plus a **spill
 /// area** of individual partitions written back by memory-budgeted
@@ -354,11 +354,21 @@ pub fn recover_file(
     let result = (|| {
         let data = under.load(id).ok_or(StoreError::UnknownFile(id))?;
         let (_, old_servers) = master.peek(id)?;
+        let mut rows = Vec::with_capacity(new_servers.len());
+        let sums = split_rows(id, &data, new_servers, &mut rows)?;
         // A checkpoint is outside the cache's integrity domain: prove it
-        // against the file's recorded sums before it becomes the bytes
-        // every later read verifies against.
-        let proof = master.integrity(id);
-        let sums = client.push_partitions(id, &data, new_servers, proof.as_ref())?;
+        // against the file's recorded sums (a row of this placement's
+        // width) before any Put leaves and it becomes the bytes every
+        // later read verifies against.
+        if let Some(row) = master.integrity(id).filter(|r| r.sums.len() == sums.len()) {
+            let rotted = |(&want, &got): (&u64, &u64)| {
+                want != spcache_integrity::UNVERIFIED && want != got
+            };
+            if let Some(j) = row.sums.iter().zip(&sums).position(rotted) {
+                return Err(StoreError::Corrupt(PartKey::new(id, j as u32)));
+            }
+        }
+        client.put_all(rows)?;
         master.apply_placement(id, new_servers.to_vec())?;
         // The placement swap invalidated the old integrity row; record
         // a fresh data-only one so verified reads keep working. The heal
@@ -372,7 +382,7 @@ pub fn recover_file(
         client.discard(
             stale
                 .filter(|&(j, server)| new_servers.get(j) != Some(server))
-                .map(|(j, &server)| (server, crate::rpc::PartKey::new(id, j as u32)))
+                .map(|(j, &server)| (server, PartKey::new(id, j as u32)))
                 .collect(),
         );
         Ok(())
@@ -461,7 +471,7 @@ mod tests {
     use super::*;
     use crate::cluster::StoreCluster;
     use crate::config::StoreConfig;
-    use crate::rpc::{PartKey, Reply, Request};
+    use crate::rpc::{Reply, Request};
     use crate::transport::Transport;
     use std::time::Duration;
 

@@ -271,7 +271,7 @@ impl Client {
     /// naming a worker outside the fleet.
     pub fn write_bytes(&self, id: u64, data: Bytes, servers: &[usize]) -> Result<(), StoreError> {
         let size = data.len();
-        let sums = self.push_partitions(id, &data, servers, None)?;
+        let sums = self.push_partitions(id, &data, servers)?;
         self.master.register(id, size, servers.to_vec())?;
         if self.verify || self.parity > 0 {
             // Record the integrity row only after the file exists: the
@@ -325,38 +325,21 @@ impl Client {
     }
 
     /// Pushes `data` re-split into `servers.len()` partition views under
-    /// this file's keys without touching metadata — the building block
-    /// shared by [`Client::write_bytes`] and under-store recovery
-    /// ([`crate::backing::recover_file`]). The views share `data`'s
-    /// allocation (see [`split_shards_bytes`]). Returns the partitions'
-    /// checksums (each Put is stamped with its shard's sum, so workers
-    /// can verify later reads and spill reloads).
-    ///
-    /// `proof` is the integrity row `data` must still match when it
-    /// comes from a checkpoint rather than from the writer: a row of
-    /// this placement's width is compared before any Put leaves.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Corrupt`] naming the first partition whose bytes
-    /// differ from `proof`; nothing was pushed.
-    pub(crate) fn push_partitions(
+    /// this file's keys without touching metadata — the two steps
+    /// ([`split_rows`], then the Put fan-out) of [`Client::write_bytes`];
+    /// under-store recovery ([`crate::backing::recover_file`]) runs the
+    /// same two with its checkpoint proof between them. The views share
+    /// `data`'s allocation (see [`split_shards_bytes`]). Returns the
+    /// partitions' checksums (each Put is stamped with its shard's sum,
+    /// so workers can verify later reads and spill reloads).
+    fn push_partitions(
         &self,
         id: u64,
         data: &Bytes,
         servers: &[usize],
-        proof: Option<&FileIntegrity>,
     ) -> Result<Vec<u64>, StoreError> {
         let mut rows = Vec::with_capacity(servers.len());
         let sums = split_rows(id, data, servers, &mut rows)?;
-        if let Some(proof) = proof.filter(|p| p.sums.len() == sums.len()) {
-            let rotted = |(&want, &got): (&u64, &u64)| {
-                want != spcache_integrity::UNVERIFIED && want != got
-            };
-            if let Some(j) = proof.sums.iter().zip(&sums).position(rotted) {
-                return Err(StoreError::Corrupt(PartKey::new(id, j as u32)));
-            }
-        }
         self.put_all(rows)?;
         Ok(sums)
     }
@@ -404,7 +387,7 @@ impl Client {
     /// The one Put fan-out: forks `rows` as a single stamped batch and
     /// joins the acks under one shared deadline (the write is bounded by
     /// its slowest partition, not by the sum of per-partition waits).
-    fn put_all(&self, rows: Vec<PutRow>) -> Result<(), StoreError> {
+    pub(crate) fn put_all(&self, rows: Vec<PutRow>) -> Result<(), StoreError> {
         self.io().fork(puts(rows))?.acks(self.retry.deadline)
     }
 
@@ -764,7 +747,7 @@ impl Client {
 }
 
 /// One Put of a fan-out: `(target worker, key, shard, checksum)`.
-type PutRow = (usize, PartKey, Bytes, u64);
+pub(crate) type PutRow = (usize, PartKey, Bytes, u64);
 
 /// Turns Put rows into the requests of one batch.
 fn puts(rows: Vec<PutRow>) -> Vec<(usize, Request)> {
@@ -779,7 +762,7 @@ fn puts(rows: Vec<PutRow>) -> Vec<(usize, Request)> {
 /// # Errors
 ///
 /// [`StoreError::Codec`] for an empty placement (nothing to split over).
-fn split_rows(
+pub(crate) fn split_rows(
     id: u64,
     data: &Bytes,
     servers: &[usize],

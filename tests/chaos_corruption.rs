@@ -4,7 +4,8 @@
 //! byte-exact anyway — resident flips surface as typed `Corrupt`
 //! erasures the client rebuilds from Cauchy-RS parity (no under-store
 //! in sight), wire flips are caught by the client-side checksum, and
-//! without parity the same flip heals from the under-store instead.
+//! without parity the same flip heals from the under-store instead —
+//! unless the checkpoint has rotted too, which the heal refuses.
 //! The fault log must be *identical* between the in-process channel
 //! transport and real loopback TCP, and across same-seed reruns.
 
@@ -16,8 +17,8 @@ use spcache::net::TcpCluster;
 use spcache::sim::Xoshiro256StarStar;
 use spcache::store::backing::{checkpoint, UnderStore};
 use spcache::store::fault::{CorruptSite, FaultRecord};
-use spcache::store::rpc::{PartKey, WorkerStats};
-use spcache::store::{FaultPlan, RetryPolicy, StoreCluster, StoreConfig};
+use spcache::store::rpc::{PartKey, StoreError, WorkerStats};
+use spcache::store::{Client, FaultPlan, Master, RetryPolicy, StoreCluster, StoreConfig};
 use spcache::workload::zipf::ZipfSampler;
 
 mod common;
@@ -183,14 +184,19 @@ fn run_parity_tcp(workload_seed: u64) -> Vec<FaultRecord> {
     log
 }
 
-/// The shared body of a no-parity run: the flip still surfaces as an
-/// erasure (never wrong bytes), but with `r = 0` recovery falls back
-/// to the under-store heal path instead of a parity rebuild.
-fn heal_workload(client: &spcache::store::Client, under: &Arc<UnderStore>, workload_seed: u64) {
+/// The write phase the no-parity script counts ops against.
+fn write_and_checkpoint(client: &Client, under: &Arc<UnderStore>) {
     for id in 0..N_FILES {
         client.write(id, &payload(id, FILE_LEN), &placement(id)).unwrap();
         checkpoint(client, under, id).unwrap();
     }
+}
+
+/// The shared body of a no-parity run: the flip still surfaces as an
+/// erasure (never wrong bytes), but with `r = 0` recovery falls back
+/// to the under-store heal path instead of a parity rebuild.
+fn heal_workload(client: &Client, under: &Arc<UnderStore>, workload_seed: u64) {
+    write_and_checkpoint(client, under);
     let sampler = ZipfSampler::new(N_FILES as usize, 1.1);
     let mut rng = Xoshiro256StarStar::seed_from_u64(workload_seed);
     for i in 0..N_READS {
@@ -237,6 +243,27 @@ fn run_heal_tcp(workload_seed: u64) -> Vec<FaultRecord> {
     log
 }
 
+/// The no-parity script with the second copy rotted as well: the
+/// resident flip erases `(0, 0)` and the checkpoint the heal would
+/// restore from no longer matches the file's integrity row in `(0, 1)`.
+/// The heal refuses it, so the read ends in the typed erasure — never
+/// in the checkpoint's bytes — with the placement untouched, and heals
+/// byte-exact once a clean checkpoint is back.
+fn rotted_checkpoint_run(client: &Client, master: &Master, under: &Arc<UnderStore>) {
+    write_and_checkpoint(client, under);
+    let clean = payload(0, FILE_LEN);
+    let mut rotted = clean.clone();
+    rotted[FILE_LEN - 1] ^= 0x20;
+    under.persist(0, rotted.into());
+    assert_eq!(
+        client.read_quiet(0),
+        Err(StoreError::Corrupt(PartKey::new(0, 0)))
+    );
+    assert_eq!(master.peek(0).unwrap().1, placement(0));
+    under.persist(0, clean.clone().into());
+    assert_eq!(client.read_quiet(0).unwrap(), clean);
+}
+
 #[test]
 fn corrupted_partitions_rebuild_from_parity_without_the_under_store() {
     let log_a = run_parity_channel(chaos_seed());
@@ -266,4 +293,20 @@ fn without_parity_the_same_flip_heals_from_the_under_store() {
     let channel = run_heal_channel(chaos_seed());
     let tcp = run_heal_tcp(chaos_seed());
     assert_eq!(channel, tcp, "heal-path fault logs diverged across transports");
+}
+
+#[test]
+fn a_rotted_checkpoint_is_refused_by_the_heal_on_both_transports() {
+    let channel = StoreCluster::spawn(heal_config());
+    let under = Arc::new(UnderStore::new());
+    let client = channel.client().with_under_store(Arc::clone(&under));
+    rotted_checkpoint_run(&client, channel.master(), &under);
+    let channel = check_heal_log(channel.fault_log().snapshot());
+
+    let tcp = TcpCluster::spawn(heal_config());
+    let under = Arc::new(UnderStore::new());
+    let client = tcp.client().with_under_store(Arc::clone(&under));
+    rotted_checkpoint_run(&client, tcp.master(), &under);
+    assert_eq!(channel, check_heal_log(tcp.fault_log().snapshot()));
+    tcp.shutdown();
 }
