@@ -52,7 +52,7 @@
 //! local copies and answers a typed `Corrupt` erasure instead of wrong
 //! bytes. Spill reloads are *always* verified, flag or no flag. Every
 //! detected corruption is logged as `CORRUPT <file> <partition>` on
-//! stderr.
+//! stdout.
 
 use spcache_net::poll::default_io_shards;
 use spcache_net::{MasterClient, MasterServer, WorkerServer};
@@ -60,6 +60,7 @@ use spcache_store::backing::UnderStore;
 use spcache_store::fault::FaultLog;
 use spcache_store::master::Master;
 use spcache_store::metalog::decode_records;
+use spcache_store::repartitioner::DEFAULT_EXECUTOR_DEADLINE;
 use spcache_store::supervisor::{Supervisor, SupervisorCore};
 use spcache_store::transport::Transport;
 use spcache_store::{Request, StoreConfig, SupervisorConfig};
@@ -169,11 +170,7 @@ fn run_master(args: &[String]) {
         None => Arc::new(Master::new()),
     };
     master.ensure_workers(worker_addrs.len());
-    let server = MasterServer::spawn(master.clone(), &bind, worker_addrs.clone())
-        .unwrap_or_else(|e| {
-            eprintln!("spcached: cannot bind {bind}: {e}");
-            exit(1);
-        });
+    let server = spawn_master_server(master.clone(), &bind, worker_addrs.clone());
     let my_addr = server.addr().to_string();
     // Activation rules (§4.14). A journal whose newest master-epoch
     // record names a different owner means someone took over while we
@@ -215,6 +212,13 @@ fn run_master(args: &[String]) {
     });
     println!("LISTEN {}", server.addr());
     server.join();
+}
+
+fn spawn_master_server(master: Arc<Master>, bind: &str, workers: Vec<SocketAddr>) -> MasterServer {
+    MasterServer::spawn(master, bind, workers, DEFAULT_EXECUTOR_DEADLINE).unwrap_or_else(|e| {
+        eprintln!("spcached: cannot bind {bind}: {e}");
+        exit(1);
+    })
 }
 
 /// The standby's life: tail the active master's op-log into a shadow
@@ -279,11 +283,7 @@ fn run_standby(args: &[String], bind: &str, worker_addrs: &[SocketAddr], meta_di
         }
     };
     master.ensure_workers(worker_addrs.len());
-    let server = MasterServer::spawn(master.clone(), bind, worker_addrs.to_vec())
-        .unwrap_or_else(|e| {
-            eprintln!("spcached: cannot bind {bind}: {e}");
-            exit(1);
-        });
+    let server = spawn_master_server(master.clone(), bind, worker_addrs.to_vec());
     let my_addr = server.addr().to_string();
     let epoch = master.claim_master_epoch(master.master_epoch() + 1, &my_addr);
     // The old master's in-flight repairs died with it; release their

@@ -443,13 +443,10 @@ pub fn decode_request(frame: &Frame) -> Result<Request, StoreError> {
                 // hostile frame drive decode recursion arbitrarily deep.
                 return Err(codec("nested fenced request"));
             }
-            if inner.req_id != frame.req_id {
-                return Err(codec("fenced inner req_id mismatch"));
-            }
             Request::Fenced {
                 epoch,
                 master,
-                inner: Box::new(decode_request(&inner)?),
+                inner: decode_stamped(frame, &inner)?,
             }
         }
         OP_BACKGROUND => {
@@ -460,17 +457,29 @@ pub fn decode_request(frame: &Frame) -> Result<Request, StoreError> {
             if inner.opcode == OP_BACKGROUND || inner.opcode == OP_FENCED {
                 return Err(codec("invalid nesting inside background request"));
             }
-            if inner.req_id != frame.req_id {
-                return Err(codec("background inner req_id mismatch"));
-            }
             Request::Background {
-                inner: Box::new(decode_request(&inner)?),
+                inner: decode_stamped(frame, &inner)?,
             }
         }
         op => return Err(codec(format!("unknown request opcode {op:#04x}"))),
     };
     c.finish()?;
     Ok(req)
+}
+
+/// Decodes the request embedded in a fence or background stamp, which
+/// must be a data request under the outer frame's id: the worker
+/// serves control requests before it looks at stamps, so a stamped one
+/// has no meaning.
+fn decode_stamped(outer: &Frame, inner: &Frame) -> Result<Box<Request>, StoreError> {
+    if inner.req_id != outer.req_id {
+        return Err(codec("stamped inner req_id mismatch"));
+    }
+    let req = decode_request(inner)?;
+    if req.is_control() {
+        return Err(codec("control request inside a stamp"));
+    }
+    Ok(Box::new(req))
 }
 
 fn encode_err(b: FrameBuilder, e: &StoreError) -> FrameBuilder {
@@ -741,26 +750,33 @@ mod tests {
 
     #[test]
     fn invalid_background_nesting_rejected() {
-        // Background { Background { .. } } and Background { Fenced { .. } }
-        // violate the canonical nesting and must not decode.
-        for inner in [
-            Request::Background {
-                inner: Box::new(Request::Ping),
-            },
-            Request::Fenced {
-                epoch: 2,
-                master: 0,
-                inner: Box::new(Request::Ping),
-            },
+        let fenced = |inner| Request::Fenced {
+            epoch: 2,
+            master: 0,
+            inner: Box::new(inner),
+        };
+        let background = |inner| Request::Background {
+            inner: Box::new(inner),
+        };
+        let get = Request::Get {
+            key: PartKey::new(1, 0),
+        };
+        for bad in [
+            // Background { Background { .. } } and Background { Fenced
+            // { .. } } violate the canonical nesting.
+            background(background(get.clone())),
+            background(fenced(get)),
+            // A stamp holds a data request, never a control one.
+            fenced(Request::Ping),
+            background(Request::Stats),
+            fenced(background(Request::Shutdown)),
         ] {
-            let wire = encode_request(
-                &Request::Background {
-                    inner: Box::new(inner),
-                },
-                5,
-            );
+            let wire = encode_request(&bad, 5);
             let frame = Frame::parse(Bytes::from(wire[4..].to_vec())).unwrap();
-            assert!(matches!(decode_request(&frame), Err(StoreError::Codec(_))));
+            assert!(
+                matches!(decode_request(&frame), Err(StoreError::Codec(_))),
+                "{bad:?} decoded"
+            );
         }
     }
 
@@ -773,7 +789,9 @@ mod tests {
                 inner: Box::new(Request::Fenced {
                     epoch: 2,
                     master: 0,
-                    inner: Box::new(Request::Ping),
+                    inner: Box::new(Request::Get {
+                        key: PartKey::new(1, 0),
+                    }),
                 }),
             },
             5,

@@ -13,16 +13,17 @@
 //! * [`poll`] — the event-loop building blocks (DESIGN.md §4.12): an
 //!   incremental [`poll::FrameReader`] for non-blocking sockets, a
 //!   batching [`poll::WriteQueue`] that gathers pipelined frames into
-//!   single `writev` calls, and a [`poll::Timers`] deadline heap,
+//!   single `writev` calls, a [`poll::Timers`] deadline heap, and
+//!   [`poll::serve`], the one server event loop both servers run,
 //! * [`tcp::TcpTransport`] — the client side: readiness-driven shard
 //!   loops multiplexing every worker connection, with per-connection
 //!   request-id multiplexing, frame batching and
 //!   `RetryPolicy`-derived poller timers,
-//! * [`server::WorkerServer`] — the `spcached` worker: a sharded
-//!   event-loop TCP front end over the store's channel worker,
-//!   including wire-level fault injection (dropped connections,
-//!   delayed and truncated frames) and graceful drain-then-exit
-//!   shutdown,
+//! * [`server::WorkerServer`] — the `spcached` worker: the store's
+//!   worker thread answering its own socket through a reply route
+//!   onto the server loop, which also carries out scripted wire
+//!   faults (dropped connections, delayed and truncated frames) and
+//!   the graceful drain-then-exit shutdown,
 //! * [`master_net`] — the master protocol: [`master_net::MasterServer`]
 //!   serving metadata plus a one-RPC cluster `Rebalance`, and
 //!   [`master_net::MasterClient`], a wire-backed `MetaService`,

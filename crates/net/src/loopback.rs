@@ -47,9 +47,8 @@ pub struct TcpCluster {
 
 impl TcpCluster {
     /// Spawns `cfg.n_workers` worker servers and a master server, all on
-    /// ephemeral loopback ports. Worker threads get the data half of
-    /// `cfg.faults`, the servers the wire half; both log into
-    /// [`TcpCluster::fault_log`].
+    /// ephemeral loopback ports. Each worker receives its slice of
+    /// `cfg.faults`; fired faults land in [`TcpCluster::fault_log`].
     ///
     /// # Panics
     ///
@@ -90,7 +89,7 @@ impl TcpCluster {
         let addrs: Vec<SocketAddr> = workers.iter().map(WorkerServer::addr).collect();
         let master = Arc::new(Master::new());
         master.ensure_workers(cfg.n_workers);
-        let master_server = MasterServer::spawn_with_deadline(
+        let master_server = MasterServer::spawn(
             master.clone(),
             "127.0.0.1:0",
             addrs.clone(),

@@ -13,24 +13,24 @@
 //! is unreachable they degrade to no-ops rather than failing the data
 //! path that triggered them.
 //!
-//! The server side is a single readiness event loop (no per-connection
-//! threads): metadata calls are in-memory and answered inline off the
-//! poller, so one loop serves any number of supervisor, client and
-//! worker connections.
+//! The server side is one shard of the server loop
+//! ([`crate::poll::serve`]; no per-connection threads): metadata calls
+//! are in-memory and answered inline on the loop thread, so one loop
+//! serves any number of supervisor, client and worker connections.
 //!
 //! The server additionally understands `Rebalance`: the master plans
 //! against its metadata (Algorithm 1 + 2 planning) and runs the
 //! repartition over its *own* [`TcpTransport`] to the workers, so one
 //! RPC drives a whole cluster rebalance — the deployment shape of the
 //! paper's SP-Master. Rebalance is the one slow call, so it runs on a
-//! detached thread and completes back through the loop's waker.
+//! detached thread and completes through the connection's
+//! [`crate::poll::ConnRef`], the path worker replies take.
 
-use mio::{Events, Interest, Poll, Token, Waker};
 use parking_lot::Mutex;
 use spcache_core::tuner::TunerConfig;
 use spcache_store::master::{Master, MetaService};
 use spcache_store::FileIntegrity;
-use spcache_store::repartitioner::{run_parallel_with_deadline, DEFAULT_EXECUTOR_DEADLINE};
+use spcache_store::repartitioner::run_parallel_with_deadline;
 use spcache_store::rpc::{StoreError, MASTER_ENDPOINT};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -40,7 +40,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::frame::{read_frame, write_frame, Frame, FrameBuilder};
-use crate::poll::{accept_burst, ServerConns, WireFrame};
+use crate::poll::{serve, Completion, Served, WireFrame};
 use crate::tcp::TcpTransport;
 
 // Master-protocol opcodes.
@@ -560,56 +560,59 @@ pub struct MasterServer {
 
 impl MasterServer {
     /// Serves `master` on `bind` (port 0 for ephemeral). `worker_addrs`
-    /// is the fleet the `Rebalance` RPC repartitions over; pass the
+    /// is the fleet the `Rebalance` RPC repartitions over, under the
+    /// per-reply `executor_deadline` (normally
+    /// [`spcache_store::StoreConfig::executor_deadline`]); pass the
     /// workers' listen addresses in index order.
     ///
     /// # Errors
     ///
-    /// I/O errors binding the listener.
+    /// I/O errors binding the listener or creating the poller.
     pub fn spawn(
-        master: Arc<Master>,
-        bind: &str,
-        worker_addrs: Vec<SocketAddr>,
-    ) -> io::Result<MasterServer> {
-        MasterServer::spawn_with_deadline(master, bind, worker_addrs, DEFAULT_EXECUTOR_DEADLINE)
-    }
-
-    /// [`MasterServer::spawn`] with an explicit per-reply executor
-    /// deadline for the `Rebalance` RPC (normally
-    /// [`spcache_store::StoreConfig::executor_deadline`]).
-    ///
-    /// # Errors
-    ///
-    /// I/O errors binding the listener.
-    pub fn spawn_with_deadline(
         master: Arc<Master>,
         bind: &str,
         worker_addrs: Vec<SocketAddr>,
         executor_deadline: Duration,
     ) -> io::Result<MasterServer> {
         let listener = TcpListener::bind(bind)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let poll = Poll::new()?;
-        let waker = Arc::new(Waker::new(poll.registry(), META_WAKER)?);
-        let loop_master = Arc::clone(&master);
-        let event_loop = std::thread::Builder::new()
-            .name("spcache-master-io".into())
-            .spawn(move || {
-                meta_loop(
-                    poll,
-                    &waker,
-                    &listener,
-                    &loop_master,
-                    &worker_addrs,
-                    executor_deadline,
-                );
-            })
-            .expect("spawn master event loop");
+        let served = Arc::clone(&master);
+        let threads = serve("spcache-master-io", listener, 1, move |frame, conn| {
+            let decoded =
+                Frame::parse(frame).and_then(|f| Ok((f.req_id, decode_meta_request(&f)?)));
+            let (req_id, req) = match decoded {
+                Ok(ok) => ok,
+                Err(e) => return Served::Violation(meta_frame(&MetaReply::Err(e), 0)),
+            };
+            match req {
+                // Worker RPCs are slow; never run them on the loop, so
+                // one long rebalance never stalls heartbeats or lookups
+                // on other connections.
+                MetaRequest::Rebalance { .. } => {
+                    let (master, workers, conn) =
+                        (Arc::clone(&served), worker_addrs.clone(), conn.clone());
+                    let _ = std::thread::Builder::new()
+                        .name("spcache-master-rebalance".into())
+                        .spawn(move || {
+                            let reply = serve_meta(&master, &workers, req, executor_deadline);
+                            let frame = meta_frame(&reply, req_id);
+                            conn.complete(Completion::Frame(frame), Duration::ZERO);
+                        });
+                    Served::Pending
+                }
+                other => {
+                    if matches!(other, MetaRequest::Shutdown) {
+                        conn.stop_server(); // applied after this ack is queued
+                    }
+                    let reply = serve_meta(&served, &worker_addrs, other, executor_deadline);
+                    Served::Reply(meta_frame(&reply, req_id))
+                }
+            }
+        })?;
         Ok(MasterServer {
             master,
             addr,
-            threads: vec![event_loop],
+            threads,
         })
     }
 
@@ -623,7 +626,7 @@ impl MasterServer {
         &self.master
     }
 
-    /// Waits for the acceptor to exit (after a `Shutdown` request).
+    /// Waits for the event loop to exit (after a `Shutdown` request).
     pub fn join(mut self) {
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -631,138 +634,8 @@ impl MasterServer {
     }
 }
 
-/// Waker token of the master event loop (rebalance completions).
-const META_WAKER: Token = Token(0);
-/// Listener token of the master event loop.
-const META_LISTENER: Token = Token(1);
-/// First connection token.
-const META_CONN_BASE: usize = 2;
-
-/// The master's single event loop: every metadata call is served
-/// inline (they are fast in-memory operations), while `Rebalance` —
-/// which drives worker RPCs — runs on a detached thread and completes
-/// back through the waker so one long rebalance never stalls
-/// heartbeats or lookups on other connections.
-fn meta_loop(
-    mut poll: Poll,
-    waker: &Arc<Waker>,
-    listener: &TcpListener,
-    master: &Arc<Master>,
-    worker_addrs: &[SocketAddr],
-    executor_deadline: Duration,
-) {
-    let _ = poll
-        .registry()
-        .register(listener, META_LISTENER, Interest::READABLE);
-    let (done_tx, done_rx) = crossbeam::channel::unbounded::<(usize, u64, MetaReply)>();
-    let mut events = Events::with_capacity(64);
-    let mut conns = ServerConns::new(META_CONN_BASE);
-    let mut inbound: Vec<bytes::Bytes> = Vec::new();
-    let mut stopping = false;
-
-    'run: loop {
-        if poll.poll(&mut events, None).is_err() {
-            break 'run;
-        }
-
-        // Finished rebalances.
-        while let Ok((token, req_id, reply)) = done_rx.try_recv() {
-            conns.push(token, WireFrame::contiguous(encode_meta_reply(&reply, req_id)));
-        }
-
-        for ev in &events {
-            let Token(t) = ev.token();
-            if t == META_WAKER.0 {
-                continue;
-            }
-            if t == META_LISTENER.0 {
-                if !stopping {
-                    accept_burst(listener, |stream| conns.adopt(&poll, stream));
-                }
-                continue;
-            }
-            if (ev.is_readable() || ev.is_error()) && conns.is_open(t) {
-                stopping |= serve_conn_input(
-                    &mut conns,
-                    t,
-                    master,
-                    worker_addrs,
-                    executor_deadline,
-                    &done_tx,
-                    waker,
-                    &mut inbound,
-                );
-            }
-            if ev.is_writable() {
-                conns.touch(t);
-            }
-        }
-
-        conns.flush_dirty(&poll);
-
-        // Shutdown: once the ack (and everything else) has flushed,
-        // close up shop.
-        if stopping && conns.drained() {
-            break 'run;
-        }
-    }
-    conns.close_all();
-}
-
-/// Pumps one readable metadata connection and serves every decoded
-/// request. Returns `true` when a `Shutdown` was served.
-#[allow(clippy::too_many_arguments)]
-fn serve_conn_input(
-    conns: &mut ServerConns,
-    token: usize,
-    master: &Arc<Master>,
-    worker_addrs: &[SocketAddr],
-    executor_deadline: Duration,
-    done_tx: &crossbeam::channel::Sender<(usize, u64, MetaReply)>,
-    waker: &Arc<Waker>,
-    inbound: &mut Vec<bytes::Bytes>,
-) -> bool {
-    let open = conns.pump(token, inbound);
-    let mut shutdown = false;
-    for buf in inbound.drain(..) {
-        let (req_id, req) = match Frame::parse(buf).and_then(|f| {
-            let req = decode_meta_request(&f)?;
-            Ok((f.req_id, req))
-        }) {
-            Ok(ok) => ok,
-            Err(e) => {
-                let answer = encode_meta_reply(&MetaReply::Err(e), 0);
-                conns.push_last(token, WireFrame::contiguous(answer));
-                return shutdown;
-            }
-        };
-        match req {
-            MetaRequest::Rebalance { .. } => {
-                // Worker RPCs are slow; never run them on the loop.
-                let master = Arc::clone(master);
-                let workers = worker_addrs.to_vec();
-                let done_tx = done_tx.clone();
-                let waker = Arc::clone(waker);
-                let _ = std::thread::Builder::new()
-                    .name("spcache-master-rebalance".into())
-                    .spawn(move || {
-                        let reply = serve_meta(&master, &workers, req, executor_deadline);
-                        if done_tx.send((token, req_id, reply)).is_ok() {
-                            let _ = waker.wake();
-                        }
-                    });
-            }
-            other => {
-                shutdown |= matches!(other, MetaRequest::Shutdown);
-                let reply = serve_meta(master, worker_addrs, other, executor_deadline);
-                conns.push(token, WireFrame::contiguous(encode_meta_reply(&reply, req_id)));
-            }
-        }
-    }
-    if !open {
-        conns.close(token);
-    }
-    shutdown
+fn meta_frame(reply: &MetaReply, req_id: u64) -> WireFrame {
+    WireFrame::contiguous(encode_meta_reply(reply, req_id))
 }
 
 fn serve_meta(

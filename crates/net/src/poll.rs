@@ -1,27 +1,29 @@
 //! Event-loop plumbing shared by the TCP client and servers: an
 //! incremental frame decoder for non-blocking sockets, a vectored
 //! write queue that batches many frames into one `writev` syscall,
-//! a deadline timer heap, and the server side's connection table.
+//! a deadline timer heap, and the server event loop itself.
 //!
 //! The first three pieces are deliberately free of any socket ownership
-//! or threading policy — the readiness loops in [`crate::tcp`],
-//! [`crate::server`] and [`crate::master_net`] compose them around a
-//! [`mio::Poll`] instance. Keeping them standalone makes the decoder
-//! and write queue testable against plain in-memory readers/writers
-//! (the codec proptests drive [`FrameReader`] with adversarial split
-//! points without a socket in sight). [`ServerConns`] is what the two
-//! server loops share: accepted sockets, their read pump, their batched
-//! flush with write-interest arming, and the protocol-violation cut.
+//! or threading policy — the client loop in [`crate::tcp`] and the
+//! server loop here compose them around a [`mio::Poll`] instance.
+//! Keeping them standalone makes the decoder and write queue testable
+//! against plain in-memory readers/writers (the codec proptests drive
+//! [`FrameReader`] with adversarial split points without a socket in
+//! sight). [`serve`] is the one server loop: [`crate::server`] and
+//! [`crate::master_net`] each hand it a frame handler and nothing else.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsFd;
-use std::time::Instant;
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use mio::{Interest, Poll, Token};
+use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use mio::{Events, Interest, Poll, Token, Waker};
 
 use crate::frame::{HEADER_LEN, MAX_FRAME};
 
@@ -577,19 +579,6 @@ pub fn default_io_shards() -> usize {
 // ServerConns: the accepted connections of one server event loop
 // ---------------------------------------------------------------------------
 
-/// Accepts every connection `listener` has ready, handing each to
-/// `each`.
-pub fn accept_burst(listener: &TcpListener, mut each: impl FnMut(TcpStream)) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => each(stream),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            // `WouldBlock` ends the burst; so does a failing listener.
-            Err(_) => return,
-        }
-    }
-}
-
 /// One accepted connection owned by a server loop.
 struct ServerConn {
     stream: TcpStream,
@@ -605,7 +594,7 @@ struct ServerConn {
 /// The accepted connections of one server event loop, keyed by poll
 /// token, plus the set touched since the last flush pass — so a burst
 /// of replies to one connection shares one `writev` round.
-pub struct ServerConns {
+struct ServerConns {
     conns: HashMap<usize, ServerConn>,
     next_token: usize,
     dirty: Vec<usize>,
@@ -613,7 +602,7 @@ pub struct ServerConns {
 
 impl ServerConns {
     /// An empty table handing out tokens from `first_token` up.
-    pub fn new(first_token: usize) -> Self {
+    fn new(first_token: usize) -> Self {
         ServerConns {
             conns: HashMap::new(),
             next_token: first_token,
@@ -623,7 +612,7 @@ impl ServerConns {
 
     /// Takes ownership of an accepted socket and registers it for read
     /// readiness; a socket that cannot be set up is dropped.
-    pub fn adopt(&mut self, poll: &Poll, stream: TcpStream) {
+    fn adopt(&mut self, poll: &Poll, stream: TcpStream) {
         let token = self.next_token;
         let _ = stream.set_nodelay(true);
         if stream.set_nonblocking(true).is_err()
@@ -649,12 +638,12 @@ impl ServerConns {
 
     /// Whether `token` names a live connection that still takes input
     /// and output (not closing).
-    pub fn is_open(&self, token: usize) -> bool {
+    fn is_open(&self, token: usize) -> bool {
         self.conns.get(&token).is_some_and(|c| !c.closing)
     }
 
     /// Marks `token` for the next [`flush_dirty`](Self::flush_dirty).
-    pub fn touch(&mut self, token: usize) {
+    fn touch(&mut self, token: usize) {
         if self.conns.contains_key(&token) && !self.dirty.contains(&token) {
             self.dirty.push(token);
         }
@@ -663,7 +652,7 @@ impl ServerConns {
     /// Reads whatever `token` has buffered, leaving the complete frames
     /// in `inbound`. `false` when the peer closed or died: the caller
     /// serves `inbound`, then [`close`](Self::close)s.
-    pub fn pump(&mut self, token: usize, inbound: &mut Vec<Bytes>) -> bool {
+    fn pump(&mut self, token: usize, inbound: &mut Vec<Bytes>) -> bool {
         inbound.clear();
         let Some(conn) = self.conns.get_mut(&token) else {
             return false;
@@ -678,7 +667,7 @@ impl ServerConns {
     /// closing: a closing stream ends at its last queued byte, and
     /// appending a full frame behind a torn one would let the peer
     /// misparse those bytes as the torn frame's body).
-    pub fn push(&mut self, token: usize, frame: WireFrame) {
+    fn push(&mut self, token: usize, frame: WireFrame) {
         if let Some(conn) = self.conns.get_mut(&token).filter(|c| !c.closing) {
             conn.wq.push(frame);
             self.touch(token);
@@ -689,7 +678,7 @@ impl ServerConns {
     /// the connection once they flush — the answer to a protocol
     /// violation (framing can no longer be trusted), or a scripted torn
     /// frame.
-    pub fn push_last(&mut self, token: usize, last: WireFrame) {
+    fn push_last(&mut self, token: usize, last: WireFrame) {
         self.push(token, last);
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.closing = true;
@@ -697,22 +686,36 @@ impl ServerConns {
     }
 
     /// Drops `token` without flushing anything.
-    pub fn close(&mut self, token: usize) {
+    fn close(&mut self, token: usize) {
         if let Some(conn) = self.conns.remove(&token) {
             let _ = conn.stream.shutdown(Shutdown::Both);
         }
     }
 
+    /// Carries out one completion (a no-op if the connection already
+    /// died).
+    fn complete(&mut self, token: usize, what: Completion) {
+        match what {
+            Completion::Frame(frame) => self.push(token, frame),
+            Completion::Close => self.close(token),
+            Completion::Truncate(frame) => {
+                let mut torn = frame.to_contiguous();
+                torn.truncate(torn.len() / 2);
+                self.push_last(token, WireFrame::contiguous(torn));
+            }
+        }
+    }
+
     /// One flush per touched connection: everything queued since the
     /// last pass goes out in batched vectored writes.
-    pub fn flush_dirty(&mut self, poll: &Poll) {
+    fn flush_dirty(&mut self, poll: &Poll) {
         for token in std::mem::take(&mut self.dirty) {
             self.flush(poll, token);
         }
     }
 
     /// Flushes every connection (the shutdown drain).
-    pub fn flush_all(&mut self, poll: &Poll) {
+    fn flush_all(&mut self, poll: &Poll) {
         let tokens: Vec<usize> = self.conns.keys().copied().collect();
         for token in tokens {
             self.flush(poll, token);
@@ -720,12 +723,12 @@ impl ServerConns {
     }
 
     /// Whether no connection holds unsent bytes.
-    pub fn drained(&self) -> bool {
+    fn drained(&self) -> bool {
         self.conns.values().all(|c| c.wq.is_empty())
     }
 
     /// Shuts every connection down.
-    pub fn close_all(&mut self) {
+    fn close_all(&mut self) {
         for (_, conn) in self.conns.drain() {
             let _ = conn.stream.shutdown(Shutdown::Both);
         }
@@ -753,6 +756,278 @@ impl ServerConns {
                 .registry()
                 .reregister(&conn.stream, Token(token), interest);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// serve: the server event loop
+// ---------------------------------------------------------------------------
+
+/// How long a stopping shard keeps flushing unsent replies before
+/// giving up on a peer that stopped reading.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Token of a shard's cross-thread waker.
+const WAKER_TOK: usize = 0;
+/// Token of the listener (shard 0 only).
+const LISTENER_TOK: usize = 1;
+/// First token handed to accepted connections.
+const CONN_BASE: usize = 2;
+
+/// What a connection does with one finished reply.
+#[derive(Debug)]
+pub enum Completion {
+    /// Write the frame.
+    Frame(WireFrame),
+    /// Close without writing anything (a scripted dropped connection).
+    Close,
+    /// Write the first half of the frame, then close (a scripted torn
+    /// frame).
+    Truncate(WireFrame),
+}
+
+/// What a frame handler made of one inbound frame.
+pub enum Served {
+    /// The reply, computed on the loop thread: queued on the connection
+    /// at once.
+    Reply(WireFrame),
+    /// The reply will arrive through a clone of the frame's [`ConnRef`].
+    Pending,
+    /// Protocol violation: these are the last bytes the connection
+    /// carries (framing can no longer be trusted).
+    Violation(WireFrame),
+}
+
+/// Commands into a shard loop.
+#[derive(Debug)]
+enum Cmd {
+    /// Take ownership of an accepted connection.
+    Adopt(TcpStream),
+    /// Carry out `what` on connection `token` after `delay`.
+    Complete {
+        token: usize,
+        what: Completion,
+        delay: Duration,
+    },
+    /// Drain write queues and exit.
+    Stop,
+}
+
+/// Address of one shard loop: its command queue and waker.
+#[derive(Debug)]
+struct ShardRef {
+    tx: Sender<Cmd>,
+    waker: Waker,
+}
+
+impl ShardRef {
+    fn send(&self, cmd: Cmd) {
+        if self.tx.send(cmd).is_ok() {
+            let _ = self.waker.wake();
+        }
+    }
+}
+
+/// The cross-thread address of one accepted connection: how a reply
+/// computed off the loop thread gets back to the socket its request
+/// arrived on. Tokens are never reused, so a completion that outlives
+/// its connection lands nowhere.
+#[derive(Debug, Clone)]
+pub struct ConnRef {
+    shards: Arc<[ShardRef]>,
+    shard: usize,
+    token: usize,
+}
+
+impl ConnRef {
+    /// Posts `what` to the owning shard, which carries it out once
+    /// `delay` has passed (a timer on the loop, not a sleeping thread).
+    /// Completions posted from one thread apply in the order posted.
+    pub fn complete(&self, what: Completion, delay: Duration) {
+        self.shards[self.shard].send(Cmd::Complete {
+            token: self.token,
+            what,
+            delay,
+        });
+    }
+
+    /// Stops the whole server: every shard applies what was posted to
+    /// it before this call, drains its write queues (bounded by a
+    /// deadline, so a peer that stopped reading cannot hold shutdown)
+    /// and exits.
+    pub fn stop_server(&self) {
+        for shard in self.shards.iter() {
+            shard.send(Cmd::Stop);
+        }
+    }
+}
+
+/// Serves `listener` from `io_shards` readiness loops (threads named
+/// `{name}-{i}`): shard 0 accepts and deals connections round-robin,
+/// every shard reads request frames off its sockets and hands each to
+/// its clone of `handler` with the [`ConnRef`] of the connection it
+/// arrived on. Returns the loop threads, which exit after
+/// [`ConnRef::stop_server`].
+///
+/// # Errors
+///
+/// I/O errors creating the pollers.
+pub fn serve<H>(
+    name: &str,
+    listener: TcpListener,
+    io_shards: usize,
+    handler: H,
+) -> io::Result<Vec<JoinHandle<()>>>
+where
+    H: FnMut(Bytes, &ConnRef) -> Served + Clone + Send + 'static,
+{
+    listener.set_nonblocking(true)?;
+    // Build every shard's poller + command queue up front so shard 0
+    // (the acceptor) can deal connections to all of them.
+    let mut polls = Vec::new();
+    let mut refs = Vec::new();
+    for _ in 0..io_shards.max(1) {
+        let poll = Poll::new()?;
+        let waker = Waker::new(poll.registry(), Token(WAKER_TOK))?;
+        let (tx, rx) = unbounded();
+        refs.push(ShardRef { tx, waker });
+        polls.push((poll, rx));
+    }
+    let shards: Arc<[ShardRef]> = refs.into();
+    let mut listener = Some(listener);
+    let threads = polls.into_iter().enumerate().map(|(shard, (poll, rx))| {
+        let me = ConnRef {
+            shards: Arc::clone(&shards),
+            shard,
+            token: 0,
+        };
+        let (listener, handler) = (listener.take(), handler.clone());
+        std::thread::Builder::new()
+            .name(format!("{name}-{shard}"))
+            .spawn(move || shard_loop(poll, &rx, listener, me, handler))
+            .expect("spawn io shard")
+    });
+    Ok(threads.collect())
+}
+
+/// One shard's readiness loop: accepts (shard 0), feeds inbound frames
+/// to the handler, applies posted completions (delayed ones off the
+/// timer heap), and batch-flushes write queues.
+fn shard_loop<H: FnMut(Bytes, &ConnRef) -> Served>(
+    mut poll: Poll,
+    rx: &Receiver<Cmd>,
+    listener: Option<TcpListener>,
+    mut conn: ConnRef,
+    mut handler: H,
+) {
+    if let Some(l) = &listener {
+        let _ = poll
+            .registry()
+            .register(l, Token(LISTENER_TOK), Interest::READABLE);
+    }
+    let mut events = Events::with_capacity(256);
+    let mut conns = ServerConns::new(CONN_BASE);
+    // Shard 0's round-robin dealing cursor.
+    let mut dealt = 0usize;
+    // Delayed completions wait on the timer heap, keyed by arrival.
+    let mut timers: Timers<u64> = Timers::new();
+    let mut delayed: HashMap<u64, (usize, Completion)> = HashMap::new();
+    let mut delay_seq = 0u64;
+    let mut inbound: Vec<Bytes> = Vec::new();
+
+    'run: loop {
+        let timeout = timers
+            .next_deadline()
+            .map(|d| d.saturating_duration_since(Instant::now()));
+        if poll.poll(&mut events, timeout).is_err() {
+            break 'run;
+        }
+
+        loop {
+            match rx.try_recv() {
+                Ok(Cmd::Adopt(stream)) => conns.adopt(&poll, stream),
+                Ok(Cmd::Complete { token, what, delay }) if delay.is_zero() => {
+                    conns.complete(token, what);
+                }
+                Ok(Cmd::Complete { token, what, delay }) => {
+                    timers.insert(Instant::now() + delay, delay_seq);
+                    delayed.insert(delay_seq, (token, what));
+                    delay_seq += 1;
+                }
+                Ok(Cmd::Stop) | Err(TryRecvError::Disconnected) => break 'run,
+                Err(TryRecvError::Empty) => break,
+            }
+        }
+
+        for ev in &events {
+            match ev.token().0 {
+                WAKER_TOK => {}
+                LISTENER_TOK => {
+                    let Some(l) = &listener else { continue };
+                    // `WouldBlock` ends the burst; any other failure
+                    // leaves the listener readable for the next poll.
+                    while let Ok((stream, _)) = l.accept() {
+                        let to = dealt % conn.shards.len();
+                        dealt += 1;
+                        if to == conn.shard {
+                            conns.adopt(&poll, stream);
+                        } else {
+                            conn.shards[to].send(Cmd::Adopt(stream));
+                        }
+                    }
+                }
+                token => {
+                    if (ev.is_readable() || ev.is_error()) && conns.is_open(token) {
+                        conn.token = token;
+                        read_frames(&mut conns, &conn, &mut inbound, &mut handler);
+                    }
+                    if ev.is_writable() {
+                        conns.touch(token);
+                    }
+                }
+            }
+        }
+
+        let now = Instant::now();
+        while let Some(key) = timers.pop_due(now) {
+            if let Some((token, what)) = delayed.remove(&key) {
+                conns.complete(token, what);
+            }
+        }
+
+        conns.flush_dirty(&poll);
+    }
+
+    let drain_until = Instant::now() + DRAIN_DEADLINE;
+    while Instant::now() < drain_until {
+        conns.flush_all(&poll);
+        if conns.drained() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    conns.close_all();
+}
+
+/// Pumps one readable connection through the handler. A protocol
+/// violation cuts the connection after its answer; a peer that closed
+/// or died is dropped once what it sent has been served.
+fn read_frames(
+    conns: &mut ServerConns,
+    conn: &ConnRef,
+    inbound: &mut Vec<Bytes>,
+    handler: &mut impl FnMut(Bytes, &ConnRef) -> Served,
+) {
+    let open = conns.pump(conn.token, inbound);
+    for frame in inbound.drain(..) {
+        match handler(frame, conn) {
+            Served::Reply(reply) => conns.push(conn.token, reply),
+            Served::Pending => {}
+            Served::Violation(last) => return conns.push_last(conn.token, last),
+        }
+    }
+    if !open {
+        conns.close(conn.token);
     }
 }
 

@@ -115,6 +115,26 @@ proptest! {
             prop_assert_eq!(rid, req_id);
             prop_assert_eq!(decoded, req);
         }
+        // A stamp holds a data request: a control request inside a
+        // fence or a background stamp is refused, not decoded.
+        for control in [
+            Request::Stats,
+            Request::Ping,
+            Request::Shutdown,
+            Request::SetEpoch(offset),
+            Request::SetMasterEpoch(len),
+        ] {
+            for stamped in [
+                Request::Fenced { epoch: len, master: offset, inner: Box::new(control.clone()) },
+                Request::Background { inner: Box::new(control) },
+            ] {
+                let frame = Frame::parse(strip_prefix(encode_request(&stamped, req_id))).unwrap();
+                prop_assert!(
+                    matches!(decode_request(&frame), Err(StoreError::Codec(_))),
+                    "{:?} decoded", stamped
+                );
+            }
+        }
     }
 
     #[test]

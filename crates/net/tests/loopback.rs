@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use spcache_net::master_net::{MetaReply, MetaRequest};
 use spcache_net::TcpCluster;
-use spcache_store::fault::FaultAction;
+use spcache_store::fault::{FaultAction, FaultLog};
 use spcache_store::master::MetaService;
 use spcache_store::rpc::{PartKey, Reply, Request, StoreError, WorkerStats};
 use spcache_store::transport::Transport;
@@ -210,6 +210,70 @@ fn degraded_read_costs_k_plus_r_gets_on_both_transports() {
     check(&chan.client(), chan.transport().as_ref(), &|| chan.worker_stats().unwrap());
     let tcp = TcpCluster::spawn(cfg());
     check(&tcp.client(), tcp.transport().as_ref(), &|| tcp.worker_stats().unwrap());
+    tcp.shutdown();
+}
+
+/// A control request inside a stamp is a ~35-byte frame anyone can
+/// send. It gets a typed, permanent refusal — from the decoder over a
+/// socket, from the worker itself when hand-built in process — fires no
+/// fault and counts no op, and the worker keeps serving.
+#[test]
+fn stamped_control_requests_are_refused_on_both_transports() {
+    fn check(transport: &dyn Transport, faults: &FaultLog) {
+        let wait = Duration::from_secs(5);
+        for bad in [
+            Request::Fenced { epoch: 1, master: 0, inner: Box::new(Request::Ping) },
+            Request::Background { inner: Box::new(Request::Stats) },
+        ] {
+            let refused = transport.call(0, bad.clone(), wait);
+            assert!(
+                matches!(refused, Ok(Reply::Err(StoreError::Codec(_)))),
+                "{bad:?} got {refused:?}"
+            );
+            // The refusal cuts a TCP connection; a request racing the
+            // teardown sees a retryable `Io` and redials.
+            let mut pong = transport.call(0, Request::Ping, wait);
+            for _ in 0..100 {
+                if !matches!(pong, Ok(Reply::Err(StoreError::Io(0))) | Err(StoreError::Io(0))) {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(10));
+                pong = transport.call(0, Request::Ping, wait);
+            }
+            assert_eq!(pong.and_then(Reply::pong), Ok(0), "worker gone after {bad:?}");
+        }
+        // Neither refusal was op 0: the fault scripted there is still
+        // waiting for the first data request.
+        assert!(faults.is_empty(), "a refused request fired {:?}", faults.snapshot());
+        let get = Request::Get { key: PartKey::new(1, 0) };
+        assert_eq!(transport.call(0, get, wait), Ok(Reply::Err(StoreError::StaleEpoch(0))));
+        assert_eq!(faults.len(), 1);
+    }
+    let cfg = || StoreConfig::unthrottled(1).with_faults(FaultPlan::none().stale_epoch(0, 0));
+    let chan = StoreCluster::spawn(cfg());
+    check(chan.transport().as_ref(), chan.fault_log());
+    let tcp = TcpCluster::spawn(cfg());
+    check(tcp.transport().as_ref(), tcp.fault_log());
+    tcp.shutdown();
+}
+
+/// A swallowed heartbeat is silence, not an answer: the probe's route
+/// stays alive in the worker, so no frame — no `Pong`, no `WorkerDown`
+/// — ever answers it, while the next `Ping` on the same connection is
+/// served. (A `WorkerDown` frame here would turn the supervisor's
+/// suspicion ladder into instant death.)
+#[test]
+fn swallowed_heartbeat_sends_no_frame_over_tcp() {
+    let cfg = StoreConfig::unthrottled(1).with_faults(FaultPlan::none().drop_heartbeat(0, 0));
+    let tcp = TcpCluster::spawn(cfg);
+    let transport = tcp.transport();
+    let swallowed = transport.submit(0, Request::Ping).unwrap();
+    let answered = transport.call(0, Request::Ping, Duration::from_secs(5));
+    assert_eq!(answered.and_then(Reply::pong), Ok(0));
+    // Replies leave one connection in the order the worker computed
+    // them, so an answer to the first probe would have landed already.
+    assert_eq!(swallowed.try_recv(), Err(crossbeam::channel::TryRecvError::Empty));
+    assert_eq!(tcp.fault_log().snapshot()[0].action, FaultAction::DropHeartbeat);
     tcp.shutdown();
 }
 

@@ -176,6 +176,28 @@ fn real_processes_serve_a_cluster() {
     await_exit(&mut master, "master", Duration::from_secs(10));
 }
 
+/// A worker daemon is `io_shards + 2` threads: main, the I/O shards and
+/// the worker thread, which answers its own socket — no service or pump
+/// thread between them.
+#[test]
+fn worker_daemon_runs_io_shards_plus_two_threads() {
+    let mut worker =
+        spawn_daemon(&["worker", "--id", "0", "--bind", "127.0.0.1:0", "--io-shards", "1"]);
+    // Every thread is spawned before the LISTEN banner is printed.
+    let tasks = std::fs::read_dir(format!("/proc/{}/task", worker.child.id()))
+        .expect("list daemon threads")
+        .count();
+    assert_eq!(tasks, 3, "main + 1 I/O shard + worker");
+
+    let transport = TcpTransport::connect(vec![worker.addr]);
+    transport
+        .call(0, Request::Shutdown, Duration::from_secs(10))
+        .unwrap()
+        .unit()
+        .unwrap();
+    await_exit(&mut worker, "worker", Duration::from_secs(10));
+}
+
 /// The supervisor's kill-9 story at the OS-process level: SIGKILL a
 /// worker daemon mid-flight, watch the master's heartbeat loop declare
 /// it dead and bump its fencing epoch, restart it on the same port, and

@@ -466,7 +466,6 @@ impl Client {
         contiguous: bool,
     ) -> Result<Assembly, StoreError> {
         let mut attempt = 0u32;
-        let started = Instant::now();
         loop {
             attempt += 1;
             // Re-locate every attempt: recovery and repartition both
@@ -484,7 +483,7 @@ impl Client {
             if !err.is_retryable() || attempt >= self.retry.max_attempts {
                 return Err(err);
             }
-            self.heal(id, servers.len(), started)?;
+            self.heal(id, servers.len())?;
             let backoff = self.retry.base_backoff * 2u32.saturating_pow(attempt - 1);
             if backoff > Duration::ZERO {
                 std::thread::sleep(backoff);
@@ -499,7 +498,7 @@ impl Client {
     /// file — under `FastFail` that sheds the operation with
     /// [`StoreError::Degraded`], under `Queue` the retry loop simply
     /// waits the repair out.
-    fn heal(&self, id: u64, k: usize, started: Instant) -> Result<(), StoreError> {
+    fn heal(&self, id: u64, k: usize) -> Result<(), StoreError> {
         let Some(under) = self.under.as_ref().filter(|u| u.contains(id)) else {
             return Ok(());
         };
@@ -518,15 +517,9 @@ impl Client {
             id,
             &targets,
         );
-        let shed = match self.degraded {
-            DegradedPolicy::FastFail => true,
-            // A TTL'd queue keeps waiting the repair out only while this
-            // operation is young; past the TTL it sheds like FastFail so
-            // degraded reads have a bounded worst case.
-            DegradedPolicy::QueueTtl(ttl) => started.elapsed() >= ttl,
-            DegradedPolicy::Queue => false,
-        };
-        if shed && matches!(healed, Err(StoreError::Degraded(_))) {
+        if self.degraded == DegradedPolicy::FastFail
+            && matches!(healed, Err(StoreError::Degraded(_)))
+        {
             return Err(StoreError::Degraded(id));
         }
         Ok(())

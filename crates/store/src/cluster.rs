@@ -72,7 +72,6 @@ impl StoreCluster {
                 spawn_worker_opts(WorkerOptions::from_config(
                     id,
                     &cfg,
-                    cfg.faults.script_for(id),
                     Arc::clone(&fault_log),
                     under.clone(),
                 ))

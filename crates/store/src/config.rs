@@ -107,13 +107,6 @@ pub enum DegradedPolicy {
     /// [`crate::rpc::StoreError::Degraded`] so callers can shed load
     /// instead of stampeding the under-store.
     FastFail,
-    /// Queue like [`DegradedPolicy::Queue`], but only for the given
-    /// TTL measured from the operation's start: once a read has waited
-    /// this long on someone else's repair it fast-fails with
-    /// [`crate::rpc::StoreError::Degraded`]. Bounds worst-case read
-    /// latency under repair storms without shedding the short waits
-    /// that queueing exists to absorb.
-    QueueTtl(Duration),
 }
 
 /// Configuration of the master-side supervisor: the autonomous
@@ -186,15 +179,6 @@ impl SupervisorConfig {
     #[must_use]
     pub fn with_degraded(mut self, policy: DegradedPolicy) -> Self {
         self.degraded = policy;
-        self
-    }
-
-    /// Shorthand for [`DegradedPolicy::QueueTtl`] (builder style):
-    /// queue on degraded files, but fast-fail any operation that has
-    /// already waited `ttl` on someone else's repair.
-    #[must_use]
-    pub fn with_degraded_ttl(mut self, ttl: Duration) -> Self {
-        self.degraded = DegradedPolicy::QueueTtl(ttl);
         self
     }
 }
@@ -447,18 +431,6 @@ mod tests {
     #[should_panic(expected = "background fraction")]
     fn out_of_range_background_fraction_rejected() {
         let _ = StoreConfig::unthrottled(1).with_background_fraction(0.0);
-    }
-
-    #[test]
-    fn degraded_ttl_builder_applies() {
-        let c = SupervisorConfig::enabled().with_degraded_ttl(Duration::from_millis(75));
-        assert_eq!(
-            c.degraded,
-            DegradedPolicy::QueueTtl(Duration::from_millis(75))
-        );
-        // The TTL policy still compares distinct from the plain modes.
-        assert_ne!(c.degraded, DegradedPolicy::Queue);
-        assert_ne!(c.degraded, DegradedPolicy::FastFail);
     }
 
     #[test]

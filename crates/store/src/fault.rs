@@ -121,11 +121,12 @@ pub enum CorruptSite {
 
 impl FaultAction {
     /// Whether this fault lives in the transport (connection/frame)
-    /// rather than in the worker itself. Wire faults are injected by the
-    /// TCP server's framing layer; the in-process transport has no
-    /// frames, so its workers *approximate* them (see
-    /// [`crate::worker`]) while logging the original action — the fault
-    /// log of a seeded run stays identical across transports.
+    /// rather than in the worker itself. The worker thread fires and
+    /// logs wire faults like any other and hands them to the request's
+    /// [`crate::rpc::ReplyRoute`]: a socket route cuts or delays the
+    /// frame, the in-process route has no frames and *approximates*
+    /// them — the fault log of a seeded run stays identical across
+    /// transports.
     pub fn is_wire(&self) -> bool {
         matches!(
             self,
@@ -282,54 +283,21 @@ impl FaultPlan {
     /// ordered by trigger op (ties keep plan order, so `DropPartition`
     /// scripted before `Crash` at the same op fires first).
     pub fn script_for(&self, worker: usize) -> WorkerScript {
-        let mut events: Vec<(u64, FaultAction)> = self
-            .events
-            .iter()
-            .filter(|e| e.worker == worker && !e.action.is_heartbeat())
-            .map(|e| (e.op, e.action.clone()))
-            .collect();
-        events.sort_by_key(|&(op, _)| op);
-        WorkerScript { events, cursor: 0 }
-    }
-
-    /// Worker `w`'s **non-wire** op-indexed events only — what the
-    /// worker thread of a TCP server consumes (its framing layer injects
-    /// the wire half via [`FaultPlan::wire_script_for`]). Trigger
-    /// indices are shared: both scripts count the same data-path op
-    /// stream, so a plan fires identically whether a worker sits behind
-    /// a channel or a socket.
-    pub fn data_script_for(&self, worker: usize) -> WorkerScript {
-        self.filtered_script(worker, false)
-    }
-
-    /// Worker `w`'s **wire** events only (see
-    /// [`FaultAction::is_wire`]) — consumed by the TCP server's framing
-    /// layer.
-    pub fn wire_script_for(&self, worker: usize) -> WorkerScript {
-        self.filtered_script(worker, true)
+        self.script_where(worker, |action| !action.is_heartbeat())
     }
 
     /// Worker `w`'s **heartbeat** events only, indexed over the pings it
     /// receives (a separate counter from data ops — supervisor cadence
     /// can change without shifting any scripted data fault).
     pub fn heartbeat_script_for(&self, worker: usize) -> WorkerScript {
-        let mut events: Vec<(u64, FaultAction)> = self
-            .events
-            .iter()
-            .filter(|e| e.worker == worker && e.action.is_heartbeat())
-            .map(|e| (e.op, e.action.clone()))
-            .collect();
-        events.sort_by_key(|&(op, _)| op);
-        WorkerScript { events, cursor: 0 }
+        self.script_where(worker, FaultAction::is_heartbeat)
     }
 
-    fn filtered_script(&self, worker: usize, wire: bool) -> WorkerScript {
+    fn script_where(&self, worker: usize, keep: impl Fn(&FaultAction) -> bool) -> WorkerScript {
         let mut events: Vec<(u64, FaultAction)> = self
             .events
             .iter()
-            .filter(|e| {
-                e.worker == worker && !e.action.is_heartbeat() && e.action.is_wire() == wire
-            })
+            .filter(|e| e.worker == worker && keep(&e.action))
             .map(|e| (e.op, e.action.clone()))
             .collect();
         events.sort_by_key(|&(op, _)| op);
@@ -484,33 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_and_data_scripts_partition_the_plan() {
-        let plan = FaultPlan::none()
-            .crash(0, 5)
-            .drop_connection(0, 2)
-            .delay_frame(0, 3, Duration::from_millis(4))
-            .truncate_frame(0, 7)
-            .lose_reply(0, 1);
-        let mut data = plan.data_script_for(0);
-        let mut wire = plan.wire_script_for(0);
-        assert_eq!(
-            data.fire(100),
-            vec![FaultAction::LoseReply, FaultAction::Crash]
-        );
-        assert_eq!(
-            wire.fire(100),
-            vec![
-                FaultAction::DropConnection,
-                FaultAction::DelayFrame(Duration::from_millis(4)),
-                FaultAction::TruncateFrame,
-            ]
-        );
-        // The combined script carries everything, in op order.
-        let mut all = plan.script_for(0);
-        assert_eq!(all.fire(100).len(), 5);
-    }
-
-    #[test]
     fn wire_classification() {
         assert!(FaultAction::DropConnection.is_wire());
         assert!(FaultAction::DelayFrame(Duration::ZERO).is_wire());
@@ -566,18 +507,6 @@ mod tests {
                 FaultAction::LoseReply,
             ]
         );
-        // Data/wire split also excludes heartbeats.
-        let mut data = plan.data_script_for(0);
-        assert_eq!(
-            data.fire(100),
-            vec![
-                FaultAction::StaleEpochDelivery,
-                FaultAction::CrashRestart,
-                FaultAction::LoseReply,
-            ]
-        );
-        let mut wire = plan.wire_script_for(0);
-        assert_eq!(wire.fire(100), vec![FaultAction::DropConnection]);
     }
 
     #[test]

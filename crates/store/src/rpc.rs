@@ -3,12 +3,14 @@
 //! The request/reply surface is **pure data** ([`Request`], [`Reply`]):
 //! no channels, no callbacks — so the same messages can cross an
 //! in-process channel or be framed onto a TCP socket by `spcache-net`
-//! without translation. A transport pairs a [`Request`] with a reply
-//! route; the in-process form is an [`Envelope`] carrying a one-shot
-//! crossbeam sender.
+//! without translation. A transport pairs a [`Request`] with a
+//! [`ReplyRoute`] in an [`Envelope`]: a one-shot crossbeam sender in
+//! process, a [`ReplySink`] onto the owning connection behind a socket.
+
+use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::Sender;
+use crossbeam::channel::{bounded, Receiver, Sender};
 
 /// Identifies one cached partition: `(file, partition index)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -483,14 +485,85 @@ fn unexpected(want: &str, got: &Reply) -> StoreError {
     StoreError::Codec(format!("expected {want} reply, got {got:?}"))
 }
 
-/// One in-flight request on the in-process channel transport: the
-/// request plus its one-shot reply route.
+/// How a finished reply leaves the worker: the wire half of a scripted
+/// fault, decided by the worker thread and carried out by the route.
+/// Ordered by severity, so the worst cut scripted for one op wins.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Delivery {
+    /// The reply is delivered.
+    Reply,
+    /// `TruncateFrame`: half the reply frame is written, then the
+    /// connection closes.
+    Truncate,
+    /// `DropConnection`: the connection closes without the reply.
+    Close,
+}
+
+/// A reply route that is not an in-process channel: `spcache-net`'s
+/// worker server supplies one per decoded request, posting the finished
+/// frame to the I/O loop that owns the connection.
+pub trait ReplySink: Send + std::fmt::Debug {
+    /// Carries out `how` with `reply` once `delay` has passed, without
+    /// blocking the caller. A sink dropped before this call must answer
+    /// [`StoreError::WorkerDown`]: the worker crashed, lost the reply or
+    /// was already gone.
+    fn deliver(self: Box<Self>, reply: Reply, how: Delivery, delay: Duration);
+}
+
+/// Where the single [`Reply`] to a request goes. Dropping a route
+/// unanswered tells the requester the worker is down (a disconnected
+/// channel in process, a `WorkerDown` frame behind a socket); keeping it
+/// alive unanswered — a swallowed heartbeat — tells it nothing at all.
+#[derive(Debug)]
+pub enum ReplyRoute {
+    /// A one-shot in-process channel.
+    Channel(Sender<Reply>),
+    /// A transport-supplied sink.
+    Sink(Box<dyn ReplySink>),
+}
+
+impl ReplyRoute {
+    /// Delivers `reply` with no wire fault.
+    pub fn send(self, reply: Reply) {
+        self.deliver(reply, Delivery::Reply, Duration::ZERO);
+    }
+
+    /// Delivers `reply` under the scripted wire behaviour. A channel has
+    /// no frames to cut or hold back, so it degrades to the nearest
+    /// visible effect: the delay stalls the caller, and a cut drops the
+    /// sender unsent — exactly a lost reply.
+    pub fn deliver(self, reply: Reply, how: Delivery, delay: Duration) {
+        match self {
+            ReplyRoute::Channel(tx) => {
+                if !delay.is_zero() {
+                    std::thread::sleep(delay);
+                }
+                if how == Delivery::Reply {
+                    let _ = tx.send(reply);
+                }
+            }
+            ReplyRoute::Sink(sink) => sink.deliver(reply, how, delay),
+        }
+    }
+}
+
+/// One in-flight request: the request plus its reply route.
 #[derive(Debug)]
 pub struct Envelope {
     /// The request.
     pub req: Request,
     /// Where the single [`Reply`] goes.
-    pub reply: Sender<Reply>,
+    pub reply: ReplyRoute,
+}
+
+impl Envelope {
+    /// `req` on a fresh one-shot channel route, with the receiver its
+    /// reply will arrive on.
+    pub fn channel(req: Request) -> (Envelope, Receiver<Reply>) {
+        let (tx, rx) = bounded(1);
+        let reply = ReplyRoute::Channel(tx);
+        (Envelope { req, reply }, rx)
+    }
 }
 
 #[cfg(test)]

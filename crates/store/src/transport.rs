@@ -21,7 +21,7 @@
 
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
 use crate::rpc::{Envelope, Reply, Request, StoreError};
 
@@ -107,9 +107,9 @@ impl Transport for ChannelTransport {
     }
 
     fn submit(&self, worker: usize, req: Request) -> Result<Receiver<Reply>, StoreError> {
-        let (tx, rx) = bounded(1);
+        let (envelope, rx) = Envelope::channel(req);
         self.senders[worker]
-            .send(Envelope { req, reply: tx })
+            .send(envelope)
             .map_err(|_| StoreError::WorkerDown(worker))?;
         Ok(rx)
     }
@@ -135,7 +135,7 @@ mod tests {
         let (tx, rx) = crossbeam::channel::unbounded::<Envelope>();
         std::thread::spawn(move || {
             while let Ok(env) = rx.recv() {
-                let _ = env.reply.send(Reply::Pong { worker: 3, epoch: 0 });
+                env.reply.send(Reply::Pong { worker: 3, epoch: 0 });
             }
         });
         let t = ChannelTransport::new(vec![tx]);

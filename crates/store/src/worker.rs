@@ -2,10 +2,13 @@
 //!
 //! A worker owns its partition map and serves pure-data [`Request`]s
 //! arriving as [`Envelope`]s, computing one [`Reply`] per request and
-//! sending it through the envelope's one-shot channel. The same serve
-//! loop backs both transports: the in-process [`crate::transport::ChannelTransport`]
-//! feeds it directly, and `spcache-net`'s TCP server forwards decoded
-//! frames into it one at a time.
+//! handing it to the envelope's [`crate::rpc::ReplyRoute`]. The same
+//! serve loop backs both transports: the in-process
+//! [`crate::transport::ChannelTransport`] and the I/O loops of
+//! `spcache-net`'s TCP server both send envelopes straight into its
+//! queue. This thread is the only place that counts data-path ops and
+//! fires scripted faults; the wire half of a fault (cut or delayed
+//! frames) is decided here and carried out by the route.
 //!
 //! Workers are **memory-budgeted** (DESIGN.md §4.13): with
 //! [`WorkerOptions::memory_budget`] set, a partition-granular LRU
@@ -30,7 +33,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{Receiver, Sender};
 use rand::SeedableRng;
 use spcache_core::LruCache;
 use spcache_sim::Xoshiro256StarStar;
@@ -38,7 +41,9 @@ use spcache_workload::StragglerModel;
 
 use crate::backing::UnderStore;
 use crate::fault::{CorruptSite, FaultAction, FaultLog, WorkerScript};
-use crate::rpc::{Envelope, PartKey, Reply, Request, StoreError, WorkerStats, STAGE_BIT};
+use crate::rpc::{
+    Delivery, Envelope, PartKey, Reply, ReplyRoute, Request, StoreError, WorkerStats, STAGE_BIT,
+};
 use crate::throttle::{NicScheduler, TrafficClass};
 
 /// A handle to a running worker thread: its request channel and join
@@ -59,12 +64,9 @@ impl WorkerHandle {
 
     /// Synchronously fetches this worker's service counters.
     pub fn stats(&self) -> Result<WorkerStats, StoreError> {
-        let (tx, rx) = bounded(1);
+        let (envelope, rx) = Envelope::channel(Request::Stats);
         self.sender
-            .send(Envelope {
-                req: Request::Stats,
-                reply: tx,
-            })
+            .send(envelope)
             .map_err(|_| StoreError::WorkerDown(self.id))?;
         rx.recv()
             .map_err(|_| StoreError::WorkerDown(self.id))?
@@ -74,15 +76,8 @@ impl WorkerHandle {
     /// Requests shutdown and joins the thread. The worker drains its
     /// queue up to the shutdown request (FIFO), acknowledges, and exits.
     pub fn shutdown(&mut self) {
-        let (tx, rx) = bounded(1);
-        if self
-            .sender
-            .send(Envelope {
-                req: Request::Shutdown,
-                reply: tx,
-            })
-            .is_ok()
-        {
+        let (envelope, rx) = Envelope::channel(Request::Shutdown);
+        if self.sender.send(envelope).is_ok() {
             let _ = rx.recv();
         }
         if let Some(j) = self.join.take() {
@@ -166,12 +161,9 @@ impl WorkerOptions {
     }
 
     /// Worker `id` of a cluster described by `cfg`: its NIC model, memory
-    /// budget and pacing, verification and logging switches, with every
-    /// emulated transfer capped at the executor deadline. `script` is
-    /// the op-indexed fault script this worker thread consumes (the
-    /// whole [`crate::fault::FaultPlan::script_for`] behind a channel,
-    /// only [`crate::fault::FaultPlan::data_script_for`] behind a socket
-    /// server, which injects the wire half itself); fired faults land in
+    /// budget and pacing, verification and logging switches, its slices
+    /// of `cfg.faults` (op-indexed and heartbeat), with every emulated
+    /// transfer capped at the executor deadline. Fired faults land in
     /// `log`. Budgeted workers spill evicted partitions into `spill` —
     /// normally the deployment's shared under-store, so whole-file
     /// checkpoints there turn evictions into free drops; without one,
@@ -179,13 +171,12 @@ impl WorkerOptions {
     pub fn from_config(
         id: usize,
         cfg: &crate::config::StoreConfig,
-        script: WorkerScript,
         log: Arc<FaultLog>,
         spill: Option<Arc<UnderStore>>,
     ) -> Self {
         WorkerOptions {
             background_fraction: cfg.background_fraction,
-            script,
+            script: cfg.faults.script_for(id),
             heartbeat_script: cfg.faults.heartbeat_script_for(id),
             log,
             memory_budget: cfg.memory_budget,
@@ -331,10 +322,10 @@ fn worker_loop(opts: WorkerOptions, rx: Receiver<Envelope>) {
     // Fenced traffic stamped below the watermark bounces StaleEpoch —
     // a deposed master can never write through this worker again.
     let mut master_known: u64 = 0;
-    // Reply senders of swallowed heartbeats, kept alive so the probing
+    // Reply routes of swallowed heartbeats, kept alive so the probing
     // supervisor observes a *timeout* (→ suspicion ladder), not a
     // disconnect (→ immediate death).
-    let mut swallowed_pings: Vec<crossbeam::channel::Sender<Reply>> = Vec::new();
+    let mut swallowed_pings: Vec<ReplyRoute> = Vec::new();
 
     while let Ok(Envelope { req, reply }) = rx.recv() {
         // Control-plane requests bypass fault injection entirely —
@@ -344,7 +335,7 @@ fn worker_loop(opts: WorkerOptions, rx: Receiver<Envelope>) {
                 ctx.stats.resident_parts = ctx.store.len();
                 ctx.stats.resident_bytes = ctx.lru.used_bytes() as u64;
                 ctx.stats.bytes_background = ctx.nic.class_bytes().1;
-                let _ = reply.send(Reply::Stats(ctx.stats));
+                reply.send(Reply::Stats(ctx.stats));
                 continue;
             }
             Request::Ping => {
@@ -360,13 +351,13 @@ fn worker_loop(opts: WorkerOptions, rx: Receiver<Envelope>) {
                 if dropped {
                     swallowed_pings.push(reply);
                 } else {
-                    let _ = reply.send(Reply::Pong { worker: id, epoch });
+                    reply.send(Reply::Pong { worker: id, epoch });
                 }
                 continue;
             }
             Request::SetEpoch(e) => {
                 epoch = e;
-                let _ = reply.send(Reply::Done);
+                reply.send(Reply::Done);
                 continue;
             }
             Request::SetMasterEpoch(m) => {
@@ -379,28 +370,37 @@ fn worker_loop(opts: WorkerOptions, rx: Receiver<Envelope>) {
                     master_known = master_known.max(m);
                     Reply::Done
                 };
-                let _ = reply.send(out);
+                reply.send(out);
                 continue;
             }
             Request::Shutdown => {
                 // Graceful drain: everything queued before this envelope
                 // has already been served (FIFO). Acknowledge, then exit.
-                let _ = reply.send(Reply::Done);
+                reply.send(Reply::Done);
                 break;
+            }
+            // A control request inside a stamp. The wire decoder refuses
+            // these, so only a hand-built one gets here: it fires no
+            // fault and counts no op.
+            _ if req.is_control() => {
+                reply.send(Reply::Err(not_a_data_request()));
+                continue;
             }
             _ => {}
         }
 
         // Consult the fault script for this op. Drops and hangs apply
-        // before serving; LoseReply suppresses the reply; Crash kills
-        // the worker with the request unanswered (the dropped reply
-        // sender disconnects the waiting client). Wire faults have no
-        // frames to act on in-process, so they degrade to the nearest
-        // channel-visible effect — but the *original* action is logged,
-        // keeping seeded fault logs identical across transports.
+        // before serving; LoseReply drops the route unanswered; Crash
+        // kills the worker with this request and everything queued
+        // behind it unanswered (each dropped route reports the worker
+        // down). Wire faults are handed to the route, which carries
+        // them out on a socket and degrades them on a channel — the
+        // action is logged here either way, so seeded fault logs are
+        // identical across transports.
         let mut lose_reply = false;
         let mut crash = false;
         let mut bounce_stale = false;
+        let mut cut = Delivery::Reply;
         let mut delay = Duration::ZERO;
         for action in script.fire(op) {
             log.record(id, op, action.clone());
@@ -412,9 +412,8 @@ fn worker_loop(opts: WorkerOptions, rx: Receiver<Envelope>) {
                     ctx.lru.remove(&key);
                 }
                 FaultAction::LoseReply => lose_reply = true,
-                // A dropped connection or torn frame never delivers the
-                // reply: in-process that is exactly a lost reply.
-                FaultAction::DropConnection | FaultAction::TruncateFrame => lose_reply = true,
+                FaultAction::DropConnection => cut = cut.max(Delivery::Close),
+                FaultAction::TruncateFrame => cut = cut.max(Delivery::Truncate),
                 FaultAction::DelayFrame(pause) => delay += pause,
                 // Fast restart with a cold cache: everything cached is
                 // gone and the registration epoch resets; the thread
@@ -489,15 +488,18 @@ fn worker_loop(opts: WorkerOptions, rx: Receiver<Envelope>) {
             };
             ctx.serve(req, class)
         };
-        if delay > Duration::ZERO {
-            std::thread::sleep(delay);
-        }
         if !lose_reply {
-            let _ = reply.send(out);
+            reply.deliver(out, cut, delay);
         }
-        // else: the envelope's sender drops unsent — the waiting client
-        // observes a disconnect, like a reply lost on the wire.
+        // else: the route drops unanswered — the waiting client is told
+        // the worker is down, like a reply lost on the wire.
     }
+}
+
+/// The typed refusal for a request that is neither control-plane nor a
+/// canonically stamped data request.
+fn not_a_data_request() -> StoreError {
+    StoreError::Codec("stamp around a request that is not a data request".into())
 }
 
 /// The worker's serving state: partition map, budget LRU, two-class
@@ -673,17 +675,17 @@ impl ServeCtx {
                 self.stats.resident_parts = self.store.len();
                 Reply::Flag(removed)
             }
-            // Control requests were handled before fault injection, and
-            // Fenced/Background wrappers are unwrapped before serve().
+            // Control requests are served before fault injection and one
+            // Fenced { Background { .. } } nesting is unwrapped before
+            // serve(): what is left is a hand-built nesting no decoder
+            // or stamp helper produces.
             Request::Stats
             | Request::Ping
             | Request::SetEpoch(_)
             | Request::SetMasterEpoch(_)
             | Request::Shutdown
             | Request::Fenced { .. }
-            | Request::Background { .. } => {
-                unreachable!("control requests are served before the data path")
-            }
+            | Request::Background { .. } => Reply::Err(not_a_data_request()),
         }
     }
 
@@ -938,10 +940,15 @@ fn flipped(data: &Bytes, index: u64) -> Bytes {
 mod tests {
     use super::*;
 
+    /// Queues `req` without awaiting it.
+    fn submit(h: &WorkerHandle, req: Request) -> Receiver<Reply> {
+        let (envelope, rx) = Envelope::channel(req);
+        h.sender().send(envelope).unwrap();
+        rx
+    }
+
     fn call(h: &WorkerHandle, req: Request) -> Reply {
-        let (tx, rx) = bounded(1);
-        h.sender().send(Envelope { req, reply: tx }).unwrap();
-        rx.recv().unwrap()
+        submit(h, req).recv().unwrap()
     }
 
     fn put(h: &WorkerHandle, key: PartKey, data: &[u8]) {
@@ -1032,23 +1039,12 @@ mod tests {
     fn shutdown_is_acknowledged_and_joins_cleanly() {
         let mut h = spawn_worker(0, f64::INFINITY, StragglerModel::none(), 1);
         put(&h, PartKey::new(1, 0), b"x");
-        let (tx, rx) = bounded(1);
-        h.sender()
-            .send(Envelope {
-                req: Request::Shutdown,
-                reply: tx,
-            })
-            .unwrap();
-        assert_eq!(rx.recv().unwrap(), Reply::Done, "shutdown is acked");
+        assert_eq!(call(&h, Request::Shutdown), Reply::Done, "shutdown is acked");
         h.shutdown(); // idempotent: channel already closed
-        let (tx, rx) = bounded(1);
-        let send = h.sender().send(Envelope {
-            req: Request::Get {
-                key: PartKey::new(1, 0),
-            },
-            reply: tx,
+        let (envelope, rx) = Envelope::channel(Request::Get {
+            key: PartKey::new(1, 0),
         });
-        assert!(send.is_err() || rx.recv().is_err());
+        assert!(h.sender().send(envelope).is_err() || rx.recv().is_err());
     }
 
     #[test]
@@ -1061,16 +1057,13 @@ mod tests {
         // with the worker's receiver so the second waiter observes a
         // disconnect, never an indefinite block.
         let h = spawn_worker(0, f64::INFINITY, StragglerModel::none(), 1);
-        let (tx1, rx1) = bounded(1);
-        let (tx2, rx2) = bounded(1);
-        h.sender()
-            .send(Envelope { req: Request::Shutdown, reply: tx1 })
-            .unwrap();
+        let rx1 = submit(&h, Request::Shutdown);
+        let (second, rx2) = Envelope::channel(Request::Shutdown);
         // The worker may already have served the first Shutdown and
         // dropped its receiver — then this send fails outright, which is
         // the same observable: the second waiter is told "disconnected"
         // instead of blocking forever.
-        let second = h.sender().send(Envelope { req: Request::Shutdown, reply: tx2 });
+        let second = h.sender().send(second);
         assert_eq!(rx1.recv_timeout(Duration::from_secs(5)).unwrap(), Reply::Done);
         if second.is_ok() {
             assert!(
@@ -1091,24 +1084,14 @@ mod tests {
         let mut gets = Vec::new();
         put(&h, PartKey::new(1, 0), b"drain");
         for _ in 0..16 {
-            let (tx, rx) = bounded(1);
-            h.sender()
-                .send(Envelope {
-                    req: Request::Get {
-                        key: PartKey::new(1, 0),
-                    },
-                    reply: tx,
-                })
-                .unwrap();
-            gets.push(rx);
+            gets.push(submit(
+                &h,
+                Request::Get {
+                    key: PartKey::new(1, 0),
+                },
+            ));
         }
-        let (tx, rx) = bounded(1);
-        h.sender()
-            .send(Envelope {
-                req: Request::Shutdown,
-                reply: tx,
-            })
-            .unwrap();
+        let rx = submit(&h, Request::Shutdown);
         for g in gets {
             assert_eq!(g.recv().unwrap().bytes().unwrap().as_ref(), b"drain");
         }
@@ -1131,15 +1114,12 @@ mod tests {
         );
         put(&h, PartKey::new(1, 0), b"w"); // op 0
         // Op 1: DropConnection ≈ lost reply → receiver disconnects.
-        let (tx, rx) = bounded(1);
-        h.sender()
-            .send(Envelope {
-                req: Request::Get {
-                    key: PartKey::new(1, 0),
-                },
-                reply: tx,
-            })
-            .unwrap();
+        let rx = submit(
+            &h,
+            Request::Get {
+                key: PartKey::new(1, 0),
+            },
+        );
         assert!(rx.recv().is_err(), "reply should be lost");
         // Op 2: DelayFrame stalls the reply ~60 ms but it does arrive.
         let t0 = std::time::Instant::now();
@@ -1268,7 +1248,7 @@ mod tests {
         let log = Arc::new(FaultLog::new());
         let h = spawn_worker_opts(
             WorkerOptions::new(0, f64::INFINITY, StragglerModel::none(), 1).with_scripts(
-                plan.data_script_for(0),
+                plan.script_for(0),
                 plan.heartbeat_script_for(0),
                 Arc::clone(&log),
             ),
@@ -1277,13 +1257,7 @@ mod tests {
         assert_eq!(call(&h, Request::Ping).pong_epoch().unwrap(), (0, 0));
         // Ping 1 is swallowed: the probe *times out* (sender stays alive
         // → no disconnect), modelling a lost heartbeat, not a death.
-        let (tx, rx) = bounded(1);
-        h.sender()
-            .send(Envelope {
-                req: Request::Ping,
-                reply: tx,
-            })
-            .unwrap();
+        let rx = submit(&h, Request::Ping);
         assert!(
             rx.recv_timeout(Duration::from_millis(40)).is_err(),
             "swallowed ping must not be answered"

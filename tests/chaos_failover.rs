@@ -339,7 +339,7 @@ fn run_failover_tcp(workload_seed: u64) -> RunTrace {
         &pieces,
         sup_a,
         |master_b| {
-            let server = MasterServer::spawn_with_deadline(
+            let server = MasterServer::spawn(
                 Arc::clone(master_b),
                 "127.0.0.1:0",
                 worker_addrs,

@@ -15,17 +15,23 @@
 //! reply must carry exactly its own file's bytes (no cross-wired
 //! replies), and the split between delivered and failed replies must be
 //! the deterministic one the FIFO service order dictates.
+//!
+//! A third aims a hard `Crash` at the middle of such a burst: the
+//! replies computed before it are delivered, every request behind it —
+//! queued in the worker or still on the wire — is told `WorkerDown`,
+//! identically on both transports, and the server outlives its worker.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use rand::SeedableRng;
-use spcache::net::TcpCluster;
+use spcache::net::{TcpCluster, TcpTransport};
 use spcache::sim::Xoshiro256StarStar;
 use spcache::store::backing::{checkpoint, UnderStore};
 use spcache::store::fault::FaultRecord;
-use spcache::store::rpc::{PartKey, Reply, Request};
+use spcache::store::rpc::{PartKey, Reply, Request, StoreError};
 use spcache::store::supervisor::SweepRecord;
+use spcache::store::transport::Transport;
 use spcache::store::{FaultPlan, RetryPolicy, StoreCluster, StoreConfig, SupervisorConfig};
 use spcache::workload::zipf::ZipfSampler;
 
@@ -346,4 +352,74 @@ fn mid_batch_truncate_frame_never_cross_wires_pipelined_replies() {
         (FAULT_AT - BATCH_FILES) as usize,
         "truncate must flush every queued pre-fault reply first"
     );
+}
+
+// ---------------------------------------------------------------------
+// A hard crash under a pipelined burst.
+// ---------------------------------------------------------------------
+
+const BURST: u64 = 64;
+const CRASH_AT: u64 = 10;
+
+/// Pipelines [`BURST`] puts at worker 0, none awaited, then resolves
+/// every route in submit order. A submission the transport refuses and
+/// a route that dies unanswered both read as the `WorkerDown` they are
+/// in process.
+fn burst_into_a_crash(transport: &dyn Transport) -> Vec<Reply> {
+    const WAIT: Duration = Duration::from_secs(10);
+    let routes: Vec<_> = (0..BURST)
+        .map(|id| {
+            let put = Request::Put {
+                key: PartKey::new(id, 0),
+                data: payload(id, 512).into(),
+                sum: 0,
+            };
+            transport.submit(0, put)
+        })
+        .collect();
+    let t0 = std::time::Instant::now();
+    let replies = routes
+        .into_iter()
+        .map(|route| match route {
+            Ok(rx) => rx
+                .recv_timeout(WAIT)
+                .unwrap_or(Reply::Err(StoreError::WorkerDown(0))),
+            Err(e) => Reply::Err(e),
+        })
+        .collect();
+    assert!(t0.elapsed() < WAIT, "a route neither answered nor died");
+    replies
+}
+
+#[test]
+fn a_crash_under_a_pipelined_burst_fails_the_rest_identically_on_both_transports() {
+    let cfg = || StoreConfig::unthrottled(1).with_faults(FaultPlan::none().crash(0, CRASH_AT));
+    let expected: Vec<Reply> = (0..BURST)
+        .map(|op| {
+            if op < CRASH_AT {
+                Reply::Done
+            } else {
+                Reply::Err(StoreError::WorkerDown(0))
+            }
+        })
+        .collect();
+
+    let channel = StoreCluster::spawn(cfg());
+    assert_eq!(burst_into_a_crash(channel.transport().as_ref()), expected, "channel");
+    let tcp = TcpCluster::spawn(cfg());
+    assert_eq!(burst_into_a_crash(tcp.transport().as_ref()), expected, "tcp");
+
+    let fired = tcp.fault_log().snapshot();
+    assert_eq!(fired.iter().map(|r| (r.worker, r.op)).collect::<Vec<_>>(), vec![(0, CRASH_AT)]);
+    assert_eq!(fired, channel.fault_log().snapshot());
+
+    // The server outlives its worker: a fresh connection is accepted
+    // and told, definitively, that the worker is down.
+    let fresh = TcpTransport::connect(tcp.worker_addrs());
+    let get = Request::Get { key: PartKey::new(0, 0) };
+    assert_eq!(
+        fresh.call(0, get, Duration::from_secs(5)),
+        Ok(Reply::Err(StoreError::WorkerDown(0)))
+    );
+    tcp.shutdown();
 }
