@@ -9,16 +9,19 @@
 //! them on sockets:
 //!
 //! * [`frame`] — the length-prefixed binary codec (hand-rolled on
-//!   [`bytes::Bytes`], zero-copy on receive; DESIGN.md §4.10),
+//!   [`bytes::Bytes`], payloads are views of the frame they arrived in;
+//!   DESIGN.md §4.10),
 //! * [`poll`] — the event-loop building blocks (DESIGN.md §4.12): an
-//!   incremental [`poll::FrameReader`] for non-blocking sockets, a
-//!   batching [`poll::WriteQueue`] that gathers pipelined frames into
-//!   single `writev` calls, a [`poll::Timers`] deadline heap, and
-//!   [`poll::serve`], the one server event loop both servers run,
+//!   incremental [`poll::FrameReader`] for non-blocking sockets reading
+//!   through its loop's one [`poll::ReadBuf`], a batching
+//!   [`poll::WriteQueue`] that gathers pipelined frames into single
+//!   `writev` calls, a [`poll::Timers`] heap for delayed completions,
+//!   and [`poll::serve`], the one server event loop both servers run,
 //! * [`tcp::TcpTransport`] — the client side: readiness-driven shard
 //!   loops multiplexing every worker connection, with per-connection
-//!   request-id multiplexing, frame batching and
-//!   `RetryPolicy`-derived poller timers,
+//!   request-id multiplexing, frame batching and a
+//!   `RetryPolicy`-derived deadline per request that leaves with its
+//!   reply,
 //! * [`server::WorkerServer`] — the `spcached` worker: the store's
 //!   worker thread answering its own socket through a reply route
 //!   onto the server loop, which also carries out scripted wire
@@ -26,7 +29,8 @@
 //!   the graceful drain-then-exit shutdown,
 //! * [`master_net`] — the master protocol: [`master_net::MasterServer`]
 //!   serving metadata plus a one-RPC cluster `Rebalance`, and
-//!   [`master_net::MasterClient`], a wire-backed `MetaService`,
+//!   [`master_net::MasterClient`], a wire-backed `MetaService` that
+//!   reports a worker's health when it changes, not per reply,
 //! * [`loopback::TcpCluster`] — everything wired together over
 //!   127.0.0.1 for tests and benchmarks, interchangeable with the
 //!   in-process `StoreCluster`,

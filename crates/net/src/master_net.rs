@@ -11,7 +11,10 @@
 //! multiplexing needed). Health-table updates (`mark_alive`,
 //! `mark_dead`, `suspect`) are best-effort by contract: if the master
 //! is unreachable they degrade to no-ops rather than failing the data
-//! path that triggered them.
+//! path that triggered them. A sign of life is reported when it is
+//! news: the client remembers which workers the master has
+//! acknowledged alive from it, and `mark_alive` for one of those sends
+//! nothing (see [`MasterClient`]).
 //!
 //! The server side is one shard of the server loop
 //! ([`crate::poll::serve`]; no per-connection threads): metadata calls
@@ -32,6 +35,7 @@ use spcache_store::master::{Master, MetaService};
 use spcache_store::FileIntegrity;
 use spcache_store::repartitioner::run_parallel_with_deadline;
 use spcache_store::rpc::{StoreError, MASTER_ENDPOINT};
+use std::collections::HashSet;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
@@ -786,12 +790,44 @@ fn serve_meta(
 /// with [`MetaReply::Redirect`], the client re-aims itself at the
 /// successor and retries — callers keep one `MasterClient` across a
 /// failover and never learn it happened.
+///
+/// Health reports travel on change. The engine calls `mark_alive` for
+/// every reply a worker sends, and the master's table moves only when
+/// the worker was dead or suspected, so the client keeps, per worker,
+/// whether its last report was a sign of life the master acknowledged,
+/// and sends `MarkAlive` only when it was not. Every worker starts
+/// unreported, and goes back to unreported on this client's own
+/// `suspect` / `mark_dead`, on an `is_alive` / `live_workers` answer
+/// that says dead, and — all of them — on a failed exchange or a
+/// redirect (the next master has heard nothing from this client).
 #[derive(Debug)]
 pub struct MasterClient {
     addr: Mutex<SocketAddr>,
-    conn: Mutex<Option<TcpStream>>,
+    link: Mutex<Link>,
     next_id: std::sync::atomic::AtomicU64,
     deadline: Duration,
+}
+
+/// The pooled connection and what has been said on it. One lock holds
+/// both, so a report and the memory of it change together: a `suspect`
+/// racing a `mark_alive` from another thread leaves the memory matching
+/// whichever of the two the master applied last.
+#[derive(Debug, Default)]
+struct Link {
+    stream: Option<TcpStream>,
+    /// Workers whose sign of life the master has acknowledged from this
+    /// client, with nothing to the contrary seen or said since.
+    reported: HashSet<usize>,
+}
+
+impl Link {
+    /// Drops the connection and, with it, everything reported over it.
+    fn hang_up(&mut self) {
+        if let Some(s) = self.stream.take() {
+            let _ = s.shutdown(std::net::Shutdown::Both);
+        }
+        self.reported.clear();
+    }
 }
 
 impl MasterClient {
@@ -799,7 +835,7 @@ impl MasterClient {
     pub fn connect(addr: SocketAddr) -> Self {
         MasterClient {
             addr: Mutex::new(addr),
-            conn: Mutex::new(None),
+            link: Mutex::default(),
             next_id: std::sync::atomic::AtomicU64::new(1),
             deadline: Duration::from_secs(5),
         }
@@ -830,16 +866,23 @@ impl MasterClient {
     /// (a fenced master with no known successor), [`StoreError::Codec`]
     /// on malformed replies, plus whatever error the master returns.
     pub fn roundtrip(&self, req: &MetaRequest) -> Result<MetaReply, StoreError> {
+        self.roundtrip_on(&mut self.link.lock(), req)
+    }
+
+    /// [`roundtrip`](MasterClient::roundtrip) on the already locked
+    /// link.
+    fn roundtrip_on(&self, link: &mut Link, req: &MetaRequest) -> Result<MetaReply, StoreError> {
         for _ in 0..3 {
-            match self.exchange(req)? {
+            match self.exchange(link, req)? {
                 MetaReply::Redirect { to } => {
+                    // Whoever answers next has heard nothing from this
+                    // client, even if the successor cannot be dialled.
+                    link.reported.clear();
                     let next: SocketAddr = to
                         .parse()
                         .map_err(|_| StoreError::Io(MASTER_ENDPOINT))?;
                     *self.addr.lock() = next;
-                    if let Some(s) = self.conn.lock().take() {
-                        let _ = s.shutdown(std::net::Shutdown::Both);
-                    }
+                    link.hang_up();
                 }
                 reply => return Ok(reply),
             }
@@ -851,10 +894,9 @@ impl MasterClient {
 
     /// One raw request→reply exchange against the current endpoint
     /// (no redirect handling).
-    fn exchange(&self, req: &MetaRequest) -> Result<MetaReply, StoreError> {
-        let addr = *self.addr.lock();
-        let mut slot = self.conn.lock();
-        if slot.is_none() {
+    fn exchange(&self, link: &mut Link, req: &MetaRequest) -> Result<MetaReply, StoreError> {
+        if link.stream.is_none() {
+            let addr = *self.addr.lock();
             let stream = TcpStream::connect_timeout(&addr, self.deadline)
                 .map_err(|_| StoreError::Io(MASTER_ENDPOINT))?;
             let _ = stream.set_nodelay(true);
@@ -862,9 +904,9 @@ impl MasterClient {
                 .set_read_timeout(Some(self.deadline))
                 .and_then(|()| stream.set_write_timeout(Some(self.deadline)))
                 .map_err(|_| StoreError::Io(MASTER_ENDPOINT))?;
-            *slot = Some(stream);
+            link.stream = Some(stream);
         }
-        let stream = slot.as_mut().expect("connection just ensured");
+        let stream = link.stream.as_mut().expect("connection just ensured");
         let req_id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let exchange = (|| -> Result<MetaReply, StoreError> {
             write_frame(stream, &encode_meta_request(req, req_id))
@@ -884,9 +926,7 @@ impl MasterClient {
         if exchange.is_err() {
             // Poisoned stream (I/O failure or framing loss): redial next
             // call.
-            if let Some(s) = slot.take() {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
+            link.hang_up();
         }
         exchange
     }
@@ -947,7 +987,7 @@ impl MasterClient {
     ///
     /// Transport errors reaching the master.
     pub fn status(&self) -> Result<(u64, bool, u64, u64), StoreError> {
-        match self.exchange(&MetaRequest::Status)? {
+        match self.exchange(&mut self.link.lock(), &MetaRequest::Status)? {
             MetaReply::Status {
                 epoch,
                 active,
@@ -982,10 +1022,11 @@ impl MasterClient {
     /// Transport errors, or [`StoreError::StaleEpoch`] when `epoch` is
     /// below the receiver's own (the caller is the stale one).
     pub fn takeover(&self, epoch: u64, addr: &str) -> Result<(), StoreError> {
-        match self.exchange(&MetaRequest::Takeover {
+        let takeover = MetaRequest::Takeover {
             epoch,
             addr: addr.to_string(),
-        })? {
+        };
+        match self.exchange(&mut self.link.lock(), &takeover)? {
             MetaReply::Done => Ok(()),
             MetaReply::Err(e) => Err(e),
             other => Err(codec(format!("unexpected reply {other:?}"))),
@@ -1022,23 +1063,40 @@ impl MetaService for MasterClient {
     }
 
     fn mark_alive(&self, w: usize) {
-        let _ = self.roundtrip(&MetaRequest::MarkAlive { w: w as u64 });
+        let mut link = self.link.lock();
+        if link.reported.contains(&w) {
+            return;
+        }
+        let report = MetaRequest::MarkAlive { w: w as u64 };
+        if let Ok(MetaReply::Done) = self.roundtrip_on(&mut link, &report) {
+            link.reported.insert(w);
+        }
     }
 
     fn mark_dead(&self, w: usize) {
-        let _ = self.roundtrip(&MetaRequest::MarkDead { w: w as u64 });
+        let mut link = self.link.lock();
+        link.reported.remove(&w);
+        let _ = self.roundtrip_on(&mut link, &MetaRequest::MarkDead { w: w as u64 });
     }
 
     fn suspect(&self, w: usize) -> u32 {
-        match self.roundtrip(&MetaRequest::Suspect { w: w as u64 }) {
+        let mut link = self.link.lock();
+        link.reported.remove(&w);
+        match self.roundtrip_on(&mut link, &MetaRequest::Suspect { w: w as u64 }) {
             Ok(MetaReply::Count(n)) => n,
             _ => 0,
         }
     }
 
     fn is_alive(&self, w: usize) -> bool {
-        match self.roundtrip(&MetaRequest::IsAlive { w: w as u64 }) {
-            Ok(MetaReply::Flag(f)) => f,
+        let mut link = self.link.lock();
+        match self.roundtrip_on(&mut link, &MetaRequest::IsAlive { w: w as u64 }) {
+            Ok(MetaReply::Flag(alive)) => {
+                if !alive {
+                    link.reported.remove(&w);
+                }
+                alive
+            }
             // Unreachable master: assume alive and let the data path
             // discover the truth, rather than spuriously excluding
             // healthy workers.
@@ -1047,8 +1105,12 @@ impl MetaService for MasterClient {
     }
 
     fn live_workers(&self, n: usize) -> Vec<usize> {
-        match self.roundtrip(&MetaRequest::LiveWorkers { n: n as u64 }) {
-            Ok(MetaReply::Workers(w)) => w,
+        let mut link = self.link.lock();
+        match self.roundtrip_on(&mut link, &MetaRequest::LiveWorkers { n: n as u64 }) {
+            Ok(MetaReply::Workers(live)) => {
+                link.reported.retain(|w| *w >= n || live.contains(w));
+                live
+            }
             _ => (0..n).collect(),
         }
     }

@@ -27,10 +27,29 @@ use mio::{Events, Interest, Poll, Token, Waker};
 
 use crate::frame::{HEADER_LEN, MAX_FRAME};
 
-/// Read granularity of [`FrameReader`]: one `read` syscall fills at
-/// most this many bytes, and frames that fit entirely inside a single
-/// chunk are returned as zero-copy slices of it.
+/// Read granularity of [`FrameReader`] and the size of a [`ReadBuf`]:
+/// one between-frames `read` syscall fills at most this many bytes.
 pub const READ_CHUNK: usize = 64 * 1024;
+
+/// One event loop's receive buffer: [`READ_CHUNK`] bytes, allocated and
+/// zeroed once, that every [`FrameReader::pump_with`] on the loop's
+/// thread reads into. It belongs to the loop, not to a connection — a
+/// thousand idle sockets cost one buffer — and nothing a pump hands out
+/// points into it, so the next read may overwrite it freely.
+pub struct ReadBuf(Box<[u8]>);
+
+impl ReadBuf {
+    /// A zeroed buffer of [`READ_CHUNK`] bytes.
+    pub fn new() -> Self {
+        ReadBuf(vec![0u8; READ_CHUNK].into_boxed_slice())
+    }
+}
+
+impl Default for ReadBuf {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 /// Upper bound on iovecs handed to a single `writev` call. Linux
 /// accepts up to `IOV_MAX` (1024); 64 keeps the stack array small
@@ -129,11 +148,15 @@ impl Partial {
 /// (the bytes *after* the length prefix, same contract as
 /// [`crate::frame::read_frame`]) to the caller's vector.
 ///
-/// Copy discipline: frames wholly contained in one read chunk are
-/// zero-copy [`Bytes::slice`] views of that chunk; a frame straddling
-/// a chunk boundary is completed into an exact-size buffer filled
-/// directly by subsequent `read` calls. Partial length prefixes (< 4
-/// bytes at a chunk tail) are the only bytes ever re-buffered.
+/// Copy discipline: every frame is handed out in a buffer of exactly
+/// its own length, so whoever keeps it (a worker stores `Put` payloads
+/// for as long as they are resident) keeps those bytes and nothing
+/// else. A frame wholly contained in one read is copied out of the
+/// loop's [`ReadBuf`]; a frame straddling a read boundary is completed
+/// in its exact-size buffer, filled directly by subsequent `read`
+/// calls, so a frame spanning many reads still costs one kernel→user
+/// copy. Partial length prefixes (< 4 bytes at a read's tail) are
+/// buffered until the rest arrives.
 #[derive(Default)]
 pub struct FrameReader {
     /// 0–3 bytes of a length prefix split across reads.
@@ -154,18 +177,35 @@ impl FrameReader {
         !self.prefix.is_empty() || self.partial.is_some()
     }
 
-    /// Reads from `r` until it would block (or EOF), appending every
-    /// completed frame to `out`.
+    /// [`pump_with`](FrameReader::pump_with) through a buffer made for
+    /// this one call — for a reader with no event loop around it.
+    ///
+    /// # Errors
+    ///
+    /// See [`pump_with`](FrameReader::pump_with).
+    pub fn pump(&mut self, r: &mut impl Read, out: &mut Vec<Bytes>) -> io::Result<PumpStatus> {
+        self.pump_with(&mut ReadBuf::new(), r, out)
+    }
+
+    /// Reads from `r` through the calling loop's `buf` until it would
+    /// block (or EOF), appending every completed frame to `out`.
     ///
     /// `WouldBlock` is not an error — it ends the pump with
-    /// [`PumpStatus::Open`]. `Interrupted` reads are retried.
+    /// [`PumpStatus::Open`]. `Interrupted` reads are retried. The pump
+    /// always reads until one of the two: with edge-triggered readiness
+    /// the read that finds nothing is also the one that finds EOF.
     ///
     /// # Errors
     ///
     /// `InvalidData` when a length prefix is below the minimum header
     /// size or above [`MAX_FRAME`]; `UnexpectedEof` when the stream
     /// ends mid-frame; any other I/O error from `r`.
-    pub fn pump(&mut self, r: &mut impl Read, out: &mut Vec<Bytes>) -> io::Result<PumpStatus> {
+    pub fn pump_with(
+        &mut self,
+        buf: &mut ReadBuf,
+        r: &mut impl Read,
+        out: &mut Vec<Bytes>,
+    ) -> io::Result<PumpStatus> {
         loop {
             // Finish an in-progress oversized/straddling frame first:
             // its remainder reads straight into the exact buffer.
@@ -187,8 +227,7 @@ impl FrameReader {
                 }
             }
 
-            let mut chunk = vec![0u8; READ_CHUNK];
-            let n = match r.read(&mut chunk) {
+            let n = match r.read(&mut buf.0) {
                 Ok(0) => {
                     return if self.mid_frame() {
                         Err(eof_mid_frame())
@@ -201,15 +240,13 @@ impl FrameReader {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             };
-            chunk.truncate(n);
-            let chunk = Bytes::from(chunk);
-            self.scan_chunk(&chunk, out)?;
+            self.scan_chunk(&buf.0[..n], out)?;
         }
     }
 
-    /// Splits one freshly read chunk into complete frames (zero-copy
-    /// slices) plus at most one trailing partial frame or prefix.
-    fn scan_chunk(&mut self, chunk: &Bytes, out: &mut Vec<Bytes>) -> io::Result<()> {
+    /// Splits one freshly read chunk into complete frames (exact-size
+    /// copies) plus at most one trailing partial frame or prefix.
+    fn scan_chunk(&mut self, chunk: &[u8], out: &mut Vec<Bytes>) -> io::Result<()> {
         let mut pos = 0;
 
         // A split length prefix from the previous chunk comes first.
@@ -230,8 +267,9 @@ impl FrameReader {
             let len = frame_len(&chunk[pos..pos + 4])?;
             pos += 4;
             if chunk.len() - pos >= len {
-                // Whole frame inside this chunk: zero-copy view.
-                out.push(chunk.slice(pos..pos + len));
+                // Whole frame inside this chunk: it leaves with its own
+                // bytes, the chunk is about to be read over.
+                out.push(Bytes::copy_from_slice(&chunk[pos..pos + len]));
                 pos += len;
             } else {
                 pos += self.begin_frame(len, chunk, pos, out);
@@ -246,7 +284,7 @@ impl FrameReader {
     /// Starts collecting a frame of `len` body bytes whose tail is not
     /// (necessarily) in `chunk`; copies whatever is available starting
     /// at `pos` and returns how many chunk bytes were consumed.
-    fn begin_frame(&mut self, len: usize, chunk: &Bytes, pos: usize, out: &mut Vec<Bytes>) -> usize {
+    fn begin_frame(&mut self, len: usize, chunk: &[u8], pos: usize, out: &mut Vec<Bytes>) -> usize {
         let avail = chunk.len() - pos;
         let take = avail.min(len);
         let mut p = Partial::with_capacity(len);
@@ -652,13 +690,13 @@ impl ServerConns {
     /// Reads whatever `token` has buffered, leaving the complete frames
     /// in `inbound`. `false` when the peer closed or died: the caller
     /// serves `inbound`, then [`close`](Self::close)s.
-    fn pump(&mut self, token: usize, inbound: &mut Vec<Bytes>) -> bool {
+    fn pump(&mut self, token: usize, buf: &mut ReadBuf, inbound: &mut Vec<Bytes>) -> bool {
         inbound.clear();
         let Some(conn) = self.conns.get_mut(&token) else {
             return false;
         };
         matches!(
-            conn.reader.pump(&mut conn.stream, inbound),
+            conn.reader.pump_with(buf, &mut conn.stream, inbound),
             Ok(PumpStatus::Open)
         )
     }
@@ -933,6 +971,7 @@ fn shard_loop<H: FnMut(Bytes, &ConnRef) -> Served>(
     let mut timers: Timers<u64> = Timers::new();
     let mut delayed: HashMap<u64, (usize, Completion)> = HashMap::new();
     let mut delay_seq = 0u64;
+    let mut buf = ReadBuf::new();
     let mut inbound: Vec<Bytes> = Vec::new();
 
     'run: loop {
@@ -979,7 +1018,7 @@ fn shard_loop<H: FnMut(Bytes, &ConnRef) -> Served>(
                 token => {
                     if (ev.is_readable() || ev.is_error()) && conns.is_open(token) {
                         conn.token = token;
-                        read_frames(&mut conns, &conn, &mut inbound, &mut handler);
+                        read_frames(&mut conns, &conn, &mut buf, &mut inbound, &mut handler);
                     }
                     if ev.is_writable() {
                         conns.touch(token);
@@ -1015,10 +1054,11 @@ fn shard_loop<H: FnMut(Bytes, &ConnRef) -> Served>(
 fn read_frames(
     conns: &mut ServerConns,
     conn: &ConnRef,
+    buf: &mut ReadBuf,
     inbound: &mut Vec<Bytes>,
     handler: &mut impl FnMut(Bytes, &ConnRef) -> Served,
 ) {
-    let open = conns.pump(conn.token, inbound);
+    let open = conns.pump(conn.token, buf, inbound);
     for frame in inbound.drain(..) {
         match handler(frame, conn) {
             Served::Reply(reply) => conns.push(conn.token, reply),
@@ -1035,13 +1075,15 @@ fn read_frames(
 // Timers: deadline min-heap
 // ---------------------------------------------------------------------------
 
-/// Min-heap of `(deadline, key)` pairs driving poll timeouts: the
-/// event loop sleeps until [`next_deadline`](Timers::next_deadline)
-/// and reaps everything [`pop_due`](Timers::pop_due) yields.
+/// Min-heap of `(deadline, key)` pairs driving a server shard's poll
+/// timeout: the loop sleeps until
+/// [`next_deadline`](Timers::next_deadline) and carries out every
+/// delayed completion [`pop_due`](Timers::pop_due) yields.
 ///
-/// There is no cancel operation — a timer whose request already
-/// completed simply finds nothing to reap when it fires. Callers must
-/// treat a popped key whose state is gone as a no-op.
+/// There is no cancel operation — nothing it holds is ever called off:
+/// a delayed completion whose connection died finds nothing to write
+/// to. (The client loop's request deadlines, which a reply does call
+/// off, are a queue in [`crate::tcp`].)
 pub struct Timers<K> {
     heap: BinaryHeap<Reverse<(Instant, K)>>,
 }
@@ -1226,6 +1268,73 @@ mod tests {
             let mut out = Vec::new();
             let err = reader.pump(&mut s, &mut out).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+    }
+
+    /// One length-prefixed frame whose body is `HEADER_LEN + len` bytes
+    /// of `fill`.
+    fn filled_frame(fill: u8, len: usize) -> Vec<u8> {
+        let body = vec![fill; HEADER_LEN + len];
+        let mut wire = (body.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&body);
+        wire
+    }
+
+    #[test]
+    fn a_frame_keeps_its_own_bytes_after_the_buffer_is_read_over() {
+        let mut buf = ReadBuf::new();
+        let mut reader = FrameReader::new();
+        let mut out = Vec::new();
+        for fill in [0x11u8, 0x22] {
+            let mut s = Script::new(filled_frame(fill, 4096), vec![], false);
+            let status = reader.pump_with(&mut buf, &mut s, &mut out).unwrap();
+            assert_eq!(status, PumpStatus::Open);
+        }
+        // The second read landed on the bytes the first frame was cut
+        // from; the first frame must not have been looking at them.
+        assert_eq!(buf.0[4], 0x22);
+        assert_eq!(out.len(), 2);
+        assert!(
+            out[0].iter().all(|&b| b == 0x11),
+            "frame 0 aliases the buffer"
+        );
+        assert!(out[1].iter().all(|&b| b == 0x22));
+        let held = buf.0.as_ptr_range();
+        for frame in &out {
+            assert_eq!(frame.len(), HEADER_LEN + 4096);
+            assert!(
+                !held.contains(&frame.as_ptr()),
+                "a frame points into the buffer"
+            );
+        }
+    }
+
+    #[test]
+    fn one_buffer_serves_every_connection_and_pump_of_a_loop() {
+        let mut buf = ReadBuf::new();
+        let at = buf.0.as_ptr();
+        let [mut whole, mut halved] = [FrameReader::new(), FrameReader::new()];
+        let [mut wholes, mut halves] = [Vec::new(), Vec::new()];
+        let mut feed = |reader: &mut FrameReader, bytes: &[u8], out: &mut Vec<Bytes>| {
+            let mut s = Script::new(bytes.to_vec(), vec![], false);
+            reader.pump_with(&mut buf, &mut s, out).unwrap();
+        };
+        // Two connections take turns on the loop's buffer, and one of
+        // them is mid-frame every time the other reads over it.
+        for round in 0..500usize {
+            let a = filled_frame(round as u8, 100 + round);
+            let b = filled_frame(!(round as u8), 100 + round);
+            let cut = b.len() / 2;
+            feed(&mut halved, &b[..cut], &mut halves);
+            feed(&mut whole, &a, &mut wholes);
+            feed(&mut halved, &b[cut..], &mut halves);
+        }
+        assert_eq!((buf.0.as_ptr(), buf.0.len()), (at, READ_CHUNK));
+        assert_eq!((wholes.len(), halves.len()), (500, 500));
+        for (round, (a, b)) in wholes.iter().zip(&halves).enumerate() {
+            assert_eq!((a.len(), b.len()), (HEADER_LEN + 100 + round, a.len()));
+            assert!(a.iter().all(|&x| x == round as u8), "round {round}");
+            assert!(b.iter().all(|&x| x == !(round as u8)), "round {round}");
         }
     }
 

@@ -11,7 +11,7 @@
 //! any number of requests overlap on one socket and replies may arrive
 //! out of order (the fork-join read path depends on this).
 //!
-//! The data path is batched and zero-copy: submitters encode frames as
+//! The data path is batched, and zero-copy outbound: submitters encode frames as
 //! header + [`bytes::Bytes`] payload parts ([`crate::frame::encode_request_parts`]),
 //! the loop gathers every frame queued since its last wakeup into
 //! shared `writev` calls ([`crate::poll::WriteQueue`]), and inbound
@@ -32,18 +32,20 @@
 //!   transport.
 //!
 //! The configured [`deadline`](TcpTransport::with_deadline) (take it
-//! from `RetryPolicy::deadline`) maps onto the loop's timer heap:
-//! it bounds connection establishment, and every submitted request
-//! arms a poller timer at `2 * deadline` — entries that outlive it
-//! without a reply are reaped with [`StoreError::Timeout`] so the
-//! pending map cannot grow without bound.
+//! from `RetryPolicy::deadline`) bounds connection establishment, and a
+//! request still unanswered `2 * deadline` after its submission is
+//! reaped with [`StoreError::Timeout`], so the pending map cannot grow
+//! without bound. Each loop keeps its requests' deadlines in submit
+//! order and sleeps until the oldest *unanswered* one: a deadline
+//! leaves the queue with its reply, and a request that was answered
+//! never wakes the loop again.
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
 use mio::{Events, Interest, Poll, Token, Waker};
 use parking_lot::Mutex;
 use spcache_store::rpc::{Reply, Request, StoreError};
 use spcache_store::transport::Transport;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -53,7 +55,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 
 use crate::frame::{decode_reply, encode_request_parts, Frame};
-use crate::poll::{FrameReader, PumpStatus, Timers, WireFrame, WriteQueue};
+use crate::poll::{FrameReader, PumpStatus, ReadBuf, WireFrame, WriteQueue};
 
 /// Token reserved for the shard's cross-thread waker.
 const WAKER: Token = Token(0);
@@ -78,6 +80,9 @@ enum Cmd {
     },
     /// Drain and exit (transport drop).
     Shutdown,
+    /// Report how many deadlines the loop still holds.
+    #[cfg(test)]
+    Deadlines(Sender<usize>),
 }
 
 /// Peer state shared between submitters and the owning shard: the
@@ -207,9 +212,11 @@ impl TcpTransport {
         Ok(())
     }
 
-    /// Builds the `Submit` command for one request (fresh `req_id`,
-    /// parts-encoded frame, reap deadline) plus its reply receiver.
-    fn make_submit(&self, worker: usize, req: &Request) -> (Cmd, Receiver<Reply>) {
+    /// Hands one request to `worker`'s shard (fresh `req_id`,
+    /// parts-encoded frame, reap deadline) without waking it, and
+    /// returns the reply receiver.
+    fn enqueue(&self, worker: usize, req: &Request) -> Result<Receiver<Reply>, StoreError> {
+        self.ensure_connected(worker)?;
         let req_id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = bounded(1);
         let cmd = Cmd::Submit {
@@ -219,7 +226,36 @@ impl TcpTransport {
             reap_at: Instant::now() + self.deadline * 2,
             reply: tx,
         };
-        (cmd, rx)
+        self.shard_of(worker)
+            .tx
+            .send(cmd)
+            .map_err(|_| StoreError::Io(worker))?;
+        Ok(rx)
+    }
+
+    /// How many deadlines the loops still hold once the answered ones
+    /// at the front are gone.
+    #[cfg(test)]
+    fn deadlines_held(&self) -> usize {
+        let (tx, rx) = unbounded();
+        for shard in &self.shards {
+            shard.tx.send(Cmd::Deadlines(tx.clone())).unwrap();
+            shard.waker.wake().unwrap();
+        }
+        self.shards.iter().map(|_| rx.recv().unwrap()).sum()
+    }
+
+    /// Worker indices reach the transport from placements the master
+    /// sent over the wire: one outside the fleet is a typed, permanent
+    /// error, never an index panic.
+    fn check_workers(&self, mut workers: impl Iterator<Item = usize>) -> Result<(), StoreError> {
+        let n = self.peers.len();
+        match workers.find(|&w| w >= n) {
+            Some(w) => Err(StoreError::Codec(format!(
+                "request names worker {w} of a {n}-worker fleet"
+            ))),
+            None => Ok(()),
+        }
     }
 }
 
@@ -229,8 +265,10 @@ impl Transport for TcpTransport {
     }
 
     fn submit(&self, worker: usize, req: Request) -> Result<Receiver<Reply>, StoreError> {
-        let mut routes = self.submit_batch(vec![(worker, req)])?;
-        Ok(routes.pop().expect("one route per request"))
+        self.check_workers(std::iter::once(worker))?;
+        let rx = self.enqueue(worker, &req)?;
+        let _ = self.shard_of(worker).waker.wake();
+        Ok(rx)
     }
 
     /// Batched submission: every frame reaches its shard before a
@@ -241,18 +279,12 @@ impl Transport for TcpTransport {
         &self,
         reqs: Vec<(usize, Request)>,
     ) -> Result<Vec<Receiver<Reply>>, StoreError> {
+        self.check_workers(reqs.iter().map(|&(w, _)| w))?;
         let mut receivers = Vec::with_capacity(reqs.len());
         let mut woken = vec![false; self.shards.len()];
         for (worker, req) in reqs {
-            assert!(worker < self.peers.len(), "worker index out of range");
-            self.ensure_connected(worker)?;
-            let (cmd, rx) = self.make_submit(worker, &req);
-            self.shard_of(worker)
-                .tx
-                .send(cmd)
-                .map_err(|_| StoreError::Io(worker))?;
+            receivers.push(self.enqueue(worker, &req)?);
             woken[worker % self.shards.len()] = true;
-            receivers.push(rx);
         }
         for (i, fire) in woken.into_iter().enumerate() {
             if fire {
@@ -312,6 +344,28 @@ fn spawn_shard(index: usize, peers: Arc<Vec<PeerShared>>) -> Shard {
     }
 }
 
+/// The reap deadlines of one loop's requests, `(reap_at, worker,
+/// req_id)` in submit order — which is deadline order, every request of
+/// a transport carrying the same `2 * deadline` (submitters racing each
+/// other into the queue can swap neighbours by the microseconds between
+/// them, which only delays a reap by as much). `req_id`s are unique per
+/// transport, so an entry outliving its connection names nothing.
+type Deadlines = VecDeque<(Instant, usize, u64)>;
+
+/// Discards the deadlines at the front whose requests were answered (or
+/// failed with their connection) and returns the oldest unanswered
+/// request's — the only instant the loop has to wake for.
+fn next_reap(deadlines: &mut Deadlines, conns: &HashMap<usize, Conn>) -> Option<Instant> {
+    while let Some(&(at, worker, req_id)) = deadlines.front() {
+        let unanswered = |c: &Conn| c.pending.contains_key(&req_id);
+        if conns.get(&worker).is_some_and(unanswered) {
+            return Some(at);
+        }
+        deadlines.pop_front();
+    }
+    None
+}
+
 /// The readiness loop: drains submitter commands, pumps readable
 /// sockets through the incremental decoder, batch-flushes write
 /// queues, and reaps expired request deadlines — all on one thread,
@@ -319,15 +373,13 @@ fn spawn_shard(index: usize, peers: Arc<Vec<PeerShared>>) -> Shard {
 fn shard_loop(mut poll: Poll, rx: Receiver<Cmd>, peers: &[PeerShared]) {
     let mut events = Events::with_capacity(256);
     let mut conns: HashMap<usize, Conn> = HashMap::new();
-    // Timer keys are (worker, req_id); req_ids are globally unique, so
-    // a stale timer outliving its connection reaps nothing.
-    let mut timers: Timers<(usize, u64)> = Timers::new();
+    let mut deadlines = Deadlines::new();
+    let mut buf = ReadBuf::new();
     let mut inbound: Vec<Bytes> = Vec::new();
 
     'run: loop {
-        let timeout = timers
-            .next_deadline()
-            .map(|d| d.saturating_duration_since(Instant::now()));
+        let timeout = next_reap(&mut deadlines, &conns)
+            .map(|at| at.saturating_duration_since(Instant::now()));
         if poll.poll(&mut events, timeout).is_err() {
             break 'run; // poller failure is fatal; drain below
         }
@@ -367,7 +419,7 @@ fn shard_loop(mut poll: Poll, rx: Receiver<Cmd>, peers: &[PeerShared]) {
                     Some(conn) => {
                         conn.pending.insert(req_id, reply);
                         conn.wq.push(frame);
-                        timers.insert(reap_at, (worker, req_id));
+                        deadlines.push_back((reap_at, worker, req_id));
                         if !dirty.contains(&worker) {
                             dirty.push(worker);
                         }
@@ -379,6 +431,11 @@ fn shard_loop(mut poll: Poll, rx: Receiver<Cmd>, peers: &[PeerShared]) {
                     }
                 },
                 Ok(Cmd::Shutdown) | Err(TryRecvError::Disconnected) => break 'run,
+                #[cfg(test)]
+                Ok(Cmd::Deadlines(held)) => {
+                    next_reap(&mut deadlines, &conns);
+                    let _ = held.send(deadlines.len());
+                }
                 Err(TryRecvError::Empty) => break,
             }
         }
@@ -394,7 +451,7 @@ fn shard_loop(mut poll: Poll, rx: Receiver<Cmd>, peers: &[PeerShared]) {
                 continue;
             };
             if ev.is_readable() || ev.is_error() {
-                if let Some(death) = pump_replies(conn, worker, &mut inbound) {
+                if let Some(death) = pump_replies(conn, worker, &mut buf, &mut inbound) {
                     kill_conn(&poll, &mut conns, peers, worker, &death);
                     continue;
                 }
@@ -415,13 +472,18 @@ fn shard_loop(mut poll: Poll, rx: Receiver<Cmd>, peers: &[PeerShared]) {
             }
         }
 
-        // Reap expired deadlines.
+        // Reap the requests whose deadline passed unanswered.
         let now = Instant::now();
-        while let Some((worker, req_id)) = timers.pop_due(now) {
-            if let Some(conn) = conns.get_mut(&worker) {
-                if let Some(tx) = conn.pending.remove(&req_id) {
-                    let _ = tx.send(Reply::Err(StoreError::Timeout(worker)));
-                }
+        while let Some(&(at, worker, req_id)) = deadlines.front() {
+            if at > now {
+                break;
+            }
+            deadlines.pop_front();
+            let waiting = conns
+                .get_mut(&worker)
+                .and_then(|c| c.pending.remove(&req_id));
+            if let Some(tx) = waiting {
+                let _ = tx.send(Reply::Err(StoreError::Timeout(worker)));
             }
         }
     }
@@ -437,9 +499,14 @@ fn shard_loop(mut poll: Poll, rx: Receiver<Cmd>, peers: &[PeerShared]) {
 
 /// Pumps a readable connection and routes every decoded reply to its
 /// waiting receiver. Returns the connection's cause of death, if any.
-fn pump_replies(conn: &mut Conn, worker: usize, inbound: &mut Vec<Bytes>) -> Option<StoreError> {
+fn pump_replies(
+    conn: &mut Conn,
+    worker: usize,
+    buf: &mut ReadBuf,
+    inbound: &mut Vec<Bytes>,
+) -> Option<StoreError> {
     inbound.clear();
-    let status = conn.reader.pump(&mut conn.stream, inbound);
+    let status = conn.reader.pump_with(buf, &mut conn.stream, inbound);
     for buf in inbound.drain(..) {
         match Frame::parse(buf).and_then(|f| decode_reply(&f).map(|r| (f.req_id, r))) {
             Ok((req_id, reply)) => {
@@ -602,6 +669,105 @@ mod tests {
                 let _ = write_frame(&mut stream, &prev);
             }
         })
+    }
+
+    /// Waits for the `Pong` of every route.
+    fn await_pongs(routes: Vec<Receiver<Reply>>) {
+        for rx in routes {
+            let reply = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert!(matches!(reply, Reply::Pong { .. }), "got {reply:?}");
+        }
+    }
+
+    #[test]
+    fn a_worker_index_outside_the_fleet_is_a_typed_error() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = pong_server(listener);
+        let t = TcpTransport::connect(vec![addr]);
+        let refused = |r: Result<(), StoreError>| {
+            let e = r.expect_err("index 1 of a 1-worker fleet accepted");
+            assert!(
+                matches!(e, StoreError::Codec(_)) && !e.is_retryable(),
+                "got {e:?}"
+            );
+        };
+        refused(t.submit(1, Request::Ping).map(drop));
+        refused(t.submit(usize::MAX, Request::Ping).map(drop));
+        // All or nothing: the good request ahead of the bad one was not
+        // sent either.
+        refused(
+            t.submit_batch(vec![(0, Request::Ping), (1, Request::Ping)])
+                .map(drop),
+        );
+        // Two, because the server holds every other reply back.
+        await_pongs(
+            t.submit_batch(vec![(0, Request::Ping), (0, Request::Ping)])
+                .unwrap(),
+        );
+        drop(t);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_deadline_leaves_with_its_reply() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = pong_server(listener);
+        let t = TcpTransport::connect(vec![addr]).with_deadline(Duration::from_secs(30));
+        for _ in 0..50 {
+            await_pongs(
+                t.submit_batch(vec![(0, Request::Ping), (0, Request::Ping)])
+                    .unwrap(),
+            );
+        }
+        assert_eq!(
+            t.deadlines_held(),
+            0,
+            "answered requests still wait to expire"
+        );
+        drop(t);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_hung_worker_behind_ten_thousand_answered_requests_is_still_reaped() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = pong_server(listener);
+        // Accepts (the kernel does) and never answers.
+        let hung = TcpListener::bind("127.0.0.1:0").unwrap();
+        let deadline = Duration::from_millis(150);
+        let t = TcpTransport::connect_sharded(vec![addr, hung.local_addr().unwrap()], 1)
+            .with_deadline(deadline);
+        for _ in 0..100 {
+            await_pongs(
+                t.submit_batch((0..100).map(|_| (0, Request::Ping)).collect())
+                    .unwrap(),
+            );
+        }
+        let t0 = Instant::now();
+        let rx = t.submit(1, Request::Ping).unwrap();
+        // Traffic that is answered while the hung request waits neither
+        // hides it nor reaps it early.
+        await_pongs(
+            t.submit_batch(vec![(0, Request::Ping), (0, Request::Ping)])
+                .unwrap(),
+        );
+        let reply = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(reply, Reply::Err(StoreError::Timeout(1)));
+        let waited = t0.elapsed();
+        assert!(
+            waited >= deadline * 2,
+            "reaped after {waited:?}, before 2 x {deadline:?}"
+        );
+        assert!(
+            waited < deadline * 2 + Duration::from_secs(1),
+            "reaped only after {waited:?}"
+        );
+        assert_eq!(t.deadlines_held(), 0);
+        drop(t);
+        server.join().unwrap();
     }
 
     #[test]

@@ -4,16 +4,19 @@
 
 use bytes::Bytes;
 use spcache_net::master_net::{MetaReply, MetaRequest};
-use spcache_net::TcpCluster;
+use spcache_net::{MasterClient, MasterServer, TcpCluster};
+use spcache_store::backing::UnderStore;
 use spcache_store::fault::{FaultAction, FaultLog};
-use spcache_store::master::MetaService;
+use spcache_store::master::{Master, MetaService};
+use spcache_store::metalog::{decode_records, MetaLog};
 use spcache_store::rpc::{PartKey, Reply, Request, StoreError, WorkerStats};
 use spcache_store::transport::Transport;
 use spcache_store::{Client, FaultPlan, StoreCluster, StoreConfig};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 mod common;
-use common::{N_WORKERS, payload, retry};
+use common::{chaos_seed, N_WORKERS, payload, retry};
 
 
 /// The acceptance bar: the same workload against the in-process channel
@@ -364,5 +367,152 @@ fn master_outlives_bad_input() {
     (0..N_WORKERS).for_each(|w| mc.mark_dead(w));
     refused(&rebalance);
     assert_eq!(mc.peek(1), Ok((10, vec![0, 1])));
+    tcp.shutdown();
+}
+
+/// A wire client (its own `MasterClient` stub over the cluster's
+/// transport) with `files` one-partition files written, file `id` on
+/// worker `id % N_WORKERS`.
+fn reporting_client(tcp: &TcpCluster, files: u64) -> (Arc<MasterClient>, Client) {
+    let meta = Arc::new(tcp.master_client());
+    let client = Client::new(meta.clone(), tcp.transport().clone());
+    for id in 0..files {
+        client.write(id, &payload(id, 1_000), &[id as usize % N_WORKERS]).unwrap();
+    }
+    (meta, client)
+}
+
+fn heartbeats(master: &Master) -> Vec<u64> {
+    (0..N_WORKERS).map(|w| master.heartbeats(w)).collect()
+}
+
+/// The master's suspicion count of `w` (its image drops trailing
+/// all-clear rows).
+fn suspicion(master: &Master, w: usize) -> u32 {
+    master.image().suspicion.get(w).copied().unwrap_or(0)
+}
+
+/// A sign of life is reported when it is news: a client reading from a
+/// healthy fleet tells the master about each worker once, not once per
+/// reply.
+#[test]
+fn a_healthy_fleet_is_reported_once_per_worker() {
+    let tcp = TcpCluster::spawn(StoreConfig::unthrottled(N_WORKERS));
+    let (_, client) = reporting_client(&tcp, 8);
+    for round in 0..25 {
+        for id in 0..8u64 {
+            assert_eq!(client.read(id).unwrap(), payload(id, 1_000), "round {round} file {id}");
+        }
+    }
+    // 8 acks and 200 replies landed; nothing changed after the first
+    // from each worker.
+    assert_eq!(heartbeats(tcp.master()), vec![1; N_WORKERS]);
+    tcp.shutdown();
+}
+
+/// Every health transition a reporter observes still reaches the
+/// master: the stub's own suspicion of a worker makes that worker's
+/// next good reply news again — once.
+#[test]
+fn a_suspected_worker_is_cleared_by_its_next_good_reply() {
+    const W: usize = 2;
+    let tcp = TcpCluster::spawn(StoreConfig::unthrottled(N_WORKERS));
+    let (meta, client) = reporting_client(&tcp, 4);
+    assert_eq!(heartbeats(tcp.master()), vec![1; N_WORKERS]);
+
+    assert_eq!(meta.suspect(W), 1);
+    assert_eq!(suspicion(tcp.master(), W), 1);
+    for _ in 0..5 {
+        (0..4u64).for_each(|id| drop(client.read(id).unwrap()));
+    }
+    assert_eq!(suspicion(tcp.master(), W), 0, "the good reply never reached the master");
+    let mut expected = vec![1; N_WORKERS];
+    expected[W] = 2;
+    assert_eq!(heartbeats(tcp.master()), expected, "exactly one MarkAlive, for worker {W}");
+
+    // Dead by this reporter's word, alive again by its next good reply;
+    // dead by somebody else's word, found out by asking.
+    meta.mark_dead(W);
+    assert!(!tcp.master().is_alive(W));
+    client.read(W as u64).unwrap();
+    assert!(tcp.master().is_alive(W));
+    tcp.master().mark_dead(W);
+    client.read(W as u64).unwrap();
+    assert!(!tcp.master().is_alive(W), "nothing told this reporter; nothing to report");
+    assert_eq!(meta.live_workers(N_WORKERS), vec![0, 1, 3]);
+    client.read(W as u64).unwrap();
+    assert!(tcp.master().is_alive(W));
+    tcp.shutdown();
+}
+
+/// A successor master has heard nothing from this client: after a
+/// redirect the next reply from every worker is reported, once.
+#[test]
+fn a_redirect_makes_every_worker_news_again() {
+    let tcp = TcpCluster::spawn(StoreConfig::unthrottled(N_WORKERS));
+    let (meta, client) = reporting_client(&tcp, 4);
+    let successor = Arc::new(Master::new());
+    for (id, servers) in tcp.master().placements() {
+        successor.register(id, 1_000, servers).unwrap();
+    }
+    let server = MasterServer::spawn(
+        successor.clone(),
+        "127.0.0.1:0",
+        tcp.worker_addrs(),
+        Duration::from_secs(2),
+    )
+    .unwrap();
+    tcp.master().self_fence(Some(server.addr().to_string()));
+
+    for _ in 0..5 {
+        (0..4u64).for_each(|id| drop(client.read(id).unwrap()));
+    }
+    assert_eq!(meta.addr(), server.addr(), "the stub never followed the redirect");
+    assert_eq!(heartbeats(&successor), vec![1; N_WORKERS]);
+    assert_eq!(heartbeats(tcp.master()), vec![1; N_WORKERS], "the fenced master took reports");
+    meta.shutdown_server().unwrap();
+    server.join();
+    tcp.shutdown();
+}
+
+/// For a single reporter the filter is invisible in the journal: a
+/// script of health calls through the stub journals, record for record,
+/// what the same calls applied one by one to a master do.
+#[test]
+fn one_reporters_journal_is_the_unfiltered_journal() {
+    fn journalled(master: &Master) {
+        master.ensure_workers(N_WORKERS);
+        master.enable_journal(Arc::new(MetaLog::open(Arc::new(UnderStore::new()))));
+    }
+    fn script(meta: &dyn MetaService) {
+        // Replies (`mark_alive`) far outnumber everything else.
+        let mut x = chaos_seed();
+        for _ in 0..600 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let w = (x >> 33) as usize % N_WORKERS;
+            match (x >> 40) % 16 {
+                0 | 1 => drop(meta.suspect(w)),
+                2 => meta.mark_dead(w),
+                3 => drop(meta.register_worker(w)),
+                4 => drop(meta.is_alive(w)),
+                5 => drop(meta.live_workers(N_WORKERS)),
+                _ => meta.mark_alive(w),
+            }
+        }
+    }
+    let tcp = TcpCluster::spawn(StoreConfig::unthrottled(N_WORKERS));
+    journalled(tcp.master());
+    script(&tcp.master_client());
+    let unfiltered = Master::new();
+    journalled(&unfiltered);
+    script(&unfiltered);
+
+    let through_the_stub = decode_records(&tcp.master().journal_tail(0).1);
+    assert!(through_the_stub.len() > 100, "the script journalled {through_the_stub:?}");
+    assert_eq!(through_the_stub, decode_records(&unfiltered.journal_tail(0).1));
+    assert_eq!(tcp.master().image(), unfiltered.image());
+    let said: u64 = heartbeats(tcp.master()).iter().sum();
+    let meant: u64 = heartbeats(&unfiltered).iter().sum();
+    assert!(said * 2 < meant, "{said} of {meant} reports sent: the filter filters nothing");
     tcp.shutdown();
 }

@@ -198,6 +198,94 @@ fn worker_daemon_runs_io_shards_plus_two_threads() {
     await_exit(&mut worker, "worker", Duration::from_secs(10));
 }
 
+/// Peak resident set of process `pid` so far, in bytes (`VmHWM`).
+fn vm_hwm(pid: u32) -> usize {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("read status");
+    let kb = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().strip_suffix("kB"))
+        .expect("VmHWM line");
+    kb.trim().parse::<usize>().expect("VmHWM in kB") * 1024
+}
+
+/// Resident bytes are what the worker holds: a stored partition owns
+/// exactly its frame's bytes, so a daemon's memory follows the bytes it
+/// was sent — for 4 KiB partitions too. (Sliced out of the 64 KiB chunk
+/// it was read into, each pinned all of it: 16 x the budget in memory
+/// with `resident_bytes` at the budget.)
+#[test]
+fn worker_memory_tracks_its_budget_for_small_partitions() {
+    const BUDGET: usize = 4 << 20;
+    const PART: usize = 4096;
+    // Everything that is not partitions: allocator slack and the
+    // store's per-partition bookkeeping (~100 B a partition), the loop's
+    // read buffer, frames in flight.
+    const ALLOWANCE: usize = 2 << 20;
+    let mut worker = spawn_daemon(&[
+        "worker",
+        "--id",
+        "0",
+        "--bind",
+        "127.0.0.1:0",
+        "--io-shards",
+        "1",
+        "--memory-budget",
+        &BUDGET.to_string(),
+    ]);
+    let pid = worker.child.id();
+    let idle = vm_hwm(pid);
+    let transport = TcpTransport::connect(vec![worker.addr]);
+    let wait = Duration::from_secs(10);
+    // One at a time, as a client writing small files does: each frame
+    // arrives alone in its read.
+    let feed = |parts: std::ops::Range<usize>| {
+        for i in parts {
+            let key = PartKey::new(i as u64, 0);
+            let put = Request::Put { key, data: payload(i as u64, PART).into(), sum: 0 };
+            transport.call(0, put, wait).unwrap().unit().unwrap();
+        }
+    };
+    let stats = || transport.call(0, Request::Stats, wait).and_then(Reply::stats).unwrap();
+
+    // One budget's worth: all of it resident, and the daemon grew by
+    // that much.
+    let fits = BUDGET / PART;
+    feed(0..fits);
+    let s = stats();
+    assert_eq!((s.resident_bytes, s.evictions), (BUDGET as u64, 0));
+    let grew = vm_hwm(pid) - idle;
+    eprintln!("{BUDGET} B resident: daemon grew {grew} B over its idle {idle} B");
+    assert!(
+        grew <= BUDGET + ALLOWANCE,
+        "{BUDGET} resident bytes cost the daemon {grew} bytes of memory"
+    );
+
+    // Four budgets' worth: the budget holds, and since a standalone
+    // daemon's spill tier is its own memory, what it holds in all is
+    // what it was fed.
+    feed(fits..4 * fits);
+    let s = stats();
+    assert!(s.resident_bytes <= BUDGET as u64, "resident {} over budget", s.resident_bytes);
+    assert_eq!(s.resident_bytes + s.spilled_bytes, 4 * BUDGET as u64);
+    let grew = vm_hwm(pid) - idle;
+    eprintln!("{} B fed: daemon grew {grew} B", 4 * BUDGET);
+    assert!(
+        grew <= 4 * BUDGET + ALLOWANCE,
+        "{} bytes fed cost the daemon {grew} bytes of memory",
+        4 * BUDGET
+    );
+    // A spilled partition and a resident one both read back.
+    for i in [0, 4 * fits - 1] {
+        let get = Request::Get { key: PartKey::new(i as u64, 0) };
+        let data = transport.call(0, get, wait).and_then(Reply::bytes).unwrap();
+        assert_eq!(data[..], payload(i as u64, PART)[..], "partition {i}");
+    }
+
+    transport.call(0, Request::Shutdown, wait).unwrap().unit().unwrap();
+    await_exit(&mut worker, "worker", Duration::from_secs(10));
+}
+
 /// The supervisor's kill-9 story at the OS-process level: SIGKILL a
 /// worker daemon mid-flight, watch the master's heartbeat loop declare
 /// it dead and bump its fencing epoch, restart it on the same port, and
