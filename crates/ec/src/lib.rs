@@ -13,9 +13,10 @@
 //!   (`mul_acc_slice`) that dominates encode/decode time,
 //! * [`matrix`] — dense matrices over GF(2⁸) with Gauss-Jordan inversion
 //!   and Cauchy/Vandermonde constructions,
-//! * [`rs`] — the systematic Reed–Solomon codec: encode, verify,
-//!   reconstruct-from-any-k, plus the file split/join helpers shared with
-//!   SP-Cache's (coding-free) partitioner.
+//! * [`rs`] — the systematic Reed–Solomon codec: encode, verify, decode
+//!   one data shard from any k borrowed (ragged) views into the caller's
+//!   buffer, reconstruct-from-any-k on top of it, plus the file
+//!   split/join helpers shared with SP-Cache's (coding-free) partitioner.
 //!
 //! The decode overhead measured on this codec regenerates the paper's
 //! Fig. 4 (decoding time normalized by read latency, growing with file

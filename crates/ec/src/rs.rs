@@ -174,8 +174,72 @@ impl ReedSolomon {
         Ok(true)
     }
 
+    /// Decodes data shard `target` from any `k` of the `n` shard views
+    /// into `out`, which it overwrites with the shard's first `out.len()`
+    /// bytes. `shards[i] = None` marks an erasure; nothing but `out` is
+    /// written, so a reader rebuilds exactly what it lost, in place.
+    ///
+    /// Views may be ragged — the last data partition of a file is short —
+    /// and a view shorter than the shard counts as zero-padded to it. The
+    /// padding is virtual: a zero contributes nothing to a GF(2⁸) sum, so
+    /// each source is simply folded in over the bytes it has.
+    ///
+    /// # Errors
+    ///
+    /// [`RsError::WrongShardCount`] unless `shards.len() == n`;
+    /// [`RsError::TooFewShards`] with fewer than `k` views present.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `target < k` (parity is re-encoded, not decoded).
+    pub fn decode_shard(
+        &self,
+        shards: &[Option<&[u8]>],
+        target: usize,
+        out: &mut [u8],
+    ) -> Result<(), RsError> {
+        assert!(target < self.k, "shard {target} is not a data shard");
+        if shards.len() != self.n {
+            return Err(RsError::WrongShardCount {
+                got: shards.len(),
+                expected: self.n,
+            });
+        }
+        out.fill(0);
+        if let Some(src) = shards[target] {
+            let m = src.len().min(out.len());
+            out[..m].copy_from_slice(&src[..m]);
+            return Ok(());
+        }
+        // Rows of the encoding matrix for the first k present shards,
+        // inverted: data_target = Σ_i inv[target][i] · shard(rows[i]).
+        let rows: Vec<usize> = (0..self.n)
+            .filter(|&i| shards[i].is_some())
+            .take(self.k)
+            .collect();
+        if rows.len() < self.k {
+            return Err(RsError::TooFewShards {
+                present: rows.len(),
+                needed: self.k,
+            });
+        }
+        let inv = self
+            .encode
+            .submatrix_rows(&rows)
+            .inverted()
+            .expect("any k rows of a systematic MDS matrix are invertible");
+        for (i, &r) in rows.iter().enumerate() {
+            let src = shards[r].expect("present");
+            let m = src.len().min(out.len());
+            gf256::mul_acc_slice(inv[(target, i)], &src[..m], &mut out[..m]);
+        }
+        Ok(())
+    }
+
     /// Reconstructs **all** missing shards in place. `shards[i] = None`
-    /// marks an erasure. Requires at least `k` present shards.
+    /// marks an erasure. Requires at least `k` present shards of one
+    /// length. Data shards come from [`decode_shard`](Self::decode_shard),
+    /// parity is re-encoded from them.
     pub fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), RsError> {
         if shards.len() != self.n {
             return Err(RsError::WrongShardCount {
@@ -201,27 +265,17 @@ impl ReedSolomon {
             return Ok(()); // nothing missing
         }
 
-        // Decode matrix: rows of the encoding matrix for the first k
-        // surviving shards, inverted.
-        let rows: Vec<usize> = present.iter().take(self.k).copied().collect();
-        let sub = self.encode.submatrix_rows(&rows);
-        let inv = sub
-            .inverted()
-            .expect("any k rows of a systematic MDS matrix are invertible");
-
-        // Recover data shards first: data_j = sum_i inv[j][i] * shard(rows[i]).
-        let missing_data: Vec<usize> = (0..self.k).filter(|&i| shards[i].is_none()).collect();
-        let mut recovered_data: Vec<(usize, Vec<u8>)> = Vec::with_capacity(missing_data.len());
-        for &j in &missing_data {
-            let mut out = vec![0u8; shard_len];
-            for (i, &r) in rows.iter().enumerate() {
-                let c = inv[(j, i)];
-                let src = shards[r].as_ref().expect("present");
-                gf256::mul_acc_slice(c, src, &mut out);
-            }
-            recovered_data.push((j, out));
-        }
-        for (j, buf) in recovered_data {
+        let recovered = {
+            let views: Vec<Option<&[u8]>> = shards.iter().map(Option::as_deref).collect();
+            (0..self.k)
+                .filter(|&j| views[j].is_none())
+                .map(|j| {
+                    let mut out = vec![0u8; shard_len];
+                    self.decode_shard(&views, j, &mut out).map(|()| (j, out))
+                })
+                .collect::<Result<Vec<_>, _>>()?
+        };
+        for (j, buf) in recovered {
             shards[j] = Some(buf);
         }
 

@@ -4,9 +4,77 @@ use bytes::Bytes;
 use proptest::prelude::*;
 
 use spcache_ec::gf256;
+use spcache_ec::rs::RsError;
 use spcache_ec::{
     join_shards, join_shards_bytes, split_into_shards, split_shards_bytes, Matrix, ReedSolomon,
 };
+
+/// What a parity-writing client stores for `data`: the `k` unpadded
+/// partitions (the last one ragged, some empty when `len < k`) and the
+/// `n − k` full-length parity shards.
+fn stored_views(rs: &ReedSolomon, data: &[u8]) -> Vec<Vec<u8>> {
+    let k = rs.data_shards();
+    let parts = split_shards_bytes(&Bytes::from(data.to_vec()), k);
+    let parity = rs.encode_bytes(data).split_off(k);
+    parts.iter().map(|p| p.to_vec()).chain(parity).collect()
+}
+
+/// The single-shard decode against the whole-set reconstruction, for
+/// every `k ∈ 1..=16`, `r ∈ 1..=4`, file lengths 0, 1 and ragged, and
+/// every erasure pattern of at most `r` shards: each erased data shard
+/// decoded from the unpadded views is both the partition the writer
+/// stored and the prefix of what `reconstruct` rebuilds from the padded
+/// shards.
+#[test]
+fn decode_shard_equals_reconstruct_for_every_erasure_pattern() {
+    for k in 1..=16usize {
+        for r in 1..=4usize {
+            let n = k + r;
+            let rs = ReedSolomon::new_cauchy(k, n);
+            for len in [0, 1, 3 * k + k / 2 + 1] {
+                let data: Vec<u8> = (0..len).map(|i| (i * 37 + k * 11 + r) as u8).collect();
+                let padded = rs.encode_bytes(&data);
+                let views = stored_views(&rs, &data);
+                for mask in 0u32..(1 << n) {
+                    let lost = |i: usize| mask & (1 << i) != 0;
+                    if mask.count_ones() as usize > r || !(0..k).any(lost) {
+                        continue;
+                    }
+                    let mut whole: Vec<Option<Vec<u8>>> = (0..n)
+                        .map(|i| (!lost(i)).then(|| padded[i].clone()))
+                        .collect();
+                    rs.reconstruct(&mut whole).unwrap();
+                    let held: Vec<Option<&[u8]>> = (0..n)
+                        .map(|i| (!lost(i)).then_some(&views[i][..]))
+                        .collect();
+                    for j in (0..k).filter(|&j| lost(j)) {
+                        let mut out = vec![0xA5; views[j].len()];
+                        rs.decode_shard(&held, j, &mut out).unwrap();
+                        let rebuilt = whole[j].as_ref().unwrap();
+                        assert_eq!(out, views[j], "k={k} r={r} len={len} mask={mask:b} j={j}");
+                        assert_eq!(out[..], rebuilt[..out.len()], "k={k} r={r} len={len}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn decode_shard_refuses_too_few_views() {
+    let rs = ReedSolomon::new_cauchy(3, 5);
+    let views = stored_views(&rs, b"ten bytes!");
+    let held = [None, None, None, Some(&views[3][..]), Some(&views[4][..])];
+    let mut out = [0u8; 4];
+    assert_eq!(
+        rs.decode_shard(&held, 0, &mut out),
+        Err(RsError::TooFewShards { present: 2, needed: 3 })
+    );
+    assert_eq!(
+        rs.decode_shard(&held[..4], 0, &mut out),
+        Err(RsError::WrongShardCount { got: 4, expected: 5 })
+    );
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -152,6 +220,18 @@ proptest! {
         // Every shard (parity included) is restored byte-identically.
         for (i, sh) in partial.iter().enumerate() {
             prop_assert_eq!(sh.as_ref().unwrap(), &shards[i], "shard {}", i);
+        }
+        // The same k, as the unpadded views a reader holds, decode every
+        // data shard in place.
+        let views = stored_views(&rs, &data);
+        let mut held: Vec<Option<&[u8]>> = vec![None; n];
+        for &i in order.iter().take(k) {
+            held[i] = Some(&views[i]);
+        }
+        for (j, view) in views.iter().take(k).enumerate() {
+            let mut out = vec![0xA5; view.len()];
+            rs.decode_shard(&held, j, &mut out).unwrap();
+            prop_assert_eq!(&out, view, "data shard {}", j);
         }
     }
 

@@ -131,6 +131,16 @@ impl Frame {
     }
 }
 
+/// The `req_id` of a frame whose header (the [`HEADER_LEN`] bytes after
+/// the length prefix) announces a worker `Data` reply of this wire
+/// version — the one reply whose payload may land in place; `None` for
+/// any other header.
+pub fn data_reply_id(header: &[u8]) -> Option<u64> {
+    let header: &[u8; HEADER_LEN] = header.try_into().ok()?;
+    (header[0] == WIRE_VERSION && header[1] == OP_R_DATA)
+        .then(|| u64::from_le_bytes(header[2..].try_into().expect("8 bytes")))
+}
+
 /// Bounds-checked reader over a frame buffer. Payload reads return
 /// [`Bytes::slice`] views (zero-copy); every accessor fails with a
 /// codec error instead of reading past the end.

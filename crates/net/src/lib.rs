@@ -13,13 +13,15 @@
 //!   DESIGN.md §4.10),
 //! * [`poll`] — the event-loop building blocks (DESIGN.md §4.12): an
 //!   incremental [`poll::FrameReader`] for non-blocking sockets reading
-//!   through its loop's one [`poll::ReadBuf`], a batching
+//!   through its loop's one [`poll::ReadBuf`] and filling every frame
+//!   body — or a read's landing region — by `read(2)`, a batching
 //!   [`poll::WriteQueue`] that gathers pipelined frames into single
 //!   `writev` calls, a [`poll::Timers`] heap for delayed completions,
 //!   and [`poll::serve`], the one server event loop both servers run,
 //! * [`tcp::TcpTransport`] — the client side: readiness-driven shard
 //!   loops multiplexing every worker connection, with per-connection
-//!   request-id multiplexing, frame batching and a
+//!   request-id multiplexing, frame batching, reply payloads landed in
+//!   the reader's output, and a
 //!   `RetryPolicy`-derived deadline per request that leaves with its
 //!   reply,
 //! * [`server::WorkerServer`] — the `spcached` worker: the store's

@@ -11,12 +11,16 @@
 //! [`FrameReader`] with adversarial split points without a socket in
 //! sight). [`serve`] is the one server loop: [`crate::server`] and
 //! [`crate::master_net`] each hand it a frame handler and nothing else.
+//!
+//! The raw-FFI `sys` module holds this crate's `unsafe`: `read(2)` into
+//! a frame body's uninitialised memory (the one way a body is filled
+//! from a socket), `writev(2)`, and the socket and allocator tuning.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::os::fd::AsFd;
+use std::os::fd::{AsFd, BorrowedFd};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -24,6 +28,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use mio::{Events, Interest, Poll, Token, Waker};
+use spcache_store::landing::Claim;
 
 use crate::frame::{HEADER_LEN, MAX_FRAME};
 
@@ -71,98 +76,126 @@ pub enum PumpStatus {
     Closed,
 }
 
-/// A frame whose length is known but whose body is still arriving; the
-/// remainder is read straight into the exact-size buffer, so a frame
-/// spanning many chunks costs one kernel→user copy total.
-///
-/// The buffer grows in zeroed steps of [`FILL_STEP`] just ahead of the
-/// read cursor instead of being zeroed to `len` up front: for
-/// multi-megabyte frames an up-front `vec![0; len]` pays a full
-/// memset pass whenever the allocator recycles a dirty block, one
-/// extra sweep over every payload byte received.
-struct Partial {
-    /// Target body length.
-    len: usize,
-    /// Body bytes received so far; `buf.len()` ≥ `filled` always.
-    filled: usize,
-    buf: Vec<u8>,
-}
-
-/// Zeroed-growth step for [`Partial`] buffers (must be ≥ 1). Larger
-/// than [`READ_CHUNK`]: once a frame's length is known, each `read`
-/// may drain up to a full socket buffer in one syscall, while the step
-/// stays small enough that the zero-then-overwrite window is still
-/// cache-resident.
-const FILL_STEP: usize = 1 << 20;
-
-impl Partial {
-    fn with_capacity(len: usize) -> Self {
-        Partial {
-            len,
-            filled: 0,
-            buf: Vec::with_capacity(len),
-        }
-    }
-
-    /// Appends the next `data` bytes of the body (caller guarantees it
-    /// fits). Returns the completed body when `len` is reached.
-    fn extend(&mut self, data: &[u8]) -> Option<Vec<u8>> {
-        debug_assert!(self.filled + data.len() <= self.len);
-        self.buf.truncate(self.filled);
-        self.buf.extend_from_slice(data);
-        self.filled += data.len();
-        self.complete()
-    }
-
-    /// The zeroed, not-yet-filled window the next `read` may land in.
-    fn window(&mut self) -> &mut [u8] {
-        let grow = (self.filled + FILL_STEP).min(self.len);
-        if self.buf.len() < grow {
-            self.buf.resize(grow, 0);
-        }
-        &mut self.buf[self.filled..]
-    }
-
-    /// Marks `n` bytes of the window as filled; returns the completed
-    /// body when `len` is reached.
-    fn advance(&mut self, n: usize) -> Option<Vec<u8>> {
-        self.filled += n;
-        debug_assert!(self.filled <= self.buf.len());
-        self.complete()
-    }
-
-    fn complete(&mut self) -> Option<Vec<u8>> {
-        if self.filled == self.len {
-            let mut buf = std::mem::take(&mut self.buf);
-            buf.truncate(self.len);
-            Some(buf)
-        } else {
-            None
-        }
+/// A byte stream a [`FrameReader`] drains. Between frames it is read
+/// through the loop's [`ReadBuf`]; the body of a frame that outlasts a
+/// read is filled by one routine, `read(2)` from [`fd`](Source::fd)
+/// straight into the body's own uninitialised memory. A source without
+/// a descriptor (an in-memory script) fills bodies through the
+/// `ReadBuf` instead, one copy more.
+pub trait Source: Read {
+    /// The descriptor frame bodies are read from, if any.
+    fn fd(&self) -> Option<BorrowedFd<'_>> {
+        None
     }
 }
+
+impl Source for TcpStream {
+    fn fd(&self) -> Option<BorrowedFd<'_>> {
+        cfg!(unix).then(|| self.as_fd())
+    }
+}
+
+/// Where a pump's completed frames go — and, for a client, which reply
+/// payloads land in place instead of in a buffer of their own.
+pub trait Inbound {
+    /// A frame completed in a buffer of exactly its length (the bytes
+    /// after the length prefix).
+    fn frame(&mut self, body: Bytes);
+
+    /// Offers a place for the `len`-byte payload of the frame whose
+    /// header (the [`HEADER_LEN`] bytes after the length prefix) is
+    /// `header`: a claim on exactly `len` bytes and a tag handed back
+    /// with it to [`landed`](Inbound::landed), or `None` for a buffer of
+    /// its own. The default lands nothing.
+    fn offer(&mut self, header: &[u8], len: usize) -> Option<(u64, Claim)> {
+        let _ = (header, len);
+        None
+    }
+
+    /// A payload completed in the claim [`offer`](Inbound::offer) gave
+    /// with `tag`; the frame's header was read and dropped.
+    fn landed(&mut self, tag: u64, claim: Claim) {
+        let _ = (tag, claim);
+    }
+}
+
+impl Inbound for Vec<Bytes> {
+    fn frame(&mut self, body: Bytes) {
+        self.push(body);
+    }
+}
+
+/// The body of a frame whose head is read and whose remaining bytes are
+/// still arriving.
+enum Body {
+    /// An ordinary frame: header and payload in one buffer that ends at
+    /// exactly `len` bytes; its unfilled rest is uninitialised capacity.
+    Frame { buf: Vec<u8>, len: usize },
+    /// A reply payload landing in place.
+    Landing { tag: u64, claim: Claim },
+}
+
+impl Body {
+    fn remaining(&self) -> usize {
+        match self {
+            Body::Frame { buf, len } => len - buf.len(),
+            Body::Landing { claim, .. } => claim.remaining(),
+        }
+    }
+
+    /// Appends the next bytes, from a read of the loop's buffer.
+    fn put(&mut self, src: &[u8]) {
+        match self {
+            Body::Frame { buf, .. } => buf.extend_from_slice(src),
+            Body::Landing { claim, .. } => claim.put(src),
+        }
+    }
+
+    /// Reads the next bytes from `fd` straight into the unfilled rest.
+    fn read_from(&mut self, fd: BorrowedFd<'_>) -> io::Result<usize> {
+        match self {
+            Body::Frame { buf, len } => sys::read_to_vec(fd, buf, *len),
+            Body::Landing { claim, .. } => sys::read_to_claim(fd, claim),
+        }
+    }
+
+    /// Hands the completed body on.
+    fn finish(self, out: &mut impl Inbound) {
+        match self {
+            Body::Frame { buf, .. } => out.frame(Bytes::from(buf)),
+            Body::Landing { tag, claim } => out.landed(tag, claim),
+        }
+    }
+}
+
+/// A frame's head: its length prefix and header — what the reader must
+/// see before it decides where the frame's body goes.
+const HEAD: usize = 4 + HEADER_LEN;
 
 /// Incremental decoder for the length-prefixed wire framing, built for
 /// non-blocking sockets: each [`pump`](FrameReader::pump) call drains
-/// whatever the kernel has buffered and appends every completed frame
-/// (the bytes *after* the length prefix, same contract as
-/// [`crate::frame::read_frame`]) to the caller's vector.
+/// whatever the kernel has buffered and hands every completed frame (the
+/// bytes *after* the length prefix, same contract as
+/// [`crate::frame::read_frame`]) to the caller's [`Inbound`].
 ///
-/// Copy discipline: every frame is handed out in a buffer of exactly
-/// its own length, so whoever keeps it (a worker stores `Put` payloads
-/// for as long as they are resident) keeps those bytes and nothing
-/// else. A frame wholly contained in one read is copied out of the
-/// loop's [`ReadBuf`]; a frame straddling a read boundary is completed
-/// in its exact-size buffer, filled directly by subsequent `read`
-/// calls, so a frame spanning many reads still costs one kernel→user
-/// copy. Partial length prefixes (< 4 bytes at a read's tail) are
-/// buffered until the rest arrives.
+/// Copy discipline: every byte crosses from the kernel once. Once a
+/// frame's head is in hand its body has its final place — a buffer of
+/// exactly the frame's length, so whoever keeps it (a worker stores
+/// `Put` payloads for as long as they are resident) keeps those bytes
+/// and nothing else; or, for a reply payload the caller offers a
+/// [`Claim`] for, the caller's own memory (a client read's output). What
+/// the read that found the head held of the body is copied there out of
+/// the loop's [`ReadBuf`]; the rest is read straight into it by `read(2)`
+/// over uninitialised memory — never zeroed first. A head split across
+/// reads (< [`HEAD`] bytes at a read's tail) is buffered until the rest
+/// arrives.
 #[derive(Default)]
 pub struct FrameReader {
-    /// 0–3 bytes of a length prefix split across reads.
-    prefix: Vec<u8>,
-    /// In-progress frame body that did not fit its origin chunk.
-    partial: Option<Partial>,
+    /// The first bytes (fewer than [`HEAD`]) of a frame whose head a
+    /// read cut.
+    head: Vec<u8>,
+    /// The body of a frame that outlasted the read that found its head.
+    body: Option<Body>,
 }
 
 impl FrameReader {
@@ -171,10 +204,10 @@ impl FrameReader {
         Self::default()
     }
 
-    /// True if a frame (or its length prefix) is partially buffered —
-    /// EOF now would be mid-message, not a clean close.
+    /// True if a frame (or its head) is partially read — EOF now would
+    /// be mid-message, not a clean close.
     pub fn mid_frame(&self) -> bool {
-        !self.prefix.is_empty() || self.partial.is_some()
+        !self.head.is_empty() || self.body.is_some()
     }
 
     /// [`pump_with`](FrameReader::pump_with) through a buffer made for
@@ -183,12 +216,16 @@ impl FrameReader {
     /// # Errors
     ///
     /// See [`pump_with`](FrameReader::pump_with).
-    pub fn pump(&mut self, r: &mut impl Read, out: &mut Vec<Bytes>) -> io::Result<PumpStatus> {
+    pub fn pump(
+        &mut self,
+        r: &mut impl Source,
+        out: &mut impl Inbound,
+    ) -> io::Result<PumpStatus> {
         self.pump_with(&mut ReadBuf::new(), r, out)
     }
 
     /// Reads from `r` through the calling loop's `buf` until it would
-    /// block (or EOF), appending every completed frame to `out`.
+    /// block (or EOF), handing every completed frame to `out`.
     ///
     /// `WouldBlock` is not an error — it ends the pump with
     /// [`PumpStatus::Open`]. `Interrupted` reads are retried. The pump
@@ -199,23 +236,30 @@ impl FrameReader {
     ///
     /// `InvalidData` when a length prefix is below the minimum header
     /// size or above [`MAX_FRAME`]; `UnexpectedEof` when the stream
-    /// ends mid-frame; any other I/O error from `r`.
+    /// ends mid-frame (a payload landing in a claim then never lands);
+    /// any other I/O error from `r`.
     pub fn pump_with(
         &mut self,
         buf: &mut ReadBuf,
-        r: &mut impl Read,
-        out: &mut Vec<Bytes>,
+        r: &mut impl Source,
+        out: &mut impl Inbound,
     ) -> io::Result<PumpStatus> {
         loop {
-            // Finish an in-progress oversized/straddling frame first:
-            // its remainder reads straight into the exact buffer.
-            if let Some(p) = &mut self.partial {
-                match r.read(p.window()) {
+            // A frame that outlasted its first read: the rest goes
+            // straight into its body.
+            if let Some(body) = &mut self.body {
+                let read = match r.fd() {
+                    Some(fd) => body.read_from(fd),
+                    None => {
+                        let want = body.remaining().min(READ_CHUNK);
+                        r.read(&mut buf.0[..want]).inspect(|&n| body.put(&buf.0[..n]))
+                    }
+                };
+                match read {
                     Ok(0) => return Err(eof_mid_frame()),
-                    Ok(n) => {
-                        if let Some(body) = p.advance(n) {
-                            self.partial = None;
-                            out.push(Bytes::from(body));
+                    Ok(_) => {
+                        if body.remaining() == 0 {
+                            self.body.take().expect("a body").finish(out);
                         }
                         continue;
                     }
@@ -244,56 +288,67 @@ impl FrameReader {
         }
     }
 
-    /// Splits one freshly read chunk into complete frames (exact-size
-    /// copies) plus at most one trailing partial frame or prefix.
-    fn scan_chunk(&mut self, chunk: &[u8], out: &mut Vec<Bytes>) -> io::Result<()> {
+    /// Splits one freshly read chunk into frames: each starts once its
+    /// head is in hand and completes from the chunk if it can; the
+    /// chunk's last frame may leave as the body still arriving, or — cut
+    /// inside its head — as buffered head bytes.
+    fn scan_chunk(&mut self, chunk: &[u8], out: &mut impl Inbound) -> io::Result<()> {
         let mut pos = 0;
 
-        // A split length prefix from the previous chunk comes first.
-        if !self.prefix.is_empty() {
-            let need = 4 - self.prefix.len();
-            let take = need.min(chunk.len());
-            self.prefix.extend_from_slice(&chunk[..take]);
-            pos = take;
-            if self.prefix.len() < 4 {
-                return Ok(()); // still mid-prefix; wait for more bytes
+        // A head cut by the previous read comes first.
+        if !self.head.is_empty() {
+            pos = (HEAD - self.head.len()).min(chunk.len());
+            self.head.extend_from_slice(&chunk[..pos]);
+            if self.head.len() < HEAD {
+                return check_len(&self.head);
             }
-            let len = frame_len(&self.prefix)?;
-            self.prefix.clear();
-            pos += self.begin_frame(len, chunk, pos, out);
+            let head: [u8; HEAD] = self.head[..].try_into().expect("a whole head");
+            self.head.clear();
+            pos += self.begin(&head, &chunk[pos..], out)?;
         }
 
-        while chunk.len() - pos >= 4 {
-            let len = frame_len(&chunk[pos..pos + 4])?;
-            pos += 4;
-            if chunk.len() - pos >= len {
-                // Whole frame inside this chunk: it leaves with its own
-                // bytes, the chunk is about to be read over.
-                out.push(Bytes::copy_from_slice(&chunk[pos..pos + len]));
-                pos += len;
-            } else {
-                pos += self.begin_frame(len, chunk, pos, out);
-            }
+        while chunk.len() - pos >= HEAD {
+            let (head, rest) = chunk[pos..].split_at(HEAD);
+            pos += HEAD + self.begin(head, rest, out)?;
         }
-        if pos < chunk.len() {
-            self.prefix.extend_from_slice(&chunk[pos..]);
-        }
-        Ok(())
+        self.head.extend_from_slice(&chunk[pos..]);
+        check_len(&self.head)
     }
 
-    /// Starts collecting a frame of `len` body bytes whose tail is not
-    /// (necessarily) in `chunk`; copies whatever is available starting
-    /// at `pos` and returns how many chunk bytes were consumed.
-    fn begin_frame(&mut self, len: usize, chunk: &[u8], pos: usize, out: &mut Vec<Bytes>) -> usize {
-        let avail = chunk.len() - pos;
-        let take = avail.min(len);
-        let mut p = Partial::with_capacity(len);
-        match p.extend(&chunk[pos..pos + take]) {
-            Some(body) => out.push(Bytes::from(body)),
-            None => self.partial = Some(p),
+    /// Starts the frame whose head is `head`: its body goes where `out`
+    /// offers (a claim of exactly its payload's length) or into a buffer
+    /// of its own, takes what `rest` holds of it, and completes or waits.
+    /// Returns how many bytes of `rest` it took.
+    fn begin(&mut self, head: &[u8], rest: &[u8], out: &mut impl Inbound) -> io::Result<usize> {
+        let len = frame_len(head)?;
+        let (header, payload) = (&head[4..], len - HEADER_LEN);
+        let offered = out.offer(header, payload);
+        let mut body = match offered.filter(|(_, claim)| claim.remaining() == payload) {
+            Some((tag, claim)) => Body::Landing { tag, claim },
+            None => {
+                let mut buf = Vec::with_capacity(len);
+                buf.extend_from_slice(header);
+                Body::Frame { buf, len }
+            }
+        };
+        let take = payload.min(rest.len());
+        body.put(&rest[..take]);
+        if body.remaining() == 0 {
+            body.finish(out);
+        } else {
+            self.body = Some(body);
         }
-        take
+        Ok(take)
     }
+}
+
+/// Checks the length prefix of a cut head as soon as all four bytes are
+/// in: a lying length poisons the connection at once.
+fn check_len(head: &[u8]) -> io::Result<()> {
+    if head.len() >= 4 {
+        frame_len(head)?;
+    }
+    Ok(())
 }
 
 fn frame_len(prefix: &[u8]) -> io::Result<usize> {
@@ -467,13 +522,16 @@ impl WriteQueue {
 
 #[cfg(unix)]
 mod sys {
-    //! Raw `writev` / `setsockopt` bindings — std exposes no
-    //! vectored-write API for `TcpStream` slices without the
-    //! `io-slice` adaptors allocating, and no socket-buffer control at
-    //! all; the container has no libc crate, but std already links
-    //! libc so the symbols resolve.
+    //! Raw `read` / `writev` / `setsockopt` bindings — std reads only
+    //! into initialised `&mut [u8]`, exposes no vectored-write API for
+    //! `TcpStream` slices without the `io-slice` adaptors allocating, and
+    //! no socket-buffer control at all; the build has no libc crate, but
+    //! std already links libc so the symbols resolve.
     use std::io::{self, Write};
-    use std::os::fd::{AsFd, AsRawFd};
+    use std::mem::MaybeUninit;
+    use std::os::fd::{AsFd, AsRawFd, BorrowedFd};
+
+    use spcache_store::landing::Claim;
 
     #[repr(C)]
     struct IoVec {
@@ -482,6 +540,8 @@ mod sys {
     }
 
     extern "C" {
+        #[link_name = "read"]
+        fn c_read(fd: i32, buf: *mut u8, count: usize) -> isize;
         #[link_name = "writev"]
         fn c_writev(fd: i32, iov: *const IoVec, iovcnt: i32) -> isize;
         #[link_name = "setsockopt"]
@@ -537,6 +597,42 @@ mod sys {
         }
     }
 
+    /// `read(2)` into possibly uninitialised memory — the one routine
+    /// that fills a frame body from a socket.
+    fn read_uninit(fd: BorrowedFd<'_>, dst: &mut [MaybeUninit<u8>]) -> io::Result<usize> {
+        // SAFETY: `dst` is a live, exclusively borrowed buffer of
+        // `dst.len()` bytes; read(2) writes at most that many bytes into
+        // it and touches nothing else.
+        let rc = unsafe { c_read(fd.as_raw_fd(), dst.as_mut_ptr().cast(), dst.len()) };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        let n = rc as usize;
+        assert!(n <= dst.len(), "read(2) reported more than it was given");
+        Ok(n)
+    }
+
+    /// Reads the next bytes of a frame buffer that ends at `len` bytes
+    /// into its spare capacity.
+    pub(super) fn read_to_vec(fd: BorrowedFd<'_>, buf: &mut Vec<u8>, len: usize) -> io::Result<usize> {
+        let want = len - buf.len();
+        let n = read_uninit(fd, &mut buf.spare_capacity_mut()[..want])?;
+        // SAFETY: read(2) initialised the first `n` (≤ `want`) bytes of
+        // the spare capacity, which starts at `buf.len()`.
+        unsafe { buf.set_len(buf.len() + n) };
+        Ok(n)
+    }
+
+    /// Reads the next bytes of a landing payload straight into its
+    /// region.
+    pub(super) fn read_to_claim(fd: BorrowedFd<'_>, claim: &mut Claim) -> io::Result<usize> {
+        let n = read_uninit(fd, claim.spare())?;
+        // SAFETY: read(2) initialised the first `n` bytes of the spare
+        // region `claim.spare()` returned just above.
+        unsafe { claim.advance(n) };
+        Ok(n)
+    }
+
     /// Gather-writes `slices` to `w`'s file descriptor in one syscall.
     pub(super) fn writev<W: Write + AsFd>(w: &mut W, slices: &[&[u8]]) -> io::Result<usize> {
         let iov: Vec<IoVec> = slices
@@ -561,10 +657,21 @@ mod sys {
 #[cfg(not(unix))]
 mod sys {
     //! Portable fallback: sequential `write` calls (one per slice,
-    //! stopping at the first short write to preserve writev semantics)
-    //! and no socket-buffer tuning.
+    //! stopping at the first short write to preserve writev semantics),
+    //! no socket-buffer tuning, and no raw reads — a `TcpStream` offers
+    //! no descriptor here, so frame bodies fill through the read buffer.
     use std::io::{self, Write};
-    use std::os::fd::AsFd;
+    use std::os::fd::{AsFd, BorrowedFd};
+
+    use spcache_store::landing::Claim;
+
+    pub(super) fn read_to_vec(_: BorrowedFd<'_>, _: &mut Vec<u8>, _: usize) -> io::Result<usize> {
+        Err(io::ErrorKind::Unsupported.into())
+    }
+
+    pub(super) fn read_to_claim(_: BorrowedFd<'_>, _: &mut Claim) -> io::Result<usize> {
+        Err(io::ErrorKind::Unsupported.into())
+    }
 
     pub(super) fn writev<W: Write + AsFd>(w: &mut W, slices: &[&[u8]]) -> io::Result<usize> {
         let mut total = 0;
@@ -1130,7 +1237,8 @@ impl<K: Ord> Default for Timers<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{encode_reply, encode_request};
+    use crate::frame::{decode_reply, encode_reply, encode_request, Frame};
+    use spcache_store::landing::{Landing, Region};
     use spcache_store::rpc::{PartKey, Reply, Request};
     use std::time::Duration;
 
@@ -1175,6 +1283,17 @@ mod tests {
             buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
             self.pos += n;
             Ok(n)
+        }
+    }
+
+    impl Source for Script {}
+
+    impl Source for &[u8] {}
+
+    /// A socket pair fills bodies the way a TCP connection does.
+    impl Source for std::os::unix::net::UnixStream {
+        fn fd(&self) -> Option<BorrowedFd<'_>> {
+            Some(self.as_fd())
         }
     }
 
@@ -1335,6 +1454,112 @@ mod tests {
             assert_eq!((a.len(), b.len()), (HEADER_LEN + 100 + round, a.len()));
             assert!(a.iter().all(|&x| x == round as u8), "round {round}");
             assert!(b.iter().all(|&x| x == !(round as u8)), "round {round}");
+        }
+    }
+
+    /// A client's view of its replies: a `Data` reply whose `req_id`
+    /// has a region here lands in it.
+    #[derive(Default)]
+    struct Lands {
+        regions: HashMap<u64, Region>,
+        frames: Vec<Bytes>,
+        landed: Vec<u64>,
+    }
+
+    impl Inbound for Lands {
+        fn frame(&mut self, body: Bytes) {
+            self.frames.push(body);
+        }
+
+        fn offer(&mut self, header: &[u8], len: usize) -> Option<(u64, Claim)> {
+            let id = crate::frame::data_reply_id(header)?;
+            Some((id, self.regions.get(&id)?.claim(len)?))
+        }
+
+        fn landed(&mut self, id: u64, claim: Claim) {
+            assert!(claim.land(), "an unfinished payload handed out");
+            self.landed.push(id);
+        }
+    }
+
+    fn data_reply(bytes: &[u8], req_id: u64) -> Vec<u8> {
+        encode_reply(&Reply::Data(Bytes::from(bytes.to_vec())), req_id)
+    }
+
+    #[test]
+    fn a_landed_payload_is_read_from_the_socket_into_its_region() {
+        use std::os::unix::net::UnixStream;
+        // Bodies far larger than a read: every byte past the first read
+        // of each frame goes through `read(2)` — into the region for the
+        // landed reply, into the exact-size buffer for the others.
+        let file: Vec<u8> = (0..700_000u32).map(|i| (i * 13) as u8).collect();
+        let landing = Landing::new(file.len(), 2);
+        let (a, b) = (landing.range(0), landing.range(1));
+        let mut wire = data_reply(&file[a.clone()], 1);
+        let long = [&file[b.clone()], &[0][..]].concat();
+        wire.extend(data_reply(&long, 2));
+        let put = Request::Put { key: PartKey::new(4, 0), data: Bytes::from(file[b].to_vec()), sum: 9 };
+        wire.extend(encode_request(&put, 3));
+
+        let (mut tx, mut rx) = UnixStream::pair().unwrap();
+        rx.set_nonblocking(true).unwrap();
+        let writer = std::thread::spawn(move || tx.write_all(&wire));
+        let mut lands = Lands::default();
+        for j in 0..2 {
+            lands.regions.insert(j as u64 + 1, landing.region(j).unwrap());
+        }
+        let (mut reader, mut buf) = (FrameReader::new(), ReadBuf::new());
+        // The writer closes its end after the last frame.
+        while reader.pump_with(&mut buf, &mut rx, &mut lands).unwrap() == PumpStatus::Open {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        writer.join().unwrap().unwrap();
+        assert_eq!(lands.landed, vec![1], "only the right-length reply lands");
+        let long_reply = Frame::parse(lands.frames[0].clone()).unwrap();
+        assert_eq!(decode_reply(&long_reply).unwrap(), Reply::Data(Bytes::from(long)));
+        let put_frame = Frame::parse(lands.frames[1].clone()).unwrap();
+        assert_eq!(crate::frame::decode_request(&put_frame).unwrap(), put);
+        drop(lands);
+        let mut landing = landing;
+        assert!(landing.accept(0));
+        assert!(!landing.accept(1), "a 1-byte-long reply landed");
+        landing.place(1, Bytes::from(file[landing.range(1)].to_vec()));
+        assert_eq!(landing.into_vec(), file);
+    }
+
+    #[test]
+    fn eof_inside_a_landing_payload_is_unexpected_eof_and_never_lands() {
+        let mut landing = Landing::new(100_000, 1);
+        let wire = data_reply(&vec![5; 100_000], 7);
+        for cut in [HEAD - 1, HEAD, HEAD + 1, 70_000, wire.len() - 1] {
+            let mut lands = Lands::default();
+            lands.regions.insert(7, landing.region(0).unwrap());
+            let mut s = Script::new(wire[..cut].to_vec(), vec![], true);
+            let mut reader = FrameReader::new();
+            let err = reader.pump(&mut s, &mut lands).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
+            drop(reader);
+            assert!(lands.landed.is_empty() && lands.frames.is_empty());
+            assert!(!landing.accept(0), "a torn payload landed (cut at {cut})");
+        }
+        // The torn claims were released: the whole reply lands.
+        let mut lands = Lands::default();
+        lands.regions.insert(7, landing.region(0).unwrap());
+        let status = FrameReader::new().pump(&mut &wire[..], &mut lands).unwrap();
+        assert_eq!((status, lands.landed), (PumpStatus::Closed, vec![7]));
+    }
+
+    #[test]
+    fn a_data_reply_of_the_wrong_length_does_not_land() {
+        let mut landing = Landing::new(100, 1);
+        for len in [0, 99, 101] {
+            let wire = data_reply(&vec![1; len], 3);
+            let mut lands = Lands::default();
+            lands.regions.insert(3, landing.region(0).unwrap());
+            FrameReader::new().pump(&mut &wire[..], &mut lands).unwrap();
+            assert!(lands.landed.is_empty(), "a {len}-byte reply landed in 100 bytes");
+            assert_eq!(lands.frames, vec![Bytes::from(wire[4..].to_vec())]);
+            assert!(!landing.accept(0));
         }
     }
 

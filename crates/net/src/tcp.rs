@@ -18,8 +18,20 @@
 //! frames are decoded incrementally off non-blocking reads
 //! ([`crate::poll::FrameReader`]). A burst of pipelined requests —
 //! e.g. the fork-join fan-out submitting k partition reads at once via
-//! [`Transport::submit_batch`] — shares one syscall round instead of
+//! [`Transport::submit_landing`] — shares one syscall round instead of
 //! paying one write and one thread handoff each.
+//!
+//! Inbound, a reply crosses user space once. A partition `Get` of a
+//! contiguous read rides with its [`Region`] of the read's output; when
+//! the frame header of its `Data` reply shows a payload of exactly the
+//! region's length, the loop claims the region, copies in what the read
+//! that found the header held, reads the rest from the socket straight
+//! into it, lands it, and answers the request with an empty `Data` —
+//! the bytes are already where the reader wants them. A reply of any
+//! other length, or for a region taken meanwhile, is read into a buffer
+//! of its own as before. A request reaped while its payload is half
+//! landed stops owning the region: the loop finishes reading the frame
+//! off the socket (framing depends on it) and frees the region unlanded.
 //!
 //! Failure mapping (the wire-level half of the retry story):
 //!
@@ -43,6 +55,7 @@
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
 use mio::{Events, Interest, Poll, Token, Waker};
 use parking_lot::Mutex;
+use spcache_store::landing::{Claim, Region};
 use spcache_store::rpc::{Reply, Request, StoreError};
 use spcache_store::transport::Transport;
 use std::collections::{HashMap, VecDeque};
@@ -54,8 +67,8 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
-use crate::frame::{decode_reply, encode_request_parts, Frame};
-use crate::poll::{FrameReader, PumpStatus, ReadBuf, WireFrame, WriteQueue};
+use crate::frame::{data_reply_id, decode_reply, encode_request_parts, Frame};
+use crate::poll::{FrameReader, Inbound, PumpStatus, ReadBuf, WireFrame, WriteQueue};
 
 /// Token reserved for the shard's cross-thread waker.
 const WAKER: Token = Token(0);
@@ -76,13 +89,30 @@ enum Cmd {
         frame: WireFrame,
         /// Reap the pending entry with `Timeout` at this instant.
         reap_at: Instant,
-        reply: Sender<Reply>,
+        waiter: Waiter,
     },
     /// Drain and exit (transport drop).
     Shutdown,
     /// Report how many deadlines the loop still holds.
     #[cfg(test)]
     Deadlines(Sender<usize>),
+}
+
+/// Who waits for one request's reply: its one-shot route, and the region
+/// its `Data` payload may land in.
+struct Waiter {
+    reply: Sender<Reply>,
+    region: Option<Region>,
+}
+
+impl Waiter {
+    /// Answers the request. The region handle is dropped first, so a
+    /// reader holding every reply of its read finds no loop still holding
+    /// its output.
+    fn answer(self, reply: Reply) {
+        drop(self.region);
+        let _ = self.reply.send(reply);
+    }
 }
 
 /// Peer state shared between submitters and the owning shard: the
@@ -213,9 +243,14 @@ impl TcpTransport {
     }
 
     /// Hands one request to `worker`'s shard (fresh `req_id`,
-    /// parts-encoded frame, reap deadline) without waking it, and
-    /// returns the reply receiver.
-    fn enqueue(&self, worker: usize, req: &Request) -> Result<Receiver<Reply>, StoreError> {
+    /// parts-encoded frame, reap deadline, landing region) without waking
+    /// it, and returns the reply receiver.
+    fn enqueue(
+        &self,
+        worker: usize,
+        req: &Request,
+        region: Option<Region>,
+    ) -> Result<Receiver<Reply>, StoreError> {
         self.ensure_connected(worker)?;
         let req_id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = bounded(1);
@@ -224,7 +259,7 @@ impl TcpTransport {
             req_id,
             frame: encode_request_parts(req, req_id),
             reap_at: Instant::now() + self.deadline * 2,
-            reply: tx,
+            waiter: Waiter { reply: tx, region },
         };
         self.shard_of(worker)
             .tx
@@ -266,24 +301,32 @@ impl Transport for TcpTransport {
 
     fn submit(&self, worker: usize, req: Request) -> Result<Receiver<Reply>, StoreError> {
         self.check_workers(std::iter::once(worker))?;
-        let rx = self.enqueue(worker, &req)?;
+        let rx = self.enqueue(worker, &req, None)?;
         let _ = self.shard_of(worker).waker.wake();
         Ok(rx)
+    }
+
+    fn submit_batch(
+        &self,
+        reqs: Vec<(usize, Request)>,
+    ) -> Result<Vec<Receiver<Reply>>, StoreError> {
+        self.submit_landing(reqs.into_iter().map(|(w, req)| (w, req, None)).collect())
     }
 
     /// Batched submission: every frame reaches its shard before a
     /// single wake per shard, so the loop flushes the whole burst in
     /// shared `writev` calls — this is what makes a k-way fork-join
-    /// read one syscall round instead of k.
-    fn submit_batch(
+    /// read one syscall round instead of k. A request's region travels
+    /// with it to the loop that reads its reply.
+    fn submit_landing(
         &self,
-        reqs: Vec<(usize, Request)>,
+        reqs: Vec<(usize, Request, Option<Region>)>,
     ) -> Result<Vec<Receiver<Reply>>, StoreError> {
-        self.check_workers(reqs.iter().map(|&(w, _)| w))?;
+        self.check_workers(reqs.iter().map(|&(w, ..)| w))?;
         let mut receivers = Vec::with_capacity(reqs.len());
         let mut woken = vec![false; self.shards.len()];
-        for (worker, req) in reqs {
-            receivers.push(self.enqueue(worker, &req)?);
+        for (worker, req, region) in reqs {
+            receivers.push(self.enqueue(worker, &req, region)?);
             woken[worker % self.shards.len()] = true;
         }
         for (i, fire) in woken.into_iter().enumerate() {
@@ -316,16 +359,47 @@ struct Conn {
     stream: TcpStream,
     reader: FrameReader,
     wq: WriteQueue,
-    pending: HashMap<u64, Sender<Reply>>,
+    pending: HashMap<u64, Waiter>,
     /// Whether the socket is currently registered for write readiness.
     writable_armed: bool,
 }
 
 impl Conn {
+    /// Fails every request in flight. The reader goes first: a payload
+    /// it was landing never lands, and its claim is released before any
+    /// caller hears of the failure.
     fn fail_all(&mut self, err: &StoreError) {
-        for (_, tx) in self.pending.drain() {
-            let _ = tx.send(Reply::Err(err.clone()));
+        self.reader = FrameReader::new();
+        for (_, waiter) in self.pending.drain() {
+            waiter.answer(Reply::Err(err.clone()));
         }
+    }
+}
+
+/// One pump's view of a connection's replies: frames completed in
+/// buffers of their own, and `Data` payloads landed in the regions their
+/// requests rode with.
+struct Replies<'a> {
+    pending: &'a HashMap<u64, Waiter>,
+    frames: &'a mut Vec<Bytes>,
+    landed: &'a mut Vec<(u64, Claim)>,
+}
+
+impl Inbound for Replies<'_> {
+    fn frame(&mut self, body: Bytes) {
+        self.frames.push(body);
+    }
+
+    /// A `Data` reply to a request still waiting with a region of exactly
+    /// this payload's length, free, lands there.
+    fn offer(&mut self, header: &[u8], len: usize) -> Option<(u64, Claim)> {
+        let req_id = data_reply_id(header)?;
+        let region = self.pending.get(&req_id)?.region.as_ref()?;
+        Some((req_id, region.claim(len)?))
+    }
+
+    fn landed(&mut self, req_id: u64, claim: Claim) {
+        self.landed.push((req_id, claim));
     }
 }
 
@@ -375,7 +449,8 @@ fn shard_loop(mut poll: Poll, rx: Receiver<Cmd>, peers: &[PeerShared]) {
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut deadlines = Deadlines::new();
     let mut buf = ReadBuf::new();
-    let mut inbound: Vec<Bytes> = Vec::new();
+    let mut frames: Vec<Bytes> = Vec::new();
+    let mut landed: Vec<(u64, Claim)> = Vec::new();
 
     'run: loop {
         let timeout = next_reap(&mut deadlines, &conns)
@@ -414,10 +489,10 @@ fn shard_loop(mut poll: Poll, rx: Receiver<Cmd>, peers: &[PeerShared]) {
                     req_id,
                     frame,
                     reap_at,
-                    reply,
+                    waiter,
                 }) => match conns.get_mut(&worker) {
                     Some(conn) => {
-                        conn.pending.insert(req_id, reply);
+                        conn.pending.insert(req_id, waiter);
                         conn.wq.push(frame);
                         deadlines.push_back((reap_at, worker, req_id));
                         if !dirty.contains(&worker) {
@@ -426,9 +501,7 @@ fn shard_loop(mut poll: Poll, rx: Receiver<Cmd>, peers: &[PeerShared]) {
                     }
                     // The connection died between submit and delivery;
                     // a retryable error sends the caller back around.
-                    None => {
-                        let _ = reply.send(Reply::Err(StoreError::Io(worker)));
-                    }
+                    None => waiter.answer(Reply::Err(StoreError::Io(worker))),
                 },
                 Ok(Cmd::Shutdown) | Err(TryRecvError::Disconnected) => break 'run,
                 #[cfg(test)]
@@ -451,7 +524,7 @@ fn shard_loop(mut poll: Poll, rx: Receiver<Cmd>, peers: &[PeerShared]) {
                 continue;
             };
             if ev.is_readable() || ev.is_error() {
-                if let Some(death) = pump_replies(conn, worker, &mut buf, &mut inbound) {
+                if let Some(death) = pump_replies(conn, worker, &mut buf, &mut frames, &mut landed) {
                     kill_conn(&poll, &mut conns, peers, worker, &death);
                     continue;
                 }
@@ -482,8 +555,10 @@ fn shard_loop(mut poll: Poll, rx: Receiver<Cmd>, peers: &[PeerShared]) {
             let waiting = conns
                 .get_mut(&worker)
                 .and_then(|c| c.pending.remove(&req_id));
-            if let Some(tx) = waiting {
-                let _ = tx.send(Reply::Err(StoreError::Timeout(worker)));
+            // A payload half landed for it finds no waiter when its frame
+            // ends, and frees its region unlanded.
+            if let Some(waiter) = waiting {
+                waiter.answer(Reply::Err(StoreError::Timeout(worker)));
             }
         }
     }
@@ -498,20 +573,39 @@ fn shard_loop(mut poll: Poll, rx: Receiver<Cmd>, peers: &[PeerShared]) {
 }
 
 /// Pumps a readable connection and routes every decoded reply to its
-/// waiting receiver. Returns the connection's cause of death, if any.
+/// waiting receiver; a payload that landed in its region publishes the
+/// region first and answers with an empty `Data`. Returns the
+/// connection's cause of death, if any.
 fn pump_replies(
     conn: &mut Conn,
     worker: usize,
     buf: &mut ReadBuf,
-    inbound: &mut Vec<Bytes>,
+    frames: &mut Vec<Bytes>,
+    landed: &mut Vec<(u64, Claim)>,
 ) -> Option<StoreError> {
-    inbound.clear();
-    let status = conn.reader.pump_with(buf, &mut conn.stream, inbound);
-    for buf in inbound.drain(..) {
+    frames.clear();
+    let mut replies = Replies {
+        pending: &conn.pending,
+        frames: &mut *frames,
+        landed: &mut *landed,
+    };
+    let status = conn.reader.pump_with(buf, &mut conn.stream, &mut replies);
+    for (req_id, claim) in landed.drain(..) {
+        // Reaped meanwhile: the claim drops unlanded.
+        if let Some(waiter) = conn.pending.remove(&req_id) {
+            let reply = if claim.land() {
+                Reply::Data(Bytes::new())
+            } else {
+                Reply::Err(StoreError::Io(worker))
+            };
+            waiter.answer(reply);
+        }
+    }
+    for buf in frames.drain(..) {
         match Frame::parse(buf).and_then(|f| decode_reply(&f).map(|r| (f.req_id, r))) {
             Ok((req_id, reply)) => {
-                if let Some(tx) = conn.pending.remove(&req_id) {
-                    let _ = tx.send(reply);
+                if let Some(waiter) = conn.pending.remove(&req_id) {
+                    waiter.answer(reply);
                 }
             }
             // A malformed reply poisons the whole stream (framing is
@@ -571,6 +665,7 @@ fn kill_conn(
 mod tests {
     use super::*;
     use crate::frame::{encode_reply, read_frame, write_frame};
+    use spcache_store::landing::Landing;
     use spcache_store::rpc::PartKey;
     use std::net::TcpListener;
 
@@ -766,6 +861,87 @@ mod tests {
             "reaped only after {waited:?}"
         );
         assert_eq!(t.deadlines_held(), 0);
+        drop(t);
+        server.join().unwrap();
+    }
+
+    fn file(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 31 + 5) as u8).collect()
+    }
+
+    #[test]
+    fn a_data_reply_lands_in_its_region_and_arrives_without_bytes() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let data = file(200_001);
+        let mut landing = Landing::new(data.len(), 2);
+        let (r0, r1) = (landing.range(0), landing.range(1));
+        // Part 0 comes back exact, part 1 one byte long.
+        let replies = [data[r0].to_vec(), [&data[r1.clone()], &[9][..]].concat()];
+        let long = replies[1].clone();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            for body in replies {
+                let get = Frame::parse(read_frame(&mut stream).unwrap().unwrap()).unwrap();
+                let wire = encode_reply(&Reply::Data(Bytes::from(body)), get.req_id);
+                write_frame(&mut stream, &wire).unwrap();
+            }
+            let _ = read_frame(&mut stream);
+        });
+        let t = TcpTransport::connect(vec![addr]);
+        let get = |j| Request::Get { key: PartKey::new(1, j) };
+        let routes = t
+            .submit_landing(vec![(0, get(0), landing.region(0)), (0, get(1), landing.region(1))])
+            .unwrap();
+        let wait = Duration::from_secs(5);
+        assert_eq!(routes[0].recv_timeout(wait).unwrap(), Reply::Data(Bytes::new()));
+        assert!(landing.accept(0), "the reply came back empty but its region is not landed");
+        assert_eq!(routes[1].recv_timeout(wait).unwrap(), Reply::Data(Bytes::from(long)));
+        assert!(!landing.accept(1), "a reply one byte long landed");
+        landing.place(1, Bytes::from(data[r1].to_vec()));
+        assert_eq!(landing.into_vec(), data);
+        drop(t);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_reply_reaped_while_half_landed_never_reaches_the_file() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let data = file(300_000);
+        let (go, went) = unbounded::<()>();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let get = Frame::parse(read_frame(&mut stream).unwrap().unwrap()).unwrap();
+            // A reply of the right length with the wrong bytes, torn in
+            // two by a stall longer than the reap deadline.
+            let wire = encode_reply(&Reply::Data(Bytes::from(vec![0xEE; 300_000])), get.req_id);
+            let half = wire.len() / 2;
+            write_frame(&mut stream, &wire[..half]).unwrap();
+            went.recv().unwrap();
+            write_frame(&mut stream, &wire[half..]).unwrap();
+            // Answered only after the torn reply's last byte was read.
+            let ping = Frame::parse(read_frame(&mut stream).unwrap().unwrap()).unwrap();
+            let pong = Reply::Pong { worker: 0, epoch: 0 };
+            write_frame(&mut stream, &encode_reply(&pong, ping.req_id)).unwrap();
+            let _ = read_frame(&mut stream);
+        });
+        let t = TcpTransport::connect(vec![addr]).with_deadline(Duration::from_millis(500));
+        let mut landing = Landing::new(data.len(), 1);
+        let get = Request::Get { key: PartKey::new(1, 0) };
+        let route = t.submit_landing(vec![(0, get, landing.region(0))]).unwrap();
+        let wait = Duration::from_secs(5);
+        assert_eq!(route[0].recv_timeout(wait).unwrap(), Reply::Err(StoreError::Timeout(0)));
+        // The true bytes arrive another way (a hedge) while the loop still
+        // holds the region mid-frame: they are staged beside it.
+        landing.place(0, Bytes::from(data.clone()));
+        go.send(()).unwrap();
+        let pong = t.submit(0, Request::Ping).unwrap().recv_timeout(wait).unwrap();
+        assert!(matches!(pong, Reply::Pong { .. }), "got {pong:?}");
+        let region = landing.region(0).unwrap();
+        assert!(region.claim(data.len()).is_some(), "the reaped payload landed");
+        drop(region);
+        assert_eq!(landing.into_vec(), data, "later bytes reached the file");
         drop(t);
         server.join().unwrap();
     }

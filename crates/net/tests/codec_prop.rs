@@ -7,7 +7,9 @@ use proptest::prelude::*;
 use spcache_net::frame::{
     decode_reply, decode_request, encode_reply, encode_request, read_frame, Frame, HEADER_LEN,
 };
-use spcache_net::poll::{FrameReader, PumpStatus};
+use spcache_net::poll::{FrameReader, Inbound, PumpStatus, Source};
+use spcache_store::landing::{Claim, Landing, Region};
+use std::collections::HashMap;
 use spcache_net::master_net::{
     decode_meta_reply, decode_meta_request, encode_meta_reply, encode_meta_request, MetaReply,
     MetaRequest,
@@ -451,6 +453,8 @@ impl std::io::Read for ChunkedReader {
     }
 }
 
+impl Source for ChunkedReader {}
+
 /// Builds a batched wire stream of `Put` frames plus the frame-boundary
 /// offsets (cumulative encoded lengths) and the expected decodes.
 fn batched_stream(msgs: &[(u64, Vec<u8>)]) -> (Vec<u8>, Vec<usize>, Vec<(u64, Request)>) {
@@ -474,7 +478,7 @@ fn batched_stream(msgs: &[(u64, Vec<u8>)]) -> (Vec<u8>, Vec<usize>, Vec<(u64, Re
 /// failing the case if it spins without consuming.
 fn pump_all(
     r: &mut ChunkedReader,
-    frames: &mut Vec<Bytes>,
+    frames: &mut impl Inbound,
 ) -> Result<std::io::Result<()>, TestCaseError> {
     let mut fr = FrameReader::new();
     for _ in 0..(2 * r.data.len() + 64) {
@@ -550,6 +554,168 @@ proptest! {
             let frame = Frame::parse(bytes.clone()).expect("parse pumped frame");
             prop_assert_eq!(frame.req_id, *req_id);
             prop_assert_eq!(&decode_request(&frame).expect("decode pumped frame"), req);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The same schedules with reply payloads landing in place.
+// ---------------------------------------------------------------------
+
+/// A client's side of a pump: a `Data` reply whose `req_id` has a
+/// region lands in it; every other frame completes whole.
+#[derive(Default)]
+struct Lands {
+    regions: HashMap<u64, Region>,
+    frames: Vec<Bytes>,
+    landed: Vec<u64>,
+}
+
+impl Inbound for Lands {
+    fn frame(&mut self, body: Bytes) {
+        self.frames.push(body);
+    }
+
+    fn offer(&mut self, header: &[u8], len: usize) -> Option<(u64, Claim)> {
+        let id = spcache_net::frame::data_reply_id(header)?;
+        Some((id, self.regions.get(&id)?.claim(len)?))
+    }
+
+    fn landed(&mut self, id: u64, claim: Claim) {
+        assert!(claim.land(), "an unfinished payload handed out");
+        self.landed.push(id);
+    }
+}
+
+/// A read's replies on one connection: part `j` of `file` as a `Data`
+/// reply to request `j` (one byte long for `long`), each followed by a
+/// `Put` ack, in the order `seed` shuffles the `k` parts into. Returns
+/// the wire and its frame boundaries.
+fn landed_stream(
+    file: &[u8],
+    landing: &Landing,
+    k: usize,
+    long: usize,
+    seed: u64,
+) -> (Vec<u8>, Vec<usize>) {
+    let mut order: Vec<usize> = (0..k).collect();
+    let mut s = seed;
+    for i in (1..order.len()).rev() {
+        s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        order.swap(i, (s % (i as u64 + 1)) as usize);
+    }
+    let (mut wire, mut boundaries) = (Vec::new(), vec![0]);
+    for j in order {
+        let mut part = file[landing.range(j)].to_vec();
+        if j == long {
+            part.push(0x77);
+        }
+        wire.extend(encode_reply(&Reply::Data(Bytes::from(part)), j as u64));
+        boundaries.push(wire.len());
+        wire.extend(encode_reply(&Reply::Done, 1_000 + j as u64));
+        boundaries.push(wire.len());
+    }
+    (wire, boundaries)
+}
+
+proptest! {
+    /// The batched split schedules — one-byte reads, cuts inside every
+    /// length prefix, header and payload, interleaved `WouldBlock` —
+    /// with each `Data` payload landing in its region of a read's
+    /// output: every right-length payload lands whole in its own
+    /// region, the one-byte-long one does not land and comes out whole
+    /// as a frame, the acks come out whole in order, and the stream is
+    /// consumed exactly once.
+    #[test]
+    fn landed_frames_reassemble_across_any_split_points(
+        size in 0usize..20_000,
+        k in 1usize..9,
+        long in 0usize..12,
+        seed: u64,
+        cuts in proptest::collection::vec(1usize..97, 0..64),
+        block: bool,
+    ) {
+        let file: Vec<u8> = (0..size).map(|i| (i as u64 ^ seed) as u8).collect();
+        let mut landing = Landing::new(size, k);
+        let (stream, _) = landed_stream(&file, &landing, k, long, seed);
+        let total = stream.len();
+        let mut lands = Lands::default();
+        for j in 0..k {
+            lands.regions.insert(j as u64, landing.region(j).unwrap());
+        }
+        let mut r = ChunkedReader::new(stream, cuts, block);
+        pump_all(&mut r, &mut lands)?.expect("clean batch errored");
+        prop_assert_eq!(r.pos, total, "reader stopped early or over-read");
+        let mut landed = lands.landed.clone();
+        landed.sort_unstable();
+        let want: Vec<u64> = (0..k as u64).filter(|&j| j as usize != long).collect();
+        prop_assert_eq!(landed, want);
+        let frames: Vec<Reply> = lands
+            .frames
+            .iter()
+            .map(|b| decode_reply(&Frame::parse(b.clone()).unwrap()).unwrap())
+            .collect();
+        prop_assert_eq!(frames.len(), k + usize::from(long < k));
+        for reply in &frames {
+            match reply {
+                Reply::Done => {}
+                Reply::Data(d) => prop_assert_eq!(d.len(), landing.range(long).len() + 1),
+                other => prop_assert!(false, "unexpected {:?}", other),
+            }
+        }
+        drop(lands);
+        for j in 0..k {
+            if j == long {
+                prop_assert!(!landing.accept(j));
+                landing.place(j, Bytes::from(file[landing.range(j)].to_vec()));
+            } else {
+                prop_assert!(landing.accept(j), "part {} did not land", j);
+            }
+        }
+        prop_assert_eq!(landing.into_vec(), file);
+    }
+
+    /// The landed stream torn at any byte: exactly the payloads whose
+    /// frames ended before the tear land, the tear is a clean close or
+    /// `UnexpectedEof`, and the payload it cut never lands.
+    #[test]
+    fn torn_landed_streams_land_exactly_the_frames_before_the_tear(
+        size in 1usize..6_000,
+        k in 1usize..6,
+        seed: u64,
+        cuts in proptest::collection::vec(1usize..53, 0..48),
+        cut_seed in 0usize..usize::MAX,
+        block: bool,
+    ) {
+        let file: Vec<u8> = (0..size).map(|i| (i as u64 ^ seed) as u8).collect();
+        let mut landing = Landing::new(size, k);
+        let (stream, boundaries) = landed_stream(&file, &landing, k, usize::MAX, seed);
+        let cut = 1 + cut_seed % (stream.len() - 1);
+        let mut lands = Lands::default();
+        for j in 0..k {
+            lands.regions.insert(j as u64, landing.region(j).unwrap());
+        }
+        let mut r = ChunkedReader::new(stream[..cut].to_vec(), cuts, block);
+        let outcome = pump_all(&mut r, &mut lands)?;
+        if boundaries.contains(&cut) {
+            prop_assert!(outcome.is_ok(), "boundary cut errored: {:?}", outcome);
+        } else {
+            let err = outcome.expect_err("mid-frame tear decoded cleanly");
+            prop_assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        }
+        // Frames alternate Data, Done: the Data frames before the tear
+        // are the even boundaries.
+        let done = boundaries.iter().filter(|&&b| b > 0 && b <= cut).count();
+        prop_assert_eq!(lands.landed.len(), done.div_ceil(2));
+        prop_assert_eq!(lands.frames.len(), done / 2);
+        let landed = lands.landed.clone();
+        drop(lands);
+        for j in 0..k as u64 {
+            prop_assert_eq!(landing.accept(j as usize), landed.contains(&j), "part {}", j);
+        }
+        for &j in &landed {
+            let j = j as usize;
+            prop_assert_eq!(landing.part(j).unwrap(), &file[landing.range(j)]);
         }
     }
 }

@@ -6,8 +6,7 @@
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use spcache_core::online::partition_range;
-use spcache_ec::{split_shards_bytes, ReedSolomon};
+use spcache_ec::{join_shards_bytes, split_shards_bytes, ReedSolomon};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -15,6 +14,7 @@ use std::time::{Duration, Instant};
 use crate::backing::UnderStore;
 use crate::config::{DegradedPolicy, HedgePolicy, RetryPolicy, StoreConfig};
 use crate::forkjoin::{empty_placement, Fanout};
+use crate::landing::Landing;
 use crate::master::MetaService;
 use crate::metalog::FileIntegrity;
 use crate::rpc::{PartKey, Reply, Request, StoreError};
@@ -48,13 +48,15 @@ use crate::transport::Transport;
 /// with the file's parity fetches, after which any `k` of the `k + r`
 /// shards finish the read (DESIGN.md §4.7).
 ///
-/// Reads are also **zero-copy** up to the final assembly:
-/// [`Client::write_bytes`] slices one backing buffer into partition
-/// views, workers store and reply with views of that same allocation,
-/// and [`Client::read_scattered`] hands those views back without ever
-/// materializing a contiguous copy. [`Client::read`] performs exactly
-/// one copy: replies are appended in order to a single pre-sized output
-/// buffer as they arrive.
+/// Reads move each byte once: [`Client::write_bytes`] slices one backing
+/// buffer into partition views, workers store and reply with views of
+/// that same allocation, and [`Client::read_scattered`] hands those views
+/// back without ever materializing a contiguous copy. [`Client::read`]
+/// allocates its output once and gives each partition `Get` its region
+/// of it ([`crate::landing`]): a socket transport reads the reply payload
+/// straight into that region, and bytes that arrive another way (the
+/// in-process transport, a hedge, a decode) are written there by the
+/// client — one copy either way, and no join pass after the last reply.
 #[derive(Debug, Clone)]
 pub struct Client {
     master: Arc<dyn MetaService>,
@@ -419,17 +421,17 @@ impl Client {
     }
 
     /// Reads a file: locates its partitions via the master (which counts
-    /// the access), fetches them all in parallel, and assembles the
-    /// replies in order into one pre-sized buffer as they land (the
-    /// fork-join of Fig. 9a, out of order). Failed attempts are retried
-    /// per the [`RetryPolicy`], recovering from the under-store when one
-    /// is attached.
+    /// the access), fetches them all in parallel, and lands each reply in
+    /// its region of one output buffer as it arrives (the fork-join of
+    /// Fig. 9a, out of order). Failed attempts are retried per the
+    /// [`RetryPolicy`], recovering from the under-store when one is
+    /// attached.
     ///
     /// # Errors
     ///
     /// Propagates unknown files, and — once retries are exhausted —
-    /// missing partitions, timeouts, transport I/O failures and dead
-    /// workers.
+    /// missing or wrong-length partitions, timeouts, transport I/O
+    /// failures and dead workers.
     pub fn read(&self, id: u64) -> Result<Vec<u8>, StoreError> {
         Ok(self.read_with(id, true, true)?.into_vec())
     }
@@ -442,18 +444,19 @@ impl Client {
     /// Zero-copy read: returns the file as its in-index-order partition
     /// views, sharing the workers' cached allocations — no byte is copied
     /// on the way out. Consumers that stream (checksum, socket `writev`,
-    /// re-partitioning) never need the contiguous copy [`Client::read`]
-    /// materializes. Counts an access like [`Client::read`].
-    ///
-    /// The concatenation of the views, truncated to the file's size, is
-    /// the file's content (legacy padded tails are trimmed by
-    /// [`ScatteredFile::to_vec`]).
+    /// re-partitioning) never need the contiguous buffer [`Client::read`]
+    /// fills. Counts an access like [`Client::read`]. The concatenation
+    /// of the views is the file's content.
     ///
     /// # Errors
     ///
     /// Same contract as [`Client::read`].
     pub fn read_scattered(&self, id: u64) -> Result<ScatteredFile, StoreError> {
-        Ok(self.read_with(id, true, false)?.into_scattered())
+        let asm = self.read_with(id, true, false)?;
+        Ok(ScatteredFile {
+            size: asm.size(),
+            parts: asm.into_parts(),
+        })
     }
 
     /// The retry loop around [`Client::attempt`]: locate → attempt →
@@ -464,7 +467,7 @@ impl Client {
         id: u64,
         count_access: bool,
         contiguous: bool,
-    ) -> Result<Assembly, StoreError> {
+    ) -> Result<Landing, StoreError> {
         let mut attempt = 0u32;
         loop {
             attempt += 1;
@@ -475,7 +478,11 @@ impl Client {
             } else {
                 self.master.peek(id)
             }?;
-            let mut asm = Assembly::new(size, servers.len(), contiguous);
+            let mut asm = if contiguous {
+                Landing::new(size, servers.len())
+            } else {
+                Landing::scattered(size, servers.len())
+            };
             let err = match self.attempt(id, &servers, &mut asm) {
                 Ok(()) => return Ok(asm),
                 Err(e) => e,
@@ -528,16 +535,18 @@ impl Client {
     /// One fork-join read attempt against a fixed placement: *obtain any
     /// `k` of the outstanding shards* (DESIGN.md §4.7 describes the
     /// states and events). The outstanding set starts as the `k` data
-    /// `Get`s, forked as one batch and joined as they land under a
-    /// **single deadline**; each landed shard goes into `asm` at once.
-    /// The first erasure (`Corrupt`, `NotFound`, a checksum mismatch)
-    /// **widens** the same set once with the file's `r` `GetParity`
-    /// fetches, after which any `k` of the `k + r` end the wait; any
-    /// other failure before widening fails the attempt (the retry loop
-    /// heals). The hedge timer serves still-outstanding *data* shards
-    /// from their under-store byte ranges. With `k` shards in hand,
-    /// missing data shards are decoded, proved and re-landed.
-    fn attempt(&self, id: u64, servers: &[usize], asm: &mut Assembly) -> Result<(), StoreError> {
+    /// `Get`s, each riding with its region of `asm`, forked as one batch
+    /// and joined as they land under a **single deadline**; a data shard
+    /// is in `asm` as soon as its reply lands. The first erasure
+    /// (`Corrupt`, `NotFound`, a checksum mismatch, a partition of the
+    /// wrong length) **widens** the same set once with the file's `r`
+    /// `GetParity` fetches, after which any `k` of the `k + r` end the
+    /// wait; any other failure before widening fails the attempt (the
+    /// retry loop heals). The hedge timer serves still-outstanding *data*
+    /// shards from their under-store byte ranges. With `k` shards in
+    /// hand, missing data shards are decoded in place, proved and
+    /// re-landed.
+    fn attempt(&self, id: u64, servers: &[usize], asm: &mut Landing) -> Result<(), StoreError> {
         let k = servers.len();
         // The integrity row travels beside the placement: fetched up
         // front only when this client verifies, else on the first
@@ -552,9 +561,12 @@ impl Client {
         let gets = servers
             .iter()
             .enumerate()
-            .map(|(j, &server)| (server, Request::Get { key: PartKey::new(id, j as u32) }))
+            .map(|(j, &server)| {
+                let get = Request::Get { key: PartKey::new(id, j as u32) };
+                (server, get, asm.region(j))
+            })
             .collect();
-        let mut join = self.io().fork(gets)?;
+        let mut join = self.io().fork_landing(gets)?;
         let mut hedge = self
             .under
             .as_deref()
@@ -570,6 +582,9 @@ impl Client {
                 .filter(|r| r.sums.len() == k && (verify || widened))
                 .map(|r| if i < k { r.sums[i] } else { r.parity[i - k].1 })
         };
+        // A parity shard is a whole `ceil(size / k)` slot (at least one
+        // byte); the data shards are their exact partition ranges.
+        let slot = asm.size().div_ceil(k).max(1);
         // Set by the widening: the erasure that caused it, and the
         // landed parity shards.
         let mut erasure: Option<StoreError> = None;
@@ -591,14 +606,18 @@ impl Client {
                     // the deadline is waited out.
                     let stragglers: Vec<usize> = join.outstanding().filter(|&j| j < k).collect();
                     for j in stragglers {
-                        let range = partition_range(asm.size as u64, k, j);
-                        let Some(data) = under.load_range(id, range.start, range.len()) else {
+                        let range = asm.range(j);
+                        let (at, len) = (range.start as u64, range.len() as u64);
+                        let Some(data) = under.load_range(id, at, len) else {
                             break;
                         };
                         // Checkpoint bytes prove like a landed shard; a
-                        // rotted range leaves its partition outstanding.
+                        // short or rotted range leaves its partition
+                        // outstanding.
                         let sum = want(&row, erasure.is_some(), j);
-                        if sum.is_some_and(|sum| !spcache_integrity::verify(&data, sum)) {
+                        if data.len() != range.len()
+                            || sum.is_some_and(|sum| !spcache_integrity::verify(&data, sum))
+                        {
                             continue;
                         }
                         join.give_up(j);
@@ -614,21 +633,21 @@ impl Client {
                 return Err(erasure.unwrap_or(late));
             };
             let sum = want(&row, erasure.is_some(), i);
-            let shard = landed.and_then(Reply::bytes).and_then(|data| match sum {
-                Some(sum) if !spcache_integrity::verify(&data, sum) => {
-                    Err(StoreError::Corrupt(PartKey::new(id, i as u32)))
+            let shard = landed.and_then(Reply::bytes).and_then(|data| {
+                if i < k {
+                    take_part(asm, PartKey::new(id, i as u32), data, sum)
+                } else {
+                    let proved = data.len() == slot
+                        && sum.is_none_or(|sum| spcache_integrity::verify(&data, sum));
+                    if !proved {
+                        return Err(StoreError::Corrupt(PartKey::parity(id, (i - k) as u32)));
+                    }
+                    parity[i - k] = Some(data);
+                    Ok(())
                 }
-                _ => Ok(data),
             });
             match shard {
-                Ok(data) => {
-                    if i < k {
-                        asm.place(i, data);
-                    } else {
-                        parity[i - k] = Some(data);
-                    }
-                    have += 1;
-                }
+                Ok(()) => have += 1,
                 // Widened: a failed shard is just not one of the k.
                 Err(_) if erasure.is_some() => {}
                 Err(e @ (StoreError::Corrupt(_) | StoreError::NotFound(_))) => {
@@ -641,6 +660,15 @@ impl Client {
                     else {
                         return Err(e);
                     };
+                    // The decode runs a (k, k + r) Cauchy code, which
+                    // GF(2⁸) holds only while 2k + r ≤ 256: a row naming
+                    // more parity than that is refused, never decoded.
+                    if 2 * k + set.parity.len() > 256 {
+                        return Err(StoreError::Codec(format!(
+                            "integrity row of file {id} names {} parity partitions for k = {k}",
+                            set.parity.len()
+                        )));
+                    }
                     let gets = set
                         .parity
                         .iter()
@@ -666,49 +694,38 @@ impl Client {
         }
     }
 
-    /// Decodes the data shards `asm` is missing from the `k` data and
-    /// parity shards in hand, proves each against its recorded sum and
-    /// lands it — in `asm`, and back on its holder (read repair:
-    /// background-stamped, fire-and-forget; the worker counts the
-    /// overwrite of a corrupted-erased key as a decode reconstruction).
-    /// `None` when the decode fails or a rebuilt shard does not prove.
+    /// Decodes each data shard `asm` is missing — and only those — from
+    /// the `k` data and parity shards in hand, straight into its region,
+    /// proves it against its recorded sum and re-lands it on its holder
+    /// (read repair: background-stamped, fire-and-forget; the worker
+    /// counts the overwrite of a corrupted-erased key as a decode
+    /// reconstruction). The codec reads the ragged data partitions as
+    /// they are; their zero padding to the `ceil(size / k)` slot is
+    /// virtual. `None` when a decode fails or does not prove.
     fn rebuild(
         &self,
         id: u64,
         servers: &[usize],
         row: &FileIntegrity,
         parity: &[Option<Bytes>],
-        asm: &mut Assembly,
+        asm: &mut Landing,
     ) -> Option<()> {
-        let (k, size) = (servers.len(), asm.size);
-        // Data partitions arrive ragged; the codec works on the equal
-        // `ceil(size / k)` slot layout they are views of (see
-        // `split_shards_bytes` / `split_into_shards`) — zero-pad each to
-        // its slot, decode, and slice the ragged views back out.
-        let shard_len = size.div_ceil(k).max(1);
-        let slot = |part: &[u8]| {
-            let mut v = part.to_vec();
-            v.resize(shard_len, 0);
-            v
-        };
-        let mut shards: Vec<Option<Vec<u8>>> = (0..k)
-            .map(|j| asm.part(j).map(slot))
-            .chain(parity.iter().map(|p| p.as_deref().map(slot)))
-            .collect();
-        let data = ReedSolomon::new_cauchy(k, k + parity.len())
-            .reconstruct_data(&mut shards)
-            .ok()?;
-        let data = Bytes::from(data);
+        let k = servers.len();
+        let rs = ReedSolomon::new_cauchy(k, k + parity.len());
         let mut repairs = Vec::new();
         for j in (0..k).filter(|&j| !asm.has(j)).collect::<Vec<_>>() {
-            let range = partition_range(size as u64, k, j);
-            let part = data.slice(range.start as usize..range.end as usize);
-            // The decode is only as good as the integrity row it used.
-            if !spcache_integrity::verify(&part, row.sums[j]) {
+            let rebuilt = asm.fill(j, |parts, out| {
+                let shards: Vec<Option<&[u8]>> =
+                    parts.iter().copied().chain(parity.iter().map(|p| p.as_deref())).collect();
+                // The decode is only as good as the integrity row it used.
+                rs.decode_shard(&shards, j, out).is_ok()
+                    && spcache_integrity::verify(out, row.sums[j])
+            });
+            if !rebuilt {
                 return None;
             }
-            repairs.push((servers[j], PartKey::new(id, j as u32), part.clone(), row.sums[j]));
-            asm.place(j, part);
+            let part = Bytes::copy_from_slice(asm.part(j)?);
+            repairs.push((servers[j], PartKey::new(id, j as u32), part, row.sums[j]));
         }
         let repair = Fanout {
             background: true,
@@ -771,6 +788,33 @@ pub(crate) fn split_rows(
     Ok(sums)
 }
 
+/// Takes data part `key`'s reply into `asm`: in place when the transport
+/// landed it there (the reply then carries no bytes), else placed from
+/// the reply's bytes. Proves it against `sum` when one is wanted. A part
+/// of the wrong length, or one that fails its sum, is an erasure
+/// ([`StoreError::Corrupt`]) and leaves the part missing — a short part
+/// is never padded and a long one never truncated into the file.
+fn take_part(
+    asm: &mut Landing,
+    key: PartKey,
+    data: Bytes,
+    sum: Option<u64>,
+) -> Result<(), StoreError> {
+    let j = key.part as usize;
+    if !(data.is_empty() && asm.accept(j)) {
+        if data.len() != asm.range(j).len() {
+            return Err(StoreError::Corrupt(key));
+        }
+        asm.place(j, data);
+    }
+    let part = asm.part(j).expect("taken just above");
+    if sum.is_some_and(|sum| !spcache_integrity::verify(part, sum)) {
+        asm.reset(j);
+        return Err(StoreError::Corrupt(key));
+    }
+    Ok(())
+}
+
 /// A file read without reassembly: its size and partition views in index
 /// order, each sharing the worker's cached allocation.
 #[derive(Debug, Clone)]
@@ -780,8 +824,7 @@ pub struct ScatteredFile {
 }
 
 impl ScatteredFile {
-    /// Logical file size in bytes (the views may carry legacy padding
-    /// beyond it).
+    /// File size in bytes: the views' lengths sum to it.
     pub fn size(&self) -> usize {
         self.size
     }
@@ -793,95 +836,7 @@ impl ScatteredFile {
 
     /// Materializes the contiguous file content (one copy).
     pub fn to_vec(&self) -> Vec<u8> {
-        let mut asm = Assembly::new(self.size, self.parts.len(), true);
-        for (j, part) in self.parts.iter().enumerate() {
-            asm.place(j, part.clone());
-        }
-        asm.into_vec()
-    }
-}
-
-/// Where one read attempt lands its data shards.
-///
-/// Scattered (`buf` absent), it collects the index-ordered zero-copy
-/// views [`Client::read_scattered`] hands out. Contiguous, it assembles
-/// the output buffer **as replies arrive**: whenever the landed parts
-/// form a prefix of the file they are appended to the buffer at once,
-/// so the single copy of [`Client::read`] overlaps the wait for slower
-/// partitions instead of running serially after the join (that cost
-/// ~15% of contiguous read throughput at 64MB/k16). Out-of-order
-/// arrivals are staged as zero-copy views until their turn. Appending
-/// into reserved-but-uninitialized capacity matters: a pre-zeroed
-/// `vec![0; size]` buffer pays a full extra memset pass whenever the
-/// allocator recycles a dirty block.
-struct Assembly {
-    /// Logical file size (`buf`'s final length).
-    size: usize,
-    /// Landed parts not yet appended (all landed parts when scattered).
-    parts: Vec<Option<Bytes>>,
-    /// The in-order assembled prefix of the file.
-    buf: Option<Vec<u8>>,
-    /// How many parts have been appended to `buf`.
-    appended: usize,
-}
-
-impl Assembly {
-    fn new(size: usize, k: usize, contiguous: bool) -> Self {
-        Assembly {
-            size,
-            parts: vec![None; k],
-            buf: contiguous.then(|| Vec::with_capacity(size)),
-            appended: 0,
-        }
-    }
-
-    /// Has data shard `j` landed?
-    fn has(&self, j: usize) -> bool {
-        j < self.appended || self.parts[j].is_some()
-    }
-
-    /// The bytes of landed data shard `j`.
-    fn part(&self, j: usize) -> Option<&[u8]> {
-        match &self.buf {
-            Some(buf) if j < self.appended => {
-                let range = partition_range(self.size as u64, self.parts.len(), j);
-                Some(&buf[range.start as usize..range.end as usize])
-            }
-            _ => self.parts[j].as_deref(),
-        }
-    }
-
-    /// Lands data shard `j`. In contiguous mode the part is staged, then
-    /// every ready prefix part is appended to the buffer — this is the
-    /// read's one copy, running while later partitions are still on the
-    /// wire. A short part (tolerated, never produced by current write
-    /// paths) gets its tail zero-padded to its range length.
-    fn place(&mut self, j: usize, data: Bytes) {
-        self.parts[j] = Some(data);
-        let Some(buf) = &mut self.buf else { return };
-        let k = self.parts.len();
-        while self.appended < k {
-            let Some(part) = self.parts[self.appended].take() else { break };
-            let range = partition_range(self.size as u64, k, self.appended);
-            let take = (range.len() as usize).min(part.len());
-            buf.extend_from_slice(&part[..take]);
-            buf.resize(range.end as usize, 0);
-            self.appended += 1;
-        }
-    }
-
-    /// The fully-landed contiguous assembly's buffer.
-    fn into_vec(self) -> Vec<u8> {
-        debug_assert_eq!(self.appended, self.parts.len(), "finish before full join");
-        self.buf.expect("contiguous assembly")
-    }
-
-    /// The fully-landed scattered assembly's views.
-    fn into_scattered(self) -> ScatteredFile {
-        ScatteredFile {
-            size: self.size,
-            parts: self.parts.into_iter().map(|p| p.expect("all joined")).collect(),
-        }
+        join_shards_bytes(&self.parts, self.size)
     }
 }
 
@@ -892,6 +847,7 @@ mod tests {
     use crate::config::StoreConfig;
     use crate::fault::{CorruptSite, FaultPlan};
     use crossbeam::channel::Receiver;
+    use spcache_core::online::partition_range;
 
     fn payload(len: usize) -> Vec<u8> {
         (0..len).map(|i| ((i * 31 + 7) % 256) as u8).collect()
@@ -1448,5 +1404,90 @@ mod tests {
         assert_eq!(c.hedged_fetches(), 1, "exactly the straggler was hedged");
         let range = partition_range(data.len() as u64, k, straggler);
         assert_eq!(c.hedged_bytes(), range.len());
+    }
+
+    /// A fleet of `n` hand-built workers over the channel transport: each
+    /// stores what it is put and answers `Get`s through `serve`, which
+    /// may bend the stored bytes.
+    fn hand_built_fleet(n: usize, serve: fn(PartKey, Bytes) -> Bytes) -> Client {
+        let senders = (0..n)
+            .map(|_| {
+                let (tx, rx) = crossbeam::channel::unbounded::<crate::rpc::Envelope>();
+                std::thread::spawn(move || {
+                    let mut held = std::collections::HashMap::new();
+                    while let Ok(env) = rx.recv() {
+                        let reply = match env.req {
+                            Request::Put { key, data, .. } => {
+                                held.insert(key, data);
+                                Reply::Done
+                            }
+                            Request::Get { key } | Request::GetParity { key } => match held.get(&key) {
+                                Some(data) => Reply::Data(serve(key, data.clone())),
+                                None => Reply::Err(StoreError::NotFound(key)),
+                            },
+                            _ => Reply::Err(StoreError::Codec("not served here".into())),
+                        };
+                        env.reply.send(reply);
+                    }
+                });
+                tx
+            })
+            .collect();
+        let master = Arc::new(crate::master::Master::new());
+        master.ensure_workers(n);
+        Client::new(master, Arc::new(crate::transport::ChannelTransport::new(senders)))
+    }
+
+    #[test]
+    fn a_partition_of_the_wrong_length_is_an_erasure_never_file_bytes() {
+        // Partition 0 comes back one byte short, partition 1 one byte
+        // long. Without parity the read is a typed erasure, not a file
+        // with a zero-padded hole and a truncated tail; with two parity
+        // partitions both are decoded around.
+        fn bend(key: PartKey, data: Bytes) -> Bytes {
+            match key.part {
+                0 => data.slice(0..data.len() - 1),
+                1 => Bytes::from([&data[..], b"!"].concat()),
+                _ => data,
+            }
+        }
+        // Whichever bent part lands first is the erasure reported.
+        let bent = |e: StoreError| matches!(e, StoreError::Corrupt(k) if k.file == 1 && k.part < 2);
+        let data = payload(9_000);
+        let plain = hand_built_fleet(5, bend);
+        plain.write(1, &data, &[0, 1, 2]).unwrap();
+        let err = plain.read(1).unwrap_err();
+        assert!(bent(err.clone()), "got {err:?}");
+        let err = plain.read_scattered(1).map(|f| f.to_vec()).unwrap_err();
+        assert!(bent(err.clone()), "got {err:?}");
+
+        let coded = hand_built_fleet(5, bend).with_parity(2);
+        coded.write(1, &data, &[0, 1, 2]).unwrap();
+        assert_eq!(coded.read(1).unwrap(), data);
+        assert_eq!(coded.read_scattered(1).unwrap().to_vec(), data);
+    }
+
+    #[test]
+    fn an_integrity_row_naming_too_much_parity_is_refused_not_decoded() {
+        // k = 2 leaves room for 252 parity rows in GF(2⁸); the row names
+        // 253, and the one that exists lands. The read must refuse the
+        // row with a typed error instead of building a (2, 255) code.
+        let cluster = StoreCluster::spawn(StoreConfig::unthrottled(3));
+        let c = cluster.client().with_verify(true);
+        let data = payload(4_000);
+        c.write(1, &data, &[0, 1]).unwrap();
+        let sums = cluster.master().integrity(1).expect("row").sums;
+        let shard = Bytes::from(vec![7u8; 2_000]);
+        let sum = spcache_integrity::sum(&shard);
+        let key = PartKey::parity(1, 0);
+        let put = Request::Put { key, data: shard, sum };
+        let wait = Duration::from_secs(5);
+        assert_eq!(cluster.transport().call(2, put, wait), Ok(Reply::Done));
+        let parity = std::iter::once((2, sum)).chain((1..253).map(|_| (2, 1))).collect();
+        cluster.master().set_integrity(1, FileIntegrity { sums, parity }).unwrap();
+        let gone = Request::Delete { key: PartKey::new(1, 0) };
+        assert_eq!(cluster.transport().call(0, gone, wait), Ok(Reply::Flag(true)));
+        let err = c.read(1).unwrap_err();
+        assert!(matches!(err, StoreError::Codec(_)), "got {err:?}");
     }
 }

@@ -13,6 +13,7 @@ use crossbeam::channel::{Receiver, Select, TryRecvError};
 use parking_lot::Mutex;
 use std::time::{Duration, Instant};
 
+use crate::landing::Region;
 use crate::master::MetaService;
 use crate::rpc::{Reply, Request, StoreError};
 use crate::transport::Transport;
@@ -20,6 +21,11 @@ use crate::transport::Transport;
 /// The typed, permanent error for a placement that names no worker.
 pub(crate) fn empty_placement() -> StoreError {
     StoreError::Codec("empty placement".into())
+}
+
+/// Requests that ride with no landing region.
+fn unlanded(reqs: Vec<(usize, Request)>) -> Vec<(usize, Request, Option<Region>)> {
+    reqs.into_iter().map(|(w, req)| (w, req, None)).collect()
 }
 
 /// Who is talking to the fleet, and how its requests are stamped.
@@ -74,11 +80,25 @@ impl<'a> Fanout<'a> {
     /// [`StoreError::Codec`] for an empty fan-out or a worker index
     /// outside the fleet; submission errors from the transport.
     pub fn fork(self, reqs: Vec<(usize, Request)>) -> Result<Join<'a>, StoreError> {
+        self.fork_landing(unlanded(reqs))
+    }
+
+    /// [`fork`](Fanout::fork) where a request may ride with the
+    /// [`Region`] its `Data` reply may land in (see
+    /// [`Transport::submit_landing`]).
+    ///
+    /// # Errors
+    ///
+    /// See [`Fanout::fork`].
+    pub fn fork_landing(
+        self,
+        reqs: Vec<(usize, Request, Option<Region>)>,
+    ) -> Result<Join<'a>, StoreError> {
         let mut join = Join {
             io: self,
             routes: Vec::new(),
         };
-        join.widen(reqs)?;
+        join.submit(reqs)?;
         Ok(join)
     }
 
@@ -200,6 +220,10 @@ impl Join<'_> {
     ///
     /// See [`Fanout::fork`]. A failed batch leaves the set unchanged.
     pub fn widen(&mut self, reqs: Vec<(usize, Request)>) -> Result<(), StoreError> {
+        self.submit(unlanded(reqs))
+    }
+
+    fn submit(&mut self, reqs: Vec<(usize, Request, Option<Region>)>) -> Result<(), StoreError> {
         let io = self.io;
         let n = io.transport.n_workers();
         // Placements arrive from the master over the wire and from
@@ -207,15 +231,15 @@ impl Join<'_> {
         if reqs.is_empty() {
             return Err(empty_placement());
         }
-        if let Some(&(w, _)) = reqs.iter().find(|&&(w, _)| w >= n) {
+        if let Some(&(w, ..)) = reqs.iter().find(|&&(w, ..)| w >= n) {
             return Err(StoreError::Codec(format!(
                 "placement names worker {w} of a {n}-worker fleet"
             )));
         }
-        let workers: Vec<usize> = reqs.iter().map(|&(w, _)| w).collect();
+        let workers: Vec<usize> = reqs.iter().map(|&(w, ..)| w).collect();
         let reqs = if io.fence.is_some() || io.background || io.master_stamp {
             reqs.into_iter()
-                .map(|(w, req)| (w, io.stamp(w, req)))
+                .map(|(w, req, region)| (w, io.stamp(w, req), region))
                 .collect()
         } else {
             reqs
@@ -224,7 +248,7 @@ impl Join<'_> {
         // the frames into shared `writev` rounds.
         let routes = io
             .transport
-            .submit_batch(reqs)
+            .submit_landing(reqs)
             .inspect_err(|e| io.note_error(e))?;
         self.routes
             .extend(workers.into_iter().zip(routes.into_iter().map(Some)));

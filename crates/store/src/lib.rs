@@ -16,6 +16,8 @@
 //! * [`client::Client`] — the SP-Client: parallel fork-join partition
 //!   reads over crossbeam channels with byte-exact reassembly, and
 //!   (optionally split) writes,
+//! * [`landing`] — a contiguous read's one output allocation, whose
+//!   partition regions replies land in directly,
 //! * [`repartitioner::run_parallel`] — Algorithm 2's executors: each
 //!   worker repartitions a disjoint set of files in parallel
 //!   (vs [`repartitioner::run_sequential`], the strawman that collects
@@ -33,6 +35,7 @@ pub mod cluster;
 pub mod config;
 pub mod fault;
 mod forkjoin;
+pub mod landing;
 pub mod master;
 pub mod metalog;
 pub mod online;

@@ -23,6 +23,7 @@ use std::time::Duration;
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
+use crate::landing::Region;
 use crate::rpc::{Envelope, Reply, Request, StoreError};
 
 /// A route to a fleet of workers.
@@ -59,6 +60,23 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
         reqs.into_iter()
             .map(|(worker, req)| self.submit(worker, req))
             .collect()
+    }
+
+    /// [`submit_batch`](Transport::submit_batch) where the `Data` reply
+    /// to a request that rides with a [`Region`] may land its payload in
+    /// that region instead of a buffer of its own; the reply then carries
+    /// no bytes (see [`crate::landing`]). The default lands nothing: the
+    /// in-process transport's replies are zero-copy views already, and
+    /// the client places them itself.
+    ///
+    /// # Errors
+    ///
+    /// As for [`submit_batch`](Transport::submit_batch).
+    fn submit_landing(
+        &self,
+        reqs: Vec<(usize, Request, Option<Region>)>,
+    ) -> Result<Vec<Receiver<Reply>>, StoreError> {
+        self.submit_batch(reqs.into_iter().map(|(w, req, _)| (w, req)).collect())
     }
 
     /// Convenience blocking call: submit and wait up to `timeout`.
