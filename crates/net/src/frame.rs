@@ -14,6 +14,16 @@
 //! requester and echoed verbatim in the reply, which lets one connection
 //! multiplex any number of in-flight requests with out-of-order replies.
 //!
+//! A stamped data request is one flat body under one header, never a
+//! frame inside a frame:
+//!
+//! ```text
+//! | u64 LE: epoch | u64 LE: master | u8: class | u8: inner opcode | inner body... |
+//! ```
+//!
+//! so a stamped `Put`'s payload is the frame's tail exactly as a plain
+//! one's is, and both leave zero-copy ([`encode_request_parts`]).
+//!
 //! Decoding is zero-copy on the receive side: a frame is read into one
 //! [`Bytes`] buffer and every payload (`Put` data, `Get` reply bytes)
 //! is a [`Bytes::slice`] view borrowing that buffer — no per-payload
@@ -25,7 +35,8 @@
 
 use crate::poll::WireFrame;
 use bytes::Bytes;
-use spcache_store::rpc::{PartKey, Reply, Request, StoreError, WorkerStats};
+use spcache_store::rpc::{PartKey, Reply, Request, Stamp, StoreError, WorkerStats};
+use spcache_store::throttle::TrafficClass;
 use std::io::{self, Read, Write};
 
 /// Protocol version stamped into every frame. Peers reject frames with
@@ -35,7 +46,12 @@ use std::io::{self, Read, Write};
 /// v2: `Put` carries a per-partition checksum, `GetParity` and the
 /// `Corrupt` error kind exist, and the stats frame grew the integrity
 /// counters (§4.15).
-pub const WIRE_VERSION: u8 = 2;
+///
+/// v3: a stamped data request is one flat opcode (`0x09`) whose body is
+/// `u64 epoch | u64 master | u8 class | u8 inner opcode | inner body`;
+/// the nested fence and background envelopes (`0x09` embedding a whole
+/// inner frame, `0x0B`) are gone.
+pub const WIRE_VERSION: u8 = 3;
 
 /// Hard ceiling on `len` (1 GiB). A corrupt or hostile length prefix
 /// must not make a reader allocate unbounded memory.
@@ -57,9 +73,8 @@ pub(crate) const OP_DELETE: u8 = 0x05;
 pub(crate) const OP_STATS: u8 = 0x06;
 pub(crate) const OP_PING: u8 = 0x07;
 pub(crate) const OP_SHUTDOWN: u8 = 0x08;
-pub(crate) const OP_FENCED: u8 = 0x09;
+pub(crate) const OP_STAMPED: u8 = 0x09;
 pub(crate) const OP_SET_EPOCH: u8 = 0x0A;
-pub(crate) const OP_BACKGROUND: u8 = 0x0B;
 pub(crate) const OP_SET_MASTER_EPOCH: u8 = 0x0C;
 pub(crate) const OP_GET_PARITY: u8 = 0x0D;
 pub(crate) const OP_R_DONE: u8 = 0x41;
@@ -68,6 +83,10 @@ pub(crate) const OP_R_FLAG: u8 = 0x43;
 pub(crate) const OP_R_STATS: u8 = 0x44;
 pub(crate) const OP_R_PONG: u8 = 0x45;
 pub(crate) const OP_R_ERR: u8 = 0x46;
+
+// Traffic-class bytes of a stamp.
+const CLASS_FOREGROUND: u8 = 0;
+const CLASS_BACKGROUND: u8 = 1;
 
 // StoreError wire kinds (body of `OP_R_ERR` / `MOP_R_ERR`).
 const ERR_NOT_FOUND: u8 = 1;
@@ -303,10 +322,19 @@ impl FrameBuilder {
         self
     }
 
+    /// Bytes counted by the length prefix so far.
+    fn len(&self) -> usize {
+        self.out.len() - 4
+    }
+
+    /// Writes the length prefix for a frame of `len` counted bytes.
+    fn patch_len(&mut self, len: usize) {
+        assert!(len <= MAX_FRAME as usize, "frame exceeds MAX_FRAME");
+        self.out[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    }
+
     pub(crate) fn finish(mut self) -> Vec<u8> {
-        let len = (self.out.len() - 4) as u32;
-        assert!(len <= MAX_FRAME, "frame exceeds MAX_FRAME");
-        self.out[..4].copy_from_slice(&len.to_le_bytes());
+        self.patch_len(self.len());
         self.out
     }
 
@@ -315,9 +343,7 @@ impl FrameBuilder {
     /// the bytes are never appended to the header buffer, so bulk
     /// data rides to the socket via `writev` without a memcpy.
     pub(crate) fn finish_parts(mut self, payload: Bytes) -> WireFrame {
-        let len = (self.out.len() - 4 + payload.len()) as u32;
-        assert!(len <= MAX_FRAME, "frame exceeds MAX_FRAME");
-        self.out[..4].copy_from_slice(&len.to_le_bytes());
+        self.patch_len(self.len() + payload.len());
         WireFrame {
             header: self.out,
             payload: Some(payload),
@@ -325,33 +351,87 @@ impl FrameBuilder {
     }
 }
 
-/// Encodes a request as a [`WireFrame`] for the vectored write path:
-/// `Put` payloads (plain or fenced) become zero-copy `Bytes` tails;
-/// every other request is contiguous (their bodies are a few fixed
-/// fields, not bulk data).
-pub fn encode_request_parts(req: &Request, req_id: u64) -> WireFrame {
+/// The opcode of a worker-protocol request.
+fn request_opcode(req: &Request) -> u8 {
     match req {
-        Request::Put { key, data, sum } => FrameBuilder::new(OP_PUT, req_id)
-            .key(*key)
-            .u64(*sum)
-            .finish_parts(data.clone()),
-        Request::Fenced { epoch, master, inner } => match &**inner {
-            // The fenced body embeds the inner frame minus its length
-            // prefix; for a fenced Put the inner header is appended to
-            // the outer one and the payload still rides zero-copy.
-            Request::Put { key, data, sum } => FrameBuilder::new(OP_FENCED, req_id)
-                .u64(*epoch)
-                .u64(*master)
-                .u8(WIRE_VERSION)
-                .u8(OP_PUT)
-                .u64(req_id)
-                .key(*key)
-                .u64(*sum)
-                .finish_parts(data.clone()),
-            _ => WireFrame::contiguous(encode_request(req, req_id)),
-        },
-        _ => WireFrame::contiguous(encode_request(req, req_id)),
+        Request::Put { .. } => OP_PUT,
+        Request::Get { .. } => OP_GET,
+        Request::GetParity { .. } => OP_GET_PARITY,
+        Request::GetRange { .. } => OP_GET_RANGE,
+        Request::Rename { .. } => OP_RENAME,
+        Request::Delete { .. } => OP_DELETE,
+        Request::Stats => OP_STATS,
+        Request::Ping => OP_PING,
+        Request::Shutdown => OP_SHUTDOWN,
+        Request::SetEpoch(_) => OP_SET_EPOCH,
+        Request::SetMasterEpoch(_) => OP_SET_MASTER_EPOCH,
+        Request::Stamped { .. } => OP_STAMPED,
     }
+}
+
+/// Writes `req`'s body after the header in `b`, all but a `Put`'s
+/// payload, which is returned to go last: the zero-copy `rest()` decode
+/// needs it there. A stamp is flat: its three fields, then the inner
+/// request's opcode and body.
+fn request_body(b: FrameBuilder, req: &Request) -> (FrameBuilder, Option<&Bytes>) {
+    let b = match req {
+        Request::Put { key, data, sum } => return (b.key(*key).u64(*sum), Some(data)),
+        Request::Get { key } | Request::GetParity { key } | Request::Delete { key } => b.key(*key),
+        Request::GetRange { key, offset, len } => b.key(*key).u64(*offset).u64(*len),
+        Request::Rename { from, to } => b.key(*from).key(*to),
+        Request::Stats | Request::Ping | Request::Shutdown => b,
+        Request::SetEpoch(e) | Request::SetMasterEpoch(e) => b.u64(*e),
+        Request::Stamped { stamp, inner } => {
+            let class = match stamp.class {
+                TrafficClass::Foreground => CLASS_FOREGROUND,
+                TrafficClass::Background => CLASS_BACKGROUND,
+            };
+            let b = b.u64(stamp.epoch).u64(stamp.master).u8(class);
+            return request_body(b.u8(request_opcode(inner)), inner);
+        }
+    };
+    (b, None)
+}
+
+/// `req`'s frame up to its payload tail, and the tail.
+fn request_head(req: &Request, req_id: u64) -> (FrameBuilder, Option<&Bytes>) {
+    request_body(FrameBuilder::new(request_opcode(req), req_id), req)
+}
+
+/// Encodes a request as a [`WireFrame`] for the vectored write path:
+/// every `Put` payload, stamped or not, becomes a zero-copy `Bytes`
+/// tail; every other request is contiguous (their bodies are a few
+/// fixed fields, not bulk data).
+///
+/// # Panics
+///
+/// If the frame would exceed [`MAX_FRAME`]; [`try_encode_request_parts`]
+/// refuses such a request instead.
+pub fn encode_request_parts(req: &Request, req_id: u64) -> WireFrame {
+    match try_encode_request_parts(req, req_id) {
+        Ok(frame) => frame,
+        Err(e) => panic!("{e}"),
+    }
+}
+
+/// [`encode_request_parts`] for a caller that must not panic.
+///
+/// # Errors
+///
+/// [`StoreError::Codec`] for a request whose frame would exceed
+/// [`MAX_FRAME`] (a `Put` of a partition too large for one frame).
+pub fn try_encode_request_parts(req: &Request, req_id: u64) -> Result<WireFrame, StoreError> {
+    let (head, tail) = request_head(req, req_id);
+    let len = head.len() + tail.map_or(0, Bytes::len);
+    if len > MAX_FRAME as usize {
+        return Err(codec(format!(
+            "a {len}-byte request frame exceeds the {MAX_FRAME}-byte limit"
+        )));
+    }
+    Ok(match tail {
+        Some(data) => head.finish_parts(data.clone()),
+        None => WireFrame::contiguous(head.finish()),
+    })
 }
 
 /// Encodes a reply as a [`WireFrame`]: `Data` payloads become
@@ -365,49 +445,9 @@ pub fn encode_reply_parts(reply: &Reply, req_id: u64) -> WireFrame {
 
 /// Encodes one worker-protocol request into a wire frame.
 pub fn encode_request(req: &Request, req_id: u64) -> Vec<u8> {
-    match req {
-        // The checksum rides between the key and the payload tail (the
-        // payload must stay last for the zero-copy `rest()` decode).
-        Request::Put { key, data, sum } => FrameBuilder::new(OP_PUT, req_id)
-            .key(*key)
-            .u64(*sum)
-            .bytes(data)
-            .finish(),
-        Request::Get { key } => FrameBuilder::new(OP_GET, req_id).key(*key).finish(),
-        Request::GetParity { key } => {
-            FrameBuilder::new(OP_GET_PARITY, req_id).key(*key).finish()
-        }
-        Request::GetRange { key, offset, len } => FrameBuilder::new(OP_GET_RANGE, req_id)
-            .key(*key)
-            .u64(*offset)
-            .u64(*len)
-            .finish(),
-        Request::Rename { from, to } => FrameBuilder::new(OP_RENAME, req_id)
-            .key(*from)
-            .key(*to)
-            .finish(),
-        Request::Delete { key } => FrameBuilder::new(OP_DELETE, req_id).key(*key).finish(),
-        Request::Stats => FrameBuilder::new(OP_STATS, req_id).finish(),
-        Request::Ping => FrameBuilder::new(OP_PING, req_id).finish(),
-        Request::Shutdown => FrameBuilder::new(OP_SHUTDOWN, req_id).finish(),
-        Request::SetEpoch(e) => FrameBuilder::new(OP_SET_EPOCH, req_id).u64(*e).finish(),
-        Request::SetMasterEpoch(m) => {
-            FrameBuilder::new(OP_SET_MASTER_EPOCH, req_id).u64(*m).finish()
-        }
-        // The fenced body embeds the inner request as a headered frame
-        // minus its length prefix (version | opcode | req_id | body), so
-        // the inner message reuses the whole codec unchanged. The two
-        // stamps (worker epoch, master epoch) precede it.
-        Request::Fenced { epoch, master, inner } => FrameBuilder::new(OP_FENCED, req_id)
-            .u64(*epoch)
-            .u64(*master)
-            .bytes(&encode_request(inner, req_id)[4..])
-            .finish(),
-        // Background mirrors the fenced embedding (sans epoch): the body
-        // is the inner frame minus its length prefix.
-        Request::Background { inner } => FrameBuilder::new(OP_BACKGROUND, req_id)
-            .bytes(&encode_request(inner, req_id)[4..])
-            .finish(),
+    match request_head(req, req_id) {
+        (head, Some(data)) => head.bytes(data).finish(),
+        (head, None) => head.finish(),
     }
 }
 
@@ -417,10 +457,18 @@ pub fn encode_request(req: &Request, req_id: u64) -> Vec<u8> {
 /// # Errors
 ///
 /// [`StoreError::Codec`] on unknown opcodes, truncated bodies or
-/// trailing garbage.
+/// trailing garbage, and on a stamp whose class byte is unknown or whose
+/// inner request is a control request or another stamp.
 pub fn decode_request(frame: &Frame) -> Result<Request, StoreError> {
     let mut c = frame.body_cursor();
-    let req = match frame.opcode {
+    let req = decode_request_body(frame.opcode, &mut c)?;
+    c.finish()?;
+    Ok(req)
+}
+
+/// Decodes the body of a request with opcode `op` at the cursor.
+fn decode_request_body(op: u8, c: &mut Cursor) -> Result<Request, StoreError> {
+    Ok(match op {
         OP_PUT => {
             let key = c.key()?;
             let sum = c.u64()?;
@@ -444,52 +492,33 @@ pub fn decode_request(frame: &Frame) -> Result<Request, StoreError> {
         OP_SHUTDOWN => Request::Shutdown,
         OP_SET_EPOCH => Request::SetEpoch(c.u64()?),
         OP_SET_MASTER_EPOCH => Request::SetMasterEpoch(c.u64()?),
-        OP_FENCED => {
+        OP_STAMPED => {
             let epoch = c.u64()?;
             let master = c.u64()?;
-            let inner = Frame::parse(c.rest())?;
-            if inner.opcode == OP_FENCED {
-                // One fence per request; unbounded nesting would let a
-                // hostile frame drive decode recursion arbitrarily deep.
-                return Err(codec("nested fenced request"));
+            let class = match c.u8()? {
+                CLASS_FOREGROUND => TrafficClass::Foreground,
+                CLASS_BACKGROUND => TrafficClass::Background,
+                b => return Err(codec(format!("unknown traffic class {b}"))),
+            };
+            // One stamp per request, which also bounds decode recursion
+            // at one level.
+            let inner_op = c.u8()?;
+            if inner_op == OP_STAMPED {
+                return Err(codec("stamp inside a stamp"));
             }
-            Request::Fenced {
-                epoch,
-                master,
-                inner: decode_stamped(frame, &inner)?,
+            let inner = decode_request_body(inner_op, c)?;
+            // The worker serves control requests before it reads stamps,
+            // so a stamped one has no meaning.
+            if inner.is_control() {
+                return Err(codec("control request inside a stamp"));
             }
-        }
-        OP_BACKGROUND => {
-            let inner = Frame::parse(c.rest())?;
-            // Canonical nesting is Fenced { Background { data } }: a
-            // fence inside a background stamp (or a double stamp) is a
-            // protocol violation, which also bounds decode recursion.
-            if inner.opcode == OP_BACKGROUND || inner.opcode == OP_FENCED {
-                return Err(codec("invalid nesting inside background request"));
-            }
-            Request::Background {
-                inner: decode_stamped(frame, &inner)?,
+            Request::Stamped {
+                stamp: Stamp { epoch, master, class },
+                inner: Box::new(inner),
             }
         }
         op => return Err(codec(format!("unknown request opcode {op:#04x}"))),
-    };
-    c.finish()?;
-    Ok(req)
-}
-
-/// Decodes the request embedded in a fence or background stamp, which
-/// must be a data request under the outer frame's id: the worker
-/// serves control requests before it looks at stamps, so a stamped one
-/// has no meaning.
-fn decode_stamped(outer: &Frame, inner: &Frame) -> Result<Box<Request>, StoreError> {
-    if inner.req_id != outer.req_id {
-        return Err(codec("stamped inner req_id mismatch"));
-    }
-    let req = decode_request(inner)?;
-    if req.is_control() {
-        return Err(codec("control request inside a stamp"));
-    }
-    Ok(Box::new(req))
+    })
 }
 
 fn encode_err(b: FrameBuilder, e: &StoreError) -> FrameBuilder {
@@ -711,103 +740,60 @@ mod tests {
         roundtrip_req(Request::SetEpoch(u64::MAX));
         roundtrip_req(Request::SetMasterEpoch(0));
         roundtrip_req(Request::SetMasterEpoch(u64::MAX));
-        roundtrip_req(Request::Fenced {
-            epoch: 7,
-            master: 0,
-            inner: Box::new(Request::Get {
-                key: PartKey::new(4, 2),
-            }),
-        });
-        roundtrip_req(Request::Fenced {
-            epoch: u64::MAX,
-            master: u64::MAX,
-            inner: Box::new(Request::Put {
-                key: PartKey::new(9, 0),
-                data: Bytes::from(vec![5, 6, 7]),
-                sum: 42,
-            }),
-        });
-        roundtrip_req(Request::Fenced {
-            epoch: 0,
-            master: 3,
-            inner: Box::new(Request::Delete {
-                key: PartKey::new(1, 1),
-            }),
-        });
-        roundtrip_req(Request::Background {
-            inner: Box::new(Request::Get {
-                key: PartKey::new(4, 2),
-            }),
-        });
-        roundtrip_req(Request::Background {
-            inner: Box::new(Request::Put {
-                key: PartKey::new(9, 0),
-                data: Bytes::from(vec![5, 6, 7]),
-                sum: 7,
-            }),
-        });
-        // The canonical full nesting: fence outside, class inside.
-        roundtrip_req(
-            Request::Put {
-                key: PartKey::new(9, 0),
-                data: Bytes::from(vec![8, 9]),
-                sum: 1,
-            }
-            .background()
-            .fenced(3),
-        );
-    }
-
-    #[test]
-    fn invalid_background_nesting_rejected() {
-        let fenced = |inner| Request::Fenced {
-            epoch: 2,
-            master: 0,
+        let stamped = |epoch, master, class, inner| Request::Stamped {
+            stamp: Stamp { epoch, master, class },
             inner: Box::new(inner),
         };
-        let background = |inner| Request::Background {
-            inner: Box::new(inner),
+        let put = Request::Put {
+            key: PartKey::new(9, 0),
+            data: Bytes::from(vec![5, 6, 7]),
+            sum: 42,
         };
         let get = Request::Get {
-            key: PartKey::new(1, 0),
+            key: PartKey::new(4, 2),
         };
-        for bad in [
-            // Background { Background { .. } } and Background { Fenced
-            // { .. } } violate the canonical nesting.
-            background(background(get.clone())),
-            background(fenced(get)),
-            // A stamp holds a data request, never a control one.
-            fenced(Request::Ping),
-            background(Request::Stats),
-            fenced(background(Request::Shutdown)),
-        ] {
-            let wire = encode_request(&bad, 5);
-            let frame = Frame::parse(Bytes::from(wire[4..].to_vec())).unwrap();
-            assert!(
-                matches!(decode_request(&frame), Err(StoreError::Codec(_))),
-                "{bad:?} decoded"
-            );
-        }
+        roundtrip_req(stamped(7, 0, TrafficClass::Foreground, get.clone()));
+        roundtrip_req(stamped(u64::MAX, u64::MAX, TrafficClass::Foreground, put.clone()));
+        roundtrip_req(stamped(0, 3, TrafficClass::Foreground, Request::Delete {
+            key: PartKey::new(1, 1),
+        }));
+        roundtrip_req(stamped(0, 0, TrafficClass::Background, get));
+        roundtrip_req(stamped(0, 0, TrafficClass::Background, put.clone()));
+        roundtrip_req(stamped(3, 5, TrafficClass::Background, put));
     }
 
+    /// A stamped `Put` on the wire, byte for byte (DESIGN.md §4.10).
     #[test]
-    fn nested_fenced_request_rejected() {
-        let wire = encode_request(
-            &Request::Fenced {
-                epoch: 1,
-                master: 0,
-                inner: Box::new(Request::Fenced {
-                    epoch: 2,
-                    master: 0,
-                    inner: Box::new(Request::Get {
-                        key: PartKey::new(1, 0),
-                    }),
-                }),
+    fn a_stamped_put_frame_is_pinned() {
+        let req = Request::Stamped {
+            stamp: Stamp {
+                epoch: 2,
+                master: 1,
+                class: TrafficClass::Background,
             },
-            5,
-        );
-        let frame = Frame::parse(Bytes::from(wire[4..].to_vec())).unwrap();
-        assert!(matches!(decode_request(&frame), Err(StoreError::Codec(_))));
+            inner: Box::new(Request::Put {
+                key: PartKey::new(7, 1),
+                data: Bytes::copy_from_slice(b"hi"),
+                sum: 0xAB,
+            }),
+        };
+        #[rustfmt::skip]
+        let want: Vec<u8> = vec![
+            0x32, 0, 0, 0,              // len = 50
+            3, 0x09,                    // version 3, stamped
+            5, 0, 0, 0, 0, 0, 0, 0,     // req_id
+            2, 0, 0, 0, 0, 0, 0, 0,     // worker epoch
+            1, 0, 0, 0, 0, 0, 0, 0,     // master epoch
+            1,                          // class: background
+            0x01,                       // inner opcode: Put
+            7, 0, 0, 0, 0, 0, 0, 0,     // key.file
+            1, 0, 0, 0,                 // key.part
+            0xAB, 0, 0, 0, 0, 0, 0, 0,  // sum
+            b'h', b'i',                 // payload
+        ];
+        assert_eq!(encode_request(&req, 5), want);
+        assert_eq!(encode_request_parts(&req, 5).to_contiguous(), want);
+        roundtrip_req(req);
     }
 
     #[test]
@@ -889,18 +875,24 @@ mod tests {
             Request::GetParity {
                 key: PartKey::parity(11, 0),
             },
-            Request::Fenced {
-                epoch: 42,
-                master: 6,
+            Request::Stamped {
+                stamp: Stamp {
+                    epoch: 42,
+                    master: 6,
+                    class: TrafficClass::Background,
+                },
                 inner: Box::new(Request::Put {
                     key,
                     data: data.clone(),
                     sum: 0xFEED_FACE,
                 }),
             },
-            Request::Fenced {
-                epoch: 42,
-                master: 0,
+            Request::Stamped {
+                stamp: Stamp {
+                    epoch: 42,
+                    master: 0,
+                    class: TrafficClass::Foreground,
+                },
                 inner: Box::new(Request::Delete { key }),
             },
             Request::Shutdown,
@@ -927,12 +919,38 @@ mod tests {
         );
     }
 
+    /// Every `Put`, stamped or not, leaves with the caller's `Bytes` as
+    /// its payload tail: the same allocation, never a copy.
     #[test]
-    fn wrong_version_rejected() {
-        let mut wire = encode_request(&Request::Ping, 0);
-        wire[4] = 9;
-        let err = Frame::parse(Bytes::from(wire[4..].to_vec())).unwrap_err();
-        assert!(matches!(err, StoreError::Codec(_)));
+    fn a_stamped_put_leaves_zero_copy() {
+        let data = Bytes::from(vec![0x5A; 4096]);
+        let put = Request::Put {
+            key: PartKey::new(3, 1),
+            data: data.clone(),
+            sum: 9,
+        };
+        let classes = [TrafficClass::Foreground, TrafficClass::Background];
+        for class in classes {
+            for (epoch, master) in [(0, 0), (4, 0), (0, 2), (4, 2)] {
+                let req = put.clone().stamped(Stamp { epoch, master, class });
+                let parts = encode_request_parts(&req, 1);
+                let tail = parts.payload.as_ref().expect("a payload tail");
+                assert_eq!(tail.as_ref().as_ptr(), data.as_ref().as_ptr(), "{req:?}");
+                assert_eq!(tail.len(), data.len());
+            }
+        }
+    }
+
+    #[test]
+    fn another_wire_version_is_refused_by_name() {
+        for version in [2, 9] {
+            let mut wire = encode_request(&Request::Ping, 0);
+            wire[4] = version;
+            let err = Frame::parse(Bytes::from(wire[4..].to_vec())).unwrap_err();
+            let want = format!("unsupported wire version {version} (want {WIRE_VERSION})");
+            assert_eq!(err, StoreError::Codec(want));
+        }
+        assert_eq!(WIRE_VERSION, 3);
     }
 
     #[test]

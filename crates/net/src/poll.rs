@@ -180,9 +180,10 @@ const HEAD: usize = 4 + HEADER_LEN;
 ///
 /// Copy discipline: every byte crosses from the kernel once. Once a
 /// frame's head is in hand its body has its final place — a buffer of
-/// exactly the frame's length, so whoever keeps it (a worker stores
-/// `Put` payloads for as long as they are resident) keeps those bytes
-/// and nothing else; or, for a reply payload the caller offers a
+/// the frame's length (a large one rounded up to whole pages, see
+/// `body_capacity`), so whoever keeps it (a worker stores `Put` payloads
+/// for as long as they are resident) keeps those bytes and next to
+/// nothing else; or, for a reply payload the caller offers a
 /// [`Claim`] for, the caller's own memory (a client read's output). What
 /// the read that found the head held of the body is copied there out of
 /// the loop's [`ReadBuf`]; the rest is read straight into it by `read(2)`
@@ -326,7 +327,7 @@ impl FrameReader {
         let mut body = match offered.filter(|(_, claim)| claim.remaining() == payload) {
             Some((tag, claim)) => Body::Landing { tag, claim },
             None => {
-                let mut buf = Vec::with_capacity(len);
+                let mut buf = Vec::with_capacity(body_capacity(len));
                 buf.extend_from_slice(header);
                 Body::Frame { buf, len }
             }
@@ -339,6 +340,20 @@ impl FrameReader {
             self.body = Some(body);
         }
         Ok(take)
+    }
+}
+
+/// The allocation for a frame of `len` bytes. One of [`READ_CHUNK`] or
+/// more is rounded up to whole 4 KiB pages (under 1/16 more), so writes
+/// of one partition whose headers differ by a few bytes — a plain `Put`
+/// and the 18-byte-longer stamped `Put` of its read repair — fit each
+/// other's freed block, where exact sizes would fragment the heap a
+/// worker keeps its partitions on.
+fn body_capacity(len: usize) -> usize {
+    if len >= READ_CHUNK {
+        len.next_multiple_of(4096)
+    } else {
+        len
     }
 }
 

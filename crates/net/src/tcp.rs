@@ -12,7 +12,7 @@
 //! out of order (the fork-join read path depends on this).
 //!
 //! The data path is batched, and zero-copy outbound: submitters encode frames as
-//! header + [`bytes::Bytes`] payload parts ([`crate::frame::encode_request_parts`]),
+//! header + [`bytes::Bytes`] payload parts ([`crate::frame::try_encode_request_parts`]),
 //! the loop gathers every frame queued since its last wakeup into
 //! shared `writev` calls ([`crate::poll::WriteQueue`]), and inbound
 //! frames are decoded incrementally off non-blocking reads
@@ -67,7 +67,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
-use crate::frame::{data_reply_id, decode_reply, encode_request_parts, Frame};
+use crate::frame::{data_reply_id, decode_reply, try_encode_request_parts, Frame};
 use crate::poll::{FrameReader, Inbound, PumpStatus, ReadBuf, WireFrame, WriteQueue};
 
 /// Token reserved for the shard's cross-thread waker.
@@ -242,22 +242,31 @@ impl TcpTransport {
         Ok(())
     }
 
-    /// Hands one request to `worker`'s shard (fresh `req_id`,
-    /// parts-encoded frame, reap deadline, landing region) without waking
-    /// it, and returns the reply receiver.
+    /// Encodes `req` under a fresh `req_id`.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Codec`] for a frame over [`crate::frame::MAX_FRAME`].
+    fn encode(&self, req: &Request) -> Result<(u64, WireFrame), StoreError> {
+        let req_id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        Ok((req_id, try_encode_request_parts(req, req_id)?))
+    }
+
+    /// Hands one encoded request to `worker`'s shard (with its reap
+    /// deadline and landing region) without waking it, and returns the
+    /// reply receiver.
     fn enqueue(
         &self,
         worker: usize,
-        req: &Request,
+        (req_id, frame): (u64, WireFrame),
         region: Option<Region>,
     ) -> Result<Receiver<Reply>, StoreError> {
         self.ensure_connected(worker)?;
-        let req_id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = bounded(1);
         let cmd = Cmd::Submit {
             worker,
             req_id,
-            frame: encode_request_parts(req, req_id),
+            frame,
             reap_at: Instant::now() + self.deadline * 2,
             waiter: Waiter { reply: tx, region },
         };
@@ -301,7 +310,7 @@ impl Transport for TcpTransport {
 
     fn submit(&self, worker: usize, req: Request) -> Result<Receiver<Reply>, StoreError> {
         self.check_workers(std::iter::once(worker))?;
-        let rx = self.enqueue(worker, &req, None)?;
+        let rx = self.enqueue(worker, self.encode(&req)?, None)?;
         let _ = self.shard_of(worker).waker.wake();
         Ok(rx)
     }
@@ -317,16 +326,21 @@ impl Transport for TcpTransport {
     /// single wake per shard, so the loop flushes the whole burst in
     /// shared `writev` calls — this is what makes a k-way fork-join
     /// read one syscall round instead of k. A request's region travels
-    /// with it to the loop that reads its reply.
+    /// with it to the loop that reads its reply. A bad worker index or an
+    /// oversized frame anywhere in the batch refuses all of it.
     fn submit_landing(
         &self,
         reqs: Vec<(usize, Request, Option<Region>)>,
     ) -> Result<Vec<Receiver<Reply>>, StoreError> {
         self.check_workers(reqs.iter().map(|&(w, ..)| w))?;
-        let mut receivers = Vec::with_capacity(reqs.len());
+        let encoded = reqs
+            .into_iter()
+            .map(|(worker, req, region)| Ok((worker, self.encode(&req)?, region)))
+            .collect::<Result<Vec<_>, StoreError>>()?;
+        let mut receivers = Vec::with_capacity(encoded.len());
         let mut woken = vec![false; self.shards.len()];
-        for (worker, req, region) in reqs {
-            receivers.push(self.enqueue(worker, &req, region)?);
+        for (worker, frame, region) in encoded {
+            receivers.push(self.enqueue(worker, frame, region)?);
             woken[worker % self.shards.len()] = true;
         }
         for (i, fire) in woken.into_iter().enumerate() {
@@ -795,6 +809,37 @@ mod tests {
             t.submit_batch(vec![(0, Request::Ping), (1, Request::Ping)])
                 .map(drop),
         );
+        // Two, because the server holds every other reply back.
+        await_pongs(
+            t.submit_batch(vec![(0, Request::Ping), (0, Request::Ping)])
+                .unwrap(),
+        );
+        drop(t);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_put_too_large_for_one_frame_is_refused_before_it_is_queued() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = pong_server(listener);
+        let t = TcpTransport::connect(vec![addr]);
+        // Zeroed and never touched: the pages are never faulted in.
+        let put = Request::Put {
+            key: PartKey::new(1, 0),
+            data: Bytes::from(vec![0u8; crate::frame::MAX_FRAME as usize]),
+            sum: 0,
+        };
+        let refused = |r: Result<(), StoreError>| {
+            let e = r.expect_err("an oversized frame was queued");
+            assert!(
+                matches!(e, StoreError::Codec(_)) && !e.is_retryable(),
+                "got {e:?}"
+            );
+        };
+        refused(t.submit(0, put.clone()).map(drop));
+        // All or nothing: the Ping ahead of the Put was not sent either.
+        refused(t.submit_batch(vec![(0, Request::Ping), (0, put)]).map(drop));
         // Two, because the server holds every other reply back.
         await_pongs(
             t.submit_batch(vec![(0, Request::Ping), (0, Request::Ping)])

@@ -14,7 +14,8 @@ use spcache_net::master_net::{
     decode_meta_reply, decode_meta_request, encode_meta_reply, encode_meta_request, MetaReply,
     MetaRequest,
 };
-use spcache_store::rpc::{PartKey, Reply, Request, StoreError, WorkerStats};
+use spcache_store::rpc::{PartKey, Reply, Request, Stamp, StoreError, WorkerStats};
+use spcache_store::throttle::TrafficClass;
 use spcache_store::FileIntegrity;
 
 /// Strips the 4-byte length prefix off an `encode_*` result, yielding
@@ -45,6 +46,34 @@ fn key_from(file: u64, part: u32, staged: bool) -> PartKey {
     } else {
         k
     }
+}
+
+/// A stamp whose epochs are zero unless their flag is set.
+fn stamp_from(
+    fenced: bool,
+    epoch: u64,
+    master_stamped: bool,
+    master: u64,
+    background: bool,
+) -> Stamp {
+    Stamp {
+        epoch: if fenced { epoch } else { 0 },
+        master: if master_stamped { master } else { 0 },
+        class: if background { TrafficClass::Background } else { TrafficClass::Foreground },
+    }
+}
+
+/// One of each data request, the kind a stamp may hold.
+fn data_requests(key: PartKey, offset: u64, data: &[u8]) -> Vec<Request> {
+    let to = PartKey::new(key.file.wrapping_add(1), key.part ^ 1);
+    vec![
+        Request::Put { key, data: Bytes::from(data.to_vec()), sum: offset },
+        Request::Get { key },
+        Request::GetParity { key: PartKey::parity(key.file, key.part) },
+        Request::GetRange { key, offset, len: offset / 3 },
+        Request::Rename { from: key, to },
+        Request::Delete { key },
+    ]
 }
 
 proptest! {
@@ -92,49 +121,83 @@ proptest! {
             Request::Shutdown,
             Request::SetEpoch(offset),
             Request::SetMasterEpoch(len),
-            Request::Fenced {
-                epoch: len,
-                master: 0,
-                inner: Box::new(Request::Get { key }),
-            },
-            Request::Fenced {
-                epoch: len,
-                master: offset,
-                inner: Box::new(Request::Get { key }),
-            },
-            Request::Background {
-                inner: Box::new(Request::Get { key }),
-            },
-            Request::Fenced {
-                epoch: len,
-                master: offset,
-                inner: Box::new(Request::Background {
-                    inner: Box::new(Request::Delete { key }),
-                }),
-            },
         ] {
             let (rid, decoded) = req_roundtrip(&req, req_id);
             prop_assert_eq!(rid, req_id);
             prop_assert_eq!(decoded, req);
         }
-        // A stamp holds a data request: a control request inside a
-        // fence or a background stamp is refused, not decoded.
+    }
+
+    /// Every data request round-trips under any stamp: both classes,
+    /// zero and non-zero epochs.
+    #[test]
+    fn stamped_data_requests_roundtrip(
+        file in 0u64..u64::MAX,
+        part in 0u32..=u32::MAX,
+        staged: bool,
+        offset in 0u64..u64::MAX,
+        req_id in 0u64..u64::MAX,
+        data in proptest::collection::vec(0u8..=255, 0..512),
+        epoch in 0u64..u64::MAX,
+        master in 0u64..u64::MAX,
+        fenced: bool,
+        master_stamped: bool,
+        background: bool,
+    ) {
+        let stamp = stamp_from(fenced, epoch, master_stamped, master, background);
+        for inner in data_requests(key_from(file, part, staged), offset, &data) {
+            let req = Request::Stamped { stamp, inner: Box::new(inner) };
+            let (rid, decoded) = req_roundtrip(&req, req_id);
+            prop_assert_eq!(rid, req_id);
+            prop_assert_eq!(decoded, req);
+        }
+    }
+
+    /// A stamp holds one data request. A control request or another
+    /// stamp inside it, an unknown class byte, and a stamp cut short at
+    /// any byte are each a codec error, never a panic.
+    #[test]
+    fn malformed_stamps_are_codec_errors(
+        file in 0u64..u64::MAX,
+        part in 0u32..=u32::MAX,
+        offset in 0u64..u64::MAX,
+        req_id in 0u64..u64::MAX,
+        data in proptest::collection::vec(0u8..=255, 0..64),
+        epoch in 0u64..u64::MAX,
+        master in 0u64..u64::MAX,
+        fenced: bool,
+        master_stamped: bool,
+        background: bool,
+        class in 2u8..=255,
+    ) {
+        let stamp = stamp_from(fenced, epoch, master_stamped, master, background);
+        let stamped = |inner| Request::Stamped { stamp, inner: Box::new(inner) };
+        let refused = |buf: Bytes| match Frame::parse(buf) {
+            Ok(frame) => matches!(decode_request(&frame), Err(StoreError::Codec(_))),
+            Err(_) => false,
+        };
         for control in [
             Request::Stats,
             Request::Ping,
             Request::Shutdown,
-            Request::SetEpoch(offset),
-            Request::SetMasterEpoch(len),
+            Request::SetEpoch(epoch),
+            Request::SetMasterEpoch(master),
         ] {
-            for stamped in [
-                Request::Fenced { epoch: len, master: offset, inner: Box::new(control.clone()) },
-                Request::Background { inner: Box::new(control) },
-            ] {
-                let frame = Frame::parse(strip_prefix(encode_request(&stamped, req_id))).unwrap();
-                prop_assert!(
-                    matches!(decode_request(&frame), Err(StoreError::Codec(_))),
-                    "{:?} decoded", stamped
-                );
+            let bad = stamped(control);
+            prop_assert!(refused(strip_prefix(encode_request(&bad, req_id))), "{:?} decoded", bad);
+        }
+        for inner in data_requests(PartKey::new(file, part), offset, &data) {
+            let bad = stamped(stamped(inner.clone()));
+            prop_assert!(refused(strip_prefix(encode_request(&bad, req_id))), "{:?} decoded", bad);
+            let wire = strip_prefix(encode_request(&stamped(inner), req_id)).to_vec();
+            // worker epoch (8) | master epoch (8) | class (1) | inner opcode (1)
+            let mut bad_class = wire.clone();
+            bad_class[HEADER_LEN + 16] = class;
+            prop_assert!(refused(Bytes::from(bad_class)), "class {} decoded", class);
+            // Every data request's body is at least a key, so a stamp
+            // with no inner body is short too.
+            for cut in HEADER_LEN..=HEADER_LEN + 18 {
+                prop_assert!(refused(Bytes::from(wire[..cut].to_vec())), "cut at {} decoded", cut);
             }
         }
     }
@@ -281,17 +344,22 @@ proptest! {
         data in proptest::collection::vec(0u8..=255, 0..512),
         pos_seed in 0usize..usize::MAX,
         flip in 1u8..=255,
+        background: bool,
     ) {
-        let wire =
-            encode_request(&Request::Put { key: PartKey::new(file, part), data: Bytes::from(data), sum: 7 }, req_id);
-        let mut bytes = wire[4..].to_vec();
-        let pos = pos_seed % bytes.len();
-        bytes[pos] ^= flip;
-        if let Ok(frame) = Frame::parse(Bytes::from(bytes)) {
-            let _ = decode_request(&frame); // must not panic
-            let _ = decode_reply(&frame);
-            let _ = decode_meta_request(&frame);
-            let _ = decode_meta_reply(&frame);
+        let put = Request::Put { key: PartKey::new(file, part), data: Bytes::from(data), sum: 7 };
+        let stamp = stamp_from(true, file, true, req_id, background);
+        let stamped = Request::Stamped { stamp, inner: Box::new(put.clone()) };
+        for req in [put, stamped] {
+            let wire = encode_request(&req, req_id);
+            let mut bytes = wire[4..].to_vec();
+            let pos = pos_seed % bytes.len();
+            bytes[pos] ^= flip;
+            if let Ok(frame) = Frame::parse(Bytes::from(bytes)) {
+                let _ = decode_request(&frame); // must not panic
+                let _ = decode_reply(&frame);
+                let _ = decode_meta_request(&frame);
+                let _ = decode_meta_reply(&frame);
+            }
         }
     }
 
@@ -315,12 +383,20 @@ proptest! {
         cut_seed in 0usize..usize::MAX,
         flip in 1u8..=255,
     ) {
+        let stamp = stamp_from(true, epoch, true, master, flip & 2 == 2);
         let wires = [
             encode_request(&Request::SetMasterEpoch(master), req_id),
-            encode_request(&Request::Fenced {
-                epoch,
-                master,
+            encode_request(&Request::Stamped {
+                stamp,
                 inner: Box::new(Request::Get { key: PartKey::new(epoch, 7) }),
+            }, req_id),
+            encode_request(&Request::Stamped {
+                stamp,
+                inner: Box::new(Request::Put {
+                    key: PartKey::new(epoch, 7),
+                    data: Bytes::from(raw.clone()),
+                    sum: master,
+                }),
             }, req_id),
             encode_meta_request(&MetaRequest::Status, req_id),
             encode_meta_request(&MetaRequest::LogTail { from: epoch }, req_id),
@@ -365,15 +441,20 @@ proptest! {
         req_id in 0u64..u64::MAX,
         data in proptest::collection::vec(0u8..=255, 1..512),
         cut_seed in 0usize..usize::MAX,
+        background: bool,
     ) {
-        let wire =
-            encode_request(&Request::Put { key: PartKey::new(file, part), data: Bytes::from(data), sum: 7 }, req_id);
-        // Cut strictly inside the message (cut = 0 is a clean close,
-        // covered by the unit tests as `Ok(None)`).
-        let cut = 1 + cut_seed % (wire.len() - 1);
-        let mut stream = std::io::Cursor::new(wire[..cut].to_vec());
-        let got = read_frame(&mut stream);
-        prop_assert!(got.is_err(), "cut at {} of {} accepted: {:?}", cut, wire.len(), got);
+        let put = Request::Put { key: PartKey::new(file, part), data: Bytes::from(data), sum: 7 };
+        let stamp = stamp_from(true, file, false, 0, background);
+        let stamped = Request::Stamped { stamp, inner: Box::new(put.clone()) };
+        for req in [put, stamped] {
+            let wire = encode_request(&req, req_id);
+            // Cut strictly inside the message (cut = 0 is a clean close,
+            // covered by the unit tests as `Ok(None)`).
+            let cut = 1 + cut_seed % (wire.len() - 1);
+            let mut stream = std::io::Cursor::new(wire[..cut].to_vec());
+            let got = read_frame(&mut stream);
+            prop_assert!(got.is_err(), "cut at {} of {} accepted: {:?}", cut, wire.len(), got);
+        }
     }
 
     /// Truncation *below the header* is also rejected at the parse

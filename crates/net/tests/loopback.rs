@@ -9,7 +9,8 @@ use spcache_store::backing::UnderStore;
 use spcache_store::fault::{FaultAction, FaultLog};
 use spcache_store::master::{Master, MetaService};
 use spcache_store::metalog::{decode_records, MetaLog};
-use spcache_store::rpc::{PartKey, Reply, Request, StoreError, WorkerStats};
+use spcache_store::rpc::{PartKey, Reply, Request, Stamp, StoreError, WorkerStats};
+use spcache_store::throttle::TrafficClass;
 use spcache_store::transport::Transport;
 use spcache_store::{Client, FaultPlan, StoreCluster, StoreConfig};
 use std::sync::Arc;
@@ -224,9 +225,11 @@ fn degraded_read_costs_k_plus_r_gets_on_both_transports() {
 fn stamped_control_requests_are_refused_on_both_transports() {
     fn check(transport: &dyn Transport, faults: &FaultLog) {
         let wait = Duration::from_secs(5);
+        let fence = Stamp { epoch: 1, ..Stamp::default() };
+        let background = Stamp { class: TrafficClass::Background, ..Stamp::default() };
         for bad in [
-            Request::Fenced { epoch: 1, master: 0, inner: Box::new(Request::Ping) },
-            Request::Background { inner: Box::new(Request::Stats) },
+            Request::Stamped { stamp: fence, inner: Box::new(Request::Ping) },
+            Request::Stamped { stamp: background, inner: Box::new(Request::Stats) },
         ] {
             let refused = transport.call(0, bad.clone(), wait);
             assert!(

@@ -5,7 +5,7 @@
 use spcache_net::{MasterClient, TcpTransport};
 use spcache_store::client::Client;
 use spcache_store::master::MetaService;
-use spcache_store::rpc::{PartKey, Reply, Request, StoreError};
+use spcache_store::rpc::{PartKey, Reply, Request, Stamp, StoreError};
 use spcache_store::transport::Transport;
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
@@ -358,12 +358,14 @@ fn kill_nine_and_restart_reregisters_with_a_fresh_epoch() {
     // Every pre-crash epoch is fenced out forever: a zombie client (or a
     // zombie worker replaying its old grant) can neither read nor write.
     let key = PartKey::new(9, 0);
+    let fence = |epoch| Stamp { epoch, ..Stamp::default() };
     for stale in 1..fresh_epoch {
         for req in [
             Request::Get { key },
             Request::Put { key, data: payload(9, 64).into(), sum: 0 },
         ] {
-            match transport.call(VICTIM, req.fenced(stale), Duration::from_secs(2)).unwrap() {
+            let stamped = req.stamped(fence(stale));
+            match transport.call(VICTIM, stamped, Duration::from_secs(2)).unwrap() {
                 Reply::Err(StoreError::StaleEpoch(w)) => assert_eq!(w, VICTIM),
                 other => panic!("stale epoch {stale} not fenced: {other:?}"),
             }
@@ -373,13 +375,14 @@ fn kill_nine_and_restart_reregisters_with_a_fresh_epoch() {
     transport
         .call(
             VICTIM,
-            Request::Put { key, data: payload(9, 64).into(), sum: 0 }.fenced(fresh_epoch),
+            Request::Put { key, data: payload(9, 64).into(), sum: 0 }.stamped(fence(fresh_epoch)),
             Duration::from_secs(2),
         )
         .unwrap()
         .unit()
         .unwrap();
-    match transport.call(VICTIM, Request::Get { key }.fenced(fresh_epoch), Duration::from_secs(2)) {
+    let get = Request::Get { key }.stamped(fence(fresh_epoch));
+    match transport.call(VICTIM, get, Duration::from_secs(2)) {
         Ok(Reply::Data(d)) => assert_eq!(&d[..], &payload(9, 64)[..]),
         other => panic!("re-registered worker refused a fenced read: {other:?}"),
     }

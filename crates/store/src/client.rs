@@ -18,6 +18,7 @@ use crate::landing::Landing;
 use crate::master::MetaService;
 use crate::metalog::FileIntegrity;
 use crate::rpc::{PartKey, Reply, Request, StoreError};
+use crate::throttle::TrafficClass;
 use crate::transport::Transport;
 
 /// A client handle onto a running store cluster.
@@ -67,18 +68,18 @@ pub struct Client {
     hedged_fetches: Arc<AtomicU64>,
     hedged_bytes: Arc<AtomicU64>,
     /// Whether data requests are stamped with the target worker's
-    /// fencing epoch (see [`Request::fenced`]); off by default — an
+    /// fencing epoch ([`crate::rpc::Stamp::epoch`]); off by default — an
     /// unfenced client is wire-identical to the pre-supervisor store.
     fenced: bool,
     /// Admission policy for operations on files whose repair is in
     /// flight elsewhere.
     degraded: DegradedPolicy,
-    /// Whether this client's data requests are stamped
-    /// [`Request::Background`]: workers pace them through the
-    /// background share of their NIC. On for maintenance actors
-    /// (supervisor sweeps, repartitioners, heal pushes), off for
-    /// foreground clients.
-    background: bool,
+    /// The class this client's data requests are stamped with.
+    /// [`TrafficClass::Background`] requests are paced through the
+    /// background share of the workers' NICs: maintenance actors
+    /// (supervisor sweeps, repartitioners, heal pushes) use it, and
+    /// foreground clients do not.
+    class: TrafficClass,
     /// Whether fenced stamps also carry the master's **master epoch**
     /// (§4.14), so workers can detect traffic from a deposed master.
     /// On for masters' own actors (the supervisor); off for plain
@@ -116,7 +117,7 @@ impl Client {
             hedged_bytes: Arc::new(AtomicU64::new(0)),
             fenced: false,
             degraded: DegradedPolicy::Queue,
-            background: false,
+            class: TrafficClass::Foreground,
             master_stamp: false,
             epochs: Arc::new(Mutex::new(Vec::new())),
             verify: false,
@@ -177,7 +178,11 @@ impl Client {
     /// NIC (§4.4), so maintenance streams never starve foreground
     /// reads.
     pub fn with_background(mut self, background: bool) -> Self {
-        self.background = background;
+        self.class = if background {
+            TrafficClass::Background
+        } else {
+            TrafficClass::Foreground
+        };
         self
     }
 
@@ -411,12 +416,10 @@ impl Client {
     /// request stamps.
     fn io(&self) -> Fanout<'_> {
         Fanout {
-            master: self.master.as_ref(),
-            transport: self.transport.as_ref(),
             fence: self.fenced.then_some(&*self.epochs),
-            background: self.background,
+            class: self.class,
             master_stamp: self.master_stamp,
-            health: true,
+            ..Fanout::plain(self.master.as_ref(), self.transport.as_ref())
         }
     }
 
@@ -728,7 +731,7 @@ impl Client {
             repairs.push((servers[j], PartKey::new(id, j as u32), part, row.sums[j]));
         }
         let repair = Fanout {
-            background: true,
+            class: TrafficClass::Background,
             ..self.io().best_effort()
         };
         let _ = repair.fork(puts(repairs));

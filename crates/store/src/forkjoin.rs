@@ -8,6 +8,11 @@
 //! placement check, the request stamps, the `Select` over reply routes
 //! and the `mark_alive` / `suspect` / `mark_dead` / epoch-refresh
 //! bookkeeping are written here once.
+//!
+//! This is the only place live traffic is stamped: each batch's
+//! requests get one flat [`Stamp`] apiece — the target's cached
+//! registration epoch, the master epoch read once for the batch, and
+//! the engine's traffic class.
 
 use crossbeam::channel::{Receiver, Select, TryRecvError};
 use parking_lot::Mutex;
@@ -15,7 +20,8 @@ use std::time::{Duration, Instant};
 
 use crate::landing::Region;
 use crate::master::MetaService;
-use crate::rpc::{Reply, Request, StoreError};
+use crate::rpc::{Reply, Request, Stamp, StoreError};
+use crate::throttle::TrafficClass;
 use crate::transport::Transport;
 
 /// The typed, permanent error for a placement that names no worker.
@@ -34,11 +40,11 @@ pub(crate) struct Fanout<'a> {
     pub master: &'a dyn MetaService,
     pub transport: &'a dyn Transport,
     /// The caller's per-worker epoch cache when its requests are epoch
-    /// fenced (see [`Request::fenced`]); refreshed from the master on
-    /// every stale-epoch bounce. `None` = unfenced.
+    /// fenced ([`Stamp::epoch`]); refreshed from the master on every
+    /// stale-epoch bounce. `None` = unfenced.
     pub fence: Option<&'a Mutex<Vec<u64>>>,
-    /// Stamp requests [`Request::Background`].
-    pub background: bool,
+    /// The class requests are stamped with ([`Stamp::class`]).
+    pub class: TrafficClass,
     /// Stamp requests with the master's master epoch (§4.14).
     pub master_stamp: bool,
     /// Fold reply and failure signals into the master's health table.
@@ -48,14 +54,13 @@ pub(crate) struct Fanout<'a> {
 }
 
 impl<'a> Fanout<'a> {
-    /// An engine that stamps nothing (callers stamp their own requests)
-    /// and folds health.
+    /// An engine that stamps nothing and folds health.
     pub fn plain(master: &'a dyn MetaService, transport: &'a dyn Transport) -> Self {
         Fanout {
             master,
             transport,
             fence: None,
-            background: false,
+            class: TrafficClass::Foreground,
             master_stamp: false,
             health: true,
         }
@@ -125,33 +130,35 @@ impl<'a> Fanout<'a> {
             .count()
     }
 
-    /// Applies the stamps in canonical nesting order: background class
-    /// inside, epoch fence (worker epoch + optional master epoch)
-    /// outside.
-    fn stamp(&self, worker: usize, req: Request) -> Request {
-        let req = if self.background {
-            req.background()
-        } else {
-            req
-        };
-        let epoch = self.fence.map_or(0, |cache| self.epoch_of(cache, worker));
+    /// Stamps one batch: the master epoch is read once and the epoch
+    /// cache locked once, and the cache is fetched from the master while
+    /// no worker has been granted an epoch yet (0 = don't fence).
+    fn stamp(
+        &self,
+        reqs: Vec<(usize, Request, Option<Region>)>,
+    ) -> Vec<(usize, Request, Option<Region>)> {
         let master = if self.master_stamp {
             self.master.master_epoch()
         } else {
             0
         };
-        req.fenced_master(epoch, master)
-    }
-
-    /// The cached fencing epoch of `worker`, fetching the table from
-    /// the master while no worker has been granted one yet (0 = don't
-    /// stamp).
-    fn epoch_of(&self, cache: &Mutex<Vec<u64>>, worker: usize) -> u64 {
-        let mut cache = cache.lock();
-        if cache.iter().all(|&e| e == 0) {
-            *cache = self.master.worker_epochs(self.transport.n_workers());
+        let mut epochs = self.fence.map(|cache| cache.lock());
+        if let Some(cache) = epochs.as_deref_mut() {
+            if cache.iter().all(|&e| e == 0) {
+                *cache = self.master.worker_epochs(self.transport.n_workers());
+            }
         }
-        cache.get(worker).copied().unwrap_or(0)
+        reqs.into_iter()
+            .map(|(w, req, region)| {
+                let epoch = epochs.as_ref().and_then(|cache| cache.get(w).copied());
+                let stamp = Stamp {
+                    epoch: epoch.unwrap_or(0),
+                    master,
+                    class: self.class,
+                };
+                (w, req.stamped(stamp), region)
+            })
+            .collect()
     }
 
     /// Folds an error's health signal into the master's table. Endpoint
@@ -237,13 +244,7 @@ impl Join<'_> {
             )));
         }
         let workers: Vec<usize> = reqs.iter().map(|&(w, ..)| w).collect();
-        let reqs = if io.fence.is_some() || io.background || io.master_stamp {
-            reqs.into_iter()
-                .map(|(w, req, region)| (w, io.stamp(w, req), region))
-                .collect()
-        } else {
-            reqs
-        };
+        let reqs = io.stamp(reqs);
         // One transport call per batch, so a socket transport coalesces
         // the frames into shared `writev` rounds.
         let routes = io

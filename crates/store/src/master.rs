@@ -102,7 +102,7 @@ pub struct Master {
     /// zero duplicate heals.
     repair_log: Mutex<Vec<u64>>,
     /// The master epoch (DESIGN.md §4.14): bumped on every takeover,
-    /// stamped into `Fenced` envelopes so workers bounce a deposed
+    /// carried in request stamps (`Stamp::master`) so workers bounce a deposed
     /// master's writes the way they bounce stale workers.
     master_epoch: AtomicU64,
     /// Listen address of the master that owns [`Master::master_epoch`]

@@ -12,10 +12,11 @@
 //! [`Transport`], so the same code repartitions an in-process cluster
 //! and a fleet of `spcached` processes over TCP.
 //!
-//! All executor traffic is **background-stamped**
-//! ([`Request::background`]): repartition pulls and pushes ride the
-//! workers' background NIC share (§4.4), so a rebalance never starves
-//! the foreground read path it is trying to improve.
+//! All executor traffic goes through one background [`Fanout`], which
+//! stamps every request [`TrafficClass::Background`]: repartition pulls
+//! and pushes ride the workers' background NIC share (§4.4), so a
+//! rebalance never starves the foreground read path it is trying to
+//! improve.
 
 use bytes::Bytes;
 use spcache_core::repartition::{RepartitionJob, RepartitionPlan};
@@ -25,6 +26,7 @@ use std::time::Duration;
 use crate::forkjoin::Fanout;
 use crate::master::MetaService;
 use crate::rpc::{PartKey, Reply, Request, StoreError};
+use crate::throttle::TrafficClass;
 use crate::transport::Transport;
 
 /// Default for how long an executor waits on any single worker reply
@@ -44,27 +46,35 @@ fn is_availability(e: &StoreError) -> bool {
     )
 }
 
-/// The background-stamped Put of one shard, carrying its checksum.
+/// The executors' engine: every request background-stamped.
+fn background<'a>(master: &'a dyn MetaService, transport: &'a dyn Transport) -> Fanout<'a> {
+    Fanout {
+        class: TrafficClass::Background,
+        ..Fanout::plain(master, transport)
+    }
+}
+
+/// The Put of one shard, carrying its checksum.
 fn put(key: PartKey, shard: Bytes) -> Request {
     let sum = spcache_integrity::sum(&shard);
-    Request::Put { key, data: shard, sum }.background()
+    Request::Put { key, data: shard, sum }
 }
 
-/// The background-stamped `Get` of partition `j` of `file`.
+/// The `Get` of partition `j` of `file`.
 fn get(file: u64, j: usize) -> Request {
     let key = PartKey::new(file, j as u32);
-    Request::Get { key }.background()
+    Request::Get { key }
 }
 
-/// The background-stamped best-effort deletes of `file`'s partitions
-/// (staged or final) on `servers`, index by index.
+/// The best-effort deletes of `file`'s partitions (staged or final) on
+/// `servers`, index by index.
 fn deletes(file: u64, servers: &[usize], staged: bool) -> Vec<(usize, Request)> {
     let holders = servers.iter().enumerate();
     holders
         .map(|(j, &server)| {
             let key = PartKey::new(file, j as u32);
             let key = if staged { key.staged() } else { key };
-            (server, Request::Delete { key }.background())
+            (server, Request::Delete { key })
         })
         .collect()
 }
@@ -172,7 +182,7 @@ fn execute_job(
             from: key.staged(),
             to: key,
         };
-        let renamed = io.call(server, rename.background(), deadline)?.flag()?;
+        let renamed = io.call(server, rename, deadline)?.flag()?;
         debug_assert!(renamed, "staged partition vanished before commit");
     }
     master.apply_placement(file_id, targets)
@@ -217,7 +227,7 @@ pub fn run_parallel_with_deadline(
     transport: &dyn Transport,
     deadline: Duration,
 ) -> Result<Vec<u64>, StoreError> {
-    let io = Fanout::plain(master, transport);
+    let io = background(master, transport);
     let by_executor = plan.jobs_by_executor(transport.n_workers());
     let results: Vec<Result<Vec<u64>, StoreError>> = std::thread::scope(|s| {
         let handles: Vec<_> = by_executor
@@ -282,7 +292,7 @@ pub fn run_sequential_with_deadline(
 ) -> Result<(), StoreError> {
     // Unchanged files are still collected and re-written in place (that is
     // what makes the strawman slow).
-    let io = Fanout::plain(master, transport);
+    let io = background(master, transport);
     for &i in &plan.unchanged {
         let file_id = ids[i];
         let (size, servers) = master.peek(file_id)?;

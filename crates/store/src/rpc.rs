@@ -6,11 +6,18 @@
 //! without translation. A transport pairs a [`Request`] with a
 //! [`ReplyRoute`] in an [`Envelope`]: a one-shot crossbeam sender in
 //! process, a [`ReplySink`] onto the owning connection behind a socket.
+//!
+//! A data request carries at most one flat [`Stamp`] — worker epoch,
+//! master epoch, traffic class — as [`Request::Stamped`]. The fork-join
+//! engine ([`crate::forkjoin`]) stamps each batch it forks; nothing
+//! else builds stamps for live traffic.
 
 use std::time::Duration;
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender};
+
+use crate::throttle::TrafficClass;
 
 /// Identifies one cached partition: `(file, partition index)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -270,48 +277,53 @@ pub enum Request {
     /// Control-plane **master**-epoch announcement: a master (booting,
     /// or a standby taking over) tells the worker which master epoch
     /// now rules. The worker raises its watermark and from then on
-    /// bounces `Fenced` traffic stamped with any lower master epoch.
+    /// bounces traffic whose [`Stamp::master`] is any lower epoch.
     /// A worker that has already seen a *higher* epoch answers
     /// [`StoreError::StaleEpoch`] — the deposed sender must self-fence.
     SetMasterEpoch(u64),
-    /// An epoch-fenced data request: the client stamps the epoch it
-    /// believes the worker holds (from the master's epoch table). A
-    /// worker whose own epoch differs answers
-    /// [`StoreError::StaleEpoch`] instead of serving — a fenced zombie
-    /// can neither serve pre-crash partitions nor absorb writes meant
-    /// for its successor. `epoch == 0` is never stamped (0 means
-    /// "unregistered").
-    Fenced {
-        /// The epoch the client expects the worker to hold.
-        epoch: u64,
-        /// The **master epoch** the issuing control plane acts under
-        /// (DESIGN.md §4.14). 0 = unstamped (plain clients; the
-        /// pre-failover wire behaviour). A worker that has seen a
-        /// higher master epoch answers [`StoreError::StaleEpoch`] —
-        /// that is how a deposed master's writes bounce forever.
-        master: u64,
-        /// The wrapped data-path request (never control-plane).
-        inner: Box<Request>,
-    },
-    /// A data request stamped as **background** traffic: maintenance
-    /// byte streams (recovery sweeps, repartition pushes, spill
-    /// writebacks, refills) that the worker paces through the
-    /// background share of its NIC
-    /// ([`crate::throttle::NicScheduler`]) so they cannot starve
-    /// foreground client traffic. Canonical nesting is
-    /// `Fenced { Background { data } }` — the fence is checked first,
-    /// the class unwrapped second.
-    Background {
-        /// The wrapped data-path request (never control-plane, never
-        /// another `Background` or `Fenced`).
+    /// A data request under a [`Stamp`]: the epochs it is fenced by and
+    /// the traffic class it is paced as. The worker checks the fence,
+    /// then serves `inner` under the class. Built by
+    /// [`Request::stamped`]; `inner` is a data request, never a control
+    /// request or another stamp.
+    Stamped {
+        /// The stamp.
+        stamp: Stamp,
+        /// The stamped data request.
         inner: Box<Request>,
     },
 }
 
+/// What a data request carries besides itself: the epochs it is fenced
+/// by and the NIC class it is paced as. The all-zero foreground stamp
+/// ([`Stamp::default`]) is the unstamped request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Stamp {
+    /// The registration epoch the sender expects the worker to hold
+    /// (from the master's epoch table). A worker holding another one
+    /// answers [`StoreError::StaleEpoch`] instead of serving, so a
+    /// fenced zombie can neither serve pre-crash partitions nor absorb
+    /// writes meant for its successor. 0 = not epoch-fenced.
+    pub epoch: u64,
+    /// The **master epoch** the issuing control plane acts under
+    /// (DESIGN.md §4.14). A worker that has seen a higher one answers
+    /// [`StoreError::StaleEpoch`] — that is how a deposed master's
+    /// writes bounce forever; a higher one raises the worker's
+    /// watermark. 0 = unstamped (plain clients).
+    pub master: u64,
+    /// [`TrafficClass::Background`] for maintenance byte streams
+    /// (recovery sweeps, repartition traffic, read repair), which the
+    /// worker paces through the background share of its NIC
+    /// ([`crate::throttle::NicScheduler`]) so they cannot starve
+    /// foreground client traffic.
+    pub class: TrafficClass,
+}
+
 impl Request {
     /// Whether the request is control-plane
-    /// (`Stats`/`Ping`/`Shutdown`/`SetEpoch`): exempt from fault
-    /// injection and op counting on every transport.
+    /// (`Stats`/`Ping`/`Shutdown`/`SetEpoch`/`SetMasterEpoch`, stamped
+    /// or not): exempt from fault injection and op counting on every
+    /// transport.
     pub fn is_control(&self) -> bool {
         match self {
             Request::Stats
@@ -319,58 +331,23 @@ impl Request {
             | Request::Shutdown
             | Request::SetEpoch(_)
             | Request::SetMasterEpoch(_) => true,
-            Request::Fenced { inner, .. } | Request::Background { inner } => inner.is_control(),
+            Request::Stamped { inner, .. } => inner.is_control(),
             _ => false,
         }
     }
 
-    /// Wraps a data request in an epoch fence (no-op for `epoch == 0`,
-    /// the "epoch unknown" sentinel, and for control requests). The
-    /// master-epoch stamp stays 0 (unstamped) — plain clients read for
-    /// themselves, not for a master.
-    pub fn fenced(self, epoch: u64) -> Request {
-        self.fenced_master(epoch, 0)
-    }
-
-    /// Wraps a data request in an epoch fence carrying a master-epoch
-    /// stamp — the supervisor/repartition path, where the request acts
-    /// *for* a specific master incarnation and must bounce once that
-    /// incarnation is deposed. Restamps an existing fence in place.
-    pub fn fenced_master(self, epoch: u64, master: u64) -> Request {
-        if self.is_control() {
+    /// This data request under `stamp`, replacing any stamp it already
+    /// carries. A control request, and any request under the all-zero
+    /// foreground stamp, is returned as it is.
+    pub fn stamped(self, stamp: Stamp) -> Request {
+        if self.is_control() || stamp == Stamp::default() {
             return self;
         }
-        match self {
-            Request::Fenced { inner, .. } => Request::Fenced {
-                epoch,
-                master,
-                inner,
-            },
-            _ if epoch == 0 && master == 0 => self,
-            inner => Request::Fenced {
-                epoch,
-                master,
-                inner: Box::new(inner),
-            },
-        }
-    }
-
-    /// Stamps a data request as background traffic (no-op for control
-    /// requests and requests already stamped). Applied *inside* any
-    /// epoch fence: `req.background().fenced(e)` yields the canonical
-    /// `Fenced { Background { data } }` nesting, and calling this on an
-    /// existing fence restamps its interior.
-    pub fn background(self) -> Request {
-        match self {
-            r if r.is_control() => r,
-            Request::Background { inner } => Request::Background { inner },
-            Request::Fenced { epoch, master, inner } => Request::Fenced {
-                epoch,
-                master,
-                inner: Box::new(inner.background()),
-            },
-            r => Request::Background { inner: Box::new(r) },
-        }
+        let inner = match self {
+            Request::Stamped { inner, .. } => inner,
+            req => Box::new(req),
+        };
+        Request::Stamped { stamp, inner }
     }
 }
 
@@ -665,45 +642,43 @@ mod tests {
         assert!(!Request::Get { key: PartKey::new(1, 0) }.is_control());
         assert!(!Request::GetParity { key: PartKey::parity(1, 0) }.is_control());
         assert!(!Request::Delete { key: PartKey::new(1, 0) }.is_control());
-        // A fence around a data request stays data-plane.
-        assert!(!Request::Get { key: PartKey::new(1, 0) }.fenced(2).is_control());
+        // A stamp around a data request stays data-plane.
+        let fence = Stamp { epoch: 2, ..Stamp::default() };
+        assert!(!Request::Get { key: PartKey::new(1, 0) }.stamped(fence).is_control());
     }
 
     #[test]
-    fn background_stamping_nests_inside_fences() {
+    fn one_stamp_per_request() {
         let get = Request::Get { key: PartKey::new(1, 0) };
-        let bg = get.clone().background();
-        assert!(matches!(bg, Request::Background { .. }));
-        // Idempotent: restamping changes nothing.
-        assert_eq!(bg.clone().background(), bg);
-        // Canonical nesting: fence outside, class inside.
-        let both = get.clone().background().fenced(3);
-        match &both {
-            Request::Fenced { epoch: 3, master: 0, inner } => {
-                assert!(matches!(**inner, Request::Background { .. }));
-            }
-            other => panic!("unexpected shape {other:?}"),
-        }
-        // Stamping an existing fence restamps its interior instead of
-        // wrapping the fence.
-        assert_eq!(get.clone().fenced(3).background(), both);
+        let bg = Stamp { class: TrafficClass::Background, ..Stamp::default() };
+        let stamped = get.clone().stamped(bg);
+        assert_eq!(stamped, Request::Stamped { stamp: bg, inner: Box::new(get.clone()) });
+        // Idempotent: the same stamp again changes nothing.
+        assert_eq!(stamped.clone().stamped(bg), stamped);
+        // Restamping replaces the stamp in place rather than nesting.
+        let all = Stamp { epoch: 5, master: 7, class: TrafficClass::Background };
+        assert_eq!(
+            stamped.stamped(all),
+            Request::Stamped { stamp: all, inner: Box::new(get.clone()) }
+        );
         // Control requests are never stamped, and a stamped data
         // request stays data-plane.
-        assert_eq!(Request::Ping.background(), Request::Ping);
-        assert!(!get.background().is_control());
+        assert_eq!(Request::Ping.stamped(all), Request::Ping);
+        assert!(!get.stamped(bg).is_control());
     }
 
     #[test]
-    fn fencing_wraps_only_data_requests_with_known_epochs() {
+    fn the_foreground_zero_stamp_is_no_stamp() {
         let get = Request::Get { key: PartKey::new(1, 0) };
-        assert!(matches!(
-            get.clone().fenced(4),
-            Request::Fenced { epoch: 4, master: 0, .. }
-        ));
-        // Epoch 0 means "unknown": no fence, wire-identical to PR 3.
-        assert_eq!(get.clone().fenced(0), get);
+        let fence = Stamp { epoch: 4, ..Stamp::default() };
+        assert_eq!(
+            get.clone().stamped(fence),
+            Request::Stamped { stamp: fence, inner: Box::new(get.clone()) }
+        );
+        // Epoch 0, master 0, foreground means "unstamped": no wrapper.
+        assert_eq!(get.clone().stamped(Stamp::default()), get);
         // Control requests are never fenced.
-        assert_eq!(Request::Ping.fenced(4), Request::Ping);
+        assert_eq!(Request::Ping.stamped(fence), Request::Ping);
     }
 
     #[test]
@@ -712,23 +687,15 @@ mod tests {
         // SetMasterEpoch is control-plane: no faults, no op counting,
         // never wrapped.
         assert!(Request::SetMasterEpoch(2).is_control());
+        let fence = Stamp { epoch: 3, ..Stamp::default() };
         assert_eq!(
-            Request::SetMasterEpoch(2).fenced(3),
+            Request::SetMasterEpoch(2).stamped(fence),
             Request::SetMasterEpoch(2)
         );
         // A master stamp fences even with a zero worker epoch.
         assert!(matches!(
-            get.clone().fenced_master(0, 2),
-            Request::Fenced { epoch: 0, master: 2, .. }
+            get.clone().stamped(Stamp { master: 2, ..Stamp::default() }),
+            Request::Stamped { stamp: Stamp { epoch: 0, master: 2, .. }, .. }
         ));
-        // Restamping an existing fence replaces both stamps in place
-        // rather than nesting.
-        let restamped = get.clone().fenced(4).fenced_master(5, 7);
-        match restamped {
-            Request::Fenced { epoch: 5, master: 7, inner } => {
-                assert_eq!(*inner, get);
-            }
-            other => panic!("unexpected shape {other:?}"),
-        }
     }
 }

@@ -27,9 +27,10 @@
 use std::time::{Duration, Instant};
 
 /// Which class of traffic a transfer belongs to (see [`NicScheduler`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TrafficClass {
     /// Client-facing data path: reads and writes.
+    #[default]
     Foreground,
     /// Maintenance byte streams: recovery sweeps, repartition pushes,
     /// spill writebacks, refills of evicted partitions.

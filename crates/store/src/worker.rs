@@ -22,10 +22,10 @@
 //! event, never a correctness event.
 //!
 //! All maintenance byte streams — spill writebacks, refills, and any
-//! request stamped [`Request::Background`] (recovery pushes,
-//! repartition traffic) — are paced through the background share of
-//! the worker's two-class NIC ([`NicScheduler`]), so a sweep cannot
-//! starve foreground traffic.
+//! request stamped [`TrafficClass::Background`] (recovery pushes,
+//! repartition traffic, read repair) — are paced through the background
+//! share of the worker's two-class NIC ([`NicScheduler`]), so a sweep
+//! cannot starve foreground traffic.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -42,7 +42,8 @@ use spcache_workload::StragglerModel;
 use crate::backing::UnderStore;
 use crate::fault::{CorruptSite, FaultAction, FaultLog, WorkerScript};
 use crate::rpc::{
-    Delivery, Envelope, PartKey, Reply, ReplyRoute, Request, StoreError, WorkerStats, STAGE_BIT,
+    Delivery, Envelope, PartKey, Reply, ReplyRoute, Request, Stamp, StoreError, WorkerStats,
+    STAGE_BIT,
 };
 use crate::throttle::{NicScheduler, TrafficClass};
 
@@ -318,8 +319,8 @@ fn worker_loop(opts: WorkerOptions, rx: Receiver<Envelope>) {
     // until the supervisor adopts it with `SetEpoch`.
     let mut epoch: u64 = 0;
     // The highest master epoch this worker has witnessed (via
-    // SetMasterEpoch announcements or Fenced master stamps). 0 = none.
-    // Fenced traffic stamped below the watermark bounces StaleEpoch —
+    // SetMasterEpoch announcements or the master field of stamps).
+    // 0 = none. Traffic stamped below the watermark bounces StaleEpoch —
     // a deposed master can never write through this worker again.
     let mut master_known: u64 = 0;
     // Reply routes of swallowed heartbeats, kept alive so the probing
@@ -458,35 +459,20 @@ fn worker_loop(opts: WorkerOptions, rx: Receiver<Envelope>) {
         // both transports and scripted faults stay aligned. The master
         // stamp is checked alongside the worker epoch: below-watermark
         // stamps bounce, higher stamps raise the watermark (a worker
-        // can learn of a takeover from the traffic itself).
-        let fenced_mismatch = match &req {
-            Request::Fenced { epoch: stamped, master, .. } => {
-                let stale_master = *master != 0 && *master < master_known;
-                master_known = master_known.max(*master);
-                // A zero worker stamp means "master stamp only" — the
-                // sender is not epoch-fenced (a bare zero could never
-                // reach the wire before master stamps existed, so this
-                // is backward compatible).
-                let stale_worker = *stamped != 0 && *stamped != epoch;
-                stale_worker || stale_master
-            }
-            _ => false,
+        // can learn of a takeover from the traffic itself). A zero
+        // epoch in either field fences nothing; the class picks the NIC
+        // bucket the transfer pays.
+        let (req, stamp) = match req {
+            Request::Stamped { stamp, inner } => (*inner, stamp),
+            req => (req, Stamp::default()),
         };
-        let out = if bounce_stale || fenced_mismatch {
+        let stale_master = stamp.master != 0 && stamp.master < master_known;
+        master_known = master_known.max(stamp.master);
+        let stale_worker = stamp.epoch != 0 && stamp.epoch != epoch;
+        let out = if bounce_stale || stale_worker || stale_master {
             Reply::Err(StoreError::StaleEpoch(id))
         } else {
-            // Unwrap the canonical Fenced { Background { data } }
-            // nesting: the fence was checked above, the class picks the
-            // NIC bucket the transfer pays.
-            let req = match req {
-                Request::Fenced { inner, .. } => *inner,
-                r => r,
-            };
-            let (req, class) = match req {
-                Request::Background { inner } => (*inner, TrafficClass::Background),
-                r => (r, TrafficClass::Foreground),
-            };
-            ctx.serve(req, class)
+            ctx.serve(req, stamp.class)
         };
         if !lose_reply {
             reply.deliver(out, cut, delay);
@@ -675,17 +661,16 @@ impl ServeCtx {
                 self.stats.resident_parts = self.store.len();
                 Reply::Flag(removed)
             }
-            // Control requests are served before fault injection and one
-            // Fenced { Background { .. } } nesting is unwrapped before
-            // serve(): what is left is a hand-built nesting no decoder
-            // or stamp helper produces.
+            // Control requests are served before fault injection and the
+            // one stamp is read before serve(): what is left is a
+            // hand-built stamp inside a stamp, which no decoder or stamp
+            // helper produces.
             Request::Stats
             | Request::Ping
             | Request::SetEpoch(_)
             | Request::SetMasterEpoch(_)
             | Request::Shutdown
-            | Request::Fenced { .. }
-            | Request::Background { .. } => Reply::Err(not_a_data_request()),
+            | Request::Stamped { .. } => Reply::Err(not_a_data_request()),
         }
     }
 
@@ -982,6 +967,11 @@ mod tests {
         call(h, Request::Get { key }).bytes()
     }
 
+    /// A foreground stamp fencing by worker and master epoch.
+    fn fence(epoch: u64, master: u64) -> Stamp {
+        Stamp { epoch, master, class: TrafficClass::Foreground }
+    }
+
     #[test]
     fn put_get_roundtrip() {
         let h = spawn_worker(0, f64::INFINITY, StragglerModel::none(), 1);
@@ -1142,7 +1132,7 @@ mod tests {
         let fenced = Request::Get {
             key: PartKey::new(1, 0),
         }
-        .fenced(5);
+        .stamped(fence(5, 0));
         assert_eq!(
             call(&h, fenced).bytes(),
             Err(StoreError::StaleEpoch(3))
@@ -1153,14 +1143,14 @@ mod tests {
         let fenced = Request::Get {
             key: PartKey::new(1, 0),
         }
-        .fenced(5);
+        .stamped(fence(5, 0));
         assert_eq!(call(&h, fenced).bytes().unwrap().as_ref(), b"pre");
         // A stale stamp (pre-death epoch) is rejected after re-adoption.
         assert_eq!(call(&h, Request::SetEpoch(6)), Reply::Done);
         let stale = Request::Get {
             key: PartKey::new(1, 0),
         }
-        .fenced(5);
+        .stamped(fence(5, 0));
         assert_eq!(call(&h, stale).bytes(), Err(StoreError::StaleEpoch(3)));
     }
 
@@ -1173,16 +1163,16 @@ mod tests {
         // Master 1 announces itself; its stamped traffic serves.
         assert_eq!(call(&h, Request::SetMasterEpoch(1)), Reply::Done);
         assert_eq!(
-            call(&h, get().fenced_master(1, 1)).bytes().unwrap().as_ref(),
+            call(&h, get().stamped(fence(1, 1))).bytes().unwrap().as_ref(),
             b"v"
         );
         // Unstamped (master 0) traffic from plain clients still serves.
-        assert_eq!(call(&h, get().fenced(1)).bytes().unwrap().as_ref(), b"v");
+        assert_eq!(call(&h, get().stamped(fence(1, 0))).bytes().unwrap().as_ref(), b"v");
         // A takeover announcement raises the watermark...
         assert_eq!(call(&h, Request::SetMasterEpoch(3)), Reply::Done);
         // ...the deposed master's stamps bounce forever...
         assert_eq!(
-            call(&h, get().fenced_master(1, 1)).bytes(),
+            call(&h, get().stamped(fence(1, 1))).bytes(),
             Err(StoreError::StaleEpoch(2))
         );
         // ...and so does its re-announcement (this is what makes a
@@ -1194,15 +1184,15 @@ mod tests {
         // The new master's stamps serve; a yet-higher stamp raises the
         // watermark from the traffic itself.
         assert_eq!(
-            call(&h, get().fenced_master(1, 3)).bytes().unwrap().as_ref(),
+            call(&h, get().stamped(fence(1, 3))).bytes().unwrap().as_ref(),
             b"v"
         );
         assert_eq!(
-            call(&h, get().fenced_master(1, 4)).bytes().unwrap().as_ref(),
+            call(&h, get().stamped(fence(1, 4))).bytes().unwrap().as_ref(),
             b"v"
         );
         assert_eq!(
-            call(&h, get().fenced_master(1, 3)).bytes(),
+            call(&h, get().stamped(fence(1, 3))).bytes(),
             Err(StoreError::StaleEpoch(2))
         );
     }
@@ -1233,7 +1223,7 @@ mod tests {
         let fenced = Request::Get {
             key: PartKey::new(1, 1),
         }
-        .fenced(4);
+        .stamped(fence(4, 0));
         assert_eq!(call(&h, fenced).bytes(), Err(StoreError::StaleEpoch(0)));
         let snap = log.snapshot();
         assert_eq!(snap.len(), 1);
@@ -1411,6 +1401,7 @@ mod tests {
             WorkerOptions::new(0, 10e6, StragglerModel::none(), 1)
                 .with_background_fraction(0.25),
         );
+        let background = Stamp { class: TrafficClass::Background, ..Stamp::default() };
         call(
             &h,
             Request::Put {
@@ -1418,13 +1409,13 @@ mod tests {
                 data: Bytes::from(vec![0u8; 1_000_000]),
                 sum: 0,
             }
-            .background(),
+            .stamped(background),
         )
         .unit()
         .unwrap();
         // 1 MB of background at 25% of 10 MB/s ≈ 400 ms.
         let t0 = std::time::Instant::now();
-        let got = call(&h, Request::Get { key: PartKey::new(1, 0) }.background())
+        let got = call(&h, Request::Get { key: PartKey::new(1, 0) }.stamped(background))
             .bytes()
             .unwrap();
         assert_eq!(got.len(), 1_000_000);
