@@ -34,9 +34,7 @@ const N_WORKERS: usize = 15;
 
 fn shifted_setup(n_files: usize, seed: u64, scale: Scale) -> ShiftSetup {
     let file_bytes = scale.bytes(STORE_FILE_BYTES);
-    let cluster = StoreCluster::spawn(
-        StoreConfig::throttled(N_WORKERS, STORE_BANDWIDTH).with_seed(seed),
-    );
+    let cluster = StoreCluster::spawn(StoreConfig::throttled(N_WORKERS, STORE_BANDWIDTH));
     let client = cluster.client();
     let mut pops = PopularityModel::zipf(n_files, 1.1);
     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);

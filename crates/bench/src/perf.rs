@@ -319,7 +319,7 @@ fn timed_sweep(core: &SupervisorCore) -> f64 {
 /// time exactly one recovery sweep.
 fn measure_recovery(point: &GridPoint, shared: &Bytes) -> VariantResult {
     measure("recovery", point.iters, || {
-        let (mut cluster, core) = doomed_cluster(point_config(point), point, shared);
+        let (cluster, core) = doomed_cluster(point_config(point), point, shared);
         cluster.kill_worker(0);
         core.probe(); // death detection, outside the timed window
         (timed_sweep(&core), RECOVERY_FILES * point.file_bytes as u64)
@@ -349,7 +349,7 @@ fn measure_paced_recovery(point: &GridPoint, shared: &Bytes) -> (VariantResult, 
     let row = measure("paced_recovery", iters, || {
         let cfg = StoreConfig::throttled(point.workers, rate)
             .with_background_fraction(PACED_FRACTION);
-        let (mut cluster, core) = doomed_cluster(cfg, point, shared);
+        let (cluster, core) = doomed_cluster(cfg, point, shared);
         // The storm's files live strictly off worker 0, so the
         // foreground load never stalls on the corpse mid-sweep.
         let client = cluster.client();

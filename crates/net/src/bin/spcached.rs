@@ -1,7 +1,7 @@
 //! `spcached` — the store's network daemon.
 //!
 //! ```text
-//! spcached worker --id N --bind ADDR [--seed S] [--bandwidth B]
+//! spcached worker --id N --bind ADDR [--bandwidth B]
 //!                 [--io-shards N] [--memory-budget BYTES]
 //!                 [--background-fraction F] [--verify-reads]
 //! spcached master --bind ADDR --workers ADDR1,ADDR2,...
@@ -13,6 +13,8 @@
 //!
 //! Both roles print `LISTEN <addr>` on stdout once bound (port 0 picks
 //! an ephemeral port), then serve until they receive a shutdown RPC.
+//! An unknown flag, or a flag without its value, prints the usage and
+//! exits with status 2 before anything binds.
 //!
 //! `--meta-dir DIR` makes master metadata **durable** (DESIGN.md
 //! §4.14): every mutation is journalled to a checksummed op-log under
@@ -71,7 +73,7 @@ use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  spcached worker --id N --bind ADDR [--seed S] [--bandwidth B] \
+        "usage:\n  spcached worker --id N --bind ADDR [--bandwidth B] \
          [--io-shards N] [--memory-budget BYTES] [--background-fraction F] \
          [--verify-reads]\n  \
          spcached master --bind ADDR --workers ADDR1,ADDR2,... \
@@ -79,6 +81,37 @@ fn usage() -> ! {
          [--standby --peer ADDR [--poll-ms MS] [--takeover-after N]]"
     );
     exit(2);
+}
+
+/// The flags each role takes a value for, and the ones it takes alone.
+type Flags = (&'static [&'static str], &'static [&'static str]);
+
+const WORKER_FLAGS: Flags = (
+    &["--id", "--bind", "--bandwidth", "--io-shards", "--memory-budget", "--background-fraction"],
+    &["--verify-reads"],
+);
+
+const MASTER_FLAGS: Flags = (
+    &[
+        "--bind", "--workers", "--heartbeat-ms", "--meta-dir", "--peer", "--poll-ms",
+        "--takeover-after",
+    ],
+    &["--no-supervisor", "--force-active", "--standby"],
+);
+
+/// Exits through [`usage`] unless every argument is a flag of `valued`
+/// followed by its value, or one of `switches`.
+fn check_flags(args: &[String], (valued, switches): Flags) {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg.as_str()) {
+            if rest.next().is_none_or(|v| v.starts_with("--")) {
+                usage();
+            }
+        } else if !switches.contains(&arg.as_str()) {
+            usage();
+        }
+    }
 }
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
@@ -105,12 +138,10 @@ fn main() {
 }
 
 fn run_worker(args: &[String]) {
+    check_flags(args, WORKER_FLAGS);
     let id: usize = parse("--id", &flag_value(args, "--id").unwrap_or_else(|| usage()));
     let bind = flag_value(args, "--bind").unwrap_or_else(|| usage());
     let mut cfg = StoreConfig::unthrottled(id + 1);
-    if let Some(seed) = flag_value(args, "--seed") {
-        cfg.seed = parse("--seed", &seed);
-    }
     if let Some(bw) = flag_value(args, "--bandwidth") {
         cfg.bandwidth = parse("--bandwidth", &bw);
     }
@@ -145,6 +176,7 @@ fn run_worker(args: &[String]) {
 }
 
 fn run_master(args: &[String]) {
+    check_flags(args, MASTER_FLAGS);
     let bind = flag_value(args, "--bind").unwrap_or_else(|| usage());
     let workers_arg = flag_value(args, "--workers").unwrap_or_else(|| usage());
     let worker_addrs: Vec<SocketAddr> = workers_arg

@@ -33,9 +33,10 @@
 //!   serving metadata plus a one-RPC cluster `Rebalance`, and
 //!   [`master_net::MasterClient`], a wire-backed `MetaService` that
 //!   reports a worker's health when it changes, not per reply,
-//! * [`loopback::TcpCluster`] — everything wired together over
-//!   127.0.0.1 for tests and benchmarks, interchangeable with the
-//!   in-process `StoreCluster`,
+//! * [`loopback::TcpCluster`] — the store's one cluster harness with
+//!   its workers and master behind servers on 127.0.0.1, and
+//!   [`loopback::twin`], which runs one test body on an in-process
+//!   cluster and on a loopback one,
 //! * the `spcached` binary — `spcached worker|master` for real
 //!   multi-process deployments (see the README quickstart).
 //!

@@ -1,16 +1,16 @@
-//! A full store cluster over loopback TCP: N [`WorkerServer`]s, a
-//! [`MasterServer`] and a wire [`Client`] — the drop-in twin of the
-//! in-process `StoreCluster`, with every byte crossing a real socket.
+//! A store cluster over loopback TCP: N [`WorkerServer`]s and a
+//! [`MasterServer`] behind the one `StoreCluster` harness, with every
+//! byte crossing a real socket — plus [`twin`], which runs the same test
+//! body on an in-process cluster and on this one.
 
 use spcache_store::backing::UnderStore;
-use spcache_store::client::Client;
+use spcache_store::cluster::Fleet;
 use spcache_store::fault::FaultLog;
-use spcache_store::master::Master;
-use spcache_store::rpc::{Request, StoreError, WorkerStats};
-use spcache_store::supervisor::{Supervisor, SupervisorCore};
+use spcache_store::master::{Master, MetaService};
 use spcache_store::transport::Transport;
-use spcache_store::StoreConfig;
+use spcache_store::{Request, StoreCluster, StoreConfig};
 use std::net::SocketAddr;
+use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -18,7 +18,72 @@ use crate::master_net::{MasterClient, MasterServer};
 use crate::server::WorkerServer;
 use crate::tcp::TcpTransport;
 
-/// A running loopback-TCP store cluster.
+/// How long a drained worker may take to acknowledge its `Shutdown`.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
+
+/// Worker and master servers on ephemeral loopback ports.
+#[derive(Debug)]
+struct Loopback {
+    workers: Vec<WorkerServer>,
+    /// Taken when the fleet drops, to join its loop.
+    master: Option<MasterServer>,
+    master_addr: SocketAddr,
+    transport: Arc<dyn Transport>,
+    deadline: Duration,
+}
+
+impl Loopback {
+    fn spawn(
+        cfg: &StoreConfig,
+        master: &Arc<Master>,
+        log: &Arc<FaultLog>,
+        under: Option<&Arc<UnderStore>>,
+    ) -> Loopback {
+        let (bind, io_shards) = ("127.0.0.1:0", crate::poll::default_io_shards());
+        let workers: Vec<WorkerServer> = (0..cfg.n_workers)
+            .map(|id| WorkerServer::spawn(id, bind, cfg, log.clone(), io_shards, under.cloned()))
+            .collect::<Result<_, _>>()
+            .expect("bind worker listener");
+        let addrs: Vec<SocketAddr> = workers.iter().map(WorkerServer::addr).collect();
+        let master =
+            MasterServer::spawn(master.clone(), bind, addrs.clone(), cfg.executor_deadline)
+                .expect("bind master listener");
+        let deadline = cfg.retry.deadline;
+        let transport = Arc::new(TcpTransport::connect(addrs).with_deadline(deadline));
+        Loopback { workers, master_addr: master.addr(), master: Some(master), transport, deadline }
+    }
+}
+
+impl Fleet for Loopback {
+    fn transport(&self) -> &Arc<dyn Transport> {
+        &self.transport
+    }
+
+    fn meta(&self, _: &Arc<Master>) -> Arc<dyn MetaService> {
+        Arc::new(MasterClient::connect(self.master_addr).with_deadline(self.deadline))
+    }
+}
+
+impl Drop for Loopback {
+    /// Each worker drains its queue and exits over the wire, then the
+    /// master's server closes — so no listener or I/O loop outlives the
+    /// cluster.
+    fn drop(&mut self) {
+        for w in 0..self.workers.len() {
+            let _ = self.transport.call(w, Request::Shutdown, DRAIN_DEADLINE);
+        }
+        for w in self.workers.drain(..) {
+            w.join();
+        }
+        if let Some(master) = self.master.take() {
+            let _ = MasterClient::connect(master.addr()).shutdown_server();
+            master.join();
+        }
+    }
+}
+
+/// A running loopback-TCP store cluster. Everything but its addresses
+/// is the [`StoreCluster`] it dereferences to.
 ///
 /// # Examples
 ///
@@ -30,25 +95,17 @@ use crate::tcp::TcpTransport;
 /// let client = cluster.client();
 /// client.write(1, b"over real sockets", &[0, 2]).unwrap();
 /// assert_eq!(client.read(1).unwrap(), b"over real sockets");
-/// cluster.shutdown();
 /// ```
 #[derive(Debug)]
 pub struct TcpCluster {
-    // Declared first so it drops (stopping its heartbeat thread) before
-    // the worker servers go away — mirrors `StoreCluster`.
-    supervisor: Option<Supervisor>,
-    workers: Vec<WorkerServer>,
-    master_server: MasterServer,
-    transport: Arc<TcpTransport>,
-    fault_log: Arc<FaultLog>,
-    under: Option<Arc<UnderStore>>,
-    cfg: StoreConfig,
+    cluster: StoreCluster,
+    worker_addrs: Vec<SocketAddr>,
+    master_addr: SocketAddr,
 }
 
 impl TcpCluster {
     /// Spawns `cfg.n_workers` worker servers and a master server, all on
-    /// ephemeral loopback ports. Each worker receives its slice of
-    /// `cfg.faults`; fired faults land in [`TcpCluster::fault_log`].
+    /// ephemeral loopback ports.
     ///
     /// # Panics
     ///
@@ -58,161 +115,61 @@ impl TcpCluster {
     }
 
     /// Like [`TcpCluster::spawn`], with a backing under-store the
-    /// supervisor's recovery sweep (and clients created via
-    /// [`TcpCluster::client`]) heal from. When `cfg.supervisor.enabled`,
-    /// the [`Supervisor`] runs master-side over this cluster's own wire
-    /// transport — the deployment shape of `spcached master`.
+    /// supervisor's recovery sweep (and clients of the cluster) heal
+    /// from. When `cfg.supervisor.enabled`, the supervisor runs
+    /// master-side over the cluster's own wire transport — the
+    /// deployment shape of `spcached master`.
     ///
     /// # Panics
     ///
     /// Panics if `cfg.n_workers == 0` or a listener cannot bind.
     pub fn spawn_with_under_store(cfg: StoreConfig, under: Option<Arc<UnderStore>>) -> Self {
-        assert!(cfg.n_workers > 0, "need at least one worker");
-        let fault_log = Arc::new(FaultLog::new());
-        let io_shards = crate::poll::default_io_shards();
-        let workers: Vec<WorkerServer> = (0..cfg.n_workers)
-            .map(|id| {
-                // Budgeted workers spill into the cluster's shared
-                // under-store tier (mirrors `StoreCluster`): whole-file
-                // checkpoints there make evictions free drops.
-                WorkerServer::spawn(
-                    id,
-                    "127.0.0.1:0",
-                    &cfg,
-                    Arc::clone(&fault_log),
-                    io_shards,
-                    under.clone(),
-                )
-                .expect("bind worker listener")
-            })
-            .collect();
-        let addrs: Vec<SocketAddr> = workers.iter().map(WorkerServer::addr).collect();
-        let master = Arc::new(Master::new());
-        master.ensure_workers(cfg.n_workers);
-        let master_server = MasterServer::spawn(
-            master.clone(),
-            "127.0.0.1:0",
-            addrs.clone(),
-            cfg.executor_deadline,
-        )
-        .expect("bind master listener");
-        let transport =
-            Arc::new(TcpTransport::connect(addrs).with_deadline(cfg.retry.deadline));
-        let supervisor = cfg.supervisor.enabled.then(|| {
-            let t: Arc<dyn Transport> = transport.clone();
-            Supervisor::spawn(SupervisorCore::new(
-                master,
-                t,
-                under.clone(),
-                cfg.supervisor,
-                cfg.retry,
-            ))
-        });
-        TcpCluster {
-            supervisor,
-            workers,
-            master_server,
-            transport,
-            fault_log,
-            under,
-            cfg,
-        }
-    }
-
-    /// Number of workers.
-    pub fn n_workers(&self) -> usize {
-        self.workers.len()
+        let (cluster, (worker_addrs, master_addr)) =
+            StoreCluster::spawn_on(cfg, under, |cfg, master, log, under| {
+                let fleet = Loopback::spawn(cfg, master, log, under);
+                let workers = fleet.workers.iter().map(WorkerServer::addr).collect();
+                let master_addr = fleet.master_addr;
+                (Box::new(fleet), (workers, master_addr))
+            });
+        TcpCluster { cluster, worker_addrs, master_addr }
     }
 
     /// Worker listen addresses, in index order.
     pub fn worker_addrs(&self) -> Vec<SocketAddr> {
-        self.workers.iter().map(WorkerServer::addr).collect()
+        self.worker_addrs.clone()
     }
 
     /// The master's listen address.
     pub fn master_addr(&self) -> SocketAddr {
-        self.master_server.addr()
-    }
-
-    /// The in-process [`Master`] behind the master server — the same
-    /// instance the wire mutates, so tests can assert on metadata
-    /// without another RPC layer.
-    pub fn master(&self) -> &Arc<Master> {
-        self.master_server.master()
-    }
-
-    /// The record of injected faults that have fired so far.
-    pub fn fault_log(&self) -> &Arc<FaultLog> {
-        &self.fault_log
-    }
-
-    /// The shared worker transport.
-    pub fn transport(&self) -> &Arc<TcpTransport> {
-        &self.transport
-    }
-
-    /// The supervisor, when `cfg.supervisor.enabled` spawned one.
-    pub fn supervisor(&self) -> Option<&Supervisor> {
-        self.supervisor.as_ref()
-    }
-
-    /// The attached under-store, when the cluster was spawned with one.
-    pub fn under_store(&self) -> Option<&Arc<UnderStore>> {
-        self.under.as_ref()
+        self.master_addr
     }
 
     /// A fresh wire-backed [`MasterClient`] for this cluster's master.
     pub fn master_client(&self) -> MasterClient {
-        MasterClient::connect(self.master_server.addr()).with_deadline(self.cfg.retry.deadline)
+        MasterClient::connect(self.master_addr).with_deadline(self.config().retry.deadline)
     }
+}
 
-    /// Creates a client whose metadata *and* data paths both run over
-    /// TCP, carrying the cluster's retry and hedge policies. Under a
-    /// supervisor the client is additionally **fenced** and applies the
-    /// configured degraded-mode admission policy; the cluster's
-    /// under-store, if any, is attached for read-path healing.
-    pub fn client(&self) -> Client {
-        Client::from_config(
-            Arc::new(self.master_client()),
-            self.transport.clone(),
-            &self.cfg,
-            self.under.clone(),
-        )
-    }
+impl Deref for TcpCluster {
+    type Target = StoreCluster;
 
-    /// Collects per-worker service counters over the wire. Workers that
-    /// fail to answer report defaults.
-    pub fn worker_stats(&self) -> Result<Vec<WorkerStats>, StoreError> {
-        Ok(self
-            .workers
-            .iter()
-            .map(|w| {
-                self.transport
-                    .call(w.id(), Request::Stats, Duration::from_secs(5))
-                    .and_then(|r| r.stats())
-                    .unwrap_or_default()
-            })
-            .collect())
+    fn deref(&self) -> &StoreCluster {
+        &self.cluster
     }
+}
 
-    /// Gracefully stops the whole cluster: the supervisor halts first
-    /// (so it cannot mis-record the drain as deaths), then each worker
-    /// drains its queue and exits (over the wire), then the master
-    /// server closes.
-    pub fn shutdown(mut self) {
-        if let Some(mut s) = self.supervisor.take() {
-            s.stop();
-        }
-        for w in &self.workers {
-            let _ = self
-                .transport
-                .call(w.id(), Request::Shutdown, Duration::from_secs(10));
-        }
-        let client = self.master_client();
-        let _ = client.shutdown_server();
-        for w in self.workers {
-            w.join();
-        }
-        self.master_server.join();
-    }
+/// Runs `run` on an in-process cluster and then on a loopback-TCP one,
+/// each spawned from its own call of `spawn` (so each gets a fresh
+/// under-store), and returns both results, in-process first. The first
+/// cluster is dropped before the second is spawned. Comparing the two is
+/// the caller's business.
+pub fn twin<T>(
+    spawn: impl Fn() -> (StoreConfig, Option<Arc<UnderStore>>),
+    run: impl Fn(&StoreCluster) -> T,
+) -> (T, T) {
+    let (cfg, under) = spawn();
+    let in_process = run(&StoreCluster::spawn_with_under_store(cfg, under));
+    let (cfg, under) = spawn();
+    let over_tcp = run(&TcpCluster::spawn_with_under_store(cfg, under));
+    (in_process, over_tcp)
 }

@@ -721,16 +721,11 @@ fn serve_meta(
             seed,
         } => {
             let n = worker_addrs.len();
-            // `plan_rebalance` asserts both; on this detached thread a
-            // panic would leave the caller without a reply.
-            if master.file_count() == 0 {
-                return MetaReply::Err(codec("rebalance of an empty master"));
-            }
-            if master.live_workers(n).is_empty() {
-                return MetaReply::Err(codec("rebalance with no live workers"));
-            }
             let (ids, plan, _) =
-                master.plan_rebalance(n, bandwidth, lambda, &TunerConfig::default(), seed);
+                match master.plan_rebalance(n, bandwidth, lambda, &TunerConfig::default(), seed) {
+                    Ok(planned) => planned,
+                    Err(e) => return MetaReply::Err(e),
+                };
             let moved = plan.jobs.len() as u64;
             let transport = TcpTransport::connect(worker_addrs.to_vec());
             match run_parallel_with_deadline(

@@ -88,7 +88,6 @@ fn spill_rot_heals_from_the_under_store_over_sockets() {
     assert_eq!(client.read_quiet(1).unwrap(), data, "post-flip read");
     assert_eq!(corruptions_detected(&cluster), 1);
     assert_eq!(client.read_quiet(1).unwrap(), data, "post-heal read");
-    cluster.shutdown();
 }
 
 #[test]
@@ -128,5 +127,4 @@ fn spill_rot_rebuilds_from_parity_over_sockets() {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert_eq!(client.read_quiet(1).unwrap(), data, "post-repair read");
-    cluster.shutdown();
 }

@@ -12,10 +12,9 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use spcache_core::online::partition_range;
-use spcache_net::TcpCluster;
+use spcache_net::loopback::twin;
 use spcache_store::backing::UnderStore;
 use spcache_store::landing::{Claim, Region};
-use spcache_store::master::MetaService;
 use spcache_store::rpc::{Reply, Request, StoreError};
 use spcache_store::transport::Transport;
 use spcache_store::{Client, HedgePolicy, RetryPolicy, StoreCluster, StoreConfig};
@@ -149,21 +148,19 @@ fn config() -> StoreConfig {
 /// Writes `data` as file `id` in `k` parts with parity, reads it through
 /// `plan`, and checks the bytes. Returns how many parts were hedged.
 fn read_through(
-    master: Arc<dyn MetaService>,
-    transport: Arc<dyn Transport>,
+    cluster: &StoreCluster,
     id: u64,
     data: &[u8],
     plan: &[Arrival],
 ) -> Result<u64, TestCaseError> {
-    let (cfg, k) = (config(), plan.len());
+    let k = plan.len();
     let servers: Vec<usize> = (0..k).map(|j| (j + id as usize) % FLEET).collect();
-    let writer =
-        Client::from_config(master.clone(), transport.clone(), &cfg, None).with_parity(PARITY);
+    let writer = cluster.client().with_parity(PARITY);
     writer.write(id, data, &servers).expect("write");
     let under = Arc::new(UnderStore::new());
     under.persist(id, Bytes::from(data.to_vec()));
     let scripted = Arc::new(Scripted {
-        inner: transport,
+        inner: cluster.transport().clone(),
         plan: (0..k)
             .map(|j| {
                 (
@@ -174,7 +171,8 @@ fn read_through(
             .collect(),
         held: Mutex::new((Vec::new(), Vec::new())),
     });
-    let reader = Client::from_config(master, scripted.clone(), &cfg, Some(under));
+    let reader =
+        Client::from_config(cluster.meta(), scripted.clone(), cluster.config(), Some(under));
     let got = reader.read(id);
     scripted.release();
     writer.delete(id).expect("delete");
@@ -214,18 +212,11 @@ proptest! {
                 *a = Arrival::Reply(0);
             }
         }
-        FLEETS.with(|(channel, tcp)| {
-            read_through(channel.master().clone(), channel.transport().clone(), 1, &data, &plan)?;
-            read_through(Arc::new(tcp.master_client()), tcp.transport().clone(), 2, &data, &plan)
-        })?;
+        let read = |c: &StoreCluster| read_through(c, 1, &data, &plan);
+        let (in_process, over_tcp) = twin(|| (config(), None), read);
+        in_process?;
+        over_tcp?;
     }
-}
-
-thread_local! {
-    /// One fleet per transport for the whole property (each case
-    /// deletes its files).
-    static FLEETS: (StoreCluster, TcpCluster) =
-        (StoreCluster::spawn(config()), TcpCluster::spawn(config()));
 }
 
 /// The plans the generator may draw rarely, pinned with the hedges each
@@ -253,14 +244,12 @@ fn pinned_plans_land_exactly() {
             1,
         ),
     ];
-    FLEETS.with(|(channel, tcp)| {
-        for (plan, hedged) in &plans {
-            let m: Arc<dyn MetaService> = channel.master().clone();
-            let got = read_through(m, channel.transport().clone(), 1, &data, plan).unwrap();
-            assert!(got >= *hedged, "{plan:?} in process: {got} hedged");
-            let m: Arc<dyn MetaService> = Arc::new(tcp.master_client());
-            let got = read_through(m, tcp.transport().clone(), 2, &data, plan).unwrap();
-            assert!(got >= *hedged, "{plan:?} over TCP: {got} hedged");
-        }
-    });
+    let hedges = |c: &StoreCluster| -> Vec<u64> {
+        plans.iter().map(|(plan, _)| read_through(c, 1, &data, plan).unwrap()).collect()
+    };
+    let (in_process, over_tcp) = twin(|| (config(), None), hedges);
+    for (((plan, hedged), in_process), over_tcp) in plans.iter().zip(in_process).zip(over_tcp) {
+        assert!(in_process >= *hedged, "{plan:?} in process: {in_process} hedged");
+        assert!(over_tcp >= *hedged, "{plan:?} over TCP: {over_tcp} hedged");
+    }
 }

@@ -1,48 +1,61 @@
 //! End-to-end tests of the loopback-TCP cluster: byte-exact parity with
 //! the in-process transport, repartition over the wire, wire-level fault
-//! injection, and graceful drain-then-exit shutdown.
+//! injection, graceful drain-then-exit shutdown, and a dropped cluster
+//! leaving nothing listening.
 
 use bytes::Bytes;
 use spcache_net::master_net::{MetaReply, MetaRequest};
+use spcache_net::loopback::twin;
 use spcache_net::{MasterClient, MasterServer, TcpCluster};
 use spcache_store::backing::UnderStore;
-use spcache_store::fault::{FaultAction, FaultLog};
+use spcache_store::fault::FaultAction;
 use spcache_store::master::{Master, MetaService};
 use spcache_store::metalog::{decode_records, MetaLog};
-use spcache_store::rpc::{PartKey, Reply, Request, Stamp, StoreError, WorkerStats};
+use spcache_store::rpc::{PartKey, Reply, Request, Stamp, StoreError};
 use spcache_store::throttle::TrafficClass;
-use spcache_store::transport::Transport;
 use spcache_store::{Client, FaultPlan, StoreCluster, StoreConfig};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 mod common;
 use common::{chaos_seed, N_WORKERS, payload, retry};
 
-
 /// The acceptance bar: the same workload against the in-process channel
 /// transport and against real loopback sockets returns identical bytes.
 #[test]
 fn tcp_reads_match_in_process_reads_byte_for_byte() {
-    let tcp = TcpCluster::spawn(StoreConfig::unthrottled(N_WORKERS));
-    let chan = StoreCluster::spawn(StoreConfig::unthrottled(N_WORKERS));
-    let tcp_client = tcp.client();
-    let chan_client = chan.client();
-
-    for id in 0..12u64 {
-        // Ragged sizes straddle the partition boundary math.
-        let data = payload(id, 3_000 + (id as usize * 997) % 9_000);
-        let servers = vec![id as usize % N_WORKERS, (id as usize + 1) % N_WORKERS];
-        tcp_client.write(id, &data, &servers).unwrap();
-        chan_client.write(id, &data, &servers).unwrap();
-    }
-    for id in 0..12u64 {
-        let over_tcp = tcp_client.read(id).unwrap();
-        let in_process = chan_client.read(id).unwrap();
+    let (chan, tcp) = twin(
+        || (StoreConfig::unthrottled(N_WORKERS), None),
+        |cluster| {
+            let client = cluster.client();
+            for id in 0..12u64 {
+                // Ragged sizes straddle the partition boundary math.
+                let data = payload(id, 3_000 + (id as usize * 997) % 9_000);
+                let servers = vec![id as usize % N_WORKERS, (id as usize + 1) % N_WORKERS];
+                client.write(id, &data, &servers).unwrap();
+            }
+            (0..12u64).map(|id| client.read(id).unwrap()).collect::<Vec<_>>()
+        },
+    );
+    for (id, (over_tcp, in_process)) in (0..12u64).zip(tcp.into_iter().zip(chan)) {
         assert_eq!(over_tcp, in_process, "file {id} differs across transports");
         assert_eq!(over_tcp, payload(id, 3_000 + (id as usize * 997) % 9_000));
     }
-    tcp.shutdown();
+}
+
+/// A dropped cluster stops the way a drained one does: every worker
+/// server and the master's server close their listeners and their I/O
+/// loops exit, instead of serving `WorkerDown` for the rest of the
+/// process.
+#[test]
+fn a_dropped_cluster_leaves_nothing_listening() {
+    let tcp = TcpCluster::spawn(StoreConfig::unthrottled(N_WORKERS));
+    let (workers, master) = (tcp.worker_addrs(), tcp.master_addr());
+    drop(tcp);
+    for addr in workers.iter().chain([&master]) {
+        assert!(TcpStream::connect(addr).is_err(), "{addr} still accepts connections");
+    }
 }
 
 /// A full repartition round-trip driven through the master's wire
@@ -83,7 +96,6 @@ fn rebalance_rpc_moves_files_and_preserves_bytes() {
     for id in 0..6u64 {
         assert_eq!(client.read(id).unwrap(), payload(id, 40_000), "file {id}");
     }
-    tcp.shutdown();
 }
 
 /// Wire faults fire at the TCP layer and the retrying client absorbs
@@ -126,7 +138,6 @@ fn wire_faults_are_absorbed_by_retries() {
     assert!(fired.contains(&(1, FaultAction::DropConnection)));
     assert!(fired.contains(&(2, FaultAction::TruncateFrame)));
     assert!(fired.contains(&(3, FaultAction::DelayFrame(delay))));
-    tcp.shutdown();
 }
 
 /// Graceful shutdown over the wire: requests already accepted are
@@ -170,7 +181,6 @@ fn shutdown_drains_queued_requests() {
         Err(StoreError::Io(0) | StoreError::WorkerDown(0) | StoreError::Timeout(0)) => {}
         other => panic!("post-shutdown request should fail, got {other:?}"),
     }
-    tcp.shutdown();
 }
 
 /// `Stats` over the wire reflect the served workload.
@@ -186,7 +196,6 @@ fn stats_travel_the_wire() {
     assert_eq!(puts, 2);
     assert_eq!(gets, 2);
     assert_eq!(stats.iter().map(|s| s.resident_parts).sum::<usize>(), 2);
-    tcp.shutdown();
 }
 
 /// A degraded `k = 3, r = 1` read costs exactly `k + r` worker requests:
@@ -195,7 +204,9 @@ fn stats_travel_the_wire() {
 /// fetched once. Same count over channels and over sockets.
 #[test]
 fn degraded_read_costs_k_plus_r_gets_on_both_transports() {
-    fn check(client: &Client, transport: &dyn Transport, stats: &dyn Fn() -> Vec<WorkerStats>) {
+    fn check(cluster: &StoreCluster) {
+        let (client, transport) = (cluster.client(), cluster.transport());
+        let stats = || cluster.worker_stats().unwrap();
         let data = payload(1, 9_000);
         client.write(1, &data, &[0, 1, 2]).unwrap();
         let key = PartKey::new(1, 0);
@@ -210,11 +221,7 @@ fn degraded_read_costs_k_plus_r_gets_on_both_transports() {
         assert_eq!(moved.iter().sum::<u64>(), 4, "k + r = 4 requests, got {moved:?}");
     }
     let cfg = || StoreConfig::unthrottled(5).with_verify_reads(true).with_parity(1);
-    let chan = StoreCluster::spawn(cfg());
-    check(&chan.client(), chan.transport().as_ref(), &|| chan.worker_stats().unwrap());
-    let tcp = TcpCluster::spawn(cfg());
-    check(&tcp.client(), tcp.transport().as_ref(), &|| tcp.worker_stats().unwrap());
-    tcp.shutdown();
+    twin(|| (cfg(), None), check);
 }
 
 /// A control request inside a stamp is a ~35-byte frame anyone can
@@ -223,7 +230,8 @@ fn degraded_read_costs_k_plus_r_gets_on_both_transports() {
 /// fault and counts no op, and the worker keeps serving.
 #[test]
 fn stamped_control_requests_are_refused_on_both_transports() {
-    fn check(transport: &dyn Transport, faults: &FaultLog) {
+    fn check(cluster: &StoreCluster) {
+        let (transport, faults) = (cluster.transport(), cluster.fault_log());
         let wait = Duration::from_secs(5);
         let fence = Stamp { epoch: 1, ..Stamp::default() };
         let background = Stamp { class: TrafficClass::Background, ..Stamp::default() };
@@ -256,11 +264,7 @@ fn stamped_control_requests_are_refused_on_both_transports() {
         assert_eq!(faults.len(), 1);
     }
     let cfg = || StoreConfig::unthrottled(1).with_faults(FaultPlan::none().stale_epoch(0, 0));
-    let chan = StoreCluster::spawn(cfg());
-    check(chan.transport().as_ref(), chan.fault_log());
-    let tcp = TcpCluster::spawn(cfg());
-    check(tcp.transport().as_ref(), tcp.fault_log());
-    tcp.shutdown();
+    twin(|| (cfg(), None), check);
 }
 
 /// A swallowed heartbeat is silence, not an answer: the probe's route
@@ -280,7 +284,6 @@ fn swallowed_heartbeat_sends_no_frame_over_tcp() {
     // them, so an answer to the first probe would have landed already.
     assert_eq!(swallowed.try_recv(), Err(crossbeam::channel::TryRecvError::Empty));
     assert_eq!(tcp.fault_log().snapshot()[0].action, FaultAction::DropHeartbeat);
-    tcp.shutdown();
 }
 
 /// Placements reach the client from callers and from the master over
@@ -289,7 +292,8 @@ fn swallowed_heartbeat_sends_no_frame_over_tcp() {
 /// a transport.
 #[test]
 fn bad_placements_are_typed_errors_on_both_transports() {
-    fn check(client: &Client, master: &dyn MetaService) {
+    fn check(cluster: &StoreCluster) {
+        let (client, master) = (cluster.client(), cluster.meta());
         let bad = |r: Result<(), StoreError>| {
             let e = r.expect_err("bad placement accepted");
             assert!(matches!(e, StoreError::Codec(_)) && !e.is_retryable(), "got {e:?}");
@@ -303,11 +307,7 @@ fn bad_placements_are_typed_errors_on_both_transports() {
         bad(client.read_scattered(2).map(drop));
         assert_eq!(client.delete(2), Ok(0));
     }
-    let chan = StoreCluster::spawn(StoreConfig::unthrottled(N_WORKERS).with_retry(retry()));
-    check(&chan.client(), chan.master().as_ref());
-    let tcp = TcpCluster::spawn(StoreConfig::unthrottled(N_WORKERS).with_retry(retry()));
-    check(&tcp.client(), &tcp.master_client());
-    tcp.shutdown();
+    twin(|| (StoreConfig::unthrottled(N_WORKERS).with_retry(retry()), None), check);
 }
 
 /// `Client::write_many` end to end: a corpus streamed in chunks (one
@@ -316,7 +316,8 @@ fn bad_placements_are_typed_errors_on_both_transports() {
 /// `AlreadyExists` without disturbing what already landed.
 #[test]
 fn write_many_round_trips_on_both_transports() {
-    fn check(client: &Client) {
+    fn check(cluster: &StoreCluster) {
+        let client = cluster.client();
         const FILES: u64 = 300;
         const CHUNK: usize = 128;
         let file = |id: u64| -> (u64, Bytes, Vec<usize>) {
@@ -334,11 +335,7 @@ fn write_many_round_trips_on_both_transports() {
             assert_eq!(client.read(*id).unwrap(), data[..], "file {id}");
         }
     }
-    let chan = StoreCluster::spawn(StoreConfig::unthrottled(N_WORKERS));
-    check(&chan.client());
-    let tcp = TcpCluster::spawn(StoreConfig::unthrottled(N_WORKERS));
-    check(&tcp.client());
-    tcp.shutdown();
+    twin(|| (StoreConfig::unthrottled(N_WORKERS), None), check);
 }
 
 /// Nothing a peer can frame may reach an `assert!` on the master: its
@@ -370,7 +367,6 @@ fn master_outlives_bad_input() {
     (0..N_WORKERS).for_each(|w| mc.mark_dead(w));
     refused(&rebalance);
     assert_eq!(mc.peek(1), Ok((10, vec![0, 1])));
-    tcp.shutdown();
 }
 
 /// A wire client (its own `MasterClient` stub over the cluster's
@@ -410,7 +406,6 @@ fn a_healthy_fleet_is_reported_once_per_worker() {
     // 8 acks and 200 replies landed; nothing changed after the first
     // from each worker.
     assert_eq!(heartbeats(tcp.master()), vec![1; N_WORKERS]);
-    tcp.shutdown();
 }
 
 /// Every health transition a reporter observes still reaches the
@@ -445,7 +440,6 @@ fn a_suspected_worker_is_cleared_by_its_next_good_reply() {
     assert_eq!(meta.live_workers(N_WORKERS), vec![0, 1, 3]);
     client.read(W as u64).unwrap();
     assert!(tcp.master().is_alive(W));
-    tcp.shutdown();
 }
 
 /// A successor master has heard nothing from this client: after a
@@ -475,7 +469,6 @@ fn a_redirect_makes_every_worker_news_again() {
     assert_eq!(heartbeats(tcp.master()), vec![1; N_WORKERS], "the fenced master took reports");
     meta.shutdown_server().unwrap();
     server.join();
-    tcp.shutdown();
 }
 
 /// For a single reporter the filter is invisible in the journal: a
@@ -517,5 +510,4 @@ fn one_reporters_journal_is_the_unfiltered_journal() {
     let said: u64 = heartbeats(tcp.master()).iter().sum();
     let meant: u64 = heartbeats(&unfiltered).iter().sum();
     assert!(said * 2 < meant, "{said} of {meant} reports sent: the filter filters nothing");
-    tcp.shutdown();
 }

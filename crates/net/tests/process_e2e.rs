@@ -116,8 +116,6 @@ fn real_processes_serve_a_cluster() {
                 &id.to_string(),
                 "--bind",
                 "127.0.0.1:0",
-                "--seed",
-                "7",
             ])
         })
         .collect();
@@ -174,6 +172,31 @@ fn real_processes_serve_a_cluster() {
         await_exit(d, &format!("worker {w}"), Duration::from_secs(10));
     }
     await_exit(&mut master, "master", Duration::from_secs(10));
+}
+
+/// A flag the daemon does not know, or one missing its value, is
+/// refused with the usage text before anything binds — a misspelt
+/// `--memory-budget` must not run the worker unbounded.
+#[test]
+fn a_misspelt_or_valueless_flag_exits_2_without_serving() {
+    let worker = ["worker", "--id", "0", "--bind", "127.0.0.1:0"];
+    for bad in [&["--memory-budjet", "4194304"][..], &["--memory-budget"], &["--seed", "7"]] {
+        let args: Vec<&str> = worker.iter().chain(bad).copied().collect();
+        let mut child = Command::new(env!("CARGO_BIN_EXE_spcached"))
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn spcached");
+        let mut line = String::new();
+        let _ = BufReader::new(child.stdout.take().expect("stdout piped")).read_line(&mut line);
+        if line.starts_with("LISTEN") {
+            let _ = child.kill();
+        }
+        let status = child.wait().expect("wait for spcached");
+        assert!(!line.starts_with("LISTEN"), "{args:?} served: {line:?}");
+        assert_eq!(status.code(), Some(2), "{args:?} exited with {status}");
+    }
 }
 
 /// A worker daemon is `io_shards + 2` threads: main, the I/O shards and

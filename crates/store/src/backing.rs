@@ -472,7 +472,6 @@ mod tests {
     use crate::cluster::StoreCluster;
     use crate::config::StoreConfig;
     use crate::rpc::{Reply, Request};
-    use crate::transport::Transport;
     use std::time::Duration;
 
     fn payload(len: usize) -> Vec<u8> {
@@ -545,7 +544,7 @@ mod tests {
 
     #[test]
     fn rotted_checkpoint_is_refused_and_the_clean_one_heals() {
-        let mut cluster = StoreCluster::spawn(StoreConfig::unthrottled(4));
+        let cluster = StoreCluster::spawn(StoreConfig::unthrottled(4));
         let client = cluster.client().with_verify(true);
         let data = payload(6_000);
         client.write(1, &data, &[0, 1]).unwrap();
@@ -574,7 +573,7 @@ mod tests {
 
     #[test]
     fn dead_worker_recovery() {
-        let mut cluster = StoreCluster::spawn(StoreConfig::unthrottled(4));
+        let cluster = StoreCluster::spawn(StoreConfig::unthrottled(4));
         let client = cluster.client();
         let data = payload(6_000);
         client.write(1, &data, &[0, 1]).unwrap();
@@ -624,7 +623,7 @@ mod tests {
 
     #[test]
     fn failed_recovery_leaves_metadata_intact() {
-        let mut cluster = StoreCluster::spawn(StoreConfig::unthrottled(3));
+        let cluster = StoreCluster::spawn(StoreConfig::unthrottled(3));
         let client = cluster.client();
         let data = payload(2_000);
         client.write(1, &data, &[0, 1]).unwrap();
@@ -640,7 +639,7 @@ mod tests {
 
     #[test]
     fn heal_degraded_recovers_checkpointed_files_onto_live_workers() {
-        let mut cluster = StoreCluster::spawn(StoreConfig::unthrottled(4));
+        let cluster = StoreCluster::spawn(StoreConfig::unthrottled(4));
         let client = cluster.client();
         let data1 = payload(5_000);
         let data2 = payload(1_234);

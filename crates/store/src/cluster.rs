@@ -1,5 +1,13 @@
-//! Cluster assembly: master + worker threads + client factory.
+//! Cluster assembly: one harness for every fleet.
+//!
+//! A [`StoreCluster`] owns what every cluster has — the master, the
+//! fault log, the under-store, the config and the supervisor — and
+//! writes each method over them once. A [`Fleet`] owns the two things
+//! that differ: where the workers run, and how a new client reaches the
+//! master. This crate's fleet runs worker threads in the process;
+//! `spcache-net`'s runs loopback servers behind the same cluster.
 
+use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -7,15 +15,60 @@ use crate::backing::UnderStore;
 use crate::client::Client;
 use crate::config::StoreConfig;
 use crate::fault::FaultLog;
-use crate::master::Master;
-use crate::rpc::{Request, StoreError, WorkerStats};
+use crate::master::{Master, MetaService};
+use crate::rpc::{Reply, Request, StoreError, WorkerStats};
 use crate::supervisor::{Supervisor, SupervisorCore};
 use crate::transport::{ChannelTransport, Transport};
 use crate::worker::{spawn_worker_opts, WorkerHandle, WorkerOptions};
 
-/// A running in-process store cluster.
+/// How long a control request to one worker (`Stats`, `Shutdown`) may
+/// take before the worker counts as unreachable.
+const CONTROL_DEADLINE: Duration = Duration::from_secs(10);
+
+/// Where a cluster's workers run and how a new client reaches its
+/// master. Dropping a fleet drains it: every worker serves what it was
+/// sent before its `Shutdown`, then exits.
+pub trait Fleet: fmt::Debug + Send + Sync {
+    /// The transport to the workers, in worker-index order.
+    fn transport(&self) -> &Arc<dyn Transport>;
+
+    /// The metadata service a new client of `master` talks to.
+    fn meta(&self, master: &Arc<Master>) -> Arc<dyn MetaService>;
+}
+
+/// Worker threads in this process, reached over channels.
+#[derive(Debug)]
+struct Threads {
+    // Held for their drop, which shuts each worker down and joins it.
+    _workers: Vec<WorkerHandle>,
+    transport: Arc<dyn Transport>,
+}
+
+impl Threads {
+    fn spawn(cfg: &StoreConfig, log: &Arc<FaultLog>, under: Option<&Arc<UnderStore>>) -> Threads {
+        let workers: Vec<WorkerHandle> = (0..cfg.n_workers)
+            .map(|id| WorkerOptions::from_config(id, cfg, log.clone(), under.cloned()))
+            .map(spawn_worker_opts)
+            .collect();
+        let senders = workers.iter().map(|w| w.sender().clone()).collect();
+        Threads { transport: Arc::new(ChannelTransport::new(senders)), _workers: workers }
+    }
+}
+
+impl Fleet for Threads {
+    fn transport(&self) -> &Arc<dyn Transport> {
+        &self.transport
+    }
+
+    fn meta(&self, master: &Arc<Master>) -> Arc<dyn MetaService> {
+        master.clone()
+    }
+}
+
+/// A running store cluster: a master and a [`Fleet`] of workers.
 ///
-/// Dropping the cluster shuts every worker down.
+/// Dropping the cluster stops the supervisor first, then drains every
+/// worker, then whatever serves the master.
 ///
 /// # Examples
 ///
@@ -29,13 +82,12 @@ use crate::worker::{spawn_worker_opts, WorkerHandle, WorkerOptions};
 /// ```
 #[derive(Debug)]
 pub struct StoreCluster {
-    // Declared first so it drops (stopping its heartbeat thread) before
-    // the workers shut down — a supervisor outliving its fleet would
-    // mis-record every worker as newly dead on the way out.
+    // Fields drop in declaration order. The supervisor goes first: one
+    // outliving its fleet would mis-record every worker as newly dead
+    // on the way out.
     supervisor: Option<Supervisor>,
+    fleet: Box<dyn Fleet>,
     master: Arc<Master>,
-    workers: Vec<WorkerHandle>,
-    transport: Arc<ChannelTransport>,
     fault_log: Arc<FaultLog>,
     under: Option<Arc<UnderStore>>,
     cfg: StoreConfig,
@@ -65,50 +117,60 @@ impl StoreCluster {
     ///
     /// Panics if `cfg.n_workers == 0`.
     pub fn spawn_with_under_store(cfg: StoreConfig, under: Option<Arc<UnderStore>>) -> Self {
+        let (cluster, ()) = StoreCluster::spawn_on(cfg, under, |cfg, _, log, under| {
+            (Box::new(Threads::spawn(cfg, log, under)), ())
+        });
+        cluster
+    }
+
+    /// Assembles a cluster around the fleet `launch` starts from the
+    /// config, an empty master sized for `cfg.n_workers`, a fresh fault
+    /// log and the under-store; when `cfg.supervisor.enabled`, a
+    /// [`Supervisor`] runs over the fleet's transport. Returns the
+    /// cluster and whatever else `launch` returned beside its fleet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.n_workers == 0`.
+    pub fn spawn_on<T>(
+        cfg: StoreConfig,
+        under: Option<Arc<UnderStore>>,
+        launch: impl FnOnce(
+            &StoreConfig,
+            &Arc<Master>,
+            &Arc<FaultLog>,
+            Option<&Arc<UnderStore>>,
+        ) -> (Box<dyn Fleet>, T),
+    ) -> (Self, T) {
         assert!(cfg.n_workers > 0, "need at least one worker");
-        let fault_log = Arc::new(FaultLog::new());
-        let workers: Vec<WorkerHandle> = (0..cfg.n_workers)
-            .map(|id| {
-                spawn_worker_opts(WorkerOptions::from_config(
-                    id,
-                    &cfg,
-                    Arc::clone(&fault_log),
-                    under.clone(),
-                ))
-            })
-            .collect();
-        let transport = Arc::new(ChannelTransport::new(
-            workers.iter().map(|w| w.sender().clone()).collect(),
-        ));
         let master = Arc::new(Master::new());
         master.ensure_workers(cfg.n_workers);
+        let fault_log = Arc::new(FaultLog::new());
+        let (fleet, extra) = launch(&cfg, &master, &fault_log, under.as_ref());
         let supervisor = cfg.supervisor.enabled.then(|| {
-            let t: Arc<dyn Transport> = transport.clone();
             Supervisor::spawn(SupervisorCore::new(
                 master.clone(),
-                t,
+                fleet.transport().clone(),
                 under.clone(),
                 cfg.supervisor,
                 cfg.retry,
             ))
         });
-        StoreCluster {
-            supervisor,
-            master,
-            workers,
-            transport,
-            fault_log,
-            under,
-            cfg,
-        }
+        (StoreCluster { supervisor, fleet, master, fault_log, under, cfg }, extra)
     }
 
     /// Number of workers.
     pub fn n_workers(&self) -> usize {
-        self.workers.len()
+        self.cfg.n_workers
     }
 
-    /// The metadata master.
+    /// The configuration the cluster was spawned with.
+    pub fn config(&self) -> &StoreConfig {
+        &self.cfg
+    }
+
+    /// The metadata master — the same instance every client's requests
+    /// mutate, so tests can assert on metadata without another RPC.
     pub fn master(&self) -> &Arc<Master> {
         &self.master
     }
@@ -118,11 +180,10 @@ impl StoreCluster {
         &self.fault_log
     }
 
-    /// The in-process channel transport over this cluster's workers
-    /// (used by the repartitioners and by tests that poke workers
-    /// directly).
-    pub fn transport(&self) -> &Arc<ChannelTransport> {
-        &self.transport
+    /// The transport to the workers (used by the repartitioners and by
+    /// tests that poke workers directly).
+    pub fn transport(&self) -> &Arc<dyn Transport> {
+        self.fleet.transport()
     }
 
     /// The supervisor, when `cfg.supervisor.enabled` spawned one.
@@ -135,73 +196,66 @@ impl StoreCluster {
         self.under.as_ref()
     }
 
+    /// A fresh metadata service for a new client: the master itself in
+    /// process, a connection to the master's server over sockets.
+    pub fn meta(&self) -> Arc<dyn MetaService> {
+        self.fleet.meta(&self.master)
+    }
+
     /// Creates a client carrying the cluster's retry and hedge policies.
     /// Under a supervisor the client is additionally **fenced** (stamps
     /// registration epochs onto data requests) and applies the
     /// configured degraded-mode admission policy; the cluster's
     /// under-store, if any, is attached for read-path healing.
     pub fn client(&self) -> Client {
-        Client::from_config(
-            self.master.clone(),
-            self.transport.clone(),
-            &self.cfg,
-            self.under.clone(),
-        )
+        Client::from_config(self.meta(), self.transport().clone(), &self.cfg, self.under.clone())
     }
 
-    /// Collects per-worker service counters. Dead workers report
-    /// defaults (a killed machine has no counters to offer).
+    /// Collects per-worker service counters. A worker that does not
+    /// answer reports defaults (a killed machine has no counters to
+    /// offer).
     pub fn worker_stats(&self) -> Result<Vec<WorkerStats>, StoreError> {
-        Ok(self
-            .workers
-            .iter()
-            .map(|w| w.stats().unwrap_or_default())
-            .collect())
+        let stats = |w| {
+            let reply = self.transport().call(w, Request::Stats, CONTROL_DEADLINE);
+            reply.and_then(Reply::stats).unwrap_or_default()
+        };
+        Ok((0..self.n_workers()).map(stats).collect())
     }
 
     /// Pings every worker with `timeout`, updating the master's health
     /// table from the outcome; returns the live worker ids. This is the
     /// heartbeat sweep a real SP-Master would run periodically.
     pub fn probe_liveness(&self, timeout: Duration) -> Vec<usize> {
+        let probes: Vec<_> =
+            (0..self.n_workers()).map(|w| self.transport().submit(w, Request::Ping)).collect();
         let mut live = Vec::new();
-        let probes: Vec<_> = self
-            .workers
-            .iter()
-            .map(|w| (w.id, self.transport.submit(w.id, Request::Ping)))
-            .collect();
-        for (id, probe) in probes {
-            let alive = probe
-                .is_ok_and(|rx| {
-                    matches!(rx.recv_timeout(timeout), Ok(crate::rpc::Reply::Pong { .. }))
-                });
+        for (w, probe) in probes.into_iter().enumerate() {
+            let alive =
+                probe.is_ok_and(|rx| matches!(rx.recv_timeout(timeout), Ok(Reply::Pong { .. })));
             if alive {
-                self.master.mark_alive(id);
-                live.push(id);
+                self.master.mark_alive(w);
+                live.push(w);
             } else {
-                self.master.mark_dead(id);
+                self.master.mark_dead(w);
             }
         }
         live
     }
 
-    /// Terminates one worker thread — a simulated machine failure. All
-    /// its cached partitions are lost; subsequent requests to it report
-    /// [`StoreError::WorkerDown`] (recoverable via
-    /// [`crate::backing::read_or_recover`] when checkpoints exist). The
-    /// master learns of the death immediately.
-    pub fn kill_worker(&mut self, id: usize) {
-        self.workers[id].shutdown();
+    /// Stops one worker — a simulated machine failure. It serves what it
+    /// was sent before the `Shutdown`, then all its cached partitions are
+    /// lost; later requests to it report [`StoreError::WorkerDown`]
+    /// (recoverable via [`crate::backing::read_or_recover`] when
+    /// checkpoints exist). The master learns of the death immediately.
+    pub fn kill_worker(&self, id: usize) {
+        let _ = self.transport().call(id, Request::Shutdown, CONTROL_DEADLINE);
         self.master.mark_dead(id);
     }
 
     /// Bytes served per worker — the load-distribution measurement used by
     /// the store-level imbalance checks.
     pub fn served_bytes(&self) -> Result<Vec<f64>, StoreError> {
-        Ok(self
-            .worker_stats()?
-            .into_iter()
-            .map(|s| s.bytes_served as f64)
-            .collect())
+        Ok(self.worker_stats()?.iter().map(|s| s.bytes_served as f64).collect())
     }
 }
 
@@ -237,7 +291,7 @@ mod tests {
 
     #[test]
     fn probe_liveness_tracks_kill() {
-        let mut cluster = StoreCluster::spawn(StoreConfig::unthrottled(3));
+        let cluster = StoreCluster::spawn(StoreConfig::unthrottled(3));
         assert_eq!(
             cluster.probe_liveness(Duration::from_millis(200)),
             vec![0, 1, 2]
@@ -250,6 +304,8 @@ mod tests {
         assert!(!cluster.master().is_alive(1));
         assert!(cluster.master().is_alive(0));
         assert!(cluster.master().heartbeats(0) >= 2);
+        // A killed worker has no counters to offer.
+        assert_eq!(cluster.worker_stats().unwrap()[1], WorkerStats::default());
     }
 
     #[test]

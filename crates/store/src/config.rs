@@ -2,8 +2,6 @@
 
 use std::time::Duration;
 
-use spcache_workload::StragglerModel;
-
 use crate::fault::FaultPlan;
 
 /// Client-side retry behaviour for reads (the robust read path).
@@ -197,10 +195,6 @@ pub struct StoreConfig {
     /// Emulated NIC bandwidth per worker, bytes/s (`f64::INFINITY` for
     /// full speed — the default for unit tests).
     pub bandwidth: f64,
-    /// Straggler injection applied per partition transfer.
-    pub stragglers: StragglerModel,
-    /// RNG seed for straggler draws.
-    pub seed: u64,
     /// Scripted faults injected into the workers (empty by default).
     pub faults: FaultPlan,
     /// Read retry policy handed to clients created via
@@ -250,8 +244,6 @@ impl StoreConfig {
         StoreConfig {
             n_workers,
             bandwidth: f64::INFINITY,
-            stragglers: StragglerModel::none(),
-            seed: 1,
             faults: FaultPlan::none(),
             retry: RetryPolicy::none(),
             hedge: HedgePolicy::disabled(),
@@ -271,18 +263,6 @@ impl StoreConfig {
             bandwidth,
             ..StoreConfig::unthrottled(n_workers)
         }
-    }
-
-    /// Sets the straggler model (builder style).
-    pub fn with_stragglers(mut self, s: StragglerModel) -> Self {
-        self.stragglers = s;
-        self
-    }
-
-    /// Sets the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 
     /// Sets the fault-injection plan.
@@ -365,10 +345,9 @@ mod tests {
         assert_eq!(c.n_workers, 4);
         assert!(c.bandwidth.is_infinite());
         assert!(c.faults.is_empty());
-        let t = StoreConfig::throttled(8, 50e6).with_seed(9);
+        let t = StoreConfig::throttled(8, 50e6);
         assert_eq!(t.n_workers, 8);
         assert_eq!(t.bandwidth, 50e6);
-        assert_eq!(t.seed, 9);
     }
 
     #[test]

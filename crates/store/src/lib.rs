@@ -8,8 +8,7 @@
 //! implementation (§6) describes:
 //!
 //! * [`worker::Worker`] — one OS thread per cache server, owning a byte
-//!   store of partitions, a token-bucket NIC throttle and optional
-//!   straggler injection,
+//!   store of partitions and a token-bucket NIC throttle,
 //! * [`master::Master`] — the SP-Master: file metadata (partition count,
 //!   server list), access counting for popularity tracking, and the
 //!   Algorithm 1 tuning entry point,
@@ -22,7 +21,9 @@
 //!   worker repartitions a disjoint set of files in parallel
 //!   (vs [`repartitioner::run_sequential`], the strawman that collects
 //!   every file at one node — Fig. 16's comparison),
-//! * [`cluster::StoreCluster`] — wires it all together,
+//! * [`cluster::StoreCluster`] — wires it all together: the one cluster
+//!   harness, over worker threads here and over loopback servers in
+//!   `spcache-net`, behind a [`cluster::Fleet`],
 //! * [`fault`] — deterministic fault injection (scripted crashes, hangs,
 //!   partition drops, lost replies) driving the robust read path:
 //!   per-partition deadlines, bounded retry with under-store recovery,

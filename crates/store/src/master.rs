@@ -835,9 +835,18 @@ impl Master {
     /// A snapshot `(ids, FileSet, PartitionMap)` of the current state with
     /// popularity estimated from access counts (uniform when no accesses
     /// were recorded yet). `n_workers` bounds the partition map.
-    pub fn snapshot(&self, n_workers: usize) -> (Vec<u64>, FileSet, PartitionMap) {
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Codec`] when no file is registered.
+    pub fn snapshot(
+        &self,
+        n_workers: usize,
+    ) -> Result<(Vec<u64>, FileSet, PartitionMap), StoreError> {
         let files = self.files.read();
-        assert!(!files.is_empty(), "snapshot of an empty master");
+        if files.is_empty() {
+            return Err(StoreError::Codec("rebalance of an empty master".into()));
+        }
         let mut ids: Vec<u64> = files.keys().copied().collect();
         ids.sort_unstable();
         let total_acc: u64 = files
@@ -859,11 +868,11 @@ impl Master {
             })
             .collect();
         let placements: Vec<Vec<usize>> = ids.iter().map(|id| files[id].servers.clone()).collect();
-        (
+        Ok((
             ids,
             FileSet::new(metas),
             PartitionMap::new(placements, n_workers),
-        )
+        ))
     }
 
     /// Plans a rebalance: runs Algorithm 1 on the observed popularity,
@@ -871,6 +880,11 @@ impl Master {
     /// current placement. Returns `(ids, plan, tuned)`; apply with
     /// [`Master::apply_placement`] after the repartitioners have moved
     /// the bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Codec`] when no file is registered or no worker is
+    /// alive to plan against.
     pub fn plan_rebalance(
         &self,
         n_workers: usize,
@@ -878,10 +892,12 @@ impl Master {
         lambda_total: f64,
         cfg: &TunerConfig,
         seed: u64,
-    ) -> (Vec<u64>, RepartitionPlan, Tuned) {
-        let (ids, fileset, map) = self.snapshot(n_workers);
+    ) -> Result<(Vec<u64>, RepartitionPlan, Tuned), StoreError> {
+        let (ids, fileset, map) = self.snapshot(n_workers)?;
         let live = self.live_workers(n_workers);
-        assert!(!live.is_empty(), "no live workers to plan against");
+        if live.is_empty() {
+            return Err(StoreError::Codec("rebalance with no live workers".into()));
+        }
         let tuned =
             tune_scale_factor_hetero(&fileset, &vec![bandwidth; n_workers], lambda_total, cfg);
         // A file cannot be split across more servers than are alive.
@@ -895,7 +911,7 @@ impl Master {
         if live.len() < n_workers {
             remap_dead_targets(&mut plan, &live);
         }
-        (ids, plan, tuned)
+        Ok((ids, plan, tuned))
     }
 
     /// Returns every registered file id with its current servers
@@ -1154,32 +1170,19 @@ impl MetaService for Master {
 /// dead target is replaced by the lowest-indexed live worker not already
 /// serving another partition of the same file, preserving the
 /// distinct-server invariant. Deterministic (no RNG), so replanning
-/// after the same failure yields the same placement.
-///
-/// # Panics
-///
-/// Panics if a job needs more targets than there are live workers —
-/// callers must clamp partition counts to the live fleet first (as
-/// [`Master::plan_rebalance`] does).
-pub fn remap_dead_targets(plan: &mut RepartitionPlan, live: &[usize]) {
+/// after the same failure yields the same placement. The caller has
+/// clamped every job to at most `live.len()` targets, so a replacement
+/// always exists.
+fn remap_dead_targets(plan: &mut RepartitionPlan, live: &[usize]) {
     let is_live = |w: usize| live.binary_search(&w).is_ok();
     for job in &mut plan.jobs {
-        assert!(
-            job.new_servers.len() <= live.len(),
-            "job wants {} targets but only {} workers are alive",
-            job.new_servers.len(),
-            live.len()
-        );
         for i in 0..job.new_servers.len() {
             if is_live(job.new_servers[i]) {
                 continue;
             }
-            let replacement = live
-                .iter()
-                .copied()
-                .find(|w| !job.new_servers.contains(w))
-                .expect("live fleet exhausted despite clamp");
-            job.new_servers[i] = replacement;
+            if let Some(replacement) = live.iter().copied().find(|w| !job.new_servers.contains(w)) {
+                job.new_servers[i] = replacement;
+            }
         }
     }
 }
@@ -1303,7 +1306,7 @@ mod tests {
             let _ = m.locate(0);
         }
         let _ = m.locate(1);
-        let (ids, fs, map) = m.snapshot(4);
+        let (ids, fs, map) = m.snapshot(4).unwrap();
         assert_eq!(ids, vec![0, 1]);
         assert!((fs.get(0).popularity - 0.9).abs() < 1e-12);
         assert!((fs.get(1).popularity - 0.1).abs() < 1e-12);
@@ -1315,7 +1318,7 @@ mod tests {
         let m = Master::new();
         m.register(0, 100, vec![0]).unwrap();
         m.register(1, 100, vec![1]).unwrap();
-        let (_, fs, _) = m.snapshot(2);
+        let (_, fs, _) = m.snapshot(2).unwrap();
         assert!((fs.get(0).popularity - 0.5).abs() < 1e-12);
     }
 
@@ -1332,7 +1335,8 @@ mod tests {
         for id in 0..20u64 {
             let _ = m.locate(id);
         }
-        let (ids, plan, tuned) = m.plan_rebalance(10, 125e6, 8.0, &TunerConfig::default(), 7);
+        let (ids, plan, tuned) =
+            m.plan_rebalance(10, 125e6, 8.0, &TunerConfig::default(), 7).unwrap();
         assert!(tuned.alpha > 0.0);
         let idx3 = ids.iter().position(|&i| i == 3).unwrap();
         assert!(
@@ -1452,7 +1456,7 @@ mod tests {
         }
         m.mark_dead(4);
         m.mark_dead(7);
-        let (_, plan, _) = m.plan_rebalance(10, 125e6, 8.0, &TunerConfig::default(), 7);
+        let (_, plan, _) = m.plan_rebalance(10, 125e6, 8.0, &TunerConfig::default(), 7).unwrap();
         for job in &plan.jobs {
             assert!(
                 job.new_servers.iter().all(|&s| s != 4 && s != 7),
@@ -1464,6 +1468,22 @@ mod tests {
             uniq.dedup();
             assert_eq!(uniq.len(), job.new_servers.len(), "duplicate targets");
         }
+    }
+
+    #[test]
+    fn an_unplannable_rebalance_is_a_typed_error() {
+        let m = Master::new();
+        m.ensure_workers(2);
+        let plan = |m: &Master| m.plan_rebalance(2, 125e6, 8.0, &TunerConfig::default(), 7);
+        let codec = |r: Result<(), StoreError>| matches!(r, Err(StoreError::Codec(_)));
+        assert!(codec(m.snapshot(2).map(drop)), "snapshot of an empty master");
+        assert!(codec(plan(&m).map(drop)), "rebalance of an empty master");
+        m.register(1, 100, vec![0]).unwrap();
+        m.mark_dead(0);
+        m.mark_dead(1);
+        assert!(codec(plan(&m).map(drop)), "rebalance with no live workers");
+        m.mark_alive(1);
+        assert!(plan(&m).is_ok());
     }
 
     #[test]

@@ -367,7 +367,7 @@ mod tests {
             8.0,
             &spcache_core::tuner::TunerConfig::default(),
             3,
-        );
+        ).unwrap();
         assert!(!plan.jobs.is_empty(), "hot files should be repartitioned");
         run_parallel(&plan, &ids, cluster.master().as_ref(), cluster.transport().as_ref()).unwrap();
         for (id, data) in contents.iter().enumerate() {
@@ -397,7 +397,7 @@ mod tests {
             8.0,
             &spcache_core::tuner::TunerConfig::default(),
             5,
-        );
+        ).unwrap();
         run_sequential(&plan, &ids, cluster.master().as_ref(), cluster.transport().as_ref())
             .unwrap();
         for (id, data) in contents.iter().enumerate() {
@@ -412,7 +412,7 @@ mod tests {
         let client = cluster.client();
         let data = payload(0, 9_001);
         client.write(0, &data, &[0, 1, 2]).unwrap();
-        let (ids, fileset, map) = cluster.master().snapshot(4);
+        let (ids, fileset, map) = cluster.master().snapshot(4).unwrap();
         let mut rng = Xoshiro256StarStar::seed_from_u64(1);
         let plan = plan_repartition(&fileset, &map, &[1], &mut rng);
         assert_eq!(plan.jobs.len(), 1);
@@ -426,7 +426,7 @@ mod tests {
         let cluster = StoreCluster::spawn(StoreConfig::unthrottled(4));
         let client = cluster.client();
         client.write(0, &payload(0, 4_000), &[0, 1]).unwrap();
-        let (ids, fileset, map) = cluster.master().snapshot(4);
+        let (ids, fileset, map) = cluster.master().snapshot(4).unwrap();
         let mut rng = Xoshiro256StarStar::seed_from_u64(2);
         let plan = plan_repartition(&fileset, &map, &[4], &mut rng);
         run_parallel(&plan, &ids, cluster.master().as_ref(), cluster.transport().as_ref()).unwrap();
@@ -458,7 +458,7 @@ mod tests {
 
     #[test]
     fn known_dead_target_is_substituted_before_push() {
-        let mut cluster = StoreCluster::spawn(StoreConfig::unthrottled(5));
+        let cluster = StoreCluster::spawn(StoreConfig::unthrottled(5));
         let client = cluster.client();
         let data = payload(0, 8_000);
         client.write(0, &data, &[0]).unwrap();
@@ -539,7 +539,7 @@ mod tests {
     fn no_live_substitute_skips_job_and_keeps_file_readable() {
         // Both non-source workers die; the job cannot be placed and must
         // be skipped with the original layout untouched.
-        let mut cluster = StoreCluster::spawn(StoreConfig::unthrottled(3));
+        let cluster = StoreCluster::spawn(StoreConfig::unthrottled(3));
         let client = cluster.client();
         let data = payload(0, 4_000);
         client.write(0, &data, &[0]).unwrap();
@@ -582,7 +582,7 @@ mod tests {
             8.0,
             &spcache_core::tuner::TunerConfig::default(),
             7,
-        );
+        ).unwrap();
 
         let t0 = std::time::Instant::now();
         run_parallel(&plan, &ids, cluster.master().as_ref(), cluster.transport().as_ref()).unwrap();
@@ -608,7 +608,7 @@ mod tests {
             8.0,
             &spcache_core::tuner::TunerConfig::default(),
             7,
-        );
+        ).unwrap();
         let t1 = std::time::Instant::now();
         run_sequential(&plan2, &ids2, cluster2.master().as_ref(), cluster2.transport().as_ref())
             .unwrap();

@@ -429,7 +429,7 @@ mod tests {
 
     #[test]
     fn first_tick_registers_the_fleet_and_death_triggers_a_sweep() {
-        let mut cluster =
+        let cluster =
             StoreCluster::spawn(StoreConfig::unthrottled(3).with_retry(RetryPolicy::default()));
         let under = Arc::new(UnderStore::new());
         let client = cluster.client().with_under_store(under.clone());
@@ -493,7 +493,7 @@ mod tests {
 
     #[test]
     fn sweep_skips_files_whose_repair_is_already_in_flight() {
-        let mut cluster =
+        let cluster =
             StoreCluster::spawn(StoreConfig::unthrottled(3).with_retry(RetryPolicy::default()));
         let under = Arc::new(UnderStore::new());
         let client = cluster.client().with_under_store(under.clone());
@@ -524,7 +524,7 @@ mod tests {
         // re-places the file (bumping its placement version). The
         // sweep must dedupe on (id, version) and skip, not
         // re-materialize partitions from its stale snapshot.
-        let mut cluster =
+        let cluster =
             StoreCluster::spawn(StoreConfig::unthrottled(3).with_retry(RetryPolicy::default()));
         let under = Arc::new(UnderStore::new());
         let client = cluster.client().with_under_store(under.clone());
@@ -555,7 +555,7 @@ mod tests {
 
     #[test]
     fn supervisor_heals_are_background_traffic() {
-        let mut cluster =
+        let cluster =
             StoreCluster::spawn(StoreConfig::unthrottled(3).with_retry(RetryPolicy::default()));
         let under = Arc::new(UnderStore::new());
         let client = cluster.client().with_under_store(under.clone());

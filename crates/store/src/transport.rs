@@ -112,11 +112,6 @@ impl ChannelTransport {
         assert!(!senders.is_empty(), "need at least one worker");
         ChannelTransport { senders }
     }
-
-    /// The raw channel to one worker (tests that poke workers directly).
-    pub fn sender(&self, worker: usize) -> &Sender<Envelope> {
-        &self.senders[worker]
-    }
 }
 
 impl Transport for ChannelTransport {

@@ -34,10 +34,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
-use rand::SeedableRng;
 use spcache_core::LruCache;
-use spcache_sim::Xoshiro256StarStar;
-use spcache_workload::StragglerModel;
 
 use crate::backing::UnderStore;
 use crate::fault::{CorruptSite, FaultAction, FaultLog, WorkerScript};
@@ -61,17 +58,6 @@ impl WorkerHandle {
     /// The worker's request channel.
     pub fn sender(&self) -> &Sender<Envelope> {
         &self.sender
-    }
-
-    /// Synchronously fetches this worker's service counters.
-    pub fn stats(&self) -> Result<WorkerStats, StoreError> {
-        let (envelope, rx) = Envelope::channel(Request::Stats);
-        self.sender
-            .send(envelope)
-            .map_err(|_| StoreError::WorkerDown(self.id))?;
-        rx.recv()
-            .map_err(|_| StoreError::WorkerDown(self.id))?
-            .stats()
     }
 
     /// Requests shutdown and joins the thread. The worker drains its
@@ -106,10 +92,6 @@ pub struct WorkerOptions {
     /// Fraction of the NIC available to background traffic, in
     /// `(0, 1]` (see [`NicScheduler`]). 1.0 = no background pacing.
     pub background_fraction: f64,
-    /// Straggler model applied to reads.
-    pub stragglers: StragglerModel,
-    /// RNG seed for straggler draws.
-    pub seed: u64,
     /// Data-path fault script (fires on the op counter).
     pub script: WorkerScript,
     /// Heartbeat fault script (fires on the ping counter).
@@ -143,13 +125,11 @@ pub struct WorkerOptions {
 
 impl WorkerOptions {
     /// Options with no faults, no budget and no transfer cap.
-    pub fn new(id: usize, bandwidth: f64, stragglers: StragglerModel, seed: u64) -> Self {
+    pub fn new(id: usize, bandwidth: f64) -> Self {
         WorkerOptions {
             id,
             bandwidth,
             background_fraction: 1.0,
-            stragglers,
-            seed,
             script: WorkerScript::empty(),
             heartbeat_script: WorkerScript::empty(),
             log: Arc::new(FaultLog::new()),
@@ -185,12 +165,7 @@ impl WorkerOptions {
             max_transfer_wait: Some(cfg.executor_deadline),
             verify_reads: cfg.verify_reads,
             log_corruptions: cfg.log_corruptions,
-            ..WorkerOptions::new(
-                id,
-                cfg.bandwidth,
-                cfg.stragglers.clone(),
-                cfg.seed.wrapping_add(id as u64),
-            )
+            ..WorkerOptions::new(id, cfg.bandwidth)
         }
     }
 
@@ -238,15 +213,10 @@ impl WorkerOptions {
     }
 }
 
-/// Spawns a worker thread with the given NIC bandwidth and straggler
-/// model; returns its handle.
-pub fn spawn_worker(
-    id: usize,
-    bandwidth: f64,
-    stragglers: StragglerModel,
-    seed: u64,
-) -> WorkerHandle {
-    spawn_worker_opts(WorkerOptions::new(id, bandwidth, stragglers, seed))
+/// Spawns a worker thread with the given NIC bandwidth; returns its
+/// handle.
+pub fn spawn_worker(id: usize, bandwidth: f64) -> WorkerHandle {
+    spawn_worker_opts(WorkerOptions::new(id, bandwidth))
 }
 
 /// Spawns a fully-configured worker thread.
@@ -274,8 +244,6 @@ fn worker_loop(opts: WorkerOptions, rx: Receiver<Envelope>) {
         id,
         bandwidth,
         background_fraction,
-        stragglers,
-        seed,
         mut script,
         mut heartbeat_script,
         log,
@@ -293,9 +261,6 @@ fn worker_loop(opts: WorkerOptions, rx: Receiver<Envelope>) {
         lru: LruCache::new(memory_budget.map_or(f64::INFINITY, |b| (b as f64).max(1.0))),
         nic: NicScheduler::new(bandwidth, background_fraction),
         stats: WorkerStats::default(),
-        stragglers,
-        rng: Xoshiro256StarStar::seed_from_u64(seed),
-        bandwidth,
         spill,
         max_transfer_wait,
         evicted: Vec::new(),
@@ -496,9 +461,6 @@ struct ServeCtx {
     lru: LruCache<PartKey>,
     nic: NicScheduler,
     stats: WorkerStats,
-    stragglers: StragglerModel,
-    rng: Xoshiro256StarStar,
-    bandwidth: f64,
     spill: Option<Arc<UnderStore>>,
     max_transfer_wait: Option<Duration>,
     /// Scratch for LRU eviction drains (reused, allocation-free in
@@ -574,7 +536,7 @@ impl ServeCtx {
                     Ok(d) => d,
                     Err(e) => return Reply::Err(e),
                 };
-                if let Err(refused) = self.paced_read(data.len(), class) {
+                if let Err(refused) = self.transfer(data.len(), class) {
                     return refused;
                 }
                 self.stats.bytes_served += data.len() as u64;
@@ -589,7 +551,7 @@ impl ServeCtx {
                 let start = (offset as usize).min(data.len());
                 let end = (start + len as usize).min(data.len());
                 let slice = data.slice(start..end);
-                if let Err(refused) = self.paced_read(slice.len(), class) {
+                if let Err(refused) = self.transfer(slice.len(), class) {
                     return refused;
                 }
                 self.stats.bytes_served += slice.len() as u64;
@@ -895,18 +857,6 @@ impl ServeCtx {
             }
         }
     }
-
-    /// A read-side transfer with optional straggling (the paper injects
-    /// stragglers by sleeping the server thread, §4.2).
-    fn paced_read(&mut self, bytes: usize, class: TrafficClass) -> Result<(), Reply> {
-        let factor = self.stragglers.draw_factor(&mut self.rng);
-        self.transfer(bytes, class)?;
-        if factor > 1.0 && self.bandwidth.is_finite() {
-            let extra = bytes as f64 / self.bandwidth * (factor - 1.0);
-            std::thread::sleep(Duration::from_secs_f64(extra));
-        }
-        Ok(())
-    }
 }
 
 /// A copy of `data` with the byte at `index % len` inverted. The copy is
@@ -934,6 +884,10 @@ mod tests {
 
     fn call(h: &WorkerHandle, req: Request) -> Reply {
         submit(h, req).recv().unwrap()
+    }
+
+    fn stats(h: &WorkerHandle) -> WorkerStats {
+        call(h, Request::Stats).stats().unwrap()
     }
 
     fn put(h: &WorkerHandle, key: PartKey, data: &[u8]) {
@@ -974,14 +928,14 @@ mod tests {
 
     #[test]
     fn put_get_roundtrip() {
-        let h = spawn_worker(0, f64::INFINITY, StragglerModel::none(), 1);
+        let h = spawn_worker(0, f64::INFINITY);
         put(&h, PartKey::new(1, 0), b"hello");
         assert_eq!(get(&h, PartKey::new(1, 0)).unwrap().as_ref(), b"hello");
     }
 
     #[test]
     fn get_missing_returns_not_found() {
-        let h = spawn_worker(0, f64::INFINITY, StragglerModel::none(), 1);
+        let h = spawn_worker(0, f64::INFINITY);
         assert_eq!(
             get(&h, PartKey::new(9, 9)),
             Err(StoreError::NotFound(PartKey::new(9, 9)))
@@ -990,7 +944,7 @@ mod tests {
 
     #[test]
     fn delete_removes() {
-        let h = spawn_worker(0, f64::INFINITY, StragglerModel::none(), 1);
+        let h = spawn_worker(0, f64::INFINITY);
         put(&h, PartKey::new(1, 0), b"x");
         assert!(call(&h, Request::Delete { key: PartKey::new(1, 0) })
             .flag()
@@ -1000,11 +954,11 @@ mod tests {
 
     #[test]
     fn stats_track_traffic() {
-        let h = spawn_worker(0, f64::INFINITY, StragglerModel::none(), 1);
+        let h = spawn_worker(0, f64::INFINITY);
         put(&h, PartKey::new(1, 0), &[0u8; 100]);
         put(&h, PartKey::new(1, 1), &[0u8; 50]);
         let _ = get(&h, PartKey::new(1, 0));
-        let s = h.stats().unwrap();
+        let s = stats(&h);
         assert_eq!(s.bytes_stored, 150);
         assert_eq!(s.bytes_served, 100);
         assert_eq!(s.puts, 2);
@@ -1017,7 +971,7 @@ mod tests {
 
     #[test]
     fn throttled_worker_takes_time() {
-        let h = spawn_worker(0, 10e6, StragglerModel::none(), 1);
+        let h = spawn_worker(0, 10e6);
         put(&h, PartKey::new(1, 0), &[0u8; 1_000_000]);
         let t0 = std::time::Instant::now();
         let _ = get(&h, PartKey::new(1, 0)).unwrap();
@@ -1027,7 +981,7 @@ mod tests {
 
     #[test]
     fn shutdown_is_acknowledged_and_joins_cleanly() {
-        let mut h = spawn_worker(0, f64::INFINITY, StragglerModel::none(), 1);
+        let mut h = spawn_worker(0, f64::INFINITY);
         put(&h, PartKey::new(1, 0), b"x");
         assert_eq!(call(&h, Request::Shutdown), Reply::Done, "shutdown is acked");
         h.shutdown(); // idempotent: channel already closed
@@ -1046,7 +1000,7 @@ mod tests {
         // envelope (and the reply sender inside it) must be destroyed
         // with the worker's receiver so the second waiter observes a
         // disconnect, never an indefinite block.
-        let h = spawn_worker(0, f64::INFINITY, StragglerModel::none(), 1);
+        let h = spawn_worker(0, f64::INFINITY);
         let rx1 = submit(&h, Request::Shutdown);
         let (second, rx2) = Envelope::channel(Request::Shutdown);
         // The worker may already have served the first Shutdown and
@@ -1070,7 +1024,7 @@ mod tests {
     fn shutdown_drains_queued_requests_first() {
         // Requests enqueued before the shutdown envelope are all served
         // (FIFO drain) — nothing in flight is lost.
-        let h = spawn_worker(0, f64::INFINITY, StragglerModel::none(), 1);
+        let h = spawn_worker(0, f64::INFINITY);
         let mut gets = Vec::new();
         put(&h, PartKey::new(1, 0), b"drain");
         for _ in 0..16 {
@@ -1096,7 +1050,7 @@ mod tests {
             .delay_frame(0, 2, Duration::from_millis(60));
         let log = Arc::new(FaultLog::new());
         let h = spawn_worker_opts(
-            WorkerOptions::new(0, f64::INFINITY, StragglerModel::none(), 1).with_scripts(
+            WorkerOptions::new(0, f64::INFINITY).with_scripts(
                 plan.script_for(0),
                 WorkerScript::empty(),
                 Arc::clone(&log),
@@ -1124,7 +1078,7 @@ mod tests {
 
     #[test]
     fn epoch_fencing_bounces_mismatched_stamps() {
-        let h = spawn_worker(3, f64::INFINITY, StragglerModel::none(), 1);
+        let h = spawn_worker(3, f64::INFINITY);
         // Unregistered worker reports epoch 0 and serves unfenced traffic.
         assert_eq!(call(&h, Request::Ping).pong_epoch().unwrap(), (3, 0));
         put(&h, PartKey::new(1, 0), b"pre");
@@ -1156,7 +1110,7 @@ mod tests {
 
     #[test]
     fn master_epoch_watermark_fences_deposed_masters() {
-        let h = spawn_worker(2, f64::INFINITY, StragglerModel::none(), 1);
+        let h = spawn_worker(2, f64::INFINITY);
         assert_eq!(call(&h, Request::SetEpoch(1)), Reply::Done);
         put(&h, PartKey::new(1, 0), b"v");
         let get = || Request::Get { key: PartKey::new(1, 0) };
@@ -1203,7 +1157,7 @@ mod tests {
         let plan = FaultPlan::none().crash_restart(0, 2);
         let log = Arc::new(FaultLog::new());
         let h = spawn_worker_opts(
-            WorkerOptions::new(0, f64::INFINITY, StragglerModel::none(), 1).with_scripts(
+            WorkerOptions::new(0, f64::INFINITY).with_scripts(
                 plan.script_for(0),
                 WorkerScript::empty(),
                 Arc::clone(&log),
@@ -1237,7 +1191,7 @@ mod tests {
         let plan = FaultPlan::none().drop_heartbeat(0, 1).stale_epoch(0, 0);
         let log = Arc::new(FaultLog::new());
         let h = spawn_worker_opts(
-            WorkerOptions::new(0, f64::INFINITY, StragglerModel::none(), 1).with_scripts(
+            WorkerOptions::new(0, f64::INFINITY).with_scripts(
                 plan.script_for(0),
                 plan.heartbeat_script_for(0),
                 Arc::clone(&log),
@@ -1272,7 +1226,7 @@ mod tests {
 
     fn budgeted(budget: usize) -> WorkerHandle {
         spawn_worker_opts(
-            WorkerOptions::new(0, f64::INFINITY, StragglerModel::none(), 1)
+            WorkerOptions::new(0, f64::INFINITY)
                 .with_memory_budget(Some(budget)),
         )
     }
@@ -1284,7 +1238,7 @@ mod tests {
         put(&h, PartKey::new(1, 1), &[2u8; 50]);
         // Third partition overflows the budget: the coldest (1,0) spills.
         put(&h, PartKey::new(1, 2), &[3u8; 50]);
-        let s = h.stats().unwrap();
+        let s = stats(&h);
         assert_eq!(s.resident_parts, 2);
         assert!(s.resident_bytes <= 100, "over budget: {}", s.resident_bytes);
         assert_eq!(s.evictions, 1);
@@ -1292,7 +1246,7 @@ mod tests {
         // Eviction is a performance event, not a correctness event: the
         // evicted partition reads back byte-identical via reload...
         assert_eq!(get(&h, PartKey::new(1, 0)).unwrap().as_ref(), &[1u8; 50]);
-        let s = h.stats().unwrap();
+        let s = stats(&h);
         assert_eq!(s.reloaded_bytes, 50);
         // ...and the reload cascaded an eviction to stay under budget.
         assert!(s.resident_bytes <= 100);
@@ -1306,13 +1260,13 @@ mod tests {
         put(&h, PartKey::new(1, 1), &[2u8; 50]);
         put(&h, PartKey::new(1, 2), &[3u8; 50]); // evicts (1,0) → spill
         assert_eq!(get(&h, PartKey::new(1, 0)).unwrap().as_ref(), &[1u8; 50]);
-        let spilled_after_reload = h.stats().unwrap().spilled_bytes;
+        let spilled_after_reload = stats(&h).spilled_bytes;
         // (1,0) is back, clean, and its spill copy still valid. Fill the
         // budget until (1,0) falls out again: no second writeback — the
         // bytes are already in the spill tier.
         put(&h, PartKey::new(1, 3), &[4u8; 50]);
         put(&h, PartKey::new(1, 4), &[5u8; 50]);
-        let s = h.stats().unwrap();
+        let s = stats(&h);
         assert_eq!(
             s.spilled_bytes,
             spilled_after_reload + 50,
@@ -1324,10 +1278,10 @@ mod tests {
         // A fresh Put invalidates the clean flag: its next eviction
         // must write back again.
         put(&h, PartKey::new(1, 0), &[9u8; 50]);
-        let base = h.stats().unwrap().spilled_bytes;
+        let base = stats(&h).spilled_bytes;
         put(&h, PartKey::new(1, 5), &[6u8; 50]);
         put(&h, PartKey::new(1, 6), &[7u8; 50]);
-        let s = h.stats().unwrap();
+        let s = stats(&h);
         assert!(
             s.spilled_bytes > base,
             "overwritten partition lost its clean flag and must spill"
@@ -1340,13 +1294,13 @@ mod tests {
         let under = Arc::new(UnderStore::new());
         under.persist(1, Bytes::copy_from_slice(&[9u8; 100]));
         let h = spawn_worker_opts(
-            WorkerOptions::new(0, f64::INFINITY, StragglerModel::none(), 1)
+            WorkerOptions::new(0, f64::INFINITY)
                 .with_memory_budget(Some(100))
                 .with_spill(Arc::clone(&under)),
         );
         put(&h, PartKey::new(1, 0), &[1u8; 60]);
         put(&h, PartKey::new(1, 1), &[2u8; 60]);
-        let s = h.stats().unwrap();
+        let s = stats(&h);
         assert_eq!(s.evictions, 1);
         assert_eq!(s.spilled_bytes, 0, "checkpointed file spills nothing");
         assert_eq!(under.spilled(), (0, 0));
@@ -1362,7 +1316,7 @@ mod tests {
     fn oversized_partition_spills_straight_through_and_still_reads() {
         let h = budgeted(10);
         put(&h, PartKey::new(1, 0), &[7u8; 100]);
-        let s = h.stats().unwrap();
+        let s = stats(&h);
         assert_eq!(s.resident_parts, 0);
         assert_eq!(s.spilled_bytes, 100);
         assert_eq!(get(&h, PartKey::new(1, 0)).unwrap().as_ref(), &[7u8; 100]);
@@ -1375,7 +1329,7 @@ mod tests {
         put(&h, staged, &[1u8; 60]);
         // Evict the staged partition before its commit arrives.
         put(&h, PartKey::new(2, 0), &[2u8; 60]);
-        assert_eq!(h.stats().unwrap().evictions, 1);
+        assert_eq!(stats(&h).evictions, 1);
         // Commit still lands: the rename chases the spill tier.
         assert!(call(
             &h,
@@ -1398,7 +1352,7 @@ mod tests {
     #[test]
     fn background_requests_pay_the_background_bucket() {
         let h = spawn_worker_opts(
-            WorkerOptions::new(0, 10e6, StragglerModel::none(), 1)
+            WorkerOptions::new(0, 10e6)
                 .with_background_fraction(0.25),
         );
         let background = Stamp { class: TrafficClass::Background, ..Stamp::default() };
@@ -1420,14 +1374,14 @@ mod tests {
             .unwrap();
         assert_eq!(got.len(), 1_000_000);
         assert!(t0.elapsed().as_secs_f64() >= 0.35);
-        let s = h.stats().unwrap();
+        let s = stats(&h);
         assert_eq!(s.bytes_background, 2_000_000);
     }
 
     #[test]
     fn transfer_cap_refuses_instead_of_outliving_the_deadline() {
         let h = spawn_worker_opts(
-            WorkerOptions::new(4, 1e6, StragglerModel::none(), 1)
+            WorkerOptions::new(4, 1e6)
                 .with_max_transfer_wait(Some(Duration::from_millis(50))),
         );
         // A 1 MB put at 1 MB/s projects a ~1 s wait: refused promptly.
@@ -1458,7 +1412,7 @@ mod tests {
         let plan = FaultPlan::none().corrupt(0, 1, key, CorruptSite::Resident, 3);
         let log = Arc::new(FaultLog::new());
         let h = spawn_worker_opts(
-            WorkerOptions::new(0, f64::INFINITY, StragglerModel::none(), 1)
+            WorkerOptions::new(0, f64::INFINITY)
                 .with_scripts(plan.script_for(0), WorkerScript::empty(), Arc::clone(&log))
                 .with_verify_reads(true),
         );
@@ -1471,14 +1425,14 @@ mod tests {
         // keeps reading as a typed erasure (not NotFound) until fresh
         // bytes re-land — readers racing the repair still see Corrupt.
         assert_eq!(get(&h, key), Err(StoreError::Corrupt(key)));
-        let s = h.stats().unwrap();
+        let s = stats(&h);
         assert_eq!(s.corruptions_detected, 1);
         assert_eq!(s.decode_reconstructions, 0);
         // A reconstruction re-landing on the erased key counts, and the
         // key serves clean again.
         put_summed(&h, key, &truth);
         assert_eq!(get(&h, key).unwrap().as_ref(), &truth[..]);
-        let s = h.stats().unwrap();
+        let s = stats(&h);
         assert_eq!(s.decode_reconstructions, 1);
         assert_eq!(s.corruptions_detected, 1);
     }
@@ -1493,18 +1447,18 @@ mod tests {
         let plan = FaultPlan::none().corrupt(0, 3, key, CorruptSite::Spill, 10);
         let log = Arc::new(FaultLog::new());
         let h = spawn_worker_opts(
-            WorkerOptions::new(0, f64::INFINITY, StragglerModel::none(), 1)
+            WorkerOptions::new(0, f64::INFINITY)
                 .with_scripts(plan.script_for(0), WorkerScript::empty(), Arc::clone(&log))
                 .with_memory_budget(Some(100)),
         );
         put_summed(&h, key, &[1u8; 50]); // op 0
         put_summed(&h, PartKey::new(1, 1), &[2u8; 50]); // op 1
         put_summed(&h, PartKey::new(1, 2), &[3u8; 50]); // op 2: evicts key
-        assert_eq!(h.stats().unwrap().evictions, 1);
+        assert_eq!(stats(&h).evictions, 1);
         // Op 3 rots the spilled copy, then the read reloads it: the
         // mismatch erases the partition instead of re-admitting it.
         assert_eq!(get(&h, key), Err(StoreError::Corrupt(key)));
-        let s = h.stats().unwrap();
+        let s = stats(&h);
         assert_eq!(s.corruptions_detected, 1);
         // The erasure mark outlives the dropped copies.
         assert_eq!(get(&h, key), Err(StoreError::Corrupt(key)));
@@ -1517,7 +1471,7 @@ mod tests {
         let plan = FaultPlan::none().corrupt(0, 1, key, CorruptSite::Wire, 4);
         let log = Arc::new(FaultLog::new());
         let h = spawn_worker_opts(
-            WorkerOptions::new(0, f64::INFINITY, StragglerModel::none(), 1)
+            WorkerOptions::new(0, f64::INFINITY)
                 .with_scripts(plan.script_for(0), WorkerScript::empty(), Arc::clone(&log))
                 .with_verify_reads(true),
         );
@@ -1533,16 +1487,16 @@ mod tests {
         // The stored bytes were never touched: the next read is clean
         // and nothing was counted as a local detection.
         assert_eq!(get(&h, key).unwrap().as_ref(), &truth[..]);
-        assert_eq!(h.stats().unwrap().corruptions_detected, 0);
+        assert_eq!(stats(&h).corruptions_detected, 0);
     }
 
     #[test]
     fn parity_puts_count_parity_bytes_and_serve_via_get_parity() {
-        let h = spawn_worker(0, f64::INFINITY, StragglerModel::none(), 1);
+        let h = spawn_worker(0, f64::INFINITY);
         let pkey = PartKey::parity(3, 0);
         put_summed(&h, pkey, &[8u8; 200]);
         put_summed(&h, PartKey::new(3, 0), &[1u8; 100]);
-        let s = h.stats().unwrap();
+        let s = stats(&h);
         assert_eq!(s.parity_bytes, 200, "only the parity put counts");
         assert_eq!(s.bytes_stored, 300);
         let got = call(&h, Request::GetParity { key: pkey }).bytes().unwrap();
@@ -1559,7 +1513,7 @@ mod tests {
         let plan = FaultPlan::none().corrupt(0, 2, key, CorruptSite::Resident, 0);
         let log = Arc::new(FaultLog::new());
         let h = spawn_worker_opts(
-            WorkerOptions::new(0, f64::INFINITY, StragglerModel::none(), 1)
+            WorkerOptions::new(0, f64::INFINITY)
                 .with_scripts(plan.script_for(0), WorkerScript::empty(), Arc::clone(&log))
                 .with_verify_reads(true),
         );
@@ -1569,6 +1523,6 @@ mod tests {
         // the worker cannot tell — unverified partitions pass through.
         let got = get(&h, key).unwrap();
         assert_ne!(got.as_ref(), b"maintenance rewrite");
-        assert_eq!(h.stats().unwrap().corruptions_detected, 0);
+        assert_eq!(stats(&h).corruptions_detected, 0);
     }
 }

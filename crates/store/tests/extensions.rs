@@ -10,7 +10,6 @@ use spcache_store::backing::{checkpoint, read_or_recover, UnderStore};
 use spcache_store::online::execute_adjust;
 use spcache_store::repartitioner::run_parallel;
 use spcache_store::rpc::StoreError;
-use spcache_store::transport::Transport;
 use spcache_store::{StoreCluster, StoreConfig};
 use spcache_workload::dist::uniform_usize;
 
@@ -50,7 +49,7 @@ fn online_adjust_then_periodic_repartition() {
     let (ids, rp, _) =
         cluster
             .master()
-            .plan_rebalance(n_workers, 1e9, 8.0, &TunerConfig::default(), 3);
+            .plan_rebalance(n_workers, 1e9, 8.0, &TunerConfig::default(), 3).unwrap();
     run_parallel(&rp, &ids, cluster.master().as_ref(), cluster.transport().as_ref()).unwrap();
 
     // Everything still byte-exact, including the online-adjusted file.
@@ -90,7 +89,7 @@ fn checkpoint_survives_online_adjustment() {
 
 #[test]
 fn recovery_then_online_adjust() {
-    let mut cluster = StoreCluster::spawn(StoreConfig::unthrottled(6));
+    let cluster = StoreCluster::spawn(StoreConfig::unthrottled(6));
     let client = cluster.client();
     let len = 12_000;
     client.write(1, &payload(1, len), &[0, 1, 2]).unwrap();
@@ -166,7 +165,7 @@ fn randomized_lifecycle_fuzz() {
                     8.0,
                     &TunerConfig::default(),
                     step as u64,
-                );
+                ).unwrap();
                 run_parallel(&plan, &ids, cluster.master().as_ref(), cluster.transport().as_ref())
                     .unwrap();
             }

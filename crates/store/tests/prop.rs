@@ -11,7 +11,6 @@ use spcache_store::backing::{checkpoint, recovery_targets, UnderStore};
 use spcache_store::fault::FaultRecord;
 use spcache_store::online::execute_adjust;
 use spcache_store::rpc::{PartKey, Reply, Request, StoreError};
-use spcache_store::transport::Transport;
 use spcache_store::{FaultPlan, RetryPolicy, StoreCluster, StoreConfig};
 
 /// One operation outcome, comparable across runs. Reads carry their

@@ -10,7 +10,7 @@ use spcache::store::backing::{checkpoint, read_or_recover, UnderStore};
 use spcache::store::{StoreCluster, StoreConfig};
 
 fn main() {
-    let mut cluster = StoreCluster::spawn(StoreConfig::unthrottled(6));
+    let cluster = StoreCluster::spawn(StoreConfig::unthrottled(6));
     let client = cluster.client();
     let data: Vec<u8> = (0..2_000_000).map(|i| ((i * 131 + 7) % 256) as u8).collect();
 

@@ -67,7 +67,7 @@ fn main() {
         8.0,
         &TunerConfig::default(),
         42,
-    );
+    ).expect("plan");
     println!(
         "  tuned α = {:.3e}; {} of {} files repartitioned ({:.0}% moved)",
         tuned.alpha,

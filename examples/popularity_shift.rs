@@ -23,7 +23,7 @@ const BANDWIDTH: f64 = 120e6;
 
 /// Builds a cluster laid out for `pops`, returns it plus the layout map.
 fn build(pops: &PopularityModel, seed: u64) -> (StoreCluster, spcache::core::partition::PartitionMap) {
-    let cluster = StoreCluster::spawn(StoreConfig::throttled(N_WORKERS, BANDWIDTH).with_seed(seed));
+    let cluster = StoreCluster::spawn(StoreConfig::throttled(N_WORKERS, BANDWIDTH));
     let client = cluster.client();
     let sizes = vec![FILE_BYTES as f64; N_FILES];
     let files = FileSet::from_parts(&sizes, &pops.popularities());

@@ -43,7 +43,7 @@ fn heal_under_load_stays_inside_the_background_fraction() {
             deadline: Duration::from_secs(5),
         });
     let under = Arc::new(UnderStore::new());
-    let mut cluster = StoreCluster::spawn_with_under_store(cfg, Some(Arc::clone(&under)));
+    let cluster = StoreCluster::spawn_with_under_store(cfg, Some(Arc::clone(&under)));
     let client = cluster.client().with_under_store(Arc::clone(&under));
     for id in 0..N_FILES {
         client

@@ -13,12 +13,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::SeedableRng;
+use spcache::net::loopback::twin;
 use spcache::net::TcpCluster;
 use spcache::sim::Xoshiro256StarStar;
 use spcache::store::backing::{checkpoint, UnderStore};
 use spcache::store::fault::{CorruptSite, FaultRecord};
 use spcache::store::rpc::{PartKey, StoreError, WorkerStats};
-use spcache::store::{Client, FaultPlan, Master, RetryPolicy, StoreCluster, StoreConfig};
+use spcache::store::{Client, FaultPlan, RetryPolicy, StoreCluster, StoreConfig};
 use spcache::workload::zipf::ZipfSampler;
 
 mod common;
@@ -100,9 +101,8 @@ fn eventually<F: Fn() -> Vec<WorkerStats>, P: Fn(&[WorkerStats]) -> bool>(
 
 /// Asserts the invariants every parity run must satisfy and distils the
 /// run into its cross-run comparable: the fault log.
-fn check_parity_run<S: Fn() -> Vec<WorkerStats>>(
-    log: Vec<FaultRecord>,
-    stats: S,
+fn check_parity_run(
+    (log, s): (Vec<FaultRecord>, Vec<WorkerStats>),
     transport: &str,
 ) -> Vec<FaultRecord> {
     assert_eq!(log.len(), 3, "[{transport}] expected the 3 scripted flips: {log:?}");
@@ -115,11 +115,6 @@ fn check_parity_run<S: Fn() -> Vec<WorkerStats>>(
     // erases on first touch and stays a typed erasure until the repair
     // re-lands); the wire flip leaves the store pristine and is caught
     // by the client checksum alone.
-    let s = eventually(
-        stats,
-        |s| s.iter().map(|w| w.decode_reconstructions).sum::<u64>() >= 2,
-        "read-repair push-backs to land",
-    );
     let detected: u64 = s.iter().map(|w| w.corruptions_detected).sum();
     assert_eq!(detected, 2, "[{transport}] wrong detection count: {s:?}");
     assert!(
@@ -129,12 +124,14 @@ fn check_parity_run<S: Fn() -> Vec<WorkerStats>>(
     log
 }
 
-/// One parity-scenario run over the in-process channel transport. The
-/// client has **no under-store attached**: the only way a read of a
-/// corrupted partition can come back byte-exact is the client-side
-/// Cauchy-RS rebuild from the surviving `k`-of-`k+r` shards.
-fn run_parity_channel(workload_seed: u64) -> Vec<FaultRecord> {
-    let cluster = StoreCluster::spawn(parity_config());
+/// One parity-scenario run. The client has **no under-store
+/// attached**: the only way a read of a corrupted partition can come
+/// back byte-exact is the client-side Cauchy-RS rebuild from the
+/// surviving `k`-of-`k+r` shards. Over TCP, `Corrupt` erasures travel
+/// as typed error frames, parity shards as `GetParity` frames, and the
+/// checksums ride the `Put` frames. Returns the fault log and the
+/// worker stats once both read-repair push-backs have landed.
+fn run_parity(cluster: &StoreCluster, workload_seed: u64) -> (Vec<FaultRecord>, Vec<WorkerStats>) {
     let client = cluster.client();
     for id in 0..N_FILES {
         client.write(id, &payload(id, FILE_LEN), &placement(id)).unwrap();
@@ -146,42 +143,25 @@ fn run_parity_channel(workload_seed: u64) -> Vec<FaultRecord> {
         assert_eq!(
             client.read_quiet(id).unwrap(),
             payload(id, FILE_LEN),
-            "read {i} of file {id} not byte-exact under corruption (channel)"
+            "read {i} of file {id} not byte-exact under corruption"
         );
     }
-    check_parity_run(
-        cluster.fault_log().snapshot(),
+    let stats = eventually(
         || cluster.worker_stats().unwrap(),
-        "channel",
-    )
+        |s| s.iter().map(|w| w.decode_reconstructions).sum::<u64>() >= 2,
+        "read-repair push-backs to land",
+    );
+    (cluster.fault_log().snapshot(), stats)
 }
 
-/// The same run with every byte crossing a loopback socket: `Corrupt`
-/// erasures travel as typed error frames, parity shards as `GetParity`
-/// frames, and the checksums ride the `Put` frames.
-fn run_parity_tcp(workload_seed: u64) -> Vec<FaultRecord> {
-    let cluster = TcpCluster::spawn(parity_config());
-    let client = cluster.client();
-    for id in 0..N_FILES {
-        client.write(id, &payload(id, FILE_LEN), &placement(id)).unwrap();
-    }
-    let sampler = ZipfSampler::new(N_FILES as usize, 1.1);
-    let mut rng = Xoshiro256StarStar::seed_from_u64(workload_seed);
-    for i in 0..N_READS {
-        let id = sampler.sample(&mut rng) as u64;
-        assert_eq!(
-            client.read_quiet(id).unwrap(),
-            payload(id, FILE_LEN),
-            "read {i} of file {id} not byte-exact under corruption (TCP)"
-        );
-    }
-    let log = check_parity_run(
-        cluster.fault_log().snapshot(),
-        || cluster.worker_stats().unwrap(),
-        "tcp",
-    );
-    cluster.shutdown();
-    log
+fn parity_in_process(workload_seed: u64) -> Vec<FaultRecord> {
+    let run = run_parity(&StoreCluster::spawn(parity_config()), workload_seed);
+    check_parity_run(run, "channel")
+}
+
+fn parity_over_tcp(workload_seed: u64) -> Vec<FaultRecord> {
+    let run = run_parity(&TcpCluster::spawn(parity_config()), workload_seed);
+    check_parity_run(run, "tcp")
 }
 
 /// The write phase the no-parity script counts ops against.
@@ -192,11 +172,19 @@ fn write_and_checkpoint(client: &Client, under: &Arc<UnderStore>) {
     }
 }
 
-/// The shared body of a no-parity run: the flip still surfaces as an
-/// erasure (never wrong bytes), but with `r = 0` recovery falls back
-/// to the under-store heal path instead of a parity rebuild.
-fn heal_workload(client: &Client, under: &Arc<UnderStore>, workload_seed: u64) {
-    write_and_checkpoint(client, under);
+fn check_heal_log(log: Vec<FaultRecord>) -> Vec<FaultRecord> {
+    assert_eq!(log.len(), 1, "expected the single scripted flip: {log:?}");
+    assert_eq!((log[0].worker, log[0].op), (0, 2));
+    log
+}
+
+/// One no-parity run: the flip still surfaces as an erasure (never
+/// wrong bytes), but with `r = 0` recovery falls back to the
+/// under-store heal path instead of a parity rebuild.
+fn run_heal(cluster: &StoreCluster, workload_seed: u64) -> Vec<FaultRecord> {
+    let under = Arc::new(UnderStore::new());
+    let client = cluster.client().with_under_store(Arc::clone(&under));
+    write_and_checkpoint(&client, &under);
     let sampler = ZipfSampler::new(N_FILES as usize, 1.1);
     let mut rng = Xoshiro256StarStar::seed_from_u64(workload_seed);
     for i in 0..N_READS {
@@ -207,19 +195,6 @@ fn heal_workload(client: &Client, under: &Arc<UnderStore>, workload_seed: u64) {
             "read {i} of file {id} not byte-exact during under-store heal"
         );
     }
-}
-
-fn check_heal_log(log: Vec<FaultRecord>) -> Vec<FaultRecord> {
-    assert_eq!(log.len(), 1, "expected the single scripted flip: {log:?}");
-    assert_eq!((log[0].worker, log[0].op), (0, 2));
-    log
-}
-
-fn run_heal_channel(workload_seed: u64) -> Vec<FaultRecord> {
-    let cluster = StoreCluster::spawn(heal_config());
-    let under = Arc::new(UnderStore::new());
-    let client = cluster.client().with_under_store(Arc::clone(&under));
-    heal_workload(&client, &under, workload_seed);
     // The one detection healed back through the under-store.
     assert_eq!(
         cluster
@@ -233,24 +208,16 @@ fn run_heal_channel(workload_seed: u64) -> Vec<FaultRecord> {
     check_heal_log(cluster.fault_log().snapshot())
 }
 
-fn run_heal_tcp(workload_seed: u64) -> Vec<FaultRecord> {
-    let cluster = TcpCluster::spawn(heal_config());
-    let under = Arc::new(UnderStore::new());
-    let client = cluster.client().with_under_store(Arc::clone(&under));
-    heal_workload(&client, &under, workload_seed);
-    let log = check_heal_log(cluster.fault_log().snapshot());
-    cluster.shutdown();
-    log
-}
-
 /// The no-parity script with the second copy rotted as well: the
 /// resident flip erases `(0, 0)` and the checkpoint the heal would
 /// restore from no longer matches the file's integrity row in `(0, 1)`.
 /// The heal refuses it, so the read ends in the typed erasure — never
 /// in the checkpoint's bytes — with the placement untouched, and heals
 /// byte-exact once a clean checkpoint is back.
-fn rotted_checkpoint_run(client: &Client, master: &Master, under: &Arc<UnderStore>) {
-    write_and_checkpoint(client, under);
+fn rotted_checkpoint_run(cluster: &StoreCluster) -> Vec<FaultRecord> {
+    let under = Arc::new(UnderStore::new());
+    let client = cluster.client().with_under_store(Arc::clone(&under));
+    write_and_checkpoint(&client, &under);
     let clean = payload(0, FILE_LEN);
     let mut rotted = clean.clone();
     rotted[FILE_LEN - 1] ^= 0x20;
@@ -259,29 +226,30 @@ fn rotted_checkpoint_run(client: &Client, master: &Master, under: &Arc<UnderStor
         client.read_quiet(0),
         Err(StoreError::Corrupt(PartKey::new(0, 0)))
     );
-    assert_eq!(master.peek(0).unwrap().1, placement(0));
+    assert_eq!(cluster.master().peek(0).unwrap().1, placement(0));
     under.persist(0, clean.clone().into());
     assert_eq!(client.read_quiet(0).unwrap(), clean);
+    check_heal_log(cluster.fault_log().snapshot())
 }
 
 #[test]
 fn corrupted_partitions_rebuild_from_parity_without_the_under_store() {
-    let log_a = run_parity_channel(chaos_seed());
-    let log_b = run_parity_channel(chaos_seed());
+    let log_a = parity_in_process(chaos_seed());
+    let log_b = parity_in_process(chaos_seed());
     assert_eq!(log_a, log_b, "corruption injection is not reproducible");
 }
 
 #[test]
 fn corruption_recovery_is_identical_over_tcp_and_reruns_cleanly() {
-    let log_a = run_parity_tcp(chaos_seed());
-    let log_b = run_parity_tcp(chaos_seed());
+    let log_a = parity_over_tcp(chaos_seed());
+    let log_b = parity_over_tcp(chaos_seed());
     assert_eq!(log_a, log_b, "corruption injection is not reproducible over TCP");
 }
 
 #[test]
 fn tcp_and_channel_transports_fire_identical_corruption_logs() {
-    let tcp = run_parity_tcp(chaos_seed());
-    let channel = run_parity_channel(chaos_seed());
+    let (channel, tcp) = twin(|| (parity_config(), None), |c| run_parity(c, chaos_seed()));
+    let (channel, tcp) = (check_parity_run(channel, "channel"), check_parity_run(tcp, "tcp"));
     assert_eq!(
         tcp, channel,
         "wire transport changed which corruptions fired — op order diverged"
@@ -290,23 +258,12 @@ fn tcp_and_channel_transports_fire_identical_corruption_logs() {
 
 #[test]
 fn without_parity_the_same_flip_heals_from_the_under_store() {
-    let channel = run_heal_channel(chaos_seed());
-    let tcp = run_heal_tcp(chaos_seed());
+    let (channel, tcp) = twin(|| (heal_config(), None), |c| run_heal(c, chaos_seed()));
     assert_eq!(channel, tcp, "heal-path fault logs diverged across transports");
 }
 
 #[test]
 fn a_rotted_checkpoint_is_refused_by_the_heal_on_both_transports() {
-    let channel = StoreCluster::spawn(heal_config());
-    let under = Arc::new(UnderStore::new());
-    let client = channel.client().with_under_store(Arc::clone(&under));
-    rotted_checkpoint_run(&client, channel.master(), &under);
-    let channel = check_heal_log(channel.fault_log().snapshot());
-
-    let tcp = TcpCluster::spawn(heal_config());
-    let under = Arc::new(UnderStore::new());
-    let client = tcp.client().with_under_store(Arc::clone(&under));
-    rotted_checkpoint_run(&client, tcp.master(), &under);
-    assert_eq!(channel, check_heal_log(tcp.fault_log().snapshot()));
-    tcp.shutdown();
+    let (channel, tcp) = twin(|| (heal_config(), None), rotted_checkpoint_run);
+    assert_eq!(channel, tcp);
 }

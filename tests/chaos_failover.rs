@@ -23,6 +23,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rand::SeedableRng;
+use spcache::net::loopback::twin;
 use spcache::net::{MasterClient, MasterServer, TcpCluster};
 use spcache::sim::Xoshiro256StarStar;
 use spcache::store::backing::{checkpoint, UnderStore};
@@ -31,7 +32,6 @@ use spcache::store::fault::FaultRecord;
 use spcache::store::master::{Master, MetaService};
 use spcache::store::rpc::{Reply, Request};
 use spcache::store::supervisor::{Supervisor, SupervisorCore, SweepRecord};
-use spcache::store::transport::Transport;
 use spcache::store::{
     FaultPlan, MetaLog, RetryPolicy, StoreCluster, StoreConfig, SupervisorConfig,
 };
@@ -102,41 +102,38 @@ struct RunTrace {
     epochs: Vec<u64>,
 }
 
-/// The transport-agnostic pieces one run needs.
-struct Pieces {
-    master_a: Arc<Master>,
-    transport: Arc<dyn Transport>,
-    under: Arc<UnderStore>,
-    meta: Arc<UnderStore>,
-    client_a: Client,
-}
-
-/// Drives one failover run. `client_b_of` builds the successor's client
-/// (in-process against the recovered master, or over a fresh wire
-/// server — the transport-specific part). Returns the trace with
-/// `faults` left empty for the caller to snapshot.
+/// Drives one failover run over `cluster`, whose master is A. `client_b_of`
+/// builds the successor's client: in process against the recovered
+/// master, or through a wire server of its own.
 fn drive(
-    p: &Pieces,
-    sup_a: &Supervisor,
+    cluster: &StoreCluster,
     client_b_of: impl FnOnce(&Arc<Master>) -> Client,
     workload_seed: u64,
 ) -> RunTrace {
+    let master_a = cluster.master();
+    let transport = cluster.transport();
+    let under = cluster.under_store().expect("under-store attached");
+    // The shared meta tier both masters journal through.
+    let meta = Arc::new(UnderStore::new());
+    let client_a = cluster.client();
+    let sup_a = cluster.supervisor().expect("supervisor enabled");
+
     // --- Master A's reign: durable from the first mutation. ---
-    p.master_a
-        .enable_journal(Arc::new(MetaLog::open(Arc::clone(&p.meta))));
+    master_a
+        .enable_journal(Arc::new(MetaLog::open(Arc::clone(&meta))));
     assert_eq!(
-        p.master_a.claim_master_epoch(p.master_a.master_epoch(), ADDR_A),
+        master_a.claim_master_epoch(master_a.master_epoch(), ADDR_A),
         1,
         "fresh master claims its boot epoch"
     );
     assert!(sup_a.tick().is_none(), "sweep before any file exists");
-    assert_eq!(p.master_a.worker_epochs(N_WORKERS), vec![1; N_WORKERS]);
+    assert_eq!(master_a.worker_epochs(N_WORKERS), vec![1; N_WORKERS]);
 
     for id in 0..N_FILES {
-        p.client_a
+        client_a
             .write(id, &payload(id, FILE_LEN), &placement(id))
             .unwrap();
-        checkpoint(&p.client_a, &p.under, id).unwrap();
+        checkpoint(&client_a, under, id).unwrap();
     }
 
     let sampler = ZipfSampler::new(N_FILES as usize, 1.1);
@@ -147,7 +144,7 @@ fn drive(
         }
         let id = sampler.sample(&mut rng) as u64;
         assert_eq!(
-            p.client_a.read_quiet(id).unwrap(),
+            client_a.read_quiet(id).unwrap(),
             payload(id, FILE_LEN),
             "read {i} of file {id} not byte-exact under master A"
         );
@@ -155,14 +152,14 @@ fn drive(
 
     // --- kill -9 mid-repartition: a repair slot is held, the journal
     // linkage dies with the process, no shutdown runs. ---
-    assert!(p.master_a.begin_repair(MARKER_FILE));
-    p.master_a.detach_journal();
+    assert!(master_a.begin_repair(MARKER_FILE));
+    master_a.detach_journal();
 
     // --- Takeover: B is a pure function of the journal. ---
-    let master_b = Arc::new(Master::recover(Arc::clone(&p.meta)));
+    let master_b = Arc::new(Master::recover(Arc::clone(&meta)));
     assert_eq!(
         master_b.image(),
-        p.master_a.image(),
+        master_a.image(),
         "recovered image must equal the dead master's last state"
     );
     assert!(master_b.repairing(MARKER_FILE), "open repair survives recovery");
@@ -172,16 +169,15 @@ fn drive(
     // Fence the fleet under the new reign (what `spcached --standby`
     // broadcasts at takeover): every worker raises its watermark.
     for w in 0..N_WORKERS {
-        let reply = p
-            .transport
+        let reply = transport
             .call(w, Request::SetMasterEpoch(epoch_b), Duration::from_millis(500))
             .unwrap();
         assert!(matches!(reply, Reply::Done), "worker {w} rejected the new reign");
     }
     let sup_b = Supervisor::spawn(SupervisorCore::new(
         Arc::clone(&master_b),
-        Arc::clone(&p.transport),
-        Some(Arc::clone(&p.under)),
+        Arc::clone(transport),
+        Some(Arc::clone(under)),
         SupervisorConfig::enabled()
             .with_interval(Duration::ZERO)
             .with_probe_timeout(Duration::from_millis(400)),
@@ -268,76 +264,63 @@ fn drive(
     // --- The zombie rejoins: A's supervisor wakes up, announces master
     // epoch 1 while adopting the re-granted worker, gets bounced, and
     // fences itself forever. ---
-    assert!(!p.master_a.is_fenced());
+    assert!(!master_a.is_fenced());
     assert!(sup_a.tick().is_none(), "a deposed master must not sweep");
-    assert!(p.master_a.is_fenced(), "rejoined stale master must self-fence");
+    assert!(master_a.is_fenced(), "rejoined stale master must self-fence");
     assert!(sup_a.tick().is_none(), "fenced is forever");
-    assert_eq!(p.master_a.master_epoch(), 1, "fencing does not steal the epoch");
+    assert_eq!(master_a.master_epoch(), 1, "fencing does not steal the epoch");
 
     // --- The journal outlives them both: a third recovery images B
     // exactly, and records B as the owning master — a restarted A would
     // see a foreign owner and boot fenced. ---
-    let recovered = Master::recover(Arc::clone(&p.meta));
+    let recovered = Master::recover(Arc::clone(&meta));
     assert_eq!(recovered.image(), master_b.image(), "journal is the system of record");
     assert_eq!(recovered.master_epoch(), 2);
     assert_eq!(recovered.owner_addr(), ADDR_B);
 
     RunTrace {
-        faults: Vec::new(),
+        faults: cluster.fault_log().snapshot(),
         sweeps,
         placements,
         epochs,
     }
 }
 
-/// One failover run over in-process channels.
-fn run_failover_channel(workload_seed: u64) -> RunTrace {
-    let under = Arc::new(UnderStore::new());
-    let cluster = StoreCluster::spawn_with_under_store(chaos_config(), Some(Arc::clone(&under)));
-    let sup_a = cluster.supervisor().expect("supervisor enabled");
-    let pieces = Pieces {
-        master_a: Arc::clone(cluster.master()),
-        transport: cluster.transport().clone(),
-        under,
-        meta: Arc::new(UnderStore::new()),
-        client_a: cluster.client(),
-    };
-    let cfg = chaos_config();
-    let mut trace = drive(
-        &pieces,
-        sup_a,
-        |master_b| {
-            Client::new(Arc::clone(master_b) as Arc<dyn MetaService>, pieces.transport.clone())
-                .with_retry(cfg.retry)
-                .with_fencing(true)
-                .with_under_store(Arc::clone(&pieces.under))
-        },
-        workload_seed,
-    );
-    trace.faults = cluster.fault_log().snapshot();
-    trace
+fn spawn() -> (StoreConfig, Option<Arc<UnderStore>>) {
+    (chaos_config(), Some(Arc::new(UnderStore::new())))
 }
 
-/// The same run with every byte crossing a loopback socket; the
-/// successor serves metadata through its own wire `MasterServer`, and
-/// the deposed master's server is probed for the redirect behaviour.
-fn run_failover_tcp(workload_seed: u64) -> RunTrace {
-    let under = Arc::new(UnderStore::new());
-    let cluster = TcpCluster::spawn_with_under_store(chaos_config(), Some(Arc::clone(&under)));
-    let sup_a = cluster.supervisor().expect("supervisor enabled");
-    let pieces = Pieces {
-        master_a: Arc::clone(cluster.master()),
-        transport: cluster.transport().clone(),
-        under,
-        meta: Arc::new(UnderStore::new()),
-        client_a: cluster.client(),
-    };
-    let cfg = chaos_config();
+/// The successor's client in process: metadata straight from the
+/// recovered master, data over the cluster's own transport.
+fn in_process_b(cluster: &StoreCluster) -> impl FnOnce(&Arc<Master>) -> Client + '_ {
+    |master_b| {
+        Client::new(Arc::clone(master_b) as Arc<dyn MetaService>, cluster.transport().clone())
+            .with_retry(chaos_config().retry)
+            .with_fencing(true)
+            .with_under_store(Arc::clone(cluster.under_store().expect("under-store attached")))
+    }
+}
+
+fn run_failover(cluster: &StoreCluster, workload_seed: u64) -> RunTrace {
+    drive(cluster, in_process_b(cluster), workload_seed)
+}
+
+/// One failover run over in-process channels.
+fn failover_in_process(workload_seed: u64) -> RunTrace {
+    let (cfg, under) = spawn();
+    run_failover(&StoreCluster::spawn_with_under_store(cfg, under), workload_seed)
+}
+
+/// The run with everything only sockets have: the successor serves
+/// metadata through its own wire `MasterServer`, and the deposed
+/// master's server is probed for the redirect behaviour.
+fn failover_with_a_wire_successor(workload_seed: u64) -> RunTrace {
+    let (cfg, under) = spawn();
+    let cluster = TcpCluster::spawn_with_under_store(cfg, under);
     let worker_addrs = cluster.worker_addrs();
     let mut server_b = None;
-    let mut trace = drive(
-        &pieces,
-        sup_a,
+    let trace = drive(
+        &cluster,
         |master_b| {
             let server = MasterServer::spawn(
                 Arc::clone(master_b),
@@ -346,16 +329,16 @@ fn run_failover_tcp(workload_seed: u64) -> RunTrace {
                 Duration::from_secs(2),
             )
             .expect("bind successor master listener");
-            let meta = MasterClient::connect(server.addr()).with_deadline(cfg.retry.deadline);
+            let deadline = cluster.config().retry.deadline;
+            let meta = MasterClient::connect(server.addr()).with_deadline(deadline);
             server_b = Some(server);
-            Client::new(Arc::new(meta) as Arc<dyn MetaService>, pieces.transport.clone())
-                .with_retry(cfg.retry)
+            Client::new(Arc::new(meta) as Arc<dyn MetaService>, cluster.transport().clone())
+                .with_retry(chaos_config().retry)
                 .with_fencing(true)
-                .with_under_store(Arc::clone(&pieces.under))
+                .with_under_store(Arc::clone(cluster.under_store().expect("under-store attached")))
         },
         workload_seed,
     );
-    trace.faults = cluster.fault_log().snapshot();
 
     // Wire-level fencing: the deposed master's server still answers
     // Status (active = false) but redirects everything else, and with
@@ -373,14 +356,13 @@ fn run_failover_tcp(workload_seed: u64) -> RunTrace {
     let server_b = server_b.expect("successor server spawned");
     let _ = MasterClient::connect(server_b.addr()).shutdown_server();
     server_b.join();
-    cluster.shutdown();
     trace
 }
 
 #[test]
 fn failover_chaos_heals_and_is_reproducible_in_process() {
-    let a = run_failover_channel(chaos_seed());
-    let b = run_failover_channel(chaos_seed());
+    let a = failover_in_process(chaos_seed());
+    let b = failover_in_process(chaos_seed());
     // The partition script fired exactly thrice, on the scripted worker.
     assert_eq!(a.faults.len(), 3, "expected the three swallowed heartbeats: {:?}", a.faults);
     assert!(a.faults.iter().all(|r| r.worker == PARTITIONED_WORKER));
@@ -393,10 +375,14 @@ fn failover_chaos_is_transport_invariant() {
     // partitions, journal replay and deterministic heal targeting must
     // agree on every observable — the wire changes the medium, not the
     // succession story.
-    let chan = run_failover_channel(chaos_seed());
-    let tcp = run_failover_tcp(chaos_seed());
+    let (chan, tcp) = twin(spawn, |c| run_failover(c, chaos_seed()));
     assert_eq!(chan.faults, tcp.faults, "fault logs diverged across transports");
     assert_eq!(chan.sweeps, tcp.sweeps, "sweep plans diverged across transports");
     assert_eq!(chan.epochs, tcp.epochs, "fencing epochs diverged across transports");
     assert_eq!(chan.placements, tcp.placements, "healed placements diverged across transports");
+
+    // A successor serving its own wire endpoint and a deposed master's
+    // redirect exist only over sockets, so that run follows the twin on
+    // a loopback cluster alone — and must tell the same story.
+    assert_eq!(failover_with_a_wire_successor(chaos_seed()), chan, "the wire successor diverged");
 }

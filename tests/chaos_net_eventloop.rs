@@ -25,6 +25,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rand::SeedableRng;
+use spcache::net::loopback::twin;
 use spcache::net::{TcpCluster, TcpTransport};
 use spcache::sim::Xoshiro256StarStar;
 use spcache::store::backing::{checkpoint, UnderStore};
@@ -82,20 +83,18 @@ struct RunTrace {
 }
 
 /// Drives one run over an already-spawned cluster. Cluster-agnostic:
-/// the channel and TCP harnesses feed it identical pieces.
-fn drive(
-    master: &Arc<spcache::store::master::Master>,
-    supervisor: &spcache::store::supervisor::Supervisor,
-    under: &Arc<UnderStore>,
-    client: &spcache::store::client::Client,
-    workload_seed: u64,
-) -> (Vec<SweepRecord>, Vec<(u64, Vec<usize>)>) {
+/// the channel and TCP harnesses run the same body.
+fn drive(cluster: &StoreCluster, workload_seed: u64) -> RunTrace {
+    let master = cluster.master();
+    let supervisor = cluster.supervisor().expect("supervisor enabled");
+    let under = cluster.under_store().expect("under-store attached");
+    let client = cluster.client();
     // Tick 1 adopts the fleet; nothing to sweep yet.
     assert!(supervisor.tick().is_none(), "sweep before any file exists");
 
     for id in 0..N_FILES {
         client.write(id, &payload(id, FILE_LEN), &placement(id)).unwrap();
-        checkpoint(client, under, id).unwrap();
+        checkpoint(&client, under, id).unwrap();
     }
 
     let sampler = ZipfSampler::new(N_FILES as usize, 1.1);
@@ -152,41 +151,30 @@ fn drive(
             "file {id} still placed on dead worker after quiesce"
         );
     }
-    (supervisor.sweep_log().snapshot(), placements)
-}
-
-fn run_wire_chaos_channel(workload_seed: u64) -> RunTrace {
-    let under = Arc::new(UnderStore::new());
-    let cluster = StoreCluster::spawn_with_under_store(chaos_config(), Some(Arc::clone(&under)));
-    let supervisor = cluster.supervisor().expect("supervisor enabled");
-    let client = cluster.client();
-    let (sweeps, placements) = drive(cluster.master(), supervisor, &under, &client, workload_seed);
     RunTrace {
         faults: cluster.fault_log().snapshot(),
-        sweeps,
+        sweeps: supervisor.sweep_log().snapshot(),
         placements,
     }
 }
 
-fn run_wire_chaos_tcp(workload_seed: u64) -> RunTrace {
-    let under = Arc::new(UnderStore::new());
-    let cluster = TcpCluster::spawn_with_under_store(chaos_config(), Some(Arc::clone(&under)));
-    let supervisor = cluster.supervisor().expect("supervisor enabled");
-    let client = cluster.client();
-    let (sweeps, placements) = drive(cluster.master(), supervisor, &under, &client, workload_seed);
-    let trace = RunTrace {
-        faults: cluster.fault_log().snapshot(),
-        sweeps,
-        placements,
-    };
-    cluster.shutdown();
-    trace
+fn spawn() -> (StoreConfig, Option<Arc<UnderStore>>) {
+    (chaos_config(), Some(Arc::new(UnderStore::new())))
+}
+
+fn wire_chaos_in_process(workload_seed: u64) -> RunTrace {
+    let (cfg, under) = spawn();
+    drive(&StoreCluster::spawn_with_under_store(cfg, under), workload_seed)
+}
+
+fn wire_chaos_over_tcp(workload_seed: u64) -> RunTrace {
+    let (cfg, under) = spawn();
+    drive(&TcpCluster::spawn_with_under_store(cfg, under), workload_seed)
 }
 
 #[test]
 fn wire_chaos_fault_logs_are_identical_across_transports() {
-    let tcp = run_wire_chaos_tcp(chaos_seed());
-    let channel = run_wire_chaos_channel(chaos_seed());
+    let (channel, tcp) = twin(spawn, |c| drive(c, chaos_seed()));
 
     // All five scripted faults fired on the scripted workers at the
     // scripted ops, on both transports. (The log's append order is the
@@ -209,12 +197,12 @@ fn wire_chaos_fault_logs_are_identical_across_transports() {
 
 #[test]
 fn wire_chaos_runs_are_reproducible_per_transport() {
-    let a = run_wire_chaos_tcp(chaos_seed());
-    let b = run_wire_chaos_tcp(chaos_seed());
+    let a = wire_chaos_over_tcp(chaos_seed());
+    let b = wire_chaos_over_tcp(chaos_seed());
     assert_eq!(a, b, "same-seed TCP wire-chaos runs diverged");
 
-    let c = run_wire_chaos_channel(chaos_seed());
-    let d = run_wire_chaos_channel(chaos_seed());
+    let c = wire_chaos_in_process(chaos_seed());
+    let d = wire_chaos_in_process(chaos_seed());
     assert_eq!(c, d, "same-seed channel wire-chaos runs diverged");
 }
 
@@ -333,7 +321,6 @@ fn run_mid_batch(plan: FaultPlan) -> usize {
             "file {id} unreadable after the mid-batch wire fault"
         );
     }
-    cluster.shutdown();
     delivered
 }
 
@@ -404,22 +391,26 @@ fn a_crash_under_a_pipelined_burst_fails_the_rest_identically_on_both_transports
         })
         .collect();
 
-    let channel = StoreCluster::spawn(cfg());
-    assert_eq!(burst_into_a_crash(channel.transport().as_ref()), expected, "channel");
+    let (channel, tcp) = twin(
+        || (cfg(), None),
+        |c| (burst_into_a_crash(c.transport().as_ref()), c.fault_log().snapshot()),
+    );
+    assert_eq!(channel.0, expected, "channel");
+    assert_eq!(tcp.0, expected, "tcp");
+    let fired = tcp.1;
+    assert_eq!(fired.iter().map(|r| (r.worker, r.op)).collect::<Vec<_>>(), vec![(0, CRASH_AT)]);
+    assert_eq!(fired, channel.1);
+
+    // Only a socket can show this, so it runs on a loopback cluster of
+    // its own after the twin: the server outlives its worker, and a
+    // fresh connection is accepted and told, definitively, that the
+    // worker is down.
     let tcp = TcpCluster::spawn(cfg());
     assert_eq!(burst_into_a_crash(tcp.transport().as_ref()), expected, "tcp");
-
-    let fired = tcp.fault_log().snapshot();
-    assert_eq!(fired.iter().map(|r| (r.worker, r.op)).collect::<Vec<_>>(), vec![(0, CRASH_AT)]);
-    assert_eq!(fired, channel.fault_log().snapshot());
-
-    // The server outlives its worker: a fresh connection is accepted
-    // and told, definitively, that the worker is down.
     let fresh = TcpTransport::connect(tcp.worker_addrs());
     let get = Request::Get { key: PartKey::new(0, 0) };
     assert_eq!(
         fresh.call(0, get, Duration::from_secs(5)),
         Ok(Reply::Err(StoreError::WorkerDown(0)))
     );
-    tcp.shutdown();
 }

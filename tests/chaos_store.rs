@@ -5,16 +5,24 @@
 //! lost partitions from the under-store checkpoint tier (the paper's §8
 //! fault-tolerance story). Two runs of the same `(seed, plan)` must
 //! produce the identical injected-event sequence and final placement.
+//!
+//! The same run crosses real loopback sockets too, where the crash
+//! surfaces as a `WorkerDown` frame: its fault log must come out
+//! *identical* to the in-process run's. That equality is the proof that
+//! the wire transport preserves the store's fault semantics, not just
+//! its bytes.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use rand::SeedableRng;
+use spcache::net::loopback::twin;
+use spcache::net::TcpCluster;
 use spcache::sim::Xoshiro256StarStar;
 use spcache::store::backing::{checkpoint, UnderStore};
 use spcache::store::fault::FaultRecord;
 use spcache::store::rpc::PartKey;
-use spcache::store::{FaultPlan, RetryPolicy, StoreConfig};
+use spcache::store::{FaultPlan, RetryPolicy, StoreCluster, StoreConfig};
 use spcache::workload::zipf::ZipfSampler;
 
 mod common;
@@ -34,17 +42,26 @@ fn chaos_plan() -> FaultPlan {
         .drop_partition(5, 40, PartKey::new(10, 1))
 }
 
-/// One full chaos run. Returns the injected-event log and the final
-/// file placements for cross-run determinism checks.
-fn run_chaos(workload_seed: u64) -> (Vec<FaultRecord>, Vec<(u64, Vec<usize>)>) {
-    let cfg = StoreConfig::unthrottled(N_WORKERS)
+fn chaos_config() -> StoreConfig {
+    StoreConfig::unthrottled(N_WORKERS)
         .with_faults(chaos_plan())
         .with_retry(RetryPolicy {
             max_attempts: 4,
             base_backoff: Duration::from_millis(2),
             deadline: Duration::from_secs(2),
-        });
-    let cluster = spcache::store::StoreCluster::spawn(cfg);
+        })
+}
+
+/// What one chaos run leaves behind for cross-run comparisons.
+struct Run {
+    log: Vec<FaultRecord>,
+    placements: Vec<(u64, Vec<usize>)>,
+    /// Evictions across the fleet.
+    evictions: u64,
+}
+
+/// One full chaos run over `cluster`.
+fn run_chaos(cluster: &StoreCluster, workload_seed: u64) -> Run {
     let under = Arc::new(UnderStore::new());
     let client = cluster.client().with_under_store(Arc::clone(&under));
 
@@ -88,25 +105,43 @@ fn run_chaos(workload_seed: u64) -> (Vec<FaultRecord>, Vec<(u64, Vec<usize>)>) {
         }
     }
 
-    (cluster.fault_log().snapshot(), placements)
+    let evictions = cluster
+        .worker_stats()
+        .unwrap()
+        .iter()
+        .map(|s| s.evictions)
+        .sum();
+    Run {
+        log: cluster.fault_log().snapshot(),
+        placements,
+        evictions,
+    }
+}
+
+fn in_process(workload_seed: u64) -> Run {
+    run_chaos(&StoreCluster::spawn(chaos_config()), workload_seed)
+}
+
+fn over_tcp(workload_seed: u64, cfg: StoreConfig) -> Run {
+    run_chaos(&TcpCluster::spawn(cfg), workload_seed)
 }
 
 #[test]
 fn chaos_reads_stay_byte_exact_and_events_are_reproducible() {
-    let (log_a, placements_a) = run_chaos(chaos_seed());
-    let (log_b, placements_b) = run_chaos(chaos_seed());
+    let a = in_process(chaos_seed());
+    let b = in_process(chaos_seed());
 
     // All three scripted faults fired, in the scripted order.
-    assert_eq!(log_a.len(), 3, "expected exactly the scripted faults: {log_a:?}");
+    assert_eq!(a.log.len(), 3, "expected exactly the scripted faults: {:?}", a.log);
     assert_eq!(
-        log_a.iter().map(|r| r.worker).collect::<Vec<_>>(),
+        a.log.iter().map(|r| r.worker).collect::<Vec<_>>(),
         vec![DOOMED_WORKER, 4, 5]
     );
 
     // Same (seed, plan) ⇒ identical injected-event sequence and final
     // layout. This is the reproducibility contract of the harness.
-    assert_eq!(log_a, log_b, "fault injection is not deterministic");
-    assert_eq!(placements_a, placements_b, "recovery is not deterministic");
+    assert_eq!(a.log, b.log, "fault injection is not deterministic");
+    assert_eq!(a.placements, b.placements, "recovery is not deterministic");
 }
 
 #[test]
@@ -114,12 +149,61 @@ fn chaos_with_different_seed_still_heals_everything() {
     // A different workload interleaving against the same plan: the event
     // log op-indices are fixed by the plan, so the log is identical even
     // though the read sequence differs.
-    let (log, placements) = run_chaos(chaos_seed() ^ 0x5eed);
+    let run = in_process(chaos_seed() ^ 0x5eed);
     assert_eq!(
-        log,
-        run_chaos(chaos_seed()).0,
+        run.log,
+        in_process(chaos_seed()).log,
         "op-indexed triggers must not depend on workload seed"
     );
     // Nothing readable was lost.
-    assert_eq!(placements.len(), N_FILES as usize);
+    assert_eq!(run.placements.len(), N_FILES as usize);
+}
+
+#[test]
+fn tcp_chaos_reads_stay_byte_exact_and_events_are_reproducible() {
+    let a = over_tcp(chaos_seed(), chaos_config());
+    let b = over_tcp(chaos_seed(), chaos_config());
+
+    assert_eq!(a.log.len(), 3, "expected exactly the scripted faults: {:?}", a.log);
+    assert_eq!(
+        a.log.iter().map(|r| r.worker).collect::<Vec<_>>(),
+        vec![DOOMED_WORKER, 4, 5]
+    );
+    assert_eq!(a.log, b.log, "fault injection is not deterministic over TCP");
+    assert_eq!(a.placements, b.placements, "recovery is not deterministic over TCP");
+}
+
+#[test]
+fn tcp_and_channel_transports_fire_identical_fault_logs() {
+    // The same (seed, plan) over both transports: op-indexed triggers
+    // depend only on the per-worker request order, which both transports
+    // must deliver identically.
+    let (channel, tcp) = twin(|| (chaos_config(), None), |c| run_chaos(c, chaos_seed()));
+    assert_eq!(
+        tcp.log, channel.log,
+        "wire transport changed which faults fired — op order diverged"
+    );
+}
+
+#[test]
+fn eviction_under_chaos_is_deterministic_across_transports() {
+    // The same twin run with a per-worker budget tight enough that
+    // partitions are constantly evicted and reloaded mid-fault-storm.
+    // Eviction is keyed only on the per-worker FIFO request order, so
+    // it must not perturb which faults fire, the recovery placements,
+    // or byte-exactness (every read is asserted inside the run).
+    let cfg = || chaos_config().with_memory_budget(Some(FILE_LEN));
+    let (channel, tcp) = twin(|| (cfg(), None), |c| run_chaos(c, chaos_seed()));
+    let tcp_b = over_tcp(chaos_seed(), cfg());
+    assert_eq!(tcp.log, tcp_b.log, "budgeted TCP chaos is not reproducible");
+    assert_eq!(tcp.placements, tcp_b.placements);
+
+    assert_eq!(
+        tcp.log, channel.log,
+        "eviction changed which faults fired across transports"
+    );
+    assert!(
+        channel.evictions > 0,
+        "budget of one file must force evictions in this workload"
+    );
 }

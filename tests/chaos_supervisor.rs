@@ -19,13 +19,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rand::SeedableRng;
-use spcache::net::TcpCluster;
+use spcache::net::loopback::twin;
 use spcache::sim::Xoshiro256StarStar;
 use spcache::store::backing::{checkpoint, UnderStore};
-use spcache::store::client::Client;
 use spcache::store::fault::FaultRecord;
-use spcache::store::master::Master;
-use spcache::store::supervisor::{Supervisor, SweepRecord};
+use spcache::store::supervisor::SweepRecord;
 use spcache::store::{FaultPlan, RetryPolicy, StoreCluster, StoreConfig, SupervisorConfig};
 use spcache::workload::zipf::ZipfSampler;
 
@@ -78,23 +76,19 @@ struct RunTrace {
 
 /// Drives one supervised chaos run: register the fleet, load it, read
 /// through the faults with a tick every [`TICK_EVERY`] reads, then
-/// quiesce. Cluster-agnostic — both transports feed it the same pieces.
-/// Returns the trace with `faults` left empty (the caller snapshots the
-/// cluster's fault log).
-fn drive(
-    master: &Arc<Master>,
-    supervisor: &Supervisor,
-    under: &Arc<UnderStore>,
-    client: &Client,
-    workload_seed: u64,
-) -> RunTrace {
+/// quiesce. Cluster-agnostic — both transports run the same body.
+fn drive(cluster: &StoreCluster, workload_seed: u64) -> RunTrace {
+    let master = cluster.master();
+    let supervisor = cluster.supervisor().expect("supervisor enabled");
+    let under = cluster.under_store().expect("under-store attached");
+    let client = cluster.client();
     // Tick 1 adopts every worker at epoch 1; nothing is degraded yet.
     assert!(supervisor.tick().is_none(), "sweep before any file exists");
     assert_eq!(master.worker_epochs(N_WORKERS), vec![1; N_WORKERS]);
 
     for id in 0..N_FILES {
         client.write(id, &payload(id, FILE_LEN), &placement(id)).unwrap();
-        checkpoint(client, under, id).unwrap();
+        checkpoint(&client, under, id).unwrap();
     }
 
     let sampler = ZipfSampler::new(N_FILES as usize, 1.1);
@@ -178,7 +172,7 @@ fn drive(
     );
 
     RunTrace {
-        faults: Vec::new(),
+        faults: cluster.fault_log().snapshot(),
         sweeps,
         placements,
         epochs,
@@ -186,33 +180,20 @@ fn drive(
     }
 }
 
-/// One supervised chaos run over in-process channels.
-fn run_supervised_channel(workload_seed: u64) -> RunTrace {
-    let under = Arc::new(UnderStore::new());
-    let cluster = StoreCluster::spawn_with_under_store(chaos_config(), Some(Arc::clone(&under)));
-    let supervisor = cluster.supervisor().expect("supervisor enabled");
-    let client = cluster.client();
-    let mut trace = drive(cluster.master(), supervisor, &under, &client, workload_seed);
-    trace.faults = cluster.fault_log().snapshot();
-    trace
+fn spawn() -> (StoreConfig, Option<Arc<UnderStore>>) {
+    (chaos_config(), Some(Arc::new(UnderStore::new())))
 }
 
-/// The same run with every byte crossing a loopback socket.
-fn run_supervised_tcp(workload_seed: u64) -> RunTrace {
-    let under = Arc::new(UnderStore::new());
-    let cluster = TcpCluster::spawn_with_under_store(chaos_config(), Some(Arc::clone(&under)));
-    let supervisor = cluster.supervisor().expect("supervisor enabled");
-    let client = cluster.client();
-    let mut trace = drive(cluster.master(), supervisor, &under, &client, workload_seed);
-    trace.faults = cluster.fault_log().snapshot();
-    cluster.shutdown();
-    trace
+/// One supervised chaos run over in-process channels.
+fn supervised_in_process(workload_seed: u64) -> RunTrace {
+    let (cfg, under) = spawn();
+    drive(&StoreCluster::spawn_with_under_store(cfg, under), workload_seed)
 }
 
 #[test]
 fn supervised_chaos_heals_and_is_reproducible_in_process() {
-    let a = run_supervised_channel(chaos_seed());
-    let b = run_supervised_channel(chaos_seed());
+    let a = supervised_in_process(chaos_seed());
+    let b = supervised_in_process(chaos_seed());
 
     // Both scripted faults fired, in scripted order.
     assert_eq!(
@@ -229,8 +210,7 @@ fn supervised_chaos_is_transport_invariant() {
     // The same `(seed, plan)` over channels and TCP: op-indexed faults,
     // tick-indexed probes and deterministic target selection must agree
     // on every observable — the wire changes the medium, not the story.
-    let chan = run_supervised_channel(chaos_seed());
-    let tcp = run_supervised_tcp(chaos_seed());
+    let (chan, tcp) = twin(spawn, |c| drive(c, chaos_seed()));
     assert_eq!(chan.faults, tcp.faults, "fault logs diverged across transports");
     assert_eq!(chan.sweeps, tcp.sweeps, "sweep plans diverged across transports");
     assert_eq!(chan.epochs, tcp.epochs, "fencing epochs diverged across transports");

@@ -42,7 +42,7 @@ fn full_lifecycle_write_read_rebalance_read() {
     let (ids, plan, tuned) =
         cluster
             .master()
-            .plan_rebalance(n_workers, 1e9, 8.0, &TunerConfig::default(), 9);
+            .plan_rebalance(n_workers, 1e9, 8.0, &TunerConfig::default(), 9).unwrap();
     assert!(tuned.alpha > 0.0);
     assert!(
         !plan.jobs.is_empty(),
@@ -92,7 +92,7 @@ fn rebalance_spreads_served_load() {
     let (ids, plan, _) =
         cluster
             .master()
-            .plan_rebalance(n_workers, 1e9, 8.0, &TunerConfig::default(), 10);
+            .plan_rebalance(n_workers, 1e9, 8.0, &TunerConfig::default(), 10).unwrap();
     run_parallel(&plan, &ids, cluster.master().as_ref(), cluster.transport().as_ref()).unwrap();
 
     // Drive the same skew again; load must now hit multiple workers.
@@ -130,7 +130,7 @@ fn concurrent_clients_with_repartition_running() {
     let (ids, plan, _) =
         cluster
             .master()
-            .plan_rebalance(n_workers, 1e9, 8.0, &TunerConfig::default(), 11);
+            .plan_rebalance(n_workers, 1e9, 8.0, &TunerConfig::default(), 11).unwrap();
 
     std::thread::scope(|s| {
         let reader_client = cluster.client();
