@@ -187,20 +187,22 @@ fn run_master(args: &[String]) {
     if worker_addrs.is_empty() {
         usage();
     }
-    let meta_dir = flag_value(args, "--meta-dir");
+    let meta_tier = flag_value(args, "--meta-dir").map(|dir| {
+        let tier = UnderStore::new().with_meta_dir(&dir).unwrap_or_else(|e| {
+            eprintln!("spcached: cannot open --meta-dir {dir}: {e}");
+            exit(2);
+        });
+        Arc::new(tier)
+    });
     if args.iter().any(|a| a == "--standby") {
-        run_standby(args, &bind, &worker_addrs, meta_dir.as_deref());
+        run_standby(args, &bind, &worker_addrs, meta_tier);
         return;
     }
 
     // Durable mode replays the journal before serving; volatile mode is
     // the pre-§4.14 master, byte-for-byte.
-    let master = match &meta_dir {
-        Some(dir) => Arc::new(Master::recover(Arc::new(
-            UnderStore::new().with_meta_dir(dir),
-        ))),
-        None => Arc::new(Master::new()),
-    };
+    let durable = meta_tier.is_some();
+    let master = Arc::new(meta_tier.map_or_else(Master::new, Master::recover));
     master.ensure_workers(worker_addrs.len());
     let server = spawn_master_server(master.clone(), &bind, worker_addrs.clone());
     let my_addr = server.addr().to_string();
@@ -210,7 +212,7 @@ fn run_master(args: &[String]) {
     // that restarts can never split the brain. `--force-active`
     // reclaims authority under a bumped epoch instead (operator
     // override for "the successor is the one that died").
-    if meta_dir.is_some() {
+    if durable {
         let recorded = master.owner_addr();
         if recorded.is_empty() {
             master.claim_master_epoch(master.master_epoch(), &my_addr);
@@ -255,7 +257,12 @@ fn spawn_master_server(master: Arc<Master>, bind: &str, workers: Vec<SocketAddr>
 
 /// The standby's life: tail the active master's op-log into a shadow
 /// [`Master`], and when the active stops answering, take over (§4.14).
-fn run_standby(args: &[String], bind: &str, worker_addrs: &[SocketAddr], meta_dir: Option<&str>) {
+fn run_standby(
+    args: &[String],
+    bind: &str,
+    worker_addrs: &[SocketAddr],
+    meta_tier: Option<Arc<UnderStore>>,
+) {
     let peer: SocketAddr = parse(
         "--peer",
         &flag_value(args, "--peer").unwrap_or_else(|| usage()),
@@ -301,10 +308,11 @@ fn run_standby(args: &[String], bind: &str, worker_addrs: &[SocketAddr], meta_di
     // authority (it has everything, including ops our last poll
     // missed); without one the wire-replayed shadow is the best state
     // in existence.
-    let master = match meta_dir {
-        Some(dir) => Arc::new(Master::recover(Arc::new(
-            UnderStore::new().with_meta_dir(dir),
-        ))),
+    let master = match meta_tier {
+        Some(tier) => {
+            tier.meta_reload();
+            Arc::new(Master::recover(tier))
+        }
         None => {
             // Give the shadow a journal of its own so the new reign is
             // durable in memory (and replicable to the next standby).

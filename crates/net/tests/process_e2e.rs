@@ -176,14 +176,22 @@ fn real_processes_serve_a_cluster() {
 
 /// A flag the daemon does not know, or one missing its value, is
 /// refused with the usage text before anything binds — a misspelt
-/// `--memory-budget` must not run the worker unbounded.
+/// `--memory-budget` must not run the worker unbounded. So is a
+/// `--meta-dir` that cannot hold a journal.
 #[test]
 fn a_misspelt_or_valueless_flag_exits_2_without_serving() {
     let worker = ["worker", "--id", "0", "--bind", "127.0.0.1:0"];
-    for bad in [&["--memory-budjet", "4194304"][..], &["--memory-budget"], &["--seed", "7"]] {
-        let args: Vec<&str> = worker.iter().chain(bad).copied().collect();
+    let mut cases: Vec<Vec<&str>> = [&["--memory-budjet", "4194304"][..], &["--memory-budget"], &["--seed", "7"]]
+        .iter()
+        .map(|bad| worker.iter().chain(*bad).copied().collect())
+        .collect();
+    let regular_file = std::env::temp_dir().join(format!("spcached-meta-file-{}", std::process::id()));
+    std::fs::write(&regular_file, b"").expect("create a regular file");
+    let meta_dir = regular_file.to_str().expect("utf-8 temp path");
+    cases.push(vec!["master", "--bind", "127.0.0.1:0", "--workers", "127.0.0.1:1", "--meta-dir", meta_dir]);
+    for args in &cases {
         let mut child = Command::new(env!("CARGO_BIN_EXE_spcached"))
-            .args(&args)
+            .args(args)
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()
@@ -197,6 +205,7 @@ fn a_misspelt_or_valueless_flag_exits_2_without_serving() {
         assert!(!line.starts_with("LISTEN"), "{args:?} served: {line:?}");
         assert_eq!(status.code(), Some(2), "{args:?} exited with {status}");
     }
+    let _ = std::fs::remove_file(&regular_file);
 }
 
 /// A worker daemon is `io_shards + 2` threads: main, the I/O shards and

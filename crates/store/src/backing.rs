@@ -77,17 +77,17 @@ impl UnderStore {
     /// process opening the same directory sees its predecessor's op-log
     /// and snapshots.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the directory cannot be created or read.
-    #[must_use]
-    pub fn with_meta_dir(mut self, dir: impl Into<PathBuf>) -> Self {
+    /// Any I/O error creating or reading the directory or one of its
+    /// blobs (for one, `dir` names a regular file).
+    pub fn with_meta_dir(mut self, dir: impl Into<PathBuf>) -> std::io::Result<Self> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir).expect("create meta dir");
+        std::fs::create_dir_all(&dir)?;
         let mut meta = BTreeMap::new();
-        for entry in std::fs::read_dir(&dir).expect("read meta dir") {
-            let entry = entry.expect("read meta dir entry");
-            if !entry.file_type().map(|t| t.is_file()).unwrap_or(false) {
+        for entry in std::fs::read_dir(&dir)? {
+            let entry = entry?;
+            if !entry.file_type()?.is_file() {
                 continue;
             }
             let Some(name) = entry.file_name().to_str().map(String::from) else {
@@ -98,12 +98,11 @@ impl UnderStore {
                 let _ = std::fs::remove_file(entry.path());
                 continue;
             }
-            let bytes = std::fs::read(entry.path()).expect("read meta blob");
-            meta.insert(name, bytes);
+            meta.insert(name, std::fs::read(entry.path())?);
         }
         self.meta = RwLock::new(meta);
         self.meta_dir = Some(dir);
-        self
+        Ok(self)
     }
 
     /// Reloads the metadata region from the mirror directory, discarding

@@ -1,10 +1,18 @@
 //! The SP-Master: file metadata, access counting and rebalance planning.
+//!
+//! Every transition of the replicated state runs one path
+//! (`Master::try_mutate`): a pure *decide* over the current `State`
+//! names the transition as a [`MetaOp`] (or `None`, when nothing would
+//! change), the op is appended to the journal, and `State::apply`
+//! makes it. Replay ([`Master::apply_op`]) calls the same `apply`, so a
+//! master rebuilt from its journal is the master that wrote it.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::collections::{BTreeSet, HashMap};
+use std::convert::Infallible;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use spcache_core::file::{FileMeta, FileSet};
 use spcache_core::partition::PartitionMap;
 use spcache_core::repartition::{plan_repartition, RepartitionPlan};
@@ -31,10 +39,19 @@ pub struct FileInfo {
     /// eviction-reload already re-placed the bytes, and
     /// re-materializing from the stale snapshot would resurrect
     /// partitions the newer placement dropped.
-    pub version: AtomicU64,
+    pub version: u64,
 }
 
 impl FileInfo {
+    fn new(size: u64, servers: Vec<usize>, version: u64) -> Self {
+        FileInfo {
+            size: size as usize,
+            servers,
+            accesses: AtomicU64::new(0),
+            version,
+        }
+    }
+
     /// Partition count `k`.
     pub fn k(&self) -> usize {
         self.servers.len()
@@ -45,97 +62,276 @@ impl FileInfo {
 /// declared dead; override with [`Master::set_suspicion_threshold`].
 const SUSPICION_THRESHOLD: u32 = 3;
 
-/// Liveness bookkeeping for the worker fleet.
-#[derive(Debug, Default)]
+/// One worker's replicated health row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Health {
-    /// `alive[w]` — whether worker `w` is believed up. Workers the
-    /// master has never heard about are presumed alive.
-    alive: Vec<bool>,
-    /// Consecutive timeout count per worker; reset on any sign of life.
-    suspicion: Vec<u32>,
-    /// Heartbeats (successful pings / replies) observed per worker.
-    last_seen: Vec<u64>,
-    /// Fencing epoch per worker. 0 = never registered. Bumped once on
-    /// every alive→dead transition and once more at each registration,
-    /// so a worker's pre-crash epoch can never equal any epoch granted
-    /// after its death.
-    epochs: Vec<u64>,
+    /// Whether the worker is believed up.
+    alive: bool,
+    /// Consecutive timeout count; reset on any sign of life.
+    suspicion: u32,
+    /// Fencing epoch. 0 = never registered. Bumped once on every
+    /// alive→dead transition and once more at each registration, so a
+    /// worker's pre-crash epoch can never equal any epoch granted after
+    /// its death.
+    epoch: u64,
 }
 
-impl Health {
-    fn ensure(&mut self, n: usize) {
-        if self.alive.len() < n {
-            self.alive.resize(n, true);
-            self.suspicion.resize(n, 0);
-            self.last_seen.resize(n, 0);
-            self.epochs.resize(n, 0);
+impl Default for Health {
+    /// A worker the master has never heard about: presumed alive.
+    fn default() -> Self {
+        Health {
+            alive: true,
+            suspicion: 0,
+            epoch: 0,
         }
     }
 }
 
+/// The master's replicated state: exactly what a [`MasterImage`]
+/// holds, in lookup form. [`State::apply`] is the only code that writes
+/// it, on the live path and on replay alike.
+#[derive(Debug)]
+struct State {
+    files: HashMap<u64, FileInfo>,
+    /// Per-file integrity rows (DESIGN.md §4.15): data-partition
+    /// checksums plus parity placement. Cleared whenever the placement
+    /// changes shape — a re-split invalidates every sum.
+    integrity: HashMap<u64, FileIntegrity>,
+    /// Health row per worker; workers past the end read as
+    /// [`Health::default`].
+    health: Vec<Health>,
+    /// Suspicion-ladder death threshold (see [`Master::suspect`]).
+    threshold: u32,
+    /// Files whose under-store repair is currently in flight — the
+    /// sweep/lazy-repair dedup registry (DESIGN.md §4.11).
+    repairing: BTreeSet<u64>,
+    /// The master epoch (DESIGN.md §4.14): bumped on every takeover,
+    /// carried in request stamps (`Stamp::master`) so workers bounce a
+    /// deposed master's writes the way they bounce stale workers.
+    master_epoch: u64,
+    /// Listen address of the master that owns `master_epoch` ("" when
+    /// unknown) — a restarted master replaying a journal whose newest
+    /// epoch belongs to a *different* address starts fenced.
+    owner_addr: String,
+}
+
+impl Default for State {
+    fn default() -> Self {
+        State {
+            files: HashMap::new(),
+            integrity: HashMap::new(),
+            health: Vec::new(),
+            threshold: SUSPICION_THRESHOLD,
+            repairing: BTreeSet::new(),
+            master_epoch: 1,
+            owner_addr: String::new(),
+        }
+    }
+}
+
+impl State {
+    fn worker(&self, w: usize) -> Health {
+        self.health.get(w).copied().unwrap_or_default()
+    }
+
+    fn worker_mut(&mut self, w: u64) -> &mut Health {
+        let w = w as usize;
+        if self.health.len() <= w {
+            self.health.resize(w + 1, Health::default());
+        }
+        &mut self.health[w]
+    }
+
+    /// Makes the transition `op` names. Ops carry absolute values, so
+    /// applying one twice (or replaying any prefix twice) changes
+    /// nothing the second time. Returns the file entry the op took out
+    /// of the table, if any.
+    fn apply(&mut self, op: &MetaOp) -> Option<FileInfo> {
+        match op {
+            MetaOp::RegisterFile { id, size, servers } => {
+                // Overwrite, not error: replay after a snapshot that
+                // already contains the file must converge, not fail.
+                return self.files.insert(*id, FileInfo::new(*size, servers.clone(), 1));
+            }
+            MetaOp::UnregisterFile { id } => {
+                self.integrity.remove(id);
+                return self.files.remove(id);
+            }
+            MetaOp::ApplyPlacement { id, servers, version } => {
+                if let Some(info) = self.files.get_mut(id) {
+                    info.servers = servers.clone();
+                    info.version = *version;
+                }
+                // A placement swap re-splits the bytes: every stored
+                // checksum (and parity row) is invalidated. Writers that
+                // know the fresh sums (recovery) re-set the row after.
+                self.integrity.remove(id);
+            }
+            MetaOp::RegisterWorker { w, epoch } => {
+                let h = self.worker_mut(*w);
+                *h = Health {
+                    alive: true,
+                    suspicion: 0,
+                    epoch: h.epoch.max(*epoch),
+                };
+            }
+            MetaOp::MarkAlive { w } => {
+                let h = self.worker_mut(*w);
+                h.alive = true;
+                h.suspicion = 0;
+            }
+            MetaOp::MarkDead { w, epoch } => {
+                let h = self.worker_mut(*w);
+                h.alive = false;
+                h.epoch = h.epoch.max(*epoch);
+            }
+            MetaOp::Suspect { w, count, alive, epoch } => {
+                let h = self.worker_mut(*w);
+                *h = Health {
+                    alive: *alive,
+                    suspicion: *count,
+                    epoch: h.epoch.max(*epoch),
+                };
+            }
+            MetaOp::BeginRepair { id } => {
+                self.repairing.insert(*id);
+            }
+            MetaOp::EndRepair { id } => {
+                self.repairing.remove(id);
+            }
+            MetaOp::SetThreshold { threshold } => self.threshold = (*threshold).max(1),
+            MetaOp::MasterEpoch { epoch, addr } => {
+                if *epoch >= self.master_epoch {
+                    self.master_epoch = *epoch;
+                    self.owner_addr.clone_from(addr);
+                }
+            }
+            MetaOp::SetIntegrity { id, integrity } => {
+                if integrity.is_empty() {
+                    self.integrity.remove(id);
+                } else {
+                    self.integrity.insert(*id, integrity.clone());
+                }
+            }
+            MetaOp::Snapshot(img) => {
+                let mut next = State::from(img);
+                // Installing a snapshot never lowers the master epoch.
+                if next.master_epoch < self.master_epoch {
+                    next.master_epoch = self.master_epoch;
+                    next.owner_addr = std::mem::take(&mut self.owner_addr);
+                }
+                *self = next;
+            }
+        }
+        None
+    }
+
+    /// The state as a [`MasterImage`]: rows sorted by id, and trailing
+    /// never-heard-of workers trimmed, so a replayed twin (which learns
+    /// of workers only through ops) images identically to a master
+    /// whose table grew further.
+    fn image(&self) -> MasterImage {
+        let mut files: Vec<(u64, u64, Vec<usize>, u64)> = self
+            .files
+            .iter()
+            .map(|(&id, info)| (id, info.size as u64, info.servers.clone(), info.version))
+            .collect();
+        files.sort_unstable_by_key(|&(id, ..)| id);
+        let mut integrity: Vec<(u64, FileIntegrity)> =
+            self.integrity.iter().map(|(&id, row)| (id, row.clone())).collect();
+        integrity.sort_unstable_by_key(|&(id, _)| id);
+        let known = self
+            .health
+            .iter()
+            .rposition(|h| *h != Health::default())
+            .map_or(0, |last| last + 1);
+        let health = &self.health[..known];
+        MasterImage {
+            files,
+            alive: health.iter().map(|h| h.alive).collect(),
+            suspicion: health.iter().map(|h| h.suspicion).collect(),
+            epochs: health.iter().map(|h| h.epoch).collect(),
+            threshold: self.threshold,
+            repairing: self.repairing.iter().copied().collect(),
+            master_epoch: self.master_epoch,
+            master_addr: self.owner_addr.clone(),
+            integrity,
+        }
+    }
+}
+
+/// The inverse of [`State::image`] (the snapshot install path).
+impl From<&MasterImage> for State {
+    fn from(img: &MasterImage) -> Self {
+        State {
+            files: img
+                .files
+                .iter()
+                .map(|(id, size, servers, version)| {
+                    (*id, FileInfo::new(*size, servers.clone(), *version))
+                })
+                .collect(),
+            integrity: img.integrity.iter().cloned().collect(),
+            health: img
+                .alive
+                .iter()
+                .zip(&img.suspicion)
+                .zip(&img.epochs)
+                .map(|((&alive, &suspicion), &epoch)| Health {
+                    alive,
+                    suspicion,
+                    epoch,
+                })
+                .collect(),
+            threshold: img.threshold.max(1),
+            repairing: img.repairing.iter().copied().collect(),
+            master_epoch: img.master_epoch,
+            owner_addr: img.master_addr.clone(),
+        }
+    }
+}
+
+/// What one transition hands back to the mutator that ran it.
+struct Applied<'a> {
+    /// The state after apply, still under the write guard.
+    state: RwLockWriteGuard<'a, State>,
+    /// Whether decide named a change (an op was committed and applied).
+    changed: bool,
+    /// The file entry the op took out of the table.
+    removed: Option<FileInfo>,
+}
+
 /// The metadata service.
 ///
-/// Thread-safe: clients call [`Master::locate`] concurrently; the
-/// repartition coordinator takes the write lock only while swapping
-/// placements.
+/// Thread-safe: every replicated field sits in one `State` behind one
+/// lock. Readers ([`Master::locate`], [`Master::is_alive`], ...) share
+/// it; every mutator takes it for write once, in `Master::try_mutate`,
+/// for decide → commit → apply. Access counters
+/// are relaxed atomics bumped under the read guard.
 ///
 /// Besides file metadata the master tracks **worker health**: clients
 /// and repartitioners report timeouts ([`Master::suspect`]) and closed
 /// channels ([`Master::mark_dead`]), and every placement decision
 /// ([`Master::plan_rebalance`], recovery target selection) draws only
 /// from [`Master::live_workers`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Master {
-    files: RwLock<HashMap<u64, FileInfo>>,
-    /// Per-file integrity rows (DESIGN.md §4.15): data-partition
-    /// checksums plus parity placement. Cleared whenever the placement
-    /// changes shape — a re-split invalidates every sum.
-    integrity: RwLock<HashMap<u64, FileIntegrity>>,
-    health: RwLock<Health>,
-    /// Suspicion-ladder death threshold (see [`Master::suspect`]).
-    threshold: AtomicU32,
-    /// Files whose under-store repair is currently in flight — the
-    /// sweep/lazy-repair dedup registry (DESIGN.md §4.11).
-    repairing: Mutex<HashSet<u64>>,
+    state: RwLock<State>,
+    /// Heartbeats (successful pings / replies) observed per worker.
+    /// Observability only: never journalled, never imaged.
+    last_seen: Mutex<Vec<u64>>,
     /// Every file id that ever acquired a repair slot, in acquisition
     /// order; tests derive per-file repair counts from this to assert
-    /// zero duplicate heals.
+    /// zero duplicate heals. Replay-local like `last_seen`.
     repair_log: Mutex<Vec<u64>>,
-    /// The master epoch (DESIGN.md §4.14): bumped on every takeover,
-    /// carried in request stamps (`Stamp::master`) so workers bounce a deposed
-    /// master's writes the way they bounce stale workers.
-    master_epoch: AtomicU64,
-    /// Listen address of the master that owns [`Master::master_epoch`]
-    /// ("" when unknown) — a restarted master replaying a journal whose
-    /// newest epoch belongs to a *different* address starts fenced.
-    owner_addr: Mutex<String>,
     /// Set once a successor deposes this master; a fenced master serves
     /// only redirects.
     fenced: AtomicBool,
     /// The successor's advertised meta address, for redirect replies.
     successor: Mutex<Option<String>>,
     /// The write-ahead op-log, when durability is enabled
-    /// ([`Master::enable_journal`]). Mutators append while holding
-    /// their state lock, so journal order is mutation order.
+    /// ([`Master::enable_journal`]).
     journal: RwLock<Option<Arc<MetaLog>>>,
-}
-
-impl Default for Master {
-    fn default() -> Self {
-        Master {
-            files: RwLock::default(),
-            integrity: RwLock::default(),
-            health: RwLock::default(),
-            threshold: AtomicU32::new(SUSPICION_THRESHOLD),
-            repairing: Mutex::new(HashSet::new()),
-            repair_log: Mutex::new(Vec::new()),
-            master_epoch: AtomicU64::new(1),
-            owner_addr: Mutex::new(String::new()),
-            fenced: AtomicBool::new(false),
-            successor: Mutex::new(None),
-            journal: RwLock::new(None),
-        }
-    }
 }
 
 impl Master {
@@ -144,13 +340,40 @@ impl Master {
         Master::default()
     }
 
-    /// Appends one op to the journal, when durability is enabled.
-    /// Callers hold the state lock the op describes, so journal order
-    /// is mutation order (the replay-fidelity invariant).
-    fn journal_op(&self, op: &MetaOp) {
+    /// The one mutation path. Under one write guard, `decide` validates
+    /// against the current state and names the transition as an op with
+    /// absolute values (`None`: nothing would change, and nothing is
+    /// journalled); the op is appended to the journal, if one is
+    /// attached, and then applied. Journal order is therefore apply
+    /// order, and replay runs the very [`State::apply`] the live master
+    /// ran.
+    fn try_mutate<E>(
+        &self,
+        decide: impl FnOnce(&State) -> Result<Option<MetaOp>, E>,
+    ) -> Result<Applied<'_>, E> {
+        let mut state = self.state.write();
+        let Some(op) = decide(&state)? else {
+            return Ok(Applied {
+                state,
+                changed: false,
+                removed: None,
+            });
+        };
         if let Some(log) = self.journal.read().as_ref() {
-            log.append(op);
+            log.append(&op);
         }
+        let removed = state.apply(&op);
+        Ok(Applied {
+            state,
+            changed: true,
+            removed,
+        })
+    }
+
+    /// [`Master::try_mutate`] for a transition that is never refused.
+    fn mutate(&self, decide: impl FnOnce(&State) -> Option<MetaOp>) -> Applied<'_> {
+        let Ok(applied) = self.try_mutate(|s| Ok::<_, Infallible>(decide(s)));
+        applied
     }
 
     /// Attaches a write-ahead op-log: every subsequent mutation is
@@ -206,31 +429,30 @@ impl Master {
     /// The current master epoch (1 for a freshly booted, never-deposed
     /// master).
     pub fn master_epoch(&self) -> u64 {
-        self.master_epoch.load(Ordering::SeqCst)
+        self.state.read().master_epoch
     }
 
     /// Listen address of the master that owns the current epoch (""
     /// when unknown — e.g. journalling disabled).
     pub fn owner_addr(&self) -> String {
-        self.owner_addr.lock().clone()
+        self.state.read().owner_addr.clone()
     }
 
     /// Claims master epoch `epoch` for `addr`: applied as `max`, and
     /// journalled so a replayed standby (or a restarted master) learns
-    /// who last owned the metadata. Returns the resulting epoch.
+    /// who last owned the metadata. A claim below the current epoch, or
+    /// a repeat of the current claim, changes and journals nothing.
+    /// Returns the resulting epoch.
     pub fn claim_master_epoch(&self, epoch: u64, addr: &str) -> u64 {
-        let mut owner = self.owner_addr.lock();
-        let cur = self.master_epoch.load(Ordering::SeqCst);
-        let new = cur.max(epoch);
-        if epoch >= cur {
-            self.master_epoch.store(new, Ordering::SeqCst);
-            *owner = addr.to_string();
-        }
-        self.journal_op(&MetaOp::MasterEpoch {
-            epoch: new,
-            addr: owner.clone(),
-        });
-        new
+        self.mutate(|s| {
+            let moves = epoch > s.master_epoch || (epoch == s.master_epoch && addr != s.owner_addr);
+            moves.then(|| MetaOp::MasterEpoch {
+                epoch,
+                addr: addr.to_string(),
+            })
+        })
+        .state
+        .master_epoch
     }
 
     /// Whether this master has been deposed by a successor.
@@ -267,229 +489,35 @@ impl Master {
     /// slots, master epoch). Volatile observability (access counters,
     /// heartbeat counts, repair history) is excluded by design.
     pub fn image(&self) -> MasterImage {
-        let files = self.files.read();
-        let integrity = self.integrity.read();
-        let h = self.health.read();
-        let owner = self.owner_addr.lock();
-        let repairing = self.repairing.lock();
-        Self::image_from(
-            &files,
-            &integrity,
-            &h,
-            &repairing,
-            self.threshold.load(Ordering::Relaxed),
-        )
-        .with_owner(self.master_epoch.load(Ordering::SeqCst), owner.clone())
-    }
-
-    fn image_from(
-        files: &HashMap<u64, FileInfo>,
-        integrity: &HashMap<u64, FileIntegrity>,
-        h: &Health,
-        repairing: &HashSet<u64>,
-        threshold: u32,
-    ) -> MasterImage {
-        let mut file_rows: Vec<(u64, u64, Vec<usize>, u64)> = files
-            .iter()
-            .map(|(&id, info)| {
-                (
-                    id,
-                    info.size as u64,
-                    info.servers.clone(),
-                    info.version.load(Ordering::Relaxed),
-                )
-            })
-            .collect();
-        file_rows.sort_unstable_by_key(|&(id, ..)| id);
-        let mut rep: Vec<u64> = repairing.iter().copied().collect();
-        rep.sort_unstable();
-        let (mut alive, mut suspicion, mut epochs) =
-            (h.alive.clone(), h.suspicion.clone(), h.epochs.clone());
-        // Canonical form: trim trailing presumed-alive defaults, so a
-        // replayed twin (which only learns of workers through ops)
-        // images identically to a master whose table was pre-sized.
-        while let Some(last) = alive.len().checked_sub(1) {
-            if alive[last] && suspicion[last] == 0 && epochs[last] == 0 {
-                alive.pop();
-                suspicion.pop();
-                epochs.pop();
-            } else {
-                break;
-            }
-        }
-        let mut integrity_rows: Vec<(u64, FileIntegrity)> = integrity
-            .iter()
-            .map(|(&id, row)| (id, row.clone()))
-            .collect();
-        integrity_rows.sort_unstable_by_key(|&(id, _)| id);
-        MasterImage {
-            files: file_rows,
-            alive,
-            suspicion,
-            epochs,
-            threshold,
-            repairing: rep,
-            integrity: integrity_rows,
-            ..MasterImage::default()
-        }
-    }
-
-    /// Installs a full-state image (the snapshot replay path).
-    fn load_image(&self, img: &MasterImage) {
-        let mut files = self.files.write();
-        files.clear();
-        for (id, size, servers, version) in &img.files {
-            files.insert(
-                *id,
-                FileInfo {
-                    size: *size as usize,
-                    servers: servers.clone(),
-                    accesses: AtomicU64::new(0),
-                    version: AtomicU64::new(*version),
-                },
-            );
-        }
-        drop(files);
-        *self.integrity.write() = img.integrity.iter().cloned().collect();
-        let mut h = self.health.write();
-        h.alive = img.alive.clone();
-        h.suspicion = img.suspicion.clone();
-        h.epochs = img.epochs.clone();
-        h.last_seen.resize(img.alive.len(), 0);
-        drop(h);
-        self.threshold.store(img.threshold.max(1), Ordering::Relaxed);
-        *self.repairing.lock() = img.repairing.iter().copied().collect();
-        let mut owner = self.owner_addr.lock();
-        if img.master_epoch >= self.master_epoch.load(Ordering::SeqCst) {
-            self.master_epoch.store(img.master_epoch, Ordering::SeqCst);
-            *owner = img.master_addr.clone();
-        }
+        self.state.read().image()
     }
 
     /// Applies one journalled op to local state **without**
-    /// re-journalling — the replay path. Ops carry absolute values, so
-    /// applying any op twice (or replaying any prefix twice) is
-    /// idempotent.
+    /// re-journalling — the replay path (recovery, a standby's tail,
+    /// snapshot install). It runs the same `State::apply` as the live
+    /// path.
     pub fn apply_op(&self, op: &MetaOp) {
-        match op {
-            MetaOp::RegisterFile { id, size, servers } => {
-                // Overwrite, not error: replay after a snapshot that
-                // already contains the file must converge, not fail.
-                self.files.write().insert(
-                    *id,
-                    FileInfo {
-                        size: *size as usize,
-                        servers: servers.clone(),
-                        accesses: AtomicU64::new(0),
-                        version: AtomicU64::new(1),
-                    },
-                );
-            }
-            MetaOp::UnregisterFile { id } => {
-                self.files.write().remove(id);
-                self.integrity.write().remove(id);
-            }
-            MetaOp::ApplyPlacement { id, servers, version } => {
-                if let Some(info) = self.files.write().get_mut(id) {
-                    info.servers = servers.clone();
-                    info.version.store(*version, Ordering::Relaxed);
-                }
-                // A placement swap re-splits the bytes: every stored
-                // checksum (and parity row) is invalidated. Derived from
-                // the op itself, so replay converges without an extra
-                // journal record.
-                self.integrity.write().remove(id);
-            }
-            MetaOp::RegisterWorker { w, epoch } => {
-                let w = *w as usize;
-                let mut h = self.health.write();
-                h.ensure(w + 1);
-                h.epochs[w] = h.epochs[w].max(*epoch);
-                h.alive[w] = true;
-                h.suspicion[w] = 0;
-            }
-            MetaOp::MarkAlive { w } => {
-                let w = *w as usize;
-                let mut h = self.health.write();
-                h.ensure(w + 1);
-                h.alive[w] = true;
-                h.suspicion[w] = 0;
-            }
-            MetaOp::MarkDead { w, epoch } => {
-                let w = *w as usize;
-                let mut h = self.health.write();
-                h.ensure(w + 1);
-                h.alive[w] = false;
-                h.epochs[w] = h.epochs[w].max(*epoch);
-            }
-            MetaOp::Suspect { w, count, alive, epoch } => {
-                let w = *w as usize;
-                let mut h = self.health.write();
-                h.ensure(w + 1);
-                h.suspicion[w] = *count;
-                h.alive[w] = *alive;
-                h.epochs[w] = h.epochs[w].max(*epoch);
-            }
-            MetaOp::BeginRepair { id } => {
-                // The repair *history* stays replay-local: replayed
-                // slots are state, not heal attempts.
-                self.repairing.lock().insert(*id);
-            }
-            MetaOp::EndRepair { id } => {
-                self.repairing.lock().remove(id);
-            }
-            MetaOp::SetThreshold { threshold } => {
-                self.threshold.store((*threshold).max(1), Ordering::Relaxed);
-            }
-            MetaOp::MasterEpoch { epoch, addr } => {
-                let mut owner = self.owner_addr.lock();
-                if *epoch >= self.master_epoch.load(Ordering::SeqCst) {
-                    self.master_epoch.store(*epoch, Ordering::SeqCst);
-                    *owner = addr.clone();
-                }
-            }
-            MetaOp::SetIntegrity { id, integrity } => {
-                if integrity.is_empty() {
-                    self.integrity.write().remove(id);
-                } else {
-                    self.integrity.write().insert(*id, integrity.clone());
-                }
-            }
-            MetaOp::Snapshot(img) => self.load_image(img),
-        }
+        self.state.write().apply(op);
     }
 
     /// Writes a compacted snapshot if enough records accumulated since
-    /// the last one. Blocks mutators for the duration of the image
-    /// capture (read locks + the repair-slot mutex), so no op can slip
-    /// between the image and the snapshot record's LSN — the
-    /// no-lost-op compaction invariant. Call from a maintenance tick
-    /// (the supervisor does), never from inside a mutator.
+    /// the last one. Holds the state read guard from the image capture
+    /// until the snapshot record is written, so no mutator can commit
+    /// an op between the image and the snapshot's LSN — the no-lost-op
+    /// compaction invariant. Call from a maintenance tick (the
+    /// supervisor does), never from inside a mutator.
     pub fn maybe_compact(&self) {
-        let Some(log) = self.journal.read().clone() else {
+        let Some(log) = self.journal_handle() else {
             return;
         };
-        if !log.snapshot_due() {
-            return;
+        if log.snapshot_due() {
+            let state = self.state.read();
+            log.snapshot(&state.image());
         }
-        let files = self.files.read();
-        let integrity = self.integrity.read();
-        let h = self.health.read();
-        let owner = self.owner_addr.lock();
-        let repairing = self.repairing.lock();
-        let image = Self::image_from(
-            &files,
-            &integrity,
-            &h,
-            &repairing,
-            self.threshold.load(Ordering::Relaxed),
-        )
-        .with_owner(self.master_epoch.load(Ordering::SeqCst), owner.clone());
-        log.snapshot(&image);
     }
 
-    /// Registers many files under one lock acquisition (the streaming
-    /// seed path for million-file corpora).
+    /// Registers many files (the streaming seed path for million-file
+    /// corpora), one transition per file.
     ///
     /// # Errors
     ///
@@ -500,62 +528,43 @@ impl Master {
         if entries.iter().any(|(_, _, servers)| servers.is_empty()) {
             return Err(empty_placement());
         }
-        let mut files = self.files.write();
-        for (id, size, servers) in entries {
-            if files.contains_key(id) {
-                return Err(StoreError::AlreadyExists(*id));
-            }
-            files.insert(
-                *id,
-                FileInfo {
-                    size: *size,
-                    servers: servers.clone(),
-                    accesses: AtomicU64::new(0),
-                    version: AtomicU64::new(1),
-                },
-            );
-            self.journal_op(&MetaOp::RegisterFile {
-                id: *id,
-                size: *size as u64,
-                servers: servers.clone(),
-            });
-        }
-        Ok(())
+        entries
+            .iter()
+            .try_for_each(|(id, size, servers)| self.register(*id, *size, servers.clone()))
     }
 
     /// Overrides the suspicion-ladder death threshold (default 3
     /// consecutive timeouts). Clamped to at least 1.
     pub fn set_suspicion_threshold(&self, threshold: u32) {
-        // The health lock serializes the store+journal pair against a
-        // concurrent compaction's image capture.
-        let _h = self.health.write();
-        self.threshold.store(threshold.max(1), Ordering::Relaxed);
-        self.journal_op(&MetaOp::SetThreshold {
-            threshold: threshold.max(1),
-        });
+        let threshold = threshold.max(1);
+        self.mutate(|s| (s.threshold != threshold).then_some(MetaOp::SetThreshold { threshold }));
     }
 
-    /// Pre-sizes the health table for a fleet of `n` workers, all
-    /// presumed alive. Called by the cluster at spawn; growing later
-    /// (on first mention of a higher worker id) is also fine.
+    /// Sizes the heartbeat table for a fleet of `n` workers. Health
+    /// needs no sizing: a worker the master never heard about reads as
+    /// alive, unsuspected and at epoch 0.
     pub fn ensure_workers(&self, n: usize) {
-        self.health.write().ensure(n);
+        let mut seen = self.last_seen.lock();
+        if seen.len() < n {
+            seen.resize(n, 0);
+        }
     }
 
     /// Records a sign of life from worker `w` (heartbeat reply or any
     /// successful response): clears suspicion and revives the worker.
     pub fn mark_alive(&self, w: usize) {
-        let mut h = self.health.write();
-        h.ensure(w + 1);
-        // Journal only actual transitions — mark_alive fires on every
-        // successful reply, and a quiet fleet must not grow the log.
-        let changed = !h.alive[w] || h.suspicion[w] != 0;
-        h.alive[w] = true;
-        h.suspicion[w] = 0;
-        h.last_seen[w] += 1;
-        if changed {
-            self.journal_op(&MetaOp::MarkAlive { w: w as u64 });
+        let decide = |s: &State| {
+            let h = s.worker(w);
+            (!h.alive || h.suspicion != 0).then_some(MetaOp::MarkAlive { w: w as u64 })
+        };
+        // Every successful reply lands here, and almost every one finds
+        // a healthy worker: settle that no-op under the read guard, so
+        // replies do not queue behind each other and behind `locate`.
+        if decide(&self.state.read()).is_some() {
+            self.mutate(decide);
         }
+        self.ensure_workers(w + 1);
+        self.last_seen.lock()[w] += 1;
     }
 
     /// Declares worker `w` dead (its request channel is closed — the
@@ -563,17 +572,13 @@ impl Master {
     /// alive→dead transition bumps the worker's fencing epoch, so any
     /// epoch the worker was granted before its death is now stale.
     pub fn mark_dead(&self, w: usize) {
-        let mut h = self.health.write();
-        h.ensure(w + 1);
-        if h.alive[w] {
-            h.epochs[w] += 1;
-            h.alive[w] = false;
-            self.journal_op(&MetaOp::MarkDead {
+        self.mutate(|s| {
+            let h = s.worker(w);
+            h.alive.then_some(MetaOp::MarkDead {
                 w: w as u64,
-                epoch: h.epochs[w],
-            });
-        }
-        h.alive[w] = false;
+                epoch: h.epoch + 1,
+            })
+        });
     }
 
     /// Records a timeout against worker `w` (it may be hung rather than
@@ -581,23 +586,20 @@ impl Master {
     /// (default 3, see [`Master::set_suspicion_threshold`]) the worker
     /// is declared dead. Returns the updated suspicion count.
     pub fn suspect(&self, w: usize) -> u32 {
-        let threshold = self.threshold.load(Ordering::Relaxed);
-        let mut h = self.health.write();
-        h.ensure(w + 1);
-        h.suspicion[w] += 1;
-        if h.suspicion[w] >= threshold {
-            if h.alive[w] {
-                h.epochs[w] += 1;
-            }
-            h.alive[w] = false;
-        }
-        self.journal_op(&MetaOp::Suspect {
-            w: w as u64,
-            count: h.suspicion[w],
-            alive: h.alive[w],
-            epoch: h.epochs[w],
-        });
-        h.suspicion[w]
+        self.mutate(|s| {
+            let h = s.worker(w);
+            let count = h.suspicion.saturating_add(1);
+            let dies = h.alive && count >= s.threshold;
+            Some(MetaOp::Suspect {
+                w: w as u64,
+                count,
+                alive: h.alive && !dies,
+                epoch: h.epoch + u64::from(dies),
+            })
+        })
+        .state
+        .worker(w)
+        .suspicion
     }
 
     /// Grants worker `w` a fresh fencing epoch and revives it — the
@@ -606,23 +608,22 @@ impl Master {
     /// worker (`Request::SetEpoch`) before routing fenced traffic to
     /// it.
     pub fn register_worker(&self, w: usize) -> u64 {
-        let mut h = self.health.write();
-        h.ensure(w + 1);
-        h.epochs[w] += 1;
-        h.alive[w] = true;
-        h.suspicion[w] = 0;
-        self.journal_op(&MetaOp::RegisterWorker {
-            w: w as u64,
-            epoch: h.epochs[w],
-        });
-        h.epochs[w]
+        self.mutate(|s| {
+            Some(MetaOp::RegisterWorker {
+                w: w as u64,
+                epoch: s.worker(w).epoch + 1,
+            })
+        })
+        .state
+        .worker(w)
+        .epoch
     }
 
     /// The fencing epoch table for workers `0..n` (0 = never
     /// registered).
     pub fn worker_epochs(&self, n: usize) -> Vec<u64> {
-        let h = self.health.read();
-        (0..n).map(|w| h.epochs.get(w).copied().unwrap_or(0)).collect()
+        let s = self.state.read();
+        (0..n).map(|w| s.worker(w).epoch).collect()
     }
 
     /// Tries to acquire the repair slot for file `id`. Returns `false`
@@ -631,21 +632,24 @@ impl Master {
     /// caller owns the slot and must release it with
     /// [`Master::end_repair`] when the repair completes or aborts.
     pub fn begin_repair(&self, id: u64) -> bool {
-        let mut repairing = self.repairing.lock();
-        let acquired = repairing.insert(id);
-        if acquired {
+        let applied =
+            self.mutate(|s| (!s.repairing.contains(&id)).then_some(MetaOp::BeginRepair { id }));
+        if applied.changed {
+            // Logged under the guard, so the history is acquisition order.
             self.repair_log.lock().push(id);
-            self.journal_op(&MetaOp::BeginRepair { id });
         }
-        acquired
+        applied.changed
     }
 
     /// Releases the repair slot for file `id`.
     pub fn end_repair(&self, id: u64) {
-        let mut repairing = self.repairing.lock();
-        if repairing.remove(&id) {
-            self.journal_op(&MetaOp::EndRepair { id });
-        }
+        self.release_repair(id);
+    }
+
+    /// Releases `id`'s repair slot; `false` when it was free.
+    fn release_repair(&self, id: u64) -> bool {
+        self.mutate(|s| s.repairing.contains(&id).then_some(MetaOp::EndRepair { id }))
+            .changed
     }
 
     /// Releases every in-flight repair slot, journalling an `EndRepair`
@@ -654,19 +658,14 @@ impl Master {
     /// slot nobody holds would starve the file's repair forever (every
     /// future `begin_repair` would be refused).
     pub fn abandon_repairs(&self) -> Vec<u64> {
-        let mut repairing = self.repairing.lock();
-        let mut ids: Vec<u64> = repairing.iter().copied().collect();
-        ids.sort_unstable();
-        for id in &ids {
-            self.journal_op(&MetaOp::EndRepair { id: *id });
-        }
-        repairing.clear();
+        let mut ids: Vec<u64> = self.state.read().repairing.iter().copied().collect();
+        ids.retain(|&id| self.release_repair(id));
         ids
     }
 
     /// Whether a repair of `id` is currently in flight.
     pub fn repairing(&self, id: u64) -> bool {
-        self.repairing.lock().contains(&id)
+        self.state.read().repairing.contains(&id)
     }
 
     /// Every repair-slot acquisition so far, in order. Each entry is
@@ -679,34 +678,28 @@ impl Master {
 
     /// Whether worker `w` is believed alive (unknown workers are).
     pub fn is_alive(&self, w: usize) -> bool {
-        self.health.read().alive.get(w).copied().unwrap_or(true)
+        self.state.read().worker(w).alive
     }
 
     /// Heartbeats observed from worker `w`.
     pub fn heartbeats(&self, w: usize) -> u64 {
-        self.health.read().last_seen.get(w).copied().unwrap_or(0)
+        self.last_seen.lock().get(w).copied().unwrap_or(0)
     }
 
     /// The live subset of workers `0..n`, ascending.
     pub fn live_workers(&self, n: usize) -> Vec<usize> {
-        let h = self.health.read();
-        (0..n)
-            .filter(|&w| h.alive.get(w).copied().unwrap_or(true))
-            .collect()
+        let s = self.state.read();
+        (0..n).filter(|&w| s.worker(w).alive).collect()
     }
 
     /// Ids of files with at least one partition on a dead worker — the
     /// candidates for under-store recovery.
     pub fn degraded_files(&self) -> Vec<u64> {
-        let files = self.files.read();
-        let h = self.health.read();
-        let mut ids: Vec<u64> = files
+        let s = self.state.read();
+        let mut ids: Vec<u64> = s
+            .files
             .iter()
-            .filter(|(_, info)| {
-                info.servers
-                    .iter()
-                    .any(|&s| !h.alive.get(s).copied().unwrap_or(true))
-            })
+            .filter(|(_, info)| info.servers.iter().any(|&w| !s.worker(w).alive))
             .map(|(&id, _)| id)
             .collect();
         ids.sort_unstable();
@@ -720,74 +713,53 @@ impl Master {
     /// Returns [`StoreError::AlreadyExists`] if the id is taken, and
     /// [`StoreError::Codec`] for an empty placement.
     pub fn register(&self, id: u64, size: usize, servers: Vec<usize>) -> Result<(), StoreError> {
-        if servers.is_empty() {
-            return Err(empty_placement());
-        }
-        let mut files = self.files.write();
-        if files.contains_key(&id) {
-            return Err(StoreError::AlreadyExists(id));
-        }
-        self.journal_op(&MetaOp::RegisterFile {
-            id,
-            size: size as u64,
-            servers: servers.clone(),
-        });
-        files.insert(
-            id,
-            FileInfo {
-                size,
+        self.try_mutate(|s| {
+            if servers.is_empty() {
+                return Err(empty_placement());
+            }
+            if s.files.contains_key(&id) {
+                return Err(StoreError::AlreadyExists(id));
+            }
+            Ok(Some(MetaOp::RegisterFile {
+                id,
+                size: size as u64,
                 servers,
-                accesses: AtomicU64::new(0),
-                version: AtomicU64::new(1),
-            },
-        );
-        Ok(())
+            }))
+        })
+        .map(drop)
     }
 
     /// Removes a file's metadata; returns its former info if present.
     pub fn unregister(&self, id: u64) -> Option<FileInfo> {
-        let mut files = self.files.write();
-        let removed = files.remove(&id);
-        if removed.is_some() {
-            self.integrity.write().remove(&id);
-            self.journal_op(&MetaOp::UnregisterFile { id });
-        }
-        removed
+        self.mutate(|s| s.files.contains_key(&id).then_some(MetaOp::UnregisterFile { id }))
+            .removed
     }
 
     /// Installs (or, with an empty row, clears) file `id`'s integrity
     /// row: the per-partition checksums a verifying reader checks
     /// received bytes against, plus where the parity partitions live.
+    /// Re-installing the stored row changes and journals nothing.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::UnknownFile`] if the file is not
     /// registered — a row must never outlive (or predate) its file.
     pub fn set_integrity(&self, id: u64, integrity: FileIntegrity) -> Result<(), StoreError> {
-        // The files read lock orders this against a concurrent
-        // unregister; the integrity write lock serializes the
-        // store+journal pair.
-        let files = self.files.read();
-        if !files.contains_key(&id) {
-            return Err(StoreError::UnknownFile(id));
-        }
-        let mut rows = self.integrity.write();
-        self.journal_op(&MetaOp::SetIntegrity {
-            id,
-            integrity: integrity.clone(),
-        });
-        if integrity.is_empty() {
-            rows.remove(&id);
-        } else {
-            rows.insert(id, integrity);
-        }
-        Ok(())
+        self.try_mutate(|s| {
+            if !s.files.contains_key(&id) {
+                return Err(StoreError::UnknownFile(id));
+            }
+            // Stored rows are never empty: the empty row means "absent".
+            let stored = s.integrity.get(&id).map_or(integrity.is_empty(), |row| *row == integrity);
+            Ok((!stored).then_some(MetaOp::SetIntegrity { id, integrity }))
+        })
+        .map(drop)
     }
 
     /// File `id`'s integrity row, if one was set (and not invalidated by
     /// a placement change since).
     pub fn integrity(&self, id: u64) -> Option<FileIntegrity> {
-        self.integrity.read().get(&id).cloned()
+        self.state.read().integrity.get(&id).cloned()
     }
 
     /// Looks up a file's partition servers and size, bumping its access
@@ -797,8 +769,8 @@ impl Master {
     ///
     /// Returns [`StoreError::UnknownFile`] if not registered.
     pub fn locate(&self, id: u64) -> Result<(usize, Vec<usize>), StoreError> {
-        let files = self.files.read();
-        let info = files.get(&id).ok_or(StoreError::UnknownFile(id))?;
+        let s = self.state.read();
+        let info = s.files.get(&id).ok_or(StoreError::UnknownFile(id))?;
         info.accesses.fetch_add(1, Ordering::Relaxed);
         Ok((info.size, info.servers.clone()))
     }
@@ -806,20 +778,21 @@ impl Master {
     /// Like [`Master::locate`] but without counting an access (metadata
     /// inspection).
     pub fn peek(&self, id: u64) -> Result<(usize, Vec<usize>), StoreError> {
-        let files = self.files.read();
-        let info = files.get(&id).ok_or(StoreError::UnknownFile(id))?;
+        let s = self.state.read();
+        let info = s.files.get(&id).ok_or(StoreError::UnknownFile(id))?;
         Ok((info.size, info.servers.clone()))
     }
 
     /// Number of registered files.
     pub fn file_count(&self) -> usize {
-        self.files.read().len()
+        self.state.read().files.len()
     }
 
     /// Access count of one file.
     pub fn accesses(&self, id: u64) -> u64 {
-        self.files
+        self.state
             .read()
+            .files
             .get(&id)
             .map_or(0, |i| i.accesses.load(Ordering::Relaxed))
     }
@@ -827,7 +800,7 @@ impl Master {
     /// Resets all access counters (start of a new measurement window; the
     /// paper repartitions every 12 h on the previous 24 h of counts).
     pub fn reset_accesses(&self) {
-        for info in self.files.read().values() {
+        for info in self.state.read().files.values() {
             info.accesses.store(0, Ordering::Relaxed);
         }
     }
@@ -843,7 +816,8 @@ impl Master {
         &self,
         n_workers: usize,
     ) -> Result<(Vec<u64>, FileSet, PartitionMap), StoreError> {
-        let files = self.files.read();
+        let s = self.state.read();
+        let files = &s.files;
         if files.is_empty() {
             return Err(StoreError::Codec("rebalance of an empty master".into()));
         }
@@ -917,8 +891,9 @@ impl Master {
     /// Returns every registered file id with its current servers
     /// (sorted by id) — the health scan used by recovery.
     pub fn placements(&self) -> Vec<(u64, Vec<usize>)> {
-        let files = self.files.read();
-        let mut out: Vec<(u64, Vec<usize>)> = files
+        let s = self.state.read();
+        let mut out: Vec<(u64, Vec<usize>)> = s
+            .files
             .iter()
             .map(|(&id, info)| (id, info.servers.clone()))
             .collect();
@@ -933,23 +908,18 @@ impl Master {
     /// Returns [`StoreError::UnknownFile`] if not registered, and
     /// [`StoreError::Codec`] for an empty placement.
     pub fn apply_placement(&self, id: u64, servers: Vec<usize>) -> Result<(), StoreError> {
-        if servers.is_empty() {
-            return Err(empty_placement());
-        }
-        let mut files = self.files.write();
-        let info = files.get_mut(&id).ok_or(StoreError::UnknownFile(id))?;
-        info.servers = servers;
-        let version = info.version.fetch_add(1, Ordering::Relaxed) + 1;
-        // The new placement re-splits the bytes: every stored checksum
-        // is stale. Writers that know the fresh sums (recovery) re-set
-        // the row afterwards.
-        self.integrity.write().remove(&id);
-        self.journal_op(&MetaOp::ApplyPlacement {
-            id,
-            servers: info.servers.clone(),
-            version,
-        });
-        Ok(())
+        self.try_mutate(|s| {
+            if servers.is_empty() {
+                return Err(empty_placement());
+            }
+            let info = s.files.get(&id).ok_or(StoreError::UnknownFile(id))?;
+            Ok(Some(MetaOp::ApplyPlacement {
+                id,
+                servers,
+                version: info.version + 1,
+            }))
+        })
+        .map(drop)
     }
 
     /// The placement version of file `id` (1 at registration, +1 per
@@ -957,10 +927,7 @@ impl Master {
     /// compare this against the version they captured at enumeration
     /// to detect placements that moved under them.
     pub fn placement_version(&self, id: u64) -> Option<u64> {
-        self.files
-            .read()
-            .get(&id)
-            .map(|info| info.version.load(Ordering::Relaxed))
+        self.state.read().files.get(&id).map(|info| info.version)
     }
 }
 
@@ -1535,6 +1502,38 @@ mod tests {
         assert!(!twin.is_alive(2));
         assert_eq!(twin.master_epoch(), 3);
         assert_eq!(twin.owner_addr(), "127.0.0.1:9999");
+    }
+
+    #[test]
+    fn a_call_that_changes_nothing_journals_nothing() {
+        use crate::backing::UnderStore;
+        let log = Arc::new(MetaLog::open(Arc::new(UnderStore::new())));
+        let m = Master::new();
+        m.enable_journal(Arc::clone(&log));
+        m.register(1, 64, vec![0]).unwrap();
+        let row = FileIntegrity::data_only(vec![5]);
+        m.set_integrity(1, row.clone()).unwrap();
+        m.mark_dead(2);
+        m.claim_master_epoch(4, "a");
+        let image = m.image();
+        let quiet = |what: &str, call: &dyn Fn()| {
+            let next = log.next_lsn();
+            call();
+            assert_eq!(log.next_lsn(), next, "{what} journalled a record");
+        };
+        quiet("mark_alive on a healthy worker", &|| m.mark_alive(0));
+        quiet("mark_dead on a dead worker", &|| m.mark_dead(2));
+        quiet("end_repair on a free slot", &|| m.end_repair(9));
+        quiet("set_suspicion_threshold to the current value", &|| {
+            m.set_suspicion_threshold(SUSPICION_THRESHOLD)
+        });
+        quiet("claim_master_epoch below the current epoch", &|| {
+            assert_eq!(m.claim_master_epoch(3, "a"), 4);
+        });
+        quiet("set_integrity with the stored row", &|| {
+            m.set_integrity(1, row.clone()).unwrap();
+        });
+        assert_eq!(m.image(), image);
     }
 
     #[test]

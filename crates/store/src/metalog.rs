@@ -67,7 +67,8 @@ const T_SNAPSHOT: u8 = 12;
 const T_SET_INTEGRITY: u8 = 13;
 
 /// One journalled master mutation. Values are **absolute** (the state
-/// after the mutation), never deltas, so replay is idempotent.
+/// after the mutation), never deltas, so replay is idempotent. The
+/// master journals an op only when applying it changes something.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MetaOp {
     /// `Master::register`: a new file at placement version 1.
@@ -79,7 +80,7 @@ pub enum MetaOp {
         /// Placement (one server per partition).
         servers: Vec<usize>,
     },
-    /// `Master::unregister_file`.
+    /// `Master::unregister`.
     UnregisterFile {
         /// File id.
         id: u64,
@@ -100,7 +101,8 @@ pub enum MetaOp {
         /// Granted fencing epoch (applied as `max` on replay).
         epoch: u64,
     },
-    /// `Master::mark_alive` on a dead→alive transition.
+    /// `Master::mark_alive` when it changes something: it clears the
+    /// worker's suspicion, revives a dead worker, or both.
     MarkAlive {
         /// Worker index.
         w: u64,
@@ -221,16 +223,6 @@ pub struct MasterImage {
     pub integrity: Vec<(u64, FileIntegrity)>,
 }
 
-impl MasterImage {
-    /// Stamps the master-epoch ownership pair onto the image.
-    #[must_use]
-    pub fn with_owner(mut self, epoch: u64, addr: String) -> Self {
-        self.master_epoch = epoch;
-        self.master_addr = addr;
-        self
-    }
-}
-
 // ---------------------------------------------------------------------
 // Byte-level codec (hand-rolled; the store crate must not depend on the
 // net crate's frame module).
@@ -339,6 +331,24 @@ impl<'a> Rd<'a> {
 
     fn done(&self) -> bool {
         self.pos == self.b.len()
+    }
+
+    /// The next whole record, or `None` at the end of the stream or at
+    /// a truncated or corrupt record.
+    fn record(&mut self) -> Option<(u64, MetaOp)> {
+        let len = self.u32()? as usize;
+        let crc = self.u32()?;
+        if !(RECORD_FIXED..=MAX_RECORD).contains(&len) {
+            return None;
+        }
+        let payload = self.take(len)?;
+        if crc32(payload) != crc {
+            return None;
+        }
+        let mut head = Rd::new(payload);
+        let lsn = head.u64()?;
+        let op = decode_body(head.u8()?, &payload[RECORD_FIXED..])?;
+        Some((lsn, op))
     }
 }
 
@@ -578,26 +588,8 @@ pub fn encode_record(lsn: u64, op: &MetaOp) -> Vec<u8> {
 /// Decodes every valid record from a byte stream, stopping at the first
 /// truncated or corrupt one (the torn-tail rule). Never panics.
 pub fn decode_records(bytes: &[u8]) -> Vec<(u64, MetaOp)> {
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    while bytes.len() - pos >= 8 {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        if !(RECORD_FIXED..=MAX_RECORD).contains(&len) || bytes.len() - pos - 8 < len {
-            break;
-        }
-        let payload = &bytes[pos + 8..pos + 8 + len];
-        if crc32(payload) != crc {
-            break;
-        }
-        let lsn = u64::from_le_bytes(payload[..8].try_into().unwrap());
-        let Some(op) = decode_body(payload[8], &payload[RECORD_FIXED..]) else {
-            break;
-        };
-        out.push((lsn, op));
-        pos += 8 + len;
-    }
-    out
+    let mut r = Rd::new(bytes);
+    std::iter::from_fn(|| r.record()).collect()
 }
 
 fn segment_name(base_lsn: u64) -> String {
@@ -1032,7 +1024,7 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let tier = Arc::new(UnderStore::new().with_meta_dir(&dir));
+            let tier = Arc::new(UnderStore::new().with_meta_dir(&dir).unwrap());
             let log = MetaLog::open(Arc::clone(&tier));
             for i in 0..50u64 {
                 log.append(&MetaOp::RegisterWorker { w: i % 4, epoch: i });
@@ -1044,7 +1036,7 @@ mod tests {
             log.append(&MetaOp::MarkAlive { w: 0 });
         }
         // A different "process": fresh tier over the same directory.
-        let tier = Arc::new(UnderStore::new().with_meta_dir(&dir));
+        let tier = Arc::new(UnderStore::new().with_meta_dir(&dir).unwrap());
         let log = MetaLog::open(Arc::clone(&tier));
         let replayed = log.replay();
         assert_eq!(replayed.len(), 2, "snapshot + 1 tail record: {replayed:?}");

@@ -8,6 +8,9 @@
 
 use std::sync::{self, LockResult};
 
+/// The guard [`RwLock::write`] returns (`parking_lot` names it the same).
+pub use std::sync::RwLockWriteGuard;
+
 fn unpoison<G>(r: LockResult<G>) -> G {
     match r {
         Ok(g) => g,
