@@ -18,7 +18,7 @@
 //! frame inside a frame:
 //!
 //! ```text
-//! | u64 LE: epoch | u64 LE: master | u8: class | u8: inner opcode | inner body... |
+//! | u64 LE: epoch | u64 LE: master | u64 LE: expect | u8: class | u8: inner opcode | inner body... |
 //! ```
 //!
 //! so a stamped `Put`'s payload is the frame's tail exactly as a plain
@@ -51,7 +51,12 @@ use std::io::{self, Read, Write};
 /// `u64 epoch | u64 master | u8 class | u8 inner opcode | inner body`;
 /// the nested fence and background envelopes (`0x09` embedding a whole
 /// inner frame, `0x0B`) are gone.
-pub const WIRE_VERSION: u8 = 3;
+///
+/// v4: the stamp grows a `u64 expect` after the master epoch — the
+/// checksum a sum-fenced `Get` must find recorded (0 = no fence, and
+/// the only value any other inner request may carry) — and the
+/// `StalePlacement` error kind exists.
+pub const WIRE_VERSION: u8 = 4;
 
 /// Hard ceiling on `len` (1 GiB). A corrupt or hostile length prefix
 /// must not make a reader allocate unbounded memory.
@@ -99,6 +104,7 @@ const ERR_CODEC: u8 = 7;
 const ERR_STALE_EPOCH: u8 = 8;
 const ERR_DEGRADED: u8 = 9;
 const ERR_CORRUPT: u8 = 10;
+const ERR_STALE_PLACEMENT: u8 = 11;
 
 fn codec(msg: impl Into<String>) -> StoreError {
     StoreError::Codec(msg.into())
@@ -371,7 +377,7 @@ fn request_opcode(req: &Request) -> u8 {
 
 /// Writes `req`'s body after the header in `b`, all but a `Put`'s
 /// payload, which is returned to go last: the zero-copy `rest()` decode
-/// needs it there. A stamp is flat: its three fields, then the inner
+/// needs it there. A stamp is flat: its four fields, then the inner
 /// request's opcode and body.
 fn request_body(b: FrameBuilder, req: &Request) -> (FrameBuilder, Option<&Bytes>) {
     let b = match req {
@@ -386,7 +392,7 @@ fn request_body(b: FrameBuilder, req: &Request) -> (FrameBuilder, Option<&Bytes>
                 TrafficClass::Foreground => CLASS_FOREGROUND,
                 TrafficClass::Background => CLASS_BACKGROUND,
             };
-            let b = b.u64(stamp.epoch).u64(stamp.master).u8(class);
+            let b = b.u64(stamp.epoch).u64(stamp.master).u64(stamp.expect).u8(class);
             return request_body(b.u8(request_opcode(inner)), inner);
         }
     };
@@ -457,8 +463,9 @@ pub fn encode_request(req: &Request, req_id: u64) -> Vec<u8> {
 /// # Errors
 ///
 /// [`StoreError::Codec`] on unknown opcodes, truncated bodies or
-/// trailing garbage, and on a stamp whose class byte is unknown or whose
-/// inner request is a control request or another stamp.
+/// trailing garbage, and on a stamp whose class byte is unknown, whose
+/// inner request is a control request or another stamp, or whose
+/// checksum fence sits on anything but a `Get`.
 pub fn decode_request(frame: &Frame) -> Result<Request, StoreError> {
     let mut c = frame.body_cursor();
     let req = decode_request_body(frame.opcode, &mut c)?;
@@ -495,6 +502,7 @@ fn decode_request_body(op: u8, c: &mut Cursor) -> Result<Request, StoreError> {
         OP_STAMPED => {
             let epoch = c.u64()?;
             let master = c.u64()?;
+            let expect = c.u64()?;
             let class = match c.u8()? {
                 CLASS_FOREGROUND => TrafficClass::Foreground,
                 CLASS_BACKGROUND => TrafficClass::Background,
@@ -512,8 +520,12 @@ fn decode_request_body(op: u8, c: &mut Cursor) -> Result<Request, StoreError> {
             if inner.is_control() {
                 return Err(codec("control request inside a stamp"));
             }
+            // Only a read has a recorded sum to be fenced by.
+            if expect != 0 && !matches!(inner, Request::Get { .. }) {
+                return Err(codec("a checksum fence on a request that is not a Get"));
+            }
             Request::Stamped {
-                stamp: Stamp { epoch, master, class },
+                stamp: Stamp { epoch, master, expect, class },
                 inner: Box::new(inner),
             }
         }
@@ -533,6 +545,7 @@ fn encode_err(b: FrameBuilder, e: &StoreError) -> FrameBuilder {
         StoreError::StaleEpoch(w) => b.u8(ERR_STALE_EPOCH).u64(*w as u64),
         StoreError::Degraded(id) => b.u8(ERR_DEGRADED).u64(*id),
         StoreError::Corrupt(k) => b.u8(ERR_CORRUPT).key(*k),
+        StoreError::StalePlacement(k) => b.u8(ERR_STALE_PLACEMENT).key(*k),
     }
 }
 
@@ -561,6 +574,7 @@ fn decode_err(c: &mut Cursor) -> Result<StoreError, StoreError> {
         ERR_STALE_EPOCH => StoreError::StaleEpoch(c.u64()? as usize),
         ERR_DEGRADED => StoreError::Degraded(c.u64()?),
         ERR_CORRUPT => StoreError::Corrupt(c.key()?),
+        ERR_STALE_PLACEMENT => StoreError::StalePlacement(c.key()?),
         k => return Err(codec(format!("unknown error kind {k}"))),
     })
 }
@@ -741,7 +755,7 @@ mod tests {
         roundtrip_req(Request::SetMasterEpoch(0));
         roundtrip_req(Request::SetMasterEpoch(u64::MAX));
         let stamped = |epoch, master, class, inner| Request::Stamped {
-            stamp: Stamp { epoch, master, class },
+            stamp: Stamp { epoch, master, class, ..Stamp::default() },
             inner: Box::new(inner),
         };
         let put = Request::Put {
@@ -760,6 +774,8 @@ mod tests {
         roundtrip_req(stamped(0, 0, TrafficClass::Background, get));
         roundtrip_req(stamped(0, 0, TrafficClass::Background, put.clone()));
         roundtrip_req(stamped(3, 5, TrafficClass::Background, put));
+        let fenced = Stamp { epoch: 2, master: 0, expect: u64::MAX, class: TrafficClass::Foreground };
+        roundtrip_req(Request::Get { key: PartKey::new(4, 2) }.stamped(fenced));
     }
 
     /// A stamped `Put` on the wire, byte for byte (DESIGN.md §4.10).
@@ -769,6 +785,7 @@ mod tests {
             stamp: Stamp {
                 epoch: 2,
                 master: 1,
+                expect: 0,
                 class: TrafficClass::Background,
             },
             inner: Box::new(Request::Put {
@@ -779,11 +796,12 @@ mod tests {
         };
         #[rustfmt::skip]
         let want: Vec<u8> = vec![
-            0x32, 0, 0, 0,              // len = 50
-            3, 0x09,                    // version 3, stamped
+            0x3A, 0, 0, 0,              // len = 58
+            4, 0x09,                    // version 4, stamped
             5, 0, 0, 0, 0, 0, 0, 0,     // req_id
             2, 0, 0, 0, 0, 0, 0, 0,     // worker epoch
             1, 0, 0, 0, 0, 0, 0, 0,     // master epoch
+            0, 0, 0, 0, 0, 0, 0, 0,     // expect: no checksum fence
             1,                          // class: background
             0x01,                       // inner opcode: Put
             7, 0, 0, 0, 0, 0, 0, 0,     // key.file
@@ -794,6 +812,20 @@ mod tests {
         assert_eq!(encode_request(&req, 5), want);
         assert_eq!(encode_request_parts(&req, 5).to_contiguous(), want);
         roundtrip_req(req);
+    }
+
+    /// A checksum fence is a `Get`'s alone: the same stamp on a `Put`
+    /// encodes, but never decodes.
+    #[test]
+    fn a_fence_on_a_put_is_refused() {
+        let key = PartKey::new(7, 1);
+        let fence = Stamp { expect: 0x5EED, ..Stamp::default() };
+        roundtrip_req(Request::Get { key }.stamped(fence));
+        let put = Request::Put { key, data: Bytes::copy_from_slice(b"hi"), sum: 0x5EED };
+        let wire = encode_request(&put.stamped(fence), 5);
+        let frame = Frame::parse(Bytes::from(wire[4..].to_vec())).unwrap();
+        let want = "a checksum fence on a request that is not a Get".to_string();
+        assert_eq!(decode_request(&frame), Err(StoreError::Codec(want)));
     }
 
     #[test]
@@ -836,6 +868,7 @@ mod tests {
         roundtrip_reply(Reply::Err(StoreError::Codec("bad".into())));
         roundtrip_reply(Reply::Err(StoreError::StaleEpoch(3)));
         roundtrip_reply(Reply::Err(StoreError::Degraded(u64::MAX)));
+        roundtrip_reply(Reply::Err(StoreError::StalePlacement(PartKey::new(3, 2))));
     }
 
     #[test]
@@ -879,6 +912,7 @@ mod tests {
                 stamp: Stamp {
                     epoch: 42,
                     master: 6,
+                    expect: 0,
                     class: TrafficClass::Background,
                 },
                 inner: Box::new(Request::Put {
@@ -891,10 +925,12 @@ mod tests {
                 stamp: Stamp {
                     epoch: 42,
                     master: 0,
+                    expect: 0,
                     class: TrafficClass::Foreground,
                 },
                 inner: Box::new(Request::Delete { key }),
             },
+            Request::Get { key }.stamped(Stamp { expect: 0xC0FFEE, ..Stamp::default() }),
             Request::Shutdown,
         ];
         for req in &requests {
@@ -932,7 +968,7 @@ mod tests {
         let classes = [TrafficClass::Foreground, TrafficClass::Background];
         for class in classes {
             for (epoch, master) in [(0, 0), (4, 0), (0, 2), (4, 2)] {
-                let req = put.clone().stamped(Stamp { epoch, master, class });
+                let req = put.clone().stamped(Stamp { epoch, master, class, expect: 0 });
                 let parts = encode_request_parts(&req, 1);
                 let tail = parts.payload.as_ref().expect("a payload tail");
                 assert_eq!(tail.as_ref().as_ptr(), data.as_ref().as_ptr(), "{req:?}");
@@ -943,14 +979,14 @@ mod tests {
 
     #[test]
     fn another_wire_version_is_refused_by_name() {
-        for version in [2, 9] {
+        for version in [3, 9] {
             let mut wire = encode_request(&Request::Ping, 0);
             wire[4] = version;
             let err = Frame::parse(Bytes::from(wire[4..].to_vec())).unwrap_err();
             let want = format!("unsupported wire version {version} (want {WIRE_VERSION})");
             assert_eq!(err, StoreError::Codec(want));
         }
-        assert_eq!(WIRE_VERSION, 3);
+        assert_eq!(WIRE_VERSION, 4);
     }
 
     #[test]

@@ -71,6 +71,7 @@ const MOP_TAKEOVER: u8 = 0x94;
 const MOP_REGISTER_BATCH: u8 = 0x95;
 const MOP_SET_INTEGRITY: u8 = 0x96;
 const MOP_INTEGRITY: u8 = 0x97;
+const MOP_REPORT_ACCESSES: u8 = 0x98;
 const MOP_R_DONE: u8 = 0xC1;
 const MOP_R_INFO: u8 = 0xC2;
 const MOP_R_MAYBE: u8 = 0xC3;
@@ -220,6 +221,12 @@ pub enum MetaRequest {
     Integrity {
         /// File id.
         id: u64,
+    },
+    /// `MetaService::report_accesses`: the access counts of a client's
+    /// cached reads, one frame per batch.
+    ReportAccesses {
+        /// `(file id, reads)` rows.
+        counts: Vec<(u64, u64)>,
     },
     /// Stop the master server.
     Shutdown,
@@ -382,6 +389,13 @@ pub fn encode_meta_request(req: &MetaRequest, req_id: u64) -> Vec<u8> {
         MetaRequest::Integrity { id } => {
             FrameBuilder::new(MOP_INTEGRITY, req_id).u64(*id).finish()
         }
+        MetaRequest::ReportAccesses { counts } => {
+            let mut b = FrameBuilder::new(MOP_REPORT_ACCESSES, req_id).u32(counts.len() as u32);
+            for &(id, n) in counts {
+                b = b.u64(id).u64(n);
+            }
+            b.finish()
+        }
         MetaRequest::Shutdown => FrameBuilder::new(MOP_SHUTDOWN, req_id).finish(),
     }
 }
@@ -439,6 +453,13 @@ pub fn decode_meta_request(frame: &Frame) -> Result<MetaRequest, StoreError> {
             integrity: read_integrity(&mut c)?,
         },
         MOP_INTEGRITY => MetaRequest::Integrity { id: c.u64()? },
+        MOP_REPORT_ACCESSES => {
+            let n = c.guarded_count(16)?;
+            let counts = (0..n)
+                .map(|_| Ok((c.u64()?, c.u64()?)))
+                .collect::<Result<Vec<_>, StoreError>>()?;
+            MetaRequest::ReportAccesses { counts }
+        }
         MOP_SHUTDOWN => MetaRequest::Shutdown,
         op => return Err(codec(format!("unknown meta request opcode {op:#04x}"))),
     };
@@ -775,6 +796,10 @@ fn serve_meta(
             }
         }
         MetaRequest::Integrity { id } => MetaReply::IntegrityRow(master.integrity(id)),
+        MetaRequest::ReportAccesses { counts } => {
+            master.report_accesses(&counts);
+            MetaReply::Done
+        }
         MetaRequest::Shutdown => MetaReply::Done,
     }
 }
@@ -1170,5 +1195,10 @@ impl MetaService for MasterClient {
             // and framing checks still hold).
             _ => None,
         }
+    }
+
+    fn report_accesses(&self, counts: &[(u64, u64)]) {
+        let report = MetaRequest::ReportAccesses { counts: counts.to_vec() };
+        let _ = self.roundtrip(&report);
     }
 }

@@ -48,7 +48,8 @@ fn key_from(file: u64, part: u32, staged: bool) -> PartKey {
     }
 }
 
-/// A stamp whose epochs are zero unless their flag is set.
+/// A stamp whose epochs are zero unless their flag is set, with no
+/// checksum fence (the one field only a `Get` may carry).
 fn stamp_from(
     fenced: bool,
     epoch: u64,
@@ -59,6 +60,7 @@ fn stamp_from(
     Stamp {
         epoch: if fenced { epoch } else { 0 },
         master: if master_stamped { master } else { 0 },
+        expect: 0,
         class: if background { TrafficClass::Background } else { TrafficClass::Foreground },
     }
 }
@@ -153,6 +155,36 @@ proptest! {
         }
     }
 
+    /// A `Get` fenced by any checksum round-trips under any stamp; the
+    /// same fence on any other data request decodes to a codec error.
+    #[test]
+    fn sum_fenced_gets_roundtrip_and_fence_nothing_else(
+        file in 0u64..u64::MAX,
+        part in 0u32..=u32::MAX,
+        offset in 0u64..u64::MAX,
+        req_id in 0u64..u64::MAX,
+        data in proptest::collection::vec(0u8..=255, 0..64),
+        epoch in 0u64..u64::MAX,
+        master in 0u64..u64::MAX,
+        expect in 1u64..=u64::MAX,
+        fenced: bool,
+        master_stamped: bool,
+        background: bool,
+    ) {
+        let stamp = Stamp { expect, ..stamp_from(fenced, epoch, master_stamped, master, background) };
+        for inner in data_requests(PartKey::new(file, part), offset, &data) {
+            let req = Request::Stamped { stamp, inner: Box::new(inner.clone()) };
+            let frame = Frame::parse(strip_prefix(encode_request(&req, req_id))).expect("parse");
+            match inner {
+                Request::Get { .. } => prop_assert_eq!(decode_request(&frame).expect("decode"), req),
+                _ => prop_assert!(
+                    matches!(decode_request(&frame), Err(StoreError::Codec(_))),
+                    "{:?} decoded", req
+                ),
+            }
+        }
+    }
+
     /// A stamp holds one data request. A control request or another
     /// stamp inside it, an unknown class byte, and a stamp cut short at
     /// any byte are each a codec error, never a panic.
@@ -190,13 +222,14 @@ proptest! {
             let bad = stamped(stamped(inner.clone()));
             prop_assert!(refused(strip_prefix(encode_request(&bad, req_id))), "{:?} decoded", bad);
             let wire = strip_prefix(encode_request(&stamped(inner), req_id)).to_vec();
-            // worker epoch (8) | master epoch (8) | class (1) | inner opcode (1)
+            // worker epoch (8) | master epoch (8) | expect (8) | class (1)
+            // | inner opcode (1)
             let mut bad_class = wire.clone();
-            bad_class[HEADER_LEN + 16] = class;
+            bad_class[HEADER_LEN + 24] = class;
             prop_assert!(refused(Bytes::from(bad_class)), "class {} decoded", class);
             // Every data request's body is at least a key, so a stamp
             // with no inner body is short too.
-            for cut in HEADER_LEN..=HEADER_LEN + 18 {
+            for cut in HEADER_LEN..=HEADER_LEN + 26 {
                 prop_assert!(refused(Bytes::from(wire[..cut].to_vec())), "cut at {} decoded", cut);
             }
         }
@@ -244,6 +277,7 @@ proptest! {
             Reply::Err(StoreError::Codec(format!("bad byte {part}"))),
             Reply::Err(StoreError::StaleEpoch(w)),
             Reply::Err(StoreError::Degraded(file)),
+            Reply::Err(StoreError::StalePlacement(key)),
         ] {
             let (rid, decoded) = reply_roundtrip(&reply, req_id);
             prop_assert_eq!(rid, req_id);
@@ -296,6 +330,9 @@ proptest! {
                 },
             },
             MetaRequest::Integrity { id: file },
+            MetaRequest::ReportAccesses {
+                counts: files.iter().map(|&f| (f, f ^ size)).collect(),
+            },
             MetaRequest::Shutdown,
         ] {
             let frame =
@@ -365,8 +402,9 @@ proptest! {
 
     /// Every §4.14 failover-protocol frame — master-epoch stamps on the
     /// worker wire, log-tail/takeover/redirect/batch on the meta wire —
-    /// survives arbitrary single-byte corruption *and* truncation at
-    /// any offset without panicking or over-reading. (The happy-path
+    /// and every §4.7 cached-read frame (a sum-fenced `Get`, an access
+    /// report) survives arbitrary single-byte corruption *and*
+    /// truncation at any offset without panicking or over-reading. (The happy-path
     /// roundtrips live in `control_requests_roundtrip` and
     /// `meta_messages_roundtrip`; this is the adversarial half.)
     #[test]
@@ -405,6 +443,13 @@ proptest! {
                 addr: format!("127.0.0.1:{}", master % 65_536),
             }, req_id),
             encode_meta_request(&MetaRequest::RegisterBatch { entries: entries.clone() }, req_id),
+            encode_meta_request(&MetaRequest::ReportAccesses {
+                counts: entries.iter().map(|&(id, n, _)| (id, n)).collect(),
+            }, req_id),
+            encode_request(&Request::Get { key: PartKey::new(epoch, 7) }.stamped(Stamp {
+                expect: master | 1,
+                ..stamp
+            }), req_id),
             encode_meta_reply(&MetaReply::Redirect {
                 to: format!("10.1.2.3:{}", epoch % 65_536),
             }, req_id),

@@ -77,6 +77,7 @@ fn rebalance_rpc_moves_files_and_preserves_bytes() {
             client.read(id).unwrap();
         }
     }
+    client.flush_accesses();
 
     let mc = tcp.master_client();
     let (moved, skipped) = mc.rebalance(1e9, 100.0, 42).unwrap();
@@ -463,6 +464,9 @@ fn a_redirect_makes_every_worker_news_again() {
 
     for _ in 0..5 {
         (0..4u64).for_each(|id| drop(client.read(id).unwrap()));
+        // Reads of cached placements call the master only to report
+        // their accesses: the report is what meets the redirect.
+        client.flush_accesses();
     }
     assert_eq!(meta.addr(), server.addr(), "the stub never followed the redirect");
     assert_eq!(heartbeats(&successor), vec![1; N_WORKERS]);

@@ -145,6 +145,7 @@ fn real_processes_serve_a_cluster() {
             );
         }
     }
+    client.flush_accesses();
 
     // One RPC repartitions the crowded cluster; the master process runs
     // Algorithm 1+2 against the worker processes itself.

@@ -17,7 +17,8 @@ use crate::forkjoin::{empty_placement, Fanout};
 use crate::landing::Landing;
 use crate::master::MetaService;
 use crate::metalog::FileIntegrity;
-use crate::rpc::{PartKey, Reply, Request, StoreError};
+use crate::placements::{Memory, Placement, REPORT_EVERY};
+use crate::rpc::{PartKey, Reply, Request, Stamp, StoreError};
 use crate::throttle::TrafficClass;
 use crate::transport::Transport;
 
@@ -58,6 +59,13 @@ use crate::transport::Transport;
 /// straight into that region, and bytes that arrive another way (the
 /// in-process transport, a hedge, a decode) are written there by the
 /// client — one copy either way, and no join pass after the last reply.
+///
+/// Reads of a file whose placement the client already knows make **no
+/// master call**: the client caches each file's size, holders and
+/// partition checksums (filled by its own writes and reads), fences
+/// every cached `Get` by the checksum it expects, and reports the access
+/// counts of cached reads to the master in batches
+/// ([`Client::flush_accesses`]).
 #[derive(Debug, Clone)]
 pub struct Client {
     master: Arc<dyn MetaService>,
@@ -100,6 +108,9 @@ pub struct Client {
     /// lost partition from any `k` of the `k + r` partitions without an
     /// under-store round-trip.
     parity: usize,
+    /// Cached placements and pending access counts, shared across
+    /// clones.
+    memory: Arc<Memory>,
 }
 
 impl Client {
@@ -108,6 +119,7 @@ impl Client {
     /// (the seed behaviour).
     pub fn new(master: Arc<dyn MetaService>, transport: Arc<dyn Transport>) -> Self {
         Client {
+            memory: Arc::new(Memory::new(master.clone())),
             master,
             transport,
             retry: RetryPolicy::none(),
@@ -280,13 +292,18 @@ impl Client {
         let size = data.len();
         let sums = self.push_partitions(id, &data, servers)?;
         self.master.register(id, size, servers.to_vec())?;
-        if self.verify || self.parity > 0 {
+        let row = if self.verify || self.parity > 0 {
             // Record the integrity row only after the file exists: the
             // checksums describe exactly the partitions just pushed, and
             // the parity map tells readers where the recovery set lives.
             let parity = self.push_parity(id, &data, servers)?;
-            self.master.set_integrity(id, FileIntegrity { sums, parity })?;
-        }
+            let row = FileIntegrity { sums: sums.clone(), parity };
+            self.master.set_integrity(id, row.clone())?;
+            Some(row)
+        } else {
+            None
+        };
+        self.remember(id, size, servers, sums, row);
         Ok(())
     }
 
@@ -315,18 +332,24 @@ impl Client {
         let mut placed = Vec::with_capacity(files.len());
         let mut integrity = Vec::with_capacity(files.len());
         for (id, data, servers) in files {
-            integrity.push((*id, split_rows(*id, data, servers, &mut rows)?));
+            integrity.push(split_rows(*id, data, servers, &mut rows)?);
             placed.push((*id, data.len(), servers.clone()));
         }
         self.put_all(rows)?;
         self.master.register_batch(&placed)?;
-        if self.verify || self.parity > 0 {
-            // The bulk-seeding path records checksum rows but skips the
-            // parity fan-out (seed corpora are re-derivable; parity is
-            // for the hot set written through `write_bytes`).
-            for (id, sums) in integrity {
-                self.master.set_integrity(id, FileIntegrity::data_only(sums))?;
-            }
+        for ((id, size, servers), sums) in placed.into_iter().zip(integrity) {
+            let row = if self.verify || self.parity > 0 {
+                // The bulk-seeding path records checksum rows but skips
+                // the parity fan-out (seed corpora are re-derivable;
+                // parity is for the hot set written through
+                // `write_bytes`).
+                let row = FileIntegrity::data_only(sums.clone());
+                self.master.set_integrity(id, row.clone())?;
+                Some(row)
+            } else {
+                None
+            };
+            self.remember(id, size, &servers, sums, row);
         }
         Ok(())
     }
@@ -423,12 +446,25 @@ impl Client {
         }
     }
 
-    /// Reads a file: locates its partitions via the master (which counts
-    /// the access), fetches them all in parallel, and lands each reply in
-    /// its region of one output buffer as it arrives (the fork-join of
-    /// Fig. 9a, out of order). Failed attempts are retried per the
-    /// [`RetryPolicy`], recovering from the under-store when one is
-    /// attached.
+    /// Reads a file: fetches its partitions in parallel and lands each
+    /// reply in its region of one output buffer as it arrives (the
+    /// fork-join of Fig. 9a, out of order).
+    ///
+    /// When this client has the file's placement cached (its own write or
+    /// an earlier read put it there), the read makes **no master call**:
+    /// one attempt sends the `k` `Get`s straight to the cached holders,
+    /// each fenced by the checksum the cache recorded for its partition,
+    /// and the access is added to a batch the master receives later
+    /// ([`Client::flush_accesses`]). If that attempt fails — a stale
+    /// placement answers [`StoreError::StalePlacement`] rather than other
+    /// bytes — the entry is dropped and the read starts over as an
+    /// uncached one, without spending a [`RetryPolicy`] attempt (a
+    /// [`StoreError::Timeout`] excepted, which counts as any attempt's).
+    ///
+    /// An uncached read locates the file through the master (which counts
+    /// the access) and retries failed attempts per the [`RetryPolicy`],
+    /// recovering from the under-store when one is attached; its success
+    /// caches the placement.
     ///
     /// # Errors
     ///
@@ -462,7 +498,20 @@ impl Client {
         })
     }
 
-    /// The retry loop around [`Client::attempt`]: locate → attempt →
+    /// Cached reads between two access reports to the master.
+    pub const ACCESS_REPORT_EVERY: u64 = REPORT_EVERY;
+
+    /// Reports to the master, now, the access counts of every cached read
+    /// not yet reported (across all clones of this client). They also
+    /// leave on their own every [`Client::ACCESS_REPORT_EVERY`] cached
+    /// reads and when the last clone is dropped; call this before asking
+    /// the master for popularity (a rebalance plan, an access count).
+    pub fn flush_accesses(&self) {
+        self.memory.flush();
+    }
+
+    /// The read path: one attempt on the cached placement, if any, then
+    /// the retry loop around [`Client::attempt`] — locate → attempt →
     /// (heal, back off, re-locate) until the attempt succeeds, the error
     /// is permanent or the [`RetryPolicy`] is exhausted.
     fn read_with(
@@ -471,25 +520,62 @@ impl Client {
         count_access: bool,
         contiguous: bool,
     ) -> Result<Landing, StoreError> {
+        let landing = |size: usize, k: usize| {
+            if contiguous {
+                Landing::new(size, k)
+            } else {
+                Landing::scattered(size, k)
+            }
+        };
+        let mut cached = self.memory.get(id);
+        // Whether the master still has to count this read.
+        let mut uncounted = count_access;
         let mut attempt = 0u32;
         loop {
-            attempt += 1;
-            // Re-locate every attempt: recovery and repartition both
-            // change the placement under us.
-            let (size, servers) = if count_access && attempt == 1 {
-                self.master.locate(id)
-            } else {
-                self.master.peek(id)
-            }?;
-            let mut asm = if contiguous {
-                Landing::new(size, servers.len())
-            } else {
-                Landing::scattered(size, servers.len())
+            let hit = cached.take();
+            let located;
+            let (size, servers) = match hit.as_deref() {
+                Some(placed) => (placed.size, &placed.servers[..]),
+                // Re-locate every attempt: recovery and repartition both
+                // change the placement under us.
+                None => {
+                    located = if std::mem::take(&mut uncounted) {
+                        self.master.locate(id)
+                    } else {
+                        self.master.peek(id)
+                    }?;
+                    (located.0, &located.1[..])
+                }
             };
-            let err = match self.attempt(id, &servers, &mut asm) {
-                Ok(()) => return Ok(asm),
+            let mut asm = landing(size, servers.len());
+            let err = match self.attempt(id, servers, hit.as_deref(), &mut asm) {
+                Ok(row) => {
+                    if hit.is_some() {
+                        if count_access {
+                            self.memory.count(id);
+                        }
+                    } else {
+                        self.remember_read(id, servers, row, &asm);
+                    }
+                    return Ok(asm);
+                }
                 Err(e) => e,
             };
+            if hit.is_some() {
+                self.memory.forget(id);
+                // Any failure but a timeout may be the cached placement
+                // itself: hand over to the located loop, which owes this
+                // read nothing. A timeout is what the located attempt
+                // would have met too, so it counts like one — and the
+                // read is counted here, as its locate would have.
+                if !matches!(err, StoreError::Timeout(_)) {
+                    continue;
+                }
+                if std::mem::take(&mut uncounted) {
+                    self.memory.count(id);
+                }
+            }
+            attempt += 1;
             if !err.is_retryable() || attempt >= self.retry.max_attempts {
                 return Err(err);
             }
@@ -499,6 +585,40 @@ impl Client {
                 std::thread::sleep(backoff);
             }
         }
+    }
+
+    /// Caches file `id`'s placement after a write: `sums` are the pushed
+    /// partitions' checksums, `row` the integrity row recorded, if any
+    /// (kept only when this client verifies reads).
+    fn remember(
+        &self,
+        id: u64,
+        size: usize,
+        servers: &[usize],
+        sums: Vec<u64>,
+        row: Option<FileIntegrity>,
+    ) {
+        let row = row.filter(|_| self.verify);
+        let servers = servers.to_vec();
+        self.memory.insert(id, Placement { size, servers, sums, row });
+    }
+
+    /// Caches file `id`'s placement after a located read that landed
+    /// `asm`: the sums come from the integrity row the attempt held, when
+    /// it describes this placement, else from the landed partitions.
+    fn remember_read(&self, id: u64, servers: &[usize], row: Option<FileIntegrity>, asm: &Landing) {
+        let k = servers.len();
+        let row = row.filter(|r| r.sums.len() == k);
+        let sums = match &row {
+            Some(r) => r.sums.clone(),
+            None => {
+                let parts: Vec<&[u8]> = (0..k)
+                    .map(|j| asm.part(j).expect("a finished read holds every part"))
+                    .collect();
+                spcache_integrity::sums(&parts)
+            }
+        };
+        self.remember(id, asm.size(), servers, sums, row);
     }
 
     /// Heals before a retry: recovers the file from the under-store onto
@@ -549,24 +669,39 @@ impl Client {
     /// shards from their under-store byte ranges. With `k` shards in
     /// hand, missing data shards are decoded in place, proved and
     /// re-landed.
-    fn attempt(&self, id: u64, servers: &[usize], asm: &mut Landing) -> Result<(), StoreError> {
+    ///
+    /// `cached` is the client's cached placement when `servers` came from
+    /// it: each `Get` is then fenced by its partition's cached checksum,
+    /// and a widening decodes only against the master's current row, and
+    /// only while that row still holds those checksums — a stale
+    /// placement fails the attempt, it never yields bytes. Returns the
+    /// integrity row the attempt held.
+    fn attempt(
+        &self,
+        id: u64,
+        servers: &[usize],
+        cached: Option<&Placement>,
+        asm: &mut Landing,
+    ) -> Result<Option<FileIntegrity>, StoreError> {
         let k = servers.len();
-        // The integrity row travels beside the placement: fetched up
-        // front only when this client verifies, else on the first
-        // erasure (workers may verify even when the client doesn't).
-        let mut row = if self.verify {
-            self.master.integrity(id)
-        } else {
-            None
-        };
+        let fence = cached.map(|placed| &placed.sums[..]);
+        // The integrity row travels beside the placement: cached with it,
+        // or fetched up front when this client verifies, else on the
+        // first erasure (workers may verify even when the client
+        // doesn't).
+        let mut row = cached.and_then(|placed| placed.row.clone());
+        if row.is_none() && self.verify {
+            row = self.master.integrity(id);
+        }
         let start = Instant::now();
         let deadline = start + self.retry.deadline;
         let gets = servers
             .iter()
             .enumerate()
             .map(|(j, &server)| {
+                let expect = fence.map_or(0, |sums| sums[j]);
                 let get = Request::Get { key: PartKey::new(id, j as u32) };
-                (server, get, asm.region(j))
+                (server, get.stamped(Stamp { expect, ..Stamp::default() }), asm.region(j))
             })
             .collect();
         let mut join = self.io().fork_landing(gets)?;
@@ -654,12 +789,16 @@ impl Client {
                 // Widened: a failed shard is just not one of the k.
                 Err(_) if erasure.is_some() => {}
                 Err(e @ (StoreError::Corrupt(_) | StoreError::NotFound(_))) => {
-                    if row.is_none() {
+                    // A cached row is as old as the cached placement: the
+                    // decode (and its read repair) needs the current one.
+                    if row.is_none() || fence.is_some() {
                         row = self.master.integrity(id);
                     }
+                    let current = |r: &&FileIntegrity| fence.is_none_or(|sums| r.sums == sums);
                     let Some(set) = row
                         .as_ref()
                         .filter(|r| !r.parity.is_empty() && r.sums.len() == k)
+                        .filter(current)
                     else {
                         return Err(e);
                     };
@@ -690,10 +829,11 @@ impl Client {
             }
         }
         match (erasure, row) {
-            (Some(erasure), Some(row)) => self
-                .rebuild(id, servers, &row, &parity, asm)
-                .ok_or(erasure),
-            _ => Ok(()),
+            (Some(erasure), Some(row)) => match self.rebuild(id, servers, &row, &parity, asm) {
+                Some(()) => Ok(Some(row)),
+                None => Err(erasure),
+            },
+            (_, row) => Ok(row),
         }
     }
 
@@ -742,6 +882,7 @@ impl Client {
     /// partitions were actually resident. Any parity partitions are
     /// dropped too (best-effort, not counted).
     pub fn delete(&self, id: u64) -> Result<usize, StoreError> {
+        self.memory.forget(id);
         // Snapshot the integrity row *before* unregistering drops it:
         // the parity map is the only record of where parity lives.
         let integ = self.master.integrity(id);
@@ -926,6 +1067,9 @@ mod tests {
         let _ = c.read(1).unwrap();
         let _ = c.read(1).unwrap();
         let _ = c.read_quiet(1).unwrap();
+        // The reads were served from the placement the write cached:
+        // their counts reach the master with the next report.
+        c.flush_accesses();
         assert_eq!(cluster.master().accesses(1), 2);
     }
 
@@ -955,6 +1099,7 @@ mod tests {
                 });
             }
         });
+        c.flush_accesses();
         assert_eq!(cluster.master().accesses(1), 160);
     }
 

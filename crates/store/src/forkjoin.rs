@@ -12,7 +12,8 @@
 //! This is the only place live traffic is stamped: each batch's
 //! requests get one flat [`Stamp`] apiece — the target's cached
 //! registration epoch, the master epoch read once for the batch, and
-//! the engine's traffic class.
+//! the engine's traffic class. A `Get` the caller already fenced by a
+//! checksum ([`Stamp::expect`]) keeps that fence under the new stamp.
 
 use crossbeam::channel::{Receiver, Select, TryRecvError};
 use parking_lot::Mutex;
@@ -20,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use crate::landing::Region;
 use crate::master::MetaService;
-use crate::rpc::{Reply, Request, Stamp, StoreError};
+use crate::rpc::{PartKey, Reply, Request, Stamp, StoreError};
 use crate::throttle::TrafficClass;
 use crate::transport::Transport;
 
@@ -130,6 +131,44 @@ impl<'a> Fanout<'a> {
             .count()
     }
 
+    /// Commits a layout built under staged keys (the online adjuster's
+    /// and the repartitioner's last phase): drops `old_servers`' keys of
+    /// `file` best-effort, renames every staged partition `j` on
+    /// `new_servers[j]` to its final key, and installs `new_servers` as
+    /// the file's placement.
+    ///
+    /// A staged key can vanish between stage and commit (its worker
+    /// crash-restarted cold). The placement is applied all the same —
+    /// the file is then degraded, which the heal owns — and the first
+    /// such key is reported.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::NotFound`] naming the first staged key that was
+    /// missing at commit; transport errors of a rename (the placement is
+    /// then left as it was); metadata errors of the swap.
+    pub fn commit_staged(
+        self,
+        file: u64,
+        old_servers: &[usize],
+        new_servers: &[usize],
+        wait: Duration,
+    ) -> Result<(), StoreError> {
+        let old = old_servers.iter().enumerate();
+        let deletes = old.map(|(j, &s)| (s, Request::Delete { key: PartKey::new(file, j as u32) }));
+        self.discard(deletes.collect(), wait);
+        let mut lost = None;
+        for (j, &server) in new_servers.iter().enumerate() {
+            let key = PartKey::new(file, j as u32);
+            let rename = Request::Rename { from: key.staged(), to: key };
+            if !self.call(server, rename, wait)?.flag()? {
+                lost = lost.or(Some(key.staged()));
+            }
+        }
+        self.master.apply_placement(file, new_servers.to_vec())?;
+        lost.map_or(Ok(()), |key| Err(StoreError::NotFound(key)))
+    }
+
     /// Stamps one batch: the master epoch is read once and the epoch
     /// cache locked once, and the cache is fetched from the master while
     /// no worker has been granted an epoch yet (0 = don't fence).
@@ -151,9 +190,14 @@ impl<'a> Fanout<'a> {
         reqs.into_iter()
             .map(|(w, req, region)| {
                 let epoch = epochs.as_ref().and_then(|cache| cache.get(w).copied());
+                let expect = match &req {
+                    Request::Stamped { stamp, .. } => stamp.expect,
+                    _ => 0,
+                };
                 let stamp = Stamp {
                     epoch: epoch.unwrap_or(0),
                     master,
+                    expect,
                     class: self.class,
                 };
                 (w, req.stamped(stamp), region)

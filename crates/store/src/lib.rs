@@ -40,6 +40,7 @@ pub mod landing;
 pub mod master;
 pub mod metalog;
 pub mod online;
+mod placements;
 pub mod repartitioner;
 pub mod rpc;
 pub mod supervisor;

@@ -775,6 +775,19 @@ impl Master {
         Ok((info.size, info.servers.clone()))
     }
 
+    /// Adds a batch of `(file, reads)` access counts gathered by a client
+    /// that read from its cached placements (§6.1's counters, reported
+    /// in bulk instead of one [`Master::locate`] per read). Counts for
+    /// files no longer registered are dropped.
+    pub fn report_accesses(&self, counts: &[(u64, u64)]) {
+        let s = self.state.read();
+        for &(id, n) in counts {
+            if let Some(info) = s.files.get(&id) {
+                info.accesses.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
+
     /// Like [`Master::locate`] but without counting an access (metadata
     /// inspection).
     pub fn peek(&self, id: u64) -> Result<(usize, Vec<usize>), StoreError> {
@@ -956,6 +969,12 @@ pub trait MetaService: Send + Sync + std::fmt::Debug {
 
     /// Looks up `(size, servers)`, counting an access.
     ///
+    /// The read path calls this only when its client has no cached
+    /// placement for the file: a read served from the cache makes no
+    /// master call, and its access reaches the master later through
+    /// [`MetaService::report_accesses`]. Either way a read is counted
+    /// exactly once.
+    ///
     /// # Errors
     ///
     /// [`StoreError::UnknownFile`]; transport errors over the wire.
@@ -1053,6 +1072,22 @@ pub trait MetaService: Send + Sync + std::fmt::Debug {
     fn integrity(&self, _id: u64) -> Option<FileIntegrity> {
         None
     }
+
+    /// Adds a batch of `(file, reads)` access counts: the reads a client
+    /// served from its cached placements since its last report.
+    /// Best-effort, like the health reports: counts for unknown files,
+    /// and a batch the service cannot deliver, are dropped. Default: one
+    /// [`MetaService::locate`] per counted read (wire implementations
+    /// send the whole batch in one frame).
+    fn report_accesses(&self, counts: &[(u64, u64)]) {
+        for &(id, n) in counts {
+            for _ in 0..n {
+                if self.locate(id).is_err() {
+                    break;
+                }
+            }
+        }
+    }
 }
 
 impl MetaService for Master {
@@ -1130,6 +1165,10 @@ impl MetaService for Master {
 
     fn integrity(&self, id: u64) -> Option<FileIntegrity> {
         Master::integrity(self, id)
+    }
+
+    fn report_accesses(&self, counts: &[(u64, u64)]) {
+        Master::report_accesses(self, counts)
     }
 }
 
@@ -1262,6 +1301,65 @@ mod tests {
         assert_eq!(m.accesses(1), 5);
         m.reset_accesses();
         assert_eq!(m.accesses(1), 0);
+    }
+
+    #[test]
+    fn reported_accesses_add_up_and_skip_unknown_files() {
+        let m = Master::new();
+        m.register(1, 10, vec![0]).unwrap();
+        m.register(2, 10, vec![0]).unwrap();
+        let _ = m.locate(1);
+        m.report_accesses(&[(1, 4), (2, 7), (99, 3)]);
+        assert_eq!((m.accesses(1), m.accesses(2), m.accesses(99)), (5, 7, 0));
+        // The trait's default reaches the same counts one locate at a
+        // time.
+        #[derive(Debug)]
+        struct Plain(Master);
+        impl MetaService for Plain {
+            fn register(&self, id: u64, size: usize, s: Vec<usize>) -> Result<(), StoreError> {
+                self.0.register(id, size, s)
+            }
+            fn unregister_file(&self, _: u64) -> Option<(usize, Vec<usize>)> {
+                None
+            }
+            fn locate(&self, id: u64) -> Result<(usize, Vec<usize>), StoreError> {
+                self.0.locate(id)
+            }
+            fn peek(&self, id: u64) -> Result<(usize, Vec<usize>), StoreError> {
+                self.0.peek(id)
+            }
+            fn apply_placement(&self, _: u64, _: Vec<usize>) -> Result<(), StoreError> {
+                Ok(())
+            }
+            fn mark_alive(&self, _: usize) {}
+            fn mark_dead(&self, _: usize) {}
+            fn suspect(&self, _: usize) -> u32 {
+                0
+            }
+            fn is_alive(&self, _: usize) -> bool {
+                true
+            }
+            fn live_workers(&self, n: usize) -> Vec<usize> {
+                (0..n).collect()
+            }
+            fn degraded_files(&self) -> Vec<u64> {
+                Vec::new()
+            }
+            fn worker_epochs(&self, _: usize) -> Vec<u64> {
+                Vec::new()
+            }
+            fn register_worker(&self, _: usize) -> u64 {
+                0
+            }
+            fn begin_repair(&self, _: u64) -> bool {
+                true
+            }
+            fn end_repair(&self, _: u64) {}
+        }
+        let plain = Plain(Master::new());
+        plain.register(1, 10, vec![0]).unwrap();
+        plain.report_accesses(&[(1, 3), (99, 2)]);
+        assert_eq!(plain.0.accesses(1), 3);
     }
 
     #[test]

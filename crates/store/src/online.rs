@@ -65,7 +65,10 @@ fn build_partition(
 /// plan's pull sources or build targets are rejected up front with
 /// [`StoreError::WorkerDown`] — the caller should replan against the
 /// live fleet. Before the commit phase the original layout is
-/// untouched, so a build-phase error leaves the file fully readable.
+/// untouched, so a build-phase error leaves the file fully readable. A
+/// staged partition lost before its commit is
+/// [`StoreError::NotFound`] of its staged key, with the new placement
+/// applied and the file degraded.
 pub fn execute_adjust(
     file: u64,
     plan: &OnlinePlan,
@@ -106,23 +109,7 @@ pub fn execute_adjust(
     results.into_iter().collect::<Result<(), _>>()?;
 
     // Phase 2: commit — drop old keys, unstage new ones, swap metadata.
-    let old_keys = old_servers.iter().enumerate();
-    io.discard(
-        old_keys
-            .map(|(j, &server)| (server, Request::Delete { key: PartKey::new(file, j as u32) }))
-            .collect(),
-        ADJUST_DEADLINE,
-    );
-    for part in &plan.parts {
-        let key = PartKey::new(file, part.index);
-        let rename = Request::Rename {
-            from: key.staged(),
-            to: key,
-        };
-        let renamed = io.call(part.server, rename, ADJUST_DEADLINE)?.flag()?;
-        assert!(renamed, "staged partition vanished before commit");
-    }
-    master.apply_placement(file, plan.new_servers())
+    io.commit_staged(file, &old_servers, &plan.new_servers(), ADJUST_DEADLINE)
 }
 
 #[cfg(test)]
@@ -226,6 +213,36 @@ mod tests {
             assert_eq!(client.read_quiet(1).unwrap(), data, "after k={k}");
             assert_eq!(cluster.master().peek(1).unwrap().1.len(), k);
         }
+    }
+
+    #[test]
+    fn a_staged_partition_lost_before_commit_is_reported_not_a_panic() {
+        // File 1 whole on worker 0, split in two online. The new
+        // partition's target crash-restarts cold between its staged Put
+        // (its op 0) and the commit's Rename (op 1): the rename finds
+        // nothing, the new placement is applied all the same (the file
+        // is degraded, which the heal owns), and the lost staged key is
+        // the error.
+        let (n, len) = (4, 10_000);
+        let plan = plan_adjust(len as u64, &[0], 2, &loads(n));
+        let target = plan.parts[1].server;
+        assert_ne!(target, 0, "the new partition lands on a worker holding nothing");
+        let cfg = StoreConfig::unthrottled(n)
+            .with_faults(crate::fault::FaultPlan::none().crash_restart(target, 1));
+        let cluster = StoreCluster::spawn(cfg);
+        let client = cluster.client();
+        client.write(1, &payload(len), &[0]).unwrap();
+        let (master, transport) = (cluster.master().as_ref(), cluster.transport().as_ref());
+        assert_eq!(
+            execute_adjust(1, &plan, master, transport),
+            Err(StoreError::NotFound(PartKey::new(1, 1).staged()))
+        );
+        assert_eq!(master.peek(1).unwrap().1, plan.new_servers());
+        assert_eq!(
+            client.read_quiet(1),
+            Err(StoreError::NotFound(PartKey::new(1, 1))),
+            "the degraded file is a typed erasure"
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::time::Duration;
 
 use crate::forkjoin::Fanout;
 use crate::master::MetaService;
-use crate::rpc::{PartKey, Reply, Request, StoreError};
+use crate::rpc::{PartKey, Reply, Request, StoreError, STAGE_BIT};
 use crate::throttle::TrafficClass;
 use crate::transport::Transport;
 
@@ -37,13 +37,15 @@ use crate::transport::Transport;
 /// `*_with_deadline` entry points.
 pub const DEFAULT_EXECUTOR_DEADLINE: Duration = Duration::from_secs(5);
 
-/// Whether an error means "this worker is unavailable" (dead, hung, or
-/// unreachable) as opposed to a logic/metadata problem.
+/// Whether an error means "this worker is unavailable" (dead, hung,
+/// unreachable, or restarted cold under a staged partition it had not
+/// committed yet) as opposed to a logic/metadata problem.
 fn is_availability(e: &StoreError) -> bool {
-    matches!(
-        e,
-        StoreError::WorkerDown(_) | StoreError::Timeout(_) | StoreError::Io(_)
-    )
+    match e {
+        StoreError::WorkerDown(_) | StoreError::Timeout(_) | StoreError::Io(_) => true,
+        StoreError::NotFound(key) => key.part & STAGE_BIT != 0,
+        _ => false,
+    }
 }
 
 /// The executors' engine: every request background-stamped.
@@ -66,14 +68,13 @@ fn get(file: u64, j: usize) -> Request {
     Request::Get { key }
 }
 
-/// The best-effort deletes of `file`'s partitions (staged or final) on
-/// `servers`, index by index.
-fn deletes(file: u64, servers: &[usize], staged: bool) -> Vec<(usize, Request)> {
+/// The best-effort deletes of `file`'s staged partitions on `servers`,
+/// index by index.
+fn staged_deletes(file: u64, servers: &[usize]) -> Vec<(usize, Request)> {
     let holders = servers.iter().enumerate();
     holders
         .map(|(j, &server)| {
-            let key = PartKey::new(file, j as u32);
-            let key = if staged { key.staged() } else { key };
+            let key = PartKey::new(file, j as u32).staged();
             (server, Request::Delete { key })
         })
         .collect()
@@ -168,24 +169,14 @@ fn execute_job(
     if let Err(e) = push_result {
         // Abort: clear any staged keys (best effort) and leave the old
         // layout — still fully readable — in place.
-        io.discard(deletes(file_id, &targets, true), deadline);
+        io.discard(staged_deletes(file_id, &targets), deadline);
         return Err(e);
     }
 
-    // Commit: drop old keys, unstage new ones, swap the metadata. (Same
-    // sequence as the online adjuster; a target dying inside this window
-    // leaves the file degraded, which the under-store heal repairs.)
-    io.discard(deletes(file_id, &job.old_servers, false), deadline);
-    for (j, &server) in targets.iter().enumerate() {
-        let key = PartKey::new(file_id, j as u32);
-        let rename = Request::Rename {
-            from: key.staged(),
-            to: key,
-        };
-        let renamed = io.call(server, rename, deadline)?.flag()?;
-        debug_assert!(renamed, "staged partition vanished before commit");
-    }
-    master.apply_placement(file_id, targets)
+    // Commit: drop old keys, unstage new ones, swap the metadata. A
+    // target dying inside this window leaves the file degraded, which
+    // the under-store heal repairs.
+    io.commit_staged(file_id, &job.old_servers, &targets, deadline)
 }
 
 /// Runs the plan with one executor thread per involved worker, each
@@ -361,6 +352,7 @@ mod tests {
                 let _ = client.read(id).unwrap();
             }
         }
+        client.flush_accesses();
         let (ids, plan, _) = cluster.master().plan_rebalance(
             6,
             f64::INFINITY.min(1e12),
@@ -391,6 +383,7 @@ mod tests {
         for id in 0..8u64 {
             let _ = client.read(id).unwrap();
         }
+        client.flush_accesses();
         let (ids, plan, _) = cluster.master().plan_rebalance(
             4,
             1e12,
@@ -503,6 +496,26 @@ mod tests {
     }
 
     #[test]
+    fn a_staged_partition_lost_before_commit_skips_the_job() {
+        // Worker 2 crash-restarts cold between its staged Put (op 0) and
+        // the commit's Rename (op 1). The job applies the new placement
+        // (the file is degraded, which the heal owns) and is reported
+        // skipped, like one that met a dead worker.
+        let cfg = StoreConfig::unthrottled(3)
+            .with_faults(crate::fault::FaultPlan::none().crash_restart(2, 1));
+        let cluster = StoreCluster::spawn(cfg);
+        let client = cluster.client();
+        client.write(0, &payload(0, 8_000), &[0]).unwrap();
+        let plan = manual_plan(vec![0], vec![1, 2], 3);
+        let skipped =
+            run_parallel(&plan, &[0], cluster.master().as_ref(), cluster.transport().as_ref())
+                .unwrap();
+        assert_eq!(skipped, vec![0]);
+        assert_eq!(cluster.master().peek(0).unwrap().1, vec![1, 2]);
+        assert_eq!(client.read_quiet(0), Err(StoreError::NotFound(PartKey::new(0, 1))));
+    }
+
+    #[test]
     fn configured_deadline_bounds_waits_on_hung_sources() {
         // Worker 0 (the only source) hangs for 3 s on its first data
         // request. With a 50 ms executor deadline the pull must be
@@ -576,6 +589,7 @@ mod tests {
                 let _ = client.read(id).unwrap();
             }
         }
+        client.flush_accesses();
         let (ids, plan, _) = cluster.master().plan_rebalance(
             n_workers,
             200e6,
@@ -602,6 +616,7 @@ mod tests {
                 let _ = client2.read(id).unwrap();
             }
         }
+        client2.flush_accesses();
         let (ids2, plan2, _) = cluster2.master().plan_rebalance(
             n_workers,
             200e6,

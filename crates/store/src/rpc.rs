@@ -8,9 +8,10 @@
 //! process, a [`ReplySink`] onto the owning connection behind a socket.
 //!
 //! A data request carries at most one flat [`Stamp`] — worker epoch,
-//! master epoch, traffic class — as [`Request::Stamped`]. The fork-join
-//! engine ([`crate::forkjoin`]) stamps each batch it forks; nothing
-//! else builds stamps for live traffic.
+//! master epoch, expected checksum, traffic class — as
+//! [`Request::Stamped`]. The fork-join engine ([`crate::forkjoin`])
+//! stamps each batch it forks; the only field a caller sets before that
+//! is a `Get`'s [`Stamp::expect`], which the engine keeps.
 
 use std::time::Duration;
 
@@ -107,6 +108,12 @@ pub enum StoreError {
     /// Not retryable *by the issuing client's inner loop* — callers
     /// decide whether to come back after the repair lands.
     Degraded(u64),
+    /// A `Get` fenced by [`Stamp::expect`] found a copy of the key that
+    /// is not recorded under the expected checksum (or under none): the
+    /// reader's cached placement no longer describes the file. The copy
+    /// was not served. Retryable: re-locating through the master
+    /// resolves it.
+    StalePlacement(PartKey),
 }
 
 impl StoreError {
@@ -123,6 +130,7 @@ impl StoreError {
                 | StoreError::Io(_)
                 | StoreError::StaleEpoch(_)
                 | StoreError::Corrupt(_)
+                | StoreError::StalePlacement(_)
         )
     }
 
@@ -163,6 +171,9 @@ impl std::fmt::Display for StoreError {
             }
             StoreError::Degraded(id) => {
                 write!(f, "file {id} is degraded with recovery in flight")
+            }
+            StoreError::StalePlacement(k) => {
+                write!(f, "partition {k:?} is not the one the reader's placement expects")
             }
         }
     }
@@ -294,9 +305,10 @@ pub enum Request {
     },
 }
 
-/// What a data request carries besides itself: the epochs it is fenced
-/// by and the NIC class it is paced as. The all-zero foreground stamp
-/// ([`Stamp::default`]) is the unstamped request.
+/// What a data request carries besides itself: the epochs and the
+/// checksum it is fenced by and the NIC class it is paced as. The
+/// all-zero foreground stamp ([`Stamp::default`]) is the unstamped
+/// request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Stamp {
     /// The registration epoch the sender expects the worker to hold
@@ -311,6 +323,14 @@ pub struct Stamp {
     /// writes bounce forever; a higher one raises the worker's
     /// watermark. 0 = unstamped (plain clients).
     pub master: u64,
+    /// The checksum a `Get` expects its partition to be recorded under
+    /// (the sum the writer's `Put` stamped). A worker whose copy of the
+    /// key carries another sum, or none, answers
+    /// [`StoreError::StalePlacement`] instead of serving it — how a
+    /// reader's cached placement is kept from ever returning another
+    /// layout's or another file's bytes (DESIGN.md §4.7). 0 = not
+    /// sum-fenced; only a `Get` may carry another value.
+    pub expect: u64,
     /// [`TrafficClass::Background`] for maintenance byte streams
     /// (recovery sweeps, repartition traffic, read repair), which the
     /// worker paces through the background share of its NIC
@@ -587,6 +607,9 @@ mod tests {
         assert!(StoreError::Corrupt(PartKey::new(4, 2))
             .to_string()
             .contains("checksum"));
+        assert!(StoreError::StalePlacement(PartKey::new(4, 2))
+            .to_string()
+            .contains("placement"));
     }
 
     #[test]
@@ -601,6 +624,9 @@ mod tests {
         // Corruption is an erasure: parity decode or heal can succeed.
         assert!(StoreError::Corrupt(PartKey::new(1, 0)).is_retryable());
         assert_eq!(StoreError::Corrupt(PartKey::new(1, 0)).endpoint(), None);
+        // A stale cached placement resolves by re-locating.
+        assert!(StoreError::StalePlacement(PartKey::new(1, 0)).is_retryable());
+        assert_eq!(StoreError::StalePlacement(PartKey::new(1, 0)).endpoint(), None);
         // Metadata and protocol violations are permanent.
         assert!(!StoreError::UnknownFile(1).is_retryable());
         assert!(!StoreError::AlreadyExists(1).is_retryable());
@@ -656,7 +682,7 @@ mod tests {
         // Idempotent: the same stamp again changes nothing.
         assert_eq!(stamped.clone().stamped(bg), stamped);
         // Restamping replaces the stamp in place rather than nesting.
-        let all = Stamp { epoch: 5, master: 7, class: TrafficClass::Background };
+        let all = Stamp { epoch: 5, master: 7, expect: 9, class: TrafficClass::Background };
         assert_eq!(
             stamped.stamped(all),
             Request::Stamped { stamp: all, inner: Box::new(get.clone()) }

@@ -437,7 +437,7 @@ fn worker_loop(opts: WorkerOptions, rx: Receiver<Envelope>) {
         let out = if bounce_stale || stale_worker || stale_master {
             Reply::Err(StoreError::StaleEpoch(id))
         } else {
-            ctx.serve(req, stamp.class)
+            ctx.serve(req, stamp)
         };
         if !lose_reply {
             reply.deliver(out, cut, delay);
@@ -502,8 +502,15 @@ struct ServeCtx {
 }
 
 impl ServeCtx {
-    /// Serves one data-path request under the given traffic class.
-    fn serve(&mut self, req: Request, class: TrafficClass) -> Reply {
+    /// Serves one data-path request under its stamp's checksum fence and
+    /// traffic class.
+    fn serve(&mut self, req: Request, stamp: Stamp) -> Reply {
+        let class = stamp.class;
+        if stamp.expect != spcache_integrity::UNVERIFIED && !matches!(req, Request::Get { .. }) {
+            return Reply::Err(StoreError::Codec(
+                "a checksum fence on a request that is not a Get".into(),
+            ));
+        }
         match req {
             Request::Put { key, data, sum } => {
                 if let Err(refused) = self.transfer(data.len(), class) {
@@ -532,6 +539,9 @@ impl ServeCtx {
             }
             Request::Get { key } | Request::GetParity { key } => {
                 self.stats.gets += 1;
+                if let Err(e) = self.fence_sum(key, stamp.expect) {
+                    return Reply::Err(e);
+                }
                 let data = match self.resident(key) {
                     Ok(d) => d,
                     Err(e) => return Reply::Err(e),
@@ -658,6 +668,20 @@ impl ServeCtx {
             return Ok(data);
         }
         self.reload(key)
+    }
+
+    /// The checksum fence of a `Get` expecting `key` under `expect`
+    /// (`UNVERIFIED`: no fence). Only a copy recorded under exactly that
+    /// sum may serve it; any other copy — another sum, or none recorded
+    /// — is [`StoreError::StalePlacement`], and no copy at all is the
+    /// usual missing-key answer. One map lookup on the hit path.
+    fn fence_sum(&self, key: PartKey, expect: u64) -> Result<(), StoreError> {
+        if expect == spcache_integrity::UNVERIFIED || self.sums.get(&key) == Some(&expect) {
+            return Ok(());
+        }
+        let held = self.store.contains_key(&key)
+            || self.spill.as_ref().is_some_and(|s| s.spill_contains(key));
+        Err(if held { StoreError::StalePlacement(key) } else { self.missing(key) })
     }
 
     /// The remembered checksum for `key` (`UNVERIFIED` when the writer
@@ -923,7 +947,7 @@ mod tests {
 
     /// A foreground stamp fencing by worker and master epoch.
     fn fence(epoch: u64, master: u64) -> Stamp {
-        Stamp { epoch, master, class: TrafficClass::Foreground }
+        Stamp { epoch, master, ..Stamp::default() }
     }
 
     #[test]
@@ -1310,6 +1334,52 @@ mod tests {
             get(&h, PartKey::new(1, 0)),
             Err(StoreError::NotFound(PartKey::new(1, 0)))
         );
+    }
+
+    /// A sum-fenced `Get` is served only by a copy recorded under its
+    /// sum: through eviction, spill, reload and rename, never by another
+    /// copy or a copy recorded under none.
+    #[test]
+    fn a_sum_fenced_get_is_served_only_under_its_sum() {
+        let under = Arc::new(UnderStore::new());
+        let h = spawn_worker_opts(
+            WorkerOptions::new(0, f64::INFINITY)
+                .with_memory_budget(Some(100))
+                .with_spill(Arc::clone(&under)),
+        );
+        let (a, b) = (PartKey::new(1, 0), PartKey::new(1, 1));
+        let fenced = |key, sum| {
+            call(&h, Request::Get { key }.stamped(Stamp { expect: sum, ..Stamp::default() }))
+                .bytes()
+        };
+        let (old, new) = ([1u8; 60], [2u8; 60]);
+        let (old_sum, new_sum) = (spcache_integrity::sum(&old), spcache_integrity::sum(&new));
+        put_summed(&h, a, &old);
+        assert_eq!(fenced(a, old_sum).unwrap().as_ref(), &old);
+        // The same length under another sum is another partition.
+        assert_eq!(fenced(a, new_sum), Err(StoreError::StalePlacement(a)));
+        // No copy at all is still the usual answer.
+        assert_eq!(fenced(b, old_sum), Err(StoreError::NotFound(b)));
+        // Evicted to the spill area and reloaded: the sum stays with it.
+        put_summed(&h, b, &new);
+        assert_eq!(stats(&h).evictions, 1);
+        assert_eq!(fenced(a, new_sum), Err(StoreError::StalePlacement(a)));
+        assert_eq!(fenced(a, old_sum).unwrap().as_ref(), &old);
+        // A rename carries it; the old name has no copy left.
+        let to = PartKey::new(1, 2);
+        assert!(call(&h, Request::Rename { from: a, to }).flag().unwrap());
+        assert_eq!(fenced(to, old_sum).unwrap().as_ref(), &old);
+        assert_eq!(fenced(a, old_sum), Err(StoreError::NotFound(a)));
+        // A copy recorded under no sum never serves a fenced read, and
+        // an unfenced Get is served as ever.
+        put(&h, to, &new);
+        assert_eq!(fenced(to, new_sum), Err(StoreError::StalePlacement(to)));
+        assert_eq!(get(&h, to).unwrap().as_ref(), &new);
+        // Only a Get may carry a fence.
+        let fence = Stamp { expect: new_sum, ..Stamp::default() };
+        let refused = call(&h, Request::Delete { key: to }.stamped(fence));
+        assert!(matches!(refused, Reply::Err(StoreError::Codec(_))), "{refused:?}");
+        assert_eq!(get(&h, to).unwrap().as_ref(), &new, "a refused Delete deleted");
     }
 
     #[test]

@@ -46,6 +46,9 @@ fn online_adjust_then_periodic_repartition() {
             client.read(id).unwrap();
         }
     }
+    // Cached reads report their counts in batches: hand the planner
+    // every one of them.
+    client.flush_accesses();
     let (ids, rp, _) =
         cluster
             .master()
@@ -158,7 +161,8 @@ fn randomized_lifecycle_fuzz() {
                 }
             }
             _ => {
-                // Periodic repartition.
+                // Periodic repartition, planned on every read so far.
+                client.flush_accesses();
                 let (ids, plan, _) = cluster.master().plan_rebalance(
                     n_workers,
                     1e9,

@@ -37,6 +37,7 @@ fn full_lifecycle_write_read_rebalance_read() {
         let id = sampler.sample(&mut rng) as u64;
         assert_eq!(client.read(id).unwrap(), payload(id, len));
     }
+    client.flush_accesses();
 
     // Rebalance.
     let (ids, plan, tuned) =
@@ -86,6 +87,7 @@ fn rebalance_spreads_served_load() {
         let id = sampler.sample(&mut rng) as u64;
         client.read(id).unwrap();
     }
+    client.flush_accesses();
     let before = cluster.served_bytes().unwrap();
     assert!(before[1..].iter().all(|&b| b == 0.0));
 
@@ -127,6 +129,7 @@ fn concurrent_clients_with_repartition_running() {
     for _ in 0..50 {
         client.read(0).unwrap();
     }
+    client.flush_accesses();
     let (ids, plan, _) =
         cluster
             .master()
