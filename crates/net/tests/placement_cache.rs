@@ -13,9 +13,12 @@ use spcache_store::landing::Region;
 use spcache_store::repartitioner::run_parallel;
 use spcache_store::rpc::{Reply, Request, StoreError};
 use spcache_store::transport::Transport;
-use spcache_store::{Client, FaultPlan, FileIntegrity, MetaService, StoreCluster, StoreConfig};
+use spcache_store::{
+    Client, FaultPlan, FileIntegrity, HedgePolicy, MetaService, StoreCluster, StoreConfig,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 mod common;
 use common::{payload, N_WORKERS};
@@ -65,16 +68,18 @@ impl Transport for Spy {
     }
 }
 
-/// A reading client with its own cache, whose worker traffic passes a
-/// [`Spy`]; returns it with the spy's count.
+/// A reading client with its own cache (and the cluster's under-store,
+/// if any), whose worker traffic passes a [`Spy`]; returns it with the
+/// spy's count.
 fn spied_reader(cluster: &StoreCluster) -> (Client, Arc<AtomicU64>) {
     let stale = Arc::new(AtomicU64::new(0));
     let spy = Arc::new(Spy {
         inner: cluster.transport().clone(),
         stale: Arc::clone(&stale),
     });
+    let under = cluster.under_store().cloned();
     (
-        Client::from_config(cluster.meta(), spy, cluster.config(), None),
+        Client::from_config(cluster.meta(), spy, cluster.config(), under),
         stale,
     )
 }
@@ -213,6 +218,92 @@ fn a_re_created_file_under_a_cached_placement_never_mixes_old_and_new() {
     assert_eq!(over_tcp, in_process);
 }
 
+/// Case (c) with hedging: the re-created file is checkpointed, and the
+/// two holders of new partitions the cached placement names stall past
+/// the straggler threshold. The hedge loads their byte ranges from the
+/// new checkpoint while the lost `Delete`'s holder serves the old
+/// partition; no worker fences checkpoint bytes, so the client proves
+/// them against its cached sums and the read never mixes old and new.
+#[test]
+fn a_hedged_cached_read_never_mixes_checkpoint_bytes_into_a_stale_placement() {
+    let stall = Duration::from_millis(300);
+    // Workers 0 and 1: 0 = the first write's Put, 1 and 2 = the
+    // reader's two Gets, 3 = the delete's Delete, 4 = the re-create's
+    // Put, 5 = the checkpoint's Get, 6 = the reader's next cached Get.
+    // Worker 2: 3 = the delete's Delete.
+    let faults = FaultPlan::none()
+        .stale_epoch(2, 3)
+        .hang(0, 6, stall)
+        .hang(1, 6, stall);
+    let (in_process, over_tcp) = twin(
+        || {
+            let cfg = StoreConfig::unthrottled(N_WORKERS)
+                .with_faults(faults.clone())
+                .with_hedge(HedgePolicy::after(Duration::from_millis(20)));
+            (cfg, Some(Arc::new(UnderStore::new())))
+        },
+        |cluster| {
+            let (old, new) = (payload(4, 9_000), payload(44, 9_000));
+            let writer = cluster.client();
+            writer.write(4, &old, &[0, 1, 2]).unwrap();
+            let (reader, stale) = spied_reader(cluster);
+            assert_eq!(reader.read(4).unwrap(), old);
+            assert_eq!(reader.read(4).unwrap(), old);
+            assert_eq!(writer.delete(4), Ok(2));
+            writer.write(4, &new, &[0, 1, 3]).unwrap();
+            checkpoint(&writer, cluster.under_store().expect("an under-store"), 4).unwrap();
+            assert_eq!(reader.read(4).unwrap(), new, "the stalled cached read");
+            assert_eq!(reader.read(4).unwrap(), new, "the next read");
+            // The attempt ends on the first stalled Get's answer; the
+            // second may still be in flight.
+            assert!(stale.load(Ordering::SeqCst) >= 1, "no Get was fenced off");
+            (reader.hedged_fetches(), cluster.fault_log().snapshot().len())
+        },
+    );
+    // No checkpoint range was placed.
+    assert_eq!(in_process, (0, 3));
+    assert_eq!(over_tcp, in_process);
+}
+
+/// A worker whose partition was spilled crash-restarts under a cached
+/// reader: the restart loses the worker's recorded sums but not the
+/// spilled copy, whose reload records the sum of its bytes. Every
+/// cached read after the restart is served by that copy, none is fenced
+/// off.
+#[test]
+fn a_spilled_copy_that_outlives_a_cold_restart_still_serves_cached_reads() {
+    const READS: usize = 20;
+    // Worker 0: 0 and 1 = the two writes' Puts (the second evicts file
+    // 5's partition to the spill area), 2 = the reader's located Get
+    // (a reload), 3 = the reader's first cached Get, after the restart.
+    let faults = FaultPlan::none().crash_restart(0, 3);
+    let (in_process, over_tcp) = twin(
+        || {
+            let cfg = StoreConfig::unthrottled(N_WORKERS)
+                .with_memory_budget(Some(4_000))
+                .with_faults(faults.clone());
+            (cfg, None)
+        },
+        |cluster| {
+            let (data, other) = (payload(5, 3_000), payload(6, 3_000));
+            let writer = cluster.client();
+            writer.write(5, &data, &[0]).unwrap();
+            writer.write(6, &other, &[0]).unwrap();
+            let (reader, stale) = spied_reader(cluster);
+            assert_eq!(reader.read(5).unwrap(), data, "the located read");
+            for round in 0..READS {
+                assert_eq!(reader.read(5).unwrap(), data, "cached read {round}");
+            }
+            (
+                stale.load(Ordering::SeqCst),
+                cluster.fault_log().snapshot().len(),
+            )
+        },
+    );
+    assert_eq!(in_process, (0, 1));
+    assert_eq!(over_tcp, in_process);
+}
+
 /// A metadata service that counts the calls a read could make.
 #[derive(Debug)]
 struct Counting {
@@ -300,6 +391,50 @@ impl MetaService for Counting {
         self.reports.fetch_add(1, Ordering::SeqCst);
         self.inner.report_accesses(counts)
     }
+}
+
+/// What an uncached read caches: a small file's placement, summed over
+/// the landed bytes; a large file's only when the reader verifies and
+/// so holds the file's integrity row. A plain reader of a large file
+/// locates on every read, as no sum pass is spent on it.
+#[test]
+fn an_uncached_read_caches_a_large_file_only_with_its_integrity_row() {
+    let (in_process, over_tcp) = twin(
+        || (StoreConfig::unthrottled(N_WORKERS), None),
+        |cluster| {
+            let writer = cluster.client().with_verify(true);
+            let files = [(7u64, 3_000usize), (8, 300_000)];
+            for &(id, len) in &files {
+                writer.write(id, &payload(id, len), &[0, 1, 2]).unwrap();
+            }
+            let mut lookups = Vec::new();
+            for verify in [false, true] {
+                for &(id, len) in &files {
+                    let meta = Arc::new(Counting {
+                        inner: cluster.meta(),
+                        lookups: AtomicU64::new(0),
+                        reports: AtomicU64::new(0),
+                    });
+                    let reader = Client::from_config(
+                        meta.clone(),
+                        cluster.transport().clone(),
+                        cluster.config(),
+                        None,
+                    )
+                    .with_verify(verify);
+                    for _ in 0..3 {
+                        assert_eq!(reader.read(id).unwrap(), payload(id, len));
+                    }
+                    lookups.push(meta.lookups());
+                }
+            }
+            lookups
+        },
+    );
+    // A plain reader: one locate for the small file, three for the large
+    // one. A verifying one: a locate and a row fetch, for either size.
+    assert_eq!(in_process, vec![1, 3, 2, 2]);
+    assert_eq!(over_tcp, in_process);
 }
 
 /// 1 000 cached reads make no `locate`, `peek` or `integrity` call and

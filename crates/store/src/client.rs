@@ -17,7 +17,7 @@ use crate::forkjoin::{empty_placement, Fanout};
 use crate::landing::Landing;
 use crate::master::MetaService;
 use crate::metalog::FileIntegrity;
-use crate::placements::{Memory, Placement, REPORT_EVERY};
+use crate::placements::{Memory, Placement, REPORT_EVERY, SUMMED_READ_MAX};
 use crate::rpc::{PartKey, Reply, Request, Stamp, StoreError};
 use crate::throttle::TrafficClass;
 use crate::transport::Transport;
@@ -464,7 +464,9 @@ impl Client {
     /// An uncached read locates the file through the master (which counts
     /// the access) and retries failed attempts per the [`RetryPolicy`],
     /// recovering from the under-store when one is attached; its success
-    /// caches the placement.
+    /// caches the placement, with the partitions' checksums taken from
+    /// the integrity row a verifying client holds or else summed over the
+    /// landed bytes — which only a file of at most 64 KiB pays for.
     ///
     /// # Errors
     ///
@@ -605,12 +607,15 @@ impl Client {
 
     /// Caches file `id`'s placement after a located read that landed
     /// `asm`: the sums come from the integrity row the attempt held, when
-    /// it describes this placement, else from the landed partitions.
+    /// it describes this placement, else from the landed partitions — of
+    /// a file no larger than [`SUMMED_READ_MAX`]; a larger one stays
+    /// uncached.
     fn remember_read(&self, id: u64, servers: &[usize], row: Option<FileIntegrity>, asm: &Landing) {
         let k = servers.len();
         let row = row.filter(|r| r.sums.len() == k);
         let sums = match &row {
             Some(r) => r.sums.clone(),
+            None if asm.size() > SUMMED_READ_MAX => return,
             None => {
                 let parts: Vec<&[u8]> = (0..k)
                     .map(|j| asm.part(j).expect("a finished read holds every part"))
@@ -751,8 +756,11 @@ impl Client {
                         };
                         // Checkpoint bytes prove like a landed shard; a
                         // short or rotted range leaves its partition
-                        // outstanding.
-                        let sum = want(&row, erasure.is_some(), j);
+                        // outstanding. No worker fences them, so a cached
+                        // attempt proves them against its fence: the
+                        // checkpoint of a re-created file is not the
+                        // partition the cached placement names.
+                        let sum = want(&row, erasure.is_some(), j).or(fence.map(|sums| sums[j]));
                         if data.len() != range.len()
                             || sum.is_some_and(|sum| !spcache_integrity::verify(&data, sum))
                         {

@@ -23,6 +23,14 @@ use crate::metalog::FileIntegrity;
 /// locates through the master again.
 const CAPACITY: usize = 1 << 14;
 
+/// The largest file whose placement an uncached read caches by summing
+/// the bytes it landed. The sum pass of a larger file costs its cold
+/// read more than the locate round trip a later hit would save (a CRC
+/// of 64 KiB is a few µs, a locate tens): its placement is cached only
+/// when it comes with its sums — a write, or a verifying reader's
+/// integrity row.
+pub(crate) const SUMMED_READ_MAX: usize = 64 << 10;
+
 /// Cached reads per access report: every this many, the counts they
 /// owe go to the master in one [`MetaService::report_accesses`] call.
 pub(crate) const REPORT_EVERY: u64 = 64;

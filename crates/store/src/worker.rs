@@ -390,8 +390,9 @@ fn worker_loop(opts: WorkerOptions, rx: Receiver<Envelope>) {
                     ctx.lru.clear();
                     ctx.clean.clear();
                     // The in-memory checksum map dies with the process;
-                    // surviving spilled partitions reload unverified (the
-                    // client still checks them against the master's rows).
+                    // surviving spilled partitions reload unverified and
+                    // record the sum of what they hold (the client still
+                    // checks them against the master's rows).
                     ctx.sums.clear();
                     ctx.corrupted.clear();
                     ctx.verified.clear();
@@ -478,9 +479,11 @@ struct ServeCtx {
     verify_reads: bool,
     /// Print `CORRUPT <file> <partition>` on each detection.
     log_corruptions: bool,
-    /// Checksum per partition, as stamped by the writer's `Put`.
-    /// Partitions written with the [`spcache_integrity::UNVERIFIED`]
-    /// sentinel have no entry and always pass verification.
+    /// Checksum per partition, as stamped by the writer's `Put` (or,
+    /// for a spilled copy whose sum a cold restart lost, as computed by
+    /// its reload). Partitions written with the
+    /// [`spcache_integrity::UNVERIFIED`] sentinel have no entry and
+    /// always pass verification.
     sums: HashMap<PartKey, u64>,
     /// Keys erased after a failed verification. A fresh `Put` landing on
     /// one of these is a reconstruction re-landing (read-repair
@@ -506,11 +509,6 @@ impl ServeCtx {
     /// traffic class.
     fn serve(&mut self, req: Request, stamp: Stamp) -> Reply {
         let class = stamp.class;
-        if stamp.expect != spcache_integrity::UNVERIFIED && !matches!(req, Request::Get { .. }) {
-            return Reply::Err(StoreError::Codec(
-                "a checksum fence on a request that is not a Get".into(),
-            ));
-        }
         match req {
             Request::Put { key, data, sum } => {
                 if let Err(refused) = self.transfer(data.len(), class) {
@@ -675,9 +673,19 @@ impl ServeCtx {
     /// sum may serve it; any other copy — another sum, or none recorded
     /// — is [`StoreError::StalePlacement`], and no copy at all is the
     /// usual missing-key answer. One map lookup on the hit path.
-    fn fence_sum(&self, key: PartKey, expect: u64) -> Result<(), StoreError> {
+    ///
+    /// A spilled copy that outlived a cold restart has lost its recorded
+    /// sum with the process: it is reloaded first, which records the sum
+    /// of its bytes (see [`ServeCtx::reload`]).
+    fn fence_sum(&mut self, key: PartKey, expect: u64) -> Result<(), StoreError> {
         if expect == spcache_integrity::UNVERIFIED || self.sums.get(&key) == Some(&expect) {
             return Ok(());
+        }
+        if !self.sums.contains_key(&key) && !self.store.contains_key(&key) {
+            self.reload(key)?;
+            if self.sums.get(&key) == Some(&expect) {
+                return Ok(());
+            }
         }
         let held = self.store.contains_key(&key)
             || self.spill.as_ref().is_some_and(|s| s.spill_contains(key));
@@ -843,7 +851,10 @@ impl ServeCtx {
     /// Reloaded bytes are **always** verified when the checksum is
     /// known, independent of `verify_reads`: the spill tier sits outside
     /// this process and its bytes must never be re-admitted on trust —
-    /// a corrupt spill file is erased and healed, not served.
+    /// a corrupt spill file is erased and healed, not served. When the
+    /// checksum is not known (a copy spilled before a cold restart), the
+    /// sum of the reloaded bytes is recorded, so a fenced `Get` compares
+    /// against what the copy holds and later reads verify against it.
     fn reload(&mut self, key: PartKey) -> Result<Bytes, StoreError> {
         let Some(spill) = self.spill.clone() else {
             return Err(self.missing(key));
@@ -851,8 +862,14 @@ impl ServeCtx {
         let Some(data) = spill.spill_load(key) else {
             return Err(self.missing(key));
         };
-        if !spcache_integrity::verify(&data, self.sum_of(key)) {
-            return Err(self.erase_corrupt(key));
+        match self.sums.get(&key) {
+            Some(&sum) if !spcache_integrity::verify(&data, sum) => {
+                return Err(self.erase_corrupt(key));
+            }
+            Some(_) => {}
+            None => {
+                self.sums.insert(key, spcache_integrity::sum(&data));
+            }
         }
         self.nic.consume(data.len(), TrafficClass::Background);
         self.stats.reloaded_bytes += data.len() as u64;
@@ -1375,11 +1392,6 @@ mod tests {
         put(&h, to, &new);
         assert_eq!(fenced(to, new_sum), Err(StoreError::StalePlacement(to)));
         assert_eq!(get(&h, to).unwrap().as_ref(), &new);
-        // Only a Get may carry a fence.
-        let fence = Stamp { expect: new_sum, ..Stamp::default() };
-        let refused = call(&h, Request::Delete { key: to }.stamped(fence));
-        assert!(matches!(refused, Reply::Err(StoreError::Codec(_))), "{refused:?}");
-        assert_eq!(get(&h, to).unwrap().as_ref(), &new, "a refused Delete deleted");
     }
 
     #[test]
