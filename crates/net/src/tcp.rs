@@ -216,8 +216,9 @@ impl TcpTransport {
         &self.shards[worker % self.shards.len()]
     }
 
-    /// Ensures `worker`'s connection is live (dialling synchronously if
-    /// not), then returns whether a `Dial` was handed to the loop.
+    /// Ensures `worker`'s connection is live: if it is not, dials
+    /// synchronously and hands the stream to the loop as a `Dial`.
+    /// [`StoreError::Io`] when the dial fails or the loop is gone.
     /// Serialises concurrent dial attempts on the peer's lock.
     fn ensure_connected(&self, worker: usize) -> Result<(), StoreError> {
         let peer = &self.peers[worker];
@@ -977,8 +978,8 @@ mod tests {
         let route = t.submit_landing(vec![(0, get, landing.region(0))]).unwrap();
         let wait = Duration::from_secs(5);
         assert_eq!(route[0].recv_timeout(wait).unwrap(), Reply::Err(StoreError::Timeout(0)));
-        // The true bytes arrive another way (a hedge) while the loop still
-        // holds the region mid-frame: they are staged beside it.
+        // The true bytes arrive another way (a decode) while the loop
+        // still holds the region mid-frame: they are staged beside it.
         landing.place(0, Bytes::from(data.clone()));
         go.send(()).unwrap();
         let pong = t.submit(0, Request::Ping).unwrap().recv_timeout(wait).unwrap();

@@ -1,23 +1,21 @@
 //! A read's parts land exactly however they arrive — read off the
 //! socket into their regions, placed from the in-process transport's
-//! views, hedged from the checkpoint, decoded from parity, or staged
-//! beside a region something else still holds — in any reply order, on
+//! views, decoded from parity, or staged beside a region something else
+//! still holds — in any reply order, on
 //! both transports, for `k ∈ 1..=16` and files from empty to 4 MiB.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use spcache_core::online::partition_range;
 use spcache_net::loopback::twin;
-use spcache_store::backing::UnderStore;
 use spcache_store::landing::{Claim, Region};
 use spcache_store::rpc::{Reply, Request, StoreError};
 use spcache_store::transport::Transport;
-use spcache_store::{Client, HedgePolicy, RetryPolicy, StoreCluster, StoreConfig};
+use spcache_store::{Client, RetryPolicy, StoreCluster, StoreConfig};
 
 /// Workers in each fleet: the widest file plus its parity.
 const FLEET: usize = 18;
@@ -29,25 +27,18 @@ const PARITY: usize = 2;
 enum Arrival {
     /// Its worker's reply, held back `ms` milliseconds.
     Reply(u64),
-    /// Never: the hedge serves it from the checkpoint (or parity covers
-    /// it first).
-    Hedged,
     /// As an erasure: it is decoded from parity.
     Decoded,
-    /// Never, while its region is held the way a loop holds one
-    /// mid-frame: whatever fills it is staged beside the allocation.
-    StagedHedged,
-    /// As an erasure, its region held: the decode is staged.
+    /// As an erasure, its region held the way a loop holds one
+    /// mid-frame: the decode is staged beside the allocation.
     StagedDecoded,
 }
 
 impl Arrival {
     fn draw(pick: u8, ms: u64) -> Arrival {
-        match pick % 6 {
+        match pick % 4 {
             0 | 1 => Arrival::Reply(ms),
-            2 => Arrival::Hedged,
-            3 => Arrival::Decoded,
-            4 => Arrival::StagedHedged,
+            2 => Arrival::Decoded,
             _ => Arrival::StagedDecoded,
         }
     }
@@ -64,16 +55,13 @@ struct Scripted {
     inner: Arc<dyn Transport>,
     /// Per data part: how it arrives, and its length.
     plan: Vec<(Arrival, usize)>,
-    /// Routes held open unanswered and regions held claimed, until
-    /// [`Scripted::release`].
-    held: Mutex<(Vec<Sender<Reply>>, Vec<Claim>)>,
+    /// Regions held claimed, until [`Scripted::release`].
+    held: Mutex<Vec<Claim>>,
 }
 
 impl Scripted {
     fn release(&self) {
-        let mut held = self.held.lock();
-        held.0.clear();
-        held.1.clear();
+        self.held.lock().clear();
     }
 
     fn one(
@@ -89,12 +77,12 @@ impl Scripted {
                 .remove(0));
         };
         let (arrival, len) = self.plan[key.part as usize];
-        if matches!(arrival, Arrival::StagedHedged | Arrival::StagedDecoded) {
+        if arrival == Arrival::StagedDecoded {
             let claim = region
                 .as_ref()
                 .and_then(|r| r.claim(len))
                 .expect("a free region");
-            self.held.lock().1.push(claim);
+            self.held.lock().push(claim);
         }
         let (tx, rx) = bounded(1);
         match arrival {
@@ -110,7 +98,6 @@ impl Scripted {
                     }
                 });
             }
-            Arrival::Hedged | Arrival::StagedHedged => self.held.lock().0.push(tx),
             Arrival::Decoded | Arrival::StagedDecoded => {
                 tx.send(Reply::Err(StoreError::NotFound(key)))
                     .expect("route open");
@@ -142,23 +129,20 @@ impl Transport for Scripted {
 fn config() -> StoreConfig {
     StoreConfig::unthrottled(FLEET)
         .with_retry(RetryPolicy::none().with_deadline(Duration::from_secs(10)))
-        .with_hedge(HedgePolicy::after(Duration::from_millis(150)))
 }
 
 /// Writes `data` as file `id` in `k` parts with parity, reads it through
-/// `plan`, and checks the bytes. Returns how many parts were hedged.
+/// `plan`, and checks the bytes.
 fn read_through(
     cluster: &StoreCluster,
     id: u64,
     data: &[u8],
     plan: &[Arrival],
-) -> Result<u64, TestCaseError> {
+) -> Result<(), TestCaseError> {
     let k = plan.len();
     let servers: Vec<usize> = (0..k).map(|j| (j + id as usize) % FLEET).collect();
     let writer = cluster.client().with_parity(PARITY);
     writer.write(id, data, &servers).expect("write");
-    let under = Arc::new(UnderStore::new());
-    under.persist(id, Bytes::from(data.to_vec()));
     let scripted = Arc::new(Scripted {
         inner: cluster.transport().clone(),
         plan: (0..k)
@@ -169,10 +153,9 @@ fn read_through(
                 )
             })
             .collect(),
-        held: Mutex::new((Vec::new(), Vec::new())),
+        held: Mutex::new(Vec::new()),
     });
-    let reader =
-        Client::from_config(cluster.meta(), scripted.clone(), cluster.config(), Some(under));
+    let reader = Client::from_config(cluster.meta(), scripted.clone(), cluster.config(), None);
     let got = reader.read(id);
     scripted.release();
     writer.delete(id).expect("delete");
@@ -184,7 +167,7 @@ fn read_through(
         data.len(),
         plan
     );
-    Ok(reader.hedged_fetches())
+    Ok(())
 }
 
 proptest! {
@@ -219,37 +202,28 @@ proptest! {
     }
 }
 
-/// The plans the generator may draw rarely, pinned with the hedges each
-/// must at least take (a reply slower than the hedge threshold is hedged
-/// too): every part from its reply, every part hedged while its region
-/// is held, two decodes (the ragged last part's among them), and one
-/// hedge beside in-place replies.
+/// The plans the generator may draw rarely: every part from its reply,
+/// `PARITY` staged decodes (the ragged last part's among them), and one
+/// decode beside in-place replies.
 #[test]
 fn pinned_plans_land_exactly() {
     let data: Vec<u8> = (0..1_000_003u32).map(|i| (i * 7) as u8).collect();
     let plans = [
-        (vec![Arrival::Reply(0); 16], 0),
-        (vec![Arrival::StagedHedged; 5], 5),
-        (
-            vec![
-                Arrival::Reply(3),
-                Arrival::Reply(0),
-                Arrival::StagedDecoded,
-                Arrival::Decoded,
-            ],
-            0,
-        ),
-        (
-            vec![Arrival::Hedged, Arrival::Reply(1), Arrival::Reply(0)],
-            1,
-        ),
+        vec![Arrival::Reply(0); 16],
+        vec![
+            Arrival::Reply(3),
+            Arrival::StagedDecoded,
+            Arrival::Reply(0),
+            Arrival::StagedDecoded,
+        ],
+        vec![Arrival::Decoded, Arrival::Reply(1), Arrival::Reply(0)],
     ];
-    let hedges = |c: &StoreCluster| -> Vec<u64> {
-        plans.iter().map(|(plan, _)| read_through(c, 1, &data, plan).unwrap()).collect()
-    };
-    let (in_process, over_tcp) = twin(|| (config(), None), hedges);
-    for (((plan, hedged), in_process), over_tcp) in plans.iter().zip(in_process).zip(over_tcp) {
-        assert!(in_process >= *hedged, "{plan:?} in process: {in_process} hedged");
-        assert!(over_tcp >= *hedged, "{plan:?} over TCP: {over_tcp} hedged");
-    }
+    twin(
+        || (config(), None),
+        |c| {
+            for plan in &plans {
+                read_through(c, 1, &data, plan).unwrap();
+            }
+        },
+    );
 }

@@ -13,12 +13,9 @@ use spcache_store::landing::Region;
 use spcache_store::repartitioner::run_parallel;
 use spcache_store::rpc::{Reply, Request, StoreError};
 use spcache_store::transport::Transport;
-use spcache_store::{
-    Client, FaultPlan, FileIntegrity, HedgePolicy, MetaService, StoreCluster, StoreConfig,
-};
+use spcache_store::{Client, FaultPlan, FileIntegrity, MetaService, StoreCluster, StoreConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 mod common;
 use common::{payload, N_WORKERS};
@@ -215,53 +212,6 @@ fn a_re_created_file_under_a_cached_placement_never_mixes_old_and_new() {
         },
     );
     assert_eq!(in_process, 1);
-    assert_eq!(over_tcp, in_process);
-}
-
-/// Case (c) with hedging: the re-created file is checkpointed, and the
-/// two holders of new partitions the cached placement names stall past
-/// the straggler threshold. The hedge loads their byte ranges from the
-/// new checkpoint while the lost `Delete`'s holder serves the old
-/// partition; no worker fences checkpoint bytes, so the client proves
-/// them against its cached sums and the read never mixes old and new.
-#[test]
-fn a_hedged_cached_read_never_mixes_checkpoint_bytes_into_a_stale_placement() {
-    let stall = Duration::from_millis(300);
-    // Workers 0 and 1: 0 = the first write's Put, 1 and 2 = the
-    // reader's two Gets, 3 = the delete's Delete, 4 = the re-create's
-    // Put, 5 = the checkpoint's Get, 6 = the reader's next cached Get.
-    // Worker 2: 3 = the delete's Delete.
-    let faults = FaultPlan::none()
-        .stale_epoch(2, 3)
-        .hang(0, 6, stall)
-        .hang(1, 6, stall);
-    let (in_process, over_tcp) = twin(
-        || {
-            let cfg = StoreConfig::unthrottled(N_WORKERS)
-                .with_faults(faults.clone())
-                .with_hedge(HedgePolicy::after(Duration::from_millis(20)));
-            (cfg, Some(Arc::new(UnderStore::new())))
-        },
-        |cluster| {
-            let (old, new) = (payload(4, 9_000), payload(44, 9_000));
-            let writer = cluster.client();
-            writer.write(4, &old, &[0, 1, 2]).unwrap();
-            let (reader, stale) = spied_reader(cluster);
-            assert_eq!(reader.read(4).unwrap(), old);
-            assert_eq!(reader.read(4).unwrap(), old);
-            assert_eq!(writer.delete(4), Ok(2));
-            writer.write(4, &new, &[0, 1, 3]).unwrap();
-            checkpoint(&writer, cluster.under_store().expect("an under-store"), 4).unwrap();
-            assert_eq!(reader.read(4).unwrap(), new, "the stalled cached read");
-            assert_eq!(reader.read(4).unwrap(), new, "the next read");
-            // The attempt ends on the first stalled Get's answer; the
-            // second may still be in flight.
-            assert!(stale.load(Ordering::SeqCst) >= 1, "no Get was fenced off");
-            (reader.hedged_fetches(), cluster.fault_log().snapshot().len())
-        },
-    );
-    // No checkpoint range was placed.
-    assert_eq!(in_process, (0, 3));
     assert_eq!(over_tcp, in_process);
 }
 

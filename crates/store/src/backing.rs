@@ -205,25 +205,6 @@ impl UnderStore {
         Some(data)
     }
 
-    /// Loads only the byte range `[offset, offset + len)` of a file copy
-    /// as a zero-copy view, paying a read delay proportional to the bytes
-    /// *actually read* — a ranged GET against S3/HDFS, not a whole-file
-    /// download. The range is clamped to the file's length. Hedged
-    /// partition fetches use this so serving one straggling partition
-    /// never costs a full-file transfer.
-    pub fn load_range(&self, id: u64, offset: u64, len: u64) -> Option<Bytes> {
-        let data = self.files.read().get(&id).cloned()?;
-        let start = (offset as usize).min(data.len());
-        let end = (offset as usize).saturating_add(len as usize).min(data.len());
-        let slice = data.slice(start..end);
-        if self.read_delay_per_byte > 0.0 {
-            std::thread::sleep(Duration::from_secs_f64(
-                slice.len() as f64 * self.read_delay_per_byte,
-            ));
-        }
-        Some(slice)
-    }
-
     /// Whether a checkpoint exists.
     pub fn contains(&self, id: u64) -> bool {
         self.files.read().contains_key(&id)

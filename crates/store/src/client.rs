@@ -1,18 +1,16 @@
 //! The SP-Client: parallel fork-join reads and writes over the store's
 //! one fork-join engine ([`crate::forkjoin`]) — a zero-copy data path
-//! with a single per-attempt deadline, bounded retry, hedged under-store
-//! range reads and parity decode, all as "obtain any `k` of the
-//! outstanding shards".
+//! with a single per-attempt deadline, bounded retry and parity decode,
+//! all as "obtain any `k` of the outstanding shards".
 
 use bytes::Bytes;
 use parking_lot::Mutex;
 use spcache_ec::{join_shards_bytes, split_shards_bytes, ReedSolomon};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::backing::UnderStore;
-use crate::config::{DegradedPolicy, HedgePolicy, RetryPolicy, StoreConfig};
+use crate::config::{DegradedPolicy, RetryPolicy, StoreConfig};
 use crate::forkjoin::{empty_placement, Fanout};
 use crate::landing::Landing;
 use crate::master::MetaService;
@@ -40,12 +38,7 @@ use crate::transport::Transport;
 /// bounded by its slowest partition, not by `k` stacked timeouts). A
 /// failed attempt is retried with exponential backoff after re-locating
 /// the file (and, when an under-store is attached, after recovering lost
-/// partitions onto live workers). With [`HedgePolicy`] enabled, the hedge
-/// timer fires once per read for the *actual* stragglers: every partition
-/// still outstanding at the threshold is served from its exact byte range
-/// in the under-store checkpoint ([`UnderStore::load_range`]) — the
-/// late-binding trick of EC-Cache, adapted to a redundancy-free cache
-/// where the checkpoint is the only second copy. An erased partition
+/// partitions onto live workers). An erased partition
 /// (`Corrupt`, `NotFound`, a checksum mismatch) widens the same attempt
 /// with the file's parity fetches, after which any `k` of the `k + r`
 /// shards finish the read (DESIGN.md §4.7).
@@ -57,7 +50,7 @@ use crate::transport::Transport;
 /// allocates its output once and gives each partition `Get` its region
 /// of it ([`crate::landing`]): a socket transport reads the reply payload
 /// straight into that region, and bytes that arrive another way (the
-/// in-process transport, a hedge, a decode) are written there by the
+/// in-process transport, a decode) are written there by the
 /// client — one copy either way, and no join pass after the last reply.
 ///
 /// Reads of a file whose placement the client already knows make **no
@@ -71,10 +64,7 @@ pub struct Client {
     master: Arc<dyn MetaService>,
     transport: Arc<dyn Transport>,
     retry: RetryPolicy,
-    hedge: HedgePolicy,
     under: Option<Arc<UnderStore>>,
-    hedged_fetches: Arc<AtomicU64>,
-    hedged_bytes: Arc<AtomicU64>,
     /// Whether data requests are stamped with the target worker's
     /// fencing epoch ([`crate::rpc::Stamp::epoch`]); off by default — an
     /// unfenced client is wire-identical to the pre-supervisor store.
@@ -115,18 +105,14 @@ pub struct Client {
 
 impl Client {
     /// Builds a client over a metadata service and a worker transport,
-    /// with a single-attempt [`RetryPolicy::none`] and hedging disabled
-    /// (the seed behaviour).
+    /// with a single-attempt [`RetryPolicy::none`] (the seed behaviour).
     pub fn new(master: Arc<dyn MetaService>, transport: Arc<dyn Transport>) -> Self {
         Client {
             memory: Arc::new(Memory::new(master.clone())),
             master,
             transport,
             retry: RetryPolicy::none(),
-            hedge: HedgePolicy::disabled(),
             under: None,
-            hedged_fetches: Arc::new(AtomicU64::new(0)),
-            hedged_bytes: Arc::new(AtomicU64::new(0)),
             fenced: false,
             degraded: DegradedPolicy::Queue,
             class: TrafficClass::Foreground,
@@ -137,12 +123,11 @@ impl Client {
         }
     }
 
-    /// The client a cluster configured by `cfg` hands out: its retry and
-    /// hedge policies, end-to-end verification and parity width; under a
+    /// The client a cluster configured by `cfg` hands out: its retry
+    /// policy, end-to-end verification and parity width; under a
     /// supervisor additionally **fenced** (stamps registration epochs
     /// onto data requests) with the configured degraded-mode admission
-    /// policy; `under`, if any, attached for hedges and read-path
-    /// healing.
+    /// policy; `under`, if any, attached for read-path healing.
     pub fn from_config(
         master: Arc<dyn MetaService>,
         transport: Arc<dyn Transport>,
@@ -151,7 +136,6 @@ impl Client {
     ) -> Self {
         Client {
             retry: cfg.retry,
-            hedge: cfg.hedge,
             under,
             fenced: cfg.supervisor.enabled,
             degraded: cfg.supervisor.degraded,
@@ -178,8 +162,7 @@ impl Client {
         self
     }
 
-    /// Attaches the under-store used for hedged reads and read-path
-    /// recovery.
+    /// Attaches the under-store used for read-path recovery.
     pub fn with_under_store(mut self, under: Arc<UnderStore>) -> Self {
         self.under = Some(under);
         self
@@ -250,17 +233,11 @@ impl Client {
         &self.transport
     }
 
-    /// How many partition fetches were served from the under-store by
-    /// the hedging path (across all clones of this client).
+    /// Always 0: the client has no hedged reads. Kept only because
+    /// spbench still reports `store.client.hedged_fetches` through it;
+    /// it goes when the benchmark retires that counter.
     pub fn hedged_fetches(&self) -> u64 {
-        self.hedged_fetches.load(Ordering::Relaxed)
-    }
-
-    /// How many bytes the hedging path actually pulled from the
-    /// under-store (ranged reads — one straggling partition costs its
-    /// partition's bytes, never the whole file).
-    pub fn hedged_bytes(&self) -> u64 {
-        self.hedged_bytes.load(Ordering::Relaxed)
+        0
     }
 
     /// Writes a file split into `k` partitions on the given `servers`
@@ -670,10 +647,8 @@ impl Client {
     /// wrong length) **widens** the same set once with the file's `r`
     /// `GetParity` fetches, after which any `k` of the `k + r` end the
     /// wait; any other failure before widening fails the attempt (the
-    /// retry loop heals). The hedge timer serves still-outstanding *data*
-    /// shards from their under-store byte ranges. With `k` shards in
-    /// hand, missing data shards are decoded in place, proved and
-    /// re-landed.
+    /// retry loop heals). With `k` shards in hand, missing data shards
+    /// are decoded in place, proved and re-landed.
     ///
     /// `cached` is the client's cached placement when `servers` came from
     /// it: each `Get` is then fenced by its partition's cached checksum,
@@ -698,8 +673,7 @@ impl Client {
         if row.is_none() && self.verify {
             row = self.master.integrity(id);
         }
-        let start = Instant::now();
-        let deadline = start + self.retry.deadline;
+        let deadline = Instant::now() + self.retry.deadline;
         let gets = servers
             .iter()
             .enumerate()
@@ -710,11 +684,6 @@ impl Client {
             })
             .collect();
         let mut join = self.io().fork_landing(gets)?;
-        let mut hedge = self
-            .under
-            .as_deref()
-            .filter(|_| self.hedge.enabled)
-            .map(|under| (start + self.hedge.straggler_threshold.min(self.retry.deadline), under));
         // The sum shard `i` must prove against: none unless this client
         // verifies or the attempt has widened. A row whose width ≠ k
         // predates a re-split that has not recorded fresh sums yet —
@@ -735,44 +704,11 @@ impl Client {
         let mut have = 0;
 
         while have < k {
-            let wake = hedge.map_or(deadline, |(at, _)| at.min(deadline));
-            let Some((i, landed)) = join.next(wake) else {
+            let Some((i, landed)) = join.next(deadline) else {
                 if join.pending() == 0 {
                     // Every route answered and fewer than k shards are
                     // usable: the parity set cannot cover this failure.
                     return Err(erasure.expect("only a widened attempt survives failed shards"));
-                }
-                if let Some((_, under)) = hedge.take().filter(|&(at, _)| at < deadline) {
-                    // Late-bind every data shard still outstanding to its
-                    // exact byte range in the checkpoint. Without a
-                    // checkpoint the hedge stays disarmed and the rest of
-                    // the deadline is waited out.
-                    let stragglers: Vec<usize> = join.outstanding().filter(|&j| j < k).collect();
-                    for j in stragglers {
-                        let range = asm.range(j);
-                        let (at, len) = (range.start as u64, range.len() as u64);
-                        let Some(data) = under.load_range(id, at, len) else {
-                            break;
-                        };
-                        // Checkpoint bytes prove like a landed shard; a
-                        // short or rotted range leaves its partition
-                        // outstanding. No worker fences them, so a cached
-                        // attempt proves them against its fence: the
-                        // checkpoint of a re-created file is not the
-                        // partition the cached placement names.
-                        let sum = want(&row, erasure.is_some(), j).or(fence.map(|sums| sums[j]));
-                        if data.len() != range.len()
-                            || sum.is_some_and(|sum| !spcache_integrity::verify(&data, sum))
-                        {
-                            continue;
-                        }
-                        join.give_up(j);
-                        self.hedged_fetches.fetch_add(1, Ordering::Relaxed);
-                        self.hedged_bytes.fetch_add(data.len() as u64, Ordering::Relaxed);
-                        asm.place(j, data);
-                        have += 1;
-                    }
-                    continue;
                 }
                 // The slowest partition really is the read's fate (Eq. 9).
                 let late = join.expire();
@@ -999,7 +935,7 @@ mod tests {
     use crate::config::StoreConfig;
     use crate::fault::{CorruptSite, FaultPlan};
     use crossbeam::channel::Receiver;
-    use spcache_core::online::partition_range;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn payload(len: usize) -> Vec<u8> {
         (0..len).map(|i| ((i * 31 + 7) % 256) as u8).collect()
@@ -1257,55 +1193,6 @@ mod tests {
         assert!(cluster.master().is_alive(0));
     }
 
-    #[test]
-    fn hedged_read_serves_straggler_from_under_store() {
-        // Worker 0 hangs for 300 ms; the hedge threshold is 20 ms, so
-        // the partition is served from the checkpoint instead.
-        let cfg = StoreConfig::unthrottled(2)
-            .with_faults(FaultPlan::none().hang(0, 2, Duration::from_millis(300)))
-            .with_retry(RetryPolicy::none().with_deadline(Duration::from_secs(2)))
-            .with_hedge(HedgePolicy::after(Duration::from_millis(20)));
-        let cluster = StoreCluster::spawn(cfg);
-        let under = Arc::new(UnderStore::new());
-        let c = cluster.client().with_under_store(under.clone());
-        let data = payload(5_000);
-        c.write(1, &data, &[0, 1]).unwrap(); // op 0 on both
-        crate::backing::checkpoint(&c, &under, 1).unwrap(); // op 1 on both
-        let t0 = std::time::Instant::now();
-        assert_eq!(c.read(1).unwrap(), data); // op 2: worker 0 hangs
-        assert!(
-            t0.elapsed() < Duration::from_millis(250),
-            "hedge should beat the 300 ms hang"
-        );
-        assert_eq!(c.hedged_fetches(), 1);
-        // Partition 0 of a 5000-byte file split 2 ways is 2500 bytes —
-        // the hedge pulled exactly that range, not the whole file.
-        assert_eq!(c.hedged_bytes(), 2_500);
-    }
-
-    #[test]
-    fn hedge_refuses_a_rotted_checkpoint_range() {
-        // The same hang and threshold, but the client verifies and the
-        // checkpoint's copy of partition 0 has rotted: the hedge leaves
-        // the partition outstanding and the straggler's own reply, when
-        // it lands, is what the read returns.
-        let cfg = StoreConfig::unthrottled(2)
-            .with_faults(FaultPlan::none().hang(0, 2, Duration::from_millis(300)))
-            .with_retry(RetryPolicy::none().with_deadline(Duration::from_secs(2)))
-            .with_hedge(HedgePolicy::after(Duration::from_millis(20)));
-        let cluster = StoreCluster::spawn(cfg);
-        let under = Arc::new(UnderStore::new());
-        let c = cluster.client().with_verify(true).with_under_store(under.clone());
-        let data = payload(5_000);
-        c.write(1, &data, &[0, 1]).unwrap(); // op 0 on both
-        crate::backing::checkpoint(&c, &under, 1).unwrap(); // op 1 on both
-        let mut rotted = data.clone();
-        rotted[100] ^= 0x01;
-        under.persist(1, Bytes::from(rotted));
-        assert_eq!(c.read(1).unwrap(), data); // op 2: worker 0 hangs
-        assert_eq!(c.hedged_fetches(), 0);
-    }
-
     /// Polls `f` until it holds or ~2 s pass (read repair is
     /// fire-and-forget; the counter lands asynchronously).
     fn eventually(mut f: impl FnMut() -> bool) -> bool {
@@ -1479,13 +1366,12 @@ mod tests {
     /// under-store, with partition 0 then deleted out from under it.
     /// Worker ops so far: 0 = put, 1 = checkpoint get (+ 2 = the delete
     /// on worker 0).
-    fn degraded_cluster(faults: FaultPlan, hedge: HedgePolicy, data: &[u8]) -> (StoreCluster, Client) {
+    fn degraded_cluster(faults: FaultPlan, data: &[u8]) -> (StoreCluster, Client) {
         let cfg = StoreConfig::unthrottled(5)
             .with_verify_reads(true)
             .with_parity(1)
             .with_faults(faults)
-            .with_retry(RetryPolicy::none().with_deadline(Duration::from_secs(2)))
-            .with_hedge(hedge);
+            .with_retry(RetryPolicy::none().with_deadline(Duration::from_secs(2)));
         let under = Arc::new(UnderStore::new());
         let cluster = StoreCluster::spawn_with_under_store(cfg, Some(under.clone()));
         let c = cluster.client();
@@ -1505,61 +1391,13 @@ mod tests {
         // what it holds: workers 1 and 2 are never asked again.
         let faults = FaultPlan::none().hang(0, 3, Duration::from_millis(100));
         let data = payload(9_000);
-        let (cluster, c) = degraded_cluster(faults, HedgePolicy::disabled(), &data);
+        let (cluster, c) = degraded_cluster(faults, &data);
         let before = cluster.worker_stats().unwrap();
         assert_eq!(c.read(1).unwrap(), data);
         let after = cluster.worker_stats().unwrap();
         for w in [1, 2] {
             assert_eq!(after[w].gets - before[w].gets, 1, "worker {w} was asked twice");
         }
-        assert_eq!(c.hedged_fetches(), 0);
-    }
-
-    #[test]
-    fn hedge_and_erasure_in_one_attempt_return_exact_bytes() {
-        // Partition 0 is lost (erasure → parity widening) while worker 1
-        // hangs 300 ms on the read's Get (its op 2): the hedge serves
-        // partition 1 from the checkpoint, partition 2 and the parity
-        // land normally, and partition 0 is decoded from those three.
-        let faults = FaultPlan::none().hang(1, 2, Duration::from_millis(300));
-        let data = payload(10_000);
-        let hedge = HedgePolicy::after(Duration::from_millis(25));
-        let (_cluster, c) = degraded_cluster(faults, hedge, &data);
-        let t0 = Instant::now();
-        assert_eq!(c.read(1).unwrap(), data);
-        assert!(t0.elapsed() < Duration::from_millis(250), "hedge should beat the 300 ms hang");
-        assert_eq!(c.hedged_fetches(), 1, "exactly the straggler was hedged");
-        assert_eq!(c.hedged_bytes(), partition_range(data.len() as u64, 3, 1).len());
-    }
-
-    #[test]
-    fn hedge_fires_for_the_actual_slowest_partition() {
-        // k = 4; the straggler is partition 2 (not the first index). The
-        // hedge must serve exactly that partition from the checkpoint:
-        // one hedged fetch, of exactly partition 2's byte count.
-        let k = 4;
-        let straggler = 2usize;
-        let cfg = StoreConfig::unthrottled(k)
-            // Worker 2's ops: 0 = put, 1 = checkpoint get, 2 = the read.
-            .with_faults(FaultPlan::none().hang(straggler, 2, Duration::from_millis(300)))
-            .with_retry(RetryPolicy::none().with_deadline(Duration::from_secs(2)))
-            .with_hedge(HedgePolicy::after(Duration::from_millis(25)));
-        let cluster = StoreCluster::spawn(cfg);
-        let under = Arc::new(UnderStore::new());
-        let c = cluster.client().with_under_store(under.clone());
-        let data = payload(10_000);
-        let servers: Vec<usize> = (0..k).collect();
-        c.write(1, &data, &servers).unwrap();
-        crate::backing::checkpoint(&c, &under, 1).unwrap();
-        let t0 = Instant::now();
-        assert_eq!(c.read(1).unwrap(), data);
-        assert!(
-            t0.elapsed() < Duration::from_millis(250),
-            "hedge should beat the 300 ms hang"
-        );
-        assert_eq!(c.hedged_fetches(), 1, "exactly the straggler was hedged");
-        let range = partition_range(data.len() as u64, k, straggler);
-        assert_eq!(c.hedged_bytes(), range.len());
     }
 
     /// A fleet of `n` hand-built workers over the channel transport: each

@@ -202,7 +202,7 @@ impl StoreCluster {
         self.fleet.meta(&self.master)
     }
 
-    /// Creates a client carrying the cluster's retry and hedge policies.
+    /// Creates a client carrying the cluster's retry policy.
     /// Under a supervisor the client is additionally **fenced** (stamps
     /// registration epochs onto data requests) and applies the
     /// configured degraded-mode admission policy; the cluster's

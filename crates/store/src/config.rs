@@ -6,8 +6,11 @@ use crate::fault::FaultPlan;
 
 /// Client-side retry behaviour for reads (the robust read path).
 ///
-/// Each attempt re-locates the file through the master, so a retry after
-/// an under-store recovery observes the healed placement. Backoff is
+/// A read first tries the client's cached placement of the file, if it
+/// has one, with no master call; a failed cached attempt drops that
+/// placement. Every later attempt re-locates the file through the
+/// master, so a retry after an under-store recovery observes the healed
+/// placement. Backoff is
 /// exponential: attempt `i` (1-based) sleeps `base_backoff * 2^(i-1)`
 /// before retrying.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,7 +23,7 @@ pub struct RetryPolicy {
     /// *not* per partition. All `k` partition fetches of a fork-join read
     /// run under this single window: the select-driven join consumes
     /// replies as they land, so a `k = 8` read with one straggler fails
-    /// (or hedges) after ~one deadline, never eight. A worker whose reply
+    /// after ~one deadline, never eight. A worker whose reply
     /// is still outstanding when the window closes counts as timed out
     /// (it may be hung, not dead — the master tracks the distinction via
     /// suspicion counts).
@@ -37,7 +40,7 @@ impl RetryPolicy {
         }
     }
 
-    /// Sets the per-partition deadline (builder style).
+    /// Sets the deadline of one whole read attempt (builder style).
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = deadline;
         self
@@ -45,50 +48,13 @@ impl RetryPolicy {
 }
 
 impl Default for RetryPolicy {
-    /// Four attempts, 5 ms initial backoff, 2 s partition deadline.
+    /// Four attempts, 5 ms initial backoff, 2 s attempt deadline.
     fn default() -> Self {
         RetryPolicy {
             max_attempts: 4,
             base_backoff: Duration::from_millis(5),
             deadline: Duration::from_secs(2),
         }
-    }
-}
-
-/// Hedged-request mode: EC-Cache's late binding adapted to a
-/// redundancy-free cache. There is no replica to duplicate the fetch to,
-/// so after `straggler_threshold` of silence the client reads the
-/// partition's byte range from the under-store checkpoint instead and
-/// uses whichever copy it has first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HedgePolicy {
-    /// Whether hedging is active (needs an attached under-store).
-    pub enabled: bool,
-    /// Silence after which the hedge fires.
-    pub straggler_threshold: Duration,
-}
-
-impl HedgePolicy {
-    /// Hedging off (the default).
-    pub fn disabled() -> Self {
-        HedgePolicy {
-            enabled: false,
-            straggler_threshold: Duration::from_millis(50),
-        }
-    }
-
-    /// Hedging after `threshold` of per-partition silence.
-    pub fn after(threshold: Duration) -> Self {
-        HedgePolicy {
-            enabled: true,
-            straggler_threshold: threshold,
-        }
-    }
-}
-
-impl Default for HedgePolicy {
-    fn default() -> Self {
-        HedgePolicy::disabled()
     }
 }
 
@@ -200,8 +166,6 @@ pub struct StoreConfig {
     /// Read retry policy handed to clients created via
     /// [`crate::cluster::StoreCluster::client`].
     pub retry: RetryPolicy,
-    /// Hedged-read policy handed to clients.
-    pub hedge: HedgePolicy,
     /// Master-side supervisor (heartbeats, epoch fencing, recovery
     /// sweeps). Off by default.
     pub supervisor: SupervisorConfig,
@@ -246,7 +210,6 @@ impl StoreConfig {
             bandwidth: f64::INFINITY,
             faults: FaultPlan::none(),
             retry: RetryPolicy::none(),
-            hedge: HedgePolicy::disabled(),
             supervisor: SupervisorConfig::disabled(),
             executor_deadline: Duration::from_secs(5),
             memory_budget: None,
@@ -274,12 +237,6 @@ impl StoreConfig {
     /// Sets the client retry policy.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Sets the client hedge policy.
-    pub fn with_hedge(mut self, hedge: HedgePolicy) -> Self {
-        self.hedge = hedge;
         self
     }
 
@@ -354,11 +311,9 @@ mod tests {
     fn fault_and_policy_builders() {
         let c = StoreConfig::unthrottled(2)
             .with_faults(FaultPlan::none().crash(0, 3))
-            .with_retry(RetryPolicy::default())
-            .with_hedge(HedgePolicy::after(Duration::from_millis(10)));
+            .with_retry(RetryPolicy::default());
         assert_eq!(c.faults.events().len(), 1);
         assert_eq!(c.retry.max_attempts, 4);
-        assert!(c.hedge.enabled);
     }
 
     #[test]

@@ -306,19 +306,11 @@ impl Join<'_> {
     }
 
     /// Indices of the outstanding routes, ascending.
-    pub fn outstanding(&self) -> impl Iterator<Item = usize> + '_ {
+    fn outstanding(&self) -> impl Iterator<Item = usize> + '_ {
         self.routes
             .iter()
             .enumerate()
             .filter_map(|(i, (_, route))| route.as_ref().map(|_| i))
-    }
-
-    /// Stops waiting on route `i`, whose shard the caller obtained
-    /// elsewhere (a hedge), and suspects its straggling holder.
-    pub fn give_up(&mut self, i: usize) {
-        if self.routes[i].1.take().is_some() {
-            self.io.note_error(&StoreError::Timeout(self.routes[i].0));
-        }
     }
 
     /// Waits for the next reply to land on any outstanding route and

@@ -8,8 +8,7 @@
 //! payload of exactly the region's length, reads the payload from the
 //! socket into it, and lands it; the reply it delivers then carries no
 //! bytes. Bytes that arrive another way — the in-process transport's
-//! zero-copy views, a hedge from the checkpoint, a decode from parity —
-//! are placed by the client. So a partition's bytes cross user space
+//! zero-copy views, a decode from parity — are placed by the client. So a partition's bytes cross user space
 //! once, and the join pass over the file is gone.
 //!
 //! Each region moves `free → claimed → landed`, one atomic per region:
@@ -25,9 +24,10 @@
 //!   bytes fail verification.
 //!
 //! Readers touch only landed regions, which nobody writes. When bytes
-//! arrive for a region a loop still holds (the client gave its route up
-//! mid-frame for a hedge or a decode), they are staged beside the
-//! allocation instead, and [`Landing::into_vec`] copies the file out.
+//! arrive for a region a loop still holds (the client decoded a part
+//! whose reply a loop was still reading mid-frame), they are staged
+//! beside the allocation instead, and [`Landing::into_vec`] copies the
+//! file out.
 //! It returns the allocation itself only when every part landed in its
 //! region and no loop still holds a handle on it.
 
@@ -568,8 +568,8 @@ mod tests {
 
     #[test]
     fn bytes_for_a_region_a_loop_holds_are_staged_and_copied_out() {
-        // A loop claimed part 1 (its frame half read) when the hedge's
-        // bytes for it arrived: they are staged, and the file is copied
+        // A loop claimed part 1 (its frame half read) when the client
+        // placed bytes for it: they are staged, and the file is copied
         // out exactly, whatever the loop's claim does afterwards.
         let data = file(999);
         let mut landing = Landing::new(999, 3);

@@ -25,10 +25,9 @@
 //!   harness, over worker threads here and over loopback servers in
 //!   `spcache-net`, behind a [`cluster::Fleet`],
 //! * [`fault`] — deterministic fault injection (scripted crashes, hangs,
-//!   partition drops, lost replies) driving the robust read path:
-//!   per-partition deadlines, bounded retry with under-store recovery,
-//!   and hedged reads (EC-Cache late binding against the checkpoint
-//!   tier, since a redundancy-free cache has no replica to race).
+//!   partition drops, lost replies) driving the robust read path: one
+//!   deadline per read attempt, bounded retry with under-store recovery,
+//!   and parity decode of erased partitions.
 
 pub mod backing;
 pub mod client;
@@ -50,7 +49,7 @@ pub mod worker;
 
 pub use client::{Client, ScatteredFile};
 pub use cluster::StoreCluster;
-pub use config::{DegradedPolicy, HedgePolicy, RetryPolicy, StoreConfig, SupervisorConfig};
+pub use config::{DegradedPolicy, RetryPolicy, StoreConfig, SupervisorConfig};
 pub use fault::{FaultAction, FaultEvent, FaultLog, FaultPlan, FaultRecord};
 pub use master::{Master, MetaService};
 pub use metalog::{FileIntegrity, MasterImage, MetaLog, MetaOp};

@@ -1,7 +1,7 @@
 //! Deterministic chaos: a scripted [`FaultPlan`] crashes a worker, hangs
 //! another and drops a cached partition while a client keeps reading —
-//! every read survives via retries, under-store healing and hedging, and
-//! the injected-event log replays identically run after run.
+//! every read survives via retries and under-store healing, and the
+//! injected-event log replays identically run after run (asserted).
 //!
 //! ```bash
 //! cargo run --release --example chaos_injection
@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use spcache::store::backing::{checkpoint, UnderStore};
 use spcache::store::rpc::PartKey;
-use spcache::store::{FaultPlan, HedgePolicy, RetryPolicy, StoreCluster, StoreConfig};
+use spcache::store::{FaultPlan, RetryPolicy, StoreCluster, StoreConfig};
 
 fn payload(id: u64, len: usize) -> Vec<u8> {
     (0..len).map(|i| ((i as u64 * 131 + id * 17) % 256) as u8).collect()
@@ -29,8 +29,7 @@ fn run_once() -> Vec<spcache::store::FaultRecord> {
     let cluster = StoreCluster::spawn(
         StoreConfig::unthrottled(6)
             .with_faults(plan)
-            .with_retry(RetryPolicy::default())
-            .with_hedge(HedgePolicy::after(Duration::from_millis(20))),
+            .with_retry(RetryPolicy::default()),
     );
     let under = Arc::new(UnderStore::new());
     let client = cluster.client().with_under_store(Arc::clone(&under));
@@ -50,9 +49,8 @@ fn run_once() -> Vec<spcache::store::FaultRecord> {
     }
 
     println!(
-        "  all 16 reads byte-exact; worker 1 alive: {}; hedged fetches: {}",
+        "  all 16 reads byte-exact; worker 1 alive: {}",
         cluster.master().is_alive(1),
-        client.hedged_fetches(),
     );
     cluster.fault_log().snapshot()
 }
@@ -63,7 +61,8 @@ fn main() {
     println!("run B:");
     let b = run_once();
 
-    println!("\ninjected events (identical across runs: {}):", a == b);
+    assert_eq!(a, b, "the injected-event log differs between runs");
+    println!("\ninjected events (identical across runs):");
     for r in &a {
         println!("  worker {} op {:>2}: {:?}", r.worker, r.op, r.action);
     }
