@@ -16,11 +16,13 @@
 //!   through its loop's one [`poll::ReadBuf`] and filling every frame
 //!   body — or a read's landing region — by `read(2)`, a batching
 //!   [`poll::WriteQueue`] that gathers pipelined frames into single
-//!   `writev` calls, a [`poll::Timers`] heap for delayed completions,
-//!   and [`poll::serve`], the one server event loop both servers run,
+//!   `writev` calls, the one connection table both event loops keep
+//!   their sockets in, and [`poll::serve`], the one server event loop
+//!   both servers run (its timer heap for delayed completions is its
+//!   own),
 //! * [`tcp::TcpTransport`] — the client side: readiness-driven shard
-//!   loops multiplexing every worker connection, with per-connection
-//!   request-id multiplexing, frame batching, reply payloads landed in
+//!   loops multiplexing every worker connection, with request-id
+//!   multiplexing, frame batching, reply payloads landed in
 //!   the reader's output, and a
 //!   `RetryPolicy`-derived deadline per request that leaves with its
 //!   reply,

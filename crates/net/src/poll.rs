@@ -1,20 +1,31 @@
 //! Event-loop plumbing shared by the TCP client and servers: an
 //! incremental frame decoder for non-blocking sockets, a vectored
-//! write queue that batches many frames into one `writev` syscall,
-//! a deadline timer heap, and the server event loop itself.
+//! write queue that batches many frames into one `writev` syscall, the
+//! one connection table both event loops keep their sockets in, and the
+//! server event loop itself.
 //!
-//! The first three pieces are deliberately free of any socket ownership
-//! or threading policy — the client loop in [`crate::tcp`] and the
-//! server loop here compose them around a [`mio::Poll`] instance.
-//! Keeping them standalone makes the decoder and write queue testable
-//! against plain in-memory readers/writers (the codec proptests drive
+//! The decoder and the write queue are deliberately free of any socket
+//! ownership or threading policy, which makes them testable against
+//! plain in-memory readers/writers (the codec proptests drive
 //! [`FrameReader`] with adversarial split points without a socket in
-//! sight). [`serve`] is the one server loop: [`crate::server`] and
-//! [`crate::master_net`] each hand it a frame handler and nothing else.
+//! sight). The connection table, `Conns`, composes them around sockets
+//! registered with a [`mio::Poll`]: it adopts a socket under the
+//! caller's token, queues frames, flushes the connections touched since
+//! its last pass (arming write interest only while a queue holds unsent
+//! bytes) and tears connections down — the one copy of that bookkeeping.
+//! The client loop in [`crate::tcp`] keeps its worker connections in one,
+//! and so does every shard of [`serve`], the one server loop:
+//! [`crate::server`] and [`crate::master_net`] each hand it a frame
+//! handler and nothing else. The server's delayed completions wait on a
+//! timer heap private to it.
 //!
 //! The raw-FFI `sys` module holds this crate's `unsafe`: `read(2)` into
 //! a frame body's uninitialised memory (the one way a body is filled
 //! from a socket), `writev(2)`, and the socket and allocator tuning.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -259,8 +270,8 @@ impl FrameReader {
                 match read {
                     Ok(0) => return Err(eof_mid_frame()),
                     Ok(_) => {
-                        if body.remaining() == 0 {
-                            self.body.take().expect("a body").finish(out);
+                        if let Some(done) = self.body.take_if(|b| b.remaining() == 0) {
+                            done.finish(out);
                         }
                         continue;
                     }
@@ -303,8 +314,7 @@ impl FrameReader {
             if self.head.len() < HEAD {
                 return check_len(&self.head);
             }
-            let head: [u8; HEAD] = self.head[..].try_into().expect("a whole head");
-            self.head.clear();
+            let head = std::mem::take(&mut self.head);
             pos += self.begin(&head, &chunk[pos..], out)?;
         }
 
@@ -366,8 +376,10 @@ fn check_len(head: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
+/// The length a frame's prefix declares (a cut prefix declares 0, which
+/// is invalid).
 fn frame_len(prefix: &[u8]) -> io::Result<usize> {
-    let len = u32::from_le_bytes(prefix[..4].try_into().expect("4 bytes"));
+    let len = prefix.first_chunk().map_or(0, |b| u32::from_le_bytes(*b));
     if len < HEADER_LEN as u32 || len > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -736,11 +748,11 @@ pub fn default_io_shards() -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// ServerConns: the accepted connections of one server event loop
+// Conns: the connection table of one event loop
 // ---------------------------------------------------------------------------
 
-/// One accepted connection owned by a server loop.
-struct ServerConn {
+/// One non-blocking connection owned by an event loop.
+struct Conn {
     stream: TcpStream,
     reader: FrameReader,
     wq: WriteQueue,
@@ -751,29 +763,30 @@ struct ServerConn {
     closing: bool,
 }
 
-/// The accepted connections of one server event loop, keyed by poll
-/// token, plus the set touched since the last flush pass — so a burst
-/// of replies to one connection shares one `writev` round.
-struct ServerConns {
-    conns: HashMap<usize, ServerConn>,
-    next_token: usize,
+/// The connections of one event loop — the client's and the server's
+/// alike — keyed by poll token, plus the set touched since the last
+/// flush pass, so a burst of frames to one connection shares one
+/// `writev` round. A connection is registered for READABLE, and for
+/// WRITABLE only while its write queue holds unsent bytes, so an idle
+/// one costs no wakeups.
+pub(crate) struct Conns {
+    conns: HashMap<usize, Conn>,
     dirty: Vec<usize>,
 }
 
-impl ServerConns {
-    /// An empty table handing out tokens from `first_token` up.
-    fn new(first_token: usize) -> Self {
-        ServerConns {
+impl Conns {
+    /// An empty table.
+    pub(crate) fn new() -> Self {
+        Conns {
             conns: HashMap::new(),
-            next_token: first_token,
             dirty: Vec::new(),
         }
     }
 
-    /// Takes ownership of an accepted socket and registers it for read
-    /// readiness; a socket that cannot be set up is dropped.
-    fn adopt(&mut self, poll: &Poll, stream: TcpStream) {
-        let token = self.next_token;
+    /// Takes ownership of a connected socket and registers it for read
+    /// readiness under `token`. `false` when the socket cannot be set up;
+    /// it is dropped.
+    pub(crate) fn adopt(&mut self, poll: &Poll, token: usize, stream: TcpStream) -> bool {
         let _ = stream.set_nodelay(true);
         if stream.set_nonblocking(true).is_err()
             || poll
@@ -781,12 +794,11 @@ impl ServerConns {
                 .register(&stream, Token(token), Interest::READABLE)
                 .is_err()
         {
-            return;
+            return false;
         }
-        self.next_token += 1;
         self.conns.insert(
             token,
-            ServerConn {
+            Conn {
                 stream,
                 reader: FrameReader::new(),
                 wq: WriteQueue::new(),
@@ -794,26 +806,31 @@ impl ServerConns {
                 closing: false,
             },
         );
+        true
     }
 
     /// Whether `token` names a live connection that still takes input
     /// and output (not closing).
-    fn is_open(&self, token: usize) -> bool {
+    pub(crate) fn is_open(&self, token: usize) -> bool {
         self.conns.get(&token).is_some_and(|c| !c.closing)
     }
 
     /// Marks `token` for the next [`flush_dirty`](Self::flush_dirty).
-    fn touch(&mut self, token: usize) {
+    pub(crate) fn touch(&mut self, token: usize) {
         if self.conns.contains_key(&token) && !self.dirty.contains(&token) {
             self.dirty.push(token);
         }
     }
 
-    /// Reads whatever `token` has buffered, leaving the complete frames
-    /// in `inbound`. `false` when the peer closed or died: the caller
-    /// serves `inbound`, then [`close`](Self::close)s.
-    fn pump(&mut self, token: usize, buf: &mut ReadBuf, inbound: &mut Vec<Bytes>) -> bool {
-        inbound.clear();
+    /// Reads whatever `token` has buffered, handing what completes to
+    /// `inbound`. `false` when the peer closed or died: the caller serves
+    /// what `inbound` got, then [`close`](Self::close)s.
+    pub(crate) fn pump(
+        &mut self,
+        token: usize,
+        buf: &mut ReadBuf,
+        inbound: &mut impl Inbound,
+    ) -> bool {
         let Some(conn) = self.conns.get_mut(&token) else {
             return false;
         };
@@ -823,15 +840,17 @@ impl ServerConns {
         )
     }
 
-    /// Queues `frame` on `token` (dropped if the connection is gone or
-    /// closing: a closing stream ends at its last queued byte, and
-    /// appending a full frame behind a torn one would let the peer
-    /// misparse those bytes as the torn frame's body).
-    fn push(&mut self, token: usize, frame: WireFrame) {
-        if let Some(conn) = self.conns.get_mut(&token).filter(|c| !c.closing) {
-            conn.wq.push(frame);
-            self.touch(token);
-        }
+    /// Queues `frame` on `token`; `false` (and the frame dropped) if the
+    /// connection is gone or closing: a closing stream ends at its last
+    /// queued byte, and appending a full frame behind a torn one would
+    /// let the peer misparse those bytes as the torn frame's body.
+    pub(crate) fn push(&mut self, token: usize, frame: WireFrame) -> bool {
+        let Some(conn) = self.conns.get_mut(&token).filter(|c| !c.closing) else {
+            return false;
+        };
+        conn.wq.push(frame);
+        self.touch(token);
+        true
     }
 
     /// Queues `last` as the final bytes `token` will ever carry and cuts
@@ -845,19 +864,24 @@ impl ServerConns {
         }
     }
 
-    /// Drops `token` without flushing anything.
-    fn close(&mut self, token: usize) {
+    /// Deregisters, shuts down and drops `token` without flushing
+    /// anything. Its reader goes with it: a payload it was landing never
+    /// lands, and its claim is released.
+    pub(crate) fn close(&mut self, poll: &Poll, token: usize) {
         if let Some(conn) = self.conns.remove(&token) {
+            let _ = poll.registry().deregister(&conn.stream);
             let _ = conn.stream.shutdown(Shutdown::Both);
         }
     }
 
     /// Carries out one completion (a no-op if the connection already
     /// died).
-    fn complete(&mut self, token: usize, what: Completion) {
+    fn complete(&mut self, poll: &Poll, token: usize, what: Completion) {
         match what {
-            Completion::Frame(frame) => self.push(token, frame),
-            Completion::Close => self.close(token),
+            Completion::Frame(frame) => {
+                self.push(token, frame);
+            }
+            Completion::Close => self.close(poll, token),
             Completion::Truncate(frame) => {
                 let mut torn = frame.to_contiguous();
                 torn.truncate(torn.len() / 2);
@@ -867,11 +891,16 @@ impl ServerConns {
     }
 
     /// One flush per touched connection: everything queued since the
-    /// last pass goes out in batched vectored writes.
-    fn flush_dirty(&mut self, poll: &Poll) {
+    /// last pass goes out in batched vectored writes. Returns the tokens
+    /// it closed — a write failed, or a closing connection drained.
+    pub(crate) fn flush_dirty(&mut self, poll: &Poll) -> Vec<usize> {
+        let mut closed = Vec::new();
         for token in std::mem::take(&mut self.dirty) {
-            self.flush(poll, token);
+            if !self.flush(poll, token) {
+                closed.push(token);
+            }
         }
+        closed
     }
 
     /// Flushes every connection (the shutdown drain).
@@ -887,26 +916,26 @@ impl ServerConns {
         self.conns.values().all(|c| c.wq.is_empty())
     }
 
-    /// Shuts every connection down.
-    fn close_all(&mut self) {
+    /// Shuts every connection down and drops it.
+    pub(crate) fn close_all(&mut self) {
         for (_, conn) in self.conns.drain() {
             let _ = conn.stream.shutdown(Shutdown::Both);
         }
     }
 
-    /// Flushes one connection's write queue, arming/disarming write
-    /// interest; closes it on error or once a closing queue drains.
-    fn flush(&mut self, poll: &Poll, token: usize) {
+    /// Flushes one connection's write queue, arming write interest while
+    /// it holds unsent bytes; closes it on error or once a closing queue
+    /// drains. `false` when it closed it.
+    fn flush(&mut self, poll: &Poll, token: usize) -> bool {
         let Some(conn) = self.conns.get_mut(&token) else {
-            return;
+            return true;
         };
         let interest = match conn.wq.flush(&mut conn.stream) {
             Ok(true) if !conn.closing => Interest::READABLE,
             Ok(false) => Interest::READABLE | Interest::WRITABLE,
             Ok(true) | Err(_) => {
-                let _ = poll.registry().deregister(&conn.stream);
-                self.close(token);
-                return;
+                self.close(poll, token);
+                return false;
             }
         };
         let armed = interest != Interest::READABLE;
@@ -916,6 +945,7 @@ impl ServerConns {
                 .registry()
                 .reregister(&conn.stream, Token(token), interest);
         }
+        true
     }
 }
 
@@ -927,8 +957,8 @@ impl ServerConns {
 /// giving up on a peer that stopped reading.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 
-/// Token of a shard's cross-thread waker.
-const WAKER_TOK: usize = 0;
+/// Token of a loop's cross-thread waker, client and server alike.
+pub(crate) const WAKER_TOK: usize = 0;
 /// Token of the listener (shard 0 only).
 const LISTENER_TOK: usize = 1;
 /// First token handed to accepted connections.
@@ -1022,6 +1052,14 @@ impl ConnRef {
     }
 }
 
+/// A loop's poller and the waker that nudges it from other threads,
+/// registered under [`WAKER_TOK`].
+pub(crate) fn poll_with_waker() -> io::Result<(Poll, Waker)> {
+    let poll = Poll::new()?;
+    let waker = Waker::new(poll.registry(), Token(WAKER_TOK))?;
+    Ok((poll, waker))
+}
+
 /// Serves `listener` from `io_shards` readiness loops (threads named
 /// `{name}-{i}`): shard 0 accepts and deals connections round-robin,
 /// every shard reads request frames off its sockets and hands each to
@@ -1031,7 +1069,7 @@ impl ConnRef {
 ///
 /// # Errors
 ///
-/// I/O errors creating the pollers.
+/// I/O errors creating the pollers or spawning a loop thread.
 pub fn serve<H>(
     name: &str,
     listener: TcpListener,
@@ -1047,8 +1085,7 @@ where
     let mut polls = Vec::new();
     let mut refs = Vec::new();
     for _ in 0..io_shards.max(1) {
-        let poll = Poll::new()?;
-        let waker = Waker::new(poll.registry(), Token(WAKER_TOK))?;
+        let (poll, waker) = poll_with_waker()?;
         let (tx, rx) = unbounded();
         refs.push(ShardRef { tx, waker });
         polls.push((poll, rx));
@@ -1065,9 +1102,15 @@ where
         std::thread::Builder::new()
             .name(format!("{name}-{shard}"))
             .spawn(move || shard_loop(poll, &rx, listener, me, handler))
-            .expect("spawn io shard")
     });
-    Ok(threads.collect())
+    let threads = threads.collect::<io::Result<Vec<_>>>();
+    if threads.is_err() {
+        // The shards already running would otherwise serve forever.
+        for shard in shards.iter() {
+            shard.send(Cmd::Stop);
+        }
+    }
+    threads
 }
 
 /// One shard's readiness loop: accepts (shard 0), feeds inbound frames
@@ -1086,7 +1129,8 @@ fn shard_loop<H: FnMut(Bytes, &ConnRef) -> Served>(
             .register(l, Token(LISTENER_TOK), Interest::READABLE);
     }
     let mut events = Events::with_capacity(256);
-    let mut conns = ServerConns::new(CONN_BASE);
+    let mut conns = Conns::new();
+    let mut next_token = CONN_BASE;
     // Shard 0's round-robin dealing cursor.
     let mut dealt = 0usize;
     // Delayed completions wait on the timer heap, keyed by arrival.
@@ -1106,9 +1150,12 @@ fn shard_loop<H: FnMut(Bytes, &ConnRef) -> Served>(
 
         loop {
             match rx.try_recv() {
-                Ok(Cmd::Adopt(stream)) => conns.adopt(&poll, stream),
+                Ok(Cmd::Adopt(stream)) => {
+                    conns.adopt(&poll, next_token, stream);
+                    next_token += 1;
+                }
                 Ok(Cmd::Complete { token, what, delay }) if delay.is_zero() => {
-                    conns.complete(token, what);
+                    conns.complete(&poll, token, what);
                 }
                 Ok(Cmd::Complete { token, what, delay }) => {
                     timers.insert(Instant::now() + delay, delay_seq);
@@ -1131,7 +1178,8 @@ fn shard_loop<H: FnMut(Bytes, &ConnRef) -> Served>(
                         let to = dealt % conn.shards.len();
                         dealt += 1;
                         if to == conn.shard {
-                            conns.adopt(&poll, stream);
+                            conns.adopt(&poll, next_token, stream);
+                            next_token += 1;
                         } else {
                             conn.shards[to].send(Cmd::Adopt(stream));
                         }
@@ -1140,7 +1188,14 @@ fn shard_loop<H: FnMut(Bytes, &ConnRef) -> Served>(
                 token => {
                     if (ev.is_readable() || ev.is_error()) && conns.is_open(token) {
                         conn.token = token;
-                        read_frames(&mut conns, &conn, &mut buf, &mut inbound, &mut handler);
+                        read_frames(
+                            &poll,
+                            &mut conns,
+                            &conn,
+                            &mut buf,
+                            &mut inbound,
+                            &mut handler,
+                        );
                     }
                     if ev.is_writable() {
                         conns.touch(token);
@@ -1152,7 +1207,7 @@ fn shard_loop<H: FnMut(Bytes, &ConnRef) -> Served>(
         let now = Instant::now();
         while let Some(key) = timers.pop_due(now) {
             if let Some((token, what)) = delayed.remove(&key) {
-                conns.complete(token, what);
+                conns.complete(&poll, token, what);
             }
         }
 
@@ -1174,22 +1229,26 @@ fn shard_loop<H: FnMut(Bytes, &ConnRef) -> Served>(
 /// violation cuts the connection after its answer; a peer that closed
 /// or died is dropped once what it sent has been served.
 fn read_frames(
-    conns: &mut ServerConns,
+    poll: &Poll,
+    conns: &mut Conns,
     conn: &ConnRef,
     buf: &mut ReadBuf,
     inbound: &mut Vec<Bytes>,
     handler: &mut impl FnMut(Bytes, &ConnRef) -> Served,
 ) {
+    inbound.clear();
     let open = conns.pump(conn.token, buf, inbound);
     for frame in inbound.drain(..) {
         match handler(frame, conn) {
-            Served::Reply(reply) => conns.push(conn.token, reply),
+            Served::Reply(reply) => {
+                conns.push(conn.token, reply);
+            }
             Served::Pending => {}
             Served::Violation(last) => return conns.push_last(conn.token, last),
         }
     }
     if !open {
-        conns.close(conn.token);
+        conns.close(poll, conn.token);
     }
 }
 
@@ -1204,48 +1263,38 @@ fn read_frames(
 ///
 /// There is no cancel operation — nothing it holds is ever called off:
 /// a delayed completion whose connection died finds nothing to write
-/// to. (The client loop's request deadlines, which a reply does call
-/// off, are a queue in [`crate::tcp`].)
-pub struct Timers<K> {
+/// to. It belongs to the server loop alone; the client loop's request
+/// deadlines, which a reply does call off, are a queue in
+/// [`crate::tcp`].
+struct Timers<K> {
     heap: BinaryHeap<Reverse<(Instant, K)>>,
 }
 
 impl<K: Ord> Timers<K> {
     /// New empty timer heap.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Timers {
             heap: BinaryHeap::new(),
         }
     }
 
     /// Schedules `key` to fire at `at`.
-    pub fn insert(&mut self, at: Instant, key: K) {
+    fn insert(&mut self, at: Instant, key: K) {
         self.heap.push(Reverse((at, key)));
     }
 
     /// Earliest pending deadline, if any — the poll timeout bound.
-    pub fn next_deadline(&self) -> Option<Instant> {
+    fn next_deadline(&self) -> Option<Instant> {
         self.heap.peek().map(|Reverse((at, _))| *at)
     }
 
     /// Pops the next timer whose deadline is at or before `now`.
-    pub fn pop_due(&mut self, now: Instant) -> Option<K> {
+    fn pop_due(&mut self, now: Instant) -> Option<K> {
         if self.next_deadline()? <= now {
             self.heap.pop().map(|Reverse((_, k))| k)
         } else {
             None
         }
-    }
-
-    /// True when no timers are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl<K: Ord> Default for Timers<K> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

@@ -5,11 +5,17 @@
 //! One connection per worker, lazily established and pooled.
 //! Connections are sharded across a small set of I/O loop threads
 //! (worker `w` lives on shard `w % N`, one shard per core by default);
-//! each loop multiplexes its sockets with a [`mio::Poll`]er. Each
-//! in-flight request gets a fresh `req_id`; the owning loop
-//! demultiplexes reply frames back to the waiting [`Receiver`]s, so
-//! any number of requests overlap on one socket and replies may arrive
-//! out of order (the fork-join read path depends on this).
+//! each loop keeps its sockets in the connection table the server loop
+//! uses too (`poll::Conns`: registration, write-interest arming,
+//! teardown) and multiplexes them with a [`mio::Poll`]er. Each in-flight
+//! request gets a fresh `req_id` and an entry in its loop's one pending
+//! map, `req_id → (worker, waiter)`; the loop demultiplexes reply frames
+//! back to the waiting [`Receiver`]s, so any number of requests overlap
+//! on one socket and replies may arrive out of order (the fork-join read
+//! path depends on this). A reply answers a request only if it arrived
+//! on the connection the request was sent on. When a connection dies,
+//! its reader goes first (so a half-landed payload releases its region)
+//! and then its worker's requests fail with the cause of death.
 //!
 //! The data path is batched, and zero-copy outbound: submitters encode frames as
 //! header + [`bytes::Bytes`] payload parts ([`crate::frame::try_encode_request_parts`]),
@@ -39,6 +45,7 @@
 //!   mid-stream → [`StoreError::Io`] — *retryable*; the remote may be
 //!   healthy and a reconnect can succeed,
 //! * protocol violation in a reply → [`StoreError::Codec`] — permanent,
+//!   for every request in flight on that connection (framing is lost),
 //! * no reply within the deadline → the caller's `recv_timeout` yields
 //!   [`StoreError::Timeout`] exactly as with the in-process channel
 //!   transport.
@@ -51,13 +58,18 @@
 //! order and sleeps until the oldest *unanswered* one: a deadline
 //! leaves the queue with its reply, and a request that was answered
 //! never wakes the loop again.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
-use mio::{Events, Interest, Poll, Token, Waker};
+use mio::{Events, Poll, Waker};
 use parking_lot::Mutex;
 use spcache_store::landing::{Claim, Region};
 use spcache_store::rpc::{Reply, Request, StoreError};
 use spcache_store::transport::Transport;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,19 +80,14 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 
 use crate::frame::{data_reply_id, decode_reply, try_encode_request_parts, Frame};
-use crate::poll::{FrameReader, Inbound, PumpStatus, ReadBuf, WireFrame, WriteQueue};
+use crate::poll::{poll_with_waker, Conns, Inbound, ReadBuf, WireFrame, WAKER_TOK};
 
-/// Token reserved for the shard's cross-thread waker.
-const WAKER: Token = Token(0);
-
-/// Socket tokens are the worker index shifted past the waker slot.
-fn worker_token(worker: usize) -> Token {
-    Token(worker + 1)
-}
+/// Worker `w`'s socket token is `WORKER_BASE + w`, past the waker's.
+const WORKER_BASE: usize = WAKER_TOK + 1;
 
 /// Work handed from submitters to a shard's event loop.
 enum Cmd {
-    /// Adopt a freshly connected (non-blocking) socket for `worker`.
+    /// Adopt a freshly connected socket for `worker`.
     Dial { worker: usize, stream: TcpStream },
     /// Queue one encoded request frame on `worker`'s connection.
     Submit {
@@ -157,7 +164,8 @@ impl TcpTransport {
     ///
     /// # Panics
     ///
-    /// Panics if `addrs` is empty or the poller cannot be created.
+    /// Panics if `addrs` is empty, or the OS refuses a loop its poller,
+    /// waker or thread.
     pub fn connect(addrs: Vec<SocketAddr>) -> Self {
         let shards = crate::poll::default_io_shards().min(addrs.len().max(1));
         Self::connect_sharded(addrs, shards)
@@ -168,7 +176,8 @@ impl TcpTransport {
     ///
     /// # Panics
     ///
-    /// Panics if `addrs` is empty or the poller cannot be created.
+    /// Panics if `addrs` is empty, or the OS refuses a loop its poller,
+    /// waker or thread.
     pub fn connect_sharded(addrs: Vec<SocketAddr>, io_shards: usize) -> Self {
         assert!(!addrs.is_empty(), "need at least one worker address");
         crate::poll::tune_allocator_once();
@@ -227,13 +236,8 @@ impl TcpTransport {
             return Ok(());
         }
         let stream = TcpStream::connect_timeout(&peer.addr, self.deadline)
-            .and_then(|s| {
-                s.set_nodelay(true)?;
-                s.set_nonblocking(true)?;
-                crate::poll::tune_socket(&s);
-                Ok(s)
-            })
             .map_err(|_| StoreError::Io(worker))?;
+        crate::poll::tune_socket(&stream);
         let shard = self.shard_of(worker);
         shard
             .tx
@@ -369,25 +373,17 @@ impl Drop for TcpTransport {
 // The shard event loop
 // ---------------------------------------------------------------------------
 
-/// One live multiplexed connection owned by a shard loop.
-struct Conn {
-    stream: TcpStream,
-    reader: FrameReader,
-    wq: WriteQueue,
-    pending: HashMap<u64, Waiter>,
-    /// Whether the socket is currently registered for write readiness.
-    writable_armed: bool,
-}
+/// A loop's requests in flight: `req_id → (worker, waiter)`. A request is
+/// answered only by a reply arriving on the connection it was sent on,
+/// and a worker's entries all fail when that connection dies — so an
+/// entry always names the worker's live connection.
+type Pending = HashMap<u64, (usize, Waiter)>;
 
-impl Conn {
-    /// Fails every request in flight. The reader goes first: a payload
-    /// it was landing never lands, and its claim is released before any
-    /// caller hears of the failure.
-    fn fail_all(&mut self, err: &StoreError) {
-        self.reader = FrameReader::new();
-        for (_, waiter) in self.pending.drain() {
-            waiter.answer(Reply::Err(err.clone()));
-        }
+/// Takes the waiter of `req_id` if it was sent to `worker`.
+fn take_waiter(pending: &mut Pending, worker: usize, req_id: u64) -> Option<Waiter> {
+    match pending.entry(req_id) {
+        Entry::Occupied(e) if e.get().0 == worker => Some(e.remove().1),
+        _ => None,
     }
 }
 
@@ -395,7 +391,8 @@ impl Conn {
 /// buffers of their own, and `Data` payloads landed in the regions their
 /// requests rode with.
 struct Replies<'a> {
-    pending: &'a HashMap<u64, Waiter>,
+    worker: usize,
+    pending: &'a Pending,
     frames: &'a mut Vec<Bytes>,
     landed: &'a mut Vec<(u64, Claim)>,
 }
@@ -405,12 +402,15 @@ impl Inbound for Replies<'_> {
         self.frames.push(body);
     }
 
-    /// A `Data` reply to a request still waiting with a region of exactly
-    /// this payload's length, free, lands there.
+    /// A `Data` reply to a request still waiting on this connection with
+    /// a region of exactly this payload's length, free, lands there.
     fn offer(&mut self, header: &[u8], len: usize) -> Option<(u64, Claim)> {
         let req_id = data_reply_id(header)?;
-        let region = self.pending.get(&req_id)?.region.as_ref()?;
-        Some((req_id, region.claim(len)?))
+        let (_, waiter) = self
+            .pending
+            .get(&req_id)
+            .filter(|(w, _)| *w == self.worker)?;
+        Some((req_id, waiter.region.as_ref()?.claim(len)?))
     }
 
     fn landed(&mut self, req_id: u64, claim: Claim) {
@@ -418,9 +418,16 @@ impl Inbound for Replies<'_> {
     }
 }
 
+/// Spawns one I/O loop over `peers`.
+///
+/// # Panics
+///
+/// Panics if the OS refuses a poller, its waker or the thread (resource
+/// exhaustion; nothing a request carries reaches here), as
+/// [`TcpTransport::connect`] documents.
+#[allow(clippy::expect_used)]
 fn spawn_shard(index: usize, peers: Arc<Vec<PeerShared>>) -> Shard {
-    let poll = Poll::new().expect("create poller");
-    let waker = Waker::new(poll.registry(), WAKER).expect("create waker");
+    let (poll, waker) = poll_with_waker().expect("create poller and waker");
     let (tx, rx) = unbounded();
     let thread = std::thread::Builder::new()
         .name(format!("spcache-net-io-{index}"))
@@ -433,21 +440,20 @@ fn spawn_shard(index: usize, peers: Arc<Vec<PeerShared>>) -> Shard {
     }
 }
 
-/// The reap deadlines of one loop's requests, `(reap_at, worker,
-/// req_id)` in submit order — which is deadline order, every request of
-/// a transport carrying the same `2 * deadline` (submitters racing each
-/// other into the queue can swap neighbours by the microseconds between
-/// them, which only delays a reap by as much). `req_id`s are unique per
-/// transport, so an entry outliving its connection names nothing.
-type Deadlines = VecDeque<(Instant, usize, u64)>;
+/// The reap deadlines of one loop's requests, `(reap_at, req_id)` in
+/// submit order — which is deadline order, every request of a transport
+/// carrying the same `2 * deadline` (submitters racing each other into
+/// the queue can swap neighbours by the microseconds between them, which
+/// only delays a reap by as much). `req_id`s are unique per transport,
+/// so an entry outliving its request names nothing.
+type Deadlines = VecDeque<(Instant, u64)>;
 
 /// Discards the deadlines at the front whose requests were answered (or
 /// failed with their connection) and returns the oldest unanswered
 /// request's — the only instant the loop has to wake for.
-fn next_reap(deadlines: &mut Deadlines, conns: &HashMap<usize, Conn>) -> Option<Instant> {
-    while let Some(&(at, worker, req_id)) = deadlines.front() {
-        let unanswered = |c: &Conn| c.pending.contains_key(&req_id);
-        if conns.get(&worker).is_some_and(unanswered) {
+fn next_reap(deadlines: &mut Deadlines, pending: &Pending) -> Option<Instant> {
+    while let Some(&(at, req_id)) = deadlines.front() {
+        if pending.contains_key(&req_id) {
             return Some(at);
         }
         deadlines.pop_front();
@@ -461,14 +467,15 @@ fn next_reap(deadlines: &mut Deadlines, conns: &HashMap<usize, Conn>) -> Option<
 /// no per-connection threads anywhere.
 fn shard_loop(mut poll: Poll, rx: Receiver<Cmd>, peers: &[PeerShared]) {
     let mut events = Events::with_capacity(256);
-    let mut conns: HashMap<usize, Conn> = HashMap::new();
+    let mut conns = Conns::new();
+    let mut pending = Pending::new();
     let mut deadlines = Deadlines::new();
     let mut buf = ReadBuf::new();
     let mut frames: Vec<Bytes> = Vec::new();
     let mut landed: Vec<(u64, Claim)> = Vec::new();
 
     'run: loop {
-        let timeout = next_reap(&mut deadlines, &conns)
+        let timeout = next_reap(&mut deadlines, &pending)
             .map(|at| at.saturating_duration_since(Instant::now()));
         if poll.poll(&mut events, timeout).is_err() {
             break 'run; // poller failure is fatal; drain below
@@ -476,26 +483,10 @@ fn shard_loop(mut poll: Poll, rx: Receiver<Cmd>, peers: &[PeerShared]) {
 
         // Commands first: frames submitted since the last wakeup land
         // in the write queues before the single flush pass below.
-        let mut dirty: Vec<usize> = Vec::new();
         loop {
             match rx.try_recv() {
                 Ok(Cmd::Dial { worker, stream }) => {
-                    let ok = poll
-                        .registry()
-                        .register(&stream, worker_token(worker), Interest::READABLE)
-                        .is_ok();
-                    if ok {
-                        conns.insert(
-                            worker,
-                            Conn {
-                                stream,
-                                reader: FrameReader::new(),
-                                wq: WriteQueue::new(),
-                                pending: HashMap::new(),
-                                writable_armed: false,
-                            },
-                        );
-                    } else {
+                    if !conns.adopt(&poll, WORKER_BASE + worker, stream) {
                         *peers[worker].connected.lock() = false;
                     }
                 }
@@ -505,23 +496,20 @@ fn shard_loop(mut poll: Poll, rx: Receiver<Cmd>, peers: &[PeerShared]) {
                     frame,
                     reap_at,
                     waiter,
-                }) => match conns.get_mut(&worker) {
-                    Some(conn) => {
-                        conn.pending.insert(req_id, waiter);
-                        conn.wq.push(frame);
-                        deadlines.push_back((reap_at, worker, req_id));
-                        if !dirty.contains(&worker) {
-                            dirty.push(worker);
-                        }
+                }) => {
+                    if conns.push(WORKER_BASE + worker, frame) {
+                        pending.insert(req_id, (worker, waiter));
+                        deadlines.push_back((reap_at, req_id));
+                    } else {
+                        // The connection died between submit and delivery;
+                        // a retryable error sends the caller back around.
+                        waiter.answer(Reply::Err(StoreError::Io(worker)));
                     }
-                    // The connection died between submit and delivery;
-                    // a retryable error sends the caller back around.
-                    None => waiter.answer(Reply::Err(StoreError::Io(worker))),
-                },
+                }
                 Ok(Cmd::Shutdown) | Err(TryRecvError::Disconnected) => break 'run,
                 #[cfg(test)]
                 Ok(Cmd::Deadlines(held)) => {
-                    next_reap(&mut deadlines, &conns);
+                    next_reap(&mut deadlines, &pending);
                     let _ = held.send(deadlines.len());
                 }
                 Err(TryRecvError::Empty) => break,
@@ -530,84 +518,77 @@ fn shard_loop(mut poll: Poll, rx: Receiver<Cmd>, peers: &[PeerShared]) {
 
         // Socket readiness.
         for ev in &events {
-            let Token(t) = ev.token();
-            if t == WAKER.0 {
-                continue;
-            }
-            let worker = t - 1;
-            let Some(conn) = conns.get_mut(&worker) else {
-                continue;
+            let token = ev.token().0;
+            let Some(worker) = token.checked_sub(WORKER_BASE) else {
+                continue; // the waker
             };
-            if ev.is_readable() || ev.is_error() {
-                if let Some(death) = pump_replies(conn, worker, &mut buf, &mut frames, &mut landed) {
-                    kill_conn(&poll, &mut conns, peers, worker, &death);
+            if (ev.is_readable() || ev.is_error()) && conns.is_open(token) {
+                let mut replies = Replies {
+                    worker,
+                    pending: &pending,
+                    frames: &mut frames,
+                    landed: &mut landed,
+                };
+                let open = conns.pump(token, &mut buf, &mut replies);
+                if let Some(death) =
+                    route_replies(&mut pending, worker, open, &mut frames, &mut landed)
+                {
+                    conns.close(&poll, token);
+                    fail_worker(&mut pending, peers, worker, &death);
                     continue;
                 }
             }
-            if ev.is_writable() && !dirty.contains(&worker) {
-                dirty.push(worker);
+            if ev.is_writable() {
+                conns.touch(token);
             }
         }
 
         // One flush per touched connection: everything queued above
         // goes out in batched vectored writes.
-        for worker in dirty {
-            let Some(conn) = conns.get_mut(&worker) else {
-                continue;
-            };
-            if let Err(death) = flush_conn(&poll, conn, worker) {
-                kill_conn(&poll, &mut conns, peers, worker, &death);
-            }
+        for token in conns.flush_dirty(&poll) {
+            let worker = token - WORKER_BASE;
+            fail_worker(&mut pending, peers, worker, &StoreError::Io(worker));
         }
 
         // Reap the requests whose deadline passed unanswered.
         let now = Instant::now();
-        while let Some(&(at, worker, req_id)) = deadlines.front() {
+        while let Some(&(at, req_id)) = deadlines.front() {
             if at > now {
                 break;
             }
             deadlines.pop_front();
-            let waiting = conns
-                .get_mut(&worker)
-                .and_then(|c| c.pending.remove(&req_id));
             // A payload half landed for it finds no waiter when its frame
             // ends, and frees its region unlanded.
-            if let Some(waiter) = waiting {
+            if let Some((worker, waiter)) = pending.remove(&req_id) {
                 waiter.answer(Reply::Err(StoreError::Timeout(worker)));
             }
         }
     }
 
     // Shutdown (or poller death): fail whatever is still in flight so
-    // no caller blocks forever, and mark peers disconnected.
-    for (worker, mut conn) in conns.drain() {
-        conn.fail_all(&StoreError::Io(worker));
-        let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-        *peers[worker].connected.lock() = false;
+    // no caller blocks forever. A submit that comes later finds the
+    // loop's queue gone and fails with `Io` too.
+    conns.close_all();
+    for (_, (worker, waiter)) in pending.drain() {
+        waiter.answer(Reply::Err(StoreError::Io(worker)));
     }
 }
 
-/// Pumps a readable connection and routes every decoded reply to its
-/// waiting receiver; a payload that landed in its region publishes the
+/// Routes what one pump of `worker`'s connection completed to the
+/// waiting receivers; a payload that landed in its region publishes the
 /// region first and answers with an empty `Data`. Returns the
-/// connection's cause of death, if any.
-fn pump_replies(
-    conn: &mut Conn,
+/// connection's cause of death, if any: `Codec` for a malformed reply,
+/// `Io` when the pump found it closed or broken (`open` false).
+fn route_replies(
+    pending: &mut Pending,
     worker: usize,
-    buf: &mut ReadBuf,
+    open: bool,
     frames: &mut Vec<Bytes>,
     landed: &mut Vec<(u64, Claim)>,
 ) -> Option<StoreError> {
-    frames.clear();
-    let mut replies = Replies {
-        pending: &conn.pending,
-        frames: &mut *frames,
-        landed: &mut *landed,
-    };
-    let status = conn.reader.pump_with(buf, &mut conn.stream, &mut replies);
     for (req_id, claim) in landed.drain(..) {
         // Reaped meanwhile: the claim drops unlanded.
-        if let Some(waiter) = conn.pending.remove(&req_id) {
+        if let Some(waiter) = take_waiter(pending, worker, req_id) {
             let reply = if claim.land() {
                 Reply::Data(Bytes::new())
             } else {
@@ -619,7 +600,7 @@ fn pump_replies(
     for buf in frames.drain(..) {
         match Frame::parse(buf).and_then(|f| decode_reply(&f).map(|r| (f.req_id, r))) {
             Ok((req_id, reply)) => {
-                if let Some(waiter) = conn.pending.remove(&req_id) {
+                if let Some(waiter) = take_waiter(pending, worker, req_id) {
                     waiter.answer(reply);
                 }
             }
@@ -628,50 +609,15 @@ fn pump_replies(
             Err(e) => return Some(e),
         }
     }
-    match status {
-        Ok(PumpStatus::Open) => None,
-        Ok(PumpStatus::Closed) | Err(_) => Some(StoreError::Io(worker)),
-    }
+    (!open).then_some(StoreError::Io(worker))
 }
 
-/// Flushes a connection's write queue, arming or disarming write
-/// interest to match whether the socket pushed back.
-fn flush_conn(poll: &Poll, conn: &mut Conn, worker: usize) -> Result<(), StoreError> {
-    match conn.wq.flush(&mut conn.stream) {
-        Ok(drained) => {
-            if drained && conn.writable_armed {
-                conn.writable_armed = false;
-                let _ = poll
-                    .registry()
-                    .reregister(&conn.stream, worker_token(worker), Interest::READABLE);
-            } else if !drained && !conn.writable_armed {
-                conn.writable_armed = true;
-                let _ = poll.registry().reregister(
-                    &conn.stream,
-                    worker_token(worker),
-                    Interest::READABLE | Interest::WRITABLE,
-                );
-            }
-            Ok(())
-        }
-        Err(_) => Err(StoreError::Io(worker)),
-    }
-}
-
-/// Tears down a dead connection: fails its in-flight requests with
-/// `death` and clears the peer's connected flag so the next submit
-/// redials.
-fn kill_conn(
-    poll: &Poll,
-    conns: &mut HashMap<usize, Conn>,
-    peers: &[PeerShared],
-    worker: usize,
-    death: &StoreError,
-) {
-    if let Some(mut conn) = conns.remove(&worker) {
-        let _ = poll.registry().deregister(&conn.stream);
-        let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-        conn.fail_all(death);
+/// Fails every request in flight to `worker`, whose connection was
+/// closed (its reader, and any claim it held, went first), with `death`,
+/// and clears the peer's connected flag so the next submit redials.
+fn fail_worker(pending: &mut Pending, peers: &[PeerShared], worker: usize, death: &StoreError) {
+    for (_, (_, waiter)) in pending.extract_if(|_, (w, _)| *w == worker) {
+        waiter.answer(Reply::Err(death.clone()));
     }
     *peers[worker].connected.lock() = false;
 }
@@ -990,6 +936,124 @@ mod tests {
         assert_eq!(landing.into_vec(), data, "later bytes reached the file");
         drop(t);
         server.join().unwrap();
+    }
+
+    #[test]
+    fn a_put_larger_than_both_socket_buffers_finishes_once_the_peer_reads() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // More than the 4 MiB send buffer and the peer's receive buffer
+        // together: the loop's flush must stop short and wait for write
+        // readiness, then disarm it once the queue drains.
+        let data = file(24 << 20);
+        let want = data.clone();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            std::thread::sleep(Duration::from_millis(300));
+            let put = Frame::parse(read_frame(&mut stream).unwrap().unwrap()).unwrap();
+            let Request::Put { data, .. } = crate::frame::decode_request(&put).unwrap() else {
+                panic!("expected a put")
+            };
+            assert!(data[..] == want[..], "the put's payload arrived altered");
+            write_frame(&mut stream, &encode_reply(&Reply::Done, put.req_id)).unwrap();
+            let ping = Frame::parse(read_frame(&mut stream).unwrap().unwrap()).unwrap();
+            let pong = Reply::Pong { worker: 0, epoch: 0 };
+            write_frame(&mut stream, &encode_reply(&pong, ping.req_id)).unwrap();
+            let _ = read_frame(&mut stream);
+        });
+        let t = TcpTransport::connect(vec![addr]).with_deadline(Duration::from_secs(5));
+        let put = Request::Put {
+            key: PartKey::new(1, 0),
+            data: Bytes::from(data),
+            sum: 0,
+        };
+        let wait = Duration::from_secs(10);
+        let done = t.submit(0, put).unwrap().recv_timeout(wait).unwrap();
+        assert_eq!(done, Reply::Done);
+        let pong = t.submit(0, Request::Ping).unwrap().recv_timeout(wait).unwrap();
+        assert!(matches!(pong, Reply::Pong { .. }), "got {pong:?}");
+        drop(t);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_reply_answers_only_a_request_sent_on_its_own_connection() {
+        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addrs = vec![l0.local_addr().unwrap(), l1.local_addr().unwrap()];
+        let (sent0, got0) = unbounded::<u64>();
+        // Worker 0 reads its request and never answers.
+        let server0 = std::thread::spawn(move || {
+            let (mut stream, _) = l0.accept().unwrap();
+            let get = Frame::parse(read_frame(&mut stream).unwrap().unwrap()).unwrap();
+            sent0.send(get.req_id).unwrap();
+            let _ = read_frame(&mut stream);
+        });
+        // Worker 1 answers worker 0's request id first, then its own.
+        let server1 = std::thread::spawn(move || {
+            let (mut stream, _) = l1.accept().unwrap();
+            let own = Frame::parse(read_frame(&mut stream).unwrap().unwrap()).unwrap();
+            for req_id in [got0.recv().unwrap(), own.req_id] {
+                let pong = Reply::Pong { worker: 1, epoch: req_id };
+                write_frame(&mut stream, &encode_reply(&pong, req_id)).unwrap();
+            }
+            let _ = read_frame(&mut stream);
+        });
+        // One loop carries both connections.
+        let t = TcpTransport::connect_sharded(addrs, 1).with_deadline(Duration::from_millis(150));
+        let route0 = t.submit(0, Request::Ping).unwrap();
+        let route1 = t.submit(1, Request::Ping).unwrap();
+        let wait = Duration::from_secs(5);
+        let pong = route1.recv_timeout(wait).unwrap();
+        assert!(matches!(pong, Reply::Pong { worker: 1, .. }), "got {pong:?}");
+        assert_eq!(route0.recv_timeout(wait).unwrap(), Reply::Err(StoreError::Timeout(0)));
+        drop(t);
+        server0.join().unwrap();
+        server1.join().unwrap();
+    }
+
+    #[test]
+    fn a_dying_connection_frees_its_landing_region_before_its_waiter_hears() {
+        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addrs = vec![l0.local_addr().unwrap(), l1.local_addr().unwrap()];
+        let len = 300_000;
+        // Worker 0 sends half of an exact-length reply, then closes.
+        let server0 = std::thread::spawn(move || {
+            let (mut stream, _) = l0.accept().unwrap();
+            let get = Frame::parse(read_frame(&mut stream).unwrap().unwrap()).unwrap();
+            let wire = encode_reply(&Reply::Data(Bytes::from(vec![0xEE; len])), get.req_id);
+            write_frame(&mut stream, &wire[..wire.len() / 2]).unwrap();
+        });
+        // Worker 1, on the same loop, answers only after worker 0's death
+        // was heard: a death fails its own connection's requests alone.
+        let (go, went) = unbounded::<()>();
+        let server1 = std::thread::spawn(move || {
+            let (mut stream, _) = l1.accept().unwrap();
+            let ping = Frame::parse(read_frame(&mut stream).unwrap().unwrap()).unwrap();
+            went.recv().unwrap();
+            let pong = Reply::Pong { worker: 1, epoch: 0 };
+            write_frame(&mut stream, &encode_reply(&pong, ping.req_id)).unwrap();
+            let _ = read_frame(&mut stream);
+        });
+        let t = TcpTransport::connect_sharded(addrs, 1).with_deadline(Duration::from_secs(5));
+        let mut landing = Landing::new(len, 1);
+        let get = Request::Get { key: PartKey::new(1, 0) };
+        let routes = t
+            .submit_landing(vec![(0, get, landing.region(0)), (1, Request::Ping, None)])
+            .unwrap();
+        let wait = Duration::from_secs(5);
+        assert_eq!(routes[0].recv_timeout(wait).unwrap(), Reply::Err(StoreError::Io(0)));
+        let region = landing.region(0).unwrap();
+        assert!(region.claim(len).is_some(), "the dead connection still holds the region");
+        drop(region);
+        assert!(!landing.accept(0), "half a payload landed");
+        go.send(()).unwrap();
+        let pong = routes[1].recv_timeout(wait).unwrap();
+        assert!(matches!(pong, Reply::Pong { worker: 1, .. }), "got {pong:?}");
+        drop(t);
+        server0.join().unwrap();
+        server1.join().unwrap();
     }
 
     #[test]
