@@ -314,7 +314,10 @@ impl FrameReader {
             if self.head.len() < HEAD {
                 return check_len(&self.head);
             }
-            let head = std::mem::take(&mut self.head);
+            // Copied out, so the buffer keeps its capacity for the next cut.
+            let mut head = [0u8; HEAD];
+            head.copy_from_slice(&self.head);
+            self.head.clear();
             pos += self.begin(&head, &chunk[pos..], out)?;
         }
 
