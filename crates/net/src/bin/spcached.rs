@@ -5,10 +5,8 @@
 //!                 [--io-shards N] [--memory-budget BYTES]
 //!                 [--background-fraction F] [--verify-reads]
 //! spcached master --bind ADDR --workers ADDR1,ADDR2,...
-//!                 [--no-supervisor] [--heartbeat-ms MS]
-//!                 [--meta-dir DIR] [--force-active]
-//!                 [--standby --peer ADDR [--poll-ms MS]
-//!                  [--takeover-after N]]
+//!                 [--heartbeat-ms MS] [--meta-dir DIR] [--force-active]
+//!                 [--standby --peer ADDR]
 //! ```
 //!
 //! Both roles print `LISTEN <addr>` on stdout once bound (port 0 picks
@@ -25,8 +23,8 @@
 //!
 //! `--standby` runs the failover twin: it tails the active master's
 //! op-log over the wire (`--peer ADDR`), replays it into a shadow
-//! master, and after `--takeover-after` consecutive failed polls
-//! (default 5, `--poll-ms` apart, default 100) takes over — binding
+//! master, and after 5 consecutive failed polls (`--heartbeat-ms`
+//! apart, default 100) takes over — binding
 //! its own meta endpoint, bumping the master epoch, announcing it to
 //! the worker fleet, and fencing the old master if it ever answers
 //! again. It prints `STANDBY <peer>` when tailing begins and
@@ -36,11 +34,10 @@
 //! one I/O shard (loop thread) per core by default, each multiplexing
 //! N connections; `--io-shards` overrides the shard count.
 //!
-//! Master mode runs the self-healing supervisor loop (DESIGN.md §4.11)
-//! **by default**: it heartbeats the worker fleet, fences crash-restarted
+//! Master mode always runs the self-healing supervisor loop (DESIGN.md
+//! §4.11): it heartbeats the worker fleet, fences crash-restarted
 //! workers with fresh epochs and marks lost partitions degraded.
-//! `--no-supervisor` disables it entirely; `--heartbeat-ms` tunes the
-//! probe cadence (default 100).
+//! `--heartbeat-ms` tunes the probe cadence (default 100).
 //!
 //! `--memory-budget BYTES` caps a worker's resident cache: overflow
 //! evicts cold partitions to a spill tier and reads of evicted
@@ -62,7 +59,6 @@ use spcache_store::backing::UnderStore;
 use spcache_store::fault::FaultLog;
 use spcache_store::master::Master;
 use spcache_store::metalog::decode_records;
-use spcache_store::repartitioner::DEFAULT_EXECUTOR_DEADLINE;
 use spcache_store::supervisor::{Supervisor, SupervisorCore};
 use spcache_store::transport::Transport;
 use spcache_store::{Request, StoreConfig, SupervisorConfig};
@@ -77,8 +73,7 @@ fn usage() -> ! {
          [--io-shards N] [--memory-budget BYTES] [--background-fraction F] \
          [--verify-reads]\n  \
          spcached master --bind ADDR --workers ADDR1,ADDR2,... \
-         [--no-supervisor] [--heartbeat-ms MS] [--meta-dir DIR] [--force-active] \
-         [--standby --peer ADDR [--poll-ms MS] [--takeover-after N]]"
+         [--heartbeat-ms MS] [--meta-dir DIR] [--force-active] [--standby --peer ADDR]"
     );
     exit(2);
 }
@@ -92,12 +87,12 @@ const WORKER_FLAGS: Flags = (
 );
 
 const MASTER_FLAGS: Flags = (
-    &[
-        "--bind", "--workers", "--heartbeat-ms", "--meta-dir", "--peer", "--poll-ms",
-        "--takeover-after",
-    ],
-    &["--no-supervisor", "--force-active", "--standby"],
+    &["--bind", "--workers", "--heartbeat-ms", "--meta-dir", "--peer"],
+    &["--force-active", "--standby"],
 );
+
+/// Consecutive failed polls after which a standby takes over.
+const TAKEOVER_AFTER: u32 = 5;
 
 /// Exits through [`usage`] unless every argument is a flag of `valued`
 /// followed by its value, or one of `switches`.
@@ -159,12 +154,9 @@ fn run_worker(args: &[String]) {
     if args.iter().any(|a| a == "--verify-reads") {
         cfg = cfg.with_verify_reads(true);
     }
-    // The daemon always reports corruption events: a bitflip in a cache
-    // node is an operator-visible incident, not a silent retry.
-    cfg = cfg.with_corruption_log(true);
     let log = Arc::new(FaultLog::new());
     // A standalone worker has no shared under-store to spill into, so a
-    // budgeted one backs itself privately (spawn_worker_opts does this).
+    // budgeted one backs itself privately (spawn_worker does this).
     let io_shards = flag_value(args, "--io-shards")
         .map_or_else(default_io_shards, |n| parse("--io-shards", &n));
     let server = WorkerServer::spawn(id, &bind, &cfg, log, io_shards, None).unwrap_or_else(|e| {
@@ -225,31 +217,36 @@ fn run_master(args: &[String]) {
             }
         }
     }
-    // The supervisor is ON by default in master mode; `--no-supervisor`
-    // gives the exact pre-supervisor behaviour (manual liveness only).
     // A fenced master's supervisor ticks are no-ops, so spawning it on
     // a fenced rejoin is harmless.
-    let _supervisor = (!args.iter().any(|a| a == "--no-supervisor")).then(|| {
-        let mut sup = SupervisorConfig::enabled();
-        if let Some(ms) = flag_value(args, "--heartbeat-ms") {
-            sup = sup.with_interval(Duration::from_millis(parse("--heartbeat-ms", &ms)));
-        }
-        let transport: Arc<dyn Transport> =
-            Arc::new(spcache_net::TcpTransport::connect(worker_addrs));
-        Supervisor::spawn(SupervisorCore::new(
-            master,
-            transport,
-            None, // no under-store to sweep from; detection + fencing only
-            sup,
-            spcache_store::RetryPolicy::default(),
-        ))
-    });
+    let transport: Arc<dyn Transport> = Arc::new(spcache_net::TcpTransport::connect(worker_addrs));
+    let _supervisor = spawn_supervisor(args, master, transport);
     println!("LISTEN {}", server.addr());
     server.join();
 }
 
+/// The supervisor at the `--heartbeat-ms` cadence, with no under-store
+/// to sweep from: detection and fencing only.
+fn spawn_supervisor(
+    args: &[String],
+    master: Arc<Master>,
+    transport: Arc<dyn Transport>,
+) -> Supervisor {
+    let (cfg, retry) = (supervisor_config(args), spcache_store::RetryPolicy::default());
+    Supervisor::spawn(SupervisorCore::new(master, transport, None, cfg, retry))
+}
+
+/// The supervisor's configuration, probing every `--heartbeat-ms`.
+fn supervisor_config(args: &[String]) -> SupervisorConfig {
+    let sup = SupervisorConfig::enabled();
+    match flag_value(args, "--heartbeat-ms") {
+        Some(ms) => sup.with_interval(Duration::from_millis(parse("--heartbeat-ms", &ms))),
+        None => sup,
+    }
+}
+
 fn spawn_master_server(master: Arc<Master>, bind: &str, workers: Vec<SocketAddr>) -> MasterServer {
-    MasterServer::spawn(master, bind, workers, DEFAULT_EXECUTOR_DEADLINE).unwrap_or_else(|e| {
+    MasterServer::spawn(master, bind, workers).unwrap_or_else(|e| {
         eprintln!("spcached: cannot bind {bind}: {e}");
         exit(1);
     })
@@ -267,11 +264,8 @@ fn run_standby(
         "--peer",
         &flag_value(args, "--peer").unwrap_or_else(|| usage()),
     );
-    let poll = Duration::from_millis(
-        flag_value(args, "--poll-ms").map_or(100, |v| parse("--poll-ms", &v)),
-    );
-    let takeover_after: u32 =
-        flag_value(args, "--takeover-after").map_or(5, |v| parse("--takeover-after", &v));
+    // The standby polls at the cadence its own supervisor will probe at.
+    let poll = supervisor_config(args).heartbeat_interval;
 
     let peer_client = MasterClient::connect(peer).with_deadline(poll.max(Duration::from_millis(20)));
     let shadow = Arc::new(Master::new());
@@ -281,7 +275,7 @@ fn run_standby(
     loop {
         std::thread::sleep(poll);
         // Status first (cheap, served even by a fenced peer), then pull
-        // the delta. One failed poll is a blip; `takeover_after` in a
+        // the delta. One failed poll is a blip; `TAKEOVER_AFTER` in a
         // row is a dead master.
         match peer_client.status() {
             Ok(_) => {
@@ -297,7 +291,7 @@ fn run_standby(
             }
             Err(_) => {
                 misses += 1;
-                if misses >= takeover_after {
+                if misses >= TAKEOVER_AFTER {
                     break;
                 }
             }
@@ -341,19 +335,7 @@ fn run_standby(
     }
     // Tell the old master it is deposed, if it ever answers again.
     let _ = peer_client.takeover(epoch, &my_addr);
-    let mut sup = SupervisorConfig::enabled();
-    if let Some(ms) = flag_value(args, "--heartbeat-ms") {
-        sup = sup.with_interval(Duration::from_millis(parse("--heartbeat-ms", &ms)));
-    }
-    let _supervisor = (!args.iter().any(|a| a == "--no-supervisor")).then(|| {
-        Supervisor::spawn(SupervisorCore::new(
-            master.clone(),
-            transport.clone(),
-            None,
-            sup,
-            spcache_store::RetryPolicy::default(),
-        ))
-    });
+    let _supervisor = spawn_supervisor(args, master, transport);
     println!("TAKEOVER {epoch}");
     println!("LISTEN {}", server.addr());
     server.join();

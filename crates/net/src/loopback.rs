@@ -46,8 +46,7 @@ impl Loopback {
             .expect("bind worker listener");
         let addrs: Vec<SocketAddr> = workers.iter().map(WorkerServer::addr).collect();
         let master =
-            MasterServer::spawn(master.clone(), bind, addrs.clone(), cfg.executor_deadline)
-                .expect("bind master listener");
+            MasterServer::spawn(master.clone(), bind, addrs.clone()).expect("bind master listener");
         let deadline = cfg.retry.deadline;
         let transport = Arc::new(TcpTransport::connect(addrs).with_deadline(deadline));
         Loopback { workers, master_addr: master.addr(), master: Some(master), transport, deadline }

@@ -33,7 +33,7 @@ use parking_lot::Mutex;
 use spcache_core::tuner::TunerConfig;
 use spcache_store::master::{Master, MetaService};
 use spcache_store::FileIntegrity;
-use spcache_store::repartitioner::run_parallel_with_deadline;
+use spcache_store::repartitioner::run_parallel;
 use spcache_store::rpc::{StoreError, MASTER_ENDPOINT};
 use std::collections::HashSet;
 use std::io;
@@ -585,9 +585,7 @@ pub struct MasterServer {
 
 impl MasterServer {
     /// Serves `master` on `bind` (port 0 for ephemeral). `worker_addrs`
-    /// is the fleet the `Rebalance` RPC repartitions over, under the
-    /// per-reply `executor_deadline` (normally
-    /// [`spcache_store::StoreConfig::executor_deadline`]); pass the
+    /// is the fleet the `Rebalance` RPC repartitions over; pass the
     /// workers' listen addresses in index order.
     ///
     /// # Errors
@@ -597,7 +595,6 @@ impl MasterServer {
         master: Arc<Master>,
         bind: &str,
         worker_addrs: Vec<SocketAddr>,
-        executor_deadline: Duration,
     ) -> io::Result<MasterServer> {
         let listener = TcpListener::bind(bind)?;
         let addr = listener.local_addr()?;
@@ -619,7 +616,7 @@ impl MasterServer {
                     let _ = std::thread::Builder::new()
                         .name("spcache-master-rebalance".into())
                         .spawn(move || {
-                            let reply = serve_meta(&master, &workers, req, executor_deadline);
+                            let reply = serve_meta(&master, &workers, req);
                             let frame = meta_frame(&reply, req_id);
                             conn.complete(Completion::Frame(frame), Duration::ZERO);
                         });
@@ -629,7 +626,7 @@ impl MasterServer {
                     if matches!(other, MetaRequest::Shutdown) {
                         conn.stop_server(); // applied after this ack is queued
                     }
-                    let reply = serve_meta(&served, &worker_addrs, other, executor_deadline);
+                    let reply = serve_meta(&served, &worker_addrs, other);
                     Served::Reply(meta_frame(&reply, req_id))
                 }
             }
@@ -667,7 +664,6 @@ fn serve_meta(
     master: &Arc<Master>,
     worker_addrs: &[SocketAddr],
     req: MetaRequest,
-    executor_deadline: Duration,
 ) -> MetaReply {
     // A fenced master answers nothing but probes and takeover
     // handshakes: every other call is bounced to the successor so a
@@ -749,13 +745,7 @@ fn serve_meta(
                 };
             let moved = plan.jobs.len() as u64;
             let transport = TcpTransport::connect(worker_addrs.to_vec());
-            match run_parallel_with_deadline(
-                &plan,
-                &ids,
-                master.as_ref(),
-                &transport,
-                executor_deadline,
-            ) {
+            match run_parallel(&plan, &ids, master.as_ref(), &transport) {
                 Ok(skipped) => MetaReply::Rebalanced { moved, skipped },
                 Err(e) => MetaReply::Err(e),
             }

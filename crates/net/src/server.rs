@@ -43,7 +43,7 @@ use crossbeam::channel::Sender;
 use spcache_store::backing::UnderStore;
 use spcache_store::fault::FaultLog;
 use spcache_store::rpc::{Delivery, Envelope, Reply, ReplyRoute, ReplySink, Request, StoreError};
-use spcache_store::worker::{spawn_worker_opts, WorkerHandle, WorkerOptions};
+use spcache_store::worker::{spawn_worker, WorkerHandle};
 use spcache_store::StoreConfig;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -162,7 +162,7 @@ impl WorkerServer {
         // the handshake.
         crate::poll::tune_socket(&listener);
         let addr = listener.local_addr()?;
-        let worker = spawn_worker_opts(WorkerOptions::from_config(id, cfg, fault_log, spill));
+        let worker = spawn_worker(id, cfg, fault_log, spill);
         let requests = worker.sender().clone();
         let shards = serve(
             &format!("spcached-{id}-io"),

@@ -4,7 +4,8 @@
 //! detect the death, recover the full metadata from the journal, take
 //! over under a bumped master epoch, and serve every pre-kill file
 //! byte-identically. A restart of the dead master on its old port must
-//! come up fenced and redirect clients to the successor.
+//! come up fenced and redirect clients to the successor; once the
+//! successor is gone too, `--force-active` must reclaim the journal.
 
 use spcache_net::{MasterClient, TcpTransport};
 use spcache_store::client::Client;
@@ -150,7 +151,7 @@ fn standby_takes_over_a_sigkilled_master() {
     ]);
     let addr_a = master_a.listen();
 
-    // Standby B: tails A's op-log, takes over after 3 missed 40 ms polls.
+    // Standby B: tails A's op-log, takes over after 5 missed 40 ms polls.
     let mut standby = Daemon::spawn(&[
         "master",
         "--bind",
@@ -162,10 +163,8 @@ fn standby_takes_over_a_sigkilled_master() {
         "--standby",
         "--peer",
         &addr_a.to_string(),
-        "--poll-ms",
+        "--heartbeat-ms",
         "40",
-        "--takeover-after",
-        "3",
     ]);
     assert_eq!(standby.expect_line("STANDBY"), addr_a.to_string());
 
@@ -233,7 +232,41 @@ fn standby_takes_over_a_sigkilled_master() {
     let (_, servers) = via_old.locate(0).expect("redirect must land on the successor");
     assert_eq!(servers, placement(0));
 
-    // Graceful teardown: workers, successor, fenced rejoiner.
+    // The successor goes too, and the fenced rejoiner with it. The
+    // operator restarts A with `--force-active`: the journal still
+    // names B, and the override reclaims it under a bumped epoch.
+    meta_b.shutdown_server().unwrap();
+    meta_a2.shutdown_server().unwrap();
+    for d in [&mut standby, &mut master_a2] {
+        await_exit(d);
+    }
+    let mut master_a3 = respawn_daemon(
+        &[
+            "master",
+            "--bind",
+            &addr_a.to_string(),
+            "--workers",
+            &workers_flag,
+            "--meta-dir",
+            meta_dir_flag,
+            "--force-active",
+        ],
+        Duration::from_secs(10),
+    );
+    let meta_a3 = Arc::new(MasterClient::connect(addr_a));
+    let (epoch, active, files, _) = meta_a3.status().expect("status of the reclaimed master");
+    // Every file B knew of: the pre-kill ones and the one B wrote.
+    assert_eq!((epoch, active, files), (3, true, N_FILES + 1));
+    let client_a3 = Client::new(meta_a3.clone(), transport.clone());
+    for id in 0..=N_FILES {
+        assert_eq!(
+            client_a3.read(id).unwrap(),
+            payload(id, FILE_LEN),
+            "file {id} not byte-identical after the reclaim"
+        );
+    }
+
+    // Graceful teardown: workers, then the reclaimed master.
     for w in 0..N_WORKERS {
         transport
             .call(w, Request::Shutdown, Duration::from_secs(10))
@@ -241,20 +274,18 @@ fn standby_takes_over_a_sigkilled_master() {
             .unit()
             .unwrap();
     }
-    meta_b.shutdown_server().unwrap();
-    meta_a2.shutdown_server().unwrap();
-    let deadline = Duration::from_secs(10);
-    for d in workers.iter_mut().chain([&mut standby, &mut master_a2]) {
-        let t0 = Instant::now();
-        loop {
-            match d.child.try_wait().expect("try_wait") {
-                Some(_) => break,
-                None => {
-                    assert!(t0.elapsed() <= deadline, "daemon did not exit after shutdown");
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-            }
-        }
+    meta_a3.shutdown_server().unwrap();
+    for d in workers.iter_mut().chain([&mut master_a3]) {
+        await_exit(d);
     }
     let _ = std::fs::remove_dir_all(&meta_dir);
+}
+
+/// Waits up to 10 s for a daemon that was told to shut down to exit.
+fn await_exit(d: &mut Daemon) {
+    let (t0, deadline) = (Instant::now(), Duration::from_secs(10));
+    while d.child.try_wait().expect("try_wait").is_none() {
+        assert!(t0.elapsed() <= deadline, "daemon did not exit after shutdown");
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }

@@ -453,13 +453,7 @@ fn a_redirect_makes_every_worker_news_again() {
     for (id, servers) in tcp.master().placements() {
         successor.register(id, 1_000, servers).unwrap();
     }
-    let server = MasterServer::spawn(
-        successor.clone(),
-        "127.0.0.1:0",
-        tcp.worker_addrs(),
-        Duration::from_secs(2),
-    )
-    .unwrap();
+    let server = MasterServer::spawn(successor.clone(), "127.0.0.1:0", tcp.worker_addrs()).unwrap();
     tcp.master().self_fence(Some(server.addr().to_string()));
 
     for _ in 0..5 {

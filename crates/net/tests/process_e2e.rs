@@ -189,7 +189,13 @@ fn a_misspelt_or_valueless_flag_exits_2_without_serving() {
     let regular_file = std::env::temp_dir().join(format!("spcached-meta-file-{}", std::process::id()));
     std::fs::write(&regular_file, b"").expect("create a regular file");
     let meta_dir = regular_file.to_str().expect("utf-8 temp path");
-    cases.push(vec!["master", "--bind", "127.0.0.1:0", "--workers", "127.0.0.1:1", "--meta-dir", meta_dir]);
+    let master = ["master", "--bind", "127.0.0.1:0", "--workers", "127.0.0.1:1"];
+    cases.push(master.iter().chain(&["--meta-dir", meta_dir]).copied().collect());
+    // Retired flags: the standby polls at --heartbeat-ms and takes over
+    // after a constant five misses, and the supervisor always runs.
+    for retired in [&["--poll-ms", "40"][..], &["--takeover-after", "3"], &["--no-supervisor"]] {
+        cases.push(master.iter().chain(retired).copied().collect());
+    }
     for args in &cases {
         let mut child = Command::new(env!("CARGO_BIN_EXE_spcached"))
             .args(args)

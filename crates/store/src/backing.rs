@@ -29,7 +29,7 @@ use crate::rpc::{PartKey, StoreError};
 
 /// A stable storage tier holding whole-file copies, plus a **spill
 /// area** of individual partitions written back by memory-budgeted
-/// workers (see [`crate::worker::WorkerOptions::memory_budget`]): an
+/// workers (see [`crate::config::StoreConfig::memory_budget`]): an
 /// evicted partition whose file has no whole-file checkpoint here is
 /// spilled so eviction never loses the only copy.
 ///

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::backing::UnderStore;
-use crate::config::{DegradedPolicy, RetryPolicy, StoreConfig};
+use crate::config::{RetryPolicy, StoreConfig};
 use crate::forkjoin::{empty_placement, Fanout};
 use crate::landing::Landing;
 use crate::master::MetaService;
@@ -69,9 +69,6 @@ pub struct Client {
     /// fencing epoch ([`crate::rpc::Stamp::epoch`]); off by default — an
     /// unfenced client is wire-identical to the pre-supervisor store.
     fenced: bool,
-    /// Admission policy for operations on files whose repair is in
-    /// flight elsewhere.
-    degraded: DegradedPolicy,
     /// The class this client's data requests are stamped with.
     /// [`TrafficClass::Background`] requests are paced through the
     /// background share of the workers' NICs: maintenance actors
@@ -114,7 +111,6 @@ impl Client {
             retry: RetryPolicy::none(),
             under: None,
             fenced: false,
-            degraded: DegradedPolicy::Queue,
             class: TrafficClass::Foreground,
             master_stamp: false,
             epochs: Arc::new(Mutex::new(Vec::new())),
@@ -126,8 +122,8 @@ impl Client {
     /// The client a cluster configured by `cfg` hands out: its retry
     /// policy, end-to-end verification and parity width; under a
     /// supervisor additionally **fenced** (stamps registration epochs
-    /// onto data requests) with the configured degraded-mode admission
-    /// policy; `under`, if any, attached for read-path healing.
+    /// onto data requests); `under`, if any, attached for read-path
+    /// healing.
     pub fn from_config(
         master: Arc<dyn MetaService>,
         transport: Arc<dyn Transport>,
@@ -138,7 +134,6 @@ impl Client {
             retry: cfg.retry,
             under,
             fenced: cfg.supervisor.enabled,
-            degraded: cfg.supervisor.degraded,
             verify: cfg.verify_reads,
             parity: cfg.parity,
             ..Client::new(master, transport)
@@ -558,7 +553,7 @@ impl Client {
             if !err.is_retryable() || attempt >= self.retry.max_attempts {
                 return Err(err);
             }
-            self.heal(id, servers.len())?;
+            self.heal(id, servers.len());
             let backoff = self.retry.base_backoff * 2u32.saturating_pow(attempt - 1);
             if backoff > Duration::ZERO {
                 std::thread::sleep(backoff);
@@ -605,36 +600,29 @@ impl Client {
 
     /// Heals before a retry: recovers the file from the under-store onto
     /// live workers, so the next attempt reads a fresh placement instead
-    /// of the same hole. A denied repair slot means someone else (the
+    /// of the same hole. A heal that fails leaves the retry loop to
+    /// meet the hole again; a denied repair slot means someone else (the
     /// supervisor's sweep or another client) is already healing this
-    /// file — under `FastFail` that sheds the operation with
-    /// [`StoreError::Degraded`], under `Queue` the retry loop simply
-    /// waits the repair out.
-    fn heal(&self, id: u64, k: usize) -> Result<(), StoreError> {
+    /// file, and the retry loop waits that repair out.
+    fn heal(&self, id: u64, k: usize) {
         let Some(under) = self.under.as_ref().filter(|u| u.contains(id)) else {
-            return Ok(());
+            return;
         };
         let live = self.master.live_workers(self.transport.n_workers());
         if live.is_empty() {
-            return Ok(());
+            return;
         }
         let targets = crate::backing::recovery_targets(&live, k, id);
         // The heal's partition pushes are maintenance traffic riding
         // next to this foreground read: stamp them background so the
         // refill cannot starve other clients' reads.
-        let healed = crate::backing::recover_file(
+        let _ = crate::backing::recover_file(
             &self.as_background(),
             self.master.as_ref(),
             under,
             id,
             &targets,
         );
-        if self.degraded == DegradedPolicy::FastFail
-            && matches!(healed, Err(StoreError::Degraded(_)))
-        {
-            return Err(StoreError::Degraded(id));
-        }
-        Ok(())
     }
 
     /// One fork-join read attempt against a fixed placement: *obtain any

@@ -19,7 +19,7 @@ use crate::master::{Master, MetaService};
 use crate::rpc::{Reply, Request, StoreError, WorkerStats};
 use crate::supervisor::{Supervisor, SupervisorCore};
 use crate::transport::{ChannelTransport, Transport};
-use crate::worker::{spawn_worker_opts, WorkerHandle, WorkerOptions};
+use crate::worker::{spawn_worker, WorkerHandle};
 
 /// How long a control request to one worker (`Stats`, `Shutdown`) may
 /// take before the worker counts as unreachable.
@@ -47,8 +47,7 @@ struct Threads {
 impl Threads {
     fn spawn(cfg: &StoreConfig, log: &Arc<FaultLog>, under: Option<&Arc<UnderStore>>) -> Threads {
         let workers: Vec<WorkerHandle> = (0..cfg.n_workers)
-            .map(|id| WorkerOptions::from_config(id, cfg, log.clone(), under.cloned()))
-            .map(spawn_worker_opts)
+            .map(|id| spawn_worker(id, cfg, log.clone(), under.cloned()))
             .collect();
         let senders = workers.iter().map(|w| w.sender().clone()).collect();
         Threads { transport: Arc::new(ChannelTransport::new(senders)), _workers: workers }
@@ -204,8 +203,7 @@ impl StoreCluster {
 
     /// Creates a client carrying the cluster's retry policy.
     /// Under a supervisor the client is additionally **fenced** (stamps
-    /// registration epochs onto data requests) and applies the
-    /// configured degraded-mode admission policy; the cluster's
+    /// registration epochs onto data requests); the cluster's
     /// under-store, if any, is attached for read-path healing.
     pub fn client(&self) -> Client {
         Client::from_config(self.meta(), self.transport().clone(), &self.cfg, self.under.clone())

@@ -1,4 +1,8 @@
 //! Store configuration.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::time::Duration;
 
@@ -58,21 +62,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// What a supervised client does with an operation on a file whose
-/// recovery is currently in flight elsewhere (sweep or another client's
-/// lazy repair).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DegradedPolicy {
-    /// Keep the operation in the retry loop (bounded by the client's
-    /// [`RetryPolicy`]): back off and re-locate until the repair lands
-    /// or the retry budget runs out. The default.
-    Queue,
-    /// Fail the operation immediately with
-    /// [`crate::rpc::StoreError::Degraded`] so callers can shed load
-    /// instead of stampeding the under-store.
-    FastFail,
-}
-
 /// Configuration of the master-side supervisor: the autonomous
 /// heartbeat → suspicion → death → recovery-sweep loop (DESIGN.md
 /// §4.11). Disabled by default — with `enabled == false` nothing is
@@ -86,14 +75,10 @@ pub struct SupervisorConfig {
     /// supervisor without a background thread: ticks only happen when
     /// driven explicitly (deterministic tests).
     pub heartbeat_interval: Duration,
-    /// How long one `Ping` may take before it counts as a miss.
+    /// How long one `Ping` may take before it counts as a miss. A
+    /// worker dies after [`crate::master::SUSPICION_THRESHOLD`]
+    /// consecutive misses.
     pub probe_timeout: Duration,
-    /// Consecutive misses after which a suspect worker is declared
-    /// dead (the master's suspicion ladder threshold).
-    pub suspicion_threshold: u32,
-    /// Admission policy for operations on files whose repair is in
-    /// flight.
-    pub degraded: DegradedPolicy,
 }
 
 impl SupervisorConfig {
@@ -103,13 +88,11 @@ impl SupervisorConfig {
             enabled: false,
             heartbeat_interval: Duration::from_millis(100),
             probe_timeout: Duration::from_millis(50),
-            suspicion_threshold: 3,
-            degraded: DegradedPolicy::Queue,
         }
     }
 
     /// Supervisor on with the default cadence (100 ms heartbeats, 50 ms
-    /// probe timeout, 3-miss suspicion ladder, queueing admission).
+    /// probe timeout).
     pub fn enabled() -> Self {
         SupervisorConfig {
             enabled: true,
@@ -129,20 +112,6 @@ impl SupervisorConfig {
     #[must_use]
     pub fn with_probe_timeout(mut self, timeout: Duration) -> Self {
         self.probe_timeout = timeout;
-        self
-    }
-
-    /// Sets the suspicion threshold (builder style).
-    #[must_use]
-    pub fn with_threshold(mut self, threshold: u32) -> Self {
-        self.suspicion_threshold = threshold.max(1);
-        self
-    }
-
-    /// Sets the degraded-mode admission policy (builder style).
-    #[must_use]
-    pub fn with_degraded(mut self, policy: DegradedPolicy) -> Self {
-        self.degraded = policy;
         self
     }
 }
@@ -169,11 +138,6 @@ pub struct StoreConfig {
     /// Master-side supervisor (heartbeats, epoch fencing, recovery
     /// sweeps). Off by default.
     pub supervisor: SupervisorConfig,
-    /// Deadline for one repartition-executor exchange (pull / staged
-    /// push / commit step) — `repartitioner`'s former hardcoded 5 s,
-    /// now tunable so chaos tests and the recovery sweep can tighten
-    /// it.
-    pub executor_deadline: Duration,
     /// Per-worker memory budget in bytes (`None` = unbounded, the seed
     /// behaviour). With a budget, each worker runs a partition-granular
     /// LRU: overflow spills cold partitions to the under-store tier and
@@ -196,10 +160,6 @@ pub struct StoreConfig {
     /// `k + r` layout). `0` (the default) writes none; corruption then
     /// heals via the under-store instead of a client-side decode.
     pub parity: usize,
-    /// Whether workers print a `CORRUPT <file> <partition>` line on each
-    /// checksum failure (the `spcached` deployment behaviour; off in
-    /// tests to keep output deterministic).
-    pub log_corruptions: bool,
 }
 
 impl StoreConfig {
@@ -211,12 +171,10 @@ impl StoreConfig {
             faults: FaultPlan::none(),
             retry: RetryPolicy::none(),
             supervisor: SupervisorConfig::disabled(),
-            executor_deadline: Duration::from_secs(5),
             memory_budget: None,
             background_fraction: 1.0,
             verify_reads: false,
             parity: 0,
-            log_corruptions: false,
         }
     }
 
@@ -246,12 +204,6 @@ impl StoreConfig {
         self
     }
 
-    /// Sets the repartition-executor deadline.
-    pub fn with_executor_deadline(mut self, deadline: Duration) -> Self {
-        self.executor_deadline = deadline.max(Duration::from_millis(1));
-        self
-    }
-
     /// Sets the per-worker memory budget in bytes (`None` = unbounded).
     pub fn with_memory_budget(mut self, budget: Option<usize>) -> Self {
         self.memory_budget = budget;
@@ -268,12 +220,6 @@ impl StoreConfig {
     /// (builder style).
     pub fn with_parity(mut self, r: usize) -> Self {
         self.parity = r;
-        self
-    }
-
-    /// Enables `CORRUPT` log lines on checksum failures (builder style).
-    pub fn with_corruption_log(mut self, log: bool) -> Self {
-        self.log_corruptions = log;
         self
     }
 
@@ -320,21 +266,14 @@ mod tests {
     fn supervisor_defaults_are_off_and_builders_apply() {
         let c = StoreConfig::unthrottled(4);
         assert!(!c.supervisor.enabled, "supervisor must default off");
-        assert_eq!(c.executor_deadline, Duration::from_secs(5));
-        let c = c
-            .with_supervisor(
-                SupervisorConfig::enabled()
-                    .with_interval(Duration::from_millis(20))
-                    .with_probe_timeout(Duration::from_millis(10))
-                    .with_threshold(2)
-                    .with_degraded(DegradedPolicy::FastFail),
-            )
-            .with_executor_deadline(Duration::from_millis(500));
+        let c = c.with_supervisor(
+            SupervisorConfig::enabled()
+                .with_interval(Duration::from_millis(20))
+                .with_probe_timeout(Duration::from_millis(10)),
+        );
         assert!(c.supervisor.enabled);
         assert_eq!(c.supervisor.heartbeat_interval, Duration::from_millis(20));
-        assert_eq!(c.supervisor.suspicion_threshold, 2);
-        assert_eq!(c.supervisor.degraded, DegradedPolicy::FastFail);
-        assert_eq!(c.executor_deadline, Duration::from_millis(500));
+        assert_eq!(c.supervisor.probe_timeout, Duration::from_millis(10));
     }
 
     #[test]
@@ -354,11 +293,9 @@ mod tests {
         let c = StoreConfig::unthrottled(2);
         assert!(!c.verify_reads, "verification must default off");
         assert_eq!(c.parity, 0, "parity must default off");
-        assert!(!c.log_corruptions);
-        let c = c.with_verify_reads(true).with_parity(2).with_corruption_log(true);
+        let c = c.with_verify_reads(true).with_parity(2);
         assert!(c.verify_reads);
         assert_eq!(c.parity, 2);
-        assert!(c.log_corruptions);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod worker;
 
 pub use client::{Client, ScatteredFile};
 pub use cluster::StoreCluster;
-pub use config::{DegradedPolicy, RetryPolicy, StoreConfig, SupervisorConfig};
+pub use config::{RetryPolicy, StoreConfig, SupervisorConfig};
 pub use fault::{FaultAction, FaultEvent, FaultLog, FaultPlan, FaultRecord};
 pub use master::{Master, MetaService};
 pub use metalog::{FileIntegrity, MasterImage, MetaLog, MetaOp};

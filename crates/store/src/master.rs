@@ -58,9 +58,9 @@ impl FileInfo {
     }
 }
 
-/// Default consecutive-timeout count after which a suspected worker is
-/// declared dead; override with [`Master::set_suspicion_threshold`].
-const SUSPICION_THRESHOLD: u32 = 3;
+/// Consecutive timeouts after which a suspected worker is declared dead
+/// (see [`Master::suspect`]).
+pub const SUSPICION_THRESHOLD: u32 = 3;
 
 /// One worker's replicated health row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,8 +100,6 @@ struct State {
     /// Health row per worker; workers past the end read as
     /// [`Health::default`].
     health: Vec<Health>,
-    /// Suspicion-ladder death threshold (see [`Master::suspect`]).
-    threshold: u32,
     /// Files whose under-store repair is currently in flight — the
     /// sweep/lazy-repair dedup registry (DESIGN.md §4.11).
     repairing: BTreeSet<u64>,
@@ -121,7 +119,6 @@ impl Default for State {
             files: HashMap::new(),
             integrity: HashMap::new(),
             health: Vec::new(),
-            threshold: SUSPICION_THRESHOLD,
             repairing: BTreeSet::new(),
             master_epoch: 1,
             owner_addr: String::new(),
@@ -199,7 +196,6 @@ impl State {
             MetaOp::EndRepair { id } => {
                 self.repairing.remove(id);
             }
-            MetaOp::SetThreshold { threshold } => self.threshold = (*threshold).max(1),
             MetaOp::MasterEpoch { epoch, addr } => {
                 if *epoch >= self.master_epoch {
                     self.master_epoch = *epoch;
@@ -251,7 +247,6 @@ impl State {
             alive: health.iter().map(|h| h.alive).collect(),
             suspicion: health.iter().map(|h| h.suspicion).collect(),
             epochs: health.iter().map(|h| h.epoch).collect(),
-            threshold: self.threshold,
             repairing: self.repairing.iter().copied().collect(),
             master_epoch: self.master_epoch,
             master_addr: self.owner_addr.clone(),
@@ -283,7 +278,6 @@ impl From<&MasterImage> for State {
                     epoch,
                 })
                 .collect(),
-            threshold: img.threshold.max(1),
             repairing: img.repairing.iter().copied().collect(),
             master_epoch: img.master_epoch,
             owner_addr: img.master_addr.clone(),
@@ -533,13 +527,6 @@ impl Master {
             .try_for_each(|(id, size, servers)| self.register(*id, *size, servers.clone()))
     }
 
-    /// Overrides the suspicion-ladder death threshold (default 3
-    /// consecutive timeouts). Clamped to at least 1.
-    pub fn set_suspicion_threshold(&self, threshold: u32) {
-        let threshold = threshold.max(1);
-        self.mutate(|s| (s.threshold != threshold).then_some(MetaOp::SetThreshold { threshold }));
-    }
-
     /// Sizes the heartbeat table for a fleet of `n` workers. Health
     /// needs no sizing: a worker the master never heard about reads as
     /// alive, unsuspected and at epoch 0.
@@ -582,14 +569,13 @@ impl Master {
     }
 
     /// Records a timeout against worker `w` (it may be hung rather than
-    /// dead). After the configured threshold of consecutive timeouts
-    /// (default 3, see [`Master::set_suspicion_threshold`]) the worker
-    /// is declared dead. Returns the updated suspicion count.
+    /// dead). After [`SUSPICION_THRESHOLD`] consecutive timeouts the
+    /// worker is declared dead. Returns the updated suspicion count.
     pub fn suspect(&self, w: usize) -> u32 {
         self.mutate(|s| {
             let h = s.worker(w);
             let count = h.suspicion.saturating_add(1);
-            let dies = h.alive && count >= s.threshold;
+            let dies = h.alive && count >= SUSPICION_THRESHOLD;
             Some(MetaOp::Suspect {
                 w: w as u64,
                 count,
@@ -1462,21 +1448,11 @@ mod tests {
         assert_eq!(m.register_worker(1), 3);
         assert!(m.is_alive(1));
         // Suspicion-ladder death also fences.
-        m.set_suspicion_threshold(2);
-        m.suspect(0);
-        m.suspect(0);
+        for _ in 0..SUSPICION_THRESHOLD {
+            m.suspect(0);
+        }
         assert!(!m.is_alive(0));
         assert_eq!(m.worker_epochs(3), vec![2, 3, 0]);
-    }
-
-    #[test]
-    fn configurable_suspicion_threshold() {
-        let m = Master::new();
-        m.ensure_workers(2);
-        m.set_suspicion_threshold(1);
-        m.suspect(0);
-        assert!(!m.is_alive(0), "threshold 1 kills on the first miss");
-        assert!(m.is_alive(1));
     }
 
     #[test]
@@ -1588,7 +1564,6 @@ mod tests {
         m.register(2, 50, vec![2]).unwrap();
         m.apply_placement(1, vec![2, 3]).unwrap();
         m.mark_dead(2);
-        m.set_suspicion_threshold(5);
         assert!(m.begin_repair(2));
         assert_eq!(m.claim_master_epoch(3, "127.0.0.1:9999"), 3);
         // A twin rebuilt purely from the journal matches exactly.
@@ -1622,9 +1597,6 @@ mod tests {
         quiet("mark_alive on a healthy worker", &|| m.mark_alive(0));
         quiet("mark_dead on a dead worker", &|| m.mark_dead(2));
         quiet("end_repair on a free slot", &|| m.end_repair(9));
-        quiet("set_suspicion_threshold to the current value", &|| {
-            m.set_suspicion_threshold(SUSPICION_THRESHOLD)
-        });
         quiet("claim_master_epoch below the current epoch", &|| {
             assert_eq!(m.claim_master_epoch(3, "a"), 4);
         });

@@ -3,7 +3,7 @@
 //!
 //! Every master mutation — file registration, placement changes with
 //! their version bumps, worker adoption and fencing-epoch grants,
-//! repair-registry begin/commit, threshold changes, and master-epoch
+//! repair-registry begin/commit, integrity rows, and master-epoch
 //! takeovers — becomes a typed [`MetaOp`] appended as one checksummed
 //! record to an op-log persisted through the under-store's metadata
 //! region ([`crate::backing::UnderStore::meta_append`]). A standby (or
@@ -20,7 +20,9 @@
 //!
 //! All integers little-endian. A torn tail (kill -9 mid-append) or a
 //! corrupt record fails its length or checksum gate and replay stops at
-//! the last valid record — the log's prefix property.
+//! the last valid record — the log's prefix property. A whole record
+//! under a retired tag (10, the suspicion threshold the master no longer
+//! journals) carries no op: replay skips it and goes on.
 //!
 //! ## Snapshots and compaction
 //!
@@ -33,6 +35,10 @@
 //! **absolute-valued** (placements carry the resulting version, worker
 //! records the resulting epoch, applied as `max`), so replaying any
 //! prefix twice is idempotent — the property the proptests pin.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::sync::Arc;
 
@@ -61,7 +67,9 @@ const T_MARK_DEAD: u8 = 6;
 const T_SUSPECT: u8 = 7;
 const T_BEGIN_REPAIR: u8 = 8;
 const T_END_REPAIR: u8 = 9;
-const T_SET_THRESHOLD: u8 = 10;
+/// Retired: the suspicion threshold is a constant now. Journals written
+/// before still hold these records, which decode to no op.
+const T_RETIRED_SET_THRESHOLD: u8 = 10;
 const T_MASTER_EPOCH: u8 = 11;
 const T_SNAPSHOT: u8 = 12;
 const T_SET_INTEGRITY: u8 = 13;
@@ -137,11 +145,6 @@ pub enum MetaOp {
         /// File id.
         id: u64,
     },
-    /// `Master::set_suspicion_threshold`.
-    SetThreshold {
-        /// New threshold (≥ 1).
-        threshold: u32,
-    },
     /// A master-epoch transition: boot, takeover, or forced
     /// reactivation. `addr` is the winner's listen address — a
     /// restarted master finding a newer record from a *different*
@@ -208,8 +211,6 @@ pub struct MasterImage {
     pub suspicion: Vec<u32>,
     /// Per-worker fencing epochs.
     pub epochs: Vec<u64>,
-    /// Suspicion threshold.
-    pub threshold: u32,
     /// Files with a repair slot held, sorted.
     pub repairing: Vec<u64>,
     /// The master epoch.
@@ -333,9 +334,10 @@ impl<'a> Rd<'a> {
         self.pos == self.b.len()
     }
 
-    /// The next whole record, or `None` at the end of the stream or at
-    /// a truncated or corrupt record.
-    fn record(&mut self) -> Option<(u64, MetaOp)> {
+    /// The next whole record — its LSN, and its op unless the tag is
+    /// retired — or `None` at the end of the stream or at a truncated or
+    /// corrupt record.
+    fn record(&mut self) -> Option<(u64, Option<MetaOp>)> {
         let len = self.u32()? as usize;
         let crc = self.u32()?;
         if !(RECORD_FIXED..=MAX_RECORD).contains(&len) {
@@ -347,8 +349,10 @@ impl<'a> Rd<'a> {
         }
         let mut head = Rd::new(payload);
         let lsn = head.u64()?;
-        let op = decode_body(head.u8()?, &payload[RECORD_FIXED..])?;
-        Some((lsn, op))
+        match head.u8()? {
+            T_RETIRED_SET_THRESHOLD => Some((lsn, None)),
+            tag => Some((lsn, Some(decode_body(tag, &payload[RECORD_FIXED..])?))),
+        }
     }
 }
 
@@ -422,10 +426,6 @@ fn encode_body(op: &MetaOp, buf: &mut Vec<u8>) -> u8 {
             put_u64(buf, *id);
             T_END_REPAIR
         }
-        MetaOp::SetThreshold { threshold } => {
-            put_u32(buf, *threshold);
-            T_SET_THRESHOLD
-        }
         MetaOp::MasterEpoch { epoch, addr } => {
             put_u64(buf, *epoch);
             put_str(buf, addr);
@@ -450,7 +450,9 @@ fn encode_body(op: &MetaOp, buf: &mut Vec<u8>) -> u8 {
                 put_u32(buf, image.suspicion[w]);
                 put_u64(buf, image.epochs[w]);
             }
-            put_u32(buf, image.threshold);
+            // The retired threshold word keeps the layout of every
+            // snapshot written before it became a constant.
+            put_u32(buf, crate::master::SUSPICION_THRESHOLD);
             put_u32(buf, image.repairing.len() as u32);
             for id in &image.repairing {
                 put_u64(buf, *id);
@@ -501,7 +503,6 @@ fn decode_body(tag: u8, body: &[u8]) -> Option<MetaOp> {
         },
         T_BEGIN_REPAIR => MetaOp::BeginRepair { id: r.u64()? },
         T_END_REPAIR => MetaOp::EndRepair { id: r.u64()? },
-        T_SET_THRESHOLD => MetaOp::SetThreshold { threshold: r.u32()? },
         T_MASTER_EPOCH => MetaOp::MasterEpoch {
             epoch: r.u64()?,
             addr: r.string()?,
@@ -532,7 +533,7 @@ fn decode_body(tag: u8, body: &[u8]) -> Option<MetaOp> {
                 suspicion.push(r.u32()?);
                 epochs.push(r.u64()?);
             }
-            let threshold = r.u32()?;
+            r.u32()?; // the retired threshold word
             let n_repairing = r.u32()? as usize;
             if n_repairing > body.len() / 8 {
                 return None;
@@ -545,7 +546,6 @@ fn decode_body(tag: u8, body: &[u8]) -> Option<MetaOp> {
                 alive,
                 suspicion,
                 epochs,
-                threshold,
                 repairing,
                 master_epoch: r.u64()?,
                 master_addr: r.string()?,
@@ -586,10 +586,13 @@ pub fn encode_record(lsn: u64, op: &MetaOp) -> Vec<u8> {
 }
 
 /// Decodes every valid record from a byte stream, stopping at the first
-/// truncated or corrupt one (the torn-tail rule). Never panics.
+/// truncated or corrupt one (the torn-tail rule) and skipping records
+/// under a retired tag. Never panics.
 pub fn decode_records(bytes: &[u8]) -> Vec<(u64, MetaOp)> {
     let mut r = Rd::new(bytes);
-    std::iter::from_fn(|| r.record()).collect()
+    std::iter::from_fn(|| r.record())
+        .filter_map(|(lsn, op)| Some((lsn, op?)))
+        .collect()
 }
 
 fn segment_name(base_lsn: u64) -> String {
@@ -639,20 +642,18 @@ impl MetaLog {
         let mut records = 0u64;
         for name in &segments {
             if let Some(bytes) = tier.meta_get(name) {
-                let recs = decode_records(&bytes);
-                records += recs.len() as u64;
-                for (lsn, _) in &recs {
+                // Every whole record spends its LSN, a retired one too.
+                let (mut r, mut valid) = (Rd::new(&bytes), 0);
+                while let Some((lsn, _)) = r.record() {
+                    records += 1;
                     next_lsn = next_lsn.max(lsn + 1);
+                    valid = r.pos;
                 }
                 // The append cursor sits after the last *valid* byte, so
                 // a torn tail is overwritten... it cannot be (appends
                 // only): instead a torn-tailed segment is retired and a
                 // fresh one opened, so new records never hide behind
                 // garbage bytes.
-                let valid: usize = recs
-                    .iter()
-                    .map(|(l, op)| encode_record(*l, op).len())
-                    .sum();
                 if valid == bytes.len() {
                     active = Some(name.clone());
                     active_bytes = bytes.len();
@@ -821,7 +822,6 @@ mod tests {
             },
             MetaOp::BeginRepair { id: 7 },
             MetaOp::EndRepair { id: 7 },
-            MetaOp::SetThreshold { threshold: 5 },
             MetaOp::UnregisterFile { id: 7 },
             MetaOp::MasterEpoch {
                 epoch: 2,
@@ -843,7 +843,6 @@ mod tests {
                 alive: vec![true, false, true],
                 suspicion: vec![0, 3, 1],
                 epochs: vec![1, 2, 1],
-                threshold: 3,
                 repairing: vec![2],
                 master_epoch: 4,
                 master_addr: "127.0.0.1:4100".into(),
@@ -883,6 +882,93 @@ mod tests {
             panic!("expected snapshot");
         };
         assert_eq!(got, &img);
+    }
+
+    /// One record as any build writes it: `tag` over `body`, under its
+    /// length and CRC-32.
+    fn raw_record(lsn: u64, tag: u8, body: &[u8]) -> Vec<u8> {
+        let mut payload = lsn.to_le_bytes().to_vec();
+        payload.push(tag);
+        payload.extend_from_slice(body);
+        let mut rec = Vec::new();
+        put_u32(&mut rec, payload.len() as u32);
+        put_u32(&mut rec, crc32(&payload));
+        rec.extend_from_slice(&payload);
+        rec
+    }
+
+    /// A snapshot body field by field, carrying `threshold` in the word
+    /// between the worker rows and the repair registry.
+    fn snapshot_body(threshold: u32) -> Vec<u8> {
+        let mut b = Vec::new();
+        put_u32(&mut b, 1); // one file: id, size, version, servers
+        put_u64(&mut b, 1);
+        put_u64(&mut b, 100);
+        put_u64(&mut b, 2);
+        put_servers(&mut b, &[0, 1]);
+        put_u32(&mut b, 2); // two workers: alive, suspicion, epoch
+        b.push(1);
+        put_u32(&mut b, 2);
+        put_u64(&mut b, 1);
+        b.push(0);
+        put_u32(&mut b, 0);
+        put_u64(&mut b, 2);
+        put_u32(&mut b, threshold);
+        put_u32(&mut b, 0); // no repair slots held
+        put_u64(&mut b, 2); // master epoch and its owner
+        put_str(&mut b, "127.0.0.1:4100");
+        put_u32(&mut b, 0); // no integrity rows
+        b
+    }
+
+    /// A journal written while the suspicion threshold was still a
+    /// setting recovers to the state it recorded: its snapshot's
+    /// threshold word (5 here) is read past, and a tag-10 record between
+    /// two ordinary ones is skipped without ending the replay.
+    #[test]
+    fn journals_that_carry_a_threshold_still_recover() {
+        use crate::master::{Master, SUSPICION_THRESHOLD};
+        let tier = Arc::new(UnderStore::new());
+        tier.meta_put(&snapshot_name(4), &raw_record(4, T_SNAPSHOT, &snapshot_body(5)));
+        let mut log = encode_record(5, &MetaOp::RegisterFile { id: 2, size: 50, servers: vec![1] });
+        log.extend_from_slice(&raw_record(6, T_RETIRED_SET_THRESHOLD, &4u32.to_le_bytes()));
+        log.extend_from_slice(&encode_record(7, &MetaOp::RegisterWorker { w: 1, epoch: 3 }));
+        tier.meta_put(&segment_name(5), &log);
+
+        let ordinary = decode_records(&log);
+        assert_eq!(ordinary.iter().map(|(lsn, _)| *lsn).collect::<Vec<_>>(), vec![5, 7]);
+        let recovered = Master::recover(Arc::clone(&tier));
+        assert_eq!(
+            recovered.image(),
+            MasterImage {
+                files: vec![(1, 100, vec![0, 1], 2), (2, 50, vec![1], 1)],
+                // Worker 1 was dead in the snapshot: the record after the
+                // skipped one revived it under epoch 3.
+                alive: vec![true, true],
+                suspicion: vec![2, 0],
+                epochs: vec![1, 3],
+                repairing: Vec::new(),
+                master_epoch: 2,
+                master_addr: "127.0.0.1:4100".into(),
+                integrity: Vec::new(),
+            }
+        );
+        // The skipped record's LSN stays spent, and the segment it sits
+        // in stays the one new records append to.
+        let reopened = MetaLog::open(Arc::clone(&tier));
+        assert_eq!(reopened.next_lsn(), 8);
+        assert_eq!(reopened.append(&MetaOp::EndRepair { id: 1 }), 8);
+        assert_eq!(tier.meta_list("log-"), vec![segment_name(5)]);
+        // Snapshots written now keep the same layout, the word set to the
+        // constant.
+        let MetaOp::Snapshot(image) = &decode_records(&tier.meta_get(&snapshot_name(4)).unwrap())[0].1
+        else {
+            panic!("expected snapshot");
+        };
+        assert_eq!(
+            encode_record(4, &MetaOp::Snapshot(image.clone())),
+            raw_record(4, T_SNAPSHOT, &snapshot_body(SUSPICION_THRESHOLD))
+        );
     }
 
     #[test]

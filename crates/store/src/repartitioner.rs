@@ -29,12 +29,11 @@ use crate::rpc::{PartKey, Reply, Request, StoreError, STAGE_BIT};
 use crate::throttle::TrafficClass;
 use crate::transport::Transport;
 
-/// Default for how long an executor waits on any single worker reply
-/// before giving the worker up as hung. Bounds every blocking call in a
-/// job, so a worker dying (or hanging) mid-repartition can never
-/// deadlock the executor fleet. Override per-cluster with
-/// [`crate::config::StoreConfig::with_executor_deadline`] and the
-/// `*_with_deadline` entry points.
+/// How long an executor waits on any single worker reply before giving
+/// the worker up as hung. Bounds every blocking call in a job, so a
+/// worker dying (or hanging) mid-repartition can never deadlock the
+/// executor fleet; every worker caps each emulated transfer at it too,
+/// so a throttled push never outlives the executor that sent it.
 pub const DEFAULT_EXECUTOR_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Whether an error means "this worker is unavailable" (dead, hung,
@@ -186,10 +185,9 @@ fn execute_job(
 /// Jobs that hit a dead or hung worker are **skipped**, not fatal: a
 /// dead target is substituted inside [`execute_job`], and a dead source
 /// leaves the file degraded (recoverable only through the under-store).
-/// Every blocking wait is bounded by the executor deadline
-/// ([`DEFAULT_EXECUTOR_DEADLINE`] unless overridden), so a worker
-/// dying mid-repartition cannot deadlock the sweep. Skipped file ids
-/// are returned.
+/// Every blocking wait is bounded by [`DEFAULT_EXECUTOR_DEADLINE`], so
+/// a worker dying mid-repartition cannot deadlock the sweep. Skipped
+/// file ids are returned.
 ///
 /// # Errors
 ///
@@ -204,14 +202,9 @@ pub fn run_parallel(
     run_parallel_with_deadline(plan, ids, master, transport, DEFAULT_EXECUTOR_DEADLINE)
 }
 
-/// [`run_parallel`] with an explicit per-reply executor deadline
-/// (normally [`crate::config::StoreConfig::executor_deadline`]).
-///
-/// # Errors
-///
-/// Returns the first non-availability executor error (metadata
-/// inconsistencies and the like).
-pub fn run_parallel_with_deadline(
+/// [`run_parallel`] with an explicit per-reply executor deadline (a
+/// test's short one).
+fn run_parallel_with_deadline(
     plan: &RepartitionPlan,
     ids: &[u64],
     master: &dyn MetaService,
@@ -266,21 +259,7 @@ pub fn run_sequential(
     master: &dyn MetaService,
     transport: &dyn Transport,
 ) -> Result<(), StoreError> {
-    run_sequential_with_deadline(plan, ids, master, transport, DEFAULT_EXECUTOR_DEADLINE)
-}
-
-/// [`run_sequential`] with an explicit per-reply executor deadline.
-///
-/// # Errors
-///
-/// Returns the first error encountered.
-pub fn run_sequential_with_deadline(
-    plan: &RepartitionPlan,
-    ids: &[u64],
-    master: &dyn MetaService,
-    transport: &dyn Transport,
-    deadline: Duration,
-) -> Result<(), StoreError> {
+    let deadline = DEFAULT_EXECUTOR_DEADLINE;
     // Unchanged files are still collected and re-written in place (that is
     // what makes the strawman slow).
     let io = background(master, transport);

@@ -103,8 +103,8 @@ pub enum StoreError {
     /// (when the file carries parity partitions) or an under-store heal.
     Corrupt(PartKey),
     /// The file is degraded and its recovery is already in flight
-    /// elsewhere (sweep or another client's lazy repair); the operation
-    /// was shed under [`crate::config::DegradedPolicy::FastFail`].
+    /// elsewhere (sweep or another client's lazy repair): the repair
+    /// slot [`crate::backing::recover_file`] asked for was denied.
     /// Not retryable *by the issuing client's inner loop* — callers
     /// decide whether to come back after the repair lands.
     Degraded(u64),

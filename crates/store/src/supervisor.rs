@@ -10,8 +10,8 @@
 //! * **Heartbeat failure detector** — [`SupervisorCore::probe`] pings
 //!   every worker each tick. A timeout climbs the master's suspicion
 //!   ladder (alive → suspect → dead after
-//!   [`crate::config::SupervisorConfig::suspicion_threshold`] misses); a
-//!   closed channel is definitive death.
+//!   [`crate::master::SUSPICION_THRESHOLD`] misses); a closed channel is
+//!   definitive death.
 //! * **Epoch-fenced rejoin** — a worker answering with an epoch the
 //!   master does not expect (0 = unregistered, or a pre-crash grant) is
 //!   *adopted*: the master issues a fresh fencing epoch
@@ -29,6 +29,10 @@
 //!   calls [`Supervisor::tick`], so the same seed yields the same sweep
 //!   plan; every sweep is recorded in a [`SweepLog`] whose snapshots
 //!   compare byte-equal across transports.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -114,8 +118,7 @@ impl SupervisorCore {
     /// Builds the supervisor logic over a master and a worker transport.
     /// `under` enables the recovery sweep (without it the supervisor
     /// only detects failures and fences epochs); `retry` shapes the
-    /// deadlines of the sweep's own data traffic. Installs
-    /// `cfg.suspicion_threshold` on the master.
+    /// deadlines of the sweep's own data traffic.
     pub fn new(
         master: Arc<Master>,
         transport: Arc<dyn Transport>,
@@ -123,7 +126,6 @@ impl SupervisorCore {
         cfg: SupervisorConfig,
         retry: RetryPolicy,
     ) -> Self {
-        master.set_suspicion_threshold(cfg.suspicion_threshold);
         // Everything the supervisor pushes is maintenance traffic:
         // stamp it background so recovery sweeps are paced through the
         // workers' background NIC share (§4.4) instead of competing
@@ -311,19 +313,17 @@ impl SupervisorCore {
     }
 }
 
-/// Picks `k` distinct least-loaded live workers (ties broken by index),
-/// charging each pick back into `load`. Deterministic: the same health
-/// state and placement map always yield the same targets.
+/// Picks `k` (at least one, at most all) distinct least-loaded live
+/// workers (ties broken by index), charging each pick back into `load`.
+/// Deterministic: the same health state and placement map always yield
+/// the same targets.
 fn pick_least_loaded(live: &[usize], load: &mut BTreeMap<usize, usize>, k: usize) -> Vec<usize> {
-    let k = k.clamp(1, live.len());
     let mut picked = Vec::with_capacity(k);
-    for _ in 0..k {
-        let w = live
-            .iter()
-            .copied()
-            .filter(|w| !picked.contains(w))
-            .min_by_key(|&w| (load.get(&w).copied().unwrap_or(0), w))
-            .expect("live fleet exhausted despite clamp");
+    while picked.len() < k.max(1) {
+        let unpicked = live.iter().copied().filter(|w| !picked.contains(w));
+        let Some(w) = unpicked.min_by_key(|&w| (load.get(&w).copied().unwrap_or(0), w)) else {
+            break;
+        };
         picked.push(w);
         *load.entry(w).or_insert(0) += 1;
     }
@@ -346,6 +346,12 @@ pub struct Supervisor {
 impl Supervisor {
     /// Starts the supervisor. Spawns the heartbeat thread only when
     /// `core.cfg().heartbeat_interval > 0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the OS refuses the thread (resource exhaustion; nothing
+    /// a request carries reaches here).
+    #[allow(clippy::expect_used)]
     pub fn spawn(core: SupervisorCore) -> Self {
         let core = Arc::new(core);
         let stop = Arc::new(AtomicBool::new(false));

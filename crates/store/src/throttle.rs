@@ -22,7 +22,8 @@
 //! buckets) a transfer whose projected completion would overrun the
 //! caller's deadline, instead of sleeping through it. Workers use this
 //! to bound every emulated transfer by the executor deadline, so a
-//! throttled push can no longer outlive `executor_deadline`.
+//! throttled push can no longer outlive
+//! [`crate::repartitioner::DEFAULT_EXECUTOR_DEADLINE`].
 
 use std::time::{Duration, Instant};
 

@@ -11,7 +11,7 @@
 //! frames) is decided here and carried out by the route.
 //!
 //! Workers are **memory-budgeted** (DESIGN.md §4.13): with
-//! [`WorkerOptions::memory_budget`] set, a partition-granular LRU
+//! [`StoreConfig::memory_budget`] set, a partition-granular LRU
 //! ([`spcache_core::LruCache`]) bounds resident bytes. On overflow the
 //! coldest partitions are evicted — written back to the under-store's
 //! spill area when that is the only copy, or dropped for free when the
@@ -26,6 +26,10 @@
 //! repartition traffic, read repair) — are paced through the background
 //! share of the worker's two-class NIC ([`NicScheduler`]), so a sweep
 //! cannot starve foreground traffic.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -37,11 +41,13 @@ use crossbeam::channel::{Receiver, Sender};
 use spcache_core::LruCache;
 
 use crate::backing::UnderStore;
+use crate::config::StoreConfig;
 use crate::fault::{CorruptSite, FaultAction, FaultLog, WorkerScript};
 use crate::rpc::{
     Delivery, Envelope, PartKey, Reply, ReplyRoute, Request, Stamp, StoreError, WorkerStats,
     STAGE_BIT,
 };
+use crate::repartitioner::DEFAULT_EXECUTOR_DEADLINE;
 use crate::throttle::{NicScheduler, TrafficClass};
 
 /// A handle to a running worker thread: its request channel and join
@@ -79,158 +85,54 @@ impl Drop for WorkerHandle {
     }
 }
 
-/// Everything a worker thread is configured with: identity, NIC model,
-/// fault scripts, and the memory-budget machinery. Build with
-/// [`WorkerOptions::new`] plus the builders; [`spawn_worker_opts`]
-/// consumes it.
-#[derive(Debug)]
-pub struct WorkerOptions {
-    /// Worker index within the cluster.
-    pub id: usize,
-    /// NIC bandwidth in bytes/s (`f64::INFINITY` = unthrottled).
-    pub bandwidth: f64,
-    /// Fraction of the NIC available to background traffic, in
-    /// `(0, 1]` (see [`NicScheduler`]). 1.0 = no background pacing.
-    pub background_fraction: f64,
-    /// Data-path fault script (fires on the op counter).
-    pub script: WorkerScript,
-    /// Heartbeat fault script (fires on the ping counter).
-    pub heartbeat_script: WorkerScript,
-    /// Shared fault log.
-    pub log: Arc<FaultLog>,
-    /// Resident-byte budget; `None` = unbounded, no eviction ever.
-    pub memory_budget: Option<usize>,
-    /// Spill tier for evicted partitions (normally the cluster's shared
-    /// under-store). When a budget is set and no spill is provided,
-    /// [`spawn_worker_opts`] creates a private one, so eviction can
-    /// never lose the only copy of a partition.
-    pub spill: Option<Arc<UnderStore>>,
-    /// Upper bound on any single emulated transfer's wait. A transfer
-    /// whose projected completion exceeds it is refused with
-    /// [`StoreError::Timeout`] instead of sleeping through it — this is
-    /// what keeps a throttled push from outliving the executor
-    /// deadline. `None` = uncapped.
-    pub max_transfer_wait: Option<Duration>,
-    /// Verify resident partitions against their stored checksum on the
-    /// read path (DESIGN.md §4.15). Verification is per **byte
-    /// movement**, not per request: the first `Get`/`GetRange` after a
-    /// partition lands, moves or rots pays the checksum pass; later
-    /// reads of the untouched bytes skip it. Spill reloads are verified
-    /// regardless of this flag.
-    pub verify_reads: bool,
-    /// Print a `CORRUPT <file> <partition>` line on each checksum
-    /// failure — the `spcached` deployment behaviour.
-    pub log_corruptions: bool,
-}
-
-impl WorkerOptions {
-    /// Options with no faults, no budget and no transfer cap.
-    pub fn new(id: usize, bandwidth: f64) -> Self {
-        WorkerOptions {
-            id,
-            bandwidth,
-            background_fraction: 1.0,
-            script: WorkerScript::empty(),
-            heartbeat_script: WorkerScript::empty(),
-            log: Arc::new(FaultLog::new()),
-            memory_budget: None,
-            spill: None,
-            max_transfer_wait: None,
-            verify_reads: false,
-            log_corruptions: false,
-        }
-    }
-
-    /// Worker `id` of a cluster described by `cfg`: its NIC model, memory
-    /// budget and pacing, verification and logging switches, its slices
-    /// of `cfg.faults` (op-indexed and heartbeat), with every emulated
-    /// transfer capped at the executor deadline. Fired faults land in
-    /// `log`. Budgeted workers spill evicted partitions into `spill` —
-    /// normally the deployment's shared under-store, so whole-file
-    /// checkpoints there turn evictions into free drops; without one,
-    /// [`spawn_worker_opts`] backs the worker privately.
-    pub fn from_config(
-        id: usize,
-        cfg: &crate::config::StoreConfig,
-        log: Arc<FaultLog>,
-        spill: Option<Arc<UnderStore>>,
-    ) -> Self {
-        WorkerOptions {
-            background_fraction: cfg.background_fraction,
-            script: cfg.faults.script_for(id),
-            heartbeat_script: cfg.faults.heartbeat_script_for(id),
-            log,
-            memory_budget: cfg.memory_budget,
-            spill,
-            max_transfer_wait: Some(cfg.executor_deadline),
-            verify_reads: cfg.verify_reads,
-            log_corruptions: cfg.log_corruptions,
-            ..WorkerOptions::new(id, cfg.bandwidth)
-        }
-    }
-
-    /// Installs both fault scripts and the shared log.
-    pub fn with_scripts(
-        mut self,
-        script: WorkerScript,
-        heartbeat_script: WorkerScript,
-        log: Arc<FaultLog>,
-    ) -> Self {
-        self.script = script;
-        self.heartbeat_script = heartbeat_script;
-        self.log = log;
-        self
-    }
-
-    /// Sets the resident-byte budget.
-    pub fn with_memory_budget(mut self, budget: Option<usize>) -> Self {
-        self.memory_budget = budget;
-        self
-    }
-
-    /// Sets the background NIC fraction.
-    pub fn with_background_fraction(mut self, fraction: f64) -> Self {
-        self.background_fraction = fraction;
-        self
-    }
-
-    /// Sets the spill tier.
-    pub fn with_spill(mut self, spill: Arc<UnderStore>) -> Self {
-        self.spill = Some(spill);
-        self
-    }
-
-    /// Caps every emulated transfer's wait.
-    pub fn with_max_transfer_wait(mut self, cap: Option<Duration>) -> Self {
-        self.max_transfer_wait = cap;
-        self
-    }
-
-    /// Enables checksum verification on the read path.
-    pub fn with_verify_reads(mut self, verify: bool) -> Self {
-        self.verify_reads = verify;
-        self
-    }
-}
-
-/// Spawns a worker thread with the given NIC bandwidth; returns its
-/// handle.
-pub fn spawn_worker(id: usize, bandwidth: f64) -> WorkerHandle {
-    spawn_worker_opts(WorkerOptions::new(id, bandwidth))
-}
-
-/// Spawns a fully-configured worker thread.
-pub fn spawn_worker_opts(mut opts: WorkerOptions) -> WorkerHandle {
-    // A budget without a spill tier could turn eviction into data loss;
-    // back it with a private under-store so it never does.
-    if opts.memory_budget.is_some() && opts.spill.is_none() {
-        opts.spill = Some(Arc::new(UnderStore::new()));
-    }
-    let id = opts.id;
+/// Spawns worker `id` of a cluster described by `cfg`: its NIC model,
+/// memory budget and pacing, read verification, and its slices of
+/// `cfg.faults` (op-indexed and heartbeat), with every emulated transfer
+/// capped at [`DEFAULT_EXECUTOR_DEADLINE`]. Fired faults land in `log`.
+/// A budgeted worker spills evicted partitions into `spill` — normally
+/// the deployment's shared under-store, so whole-file checkpoints there
+/// turn evictions into free drops; without one it backs itself with a
+/// private under-store, so eviction can never lose the only copy of a
+/// partition.
+///
+/// # Panics
+///
+/// Panics if the OS refuses the thread (resource exhaustion; nothing a
+/// request carries reaches here).
+#[allow(clippy::expect_used)]
+pub fn spawn_worker(
+    id: usize,
+    cfg: &StoreConfig,
+    log: Arc<FaultLog>,
+    spill: Option<Arc<UnderStore>>,
+) -> WorkerHandle {
+    let spill = match spill {
+        None if cfg.memory_budget.is_some() => Some(Arc::new(UnderStore::new())),
+        spill => spill,
+    };
+    let ctx = ServeCtx {
+        id,
+        store: HashMap::new(),
+        // A zero budget still needs a valid LRU: clamp to one byte so
+        // every partition is "oversized" and spills straight through.
+        lru: LruCache::new(cfg.memory_budget.map_or(f64::INFINITY, |b| (b as f64).max(1.0))),
+        nic: NicScheduler::new(cfg.bandwidth, cfg.background_fraction),
+        stats: WorkerStats::default(),
+        spill,
+        evicted: Vec::new(),
+        clean: HashSet::new(),
+        verify_reads: cfg.verify_reads,
+        sums: HashMap::new(),
+        corrupted: HashSet::new(),
+        verified: HashSet::new(),
+        wire_corrupt: Vec::new(),
+    };
+    let script = cfg.faults.script_for(id);
+    let heartbeat_script = cfg.faults.heartbeat_script_for(id);
     let (tx, rx) = crossbeam::channel::unbounded();
     let join = std::thread::Builder::new()
         .name(format!("spcache-worker-{id}"))
-        .spawn(move || worker_loop(opts, rx))
+        .spawn(move || worker_loop(ctx, script, heartbeat_script, &log, rx))
         .expect("failed to spawn worker thread");
     WorkerHandle {
         id,
@@ -239,39 +141,14 @@ pub fn spawn_worker_opts(mut opts: WorkerOptions) -> WorkerHandle {
     }
 }
 
-fn worker_loop(opts: WorkerOptions, rx: Receiver<Envelope>) {
-    let WorkerOptions {
-        id,
-        bandwidth,
-        background_fraction,
-        mut script,
-        mut heartbeat_script,
-        log,
-        memory_budget,
-        spill,
-        max_transfer_wait,
-        verify_reads,
-        log_corruptions,
-    } = opts;
-    let mut ctx = ServeCtx {
-        id,
-        store: HashMap::new(),
-        // A zero budget still needs a valid LRU: clamp to one byte so
-        // every partition is "oversized" and spills straight through.
-        lru: LruCache::new(memory_budget.map_or(f64::INFINITY, |b| (b as f64).max(1.0))),
-        nic: NicScheduler::new(bandwidth, background_fraction),
-        stats: WorkerStats::default(),
-        spill,
-        max_transfer_wait,
-        evicted: Vec::new(),
-        clean: HashSet::new(),
-        verify_reads,
-        log_corruptions,
-        sums: HashMap::new(),
-        corrupted: HashSet::new(),
-        verified: HashSet::new(),
-        wire_corrupt: Vec::new(),
-    };
+fn worker_loop(
+    mut ctx: ServeCtx,
+    mut script: WorkerScript,
+    mut heartbeat_script: WorkerScript,
+    log: &FaultLog,
+    rx: Receiver<Envelope>,
+) {
+    let id = ctx.id;
     // Data-path op counter: faults trigger on this index. Control
     // requests (Stats, Ping, SetEpoch, Shutdown) do not advance it, so
     // monitoring traffic never shifts a scripted fault.
@@ -463,7 +340,6 @@ struct ServeCtx {
     nic: NicScheduler,
     stats: WorkerStats,
     spill: Option<Arc<UnderStore>>,
-    max_transfer_wait: Option<Duration>,
     /// Scratch for LRU eviction drains (reused, allocation-free in
     /// steady state).
     evicted: Vec<(PartKey, f64)>,
@@ -477,8 +353,6 @@ struct ServeCtx {
     /// Re-verify resident bytes on every read (spill reloads are always
     /// verified regardless — see [`ServeCtx::reload`]).
     verify_reads: bool,
-    /// Print `CORRUPT <file> <partition>` on each detection.
-    log_corruptions: bool,
     /// Checksum per partition, as stamped by the writer's `Put` (or,
     /// for a spilled copy whose sum a cold restart lost, as computed by
     /// its reload). Partitions written with the
@@ -728,9 +602,7 @@ impl ServeCtx {
         self.stats.corruptions_detected += 1;
         self.corrupted.insert(key);
         self.verified.remove(&key);
-        if self.log_corruptions {
-            println!("CORRUPT {} {}", key.file, key.part);
-        }
+        println!("CORRUPT {} {}", key.file, key.part);
         StoreError::Corrupt(key)
     }
 
@@ -881,21 +753,15 @@ impl ServeCtx {
     }
 
     /// Pays the NIC for a transfer, refusing with
-    /// [`StoreError::Timeout`] when a configured cap says the wait
-    /// would overrun the executor deadline.
+    /// [`StoreError::Timeout`] instead of sleeping through a wait that
+    /// would overrun the executor deadline — what keeps a throttled push
+    /// from outliving the executor that sent it.
     fn transfer(&mut self, bytes: usize, class: TrafficClass) -> Result<(), Reply> {
-        match self.max_transfer_wait {
-            Some(cap) => {
-                if self.nic.consume_within(bytes, class, Instant::now() + cap) {
-                    Ok(())
-                } else {
-                    Err(Reply::Err(StoreError::Timeout(self.id)))
-                }
-            }
-            None => {
-                self.nic.consume(bytes, class);
-                Ok(())
-            }
+        let cap = Instant::now() + DEFAULT_EXECUTOR_DEADLINE;
+        if self.nic.consume_within(bytes, class, cap) {
+            Ok(())
+        } else {
+            Err(Reply::Err(StoreError::Timeout(self.id)))
         }
     }
 }
@@ -915,6 +781,13 @@ fn flipped(data: &Bytes, index: u64) -> Bytes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
+
+    /// A worker with no faults, budget or spill, at `bandwidth` bytes/s.
+    fn plain(id: usize, bandwidth: f64) -> WorkerHandle {
+        let cfg = StoreConfig::throttled(id + 1, bandwidth);
+        spawn_worker(id, &cfg, Arc::new(FaultLog::new()), None)
+    }
 
     /// Queues `req` without awaiting it.
     fn submit(h: &WorkerHandle, req: Request) -> Receiver<Reply> {
@@ -969,14 +842,14 @@ mod tests {
 
     #[test]
     fn put_get_roundtrip() {
-        let h = spawn_worker(0, f64::INFINITY);
+        let h = plain(0, f64::INFINITY);
         put(&h, PartKey::new(1, 0), b"hello");
         assert_eq!(get(&h, PartKey::new(1, 0)).unwrap().as_ref(), b"hello");
     }
 
     #[test]
     fn get_missing_returns_not_found() {
-        let h = spawn_worker(0, f64::INFINITY);
+        let h = plain(0, f64::INFINITY);
         assert_eq!(
             get(&h, PartKey::new(9, 9)),
             Err(StoreError::NotFound(PartKey::new(9, 9)))
@@ -985,7 +858,7 @@ mod tests {
 
     #[test]
     fn delete_removes() {
-        let h = spawn_worker(0, f64::INFINITY);
+        let h = plain(0, f64::INFINITY);
         put(&h, PartKey::new(1, 0), b"x");
         assert!(call(&h, Request::Delete { key: PartKey::new(1, 0) })
             .flag()
@@ -995,7 +868,7 @@ mod tests {
 
     #[test]
     fn stats_track_traffic() {
-        let h = spawn_worker(0, f64::INFINITY);
+        let h = plain(0, f64::INFINITY);
         put(&h, PartKey::new(1, 0), &[0u8; 100]);
         put(&h, PartKey::new(1, 1), &[0u8; 50]);
         let _ = get(&h, PartKey::new(1, 0));
@@ -1012,7 +885,7 @@ mod tests {
 
     #[test]
     fn throttled_worker_takes_time() {
-        let h = spawn_worker(0, 10e6);
+        let h = plain(0, 10e6);
         put(&h, PartKey::new(1, 0), &[0u8; 1_000_000]);
         let t0 = std::time::Instant::now();
         let _ = get(&h, PartKey::new(1, 0)).unwrap();
@@ -1022,7 +895,7 @@ mod tests {
 
     #[test]
     fn shutdown_is_acknowledged_and_joins_cleanly() {
-        let mut h = spawn_worker(0, f64::INFINITY);
+        let mut h = plain(0, f64::INFINITY);
         put(&h, PartKey::new(1, 0), b"x");
         assert_eq!(call(&h, Request::Shutdown), Reply::Done, "shutdown is acked");
         h.shutdown(); // idempotent: channel already closed
@@ -1041,7 +914,7 @@ mod tests {
         // envelope (and the reply sender inside it) must be destroyed
         // with the worker's receiver so the second waiter observes a
         // disconnect, never an indefinite block.
-        let h = spawn_worker(0, f64::INFINITY);
+        let h = plain(0, f64::INFINITY);
         let rx1 = submit(&h, Request::Shutdown);
         let (second, rx2) = Envelope::channel(Request::Shutdown);
         // The worker may already have served the first Shutdown and
@@ -1065,7 +938,7 @@ mod tests {
     fn shutdown_drains_queued_requests_first() {
         // Requests enqueued before the shutdown envelope are all served
         // (FIFO drain) — nothing in flight is lost.
-        let h = spawn_worker(0, f64::INFINITY);
+        let h = plain(0, f64::INFINITY);
         let mut gets = Vec::new();
         put(&h, PartKey::new(1, 0), b"drain");
         for _ in 0..16 {
@@ -1085,18 +958,12 @@ mod tests {
 
     #[test]
     fn wire_faults_degrade_to_lost_or_delayed_replies_in_process() {
-        use crate::fault::FaultPlan;
         let plan = FaultPlan::none()
             .drop_connection(0, 1)
             .delay_frame(0, 2, Duration::from_millis(60));
         let log = Arc::new(FaultLog::new());
-        let h = spawn_worker_opts(
-            WorkerOptions::new(0, f64::INFINITY).with_scripts(
-                plan.script_for(0),
-                WorkerScript::empty(),
-                Arc::clone(&log),
-            ),
-        );
+        let cfg = StoreConfig::unthrottled(1).with_faults(plan);
+        let h = spawn_worker(0, &cfg, Arc::clone(&log), None);
         put(&h, PartKey::new(1, 0), b"w"); // op 0
         // Op 1: DropConnection ≈ lost reply → receiver disconnects.
         let rx = submit(
@@ -1119,7 +986,7 @@ mod tests {
 
     #[test]
     fn epoch_fencing_bounces_mismatched_stamps() {
-        let h = spawn_worker(3, f64::INFINITY);
+        let h = plain(3, f64::INFINITY);
         // Unregistered worker reports epoch 0 and serves unfenced traffic.
         assert_eq!(call(&h, Request::Ping).pong_epoch().unwrap(), (3, 0));
         put(&h, PartKey::new(1, 0), b"pre");
@@ -1151,7 +1018,7 @@ mod tests {
 
     #[test]
     fn master_epoch_watermark_fences_deposed_masters() {
-        let h = spawn_worker(2, f64::INFINITY);
+        let h = plain(2, f64::INFINITY);
         assert_eq!(call(&h, Request::SetEpoch(1)), Reply::Done);
         put(&h, PartKey::new(1, 0), b"v");
         let get = || Request::Get { key: PartKey::new(1, 0) };
@@ -1194,16 +1061,10 @@ mod tests {
 
     #[test]
     fn crash_restart_clears_cache_and_resets_epoch() {
-        use crate::fault::FaultPlan;
         let plan = FaultPlan::none().crash_restart(0, 2);
         let log = Arc::new(FaultLog::new());
-        let h = spawn_worker_opts(
-            WorkerOptions::new(0, f64::INFINITY).with_scripts(
-                plan.script_for(0),
-                WorkerScript::empty(),
-                Arc::clone(&log),
-            ),
-        );
+        let cfg = StoreConfig::unthrottled(1).with_faults(plan);
+        let h = spawn_worker(0, &cfg, Arc::clone(&log), None);
         assert_eq!(call(&h, Request::SetEpoch(4)), Reply::Done);
         put(&h, PartKey::new(1, 0), b"gone"); // op 0
         put(&h, PartKey::new(1, 1), b"gone"); // op 1
@@ -1228,16 +1089,10 @@ mod tests {
 
     #[test]
     fn dropped_heartbeat_times_out_without_disconnecting() {
-        use crate::fault::FaultPlan;
         let plan = FaultPlan::none().drop_heartbeat(0, 1).stale_epoch(0, 0);
         let log = Arc::new(FaultLog::new());
-        let h = spawn_worker_opts(
-            WorkerOptions::new(0, f64::INFINITY).with_scripts(
-                plan.script_for(0),
-                plan.heartbeat_script_for(0),
-                Arc::clone(&log),
-            ),
-        );
+        let cfg = StoreConfig::unthrottled(1).with_faults(plan);
+        let h = spawn_worker(0, &cfg, Arc::clone(&log), None);
         // Ping 0 answers normally.
         assert_eq!(call(&h, Request::Ping).pong_epoch().unwrap(), (0, 0));
         // Ping 1 is swallowed: the probe *times out* (sender stays alive
@@ -1266,10 +1121,8 @@ mod tests {
     }
 
     fn budgeted(budget: usize) -> WorkerHandle {
-        spawn_worker_opts(
-            WorkerOptions::new(0, f64::INFINITY)
-                .with_memory_budget(Some(budget)),
-        )
+        let cfg = StoreConfig::unthrottled(1).with_memory_budget(Some(budget));
+        spawn_worker(0, &cfg, Arc::new(FaultLog::new()), None)
     }
 
     #[test]
@@ -1334,10 +1187,11 @@ mod tests {
     fn eviction_is_a_free_drop_under_a_whole_file_checkpoint() {
         let under = Arc::new(UnderStore::new());
         under.persist(1, Bytes::copy_from_slice(&[9u8; 100]));
-        let h = spawn_worker_opts(
-            WorkerOptions::new(0, f64::INFINITY)
-                .with_memory_budget(Some(100))
-                .with_spill(Arc::clone(&under)),
+        let h = spawn_worker(
+            0,
+            &StoreConfig::unthrottled(1).with_memory_budget(Some(100)),
+            Arc::new(FaultLog::new()),
+            Some(Arc::clone(&under)),
         );
         put(&h, PartKey::new(1, 0), &[1u8; 60]);
         put(&h, PartKey::new(1, 1), &[2u8; 60]);
@@ -1359,10 +1213,11 @@ mod tests {
     #[test]
     fn a_sum_fenced_get_is_served_only_under_its_sum() {
         let under = Arc::new(UnderStore::new());
-        let h = spawn_worker_opts(
-            WorkerOptions::new(0, f64::INFINITY)
-                .with_memory_budget(Some(100))
-                .with_spill(Arc::clone(&under)),
+        let h = spawn_worker(
+            0,
+            &StoreConfig::unthrottled(1).with_memory_budget(Some(100)),
+            Arc::new(FaultLog::new()),
+            Some(Arc::clone(&under)),
         );
         let (a, b) = (PartKey::new(1, 0), PartKey::new(1, 1));
         let fenced = |key, sum| {
@@ -1433,10 +1288,8 @@ mod tests {
 
     #[test]
     fn background_requests_pay_the_background_bucket() {
-        let h = spawn_worker_opts(
-            WorkerOptions::new(0, 10e6)
-                .with_background_fraction(0.25),
-        );
+        let cfg = StoreConfig::throttled(1, 10e6).with_background_fraction(0.25);
+        let h = spawn_worker(0, &cfg, Arc::new(FaultLog::new()), None);
         let background = Stamp { class: TrafficClass::Background, ..Stamp::default() };
         call(
             &h,
@@ -1462,11 +1315,9 @@ mod tests {
 
     #[test]
     fn transfer_cap_refuses_instead_of_outliving_the_deadline() {
-        let h = spawn_worker_opts(
-            WorkerOptions::new(4, 1e6)
-                .with_max_transfer_wait(Some(Duration::from_millis(50))),
-        );
-        // A 1 MB put at 1 MB/s projects a ~1 s wait: refused promptly.
+        let h = plain(4, 100e3);
+        // A 1 MB put at 100 kB/s projects a ~10 s wait, past the 5 s
+        // executor deadline: refused promptly.
         let t0 = std::time::Instant::now();
         let reply = call(
             &h,
@@ -1489,14 +1340,14 @@ mod tests {
 
     #[test]
     fn verified_get_converts_a_bitflip_into_an_erasure() {
-        use crate::fault::{CorruptSite, FaultPlan};
         let key = PartKey::new(7, 0);
         let plan = FaultPlan::none().corrupt(0, 1, key, CorruptSite::Resident, 3);
         let log = Arc::new(FaultLog::new());
-        let h = spawn_worker_opts(
-            WorkerOptions::new(0, f64::INFINITY)
-                .with_scripts(plan.script_for(0), WorkerScript::empty(), Arc::clone(&log))
-                .with_verify_reads(true),
+        let h = spawn_worker(
+            0,
+            &StoreConfig::unthrottled(1).with_faults(plan).with_verify_reads(true),
+            Arc::clone(&log),
+            None,
         );
         let truth = [5u8; 256];
         put_summed(&h, key, &truth); // op 0
@@ -1521,17 +1372,17 @@ mod tests {
 
     #[test]
     fn spill_reload_verifies_even_without_verify_reads() {
-        use crate::fault::{CorruptSite, FaultPlan};
         // The reload path must never trust under-store bytes
         // unconditionally — verification there is NOT gated on the
         // verify_reads knob.
         let key = PartKey::new(1, 0);
         let plan = FaultPlan::none().corrupt(0, 3, key, CorruptSite::Spill, 10);
         let log = Arc::new(FaultLog::new());
-        let h = spawn_worker_opts(
-            WorkerOptions::new(0, f64::INFINITY)
-                .with_scripts(plan.script_for(0), WorkerScript::empty(), Arc::clone(&log))
-                .with_memory_budget(Some(100)),
+        let h = spawn_worker(
+            0,
+            &StoreConfig::unthrottled(1).with_faults(plan).with_memory_budget(Some(100)),
+            Arc::clone(&log),
+            None,
         );
         put_summed(&h, key, &[1u8; 50]); // op 0
         put_summed(&h, PartKey::new(1, 1), &[2u8; 50]); // op 1
@@ -1548,14 +1399,14 @@ mod tests {
 
     #[test]
     fn wire_corruption_flips_the_reply_copy_not_the_store() {
-        use crate::fault::{CorruptSite, FaultPlan};
         let key = PartKey::new(2, 0);
         let plan = FaultPlan::none().corrupt(0, 1, key, CorruptSite::Wire, 4);
         let log = Arc::new(FaultLog::new());
-        let h = spawn_worker_opts(
-            WorkerOptions::new(0, f64::INFINITY)
-                .with_scripts(plan.script_for(0), WorkerScript::empty(), Arc::clone(&log))
-                .with_verify_reads(true),
+        let h = spawn_worker(
+            0,
+            &StoreConfig::unthrottled(1).with_faults(plan).with_verify_reads(true),
+            Arc::clone(&log),
+            None,
         );
         let truth = [9u8; 64];
         put_summed(&h, key, &truth); // op 0
@@ -1574,7 +1425,7 @@ mod tests {
 
     #[test]
     fn parity_puts_count_parity_bytes_and_serve_via_get_parity() {
-        let h = spawn_worker(0, f64::INFINITY);
+        let h = plain(0, f64::INFINITY);
         let pkey = PartKey::parity(3, 0);
         put_summed(&h, pkey, &[8u8; 200]);
         put_summed(&h, PartKey::new(3, 0), &[1u8; 100]);
@@ -1587,17 +1438,17 @@ mod tests {
 
     #[test]
     fn unverified_puts_clear_a_stale_checksum() {
-        use crate::fault::{CorruptSite, FaultPlan};
         // A maintenance rewrite (sum: 0) over a partition that carried a
         // checksum must drop the old sum — otherwise the fresh bytes
         // would fail verification against the stale one.
         let key = PartKey::new(4, 0);
         let plan = FaultPlan::none().corrupt(0, 2, key, CorruptSite::Resident, 0);
         let log = Arc::new(FaultLog::new());
-        let h = spawn_worker_opts(
-            WorkerOptions::new(0, f64::INFINITY)
-                .with_scripts(plan.script_for(0), WorkerScript::empty(), Arc::clone(&log))
-                .with_verify_reads(true),
+        let h = spawn_worker(
+            0,
+            &StoreConfig::unthrottled(1).with_faults(plan).with_verify_reads(true),
+            Arc::clone(&log),
+            None,
         );
         put_summed(&h, key, b"checksummed"); // op 0
         put(&h, key, b"maintenance rewrite"); // op 1: sum 0 clears it

@@ -32,7 +32,6 @@ enum Cmd {
     Suspect(u8),
     BeginRepair(u8),
     EndRepair(u8),
-    Threshold(u8),
     Claim(u8),
     SetIntegrity(u8, u16),
     RegisterBatch(u8, u16),
@@ -46,7 +45,7 @@ enum Cmd {
 type RawCmd = (u8, u8, u16);
 
 fn cmd() -> impl Strategy<Value = Cmd> {
-    (any::<u8>(), any::<u8>(), any::<u16>()).prop_map(|(sel, x, s): RawCmd| match sel % 15 {
+    (any::<u8>(), any::<u8>(), any::<u16>()).prop_map(|(sel, x, s): RawCmd| match sel % 14 {
         0 => Cmd::Register(x, s, 1 + (s % 3) as u8),
         1 => Cmd::Unregister(x),
         2 => Cmd::Place(x, (s % 251) as u8),
@@ -56,11 +55,10 @@ fn cmd() -> impl Strategy<Value = Cmd> {
         6 => Cmd::Suspect(x),
         7 => Cmd::BeginRepair(x),
         8 => Cmd::EndRepair(x),
-        9 => Cmd::Threshold(1 + x % 6),
-        10 => Cmd::Claim(x),
-        11 => Cmd::SetIntegrity(x, s),
-        12 => Cmd::RegisterBatch(x, s),
-        13 => Cmd::AbandonRepairs,
+        9 => Cmd::Claim(x),
+        10 => Cmd::SetIntegrity(x, s),
+        11 => Cmd::RegisterBatch(x, s),
+        12 => Cmd::AbandonRepairs,
         _ => Cmd::Compact,
     })
 }
@@ -107,7 +105,6 @@ fn step(master: &Master, c: &Cmd) {
             let _ = master.begin_repair(u64::from(*i) % N_FILES);
         }
         Cmd::EndRepair(i) => master.end_repair(u64::from(*i) % N_FILES),
-        Cmd::Threshold(t) => master.set_suspicion_threshold(u32::from(*t)),
         Cmd::Claim(e) => {
             let epoch = u64::from(*e) % 8;
             let _ = master.claim_master_epoch(epoch, &format!("10.0.0.1:{epoch}"));

@@ -322,13 +322,8 @@ fn failover_with_a_wire_successor(workload_seed: u64) -> RunTrace {
     let trace = drive(
         &cluster,
         |master_b| {
-            let server = MasterServer::spawn(
-                Arc::clone(master_b),
-                "127.0.0.1:0",
-                worker_addrs,
-                Duration::from_secs(2),
-            )
-            .expect("bind successor master listener");
+            let server = MasterServer::spawn(Arc::clone(master_b), "127.0.0.1:0", worker_addrs)
+                .expect("bind successor master listener");
             let deadline = cluster.config().retry.deadline;
             let meta = MasterClient::connect(server.addr()).with_deadline(deadline);
             server_b = Some(server);
