@@ -30,9 +30,11 @@
 //! again. It prints `STANDBY <peer>` when tailing begins and
 //! `TAKEOVER <epoch>` + `LISTEN <addr>` once promoted.
 //!
-//! Workers serve all their connections from readiness event loops —
-//! one I/O shard (loop thread) per core by default, each multiplexing
-//! N connections; `--io-shards` overrides the shard count.
+//! Workers serve all their connections, and the requests they carry,
+//! on readiness event loops — one I/O shard (loop thread) per core by
+//! default, each multiplexing N connections; `--io-shards` overrides the
+//! shard count. `--bandwidth B` (bytes/s, positive; default unthrottled)
+//! emulates the worker's NIC.
 //!
 //! Master mode always runs the self-healing supervisor loop (DESIGN.md
 //! §4.11): it heartbeats the worker fleet, fences crash-restarted
@@ -117,10 +119,13 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
 }
 
 fn parse<T: std::str::FromStr>(what: &str, v: &str) -> T {
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("spcached: bad value for {what}: {v:?}");
-        exit(2);
-    })
+    v.parse().unwrap_or_else(|_| refuse(&format!("bad value for {what}: {v:?}")))
+}
+
+/// Exits 2 before anything binds, saying why.
+fn refuse(why: &str) -> ! {
+    eprintln!("spcached: {why}");
+    exit(2);
 }
 
 fn main() {
@@ -136,9 +141,13 @@ fn run_worker(args: &[String]) {
     check_flags(args, WORKER_FLAGS);
     let id: usize = parse("--id", &flag_value(args, "--id").unwrap_or_else(|| usage()));
     let bind = flag_value(args, "--bind").unwrap_or_else(|| usage());
-    let mut cfg = StoreConfig::unthrottled(id + 1);
+    let n_workers = id.checked_add(1).unwrap_or_else(|| refuse(&format!("--id {id} too large")));
+    let mut cfg = StoreConfig::unthrottled(n_workers);
     if let Some(bw) = flag_value(args, "--bandwidth") {
         cfg.bandwidth = parse("--bandwidth", &bw);
+        if cfg.bandwidth.is_nan() || cfg.bandwidth <= 0.0 {
+            refuse(&format!("--bandwidth must be positive, got {bw}"));
+        }
     }
     if let Some(budget) = flag_value(args, "--memory-budget") {
         cfg = cfg.with_memory_budget(Some(parse("--memory-budget", &budget)));
@@ -146,8 +155,7 @@ fn run_worker(args: &[String]) {
     if let Some(frac) = flag_value(args, "--background-fraction") {
         let frac: f64 = parse("--background-fraction", &frac);
         if !(frac > 0.0 && frac <= 1.0) {
-            eprintln!("spcached: --background-fraction must be in (0, 1], got {frac}");
-            exit(2);
+            refuse(&format!("--background-fraction must be in (0, 1], got {frac}"));
         }
         cfg = cfg.with_background_fraction(frac);
     }
@@ -180,10 +188,9 @@ fn run_master(args: &[String]) {
         usage();
     }
     let meta_tier = flag_value(args, "--meta-dir").map(|dir| {
-        let tier = UnderStore::new().with_meta_dir(&dir).unwrap_or_else(|e| {
-            eprintln!("spcached: cannot open --meta-dir {dir}: {e}");
-            exit(2);
-        });
+        let tier = UnderStore::new()
+            .with_meta_dir(&dir)
+            .unwrap_or_else(|e| refuse(&format!("cannot open --meta-dir {dir}: {e}")));
         Arc::new(tier)
     });
     if args.iter().any(|a| a == "--standby") {

@@ -27,10 +27,10 @@
 //!   `RetryPolicy`-derived deadline per request that leaves with its
 //!   reply,
 //! * [`server::WorkerServer`] — the `spcached` worker: the store's
-//!   worker thread answering its own socket through a reply route
-//!   onto the server loop, which also carries out scripted wire
-//!   faults (dropped connections, delayed and truncated frames) and
-//!   the graceful drain-then-exit shutdown,
+//!   worker state machine served inline on the server loop, which
+//!   releases each reply when its emulated transfer is paid off and
+//!   carries out scripted wire faults (dropped connections, delayed
+//!   and truncated frames) and the graceful drain-then-exit shutdown,
 //! * [`master_net`] — the master protocol: [`master_net::MasterServer`]
 //!   serving metadata plus a one-RPC cluster `Rebalance`, and
 //!   [`master_net::MasterClient`], a wire-backed `MetaService` that

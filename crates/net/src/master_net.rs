@@ -41,7 +41,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::frame::{read_frame, write_frame, Frame, FrameBuilder};
 use crate::poll::{serve, Completion, Served, WireFrame};
@@ -627,7 +627,8 @@ impl MasterServer {
                         conn.stop_server(); // applied after this ack is queued
                     }
                     let reply = serve_meta(&served, &worker_addrs, other);
-                    Served::Reply(meta_frame(&reply, req_id))
+                    let frame = meta_frame(&reply, req_id);
+                    Served::At(Completion::Frame(frame), Instant::now())
                 }
             }
         })?;

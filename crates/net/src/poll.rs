@@ -981,9 +981,11 @@ pub enum Completion {
 
 /// What a frame handler made of one inbound frame.
 pub enum Served {
-    /// The reply, computed on the loop thread: queued on the connection
-    /// at once.
-    Reply(WireFrame),
+    /// Carry out `what` on the connection at the given instant: in place
+    /// — behind what the connection already holds, ahead of the next
+    /// frame's answer — once it has passed, and off the shard's timer
+    /// heap until then.
+    At(Completion, Instant),
     /// The reply will arrive through a clone of the frame's [`ConnRef`].
     Pending,
     /// Protocol violation: these are the last bytes the connection
@@ -1136,17 +1138,14 @@ fn shard_loop<H: FnMut(Bytes, &ConnRef) -> Served>(
     let mut next_token = CONN_BASE;
     // Shard 0's round-robin dealing cursor.
     let mut dealt = 0usize;
-    // Delayed completions wait on the timer heap, keyed by arrival.
-    let mut timers: Timers<u64> = Timers::new();
-    let mut delayed: HashMap<u64, (usize, Completion)> = HashMap::new();
-    let mut delay_seq = 0u64;
+    // Delayed completions wait on the timer heap.
+    let mut timers: Timers<(usize, Completion)> = Timers::new();
     let mut buf = ReadBuf::new();
     let mut inbound: Vec<Bytes> = Vec::new();
 
     'run: loop {
-        let timeout = timers
-            .next_deadline()
-            .map(|d| d.saturating_duration_since(Instant::now()));
+        let now = timers.settle(Instant::now());
+        let timeout = poll_timeout(timers.next_deadline(), now);
         if poll.poll(&mut events, timeout).is_err() {
             break 'run;
         }
@@ -1161,9 +1160,7 @@ fn shard_loop<H: FnMut(Bytes, &ConnRef) -> Served>(
                     conns.complete(&poll, token, what);
                 }
                 Ok(Cmd::Complete { token, what, delay }) => {
-                    timers.insert(Instant::now() + delay, delay_seq);
-                    delayed.insert(delay_seq, (token, what));
-                    delay_seq += 1;
+                    timers.insert(Instant::now() + delay, (token, what));
                 }
                 Ok(Cmd::Stop) | Err(TryRecvError::Disconnected) => break 'run,
                 Err(TryRecvError::Empty) => break,
@@ -1194,6 +1191,7 @@ fn shard_loop<H: FnMut(Bytes, &ConnRef) -> Served>(
                         read_frames(
                             &poll,
                             &mut conns,
+                            &mut timers,
                             &conn,
                             &mut buf,
                             &mut inbound,
@@ -1208,22 +1206,26 @@ fn shard_loop<H: FnMut(Bytes, &ConnRef) -> Served>(
         }
 
         let now = Instant::now();
-        while let Some(key) = timers.pop_due(now) {
-            if let Some((token, what)) = delayed.remove(&key) {
-                conns.complete(&poll, token, what);
-            }
+        while let Some((token, what)) = timers.pop_due(now) {
+            conns.complete(&poll, token, what);
         }
 
         conns.flush_dirty(&poll);
     }
 
+    // What the timer heap still holds is released on time, and every
+    // write queue drains — all of it within the deadline.
     let drain_until = Instant::now() + DRAIN_DEADLINE;
-    while Instant::now() < drain_until {
+    loop {
+        let now = Instant::now();
+        while let Some((token, what)) = timers.pop_due(now) {
+            conns.complete(&poll, token, what);
+        }
         conns.flush_all(&poll);
-        if conns.drained() {
+        if (timers.next_deadline().is_none() && conns.drained()) || now >= drain_until {
             break;
         }
-        std::thread::sleep(Duration::from_millis(5));
+        std::thread::sleep(Duration::from_millis(1));
     }
     conns.close_all();
 }
@@ -1234,6 +1236,7 @@ fn shard_loop<H: FnMut(Bytes, &ConnRef) -> Served>(
 fn read_frames(
     poll: &Poll,
     conns: &mut Conns,
+    timers: &mut Timers<(usize, Completion)>,
     conn: &ConnRef,
     buf: &mut ReadBuf,
     inbound: &mut Vec<Bytes>,
@@ -1243,9 +1246,8 @@ fn read_frames(
     let open = conns.pump(conn.token, buf, inbound);
     for frame in inbound.drain(..) {
         match handler(frame, conn) {
-            Served::Reply(reply) => {
-                conns.push(conn.token, reply);
-            }
+            Served::At(what, at) if at <= Instant::now() => conns.complete(poll, conn.token, what),
+            Served::At(what, at) => timers.insert(at, (conn.token, what)),
             Served::Pending => {}
             Served::Violation(last) => return conns.push_last(conn.token, last),
         }
@@ -1259,31 +1261,47 @@ fn read_frames(
 // Timers: deadline min-heap
 // ---------------------------------------------------------------------------
 
-/// Min-heap of `(deadline, key)` pairs driving a server shard's poll
-/// timeout: the loop sleeps until
-/// [`next_deadline`](Timers::next_deadline) and carries out every
-/// delayed completion [`pop_due`](Timers::pop_due) yields.
+/// The poll timeout that wakes a loop for a timer due at `due`: whole
+/// milliseconds, rounded down. epoll counts in milliseconds, and a
+/// sub-millisecond wait handed to it comes back a whole one late — a
+/// reply held past its release time; [`Timers::settle`] sleeps out what
+/// the floor leaves. `None` (no timer) waits for readiness alone.
+fn poll_timeout(due: Option<Instant>, now: Instant) -> Option<Duration> {
+    let wait = due?.saturating_duration_since(now);
+    Some(Duration::from_millis(wait.as_millis() as u64))
+}
+
+/// Min-heap of timers driving a server shard's poll timeout: the loop
+/// waits until [`next_deadline`](Timers::next_deadline) and carries out
+/// every delayed completion [`pop_due`](Timers::pop_due) yields. Timers
+/// due at the same instant fire in the order they were set.
 ///
 /// There is no cancel operation — nothing it holds is ever called off:
 /// a delayed completion whose connection died finds nothing to write
 /// to. It belongs to the server loop alone; the client loop's request
 /// deadlines, which a reply does call off, are a queue in
 /// [`crate::tcp`].
-struct Timers<K> {
-    heap: BinaryHeap<Reverse<(Instant, K)>>,
+struct Timers<T> {
+    heap: BinaryHeap<Reverse<(Instant, u64)>>,
+    items: HashMap<u64, T>,
+    seq: u64,
 }
 
-impl<K: Ord> Timers<K> {
+impl<T> Timers<T> {
     /// New empty timer heap.
     fn new() -> Self {
         Timers {
             heap: BinaryHeap::new(),
+            items: HashMap::new(),
+            seq: 0,
         }
     }
 
-    /// Schedules `key` to fire at `at`.
-    fn insert(&mut self, at: Instant, key: K) {
-        self.heap.push(Reverse((at, key)));
+    /// Schedules `item` to fire at `at`.
+    fn insert(&mut self, at: Instant, item: T) {
+        self.heap.push(Reverse((at, self.seq)));
+        self.items.insert(self.seq, item);
+        self.seq += 1;
     }
 
     /// Earliest pending deadline, if any — the poll timeout bound.
@@ -1291,13 +1309,25 @@ impl<K: Ord> Timers<K> {
         self.heap.peek().map(|Reverse((at, _))| *at)
     }
 
-    /// Pops the next timer whose deadline is at or before `now`.
-    fn pop_due(&mut self, now: Instant) -> Option<K> {
-        if self.next_deadline()? <= now {
-            self.heap.pop().map(|Reverse((_, k))| k)
-        } else {
-            None
+    /// Sleeps out the sub-millisecond rest of a wait for the next timer
+    /// that [`poll_timeout`] left, and returns the time after it.
+    fn settle(&self, now: Instant) -> Instant {
+        match self.next_deadline() {
+            Some(due) if due > now && poll_timeout(Some(due), now) == Some(Duration::ZERO) => {
+                std::thread::sleep(due - now);
+                Instant::now()
+            }
+            _ => now,
         }
+    }
+
+    /// Pops the next timer whose deadline is at or before `now`.
+    fn pop_due(&mut self, now: Instant) -> Option<T> {
+        if self.next_deadline()? > now {
+            return None;
+        }
+        let Reverse((_, seq)) = self.heap.pop()?;
+        self.items.remove(&seq)
     }
 }
 
@@ -1700,5 +1730,44 @@ mod tests {
         assert_eq!(t.pop_due(later), Some(2));
         assert_eq!(t.pop_due(later), None);
         assert_eq!(t.next_deadline(), Some(base + Duration::from_millis(30)));
+    }
+
+    #[test]
+    fn timers_due_together_fire_in_the_order_set() {
+        let at = Instant::now();
+        let mut t = Timers::new();
+        for key in [3u64, 1, 2] {
+            t.insert(at, key);
+        }
+        let order: Vec<u64> = std::iter::from_fn(|| t.pop_due(at)).collect();
+        assert_eq!(order, vec![3, 1, 2]);
+    }
+
+    #[test]
+    fn a_poll_timeout_never_outlasts_its_timer() {
+        let now = Instant::now();
+        let after = |us| Some(now + Duration::from_micros(us));
+        assert_eq!(poll_timeout(after(2_400), now), Some(Duration::from_millis(2)));
+        assert_eq!(poll_timeout(after(1_000), now), Some(Duration::from_millis(1)));
+        assert_eq!(poll_timeout(after(999), now), Some(Duration::ZERO));
+        // A due time already passed polls without waiting.
+        assert_eq!(poll_timeout(Some(now), now + Duration::from_millis(3)), Some(Duration::ZERO));
+        assert_eq!(poll_timeout(None, now), None);
+    }
+
+    #[test]
+    fn a_sub_millisecond_remainder_is_slept_out_before_timers_pop() {
+        let mut t = Timers::new();
+        let due = Instant::now() + Duration::from_micros(400);
+        t.insert(due, 1u64);
+        let now = t.settle(Instant::now());
+        assert!(now >= due, "settled {:?} early", due - now);
+        assert_eq!(t.pop_due(now), Some(1));
+        // A timer a millisecond or more away is left to the poll.
+        let far = Instant::now() + Duration::from_millis(5);
+        t.insert(far, 2);
+        let now = t.settle(Instant::now());
+        assert!(now < far, "slept out a whole-millisecond wait");
+        assert_eq!(t.pop_due(now), None);
     }
 }

@@ -1,134 +1,133 @@
-//! `spcached` worker server: the store's worker thread answering its
-//! own socket (DESIGN.md §4.10, §4.12).
+//! `spcached` worker server: the store's worker served on its own I/O
+//! loops (DESIGN.md §4.10, §4.12).
 //!
-//! A request crosses two threads inside the daemon:
+//! A request never leaves the thread that read it. An **I/O shard** of
+//! the server loop ([`crate::poll::serve`]; one per core by default,
+//! shard 0 accepts) reads the frame off its non-blocking socket, decodes
+//! it and hands it to the worker's state machine
+//! ([`spcache_store::worker::WorkerCore`]), which the shards share
+//! behind one lock. The core serves requests one at a time in the order
+//! the shards take the lock — the Nth data request over TCP is the same
+//! Nth data request an in-process run would count — fires whatever its
+//! fault script holds for that op, and says what becomes of the reply.
+//! The shard carries that out on the connection in place, before it
+//! reads the next frame, so replies and cuts leave each connection in
+//! op order:
 //!
-//! * an **I/O shard** of the server loop ([`crate::poll::serve`]; one
-//!   per core by default, shard 0 accepts) reads the frame off its
-//!   non-blocking socket, decodes it, and sends it straight into the
-//!   worker's queue as an [`Envelope`] whose reply route is a sink
-//!   around the [`ConnRef`] of the connection it arrived on,
-//! * the **worker** thread (`spcache_store::worker`) pops that one queue
-//!   in arrival order — the Nth data request over TCP is the same Nth
-//!   data request an in-process run would count — fires whatever its
-//!   fault script holds for that op, serves the request, and hands the
-//!   reply to the route, which encodes the frame and posts it to the
-//!   shard that owns the connection. Replies are queued by the thread
-//!   that computed them, in the order it computed them, and a burst of
-//!   them shares one `writev` round.
-//!
-//! The worker thread fires the whole fault script on both transports;
-//! the sink carries out the wire half:
-//!
+//! * a reply is queued at once, or at its release time off the shard's
+//!   timer heap — the instant the emulated NIC has paid the transfer off,
+//!   plus any scripted `DelayFrame` pause,
 //! * `DropConnection` — the request is served, then the connection is
 //!   closed without the reply frame,
 //! * `TruncateFrame` — half the reply frame is written, then the
 //!   connection is closed,
-//! * `DelayFrame` — the reply frame is written after the pause (a
-//!   shard timer, not a sleeping thread).
+//! * `LoseReply`, a `Crash` and every request after one answer a
+//!   `WorkerDown` frame, the disconnect an in-process caller would see.
 //!
-//! A route dropped unanswered — a `LoseReply`, a `Crash` with requests
-//! still queued, a request arriving after the worker thread is gone —
-//! answers `WorkerDown` at once, the disconnect an in-process caller
-//! would see. A swallowed heartbeat keeps its route alive and so sends
-//! no frame at all.
+//! A swallowed heartbeat sends no frame at all: the core holds its route
+//! until it goes down, and only then does the route post `WorkerDown`
+//! through the connection's [`ConnRef`].
 //!
-//! Graceful shutdown: a `Shutdown` request rides the same queue, so the
-//! worker has served everything submitted before it when it
-//! acknowledges. Its sink queues the ack on the owning shard and then
-//! stops every shard, which drain their write queues and exit.
+//! Graceful shutdown: the `Shutdown` ack is released behind every data
+//! reply before it, and then every shard stops, releasing what its timer
+//! heap still holds and draining its write queues before it exits.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use bytes::Bytes;
-use crossbeam::channel::Sender;
+use parking_lot::Mutex;
 use spcache_store::backing::UnderStore;
 use spcache_store::fault::FaultLog;
-use spcache_store::rpc::{Delivery, Envelope, Reply, ReplyRoute, ReplySink, Request, StoreError};
-use spcache_store::worker::{spawn_worker, WorkerHandle};
+use spcache_store::rpc::{Delivery, Reply, Request, StoreError};
+use spcache_store::worker::{Step, WorkerCore};
 use spcache_store::StoreConfig;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::frame::{decode_request, encode_reply_parts, Frame};
-use crate::poll::{serve, Completion, ConnRef, Served};
+use crate::poll::{serve, Completion, ConnRef, Served, WireFrame};
 
-/// The reply route of one request that arrived over a socket.
+/// The `WorkerDown` answer to request `req_id` of worker `worker`.
+fn down(worker: usize, req_id: u64) -> WireFrame {
+    encode_reply_parts(&Reply::Err(StoreError::WorkerDown(worker)), req_id)
+}
+
+/// The route of a swallowed heartbeat, held by the core: dropped when
+/// the worker goes down, it answers `WorkerDown`.
 #[derive(Debug)]
-struct ConnSink {
+struct HeldPing {
     conn: ConnRef,
     req_id: u64,
     worker: usize,
-    /// The request is `Shutdown`: stop the server behind the answer.
-    shutdown: bool,
-    answered: bool,
 }
 
-impl ConnSink {
-    fn post(&mut self, what: Completion, delay: Duration) {
-        self.answered = true;
-        self.conn.complete(what, delay);
-        if self.shutdown {
-            self.conn.stop_server();
-        }
-    }
-}
-
-impl ReplySink for ConnSink {
-    fn deliver(mut self: Box<Self>, reply: Reply, how: Delivery, delay: Duration) {
-        let frame = || encode_reply_parts(&reply, self.req_id);
-        let what = match how {
-            Delivery::Reply => Completion::Frame(frame()),
-            Delivery::Truncate => Completion::Truncate(frame()),
-            Delivery::Close => Completion::Close,
-        };
-        self.post(what, delay);
-    }
-}
-
-impl Drop for ConnSink {
+impl Drop for HeldPing {
     fn drop(&mut self) {
-        if !self.answered {
-            let down = Reply::Err(StoreError::WorkerDown(self.worker));
-            let frame = encode_reply_parts(&down, self.req_id);
-            self.post(Completion::Frame(frame), Duration::ZERO);
-        }
+        let frame = down(self.worker, self.req_id);
+        self.conn.complete(Completion::Frame(frame), Duration::ZERO);
     }
 }
 
-/// Decodes one request frame and queues it on the worker.
-fn dispatch(id: usize, worker: &Sender<Envelope>, frame: Bytes, conn: &ConnRef) -> Served {
+/// Decodes one request frame and serves it on the calling shard.
+fn dispatch(id: usize, core: &Mutex<WorkerCore>, frame: Bytes, conn: &ConnRef) -> Served {
     let frame = Frame::parse(frame);
     // The refusal of a frame whose header parsed names its request.
     let req_id = frame.as_ref().map_or(0, |f| f.req_id);
-    match frame.and_then(|f| decode_request(&f)) {
-        Ok(req) => {
-            let reply = ReplyRoute::Sink(Box::new(ConnSink {
-                conn: conn.clone(),
-                req_id,
-                worker: id,
-                shutdown: matches!(req, Request::Shutdown),
-                answered: false,
-            }));
-            // A worker thread that is gone hands the envelope back; the
-            // sink dropped with it answers `WorkerDown`.
-            let _ = worker.send(Envelope { req, reply });
-            Served::Pending
+    let req = match frame.and_then(|f| decode_request(&f)) {
+        Ok(req) => req,
+        Err(e) => return Served::Violation(encode_reply_parts(&Reply::Err(e), req_id)),
+    };
+    let shutdown = matches!(req, Request::Shutdown);
+    let step = {
+        let mut core = core.lock();
+        let step = core.handle(req);
+        if let Step::Hold = step {
+            core.hold(Box::new(HeldPing { conn: conn.clone(), req_id, worker: id }));
         }
-        Err(e) => Served::Violation(encode_reply_parts(&Reply::Err(e), req_id)),
-    }
+        step
+    };
+    let (what, release) = match step {
+        Step::Answer(reply, how, release) => {
+            let what = match how {
+                Delivery::Reply => Completion::Frame(encode_reply_parts(&reply, req_id)),
+                Delivery::Truncate => Completion::Truncate(encode_reply_parts(&reply, req_id)),
+                Delivery::Close => Completion::Close,
+                Delivery::Lose => Completion::Frame(down(id, req_id)),
+            };
+            (what, release)
+        }
+        Step::Hold => return Served::Pending,
+        Step::Stop(release) => {
+            // Every shard applies the stop after this ack is queued.
+            conn.stop_server();
+            (Completion::Frame(encode_reply_parts(&Reply::Done, req_id)), release)
+        }
+        Step::Down => {
+            // The server outlives a crashed worker until it is told to
+            // stop.
+            if shutdown {
+                conn.stop_server();
+            }
+            (Completion::Frame(down(id, req_id)), Instant::now())
+        }
+    };
+    Served::At(what, release)
 }
 
 /// A running worker server: call [`WorkerServer::join`] after a
-/// graceful shutdown for a clean exit. Dropping it stops the worker
-/// thread and leaves the I/O shards answering `WorkerDown`.
+/// graceful shutdown for a clean exit. Dropping it without one leaves
+/// its I/O loops serving.
 #[derive(Debug)]
 pub struct WorkerServer {
     id: usize,
     addr: SocketAddr,
     shards: Vec<JoinHandle<()>>,
-    worker: WorkerHandle,
 }
 
 impl WorkerServer {
@@ -136,13 +135,13 @@ impl WorkerServer {
     /// `bind` (use port 0 for an ephemeral port; the chosen address is
     /// [`WorkerServer::addr`]) with `io_shards` I/O loops (the
     /// `spcached --io-shards` flag lands here; see
-    /// [`crate::poll::default_io_shards`]). The worker thread consumes
-    /// its whole slice of `cfg.faults` and logs into `fault_log`. A
-    /// budgeted worker's evicted partitions land in `spill` (normally
-    /// the deployment's shared under-store, so whole-file checkpoints
-    /// there make evictions free drops); without one it backs itself
-    /// with a private under-store — eviction stays a performance event
-    /// either way.
+    /// [`crate::poll::default_io_shards`]), which serve the worker
+    /// themselves. The worker consumes its whole slice of `cfg.faults`
+    /// and logs into `fault_log`. A budgeted worker's evicted partitions
+    /// land in `spill` (normally the deployment's shared under-store, so
+    /// whole-file checkpoints there make evictions free drops); without
+    /// one it backs itself with a private under-store — eviction stays a
+    /// performance event either way.
     ///
     /// # Errors
     ///
@@ -162,20 +161,14 @@ impl WorkerServer {
         // the handshake.
         crate::poll::tune_socket(&listener);
         let addr = listener.local_addr()?;
-        let worker = spawn_worker(id, cfg, fault_log, spill);
-        let requests = worker.sender().clone();
+        let core = Arc::new(Mutex::new(WorkerCore::new(id, cfg, fault_log, spill)));
         let shards = serve(
             &format!("spcached-{id}-io"),
             listener,
             io_shards,
-            move |frame, conn| dispatch(id, &requests, frame, conn),
+            move |frame, conn| dispatch(id, &core, frame, conn),
         )?;
-        Ok(WorkerServer {
-            id,
-            addr,
-            shards,
-            worker,
-        })
+        Ok(WorkerServer { id, addr, shards })
     }
 
     /// Worker index.
@@ -188,12 +181,11 @@ impl WorkerServer {
         self.addr
     }
 
-    /// Waits for the server threads to finish (they exit after a
-    /// `Shutdown` request has been served).
+    /// Waits for the I/O loops to finish (they exit after a `Shutdown`
+    /// request has been served).
     pub fn join(self) {
         for t in self.shards {
             let _ = t.join();
         }
-        drop(self.worker); // joins the worker thread
     }
 }

@@ -184,6 +184,43 @@ fn shutdown_drains_queued_requests() {
     }
 }
 
+/// A throttled worker over TCP releases each reply at the instant its
+/// emulated transfer is paid off, without holding up its loop: a `Ping`
+/// behind a transfer is answered at once, while a second read queues
+/// behind the first on each worker's NIC.
+#[test]
+fn a_throttled_worker_paces_reads_and_answers_pings_at_once() {
+    let tcp = TcpCluster::spawn(StoreConfig::throttled(2, 1e6));
+    let client = tcp.client();
+    let data = payload(1, 1_000_000);
+    client.write(1, &data, &[0, 1]).unwrap();
+
+    // Each worker streams its 500 kB partition at 1 MB/s.
+    let t0 = Instant::now();
+    assert_eq!(client.read(1).unwrap(), data);
+    assert!(t0.elapsed() >= Duration::from_millis(450), "read took {:?}", t0.elapsed());
+
+    std::thread::scope(|s| {
+        let read = s.spawn(|| client.read(1));
+        std::thread::sleep(Duration::from_millis(20));
+        let t0 = Instant::now();
+        let pong = tcp.transport().call(0, Request::Ping, Duration::from_secs(5));
+        let waited = t0.elapsed();
+        assert_eq!(pong.and_then(Reply::pong), Ok(0));
+        assert!(waited < Duration::from_millis(250), "the ping waited {waited:?}");
+        assert_eq!(read.join().unwrap().unwrap(), data);
+    });
+
+    let t0 = Instant::now();
+    std::thread::scope(|s| {
+        let reads: Vec<_> = (0..2).map(|_| s.spawn(|| client.read(1))).collect();
+        for read in reads {
+            assert_eq!(read.join().unwrap().unwrap(), data);
+        }
+    });
+    assert!(t0.elapsed() >= Duration::from_millis(900), "two reads took {:?}", t0.elapsed());
+}
+
 /// `Stats` over the wire reflect the served workload.
 #[test]
 fn stats_travel_the_wire() {

@@ -196,6 +196,12 @@ fn a_misspelt_or_valueless_flag_exits_2_without_serving() {
     for retired in [&["--poll-ms", "40"][..], &["--takeover-after", "3"], &["--no-supervisor"]] {
         cases.push(master.iter().chain(retired).copied().collect());
     }
+    // Values the worker cannot run with: a NIC of no positive rate, and
+    // an id with no cluster size above it.
+    for bandwidth in ["0", "-5", "NaN"] {
+        cases.push(worker.iter().chain(&["--bandwidth", bandwidth]).copied().collect());
+    }
+    cases.push(vec!["worker", "--id", "18446744073709551615", "--bind", "127.0.0.1:0"]);
     for args in &cases {
         let mut child = Command::new(env!("CARGO_BIN_EXE_spcached"))
             .args(args)
@@ -215,18 +221,18 @@ fn a_misspelt_or_valueless_flag_exits_2_without_serving() {
     let _ = std::fs::remove_file(&regular_file);
 }
 
-/// A worker daemon is `io_shards + 2` threads: main, the I/O shards and
-/// the worker thread, which answers its own socket — no service or pump
-/// thread between them.
+/// A worker daemon is `io_shards + 1` threads: main and the I/O shards,
+/// which serve the worker's requests themselves — no worker, service or
+/// pump thread beside them.
 #[test]
-fn worker_daemon_runs_io_shards_plus_two_threads() {
+fn worker_daemon_runs_io_shards_plus_one_thread() {
     let mut worker =
         spawn_daemon(&["worker", "--id", "0", "--bind", "127.0.0.1:0", "--io-shards", "1"]);
     // Every thread is spawned before the LISTEN banner is printed.
     let tasks = std::fs::read_dir(format!("/proc/{}/task", worker.child.id()))
         .expect("list daemon threads")
         .count();
-    assert_eq!(tasks, 3, "main + 1 I/O shard + worker");
+    assert_eq!(tasks, 2, "main + 1 I/O shard");
 
     let transport = TcpTransport::connect(vec![worker.addr]);
     transport

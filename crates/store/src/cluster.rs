@@ -220,26 +220,6 @@ impl StoreCluster {
         Ok((0..self.n_workers()).map(stats).collect())
     }
 
-    /// Pings every worker with `timeout`, updating the master's health
-    /// table from the outcome; returns the live worker ids. This is the
-    /// heartbeat sweep a real SP-Master would run periodically.
-    pub fn probe_liveness(&self, timeout: Duration) -> Vec<usize> {
-        let probes: Vec<_> =
-            (0..self.n_workers()).map(|w| self.transport().submit(w, Request::Ping)).collect();
-        let mut live = Vec::new();
-        for (w, probe) in probes.into_iter().enumerate() {
-            let alive =
-                probe.is_ok_and(|rx| matches!(rx.recv_timeout(timeout), Ok(Reply::Pong { .. })));
-            if alive {
-                self.master.mark_alive(w);
-                live.push(w);
-            } else {
-                self.master.mark_dead(w);
-            }
-        }
-        live
-    }
-
     /// Stops one worker — a simulated machine failure. It serves what it
     /// was sent before the `Shutdown`, then all its cached partitions are
     /// lost; later requests to it report [`StoreError::WorkerDown`]
@@ -260,7 +240,6 @@ impl StoreCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPlan;
 
     #[test]
     fn spawn_and_query_stats() {
@@ -285,40 +264,5 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
         let _ = StoreCluster::spawn(StoreConfig::unthrottled(0));
-    }
-
-    #[test]
-    fn probe_liveness_tracks_kill() {
-        let cluster = StoreCluster::spawn(StoreConfig::unthrottled(3));
-        assert_eq!(
-            cluster.probe_liveness(Duration::from_millis(200)),
-            vec![0, 1, 2]
-        );
-        cluster.kill_worker(1);
-        assert_eq!(
-            cluster.probe_liveness(Duration::from_millis(200)),
-            vec![0, 2]
-        );
-        assert!(!cluster.master().is_alive(1));
-        assert!(cluster.master().is_alive(0));
-        assert!(cluster.master().heartbeats(0) >= 2);
-        // A killed worker has no counters to offer.
-        assert_eq!(cluster.worker_stats().unwrap()[1], WorkerStats::default());
-    }
-
-    #[test]
-    fn scripted_crash_fires_and_is_logged() {
-        let cfg = StoreConfig::unthrottled(2)
-            .with_faults(FaultPlan::none().crash(1, 1));
-        let cluster = StoreCluster::spawn(cfg);
-        let c = cluster.client();
-        c.write(1, &[1u8; 100], &[1]).unwrap(); // op 0
-        // Op 1 triggers the crash; the read fails.
-        assert!(c.read(1).is_err());
-        let log = cluster.fault_log().snapshot();
-        assert_eq!(log.len(), 1);
-        assert_eq!((log[0].worker, log[0].op), (1, 1));
-        // Worker 0 unaffected.
-        assert_eq!(cluster.probe_liveness(Duration::from_millis(200)), vec![0]);
     }
 }

@@ -34,7 +34,7 @@ use crate::rpc::PartKey;
 /// What an injected fault does to a worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultAction {
-    /// The worker thread exits immediately; the in-flight request is
+    /// The worker goes down immediately; the in-flight request is
     /// dropped unanswered and every cached partition is lost.
     Crash,
     /// The worker sleeps before serving the request — a GC pause or
@@ -89,7 +89,7 @@ pub enum FaultAction {
     /// share the writer's allocation, and bit rot must never reach the
     /// ground-truth bytes a test compares against.
     ///
-    /// Not a wire fault: the flip is applied by the worker thread on
+    /// Not a wire fault: the flip is applied by the worker on
     /// both transports (a client checksum catches the `Wire` site), so
     /// fault logs stay identical channel-vs-TCP.
     CorruptPartition {
@@ -121,12 +121,12 @@ pub enum CorruptSite {
 
 impl FaultAction {
     /// Whether this fault lives in the transport (connection/frame)
-    /// rather than in the worker itself. The worker thread fires and
-    /// logs wire faults like any other and hands them to the request's
-    /// [`crate::rpc::ReplyRoute`]: a socket route cuts or delays the
-    /// frame, the in-process route has no frames and *approximates*
-    /// them — the fault log of a seeded run stays identical across
-    /// transports.
+    /// rather than in the worker itself. The worker fires and logs wire
+    /// faults like any other and hands them to its driver in the
+    /// [`crate::worker::Step`] it answers: a socket cuts or delays the
+    /// frame, the in-process [`crate::rpc::ReplyRoute`] has no frames
+    /// and *approximates* them — the fault log of a seeded run stays
+    /// identical across transports.
     pub fn is_wire(&self) -> bool {
         matches!(
             self,

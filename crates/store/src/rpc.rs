@@ -3,9 +3,9 @@
 //! The request/reply surface is **pure data** ([`Request`], [`Reply`]):
 //! no channels, no callbacks — so the same messages can cross an
 //! in-process channel or be framed onto a TCP socket by `spcache-net`
-//! without translation. A transport pairs a [`Request`] with a
-//! [`ReplyRoute`] in an [`Envelope`]: a one-shot crossbeam sender in
-//! process, a [`ReplySink`] onto the owning connection behind a socket.
+//! without translation. The in-process transport pairs a [`Request`]
+//! with a [`ReplyRoute`], a one-shot crossbeam sender, in an
+//! [`Envelope`]; behind a socket the worker answers on its I/O loop.
 //!
 //! A data request carries at most one flat [`Stamp`] — worker epoch,
 //! master epoch, expected checksum, traffic class — as
@@ -13,7 +13,7 @@
 //! stamps each batch it forks; the only field a caller sets before that
 //! is a `Get`'s [`Stamp::expect`], which the engine keeps.
 
-use std::time::Duration;
+use std::time::Instant;
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -483,8 +483,8 @@ fn unexpected(want: &str, got: &Reply) -> StoreError {
 }
 
 /// How a finished reply leaves the worker: the wire half of a scripted
-/// fault, decided by the worker thread and carried out by the route.
-/// Ordered by severity, so the worst cut scripted for one op wins.
+/// fault, decided by the worker and carried out by whoever drives it.
+/// Ordered by severity, so the worst fate scripted for one op wins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Delivery {
     /// The reply is delivered.
@@ -494,52 +494,36 @@ pub enum Delivery {
     Truncate,
     /// `DropConnection`: the connection closes without the reply.
     Close,
+    /// `LoseReply`: the request was served, but the requester is told
+    /// the worker is down.
+    Lose,
 }
 
-/// A reply route that is not an in-process channel: `spcache-net`'s
-/// worker server supplies one per decoded request, posting the finished
-/// frame to the I/O loop that owns the connection.
-pub trait ReplySink: Send + std::fmt::Debug {
-    /// Carries out `how` with `reply` once `delay` has passed, without
-    /// blocking the caller. A sink dropped before this call must answer
-    /// [`StoreError::WorkerDown`]: the worker crashed, lost the reply or
-    /// was already gone.
-    fn deliver(self: Box<Self>, reply: Reply, how: Delivery, delay: Duration);
-}
-
-/// Where the single [`Reply`] to a request goes. Dropping a route
-/// unanswered tells the requester the worker is down (a disconnected
-/// channel in process, a `WorkerDown` frame behind a socket); keeping it
-/// alive unanswered — a swallowed heartbeat — tells it nothing at all.
+/// The one-shot channel the single [`Reply`] to an in-process request
+/// goes back on. Dropping it unanswered tells the requester the worker
+/// is down; keeping it alive unanswered — a swallowed heartbeat — tells
+/// it nothing at all.
 #[derive(Debug)]
-pub enum ReplyRoute {
-    /// A one-shot in-process channel.
-    Channel(Sender<Reply>),
-    /// A transport-supplied sink.
-    Sink(Box<dyn ReplySink>),
-}
+pub struct ReplyRoute(Sender<Reply>);
 
 impl ReplyRoute {
     /// Delivers `reply` with no wire fault.
     pub fn send(self, reply: Reply) {
-        self.deliver(reply, Delivery::Reply, Duration::ZERO);
+        let _ = self.0.send(reply);
     }
 
-    /// Delivers `reply` under the scripted wire behaviour. A channel has
-    /// no frames to cut or hold back, so it degrades to the nearest
-    /// visible effect: the delay stalls the caller, and a cut drops the
-    /// sender unsent — exactly a lost reply.
-    pub fn deliver(self, reply: Reply, how: Delivery, delay: Duration) {
-        match self {
-            ReplyRoute::Channel(tx) => {
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
-                if how == Delivery::Reply {
-                    let _ = tx.send(reply);
-                }
-            }
-            ReplyRoute::Sink(sink) => sink.deliver(reply, how, delay),
+    /// Delivers `reply` under the scripted wire behaviour at `release`.
+    /// A channel has no frames to cut or hold back, so it degrades to
+    /// the nearest visible effect: the caller sleeps until `release`,
+    /// and anything but [`Delivery::Reply`] drops the sender unsent —
+    /// exactly a lost reply.
+    pub fn deliver(self, reply: Reply, how: Delivery, release: Instant) {
+        let wait = release.saturating_duration_since(Instant::now());
+        if !wait.is_zero() {
+            std::thread::sleep(wait);
+        }
+        if how == Delivery::Reply {
+            self.send(reply);
         }
     }
 }
@@ -558,8 +542,7 @@ impl Envelope {
     /// reply will arrive on.
     pub fn channel(req: Request) -> (Envelope, Receiver<Reply>) {
         let (tx, rx) = bounded(1);
-        let reply = ReplyRoute::Channel(tx);
-        (Envelope { req, reply }, rx)
+        (Envelope { req, reply: ReplyRoute(tx) }, rx)
     }
 }
 

@@ -1,11 +1,11 @@
 //! The master-side supervisor: an autonomous self-healing loop
 //! (DESIGN.md §4.11).
 //!
-//! PRs 1–3 built every mechanism this module needs — liveness counters,
-//! under-store recovery, staged repartition — but left them *manual*: a
-//! test had to call `probe_liveness`, and a dead worker degraded every
-//! file it held until each was individually read. The supervisor closes
-//! the loop:
+//! The store has every mechanism this module needs — liveness counters,
+//! under-store recovery, staged repartition — and the supervisor is what
+//! drives them: without it nobody pings a worker, and a dead worker
+//! degrades every file it held until each is individually read. It
+//! closes the loop:
 //!
 //! * **Heartbeat failure detector** — [`SupervisorCore::probe`] pings
 //!   every worker each tick. A timeout climbs the master's suspicion

@@ -1,11 +1,12 @@
 //! Token-bucket bandwidth throttling and the two-class NIC scheduler.
 //!
-//! Workers emulate a NIC of a configured bandwidth: before replying with
-//! `b` bytes, the worker sleeps until the bucket has accumulated `b`
-//! tokens. This is what turns the in-process store into a believable
+//! Workers emulate a NIC of a configured bandwidth: a `b`-byte transfer
+//! is paid off once the bucket has accumulated `b` tokens, and the
+//! worker releases its reply at that instant instead of sleeping until
+//! it. This is what turns the in-process store into a believable
 //! cluster — parallel partition reads genuinely overlap their "transfers"
-//! across worker threads, while one worker serving two clients halves
-//! each one's throughput.
+//! across workers, while one worker serving two clients halves each
+//! one's throughput.
 //!
 //! On top of the raw bucket sits [`NicScheduler`], the §4.4-derived
 //! two-class scheduler (DESIGN.md §4.13): *foreground* traffic (client
@@ -13,17 +14,21 @@
 //! traffic (recovery sweeps, repartition pushes, spill writebacks and
 //! refills) additionally pays a bucket capped at
 //! `background_fraction × rate`. Both constraints apply simultaneously —
-//! the wait ends when the slower of the two buckets has paid out — so
-//! background streams can never take more than their fraction of the
-//! NIC, and a supervisor sweep cannot starve foreground Zipf traffic.
+//! the transfer is paid off when the slower of the two buckets has paid
+//! out — so background streams can never take more than their fraction
+//! of the NIC, and a supervisor sweep cannot starve foreground Zipf
+//! traffic.
 //!
-//! Waits are deadline-aware: [`TokenBucket::consume_within`] and
-//! [`NicScheduler::consume_within`] *refuse* (without charging the
-//! buckets) a transfer whose projected completion would overrun the
-//! caller's deadline, instead of sleeping through it. Workers use this
-//! to bound every emulated transfer by the executor deadline, so a
+//! Reservations are deadline-aware: [`NicScheduler::reserve_within`]
+//! *refuses* (without charging the buckets) a transfer whose projected
+//! completion would overrun the caller's deadline. Workers use this to
+//! bound every emulated transfer by the executor deadline, so a
 //! throttled push can no longer outlive
 //! [`crate::repartitioner::DEFAULT_EXECUTOR_DEADLINE`].
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::time::{Duration, Instant};
 
@@ -82,47 +87,13 @@ impl TokenBucket {
     }
 
     /// Charges the bucket for `bytes` granted at `now` and returns the
-    /// instant the transfer is paid off (the caller sleeps).
+    /// instant the transfer is paid off.
     fn charge(&mut self, bytes: usize, now: Instant) -> Instant {
         if self.rate.is_infinite() {
             return now;
         }
         self.paid_until = self.projected_finish(bytes, now);
         self.paid_until
-    }
-
-    /// Blocks until `bytes` of bandwidth have been "transferred".
-    ///
-    /// Consecutive calls serialize: the NIC streams one partition at a
-    /// time (matching the FIFO queue of the analytic model).
-    pub fn consume(&mut self, bytes: usize) {
-        let now = Instant::now();
-        let finish = self.charge(bytes, now);
-        let wait = finish.saturating_duration_since(now);
-        if !wait.is_zero() {
-            std::thread::sleep(wait);
-        }
-    }
-
-    /// Like [`TokenBucket::consume`], but refuses the transfer — leaving
-    /// the bucket **uncharged** — when its projected completion lies
-    /// beyond `deadline`. Returns whether the transfer was performed.
-    ///
-    /// This is the deadline-respecting wait: a throttled worker answers
-    /// `Timeout` instead of sleeping past the executor deadline, and the
-    /// unpaid tokens stay available for requests that can still make
-    /// their deadlines.
-    pub fn consume_within(&mut self, bytes: usize, deadline: Instant) -> bool {
-        let now = Instant::now();
-        if self.projected_finish(bytes, now) > deadline {
-            return false;
-        }
-        let finish = self.charge(bytes, now);
-        let wait = finish.saturating_duration_since(now);
-        if !wait.is_zero() {
-            std::thread::sleep(wait);
-        }
-        true
     }
 }
 
@@ -206,35 +177,27 @@ impl NicScheduler {
         finish
     }
 
-    /// Blocks until `bytes` have been "transferred" under `class`.
-    pub fn consume(&mut self, bytes: usize, class: TrafficClass) {
-        let now = Instant::now();
-        let finish = self.charge(bytes, class, now);
-        let wait = finish.saturating_duration_since(now);
-        if !wait.is_zero() {
-            std::thread::sleep(wait);
-        }
+    /// Charges `bytes` under `class` from now on and returns the instant
+    /// the transfer is paid off. Consecutive reservations serialize: the
+    /// NIC streams one partition at a time (the FIFO queue of the
+    /// analytic model).
+    pub fn reserve(&mut self, bytes: usize, class: TrafficClass) -> Instant {
+        self.charge(bytes, class, Instant::now())
     }
 
-    /// Deadline-aware transfer: refuses (charging nothing) when the
-    /// projected completion would overrun `deadline`; otherwise performs
-    /// the transfer and returns `true`.
-    pub fn consume_within(
+    /// Like [`NicScheduler::reserve`], but refuses — charging and
+    /// counting nothing — when the transfer would be paid off after
+    /// `deadline`. The unpaid tokens stay available for transfers that
+    /// can still make their deadlines.
+    pub fn reserve_within(
         &mut self,
         bytes: usize,
         class: TrafficClass,
         deadline: Instant,
-    ) -> bool {
+    ) -> Option<Instant> {
         let now = Instant::now();
-        if self.projected_finish(bytes, class, now) > deadline {
-            return false;
-        }
-        let finish = self.charge(bytes, class, now);
-        let wait = finish.saturating_duration_since(now);
-        if !wait.is_zero() {
-            std::thread::sleep(wait);
-        }
-        true
+        (self.projected_finish(bytes, class, now) <= deadline)
+            .then(|| self.charge(bytes, class, now))
     }
 }
 
@@ -242,41 +205,53 @@ impl NicScheduler {
 mod tests {
     use super::*;
 
+    /// Seconds from `t0` until `paid`.
+    fn secs(t0: Instant, paid: Instant) -> f64 {
+        paid.duration_since(t0).as_secs_f64()
+    }
+
     #[test]
-    fn infinite_rate_never_sleeps() {
+    fn infinite_rate_is_paid_off_at_once() {
         let mut tb = TokenBucket::new(f64::INFINITY);
-        let t0 = Instant::now();
-        tb.consume(usize::MAX / 2);
-        assert!(t0.elapsed() < Duration::from_millis(10));
+        let now = Instant::now();
+        assert_eq!(tb.charge(usize::MAX / 2, now), now);
     }
 
     #[test]
     fn rate_is_enforced() {
-        // 10 MB/s, transfer 2 MB → ~200 ms.
+        // 10 MB/s, transfer 2 MB → paid off 200 ms out.
         let mut tb = TokenBucket::new(10e6);
-        let t0 = Instant::now();
-        tb.consume(2_000_000);
-        let dt = t0.elapsed().as_secs_f64();
-        assert!((0.18..0.4).contains(&dt), "took {dt}s, expected ~0.2s");
+        let now = Instant::now();
+        let dt = secs(now, tb.charge(2_000_000, now));
+        assert!((dt - 0.2).abs() < 1e-6, "paid off after {dt}s, expected 0.2s");
     }
 
     #[test]
     fn consecutive_transfers_serialize() {
-        // Two 1 MB transfers at 10 MB/s → ~200 ms total.
+        // Two 1 MB transfers at 10 MB/s granted at once → 200 ms.
+        let mut tb = TokenBucket::new(10e6);
+        let now = Instant::now();
+        tb.charge(1_000_000, now);
+        let dt = secs(now, tb.charge(1_000_000, now));
+        assert!((dt - 0.2).abs() < 1e-6, "paid off after {dt}s, expected 0.2s");
+    }
+
+    #[test]
+    fn an_idle_bucket_starts_from_now() {
         let mut tb = TokenBucket::new(10e6);
         let t0 = Instant::now();
-        tb.consume(1_000_000);
-        tb.consume(1_000_000);
-        let dt = t0.elapsed().as_secs_f64();
-        assert!(dt >= 0.18, "took {dt}s, expected >= 0.2s");
+        tb.charge(1_000_000, t0);
+        // Granted after the first transfer was paid off: no backlog.
+        let later = t0 + Duration::from_secs(1);
+        let dt = secs(later, tb.charge(1_000_000, later));
+        assert!((dt - 0.1).abs() < 1e-6, "paid off after {dt}s, expected 0.1s");
     }
 
     #[test]
     fn zero_bytes_is_free() {
         let mut tb = TokenBucket::new(1.0); // 1 byte/s
-        let t0 = Instant::now();
-        tb.consume(0);
-        assert!(t0.elapsed() < Duration::from_millis(50));
+        let now = Instant::now();
+        assert_eq!(tb.charge(0, now), now);
     }
 
     #[test]
@@ -286,37 +261,51 @@ mod tests {
     }
 
     #[test]
-    fn consume_within_refuses_past_deadline_without_charging() {
+    fn reserve_within_refuses_past_deadline_without_charging() {
         // 1 MB/s: a 1 MB transfer takes 1 s, far past a 50 ms deadline.
-        let mut tb = TokenBucket::new(1e6);
+        let mut nic = NicScheduler::new(1e6, 1.0);
         let t0 = Instant::now();
-        assert!(!tb.consume_within(1_000_000, Instant::now() + Duration::from_millis(50)));
-        assert!(
-            t0.elapsed() < Duration::from_millis(50),
-            "refusal must not sleep"
+        assert_eq!(
+            nic.reserve_within(1_000_000, TrafficClass::Foreground, t0 + Duration::from_millis(50)),
+            None
         );
-        // The refused transfer left the bucket uncharged: a small
-        // transfer that fits its own deadline still goes through now.
-        assert!(tb.consume_within(10_000, Instant::now() + Duration::from_millis(500)));
+        assert_eq!(nic.class_bytes(), (0, 0), "a refusal counts nothing");
+        // The refused transfer left the bucket uncharged: a small one
+        // that fits its own deadline is paid off 10 ms out, not 1 s.
+        let paid = nic
+            .reserve_within(10_000, TrafficClass::Foreground, t0 + Duration::from_millis(500))
+            .expect("fits its deadline");
+        assert!(secs(t0, paid) < 0.1, "paid off after {}s", secs(t0, paid));
     }
 
     #[test]
-    fn consume_within_performs_transfers_that_fit() {
-        let mut tb = TokenBucket::new(10e6);
+    fn reserve_within_grants_transfers_that_fit() {
+        let mut nic = NicScheduler::new(10e6, 1.0);
         let t0 = Instant::now();
-        assert!(tb.consume_within(1_000_000, Instant::now() + Duration::from_secs(1)));
-        assert!(t0.elapsed().as_secs_f64() >= 0.08, "the transfer is still paced");
+        let paid = nic
+            .reserve_within(1_000_000, TrafficClass::Foreground, t0 + Duration::from_secs(1))
+            .expect("fits its deadline");
+        assert!(secs(t0, paid) >= 0.1, "the transfer is still paced");
+        assert_eq!(nic.class_bytes(), (1_000_000, 0));
+    }
+
+    #[test]
+    fn reserving_never_sleeps() {
+        let mut nic = NicScheduler::new(1e6, 0.5);
+        let t0 = Instant::now();
+        let paid = nic.reserve(1_000_000, TrafficClass::Background);
+        assert!(t0.elapsed() < Duration::from_millis(50), "the caller was held up");
+        assert!(secs(t0, paid) >= 2.0, "1 MB at 0.5 MB/s is paid off 2 s out");
     }
 
     #[test]
     fn background_class_is_paced_to_its_fraction() {
         // 10 MB/s NIC, background capped at 25% = 2.5 MB/s:
-        // 1 MB of background takes ~400 ms, not ~100 ms.
+        // 1 MB of background is paid off at ~400 ms, not ~100 ms.
         let mut nic = NicScheduler::new(10e6, 0.25);
         let t0 = Instant::now();
-        nic.consume(1_000_000, TrafficClass::Background);
-        let dt = t0.elapsed().as_secs_f64();
-        assert!(dt >= 0.35, "background took {dt}s, expected ~0.4s");
+        let dt = secs(t0, nic.reserve(1_000_000, TrafficClass::Background));
+        assert!((0.4..0.45).contains(&dt), "background paid off after {dt}s, expected ~0.4s");
         assert_eq!(nic.class_bytes(), (0, 1_000_000));
     }
 
@@ -324,12 +313,8 @@ mod tests {
     fn foreground_keeps_the_full_rate() {
         let mut nic = NicScheduler::new(10e6, 0.25);
         let t0 = Instant::now();
-        nic.consume(1_000_000, TrafficClass::Foreground);
-        let dt = t0.elapsed().as_secs_f64();
-        assert!(
-            (0.08..0.3).contains(&dt),
-            "foreground took {dt}s, expected ~0.1s"
-        );
+        let dt = secs(t0, nic.reserve(1_000_000, TrafficClass::Foreground));
+        assert!((0.1..0.15).contains(&dt), "foreground paid off after {dt}s, expected ~0.1s");
         assert_eq!(nic.class_bytes(), (1_000_000, 0));
     }
 
@@ -337,48 +322,28 @@ mod tests {
     fn full_fraction_collapses_to_single_bucket() {
         let mut nic = NicScheduler::new(10e6, 1.0);
         let t0 = Instant::now();
-        nic.consume(1_000_000, TrafficClass::Background);
-        let dt = t0.elapsed().as_secs_f64();
+        let dt = secs(t0, nic.reserve(1_000_000, TrafficClass::Background));
         assert!(
-            (0.08..0.3).contains(&dt),
-            "fraction 1.0 background took {dt}s, expected the full rate"
+            (0.1..0.15).contains(&dt),
+            "fraction 1.0 background paid off after {dt}s, expected the full rate"
         );
     }
 
     #[test]
     fn background_bytes_stay_under_the_fraction_over_a_window() {
-        // Saturating background load for ~300 ms on a 10 MB/s NIC with a
-        // 30% fraction must move ≈ 0.9 MB, never more than the fraction
-        // plus one in-flight transfer.
+        // A saturating background stream on a 10 MB/s NIC with a 30%
+        // fraction: 40 chunks of 50 kB are paid off no sooner than the
+        // fraction allows, less the one chunk in flight.
         let mut nic = NicScheduler::new(10e6, 0.3);
         let chunk = 50_000usize;
         let t0 = Instant::now();
-        let mut moved = 0u64;
-        while t0.elapsed() < Duration::from_millis(300) {
-            nic.consume(chunk, TrafficClass::Background);
-            moved += chunk as u64;
+        let mut paid = t0;
+        for _ in 0..40 {
+            paid = nic.reserve(chunk, TrafficClass::Background);
         }
-        let elapsed = t0.elapsed().as_secs_f64();
-        let cap = 0.3 * 10e6 * elapsed + chunk as f64;
-        assert!(
-            (moved as f64) <= cap * 1.05,
-            "background moved {moved} bytes in {elapsed}s, cap {cap}"
-        );
-    }
-
-    #[test]
-    fn scheduler_consume_within_respects_deadlines() {
-        let mut nic = NicScheduler::new(1e6, 0.5);
-        // 1 MB background at 0.5 MB/s = 2 s, refused under a 100 ms cap.
-        let t0 = Instant::now();
-        assert!(!nic.consume_within(
-            1_000_000,
-            TrafficClass::Background,
-            Instant::now() + Duration::from_millis(100)
-        ));
-        assert!(t0.elapsed() < Duration::from_millis(80));
-        // Nothing was charged or accounted.
-        assert_eq!(nic.class_bytes(), (0, 0));
+        let moved = 40.0 * chunk as f64;
+        let cap = 0.3 * 10e6 * secs(t0, paid) + chunk as f64;
+        assert!(moved <= cap * 1.05, "background moved {moved} bytes, cap {cap}");
     }
 
     #[test]

@@ -1,14 +1,20 @@
-//! The worker (cache server) thread.
+//! The worker (cache server): one state machine, two drivers.
 //!
-//! A worker owns its partition map and serves pure-data [`Request`]s
-//! arriving as [`Envelope`]s, computing one [`Reply`] per request and
-//! handing it to the envelope's [`crate::rpc::ReplyRoute`]. The same
-//! serve loop backs both transports: the in-process
-//! [`crate::transport::ChannelTransport`] and the I/O loops of
-//! `spcache-net`'s TCP server both send envelopes straight into its
-//! queue. This thread is the only place that counts data-path ops and
-//! fires scripted faults; the wire half of a fault (cut or delayed
-//! frames) is decided here and carried out by the route.
+//! A worker owns its partition map and serves pure-data [`Request`]s,
+//! one at a time and in arrival order, through [`WorkerCore::handle`],
+//! which says what becomes of each as a [`Step`]. Two drivers call it:
+//! [`spawn_worker`]'s thread pops the in-process
+//! [`crate::transport::ChannelTransport`]'s queue, and `spcache-net`'s
+//! worker server calls it inline from its I/O loops. The core is the
+//! only place that counts data-path ops and fires scripted faults; the
+//! wire half of a fault (cut or delayed frames) is decided here and
+//! carried out by the driver.
+//!
+//! The emulated NIC never sleeps: a transfer is charged to the NIC's
+//! token buckets, and the reply is released at the instant it is paid
+//! off (a shard timer behind a socket, a sleep of the driving thread in
+//! process). Data replies are released in op order, as from the one
+//! FIFO server of the paper's model.
 //!
 //! Workers are **memory-budgeted** (DESIGN.md §4.13): with
 //! [`StoreConfig::memory_budget`] set, a partition-granular LRU
@@ -44,8 +50,7 @@ use crate::backing::UnderStore;
 use crate::config::StoreConfig;
 use crate::fault::{CorruptSite, FaultAction, FaultLog, WorkerScript};
 use crate::rpc::{
-    Delivery, Envelope, PartKey, Reply, ReplyRoute, Request, Stamp, StoreError, WorkerStats,
-    STAGE_BIT,
+    Delivery, Envelope, PartKey, Reply, Request, Stamp, StoreError, WorkerStats, STAGE_BIT,
 };
 use crate::repartitioner::DEFAULT_EXECUTOR_DEADLINE;
 use crate::throttle::{NicScheduler, TrafficClass};
@@ -85,15 +90,9 @@ impl Drop for WorkerHandle {
     }
 }
 
-/// Spawns worker `id` of a cluster described by `cfg`: its NIC model,
-/// memory budget and pacing, read verification, and its slices of
-/// `cfg.faults` (op-indexed and heartbeat), with every emulated transfer
-/// capped at [`DEFAULT_EXECUTOR_DEADLINE`]. Fired faults land in `log`.
-/// A budgeted worker spills evicted partitions into `spill` — normally
-/// the deployment's shared under-store, so whole-file checkpoints there
-/// turn evictions into free drops; without one it backs itself with a
-/// private under-store, so eviction can never lose the only copy of a
-/// partition.
+/// Spawns worker `id` of a cluster described by `cfg` on a thread of its
+/// own, serving the in-process channel its handle holds (see
+/// [`WorkerCore::new`] for what `log` and `spill` are).
 ///
 /// # Panics
 ///
@@ -106,33 +105,11 @@ pub fn spawn_worker(
     log: Arc<FaultLog>,
     spill: Option<Arc<UnderStore>>,
 ) -> WorkerHandle {
-    let spill = match spill {
-        None if cfg.memory_budget.is_some() => Some(Arc::new(UnderStore::new())),
-        spill => spill,
-    };
-    let ctx = ServeCtx {
-        id,
-        store: HashMap::new(),
-        // A zero budget still needs a valid LRU: clamp to one byte so
-        // every partition is "oversized" and spills straight through.
-        lru: LruCache::new(cfg.memory_budget.map_or(f64::INFINITY, |b| (b as f64).max(1.0))),
-        nic: NicScheduler::new(cfg.bandwidth, cfg.background_fraction),
-        stats: WorkerStats::default(),
-        spill,
-        evicted: Vec::new(),
-        clean: HashSet::new(),
-        verify_reads: cfg.verify_reads,
-        sums: HashMap::new(),
-        corrupted: HashSet::new(),
-        verified: HashSet::new(),
-        wire_corrupt: Vec::new(),
-    };
-    let script = cfg.faults.script_for(id);
-    let heartbeat_script = cfg.faults.heartbeat_script_for(id);
+    let core = WorkerCore::new(id, cfg, log, spill);
     let (tx, rx) = crossbeam::channel::unbounded();
     let join = std::thread::Builder::new()
         .name(format!("spcache-worker-{id}"))
-        .spawn(move || worker_loop(ctx, script, heartbeat_script, &log, rx))
+        .spawn(move || worker_loop(core, rx))
         .expect("failed to spawn worker thread");
     WorkerHandle {
         id,
@@ -141,125 +118,229 @@ pub fn spawn_worker(
     }
 }
 
-fn worker_loop(
-    mut ctx: ServeCtx,
-    mut script: WorkerScript,
-    mut heartbeat_script: WorkerScript,
-    log: &FaultLog,
-    rx: Receiver<Envelope>,
-) {
-    let id = ctx.id;
-    // Data-path op counter: faults trigger on this index. Control
-    // requests (Stats, Ping, SetEpoch, Shutdown) do not advance it, so
-    // monitoring traffic never shifts a scripted fault.
-    let mut op: u64 = 0;
-    // Heartbeat (ping) counter — the separate trigger stream for
-    // DropHeartbeat faults.
-    let mut pings: u64 = 0;
-    // The epoch granted by the master at registration. 0 = unregistered:
-    // a fresh or crash-restarted worker bounces every fenced request
-    // until the supervisor adopts it with `SetEpoch`.
-    let mut epoch: u64 = 0;
-    // The highest master epoch this worker has witnessed (via
-    // SetMasterEpoch announcements or the master field of stamps).
-    // 0 = none. Traffic stamped below the watermark bounces StaleEpoch —
-    // a deposed master can never write through this worker again.
-    let mut master_known: u64 = 0;
-    // Reply routes of swallowed heartbeats, kept alive so the probing
-    // supervisor observes a *timeout* (→ suspicion ladder), not a
-    // disconnect (→ immediate death).
-    let mut swallowed_pings: Vec<ReplyRoute> = Vec::new();
-
+/// The thread driver: pops the queue in arrival order and carries out
+/// each step on the envelope's channel, sleeping until a reply's
+/// release — so the thread is busy for as long as the emulated NIC is.
+fn worker_loop(mut core: WorkerCore, rx: Receiver<Envelope>) {
     while let Ok(Envelope { req, reply }) = rx.recv() {
+        match core.handle(req) {
+            Step::Answer(out, how, release) => reply.deliver(out, how, release),
+            Step::Hold => core.hold(Box::new(reply)),
+            Step::Stop(release) => {
+                reply.deliver(Reply::Done, Delivery::Reply, release);
+                break;
+            }
+            // The route and everything queued behind it drop unanswered.
+            Step::Down => break,
+        }
+    }
+}
+
+/// What the worker made of one request: what its driver carries out.
+#[derive(Debug)]
+pub enum Step {
+    /// Carry out the [`Delivery`] with the [`Reply`] at the instant
+    /// given, at once when that has passed. A data reply is released
+    /// when its transfer is paid off and never before the data reply
+    /// ahead of it; a scripted `DelayFrame` holds it back further.
+    Answer(Reply, Delivery, Instant),
+    /// Keep the request's route alive unanswered — a swallowed
+    /// heartbeat, so the prober times out — by handing it to
+    /// [`WorkerCore::hold`].
+    Hold,
+    /// `Shutdown`: acknowledge with `Done` at the instant given, behind
+    /// every data reply; the worker serves nothing more.
+    Stop(Instant),
+    /// The worker is gone — it crashed on this request or earlier, or
+    /// was shut down: the route goes unanswered, which tells the
+    /// requester the worker is down.
+    Down,
+}
+
+/// The worker's state machine: its serving state, fault scripts, op and
+/// heartbeat counters and epochs. [`WorkerCore::handle`] serves one
+/// request and says what becomes of its reply.
+pub struct WorkerCore {
+    ctx: ServeCtx,
+    script: WorkerScript,
+    heartbeat_script: WorkerScript,
+    log: Arc<FaultLog>,
+    /// Data-path op counter: faults trigger on this index. Control
+    /// requests (Stats, Ping, SetEpoch, Shutdown) do not advance it, so
+    /// monitoring traffic never shifts a scripted fault.
+    op: u64,
+    /// Heartbeat (ping) counter — the separate trigger stream for
+    /// DropHeartbeat faults.
+    pings: u64,
+    /// The epoch granted by the master at registration. 0 =
+    /// unregistered: a fresh or crash-restarted worker bounces every
+    /// fenced request until the supervisor adopts it with `SetEpoch`.
+    epoch: u64,
+    /// The highest master epoch this worker has witnessed (via
+    /// SetMasterEpoch announcements or the master field of stamps).
+    /// 0 = none. Traffic stamped below the watermark bounces StaleEpoch —
+    /// a deposed master can never write through this worker again.
+    master_known: u64,
+    /// Routes of swallowed heartbeats, kept alive so the probing
+    /// supervisor observes a *timeout* (→ suspicion ladder), not a
+    /// disconnect (→ immediate death). Dropped when the worker goes down.
+    held: Vec<Box<dyn Send>>,
+    /// Crashed or shut down: every request from now on is [`Step::Down`].
+    down: bool,
+}
+
+impl WorkerCore {
+    /// Worker `id` of a cluster described by `cfg`: its NIC model,
+    /// memory budget and pacing, read verification, and its slices of
+    /// `cfg.faults` (op-indexed and heartbeat), with every emulated
+    /// transfer capped at [`DEFAULT_EXECUTOR_DEADLINE`]. Fired faults
+    /// land in `log`. A budgeted worker spills evicted partitions into
+    /// `spill` — normally the deployment's shared under-store, so
+    /// whole-file checkpoints there turn evictions into free drops;
+    /// without one it backs itself with a private under-store, so
+    /// eviction can never lose the only copy of a partition.
+    pub fn new(
+        id: usize,
+        cfg: &StoreConfig,
+        log: Arc<FaultLog>,
+        spill: Option<Arc<UnderStore>>,
+    ) -> WorkerCore {
+        let spill = match spill {
+            None if cfg.memory_budget.is_some() => Some(Arc::new(UnderStore::new())),
+            spill => spill,
+        };
+        let ctx = ServeCtx {
+            id,
+            store: HashMap::new(),
+            // A zero budget still needs a valid LRU: clamp to one byte so
+            // every partition is "oversized" and spills straight through.
+            lru: LruCache::new(cfg.memory_budget.map_or(f64::INFINITY, |b| (b as f64).max(1.0))),
+            nic: NicScheduler::new(cfg.bandwidth, cfg.background_fraction),
+            released: Instant::now(),
+            stats: WorkerStats::default(),
+            spill,
+            evicted: Vec::new(),
+            clean: HashSet::new(),
+            verify_reads: cfg.verify_reads,
+            sums: HashMap::new(),
+            corrupted: HashSet::new(),
+            verified: HashSet::new(),
+            wire_corrupt: Vec::new(),
+        };
+        WorkerCore {
+            ctx,
+            script: cfg.faults.script_for(id),
+            heartbeat_script: cfg.faults.heartbeat_script_for(id),
+            log,
+            op: 0,
+            pings: 0,
+            epoch: 0,
+            master_known: 0,
+            held: Vec::new(),
+            down: false,
+        }
+    }
+
+    /// Keeps the route of a request answered [`Step::Hold`] alive until
+    /// the worker goes down; dropping it then must tell its requester
+    /// the worker is down.
+    pub fn hold(&mut self, route: Box<dyn Send>) {
+        self.held.push(route);
+    }
+
+    /// Serves one request, firing whatever the fault scripts hold for
+    /// it, and says what becomes of its reply.
+    pub fn handle(&mut self, req: Request) -> Step {
+        if self.down {
+            return Step::Down;
+        }
+        let id = self.ctx.id;
+        let now = Instant::now();
         // Control-plane requests bypass fault injection entirely —
-        // except Ping, which consults the dedicated heartbeat script.
+        // except Ping, which consults the dedicated heartbeat script —
+        // and are answered at once.
+        let answer = |reply| Step::Answer(reply, Delivery::Reply, now);
         match req {
             Request::Stats => {
+                let ctx = &mut self.ctx;
                 ctx.stats.resident_parts = ctx.store.len();
                 ctx.stats.resident_bytes = ctx.lru.used_bytes() as u64;
                 ctx.stats.bytes_background = ctx.nic.class_bytes().1;
-                reply.send(Reply::Stats(ctx.stats));
-                continue;
+                return answer(Reply::Stats(ctx.stats));
             }
             Request::Ping => {
-                let this_ping = pings;
-                pings += 1;
+                let this_ping = self.pings;
+                self.pings += 1;
                 let mut dropped = false;
-                for action in heartbeat_script.fire(this_ping) {
-                    log.record(id, this_ping, action.clone());
-                    if matches!(action, FaultAction::DropHeartbeat) {
-                        dropped = true;
-                    }
+                for action in self.heartbeat_script.fire(this_ping) {
+                    self.log.record(id, this_ping, action.clone());
+                    dropped |= matches!(action, FaultAction::DropHeartbeat);
                 }
                 if dropped {
-                    swallowed_pings.push(reply);
-                } else {
-                    reply.send(Reply::Pong { worker: id, epoch });
+                    return Step::Hold;
                 }
-                continue;
+                return answer(Reply::Pong { worker: id, epoch: self.epoch });
             }
             Request::SetEpoch(e) => {
-                epoch = e;
-                reply.send(Reply::Done);
-                continue;
+                self.epoch = e;
+                return answer(Reply::Done);
+            }
+            // A lower announcement is a deposed master knocking: bounce
+            // it so it self-fences. Equal re-announcements (the active
+            // master re-adopting a worker) are fine.
+            Request::SetMasterEpoch(m) if m != 0 && m < self.master_known => {
+                return answer(Reply::Err(StoreError::StaleEpoch(id)));
             }
             Request::SetMasterEpoch(m) => {
-                // A lower announcement is a deposed master knocking:
-                // bounce it so it self-fences. Equal re-announcements
-                // (the active master re-adopting a worker) are fine.
-                let out = if m != 0 && m < master_known {
-                    Reply::Err(StoreError::StaleEpoch(id))
-                } else {
-                    master_known = master_known.max(m);
-                    Reply::Done
-                };
-                reply.send(out);
-                continue;
+                self.master_known = self.master_known.max(m);
+                return answer(Reply::Done);
             }
             Request::Shutdown => {
-                // Graceful drain: everything queued before this envelope
-                // has already been served (FIFO). Acknowledge, then exit.
-                reply.send(Reply::Done);
-                break;
+                // Graceful drain: everything that arrived before this
+                // request has been served; its ack leaves behind them.
+                // Held routes drop: the worker is gone.
+                self.down = true;
+                self.held.clear();
+                return Step::Stop(self.ctx.released.max(now));
             }
             // A control request inside a stamp. The wire decoder refuses
             // these, so only a hand-built one gets here: it fires no
             // fault and counts no op.
-            _ if req.is_control() => {
-                reply.send(Reply::Err(not_a_data_request()));
-                continue;
-            }
+            _ if req.is_control() => return answer(Reply::Err(not_a_data_request())),
             _ => {}
         }
 
         // Consult the fault script for this op. Drops and hangs apply
-        // before serving; LoseReply drops the route unanswered; Crash
-        // kills the worker with this request and everything queued
-        // behind it unanswered (each dropped route reports the worker
-        // down). Wire faults are handed to the route, which carries
-        // them out on a socket and degrades them on a channel — the
-        // action is logged here either way, so seeded fault logs are
-        // identical across transports.
-        let mut lose_reply = false;
+        // before serving; LoseReply serves and then loses the reply;
+        // Crash kills the worker with this request and everything
+        // behind it unanswered (each reports the worker down). Wire
+        // faults are handed to the driver, which carries them out on a
+        // socket and degrades them on a channel — the action is logged
+        // here either way, so seeded fault logs are identical across
+        // transports.
+        let op = self.op;
         let mut crash = false;
         let mut bounce_stale = false;
-        let mut cut = Delivery::Reply;
+        let mut how = Delivery::Reply;
         let mut delay = Duration::ZERO;
-        for action in script.fire(op) {
-            log.record(id, op, action.clone());
+        for action in self.script.fire(op) {
+            self.log.record(id, op, action.clone());
+            let ctx = &mut self.ctx;
             match action {
                 FaultAction::Crash => crash = true,
+                // A hung worker stalls whatever drives it, as a hung
+                // process would.
                 FaultAction::Hang(pause) => std::thread::sleep(pause),
                 FaultAction::DropPartition(key) => {
                     ctx.store.remove(&key);
                     ctx.lru.remove(&key);
                 }
-                FaultAction::LoseReply => lose_reply = true,
-                FaultAction::DropConnection => cut = cut.max(Delivery::Close),
-                FaultAction::TruncateFrame => cut = cut.max(Delivery::Truncate),
+                FaultAction::LoseReply => how = how.max(Delivery::Lose),
+                FaultAction::DropConnection => how = how.max(Delivery::Close),
+                FaultAction::TruncateFrame => how = how.max(Delivery::Truncate),
                 FaultAction::DelayFrame(pause) => delay += pause,
                 // Fast restart with a cold cache: everything cached is
-                // gone and the registration epoch resets; the thread
+                // gone and the registration epoch resets; the core
                 // keeps serving as the "restarted process". Spilled
                 // partitions live on the stable tier and survive.
                 FaultAction::CrashRestart => {
@@ -276,26 +357,26 @@ fn worker_loop(
                     ctx.wire_corrupt.clear();
                     ctx.stats.resident_parts = 0;
                     ctx.stats.resident_bytes = 0;
-                    epoch = 0;
-                    master_known = 0;
+                    self.epoch = 0;
+                    self.master_known = 0;
                 }
                 FaultAction::StaleEpochDelivery => bounce_stale = true,
                 // Flip one byte of the partition at the scripted site.
                 // The worker mutates its *own copies* on both transports,
                 // which is what keeps seeded fault logs identical across
                 // channel and TCP runs.
-                FaultAction::CorruptPartition { key, site, byte } => {
-                    ctx.corrupt(key, site, byte)
-                }
+                FaultAction::CorruptPartition { key, site, byte } => ctx.corrupt(key, site, byte),
                 // Heartbeat faults never appear in op-indexed scripts
                 // (FaultPlan::script_for filters them out).
                 FaultAction::DropHeartbeat => {}
             }
         }
         if crash {
-            break;
+            self.down = true;
+            self.held.clear();
+            return Step::Down;
         }
-        op += 1;
+        self.op += 1;
 
         // Epoch fencing runs *after* fault injection and the op-counter
         // bump, so a bounced request advances the counter identically on
@@ -309,19 +390,17 @@ fn worker_loop(
             Request::Stamped { stamp, inner } => (*inner, stamp),
             req => (req, Stamp::default()),
         };
-        let stale_master = stamp.master != 0 && stamp.master < master_known;
-        master_known = master_known.max(stamp.master);
-        let stale_worker = stamp.epoch != 0 && stamp.epoch != epoch;
-        let out = if bounce_stale || stale_worker || stale_master {
+        let stale_master = stamp.master != 0 && stamp.master < self.master_known;
+        self.master_known = self.master_known.max(stamp.master);
+        let stale_worker = stamp.epoch != 0 && stamp.epoch != self.epoch;
+        let reply = if bounce_stale || stale_worker || stale_master {
             Reply::Err(StoreError::StaleEpoch(id))
         } else {
-            ctx.serve(req, stamp)
+            self.ctx.serve(req, stamp)
         };
-        if !lose_reply {
-            reply.deliver(out, cut, delay);
-        }
-        // else: the route drops unanswered — the waiting client is told
-        // the worker is down, like a reply lost on the wire.
+        // Data replies leave in op order: none before the one ahead.
+        self.ctx.released = self.ctx.released.max(now);
+        Step::Answer(reply, how, self.ctx.released + delay)
     }
 }
 
@@ -338,6 +417,9 @@ struct ServeCtx {
     store: HashMap<PartKey, Bytes>,
     lru: LruCache<PartKey>,
     nic: NicScheduler,
+    /// When the last data reply is released: every transfer's pay-off
+    /// instant raises it, and no later data reply leaves before it.
+    released: Instant,
     stats: WorkerStats,
     spill: Option<Arc<UnderStore>>,
     /// Scratch for LRU eviction drains (reused, allocation-free in
@@ -709,7 +791,7 @@ impl ServeCtx {
         if key.part & STAGE_BIT == 0 && spill.contains(key.file) {
             return;
         }
-        self.nic.consume(data.len(), TrafficClass::Background);
+        self.released = self.released.max(self.nic.reserve(data.len(), TrafficClass::Background));
         self.stats.spilled_bytes += data.len() as u64;
         spill.spill_put(key, data);
     }
@@ -743,7 +825,7 @@ impl ServeCtx {
                 self.sums.insert(key, spcache_integrity::sum(&data));
             }
         }
-        self.nic.consume(data.len(), TrafficClass::Background);
+        self.released = self.released.max(self.nic.reserve(data.len(), TrafficClass::Background));
         self.stats.reloaded_bytes += data.len() as u64;
         self.clean.insert(key);
         // The reload *is* this movement's verification pass.
@@ -752,17 +834,16 @@ impl ServeCtx {
         Ok(data)
     }
 
-    /// Pays the NIC for a transfer, refusing with
-    /// [`StoreError::Timeout`] instead of sleeping through a wait that
-    /// would overrun the executor deadline — what keeps a throttled push
-    /// from outliving the executor that sent it.
+    /// Reserves the NIC for a transfer, refusing with
+    /// [`StoreError::Timeout`] one that would be paid off past the
+    /// executor deadline — what keeps a throttled push from outliving
+    /// the executor that sent it.
     fn transfer(&mut self, bytes: usize, class: TrafficClass) -> Result<(), Reply> {
         let cap = Instant::now() + DEFAULT_EXECUTOR_DEADLINE;
-        if self.nic.consume_within(bytes, class, cap) {
-            Ok(())
-        } else {
-            Err(Reply::Err(StoreError::Timeout(self.id)))
-        }
+        let paid = self.nic.reserve_within(bytes, class, cap);
+        let paid = paid.ok_or(Reply::Err(StoreError::Timeout(self.id)))?;
+        self.released = self.released.max(paid);
+        Ok(())
     }
 }
 
