@@ -1313,7 +1313,7 @@ impl<T> Timers<T> {
     /// that [`poll_timeout`] left, and returns the time after it.
     fn settle(&self, now: Instant) -> Instant {
         match self.next_deadline() {
-            Some(due) if due > now && poll_timeout(Some(due), now) == Some(Duration::ZERO) => {
+            Some(due) if due > now && due - now < Duration::from_millis(1) => {
                 std::thread::sleep(due - now);
                 Instant::now()
             }
