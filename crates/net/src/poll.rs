@@ -981,10 +981,10 @@ pub enum Completion {
 
 /// What a frame handler made of one inbound frame.
 pub enum Served {
-    /// Carry out `what` on the connection at the given instant: in place
-    /// — behind what the connection already holds, ahead of the next
-    /// frame's answer — once it has passed, and off the shard's timer
-    /// heap until then.
+    /// Carry out `what` on the connection at the given instant, in
+    /// deadline order with every other delayed completion of the shard:
+    /// before the next frame is served when it is due already, off the
+    /// shard's timer heap otherwise.
     At(Completion, Instant),
     /// The reply will arrive through a clone of the frame's [`ConnRef`].
     Pending,
@@ -1205,24 +1205,17 @@ fn shard_loop<H: FnMut(Bytes, &ConnRef) -> Served>(
             }
         }
 
-        let now = Instant::now();
-        while let Some((token, what)) = timers.pop_due(now) {
-            conns.complete(&poll, token, what);
-        }
-
+        release_due(&poll, &mut conns, &mut timers, Instant::now());
         conns.flush_dirty(&poll);
     }
 
     // What the timer heap still holds is released on time, and every
     // write queue drains — all of it within the deadline.
     let drain_until = Instant::now() + DRAIN_DEADLINE;
-    loop {
-        let now = Instant::now();
-        while let Some((token, what)) = timers.pop_due(now) {
-            conns.complete(&poll, token, what);
-        }
+    while Instant::now() < drain_until {
+        release_due(&poll, &mut conns, &mut timers, Instant::now());
         conns.flush_all(&poll);
-        if (timers.next_deadline().is_none() && conns.drained()) || now >= drain_until {
+        if timers.next_deadline().is_none() && conns.drained() {
             break;
         }
         std::thread::sleep(Duration::from_millis(1));
@@ -1246,14 +1239,25 @@ fn read_frames(
     let open = conns.pump(conn.token, buf, inbound);
     for frame in inbound.drain(..) {
         match handler(frame, conn) {
-            Served::At(what, at) if at <= Instant::now() => conns.complete(poll, conn.token, what),
-            Served::At(what, at) => timers.insert(at, (conn.token, what)),
+            // Through the heap, so an answer due now still leaves behind
+            // every completion that fell due before it.
+            Served::At(what, at) => {
+                timers.insert(at, (conn.token, what));
+                release_due(poll, conns, timers, Instant::now());
+            }
             Served::Pending => {}
             Served::Violation(last) => return conns.push_last(conn.token, last),
         }
     }
     if !open {
         conns.close(poll, conn.token);
+    }
+}
+
+/// Carries out, in deadline order, every delayed completion due by `now`.
+fn release_due(poll: &Poll, conns: &mut Conns, timers: &mut Timers<(usize, Completion)>, now: Instant) {
+    while let Some((token, what)) = timers.pop_due(now) {
+        conns.complete(poll, token, what);
     }
 }
 
@@ -1769,5 +1773,34 @@ mod tests {
         let now = t.settle(Instant::now());
         assert!(now < far, "slept out a whole-millisecond wait");
         assert_eq!(t.pop_due(now), None);
+    }
+
+    #[test]
+    fn an_answer_due_now_leaves_behind_the_reply_due_before_it() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let (poll, waker) = poll_with_waker().unwrap();
+        let mut conns = Conns::new();
+        assert!(conns.adopt(&poll, CONN_BASE, stream));
+        let (tx, _rx) = unbounded();
+        let conn = ConnRef { shards: Arc::from([ShardRef { tx, waker }]), shard: 0, token: CONN_BASE };
+        // Reply N-1 fell due on the heap, and the loop has not popped it
+        // yet when the frame of op N is served and cut at once.
+        let mut timers = Timers::new();
+        let reply = WireFrame::contiguous(vec![1; 8]);
+        timers.insert(Instant::now(), (CONN_BASE, Completion::Frame(reply)));
+        peer.write_all(&encode_request(&Request::Ping, 7)).unwrap();
+        std::thread::sleep(Duration::from_millis(5));
+        let mut cut = |_: Bytes, _: &ConnRef| {
+            let torn = Completion::Truncate(WireFrame::contiguous(vec![2; 8]));
+            Served::At(torn, Instant::now())
+        };
+        let (mut buf, mut inbound) = (ReadBuf::new(), Vec::new());
+        read_frames(&poll, &mut conns, &mut timers, &conn, &mut buf, &mut inbound, &mut cut);
+        conns.flush_dirty(&poll);
+        let mut got = Vec::new();
+        peer.read_to_end(&mut got).unwrap();
+        assert_eq!(got, [vec![1u8; 8], vec![2; 4]].concat(), "the cut overtook reply N-1");
     }
 }

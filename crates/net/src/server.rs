@@ -10,9 +10,9 @@
 //! the shards take the lock — the Nth data request over TCP is the same
 //! Nth data request an in-process run would count — fires whatever its
 //! fault script holds for that op, and says what becomes of the reply.
-//! The shard carries that out on the connection in place, before it
-//! reads the next frame, so replies and cuts leave each connection in
-//! op order:
+//! The shard carries that out on the connection — before it serves the
+//! next frame when it is due, and in release order — so replies and cuts
+//! leave each connection in op order:
 //!
 //! * a reply is queued at once, or at its release time off the shard's
 //!   timer heap — the instant the emulated NIC has paid the transfer off,
