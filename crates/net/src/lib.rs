@@ -3,7 +3,8 @@
 //! `spcache-net`: a real TCP wire protocol and transport for the store.
 //!
 //! The store crate's data and control planes are pure data
-//! ([`spcache_store::rpc::Request`] / [`Reply`] and the
+//! ([`spcache_store::rpc::Request`] / [`Reply`] and
+//! [`spcache_store::meta::MetaRequest`] / `MetaReply` behind the
 //! [`spcache_store::master::MetaService`] trait) behind the
 //! [`spcache_store::transport::Transport`] abstraction. This crate puts
 //! them on sockets:
@@ -31,10 +32,11 @@
 //!   releases each reply when its emulated transfer is paid off and
 //!   carries out scripted wire faults (dropped connections, delayed
 //!   and truncated frames) and the graceful drain-then-exit shutdown,
-//! * [`master_net`] — the master protocol: [`master_net::MasterServer`]
-//!   serving metadata plus a one-RPC cluster `Rebalance`, and
-//!   [`master_net::MasterClient`], a wire-backed `MetaService` that
-//!   reports a worker's health when it changes, not per reply,
+//! * [`master_net`] — the master protocol: the codec of the store's
+//!   `MetaRequest`/`MetaReply`, [`master_net::MasterServer`] serving
+//!   them through the master's own `call` plus a one-RPC cluster
+//!   `Rebalance`, and [`master_net::MasterClient`], a wire-backed
+//!   `MetaService` whose one `call` is a redirect-following round trip,
 //! * [`loopback::TcpCluster`] — the store's one cluster harness with
 //!   its workers and master behind servers on 127.0.0.1, and
 //!   [`loopback::twin`], which runs one test body on an in-process

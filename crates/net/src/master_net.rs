@@ -1,33 +1,39 @@
 //! Master wire protocol: [`MasterServer`] exposes a [`Master`] over
 //! TCP; [`MasterClient`] implements [`MetaService`] against it.
 //!
-//! Same frame layout as the worker protocol (see [`crate::frame`]), in
-//! a disjoint opcode space (`0x81..` requests / `0xC1..` replies) so a
-//! client dialed into the wrong port fails with a codec error instead
-//! of silently misreading messages.
+//! The messages are the store's own [`MetaRequest`] / [`MetaReply`]
+//! (re-exported here): this module adds their codec only. Same frame
+//! layout as the worker protocol (see [`crate::frame`]), in a disjoint
+//! opcode space (`0x81..` requests / `0xC1..` replies) so a client
+//! dialed into the wrong port fails with a codec error instead of
+//! silently misreading messages.
 //!
 //! Metadata calls are small and synchronous, so the client keeps one
 //! pooled connection and runs strict request→reply on it (no
-//! multiplexing needed). Health-table updates (`mark_alive`,
-//! `mark_dead`, `suspect`) are best-effort by contract: if the master
-//! is unreachable they degrade to no-ops rather than failing the data
-//! path that triggered them. A sign of life is reported when it is
-//! news: the client remembers which workers the master has
-//! acknowledged alive from it, and `mark_alive` for one of those sends
-//! nothing (see [`MasterClient`]).
+//! multiplexing needed); its [`MetaService::call`] is one
+//! [`MasterClient::roundtrip`]. Health reports (`mark_dead`,
+//! `suspect`) are best-effort by contract: if the master is
+//! unreachable they degrade to no-ops rather than failing the data
+//! path that triggered them.
 //!
 //! The server side is one shard of the server loop
 //! ([`crate::poll::serve`]; no per-connection threads): metadata calls
-//! are in-memory and answered inline on the loop thread, so one loop
-//! serves any number of supervisor, client and worker connections.
+//! are in-memory and answered inline on the loop thread by
+//! [`Master`]'s own `call`, so one loop serves any number of
+//! supervisor, client and worker connections, and a request takes the
+//! same arm in process and over the wire.
 //!
-//! The server additionally understands `Rebalance`: the master plans
-//! against its metadata (Algorithm 1 + 2 planning) and runs the
-//! repartition over its *own* [`TcpTransport`] to the workers, so one
-//! RPC drives a whole cluster rebalance — the deployment shape of the
-//! paper's SP-Master. Rebalance is the one slow call, so it runs on a
-//! detached thread and completes through the connection's
+//! The server additionally runs `Rebalance`: the master plans against
+//! its metadata (Algorithm 1 + 2 planning) and runs the repartition
+//! over its *own* [`TcpTransport`] to the workers, so one RPC drives a
+//! whole cluster rebalance — the deployment shape of the paper's
+//! SP-Master. Rebalance is the one slow call, so it runs on a detached
+//! thread and completes through the connection's
 //! [`crate::poll::ConnRef`], the path worker replies take.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use parking_lot::Mutex;
 use spcache_core::tuner::TunerConfig;
@@ -35,13 +41,14 @@ use spcache_store::master::{Master, MetaService};
 use spcache_store::FileIntegrity;
 use spcache_store::repartitioner::run_parallel;
 use spcache_store::rpc::{StoreError, MASTER_ENDPOINT};
-use std::collections::HashSet;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+pub use spcache_store::meta::{MetaReply, MetaRequest};
 
 use crate::frame::{read_frame, write_frame, Frame, FrameBuilder};
 use crate::poll::{serve, Completion, Served, WireFrame};
@@ -92,212 +99,6 @@ fn codec(msg: impl Into<String>) -> StoreError {
     StoreError::Codec(msg.into())
 }
 
-/// Pure-data form of one metadata request (the master protocol's
-/// counterpart of [`spcache_store::rpc::Request`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum MetaRequest {
-    /// `MetaService::register`.
-    Register {
-        /// File id.
-        id: u64,
-        /// File size in bytes.
-        size: u64,
-        /// Placement (one server per partition).
-        servers: Vec<usize>,
-    },
-    /// `MetaService::unregister_file`.
-    Unregister {
-        /// File id.
-        id: u64,
-    },
-    /// `MetaService::locate` (counts an access).
-    Locate {
-        /// File id.
-        id: u64,
-    },
-    /// `MetaService::peek` (no access count).
-    Peek {
-        /// File id.
-        id: u64,
-    },
-    /// `MetaService::apply_placement`.
-    ApplyPlacement {
-        /// File id.
-        id: u64,
-        /// New placement.
-        servers: Vec<usize>,
-    },
-    /// `MetaService::mark_alive`.
-    MarkAlive {
-        /// Worker index.
-        w: u64,
-    },
-    /// `MetaService::mark_dead`.
-    MarkDead {
-        /// Worker index.
-        w: u64,
-    },
-    /// `MetaService::suspect`.
-    Suspect {
-        /// Worker index.
-        w: u64,
-    },
-    /// `MetaService::is_alive`.
-    IsAlive {
-        /// Worker index.
-        w: u64,
-    },
-    /// `MetaService::live_workers`.
-    LiveWorkers {
-        /// Fleet size.
-        n: u64,
-    },
-    /// `MetaService::degraded_files`.
-    Degraded,
-    /// Plan a rebalance (Algorithm 1 + 2) and execute it over the
-    /// master's worker transport.
-    Rebalance {
-        /// Per-worker NIC bandwidth, bytes/s.
-        bandwidth: f64,
-        /// Total arrival rate for the tuner.
-        lambda: f64,
-        /// Partition-placement RNG seed.
-        seed: u64,
-    },
-    /// `MetaService::worker_epochs`.
-    WorkerEpochs {
-        /// Fleet size.
-        n: u64,
-    },
-    /// `MetaService::register_worker` (the crash-restart rejoin path).
-    RegisterWorker {
-        /// Worker index.
-        w: u64,
-    },
-    /// `MetaService::begin_repair`.
-    BeginRepair {
-        /// File id.
-        id: u64,
-    },
-    /// `MetaService::end_repair`.
-    EndRepair {
-        /// File id.
-        id: u64,
-    },
-    /// Liveness/authority probe: master epoch, active-vs-fenced flag,
-    /// file count and journal head. Served even by a fenced master (a
-    /// standby polls it to measure lag and detect death).
-    Status,
-    /// Stream every journalled metadata op with `lsn >= from` — the
-    /// standby's replication pull (§4.14).
-    LogTail {
-        /// First LSN the caller has not yet applied.
-        from: u64,
-    },
-    /// A successor announces it has taken over at `epoch`; the receiver
-    /// fences itself and redirects future callers to `addr`.
-    Takeover {
-        /// The successor's (higher) master epoch.
-        epoch: u64,
-        /// The successor's listen address, `host:port`.
-        addr: String,
-    },
-    /// `MetaService::register_batch`: one metadata round-trip
-    /// registering a whole chunk of `(id, size, servers)` rows — the
-    /// million-file seeding path.
-    RegisterBatch {
-        /// The rows, in registration order.
-        entries: Vec<(u64, u64, Vec<usize>)>,
-    },
-    /// `MetaService::set_integrity` (§4.15): record or clear a file's
-    /// checksum + parity row.
-    SetIntegrity {
-        /// File id.
-        id: u64,
-        /// The row (empty = clear).
-        integrity: FileIntegrity,
-    },
-    /// `MetaService::integrity`: fetch a file's integrity row.
-    Integrity {
-        /// File id.
-        id: u64,
-    },
-    /// `MetaService::report_accesses`: the access counts of a client's
-    /// cached reads, one frame per batch.
-    ReportAccesses {
-        /// `(file id, reads)` rows.
-        counts: Vec<(u64, u64)>,
-    },
-    /// Stop the master server.
-    Shutdown,
-}
-
-/// Pure-data form of one metadata reply.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MetaReply {
-    /// Success without payload.
-    Done,
-    /// `(size, servers)` lookup result.
-    Info {
-        /// File size in bytes.
-        size: u64,
-        /// Placement.
-        servers: Vec<usize>,
-    },
-    /// Optional `(size, servers)` (unregister of a possibly-unknown id).
-    Maybe(Option<(u64, Vec<usize>)>),
-    /// Suspicion count.
-    Count(u32),
-    /// Boolean outcome.
-    Flag(bool),
-    /// Worker-index list.
-    Workers(Vec<usize>),
-    /// File-id list.
-    Files(Vec<u64>),
-    /// Fencing epoch table.
-    Epochs(Vec<u64>),
-    /// One granted fencing epoch.
-    Epoch(u64),
-    /// Rebalance outcome: `(files_repartitioned, skipped_file_ids)`.
-    Rebalanced {
-        /// Number of files the plan moved.
-        moved: u64,
-        /// Files skipped because a worker was unavailable.
-        skipped: Vec<u64>,
-    },
-    /// The receiver is a fenced (deposed) master: retry against `to`
-    /// (empty when the successor is unknown — the caller must
-    /// rediscover the master out of band).
-    Redirect {
-        /// The successor's listen address, `host:port`.
-        to: String,
-    },
-    /// `Status` result.
-    Status {
-        /// The master's current master epoch.
-        epoch: u64,
-        /// `false` once fenced by a takeover.
-        active: bool,
-        /// Registered file count.
-        files: u64,
-        /// The journal's next LSN (0 = no journal attached).
-        next_lsn: u64,
-    },
-    /// `LogTail` result: raw journal record bytes (the standby decodes
-    /// them with [`spcache_store::metalog::decode_records`]).
-    Log {
-        /// First LSN **after** the returned records — the `from` of the
-        /// next poll.
-        next_lsn: u64,
-        /// Concatenated wire records, oldest first.
-        bytes: Vec<u8>,
-    },
-    /// `Integrity` result: the row, when one is recorded.
-    IntegrityRow(Option<FileIntegrity>),
-    /// The request failed.
-    Err(StoreError),
-}
-
 /// Appends a [`FileIntegrity`] body: the checksum list, then the
 /// `(server, sum)` parity pairs.
 fn put_integrity(b: FrameBuilder, fi: &FileIntegrity) -> FrameBuilder {
@@ -318,86 +119,75 @@ fn read_integrity(c: &mut crate::frame::Cursor) -> Result<FileIntegrity, StoreEr
     Ok(FileIntegrity { sums, parity })
 }
 
+/// The opcode a request travels under.
+fn request_opcode(req: &MetaRequest) -> u8 {
+    match req {
+        MetaRequest::Register { .. } => MOP_REGISTER,
+        MetaRequest::Unregister { .. } => MOP_UNREGISTER,
+        MetaRequest::Locate { .. } => MOP_LOCATE,
+        MetaRequest::Peek { .. } => MOP_PEEK,
+        MetaRequest::ApplyPlacement { .. } => MOP_APPLY_PLACEMENT,
+        MetaRequest::MarkAlive { .. } => MOP_MARK_ALIVE,
+        MetaRequest::MarkDead { .. } => MOP_MARK_DEAD,
+        MetaRequest::Suspect { .. } => MOP_SUSPECT,
+        MetaRequest::IsAlive { .. } => MOP_IS_ALIVE,
+        MetaRequest::LiveWorkers { .. } => MOP_LIVE_WORKERS,
+        MetaRequest::Degraded => MOP_DEGRADED,
+        MetaRequest::Rebalance { .. } => MOP_REBALANCE,
+        MetaRequest::WorkerEpochs { .. } => MOP_WORKER_EPOCHS,
+        MetaRequest::RegisterWorker { .. } => MOP_REGISTER_WORKER,
+        MetaRequest::BeginRepair { .. } => MOP_BEGIN_REPAIR,
+        MetaRequest::EndRepair { .. } => MOP_END_REPAIR,
+        MetaRequest::Status => MOP_STATUS,
+        MetaRequest::LogTail { .. } => MOP_LOG_TAIL,
+        MetaRequest::Takeover { .. } => MOP_TAKEOVER,
+        MetaRequest::RegisterBatch { .. } => MOP_REGISTER_BATCH,
+        MetaRequest::SetIntegrity { .. } => MOP_SET_INTEGRITY,
+        MetaRequest::Integrity { .. } => MOP_INTEGRITY,
+        MetaRequest::ReportAccesses { .. } => MOP_REPORT_ACCESSES,
+        MetaRequest::Shutdown => MOP_SHUTDOWN,
+    }
+}
+
 /// Encodes one metadata request into a wire frame.
 pub fn encode_meta_request(req: &MetaRequest, req_id: u64) -> Vec<u8> {
+    let b = FrameBuilder::new(request_opcode(req), req_id);
     match req {
-        MetaRequest::Register { id, size, servers } => FrameBuilder::new(MOP_REGISTER, req_id)
-            .u64(*id)
-            .u64(*size)
-            .usize_list(servers)
-            .finish(),
-        MetaRequest::Unregister { id } => {
-            FrameBuilder::new(MOP_UNREGISTER, req_id).u64(*id).finish()
-        }
-        MetaRequest::Locate { id } => FrameBuilder::new(MOP_LOCATE, req_id).u64(*id).finish(),
-        MetaRequest::Peek { id } => FrameBuilder::new(MOP_PEEK, req_id).u64(*id).finish(),
-        MetaRequest::ApplyPlacement { id, servers } => {
-            FrameBuilder::new(MOP_APPLY_PLACEMENT, req_id)
-                .u64(*id)
-                .usize_list(servers)
-                .finish()
-        }
-        MetaRequest::MarkAlive { w } => FrameBuilder::new(MOP_MARK_ALIVE, req_id).u64(*w).finish(),
-        MetaRequest::MarkDead { w } => FrameBuilder::new(MOP_MARK_DEAD, req_id).u64(*w).finish(),
-        MetaRequest::Suspect { w } => FrameBuilder::new(MOP_SUSPECT, req_id).u64(*w).finish(),
-        MetaRequest::IsAlive { w } => FrameBuilder::new(MOP_IS_ALIVE, req_id).u64(*w).finish(),
-        MetaRequest::LiveWorkers { n } => {
-            FrameBuilder::new(MOP_LIVE_WORKERS, req_id).u64(*n).finish()
-        }
-        MetaRequest::Degraded => FrameBuilder::new(MOP_DEGRADED, req_id).finish(),
+        MetaRequest::Degraded | MetaRequest::Status | MetaRequest::Shutdown => b,
+        // A file, worker, fleet size or LSN: one word.
+        MetaRequest::Unregister { id: x }
+        | MetaRequest::Locate { id: x }
+        | MetaRequest::Peek { id: x }
+        | MetaRequest::BeginRepair { id: x }
+        | MetaRequest::EndRepair { id: x }
+        | MetaRequest::Integrity { id: x }
+        | MetaRequest::MarkAlive { w: x }
+        | MetaRequest::MarkDead { w: x }
+        | MetaRequest::Suspect { w: x }
+        | MetaRequest::IsAlive { w: x }
+        | MetaRequest::RegisterWorker { w: x }
+        | MetaRequest::LiveWorkers { n: x }
+        | MetaRequest::WorkerEpochs { n: x }
+        | MetaRequest::LogTail { from: x } => b.u64(*x),
+        MetaRequest::Register { id, size, servers } => b.u64(*id).u64(*size).usize_list(servers),
+        MetaRequest::ApplyPlacement { id, servers } => b.u64(*id).usize_list(servers),
         MetaRequest::Rebalance {
             bandwidth,
             lambda,
             seed,
-        } => FrameBuilder::new(MOP_REBALANCE, req_id)
-            .f64(*bandwidth)
-            .f64(*lambda)
-            .u64(*seed)
-            .finish(),
-        MetaRequest::WorkerEpochs { n } => {
-            FrameBuilder::new(MOP_WORKER_EPOCHS, req_id).u64(*n).finish()
-        }
-        MetaRequest::RegisterWorker { w } => {
-            FrameBuilder::new(MOP_REGISTER_WORKER, req_id).u64(*w).finish()
-        }
-        MetaRequest::BeginRepair { id } => {
-            FrameBuilder::new(MOP_BEGIN_REPAIR, req_id).u64(*id).finish()
-        }
-        MetaRequest::EndRepair { id } => {
-            FrameBuilder::new(MOP_END_REPAIR, req_id).u64(*id).finish()
-        }
-        MetaRequest::Status => FrameBuilder::new(MOP_STATUS, req_id).finish(),
-        MetaRequest::LogTail { from } => {
-            FrameBuilder::new(MOP_LOG_TAIL, req_id).u64(*from).finish()
-        }
-        MetaRequest::Takeover { epoch, addr } => FrameBuilder::new(MOP_TAKEOVER, req_id)
-            .u64(*epoch)
-            .string(addr)
-            .finish(),
-        MetaRequest::RegisterBatch { entries } => {
-            let mut b = FrameBuilder::new(MOP_REGISTER_BATCH, req_id).u32(entries.len() as u32);
-            for (id, size, servers) in entries {
-                b = b.u64(*id).u64(*size).usize_list(servers);
-            }
-            b.finish()
-        }
-        MetaRequest::SetIntegrity { id, integrity } => put_integrity(
-            FrameBuilder::new(MOP_SET_INTEGRITY, req_id).u64(*id),
-            integrity,
-        )
-        .finish(),
-        MetaRequest::Integrity { id } => {
-            FrameBuilder::new(MOP_INTEGRITY, req_id).u64(*id).finish()
-        }
-        MetaRequest::ReportAccesses { counts } => {
-            let mut b = FrameBuilder::new(MOP_REPORT_ACCESSES, req_id).u32(counts.len() as u32);
-            for &(id, n) in counts {
-                b = b.u64(id).u64(n);
-            }
-            b.finish()
-        }
-        MetaRequest::Shutdown => FrameBuilder::new(MOP_SHUTDOWN, req_id).finish(),
+        } => b.f64(*bandwidth).f64(*lambda).u64(*seed),
+        MetaRequest::Takeover { epoch, addr } => b.u64(*epoch).string(addr),
+        MetaRequest::RegisterBatch { entries } => entries
+            .iter()
+            .fold(b.u32(entries.len() as u32), |b, (id, size, servers)| {
+                b.u64(*id).u64(*size).usize_list(servers)
+            }),
+        MetaRequest::SetIntegrity { id, integrity } => put_integrity(b.u64(*id), integrity),
+        MetaRequest::ReportAccesses { counts } => counts
+            .iter()
+            .fold(b.u32(counts.len() as u32), |b, &(id, n)| b.u64(id).u64(n)),
     }
+    .finish()
 }
 
 /// Decodes a metadata request frame.
@@ -606,31 +396,34 @@ impl MasterServer {
                 Ok(ok) => ok,
                 Err(e) => return Served::Violation(meta_frame(&MetaReply::Err(e), 0)),
             };
-            match req {
+            let reply = match req {
                 // Worker RPCs are slow; never run them on the loop, so
                 // one long rebalance never stalls heartbeats or lookups
-                // on other connections.
-                MetaRequest::Rebalance { .. } => {
+                // on other connections. A fenced master's `call`
+                // redirects it instead.
+                MetaRequest::Rebalance {
+                    bandwidth,
+                    lambda,
+                    seed,
+                } if !served.is_fenced() => {
                     let (master, workers, conn) =
                         (Arc::clone(&served), worker_addrs.clone(), conn.clone());
                     let _ = std::thread::Builder::new()
                         .name("spcache-master-rebalance".into())
                         .spawn(move || {
-                            let reply = serve_meta(&master, &workers, req);
+                            let reply = rebalance(&master, &workers, bandwidth, lambda, seed);
                             let frame = meta_frame(&reply, req_id);
                             conn.complete(Completion::Frame(frame), Duration::ZERO);
                         });
-                    Served::Pending
+                    return Served::Pending;
                 }
-                other => {
-                    if matches!(other, MetaRequest::Shutdown) {
-                        conn.stop_server(); // applied after this ack is queued
-                    }
-                    let reply = serve_meta(&served, &worker_addrs, other);
-                    let frame = meta_frame(&reply, req_id);
-                    Served::At(Completion::Frame(frame), Instant::now())
+                MetaRequest::Shutdown => {
+                    conn.stop_server(); // applied after this ack is queued
+                    served.call(MetaRequest::Shutdown)
                 }
-            }
+                other => served.call(other),
+            };
+            Served::At(Completion::Frame(meta_frame(&reply, req_id)), Instant::now())
         })?;
         Ok(MasterServer {
             master,
@@ -661,138 +454,25 @@ fn meta_frame(reply: &MetaReply, req_id: u64) -> WireFrame {
     WireFrame::contiguous(encode_meta_reply(reply, req_id))
 }
 
-fn serve_meta(
-    master: &Arc<Master>,
-    worker_addrs: &[SocketAddr],
-    req: MetaRequest,
+/// Plans a rebalance against `master`'s metadata (Algorithm 1 + 2) and
+/// runs it over a fresh transport to `workers`.
+fn rebalance(
+    master: &Master,
+    workers: &[SocketAddr],
+    bandwidth: f64,
+    lambda: f64,
+    seed: u64,
 ) -> MetaReply {
-    // A fenced master answers nothing but probes and takeover
-    // handshakes: every other call is bounced to the successor so a
-    // client that cached this endpoint re-aims itself instead of
-    // mutating deposed metadata (§4.14).
-    if master.is_fenced()
-        && !matches!(
-            req,
-            MetaRequest::Status | MetaRequest::Shutdown | MetaRequest::Takeover { .. }
-        )
-    {
-        return MetaReply::Redirect {
-            to: master.successor().unwrap_or_default(),
-        };
-    }
-    match req {
-        MetaRequest::Register { id, size, servers } => {
-            match MetaService::register(master.as_ref(), id, size as usize, servers) {
-                Ok(()) => MetaReply::Done,
-                Err(e) => MetaReply::Err(e),
-            }
-        }
-        MetaRequest::Unregister { id } => MetaReply::Maybe(
-            master
-                .unregister_file(id)
-                .map(|(size, servers)| (size as u64, servers)),
-        ),
-        MetaRequest::Locate { id } => match master.locate(id) {
-            Ok((size, servers)) => MetaReply::Info {
-                size: size as u64,
-                servers,
-            },
-            Err(e) => MetaReply::Err(e),
-        },
-        MetaRequest::Peek { id } => match MetaService::peek(master.as_ref(), id) {
-            Ok((size, servers)) => MetaReply::Info {
-                size: size as u64,
-                servers,
-            },
-            Err(e) => MetaReply::Err(e),
-        },
-        MetaRequest::ApplyPlacement { id, servers } => {
-            match MetaService::apply_placement(master.as_ref(), id, servers) {
-                Ok(()) => MetaReply::Done,
-                Err(e) => MetaReply::Err(e),
-            }
-        }
-        MetaRequest::MarkAlive { w } => {
-            master.mark_alive(w as usize);
-            MetaReply::Done
-        }
-        MetaRequest::MarkDead { w } => {
-            master.mark_dead(w as usize);
-            MetaReply::Done
-        }
-        MetaRequest::Suspect { w } => MetaReply::Count(master.suspect(w as usize)),
-        MetaRequest::IsAlive { w } => MetaReply::Flag(master.is_alive(w as usize)),
-        MetaRequest::LiveWorkers { n } => MetaReply::Workers(master.live_workers(n as usize)),
-        MetaRequest::Degraded => MetaReply::Files(master.degraded_files()),
-        MetaRequest::WorkerEpochs { n } => MetaReply::Epochs(master.worker_epochs(n as usize)),
-        MetaRequest::RegisterWorker { w } => {
-            MetaReply::Epoch(master.register_worker(w as usize))
-        }
-        MetaRequest::BeginRepair { id } => MetaReply::Flag(master.begin_repair(id)),
-        MetaRequest::EndRepair { id } => {
-            master.end_repair(id);
-            MetaReply::Done
-        }
-        MetaRequest::Rebalance {
-            bandwidth,
-            lambda,
-            seed,
-        } => {
-            let n = worker_addrs.len();
-            let (ids, plan, _) =
-                match master.plan_rebalance(n, bandwidth, lambda, &TunerConfig::default(), seed) {
-                    Ok(planned) => planned,
-                    Err(e) => return MetaReply::Err(e),
-                };
+    let cfg = TunerConfig::default();
+    let rebalanced = master
+        .plan_rebalance(workers.len(), bandwidth, lambda, &cfg, seed)
+        .and_then(|(ids, plan, _)| {
+            let transport = TcpTransport::connect(workers.to_vec());
+            let skipped = run_parallel(&plan, &ids, master, &transport)?;
             let moved = plan.jobs.len() as u64;
-            let transport = TcpTransport::connect(worker_addrs.to_vec());
-            match run_parallel(&plan, &ids, master.as_ref(), &transport) {
-                Ok(skipped) => MetaReply::Rebalanced { moved, skipped },
-                Err(e) => MetaReply::Err(e),
-            }
-        }
-        MetaRequest::Status => MetaReply::Status {
-            epoch: master.master_epoch(),
-            active: !master.is_fenced(),
-            files: master.file_count() as u64,
-            next_lsn: master.journal_next_lsn(),
-        },
-        MetaRequest::LogTail { from } => {
-            let (next_lsn, bytes) = master.journal_tail(from);
-            MetaReply::Log { next_lsn, bytes }
-        }
-        MetaRequest::Takeover { epoch, addr } => {
-            if epoch >= master.master_epoch() {
-                master.self_fence(Some(addr));
-                MetaReply::Done
-            } else {
-                // A *lower*-epoch "successor" is itself the stale one.
-                MetaReply::Err(StoreError::StaleEpoch(MASTER_ENDPOINT))
-            }
-        }
-        MetaRequest::RegisterBatch { entries } => {
-            let rows: Vec<(u64, usize, Vec<usize>)> = entries
-                .into_iter()
-                .map(|(id, size, servers)| (id, size as usize, servers))
-                .collect();
-            match master.register_batch(&rows) {
-                Ok(()) => MetaReply::Done,
-                Err(e) => MetaReply::Err(e),
-            }
-        }
-        MetaRequest::SetIntegrity { id, integrity } => {
-            match master.set_integrity(id, integrity) {
-                Ok(()) => MetaReply::Done,
-                Err(e) => MetaReply::Err(e),
-            }
-        }
-        MetaRequest::Integrity { id } => MetaReply::IntegrityRow(master.integrity(id)),
-        MetaRequest::ReportAccesses { counts } => {
-            master.report_accesses(&counts);
-            MetaReply::Done
-        }
-        MetaRequest::Shutdown => MetaReply::Done,
-    }
+            Ok(MetaReply::Rebalanced { moved, skipped })
+        });
+    rebalanced.unwrap_or_else(MetaReply::Err)
 }
 
 /// A [`MetaService`] implementation speaking the master wire protocol.
@@ -801,44 +481,14 @@ fn serve_meta(
 /// with [`MetaReply::Redirect`], the client re-aims itself at the
 /// successor and retries — callers keep one `MasterClient` across a
 /// failover and never learn it happened.
-///
-/// Health reports travel on change. The engine calls `mark_alive` for
-/// every reply a worker sends, and the master's table moves only when
-/// the worker was dead or suspected, so the client keeps, per worker,
-/// whether its last report was a sign of life the master acknowledged,
-/// and sends `MarkAlive` only when it was not. Every worker starts
-/// unreported, and goes back to unreported on this client's own
-/// `suspect` / `mark_dead`, on an `is_alive` / `live_workers` answer
-/// that says dead, and — all of them — on a failed exchange or a
-/// redirect (the next master has heard nothing from this client).
 #[derive(Debug)]
 pub struct MasterClient {
     addr: Mutex<SocketAddr>,
-    link: Mutex<Link>,
-    next_id: std::sync::atomic::AtomicU64,
+    /// The pooled connection; `None` until the first call and after a
+    /// failed exchange or a redirect.
+    stream: Mutex<Option<TcpStream>>,
+    next_id: AtomicU64,
     deadline: Duration,
-}
-
-/// The pooled connection and what has been said on it. One lock holds
-/// both, so a report and the memory of it change together: a `suspect`
-/// racing a `mark_alive` from another thread leaves the memory matching
-/// whichever of the two the master applied last.
-#[derive(Debug, Default)]
-struct Link {
-    stream: Option<TcpStream>,
-    /// Workers whose sign of life the master has acknowledged from this
-    /// client, with nothing to the contrary seen or said since.
-    reported: HashSet<usize>,
-}
-
-impl Link {
-    /// Drops the connection and, with it, everything reported over it.
-    fn hang_up(&mut self) {
-        if let Some(s) = self.stream.take() {
-            let _ = s.shutdown(std::net::Shutdown::Both);
-        }
-        self.reported.clear();
-    }
 }
 
 impl MasterClient {
@@ -846,8 +496,8 @@ impl MasterClient {
     pub fn connect(addr: SocketAddr) -> Self {
         MasterClient {
             addr: Mutex::new(addr),
-            link: Mutex::default(),
-            next_id: std::sync::atomic::AtomicU64::new(1),
+            stream: Mutex::default(),
+            next_id: AtomicU64::new(1),
             deadline: Duration::from_secs(5),
         }
     }
@@ -875,25 +525,18 @@ impl MasterClient {
     ///
     /// [`StoreError::Io`] on transport failure or a redirect to nowhere
     /// (a fenced master with no known successor), [`StoreError::Codec`]
-    /// on malformed replies, plus whatever error the master returns.
+    /// on malformed replies. An error the master answers is
+    /// `Ok(MetaReply::Err(_))`.
     pub fn roundtrip(&self, req: &MetaRequest) -> Result<MetaReply, StoreError> {
-        self.roundtrip_on(&mut self.link.lock(), req)
-    }
-
-    /// [`roundtrip`](MasterClient::roundtrip) on the already locked
-    /// link.
-    fn roundtrip_on(&self, link: &mut Link, req: &MetaRequest) -> Result<MetaReply, StoreError> {
+        let mut stream = self.stream.lock();
         for _ in 0..3 {
-            match self.exchange(link, req)? {
+            match self.exchange(&mut stream, req)? {
                 MetaReply::Redirect { to } => {
-                    // Whoever answers next has heard nothing from this
-                    // client, even if the successor cannot be dialled.
-                    link.reported.clear();
                     let next: SocketAddr = to
                         .parse()
                         .map_err(|_| StoreError::Io(MASTER_ENDPOINT))?;
                     *self.addr.lock() = next;
-                    link.hang_up();
+                    *stream = None; // the next exchange dials the successor
                 }
                 reply => return Ok(reply),
             }
@@ -903,21 +546,30 @@ impl MasterClient {
         Err(StoreError::Io(MASTER_ENDPOINT))
     }
 
+    /// Dials the current endpoint with this client's deadlines.
+    fn dial(&self) -> Result<TcpStream, StoreError> {
+        let addr = *self.addr.lock();
+        let stream = TcpStream::connect_timeout(&addr, self.deadline)
+            .map_err(|_| StoreError::Io(MASTER_ENDPOINT))?;
+        let _ = stream.set_nodelay(true);
+        stream
+            .set_read_timeout(Some(self.deadline))
+            .and_then(|()| stream.set_write_timeout(Some(self.deadline)))
+            .map_err(|_| StoreError::Io(MASTER_ENDPOINT))?;
+        Ok(stream)
+    }
+
     /// One raw request→reply exchange against the current endpoint
     /// (no redirect handling).
-    fn exchange(&self, link: &mut Link, req: &MetaRequest) -> Result<MetaReply, StoreError> {
-        if link.stream.is_none() {
-            let addr = *self.addr.lock();
-            let stream = TcpStream::connect_timeout(&addr, self.deadline)
-                .map_err(|_| StoreError::Io(MASTER_ENDPOINT))?;
-            let _ = stream.set_nodelay(true);
-            stream
-                .set_read_timeout(Some(self.deadline))
-                .and_then(|()| stream.set_write_timeout(Some(self.deadline)))
-                .map_err(|_| StoreError::Io(MASTER_ENDPOINT))?;
-            link.stream = Some(stream);
-        }
-        let stream = link.stream.as_mut().expect("connection just ensured");
+    fn exchange(
+        &self,
+        slot: &mut Option<TcpStream>,
+        req: &MetaRequest,
+    ) -> Result<MetaReply, StoreError> {
+        let stream = match slot {
+            Some(stream) => stream,
+            None => slot.insert(self.dial()?),
+        };
         let req_id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let exchange = (|| -> Result<MetaReply, StoreError> {
             write_frame(stream, &encode_meta_request(req, req_id))
@@ -935,27 +587,11 @@ impl MasterClient {
             decode_meta_reply(&frame)
         })();
         if exchange.is_err() {
-            // Poisoned stream (I/O failure or framing loss): redial next
-            // call.
-            link.hang_up();
+            // Poisoned stream (I/O failure or framing loss): close it and
+            // redial next call.
+            *slot = None;
         }
         exchange
-    }
-
-    fn expect_done(&self, req: &MetaRequest) -> Result<(), StoreError> {
-        match self.roundtrip(req)? {
-            MetaReply::Done => Ok(()),
-            MetaReply::Err(e) => Err(e),
-            other => Err(codec(format!("unexpected reply {other:?}"))),
-        }
-    }
-
-    fn expect_info(&self, req: &MetaRequest) -> Result<(usize, Vec<usize>), StoreError> {
-        match self.roundtrip(req)? {
-            MetaReply::Info { size, servers } => Ok((size as usize, servers)),
-            MetaReply::Err(e) => Err(e),
-            other => Err(codec(format!("unexpected reply {other:?}"))),
-        }
     }
 
     /// Asks the master to plan and execute a cluster rebalance; returns
@@ -970,14 +606,14 @@ impl MasterClient {
         lambda: f64,
         seed: u64,
     ) -> Result<(u64, Vec<u64>), StoreError> {
-        match self.roundtrip(&MetaRequest::Rebalance {
+        let req = MetaRequest::Rebalance {
             bandwidth,
             lambda,
             seed,
-        })? {
+        };
+        match self.call(req).into_result()? {
             MetaReply::Rebalanced { moved, skipped } => Ok((moved, skipped)),
-            MetaReply::Err(e) => Err(e),
-            other => Err(codec(format!("unexpected reply {other:?}"))),
+            other => Err(other.unexpected()),
         }
     }
 
@@ -987,7 +623,7 @@ impl MasterClient {
     ///
     /// Transport errors reaching the master.
     pub fn shutdown_server(&self) -> Result<(), StoreError> {
-        self.expect_done(&MetaRequest::Shutdown)
+        self.call(MetaRequest::Shutdown).expect_done()
     }
 
     /// Probes the master's authority and journal head:
@@ -998,15 +634,14 @@ impl MasterClient {
     ///
     /// Transport errors reaching the master.
     pub fn status(&self) -> Result<(u64, bool, u64, u64), StoreError> {
-        match self.exchange(&mut self.link.lock(), &MetaRequest::Status)? {
+        match self.call(MetaRequest::Status).into_result()? {
             MetaReply::Status {
                 epoch,
                 active,
                 files,
                 next_lsn,
             } => Ok((epoch, active, files, next_lsn)),
-            MetaReply::Err(e) => Err(e),
-            other => Err(codec(format!("unexpected reply {other:?}"))),
+            other => Err(other.unexpected()),
         }
     }
 
@@ -1018,10 +653,9 @@ impl MasterClient {
     ///
     /// Transport errors reaching the master.
     pub fn log_tail(&self, from: u64) -> Result<(u64, Vec<u8>), StoreError> {
-        match self.roundtrip(&MetaRequest::LogTail { from })? {
+        match self.call(MetaRequest::LogTail { from }).into_result()? {
             MetaReply::Log { next_lsn, bytes } => Ok((next_lsn, bytes)),
-            MetaReply::Err(e) => Err(e),
-            other => Err(codec(format!("unexpected reply {other:?}"))),
+            other => Err(other.unexpected()),
         }
     }
 
@@ -1033,163 +667,13 @@ impl MasterClient {
     /// Transport errors, or [`StoreError::StaleEpoch`] when `epoch` is
     /// below the receiver's own (the caller is the stale one).
     pub fn takeover(&self, epoch: u64, addr: &str) -> Result<(), StoreError> {
-        let takeover = MetaRequest::Takeover {
-            epoch,
-            addr: addr.to_string(),
-        };
-        match self.exchange(&mut self.link.lock(), &takeover)? {
-            MetaReply::Done => Ok(()),
-            MetaReply::Err(e) => Err(e),
-            other => Err(codec(format!("unexpected reply {other:?}"))),
-        }
+        let addr = addr.to_string();
+        self.call(MetaRequest::Takeover { epoch, addr }).expect_done()
     }
 }
 
 impl MetaService for MasterClient {
-    fn register(&self, id: u64, size: usize, servers: Vec<usize>) -> Result<(), StoreError> {
-        self.expect_done(&MetaRequest::Register {
-            id,
-            size: size as u64,
-            servers,
-        })
-    }
-
-    fn unregister_file(&self, id: u64) -> Option<(usize, Vec<usize>)> {
-        match self.roundtrip(&MetaRequest::Unregister { id }) {
-            Ok(MetaReply::Maybe(opt)) => opt.map(|(size, servers)| (size as usize, servers)),
-            _ => None,
-        }
-    }
-
-    fn locate(&self, id: u64) -> Result<(usize, Vec<usize>), StoreError> {
-        self.expect_info(&MetaRequest::Locate { id })
-    }
-
-    fn peek(&self, id: u64) -> Result<(usize, Vec<usize>), StoreError> {
-        self.expect_info(&MetaRequest::Peek { id })
-    }
-
-    fn apply_placement(&self, id: u64, servers: Vec<usize>) -> Result<(), StoreError> {
-        self.expect_done(&MetaRequest::ApplyPlacement { id, servers })
-    }
-
-    fn mark_alive(&self, w: usize) {
-        let mut link = self.link.lock();
-        if link.reported.contains(&w) {
-            return;
-        }
-        let report = MetaRequest::MarkAlive { w: w as u64 };
-        if let Ok(MetaReply::Done) = self.roundtrip_on(&mut link, &report) {
-            link.reported.insert(w);
-        }
-    }
-
-    fn mark_dead(&self, w: usize) {
-        let mut link = self.link.lock();
-        link.reported.remove(&w);
-        let _ = self.roundtrip_on(&mut link, &MetaRequest::MarkDead { w: w as u64 });
-    }
-
-    fn suspect(&self, w: usize) -> u32 {
-        let mut link = self.link.lock();
-        link.reported.remove(&w);
-        match self.roundtrip_on(&mut link, &MetaRequest::Suspect { w: w as u64 }) {
-            Ok(MetaReply::Count(n)) => n,
-            _ => 0,
-        }
-    }
-
-    fn is_alive(&self, w: usize) -> bool {
-        let mut link = self.link.lock();
-        match self.roundtrip_on(&mut link, &MetaRequest::IsAlive { w: w as u64 }) {
-            Ok(MetaReply::Flag(alive)) => {
-                if !alive {
-                    link.reported.remove(&w);
-                }
-                alive
-            }
-            // Unreachable master: assume alive and let the data path
-            // discover the truth, rather than spuriously excluding
-            // healthy workers.
-            _ => true,
-        }
-    }
-
-    fn live_workers(&self, n: usize) -> Vec<usize> {
-        let mut link = self.link.lock();
-        match self.roundtrip_on(&mut link, &MetaRequest::LiveWorkers { n: n as u64 }) {
-            Ok(MetaReply::Workers(live)) => {
-                link.reported.retain(|w| *w >= n || live.contains(w));
-                live
-            }
-            _ => (0..n).collect(),
-        }
-    }
-
-    fn degraded_files(&self) -> Vec<u64> {
-        match self.roundtrip(&MetaRequest::Degraded) {
-            Ok(MetaReply::Files(f)) => f,
-            _ => Vec::new(),
-        }
-    }
-
-    fn worker_epochs(&self, n: usize) -> Vec<u64> {
-        match self.roundtrip(&MetaRequest::WorkerEpochs { n: n as u64 }) {
-            Ok(MetaReply::Epochs(e)) => e,
-            // Unreachable master: an empty table means "unknown — do not
-            // fence", so clients keep serving instead of bouncing
-            // everything on a guessed epoch.
-            _ => Vec::new(),
-        }
-    }
-
-    fn register_worker(&self, w: usize) -> u64 {
-        match self.roundtrip(&MetaRequest::RegisterWorker { w: w as u64 }) {
-            Ok(MetaReply::Epoch(e)) => e,
-            // 0 is never a granted epoch, so a failed grant is visible
-            // to the caller (the supervisor retries next tick).
-            _ => 0,
-        }
-    }
-
-    fn begin_repair(&self, id: u64) -> bool {
-        match self.roundtrip(&MetaRequest::BeginRepair { id }) {
-            Ok(MetaReply::Flag(f)) => f,
-            // Availability over strict dedup: an unreachable master must
-            // not block the heal that would end the outage.
-            _ => true,
-        }
-    }
-
-    fn end_repair(&self, id: u64) {
-        let _ = self.roundtrip(&MetaRequest::EndRepair { id });
-    }
-
-    fn register_batch(&self, entries: &[(u64, usize, Vec<usize>)]) -> Result<(), StoreError> {
-        self.expect_done(&MetaRequest::RegisterBatch {
-            entries: entries
-                .iter()
-                .map(|(id, size, servers)| (*id, *size as u64, servers.clone()))
-                .collect(),
-        })
-    }
-
-    fn set_integrity(&self, id: u64, integrity: FileIntegrity) -> Result<(), StoreError> {
-        self.expect_done(&MetaRequest::SetIntegrity { id, integrity })
-    }
-
-    fn integrity(&self, id: u64) -> Option<FileIntegrity> {
-        match self.roundtrip(&MetaRequest::Integrity { id }) {
-            Ok(MetaReply::IntegrityRow(row)) => row,
-            // Unreachable master: no row means reads skip verification
-            // and parity recovery — degraded but never wrong (the worker
-            // and framing checks still hold).
-            _ => None,
-        }
-    }
-
-    fn report_accesses(&self, counts: &[(u64, u64)]) {
-        let report = MetaRequest::ReportAccesses { counts: counts.to_vec() };
-        let _ = self.roundtrip(&report);
+    fn call(&self, req: MetaRequest) -> MetaReply {
+        self.roundtrip(&req).unwrap_or_else(MetaReply::Err)
     }
 }

@@ -7,19 +7,22 @@ use bytes::Bytes;
 use spcache_net::master_net::{MetaReply, MetaRequest};
 use spcache_net::loopback::twin;
 use spcache_net::{MasterClient, MasterServer, TcpCluster};
-use spcache_store::backing::UnderStore;
 use spcache_store::fault::FaultAction;
 use spcache_store::master::{Master, MetaService};
-use spcache_store::metalog::{decode_records, MetaLog};
 use spcache_store::rpc::{PartKey, Reply, Request, Stamp, StoreError};
 use spcache_store::throttle::TrafficClass;
-use spcache_store::{Client, FaultPlan, StoreCluster, StoreConfig};
+use spcache_store::transport::Transport;
+use spcache_store::{
+    Client, FaultPlan, StoreCluster, StoreConfig, SupervisorConfig, SupervisorCore,
+};
+use crossbeam::channel::{bounded, Receiver, Sender};
+use parking_lot::Mutex;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 mod common;
-use common::{chaos_seed, N_WORKERS, payload, retry};
+use common::{await_until, chaos_seed, N_WORKERS, payload, retry};
 
 /// The acceptance bar: the same workload against the in-process channel
 /// transport and against real loopback sockets returns identical bytes.
@@ -423,17 +426,11 @@ fn heartbeats(master: &Master) -> Vec<u64> {
     (0..N_WORKERS).map(|w| master.heartbeats(w)).collect()
 }
 
-/// The master's suspicion count of `w` (its image drops trailing
-/// all-clear rows).
-fn suspicion(master: &Master, w: usize) -> u32 {
-    master.image().suspicion.get(w).copied().unwrap_or(0)
-}
-
-/// A sign of life is reported when it is news: a client reading from a
-/// healthy fleet tells the master about each worker once, not once per
-/// reply.
+/// A reply is not a health report: only the supervisor's probe tells
+/// the master a worker lives, so a client reading from a healthy fleet
+/// sends none.
 #[test]
-fn a_healthy_fleet_is_reported_once_per_worker() {
+fn a_healthy_fleets_reads_send_no_health_report() {
     let tcp = TcpCluster::spawn(StoreConfig::unthrottled(N_WORKERS));
     let (_, client) = reporting_client(&tcp, 8);
     for round in 0..25 {
@@ -441,49 +438,15 @@ fn a_healthy_fleet_is_reported_once_per_worker() {
             assert_eq!(client.read(id).unwrap(), payload(id, 1_000), "round {round} file {id}");
         }
     }
-    // 8 acks and 200 replies landed; nothing changed after the first
-    // from each worker.
-    assert_eq!(heartbeats(tcp.master()), vec![1; N_WORKERS]);
+    client.flush_accesses();
+    assert_eq!(heartbeats(tcp.master()), vec![0; N_WORKERS]);
+    assert!((0..8).all(|id| tcp.master().accesses(id) == 25), "every read is counted once");
 }
 
-/// Every health transition a reporter observes still reaches the
-/// master: the stub's own suspicion of a worker makes that worker's
-/// next good reply news again — once.
+/// An access report that meets a fenced master follows its redirect:
+/// the successor counts the reads and the deposed master counts none.
 #[test]
-fn a_suspected_worker_is_cleared_by_its_next_good_reply() {
-    const W: usize = 2;
-    let tcp = TcpCluster::spawn(StoreConfig::unthrottled(N_WORKERS));
-    let (meta, client) = reporting_client(&tcp, 4);
-    assert_eq!(heartbeats(tcp.master()), vec![1; N_WORKERS]);
-
-    assert_eq!(meta.suspect(W), 1);
-    assert_eq!(suspicion(tcp.master(), W), 1);
-    for _ in 0..5 {
-        (0..4u64).for_each(|id| drop(client.read(id).unwrap()));
-    }
-    assert_eq!(suspicion(tcp.master(), W), 0, "the good reply never reached the master");
-    let mut expected = vec![1; N_WORKERS];
-    expected[W] = 2;
-    assert_eq!(heartbeats(tcp.master()), expected, "exactly one MarkAlive, for worker {W}");
-
-    // Dead by this reporter's word, alive again by its next good reply;
-    // dead by somebody else's word, found out by asking.
-    meta.mark_dead(W);
-    assert!(!tcp.master().is_alive(W));
-    client.read(W as u64).unwrap();
-    assert!(tcp.master().is_alive(W));
-    tcp.master().mark_dead(W);
-    client.read(W as u64).unwrap();
-    assert!(!tcp.master().is_alive(W), "nothing told this reporter; nothing to report");
-    assert_eq!(meta.live_workers(N_WORKERS), vec![0, 1, 3]);
-    client.read(W as u64).unwrap();
-    assert!(tcp.master().is_alive(W));
-}
-
-/// A successor master has heard nothing from this client: after a
-/// redirect the next reply from every worker is reported, once.
-#[test]
-fn a_redirect_makes_every_worker_news_again() {
+fn flush_accesses_follows_the_redirect_and_the_successor_counts_the_reads() {
     let tcp = TcpCluster::spawn(StoreConfig::unthrottled(N_WORKERS));
     let (meta, client) = reporting_client(&tcp, 4);
     let successor = Arc::new(Master::new());
@@ -495,54 +458,105 @@ fn a_redirect_makes_every_worker_news_again() {
 
     for _ in 0..5 {
         (0..4u64).for_each(|id| drop(client.read(id).unwrap()));
-        // Reads of cached placements call the master only to report
-        // their accesses: the report is what meets the redirect.
-        client.flush_accesses();
     }
+    // Reads of cached placements call the master only to report their
+    // accesses: the report is what meets the redirect.
+    client.flush_accesses();
     assert_eq!(meta.addr(), server.addr(), "the stub never followed the redirect");
-    assert_eq!(heartbeats(&successor), vec![1; N_WORKERS]);
-    assert_eq!(heartbeats(tcp.master()), vec![1; N_WORKERS], "the fenced master took reports");
+    assert!((0..4).all(|id| successor.accesses(id) == 5), "the successor lost reads");
+    assert!((0..4).all(|id| tcp.master().accesses(id) == 0), "the fenced master counted reads");
     meta.shutdown_server().unwrap();
     server.join();
 }
 
-/// For a single reporter the filter is invisible in the journal: a
-/// script of health calls through the stub journals, record for record,
-/// what the same calls applied one by one to a master do.
-#[test]
-fn one_reporters_journal_is_the_unfiltered_journal() {
-    fn journalled(master: &Master) {
-        master.ensure_workers(N_WORKERS);
-        master.enable_journal(Arc::new(MetaLog::open(Arc::new(UnderStore::new()))));
+/// A transport that holds every reply it has received until the test
+/// lets it go: the order "a worker answered, then it died, then its
+/// answer was read" made by hand.
+#[derive(Debug)]
+struct HeldReplies {
+    inner: Arc<dyn Transport>,
+    held: Mutex<Vec<(Sender<Reply>, Reply)>>,
+}
+
+impl HeldReplies {
+    /// Waits until `n` replies are held.
+    fn await_held(&self, n: usize) {
+        await_until("the held reply", Duration::from_secs(10), || self.held.lock().len() >= n);
     }
-    fn script(meta: &dyn MetaService) {
-        // Replies (`mark_alive`) far outnumber everything else.
-        let mut x = chaos_seed();
-        for _ in 0..600 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let w = (x >> 33) as usize % N_WORKERS;
-            match (x >> 40) % 16 {
-                0 | 1 => drop(meta.suspect(w)),
-                2 => meta.mark_dead(w),
-                3 => drop(meta.register_worker(w)),
-                4 => drop(meta.is_alive(w)),
-                5 => drop(meta.live_workers(N_WORKERS)),
-                _ => meta.mark_alive(w),
-            }
+
+    /// Hands every held reply to its reader.
+    fn release(&self) {
+        for (route, reply) in self.held.lock().drain(..) {
+            let _ = route.send(reply);
         }
     }
-    let tcp = TcpCluster::spawn(StoreConfig::unthrottled(N_WORKERS));
-    journalled(tcp.master());
-    script(&tcp.master_client());
-    let unfiltered = Master::new();
-    journalled(&unfiltered);
-    script(&unfiltered);
+}
 
-    let through_the_stub = decode_records(&tcp.master().journal_tail(0).1);
-    assert!(through_the_stub.len() > 100, "the script journalled {through_the_stub:?}");
-    assert_eq!(through_the_stub, decode_records(&unfiltered.journal_tail(0).1));
-    assert_eq!(tcp.master().image(), unfiltered.image());
-    let said: u64 = heartbeats(tcp.master()).iter().sum();
-    let meant: u64 = heartbeats(&unfiltered).iter().sum();
-    assert!(said * 2 < meant, "{said} of {meant} reports sent: the filter filters nothing");
+impl Transport for HeldReplies {
+    fn n_workers(&self) -> usize {
+        self.inner.n_workers()
+    }
+
+    fn submit(&self, worker: usize, req: Request) -> Result<Receiver<Reply>, StoreError> {
+        let reply = self.inner.call(worker, req, Duration::from_secs(5))?;
+        let (route, rx) = bounded(1);
+        self.held.lock().push((route, reply));
+        Ok(rx)
+    }
+}
+
+/// A reply a worker sent before its `Shutdown`, read after the master
+/// declared it dead, leaves it dead: clients never revive a worker.
+/// Only the supervisor's probe does, and only one that answers it — a
+/// worker the master declared dead while it still ran comes back on
+/// the next tick, under a fresh epoch.
+#[test]
+fn a_late_reply_leaves_a_killed_worker_dead_until_a_probe_readopts_it() {
+    let killed = chaos_seed() as usize % N_WORKERS;
+    let falsely_dead = (killed + 1) % N_WORKERS;
+    let check = |cluster: &StoreCluster| {
+        let writer = cluster.client();
+        for w in [killed, falsely_dead] {
+            writer.write(w as u64, &payload(w as u64, 1_000), &[w]).unwrap();
+        }
+        let held = Arc::new(HeldReplies { inner: cluster.transport().clone(), held: Mutex::default() });
+        let reader = Client::new(cluster.meta(), held.clone());
+        std::thread::scope(|s| {
+            let read = s.spawn(|| reader.read(killed as u64));
+            held.await_held(1);
+            cluster.kill_worker(killed);
+            held.release();
+            assert_eq!(read.join().unwrap().unwrap(), payload(killed as u64, 1_000));
+        });
+        let master = cluster.master();
+        assert!(!master.is_alive(killed), "a reply from before the Shutdown revived the worker");
+
+        master.mark_dead(falsely_dead);
+        let before = master.worker_epochs(N_WORKERS)[falsely_dead];
+        std::thread::scope(|s| {
+            let read = s.spawn(|| reader.read(falsely_dead as u64));
+            held.await_held(1);
+            held.release();
+            assert_eq!(read.join().unwrap().unwrap(), payload(falsely_dead as u64, 1_000));
+        });
+        assert!(!master.is_alive(falsely_dead), "a client's read revived the worker");
+
+        let cfg = cluster.config();
+        let supervisor = SupervisorCore::new(
+            master.clone(),
+            cluster.transport().clone(),
+            None,
+            SupervisorConfig::enabled(),
+            cfg.retry,
+        );
+        supervisor.tick();
+        let after = master.worker_epochs(N_WORKERS)[falsely_dead];
+        assert!(master.is_alive(falsely_dead), "the probe did not re-adopt the running worker");
+        assert!(after > before, "re-adopted under epoch {after}, not past {before}");
+        assert!(!master.is_alive(killed), "the probe revived a worker that never answered");
+        (master.live_workers(N_WORKERS).len(), after - before)
+    };
+    let (in_process, over_tcp) = twin(|| (StoreConfig::unthrottled(N_WORKERS), None), check);
+    assert_eq!(in_process, (N_WORKERS - 1, 1));
+    assert_eq!(over_tcp, in_process);
 }

@@ -13,7 +13,9 @@ use spcache_store::landing::Region;
 use spcache_store::repartitioner::run_parallel;
 use spcache_store::rpc::{Reply, Request, StoreError};
 use spcache_store::transport::Transport;
-use spcache_store::{Client, FaultPlan, FileIntegrity, MetaService, StoreCluster, StoreConfig};
+use spcache_store::{
+    Client, FaultPlan, MetaReply, MetaRequest, MetaService, StoreCluster, StoreConfig,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -277,69 +279,17 @@ impl Counting {
 }
 
 impl MetaService for Counting {
-    fn register(&self, id: u64, size: usize, servers: Vec<usize>) -> Result<(), StoreError> {
-        self.inner.register(id, size, servers)
-    }
-    fn unregister_file(&self, id: u64) -> Option<(usize, Vec<usize>)> {
-        self.inner.unregister_file(id)
-    }
-    fn locate(&self, id: u64) -> Result<(usize, Vec<usize>), StoreError> {
-        self.look();
-        self.inner.locate(id)
-    }
-    fn peek(&self, id: u64) -> Result<(usize, Vec<usize>), StoreError> {
-        self.look();
-        self.inner.peek(id)
-    }
-    fn apply_placement(&self, id: u64, servers: Vec<usize>) -> Result<(), StoreError> {
-        self.inner.apply_placement(id, servers)
-    }
-    fn mark_alive(&self, w: usize) {
-        self.inner.mark_alive(w)
-    }
-    fn mark_dead(&self, w: usize) {
-        self.inner.mark_dead(w)
-    }
-    fn suspect(&self, w: usize) -> u32 {
-        self.inner.suspect(w)
-    }
-    fn is_alive(&self, w: usize) -> bool {
-        self.inner.is_alive(w)
-    }
-    fn live_workers(&self, n: usize) -> Vec<usize> {
-        self.inner.live_workers(n)
-    }
-    fn degraded_files(&self) -> Vec<u64> {
-        self.inner.degraded_files()
-    }
-    fn worker_epochs(&self, n: usize) -> Vec<u64> {
-        self.inner.worker_epochs(n)
-    }
-    fn register_worker(&self, w: usize) -> u64 {
-        self.inner.register_worker(w)
-    }
-    fn begin_repair(&self, id: u64) -> bool {
-        self.inner.begin_repair(id)
-    }
-    fn end_repair(&self, id: u64) {
-        self.inner.end_repair(id)
-    }
-    fn master_epoch(&self) -> u64 {
-        self.inner.master_epoch()
-    }
-    fn register_batch(&self, entries: &[(u64, usize, Vec<usize>)]) -> Result<(), StoreError> {
-        self.inner.register_batch(entries)
-    }
-    fn set_integrity(&self, id: u64, integrity: FileIntegrity) -> Result<(), StoreError> {
-        self.inner.set_integrity(id, integrity)
-    }
-    fn integrity(&self, id: u64) -> Option<FileIntegrity> {
-        self.look();
-        self.inner.integrity(id)
-    }
-    fn report_accesses(&self, counts: &[(u64, u64)]) {
-        self.reports.fetch_add(1, Ordering::SeqCst);
-        self.inner.report_accesses(counts)
+    fn call(&self, req: MetaRequest) -> MetaReply {
+        match req {
+            MetaRequest::Locate { .. } | MetaRequest::Peek { .. } | MetaRequest::Integrity { .. } => {
+                self.look()
+            }
+            MetaRequest::ReportAccesses { .. } => {
+                self.reports.fetch_add(1, Ordering::SeqCst);
+            }
+            _ => {}
+        }
+        self.inner.call(req)
     }
 }
 

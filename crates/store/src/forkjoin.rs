@@ -1,19 +1,27 @@
 //! The store's one fork-join engine: stamped batch submit → ready-set
-//! join under caller-given timers → per-reply health folding.
+//! join under caller-given timers → per-reply failure folding.
 //!
 //! Every worker interaction of the client, the repartitioner and the
 //! online adjuster is a [`Fanout::fork`] followed by reading the
 //! resulting [`Join`]: a read is "any `k` of the outstanding shards", a
 //! write is "all acks", a synchronous call is a fan-out of one. The
 //! placement check, the request stamps, the `Select` over reply routes
-//! and the `mark_alive` / `suspect` / `mark_dead` / epoch-refresh
-//! bookkeeping are written here once.
+//! and the `suspect` / `mark_dead` / epoch-refresh bookkeeping are
+//! written here once. A reply is never reported as a sign of life:
+//! only the supervisor's epoch-checked probe revives a worker
+//! (DESIGN.md §4.7), so a reply a worker sent before it died cannot
+//! bring it back.
 //!
 //! This is the only place live traffic is stamped: each batch's
 //! requests get one flat [`Stamp`] apiece — the target's cached
 //! registration epoch, the master epoch read once for the batch, and
 //! the engine's traffic class. A `Get` the caller already fenced by a
 //! checksum ([`Stamp::expect`]) keeps that fence under the new stamp.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use crossbeam::channel::{Receiver, Select, TryRecvError};
 use parking_lot::Mutex;
@@ -48,9 +56,9 @@ pub(crate) struct Fanout<'a> {
     pub class: TrafficClass,
     /// Stamp requests with the master's master epoch (§4.14).
     pub master_stamp: bool,
-    /// Fold reply and failure signals into the master's health table.
-    /// Off for best-effort traffic to holders that may be dead or
-    /// fenced zombies, whose answer must not revive them.
+    /// Fold failure signals into the master's health table. Off for
+    /// best-effort traffic to holders that may already be dead, whose
+    /// silence says nothing new.
     pub health: bool,
 }
 
@@ -223,32 +231,23 @@ impl<'a> Fanout<'a> {
         }
     }
 
-    /// Interprets one landed reply from `worker` for the health table:
-    /// an application-level error (e.g. `NotFound`) is still a live
-    /// worker answering, but a transport error a wire transport folded
-    /// into the reply stream (`Io`/`Timeout`) is not a sign of life.
-    fn fold(&self, worker: usize, reply: Reply) -> Result<Reply, StoreError> {
+    /// Interprets one landed reply for the health table: a transport
+    /// error a wire transport folded into the reply stream
+    /// (`Io`/`Timeout`/`WorkerDown`) is reported, and a stale-epoch
+    /// bounce refreshes the epoch cache so the retry stamps current
+    /// grants. An answer — an application-level error included — is not
+    /// reported at all.
+    fn fold(&self, reply: Reply) -> Result<Reply, StoreError> {
         let reply = match reply {
             Reply::Err(e) => Err(e),
             ok => Ok(ok),
         };
-        if !self.health {
-            return reply;
-        }
-        match &reply {
-            Err(e @ (StoreError::Io(_) | StoreError::Timeout(_) | StoreError::WorkerDown(_))) => {
-                self.note_error(e);
+        match (&reply, self.fence) {
+            (Err(StoreError::StaleEpoch(_)), Some(cache)) if self.health => {
+                *cache.lock() = self.master.worker_epochs(self.transport.n_workers());
             }
-            Err(StoreError::StaleEpoch(_)) => {
-                // The worker answered — it is alive — but our stamp (or
-                // its registration) is out of date. Refresh the epoch
-                // cache so the retry stamps current grants.
-                self.master.mark_alive(worker);
-                if let Some(cache) = self.fence {
-                    *cache.lock() = self.master.worker_epochs(self.transport.n_workers());
-                }
-            }
-            _ => self.master.mark_alive(worker),
+            (Err(e), _) => self.note_error(e),
+            _ => {}
         }
         reply
     }
@@ -328,13 +327,12 @@ impl Join<'_> {
                 }
                 sel.ready_deadline(until).ok()?
             };
-            let i = self
-                .outstanding()
-                .nth(ready)
-                .expect("selected an outstanding route");
+            // `ready` indexes the outstanding routes the `Select` was
+            // built over, so both lookups succeed.
+            let i = self.outstanding().nth(ready)?;
             let (worker, route) = &mut self.routes[i];
-            let landed = match route.as_ref().expect("outstanding").try_recv() {
-                Ok(reply) => self.io.fold(*worker, reply),
+            let landed = match route.as_ref()?.try_recv() {
+                Ok(reply) => self.io.fold(reply),
                 Err(TryRecvError::Disconnected) => {
                     let down = StoreError::WorkerDown(*worker);
                     self.io.note_error(&down);
@@ -352,10 +350,9 @@ impl Join<'_> {
     /// The join's deadline passed with routes outstanding: suspects the
     /// holder of the first one and returns its [`StoreError::Timeout`].
     pub fn expire(&self) -> StoreError {
-        let i = self
-            .outstanding()
-            .next()
-            .expect("expired with nothing outstanding");
+        let Some(i) = self.outstanding().next() else {
+            return StoreError::Codec("a join expired with nothing outstanding".into());
+        };
         let late = StoreError::Timeout(self.routes[i].0);
         self.io.note_error(&late);
         late

@@ -11,7 +11,8 @@
 //!   store of partitions and a token-bucket NIC throttle,
 //! * [`master::Master`] — the SP-Master: file metadata (partition count,
 //!   server list), access counting for popularity tracking, and the
-//!   Algorithm 1 tuning entry point,
+//!   Algorithm 1 tuning entry point, served through [`meta`]'s one
+//!   [`MetaService::call`] over [`MetaRequest`],
 //! * [`client::Client`] — the SP-Client: parallel fork-join partition
 //!   reads over crossbeam channels with byte-exact reassembly, and
 //!   (optionally split) writes,
@@ -37,6 +38,7 @@ pub mod fault;
 mod forkjoin;
 pub mod landing;
 pub mod master;
+pub mod meta;
 pub mod metalog;
 pub mod online;
 mod placements;
@@ -52,6 +54,7 @@ pub use cluster::StoreCluster;
 pub use config::{RetryPolicy, StoreConfig, SupervisorConfig};
 pub use fault::{FaultAction, FaultEvent, FaultLog, FaultPlan, FaultRecord};
 pub use master::{Master, MetaService};
+pub use meta::{MetaReply, MetaRequest};
 pub use metalog::{FileIntegrity, MasterImage, MetaLog, MetaOp};
 pub use rpc::{Envelope, PartKey, Reply, Request, StoreError, WorkerStats, MASTER_ENDPOINT};
 pub use supervisor::{Supervisor, SupervisorCore, SweepLog, SweepRecord};

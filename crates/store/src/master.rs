@@ -6,6 +6,14 @@
 //! change), the op is appended to the journal, and `State::apply`
 //! makes it. Replay ([`Master::apply_op`]) calls the same `apply`, so a
 //! master rebuilt from its journal is the master that wrote it.
+//!
+//! Its interface is one call ([`MetaService::call`], `crate::meta`):
+//! `Master::serve` is the one dispatch from a [`MetaRequest`] to the
+//! methods below, for in-process callers and the wire server alike.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::collections::{BTreeSet, HashMap};
 use std::convert::Infallible;
@@ -20,8 +28,10 @@ use spcache_core::tuner::{tune_scale_factor_hetero, Tuned, TunerConfig};
 use spcache_sim::Xoshiro256StarStar;
 
 use crate::forkjoin::empty_placement;
+pub use crate::meta::MetaService;
+use crate::meta::{MetaReply, MetaRequest};
 use crate::metalog::{FileIntegrity, MasterImage, MetaLog, MetaOp};
-use crate::rpc::StoreError;
+use crate::rpc::{StoreError, MASTER_ENDPOINT};
 
 /// Metadata for one stored file.
 #[derive(Debug)]
@@ -58,16 +68,23 @@ impl FileInfo {
     }
 }
 
-/// Consecutive timeouts after which a suspected worker is declared dead
-/// (see [`Master::suspect`]).
+/// Timeouts after which a suspected worker is declared dead (see
+/// [`Master::suspect`]); only a probe that finds it alive resets the
+/// count.
 pub const SUSPICION_THRESHOLD: u32 = 3;
+
+/// The largest fleet the master keeps health rows for. Rows are sized
+/// on demand, so a call naming a worker at or past this bound (or a
+/// larger fleet) is refused rather than allocated for.
+pub const MAX_WORKERS: usize = 1 << 16;
 
 /// One worker's replicated health row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Health {
     /// Whether the worker is believed up.
     alive: bool,
-    /// Consecutive timeout count; reset on any sign of life.
+    /// Timeouts reported since the supervisor's probe last found the
+    /// worker alive (or re-registered it).
     suspicion: u32,
     /// Fencing epoch. 0 = never registered. Bumped once on every
     /// alive→dead transition and once more at each registration, so a
@@ -537,16 +554,17 @@ impl Master {
         }
     }
 
-    /// Records a sign of life from worker `w` (heartbeat reply or any
-    /// successful response): clears suspicion and revives the worker.
+    /// Records a sign of life from worker `w`: clears suspicion and
+    /// revives the worker. The supervisor's probe calls it for a `Pong`
+    /// carrying the epoch this master granted; a client's reply is no
+    /// such sign (DESIGN.md §4.7).
     pub fn mark_alive(&self, w: usize) {
         let decide = |s: &State| {
             let h = s.worker(w);
             (!h.alive || h.suspicion != 0).then_some(MetaOp::MarkAlive { w: w as u64 })
         };
-        // Every successful reply lands here, and almost every one finds
-        // a healthy worker: settle that no-op under the read guard, so
-        // replies do not queue behind each other and behind `locate`.
+        // Almost every probe finds a healthy worker: settle that no-op
+        // under the read guard, so it does not queue behind `locate`.
         if decide(&self.state.read()).is_some() {
             self.mutate(decide);
         }
@@ -569,8 +587,9 @@ impl Master {
     }
 
     /// Records a timeout against worker `w` (it may be hung rather than
-    /// dead). After [`SUSPICION_THRESHOLD`] consecutive timeouts the
-    /// worker is declared dead. Returns the updated suspicion count.
+    /// dead). After [`SUSPICION_THRESHOLD`] timeouts with no live probe
+    /// between them the worker is declared dead. Returns the updated
+    /// suspicion count.
     pub fn suspect(&self, w: usize) -> u32 {
         self.mutate(|s| {
             let h = s.worker(w);
@@ -822,10 +841,11 @@ impl Master {
         }
         let mut ids: Vec<u64> = files.keys().copied().collect();
         ids.sort_unstable();
-        let total_acc: u64 = files
+        // Reported counts come off the wire: saturate, never overflow.
+        let total_acc = files
             .values()
             .map(|i| i.accesses.load(Ordering::Relaxed))
-            .sum();
+            .fold(0u64, u64::saturating_add);
         let metas: Vec<FileMeta> = ids
             .iter()
             .map(|id| {
@@ -928,233 +948,125 @@ impl Master {
     pub fn placement_version(&self, id: u64) -> Option<u64> {
         self.state.read().files.get(&id).map(|info| info.version)
     }
-}
 
-/// The metadata-plane surface a client needs from its master: file
-/// registration and lookup, placement swaps, and worker-health
-/// reporting.
-///
-/// Two implementations exist: [`Master`] itself (the in-process
-/// metadata service, also what a master *server* wraps) and
-/// `spcache_net::MasterClient` (the same calls framed onto a TCP
-/// connection). The client and the under-store recovery path are
-/// written against this trait, so they work identically in both
-/// deployments.
-pub trait MetaService: Send + Sync + std::fmt::Debug {
-    /// Registers a new file (see [`Master::register`]).
+    /// Serves one metadata request, fencing aside (see
+    /// [`MetaService::call`]).
     ///
     /// # Errors
     ///
-    /// [`StoreError::AlreadyExists`] if the id is taken; transport
-    /// errors over the wire.
-    fn register(&self, id: u64, size: usize, servers: Vec<usize>) -> Result<(), StoreError>;
-
-    /// Removes a file's metadata, returning its former `(size, servers)`
-    /// if it was registered.
-    fn unregister_file(&self, id: u64) -> Option<(usize, Vec<usize>)>;
-
-    /// Looks up `(size, servers)`, counting an access.
-    ///
-    /// The read path calls this only when its client has no cached
-    /// placement for the file: a read served from the cache makes no
-    /// master call, and its access reaches the master later through
-    /// [`MetaService::report_accesses`]. Either way a read is counted
-    /// exactly once.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::UnknownFile`]; transport errors over the wire.
-    fn locate(&self, id: u64) -> Result<(usize, Vec<usize>), StoreError>;
-
-    /// Looks up `(size, servers)` without counting an access.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::UnknownFile`]; transport errors over the wire.
-    fn peek(&self, id: u64) -> Result<(usize, Vec<usize>), StoreError>;
-
-    /// Atomically installs a new placement for `id`.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::UnknownFile`]; transport errors over the wire.
-    fn apply_placement(&self, id: u64, servers: Vec<usize>) -> Result<(), StoreError>;
-
-    /// Reports a sign of life from worker `w`.
-    fn mark_alive(&self, w: usize);
-
-    /// Declares worker `w` dead.
-    fn mark_dead(&self, w: usize);
-
-    /// Reports a timeout against worker `w`; returns the suspicion
-    /// count (0 when the report could not be delivered).
-    fn suspect(&self, w: usize) -> u32;
-
-    /// Whether worker `w` is believed alive.
-    fn is_alive(&self, w: usize) -> bool;
-
-    /// The live subset of workers `0..n`, ascending.
-    fn live_workers(&self, n: usize) -> Vec<usize>;
-
-    /// Files with at least one partition on a dead worker.
-    fn degraded_files(&self) -> Vec<u64>;
-
-    /// The fencing epoch table for workers `0..n` (0 = unregistered;
-    /// an empty vector over the wire means "unknown — do not fence").
-    fn worker_epochs(&self, n: usize) -> Vec<u64>;
-
-    /// Grants worker `w` a fresh fencing epoch and revives it (the
-    /// rejoin path). Returns the granted epoch, or 0 when the grant
-    /// could not be delivered over the wire.
-    fn register_worker(&self, w: usize) -> u64;
-
-    /// Tries to acquire the repair slot for file `id` (sweep/lazy
-    /// dedup). `false` = a repair is already in flight, do not heal.
-    /// Implementations that cannot reach the master answer `true`
-    /// (availability over strict dedup).
-    fn begin_repair(&self, id: u64) -> bool;
-
-    /// Releases the repair slot for file `id`.
-    fn end_repair(&self, id: u64);
-
-    /// The master epoch this service acts under. 0 means "unstamped" —
-    /// workers skip the master-staleness check, the pre-§4.14 wire
-    /// behaviour. Only services that act *for* a master (the
-    /// supervisor's) override this.
-    fn master_epoch(&self) -> u64 {
-        0
-    }
-
-    /// Registers a batch of `(id, size, servers)` files in one call —
-    /// the streaming seed path. Default: loop over
-    /// [`MetaService::register`] (wire implementations batch it into
-    /// one frame).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::AlreadyExists`] on a duplicate id; transport
-    /// errors over the wire.
-    fn register_batch(&self, entries: &[(u64, usize, Vec<usize>)]) -> Result<(), StoreError> {
-        for (id, size, servers) in entries {
-            self.register(*id, *size, servers.clone())?;
-        }
-        Ok(())
-    }
-
-    /// Installs file `id`'s integrity row (checksums + parity
-    /// placement). Default: accepted and dropped — services without the
-    /// integrity tier behave like the pre-integrity store.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::UnknownFile`]; transport errors over the wire.
-    fn set_integrity(&self, _id: u64, _integrity: FileIntegrity) -> Result<(), StoreError> {
-        Ok(())
-    }
-
-    /// File `id`'s integrity row, `None` when absent/invalidated — and,
-    /// availability-biased, when the service cannot answer (readers
-    /// degrade to unverified rather than fail).
-    fn integrity(&self, _id: u64) -> Option<FileIntegrity> {
-        None
-    }
-
-    /// Adds a batch of `(file, reads)` access counts: the reads a client
-    /// served from its cached placements since its last report.
-    /// Best-effort, like the health reports: counts for unknown files,
-    /// and a batch the service cannot deliver, are dropped. Default: one
-    /// [`MetaService::locate`] per counted read (wire implementations
-    /// send the whole batch in one frame).
-    fn report_accesses(&self, counts: &[(u64, u64)]) {
-        for &(id, n) in counts {
-            for _ in 0..n {
-                if self.locate(id).is_err() {
-                    break;
-                }
+    /// The refusal of the method the request names;
+    /// [`StoreError::Codec`] for a worker index or fleet size past
+    /// [`MAX_WORKERS`] and for `Rebalance`, which only a master server
+    /// (owner of a worker transport) runs; [`StoreError::StaleEpoch`]
+    /// for a takeover below this master's epoch.
+    fn serve(&self, req: MetaRequest) -> Result<MetaReply, StoreError> {
+        let fleet = |n: u64| match usize::try_from(n) {
+            Ok(n) if n <= MAX_WORKERS => Ok(n),
+            _ => Err(StoreError::Codec(format!(
+                "a fleet of {n} workers is past MAX_WORKERS ({MAX_WORKERS})"
+            ))),
+        };
+        let worker = |w: u64| fleet(w.saturating_add(1)).map(|_| w as usize);
+        let info = |(size, servers): (usize, Vec<usize>)| MetaReply::Info {
+            size: size as u64,
+            servers,
+        };
+        let done = |()| MetaReply::Done;
+        Ok(match req {
+            MetaRequest::Register { id, size, servers } => {
+                self.register(id, size as usize, servers).map(done)?
             }
-        }
+            MetaRequest::Unregister { id } => {
+                MetaReply::Maybe(self.unregister(id).map(|f| (f.size as u64, f.servers)))
+            }
+            MetaRequest::Locate { id } => info(self.locate(id)?),
+            MetaRequest::Peek { id } => info(self.peek(id)?),
+            MetaRequest::ApplyPlacement { id, servers } => self.apply_placement(id, servers).map(done)?,
+            MetaRequest::MarkAlive { w } => {
+                self.mark_alive(worker(w)?);
+                MetaReply::Done
+            }
+            MetaRequest::MarkDead { w } => {
+                self.mark_dead(worker(w)?);
+                MetaReply::Done
+            }
+            MetaRequest::Suspect { w } => MetaReply::Count(self.suspect(worker(w)?)),
+            MetaRequest::IsAlive { w } => MetaReply::Flag(self.is_alive(worker(w)?)),
+            MetaRequest::LiveWorkers { n } => MetaReply::Workers(self.live_workers(fleet(n)?)),
+            MetaRequest::Degraded => MetaReply::Files(self.degraded_files()),
+            MetaRequest::WorkerEpochs { n } => MetaReply::Epochs(self.worker_epochs(fleet(n)?)),
+            MetaRequest::RegisterWorker { w } => {
+                MetaReply::Epoch(self.register_worker(worker(w)?))
+            }
+            MetaRequest::BeginRepair { id } => MetaReply::Flag(self.begin_repair(id)),
+            MetaRequest::EndRepair { id } => {
+                self.end_repair(id);
+                MetaReply::Done
+            }
+            MetaRequest::Rebalance { .. } => {
+                return Err(StoreError::Codec(
+                    "rebalance needs a master server's worker transport".into(),
+                ))
+            }
+            MetaRequest::Status => MetaReply::Status {
+                epoch: self.master_epoch(),
+                active: !self.is_fenced(),
+                files: self.file_count() as u64,
+                next_lsn: self.journal_next_lsn(),
+            },
+            MetaRequest::LogTail { from } => {
+                let (next_lsn, bytes) = self.journal_tail(from);
+                MetaReply::Log { next_lsn, bytes }
+            }
+            MetaRequest::Takeover { epoch, addr } => {
+                // A *lower*-epoch "successor" is itself the stale one.
+                if epoch < self.master_epoch() {
+                    return Err(StoreError::StaleEpoch(MASTER_ENDPOINT));
+                }
+                self.self_fence(Some(addr));
+                MetaReply::Done
+            }
+            MetaRequest::RegisterBatch { entries } => {
+                let rows: Vec<(u64, usize, Vec<usize>)> = entries
+                    .into_iter()
+                    .map(|(id, size, servers)| (id, size as usize, servers))
+                    .collect();
+                self.register_batch(&rows).map(done)?
+            }
+            MetaRequest::SetIntegrity { id, integrity } => {
+                self.set_integrity(id, integrity).map(done)?
+            }
+            MetaRequest::Integrity { id } => MetaReply::IntegrityRow(self.integrity(id)),
+            MetaRequest::ReportAccesses { counts } => {
+                self.report_accesses(&counts);
+                MetaReply::Done
+            }
+            MetaRequest::Shutdown => MetaReply::Done,
+        })
     }
 }
 
 impl MetaService for Master {
-    fn register(&self, id: u64, size: usize, servers: Vec<usize>) -> Result<(), StoreError> {
-        Master::register(self, id, size, servers)
-    }
-
-    fn unregister_file(&self, id: u64) -> Option<(usize, Vec<usize>)> {
-        Master::unregister(self, id).map(|info| (info.size, info.servers))
-    }
-
-    fn locate(&self, id: u64) -> Result<(usize, Vec<usize>), StoreError> {
-        Master::locate(self, id)
-    }
-
-    fn peek(&self, id: u64) -> Result<(usize, Vec<usize>), StoreError> {
-        Master::peek(self, id)
-    }
-
-    fn apply_placement(&self, id: u64, servers: Vec<usize>) -> Result<(), StoreError> {
-        Master::apply_placement(self, id, servers)
-    }
-
-    fn mark_alive(&self, w: usize) {
-        Master::mark_alive(self, w)
-    }
-
-    fn mark_dead(&self, w: usize) {
-        Master::mark_dead(self, w)
-    }
-
-    fn suspect(&self, w: usize) -> u32 {
-        Master::suspect(self, w)
-    }
-
-    fn is_alive(&self, w: usize) -> bool {
-        Master::is_alive(self, w)
-    }
-
-    fn live_workers(&self, n: usize) -> Vec<usize> {
-        Master::live_workers(self, n)
-    }
-
-    fn degraded_files(&self) -> Vec<u64> {
-        Master::degraded_files(self)
-    }
-
-    fn worker_epochs(&self, n: usize) -> Vec<u64> {
-        Master::worker_epochs(self, n)
-    }
-
-    fn register_worker(&self, w: usize) -> u64 {
-        Master::register_worker(self, w)
-    }
-
-    fn begin_repair(&self, id: u64) -> bool {
-        Master::begin_repair(self, id)
-    }
-
-    fn end_repair(&self, id: u64) {
-        Master::end_repair(self, id)
+    /// Serves one metadata request — the arm the wire's master server
+    /// runs too. A fenced master answers nothing but probes and
+    /// takeover handshakes: every other call is bounced to the
+    /// successor, so a client that cached this endpoint re-aims itself
+    /// instead of mutating deposed metadata (§4.14).
+    fn call(&self, req: MetaRequest) -> MetaReply {
+        let probe = matches!(
+            req,
+            MetaRequest::Status | MetaRequest::Shutdown | MetaRequest::Takeover { .. }
+        );
+        if self.is_fenced() && !probe {
+            return MetaReply::Redirect {
+                to: self.successor().unwrap_or_default(),
+            };
+        }
+        self.serve(req).unwrap_or_else(MetaReply::Err)
     }
 
     fn master_epoch(&self) -> u64 {
         Master::master_epoch(self)
-    }
-
-    fn register_batch(&self, entries: &[(u64, usize, Vec<usize>)]) -> Result<(), StoreError> {
-        Master::register_batch(self, entries)
-    }
-
-    fn set_integrity(&self, id: u64, integrity: FileIntegrity) -> Result<(), StoreError> {
-        Master::set_integrity(self, id, integrity)
-    }
-
-    fn integrity(&self, id: u64) -> Option<FileIntegrity> {
-        Master::integrity(self, id)
-    }
-
-    fn report_accesses(&self, counts: &[(u64, u64)]) {
-        Master::report_accesses(self, counts)
     }
 }
 
@@ -1297,55 +1209,9 @@ mod tests {
         let _ = m.locate(1);
         m.report_accesses(&[(1, 4), (2, 7), (99, 3)]);
         assert_eq!((m.accesses(1), m.accesses(2), m.accesses(99)), (5, 7, 0));
-        // The trait's default reaches the same counts one locate at a
-        // time.
-        #[derive(Debug)]
-        struct Plain(Master);
-        impl MetaService for Plain {
-            fn register(&self, id: u64, size: usize, s: Vec<usize>) -> Result<(), StoreError> {
-                self.0.register(id, size, s)
-            }
-            fn unregister_file(&self, _: u64) -> Option<(usize, Vec<usize>)> {
-                None
-            }
-            fn locate(&self, id: u64) -> Result<(usize, Vec<usize>), StoreError> {
-                self.0.locate(id)
-            }
-            fn peek(&self, id: u64) -> Result<(usize, Vec<usize>), StoreError> {
-                self.0.peek(id)
-            }
-            fn apply_placement(&self, _: u64, _: Vec<usize>) -> Result<(), StoreError> {
-                Ok(())
-            }
-            fn mark_alive(&self, _: usize) {}
-            fn mark_dead(&self, _: usize) {}
-            fn suspect(&self, _: usize) -> u32 {
-                0
-            }
-            fn is_alive(&self, _: usize) -> bool {
-                true
-            }
-            fn live_workers(&self, n: usize) -> Vec<usize> {
-                (0..n).collect()
-            }
-            fn degraded_files(&self) -> Vec<u64> {
-                Vec::new()
-            }
-            fn worker_epochs(&self, _: usize) -> Vec<u64> {
-                Vec::new()
-            }
-            fn register_worker(&self, _: usize) -> u64 {
-                0
-            }
-            fn begin_repair(&self, _: u64) -> bool {
-                true
-            }
-            fn end_repair(&self, _: u64) {}
-        }
-        let plain = Plain(Master::new());
-        plain.register(1, 10, vec![0]).unwrap();
-        plain.report_accesses(&[(1, 3), (99, 2)]);
-        assert_eq!(plain.0.accesses(1), 3);
+        // Through the trait's one call, a batch adds its counts alike.
+        MetaService::report_accesses(&m, &[(1, 3), (99, 2)]);
+        assert_eq!((m.accesses(1), m.accesses(99)), (8, 0));
     }
 
     #[test]
@@ -1642,6 +1508,31 @@ mod tests {
         m.activate();
         assert!(!m.is_fenced());
         assert_eq!(m.successor(), None);
+    }
+
+    #[test]
+    fn a_fenced_master_redirects_every_call_but_probes_and_handshakes() {
+        let m = Master::new();
+        m.register(1, 10, vec![0]).unwrap();
+        let via_call = |m: &Master| MetaService::locate(m, 1);
+        assert_eq!(via_call(&m), Ok((10, vec![0])));
+        assert!(matches!(
+            m.call(MetaRequest::Rebalance { bandwidth: 1e9, lambda: 1.0, seed: 1 }),
+            MetaReply::Err(StoreError::Codec(_))
+        ), "only a master server rebalances");
+        m.self_fence(Some("10.0.0.2:4100".into()));
+        let redirect = MetaReply::Redirect { to: "10.0.0.2:4100".into() };
+        assert_eq!(m.call(MetaRequest::Peek { id: 1 }), redirect);
+        assert_eq!(m.call(MetaRequest::MarkDead { w: 0 }), redirect);
+        assert!(m.is_alive(0), "a fenced master took a health report");
+        // Typed callers in process see the master this caller knew as
+        // gone, or the documented fallback.
+        assert_eq!(via_call(&m), Err(StoreError::Io(MASTER_ENDPOINT)));
+        assert_eq!(MetaService::live_workers(&m, 2), vec![0, 1]);
+        assert!(matches!(m.call(MetaRequest::Status), MetaReply::Status { active: false, .. }));
+        let stale = MetaRequest::Takeover { epoch: 0, addr: "a:1".into() };
+        assert_eq!(m.call(stale), MetaReply::Err(StoreError::StaleEpoch(MASTER_ENDPOINT)));
+        assert_eq!(m.call(MetaRequest::Shutdown), MetaReply::Done);
     }
 
     #[test]
