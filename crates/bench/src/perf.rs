@@ -395,9 +395,12 @@ fn measure_paced_recovery(point: &GridPoint, shared: &Bytes) -> (VariantResult, 
 /// paths are A/B-interleaved iteration by iteration — every verified
 /// read is followed by a read of the same file on a plain cluster — so
 /// scheduler noise lands on both sides of the returned
-/// `verify_overhead = t_plain / t_verified` quotient, and the quotient
-/// is the best of three whole loops so one unlucky window cannot flake
-/// the floor.
+/// `verify_overhead = t_plain / t_verified` quotient. Each loop's
+/// quotient is of its median plain and median verified read: a read
+/// takes well under a millisecond, and one scheduler stall of several
+/// would outweigh the rest of a loop's sum. The result is the best of
+/// three whole loops, so one unlucky window cannot flake the floor
+/// either.
 fn measure_verified(point: &GridPoint, shared: &Bytes) -> (VariantResult, f64) {
     const LOOPS: usize = 3;
     let servers = placement(point.k, point.workers);
@@ -426,12 +429,16 @@ fn measure_verified(point: &GridPoint, shared: &Bytes) -> (VariantResult, f64) {
         pairs.push((t.elapsed().as_secs_f64(), t_verified));
         (t_verified, bytes)
     });
+    let median = |times: Vec<f64>| {
+        let mut samples = Samples::with_capacity(times.len());
+        times.into_iter().for_each(|t| samples.record(t));
+        samples.median()
+    };
     let best = pairs[1..]
         .chunks(point.iters)
         .map(|run| {
-            let (t_plain, t_verified) =
-                run.iter().fold((0.0, 0.0), |(p, v), &(dp, dv)| (p + dp, v + dv));
-            t_plain / t_verified
+            let (t_plain, t_verified): (Vec<f64>, Vec<f64>) = run.iter().copied().unzip();
+            median(t_plain) / median(t_verified)
         })
         .fold(f64::NEG_INFINITY, f64::max);
     (row, best)

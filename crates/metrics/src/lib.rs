@@ -19,10 +19,8 @@ pub mod histogram;
 pub mod imbalance;
 pub mod percentile;
 pub mod summary;
-pub mod window;
 
 pub use histogram::LogHistogram;
 pub use imbalance::LoadTracker;
 pub use percentile::{P2Quantile, Samples};
 pub use summary::Summary;
-pub use window::WindowedStats;

@@ -1607,7 +1607,7 @@ mod tests {
         let writer = std::thread::spawn(move || tx.write_all(&wire));
         let mut lands = Lands::default();
         for j in 0..2 {
-            lands.regions.insert(j as u64 + 1, landing.region(j).unwrap());
+            lands.regions.insert(j as u64 + 1, landing.region(j));
         }
         let (mut reader, mut buf) = (FrameReader::new(), ReadBuf::new());
         // The writer closes its end after the last frame.
@@ -1625,7 +1625,7 @@ mod tests {
         assert!(landing.accept(0));
         assert!(!landing.accept(1), "a 1-byte-long reply landed");
         landing.place(1, Bytes::from(file[landing.range(1)].to_vec()));
-        assert_eq!(landing.into_vec(), file);
+        assert_eq!(landing.into_vec(), Ok(file));
     }
 
     #[test]
@@ -1634,7 +1634,7 @@ mod tests {
         let wire = data_reply(&vec![5; 100_000], 7);
         for cut in [HEAD - 1, HEAD, HEAD + 1, 70_000, wire.len() - 1] {
             let mut lands = Lands::default();
-            lands.regions.insert(7, landing.region(0).unwrap());
+            lands.regions.insert(7, landing.region(0));
             let mut s = Script::new(wire[..cut].to_vec(), vec![], true);
             let mut reader = FrameReader::new();
             let err = reader.pump(&mut s, &mut lands).unwrap_err();
@@ -1645,7 +1645,7 @@ mod tests {
         }
         // The torn claims were released: the whole reply lands.
         let mut lands = Lands::default();
-        lands.regions.insert(7, landing.region(0).unwrap());
+        lands.regions.insert(7, landing.region(0));
         let status = FrameReader::new().pump(&mut &wire[..], &mut lands).unwrap();
         assert_eq!((status, lands.landed), (PumpStatus::Closed, vec![7]));
     }
@@ -1656,7 +1656,7 @@ mod tests {
         for len in [0, 99, 101] {
             let wire = data_reply(&vec![1; len], 3);
             let mut lands = Lands::default();
-            lands.regions.insert(3, landing.region(0).unwrap());
+            lands.regions.insert(3, landing.region(0));
             FrameReader::new().pump(&mut &wire[..], &mut lands).unwrap();
             assert!(lands.landed.is_empty(), "a {len}-byte reply landed in 100 bytes");
             assert_eq!(lands.frames, vec![Bytes::from(wire[4..].to_vec())]);

@@ -28,7 +28,7 @@
 //! paying one write and one thread handoff each.
 //!
 //! Inbound, a reply crosses user space once. A partition `Get` of a
-//! contiguous read rides with its [`Region`] of the read's output; when
+//! read rides with its [`Region`] of the read's output; when
 //! the frame header of its `Data` reply shows a payload of exactly the
 //! region's length, the loop claims the region, copies in what the read
 //! that found the header held, reads the rest from the socket straight
@@ -311,20 +311,6 @@ impl TcpTransport {
 impl Transport for TcpTransport {
     fn n_workers(&self) -> usize {
         self.peers.len()
-    }
-
-    fn submit(&self, worker: usize, req: Request) -> Result<Receiver<Reply>, StoreError> {
-        self.check_workers(std::iter::once(worker))?;
-        let rx = self.enqueue(worker, self.encode(&req)?, None)?;
-        let _ = self.shard_of(worker).waker.wake();
-        Ok(rx)
-    }
-
-    fn submit_batch(
-        &self,
-        reqs: Vec<(usize, Request)>,
-    ) -> Result<Vec<Receiver<Reply>>, StoreError> {
-        self.submit_landing(reqs.into_iter().map(|(w, req)| (w, req, None)).collect())
     }
 
     /// Batched submission: every frame reaches its shard before a
@@ -882,16 +868,15 @@ mod tests {
         });
         let t = TcpTransport::connect(vec![addr]);
         let get = |j| Request::Get { key: PartKey::new(1, j) };
-        let routes = t
-            .submit_landing(vec![(0, get(0), landing.region(0)), (0, get(1), landing.region(1))])
-            .unwrap();
+        let gets = (0..2).map(|j| (0, get(j), Some(landing.region(j as usize)))).collect();
+        let routes = t.submit_landing(gets).unwrap();
         let wait = Duration::from_secs(5);
         assert_eq!(routes[0].recv_timeout(wait).unwrap(), Reply::Data(Bytes::new()));
         assert!(landing.accept(0), "the reply came back empty but its region is not landed");
         assert_eq!(routes[1].recv_timeout(wait).unwrap(), Reply::Data(Bytes::from(long)));
         assert!(!landing.accept(1), "a reply one byte long landed");
         landing.place(1, Bytes::from(data[r1].to_vec()));
-        assert_eq!(landing.into_vec(), data);
+        assert_eq!(landing.into_vec(), Ok(data));
         drop(t);
         server.join().unwrap();
     }
@@ -921,7 +906,7 @@ mod tests {
         let t = TcpTransport::connect(vec![addr]).with_deadline(Duration::from_millis(500));
         let mut landing = Landing::new(data.len(), 1);
         let get = Request::Get { key: PartKey::new(1, 0) };
-        let route = t.submit_landing(vec![(0, get, landing.region(0))]).unwrap();
+        let route = t.submit_landing(vec![(0, get, Some(landing.region(0)))]).unwrap();
         let wait = Duration::from_secs(5);
         assert_eq!(route[0].recv_timeout(wait).unwrap(), Reply::Err(StoreError::Timeout(0)));
         // The true bytes arrive another way (a decode) while the loop
@@ -930,10 +915,10 @@ mod tests {
         go.send(()).unwrap();
         let pong = t.submit(0, Request::Ping).unwrap().recv_timeout(wait).unwrap();
         assert!(matches!(pong, Reply::Pong { .. }), "got {pong:?}");
-        let region = landing.region(0).unwrap();
+        let region = landing.region(0);
         assert!(region.claim(data.len()).is_some(), "the reaped payload landed");
         drop(region);
-        assert_eq!(landing.into_vec(), data, "later bytes reached the file");
+        assert_eq!(landing.into_vec(), Ok(data), "later bytes reached the file");
         drop(t);
         server.join().unwrap();
     }
@@ -1040,11 +1025,11 @@ mod tests {
         let mut landing = Landing::new(len, 1);
         let get = Request::Get { key: PartKey::new(1, 0) };
         let routes = t
-            .submit_landing(vec![(0, get, landing.region(0)), (1, Request::Ping, None)])
+            .submit_landing(vec![(0, get, Some(landing.region(0))), (1, Request::Ping, None)])
             .unwrap();
         let wait = Duration::from_secs(5);
         assert_eq!(routes[0].recv_timeout(wait).unwrap(), Reply::Err(StoreError::Io(0)));
-        let region = landing.region(0).unwrap();
+        let region = landing.region(0);
         assert!(region.claim(len).is_some(), "the dead connection still holds the region");
         drop(region);
         assert!(!landing.accept(0), "half a payload landed");

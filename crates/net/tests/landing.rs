@@ -112,10 +112,6 @@ impl Transport for Scripted {
         self.inner.n_workers()
     }
 
-    fn submit(&self, worker: usize, req: Request) -> Result<Receiver<Reply>, StoreError> {
-        self.one(worker, req, None)
-    }
-
     fn submit_landing(
         &self,
         reqs: Vec<(usize, Request, Option<Region>)>,

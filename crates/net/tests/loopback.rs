@@ -8,6 +8,7 @@ use spcache_net::master_net::{MetaReply, MetaRequest};
 use spcache_net::loopback::twin;
 use spcache_net::{MasterClient, MasterServer, TcpCluster};
 use spcache_store::fault::FaultAction;
+use spcache_store::landing::Region;
 use spcache_store::master::{Master, MetaService};
 use spcache_store::rpc::{PartKey, Reply, Request, Stamp, StoreError};
 use spcache_store::throttle::TrafficClass;
@@ -345,7 +346,6 @@ fn bad_placements_are_typed_errors_on_both_transports() {
         // Metadata naming a worker the fleet does not have.
         master.register(2, 100, vec![1, N_WORKERS + 5]).unwrap();
         bad(client.read(2).map(drop));
-        bad(client.read_scattered(2).map(drop));
         assert_eq!(client.delete(2), Ok(0));
     }
     twin(|| (StoreConfig::unthrottled(N_WORKERS).with_retry(retry()), None), check);
@@ -497,11 +497,18 @@ impl Transport for HeldReplies {
         self.inner.n_workers()
     }
 
-    fn submit(&self, worker: usize, req: Request) -> Result<Receiver<Reply>, StoreError> {
-        let reply = self.inner.call(worker, req, Duration::from_secs(5))?;
-        let (route, rx) = bounded(1);
-        self.held.lock().push((route, reply));
-        Ok(rx)
+    fn submit_landing(
+        &self,
+        reqs: Vec<(usize, Request, Option<Region>)>,
+    ) -> Result<Vec<Receiver<Reply>>, StoreError> {
+        reqs.into_iter()
+            .map(|(worker, req, _)| {
+                let reply = self.inner.call(worker, req, Duration::from_secs(5))?;
+                let (route, rx) = bounded(1);
+                self.held.lock().push((route, reply));
+                Ok(rx)
+            })
+            .collect()
     }
 }
 

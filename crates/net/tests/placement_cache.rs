@@ -54,10 +54,6 @@ impl Transport for Spy {
         self.inner.n_workers()
     }
 
-    fn submit(&self, worker: usize, req: Request) -> Result<Receiver<Reply>, StoreError> {
-        Ok(self.watch(self.inner.submit(worker, req)?))
-    }
-
     fn submit_landing(
         &self,
         reqs: Vec<(usize, Request, Option<Region>)>,

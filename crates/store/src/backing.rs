@@ -12,9 +12,14 @@
 //!   magnitude slower than the cache tier),
 //! * [`checkpoint`] — persist a cached file,
 //! * [`recover_file`] — re-split a checkpointed file onto live workers
-//!   and fix the metadata,
-//! * [`read_or_recover`] — the client-facing read path: serve from cache,
-//!   and on lost partitions transparently recover and retry.
+//!   and fix the metadata. It has two callers: a client with an
+//!   under-store heals lazily before it retries a failed read
+//!   ([`crate::Client::read`]), and the supervisor's sweep heals every
+//!   degraded file proactively ([`crate::SupervisorCore::sweep`]).
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
@@ -308,9 +313,9 @@ pub fn recovery_targets(live: &[usize], k: usize, id: u64) -> Vec<usize> {
 ///
 /// Every heal first acquires the file's repair slot in the master's
 /// registry ([`MetaService::begin_repair`]) and releases it on exit —
-/// the single dedup point shared by the supervisor's sweep, the
-/// client's lazy retry heal, and [`heal_degraded`]. A file is never
-/// healed twice concurrently.
+/// the single dedup point shared by its two callers, the supervisor's
+/// sweep and the client's lazy retry heal. A file is never healed twice
+/// concurrently.
 ///
 /// # Errors
 ///
@@ -371,87 +376,13 @@ pub fn recover_file(
     result
 }
 
-/// Scans the master for degraded files (a partition on a dead worker)
-/// and recovers each from the under-store onto live servers. Files
-/// without a checkpoint are left degraded and reported back; files
-/// whose repair slot is held elsewhere (an in-flight sweep or lazy
-/// heal) are skipped silently — they are someone else's heal, not a
-/// failure.
-///
-/// Returns `(healed, unrecoverable)` file id lists.
-pub fn heal_degraded(
-    client: &Client,
-    master: &dyn MetaService,
-    under: &UnderStore,
-    n_workers: usize,
-) -> (Vec<u64>, Vec<u64>) {
-    let live = master.live_workers(n_workers);
-    let mut healed = Vec::new();
-    let mut unrecoverable = Vec::new();
-    for id in master.degraded_files() {
-        if live.is_empty() || !under.contains(id) {
-            unrecoverable.push(id);
-            continue;
-        }
-        let k = master.peek(id).map(|(_, s)| s.len()).unwrap_or(1);
-        let targets = recovery_targets(&live, k, id);
-        match recover_file(client, master, under, id, &targets) {
-            Ok(()) => healed.push(id),
-            Err(StoreError::Degraded(_)) => {}
-            Err(_) => unrecoverable.push(id),
-        }
-    }
-    (healed, unrecoverable)
-}
-
-/// The fault-tolerant read path: try the cache; if a partition or worker
-/// is gone, recover from the under-store onto `fallback_servers` and
-/// serve the recovered bytes. When another repair of the file is
-/// already in flight, waits (bounded) for it to land and re-reads
-/// instead of healing twice.
-///
-/// # Errors
-///
-/// Fails only when the file is neither cached nor checkpointed, or when
-/// an in-flight repair does not land within the bounded wait
-/// ([`StoreError::Degraded`]).
-pub fn read_or_recover(
-    client: &Client,
-    master: &dyn MetaService,
-    under: &UnderStore,
-    id: u64,
-    fallback_servers: &[usize],
-) -> Result<Vec<u8>, StoreError> {
-    match client.read(id) {
-        Ok(bytes) => Ok(bytes),
-        Err(StoreError::NotFound(_)) | Err(StoreError::WorkerDown(_)) => {
-            match recover_file(client, master, under, id, fallback_servers) {
-                Ok(()) => {}
-                Err(StoreError::Degraded(_)) => {
-                    // Someone else is healing this file; poll for their
-                    // repair to land instead of duplicating it.
-                    for _ in 0..50 {
-                        std::thread::sleep(Duration::from_millis(10));
-                        if let Ok(bytes) = client.read(id) {
-                            return Ok(bytes);
-                        }
-                    }
-                    return Err(StoreError::Degraded(id));
-                }
-                Err(e) => return Err(e),
-            }
-            client.read(id)
-        }
-        Err(e) => Err(e),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::StoreCluster;
-    use crate::config::StoreConfig;
+    use crate::config::{RetryPolicy, StoreConfig};
     use crate::rpc::{Reply, Request};
+    use std::sync::Arc;
     use std::time::Duration;
 
     fn payload(len: usize) -> Vec<u8> {
@@ -466,6 +397,13 @@ mod tests {
             .call(server, Request::Delete { key }, Duration::from_secs(5))
             .unwrap();
         assert_eq!(reply, Reply::Flag(true), "partition was not resident");
+    }
+
+    /// An `n`-worker cluster whose clients retry under the default
+    /// policy and heal from `under` before each retry.
+    fn healing_cluster(n: usize, under: &Arc<UnderStore>) -> StoreCluster {
+        let cfg = StoreConfig::unthrottled(n).with_retry(RetryPolicy::default());
+        StoreCluster::spawn_with_under_store(cfg, Some(Arc::clone(under)))
     }
 
     #[test]
@@ -493,33 +431,33 @@ mod tests {
     }
 
     #[test]
-    fn read_or_recover_restores_lost_partition() {
-        let cluster = StoreCluster::spawn(StoreConfig::unthrottled(4));
+    fn a_healing_read_restores_a_lost_partition() {
+        let under = Arc::new(UnderStore::new());
+        let cluster = healing_cluster(4, &under);
         let client = cluster.client();
         let data = payload(9_001);
         client.write(1, &data, &[0, 1, 2]).unwrap();
-        let under = UnderStore::new();
         checkpoint(&client, &under, 1).unwrap();
 
         lose_partition(&cluster, 2, PartKey::new(1, 2));
-        let got = read_or_recover(&client, cluster.master().as_ref(), &under, 1, &[0, 3]).unwrap();
-        assert_eq!(got, data);
-        // Subsequent plain reads work again from the new layout.
         assert_eq!(client.read(1).unwrap(), data);
-        assert_eq!(cluster.master().peek(1).unwrap().1, vec![0, 3]);
+        // The heal re-split the file onto live workers, and later reads
+        // are served from that layout.
+        let healed = recovery_targets(&[0, 1, 2, 3], 3, 1);
+        assert_eq!(cluster.master().peek(1).unwrap().1, healed);
+        assert_eq!(client.read(1).unwrap(), data);
     }
 
     #[test]
     fn recovery_without_checkpoint_fails_cleanly() {
-        let cluster = StoreCluster::spawn(StoreConfig::unthrottled(2));
+        let under = Arc::new(UnderStore::new());
+        let cluster = healing_cluster(2, &under);
         let client = cluster.client();
         client.write(1, &payload(100), &[0]).unwrap();
         lose_partition(&cluster, 0, PartKey::new(1, 0));
-        let under = UnderStore::new();
-        assert_eq!(
-            read_or_recover(&client, cluster.master().as_ref(), &under, 1, &[1]).unwrap_err(),
-            StoreError::UnknownFile(1)
-        );
+        // Nothing to heal from: every retry meets the same hole, and the
+        // read ends in a typed error, never bytes.
+        assert_eq!(client.read(1).unwrap_err(), StoreError::NotFound(PartKey::new(1, 0)));
     }
 
     #[test]
@@ -553,17 +491,19 @@ mod tests {
 
     #[test]
     fn dead_worker_recovery() {
-        let cluster = StoreCluster::spawn(StoreConfig::unthrottled(4));
+        let under = Arc::new(UnderStore::new());
+        let cluster = healing_cluster(4, &under);
         let client = cluster.client();
         let data = payload(6_000);
         client.write(1, &data, &[0, 1]).unwrap();
-        let under = UnderStore::new();
         checkpoint(&client, &under, 1).unwrap();
 
         cluster.kill_worker(1);
-        assert!(matches!(client.read(1), Err(StoreError::WorkerDown(1))));
-        let got = read_or_recover(&client, cluster.master().as_ref(), &under, 1, &[0, 2, 3]).unwrap();
-        assert_eq!(got, data);
+        let plain = Client::new(cluster.master().clone(), cluster.transport().clone());
+        assert!(matches!(plain.read(1), Err(StoreError::WorkerDown(1))));
+        assert_eq!(client.read(1).unwrap(), data);
+        let (_, servers) = cluster.master().peek(1).unwrap();
+        assert!(servers.iter().all(|&s| s != 1), "healed onto the dead worker");
     }
 
     #[test]
@@ -615,33 +555,6 @@ mod tests {
         // ...but the file stays registered with its old placement.
         assert_eq!(cluster.master().peek(1).unwrap().1, vec![0, 1]);
         assert_eq!(client.read_quiet(1).unwrap(), data);
-    }
-
-    #[test]
-    fn heal_degraded_recovers_checkpointed_files_onto_live_workers() {
-        let cluster = StoreCluster::spawn(StoreConfig::unthrottled(4));
-        let client = cluster.client();
-        let data1 = payload(5_000);
-        let data2 = payload(1_234);
-        client.write(1, &data1, &[0, 1]).unwrap();
-        client.write(2, &data2, &[1]).unwrap();
-        client.write(3, &payload(100), &[1]).unwrap(); // never checkpointed
-        let under = UnderStore::new();
-        checkpoint(&client, &under, 1).unwrap();
-        checkpoint(&client, &under, 2).unwrap();
-
-        cluster.kill_worker(1);
-        let (healed, unrecoverable) =
-            heal_degraded(&client, cluster.master().as_ref(), &under, 4);
-        assert_eq!(healed, vec![1, 2]);
-        assert_eq!(unrecoverable, vec![3]);
-        assert_eq!(client.read_quiet(1).unwrap(), data1);
-        assert_eq!(client.read_quiet(2).unwrap(), data2);
-        // Healed placements avoid the dead worker.
-        for id in [1u64, 2] {
-            let (_, servers) = cluster.master().peek(id).unwrap();
-            assert!(servers.iter().all(|&s| s != 1), "file {id} on dead worker");
-        }
     }
 
     #[test]

@@ -2,10 +2,14 @@
 //! one fork-join engine ([`crate::forkjoin`]) — a zero-copy data path
 //! with a single per-attempt deadline, bounded retry and parity decode,
 //! all as "obtain any `k` of the outstanding shards".
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use spcache_ec::{join_shards_bytes, split_shards_bytes, ReedSolomon};
+use spcache_ec::{split_shards_bytes, ReedSolomon};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -44,14 +48,13 @@ use crate::transport::Transport;
 /// shards finish the read (DESIGN.md §4.7).
 ///
 /// Reads move each byte once: [`Client::write_bytes`] slices one backing
-/// buffer into partition views, workers store and reply with views of
-/// that same allocation, and [`Client::read_scattered`] hands those views
-/// back without ever materializing a contiguous copy. [`Client::read`]
-/// allocates its output once and gives each partition `Get` its region
-/// of it ([`crate::landing`]): a socket transport reads the reply payload
-/// straight into that region, and bytes that arrive another way (the
-/// in-process transport, a decode) are written there by the
-/// client — one copy either way, and no join pass after the last reply.
+/// buffer into partition views, and workers store and reply with views
+/// of that same allocation. [`Client::read`] allocates its output once
+/// and gives each partition `Get` its region of it ([`crate::landing`]):
+/// a socket transport reads the reply payload straight into that region,
+/// and bytes that arrive another way (the in-process transport, a
+/// decode) are written there by the client — one copy either way, and no
+/// join pass after the last reply.
 ///
 /// Reads of a file whose placement the client already knows make **no
 /// master call**: the client caches each file's size, holders and
@@ -143,17 +146,6 @@ impl Client {
     /// Sets the retry policy (builder style).
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Enables (or disables) epoch fencing: every data request carries
-    /// the target worker's registration epoch, so a crash-restarted
-    /// zombie can never serve it (builder style). Requires a supervisor
-    /// (or manual registration) granting epochs — against an
-    /// all-epoch-0 fleet the stamps are elided and behaviour is
-    /// unchanged.
-    pub fn with_fencing(mut self, fenced: bool) -> Self {
-        self.fenced = fenced;
         self
     }
 
@@ -446,30 +438,12 @@ impl Client {
     /// missing or wrong-length partitions, timeouts, transport I/O
     /// failures and dead workers.
     pub fn read(&self, id: u64) -> Result<Vec<u8>, StoreError> {
-        Ok(self.read_with(id, true, true)?.into_vec())
+        self.read_with(id, true)
     }
 
     /// Reads without bumping the popularity counter.
     pub fn read_quiet(&self, id: u64) -> Result<Vec<u8>, StoreError> {
-        Ok(self.read_with(id, false, true)?.into_vec())
-    }
-
-    /// Zero-copy read: returns the file as its in-index-order partition
-    /// views, sharing the workers' cached allocations — no byte is copied
-    /// on the way out. Consumers that stream (checksum, socket `writev`,
-    /// re-partitioning) never need the contiguous buffer [`Client::read`]
-    /// fills. Counts an access like [`Client::read`]. The concatenation
-    /// of the views is the file's content.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Client::read`].
-    pub fn read_scattered(&self, id: u64) -> Result<ScatteredFile, StoreError> {
-        let asm = self.read_with(id, true, false)?;
-        Ok(ScatteredFile {
-            size: asm.size(),
-            parts: asm.into_parts(),
-        })
+        self.read_with(id, false)
     }
 
     /// Cached reads between two access reports to the master.
@@ -488,19 +462,7 @@ impl Client {
     /// the retry loop around [`Client::attempt`] — locate → attempt →
     /// (heal, back off, re-locate) until the attempt succeeds, the error
     /// is permanent or the [`RetryPolicy`] is exhausted.
-    fn read_with(
-        &self,
-        id: u64,
-        count_access: bool,
-        contiguous: bool,
-    ) -> Result<Landing, StoreError> {
-        let landing = |size: usize, k: usize| {
-            if contiguous {
-                Landing::new(size, k)
-            } else {
-                Landing::scattered(size, k)
-            }
-        };
+    fn read_with(&self, id: u64, count_access: bool) -> Result<Vec<u8>, StoreError> {
         let mut cached = self.memory.get(id);
         // Whether the master still has to count this read.
         let mut uncounted = count_access;
@@ -521,7 +483,7 @@ impl Client {
                     (located.0, &located.1[..])
                 }
             };
-            let mut asm = landing(size, servers.len());
+            let mut asm = Landing::new(size, servers.len());
             let err = match self.attempt(id, servers, hit.as_deref(), &mut asm) {
                 Ok(row) => {
                     if hit.is_some() {
@@ -531,7 +493,10 @@ impl Client {
                     } else {
                         self.remember_read(id, servers, row, &asm);
                     }
-                    return Ok(asm);
+                    // A successful attempt holds every part; were one
+                    // missing, the read names it rather than join a hole.
+                    let missing = |j: usize| StoreError::NotFound(PartKey::new(id, j as u32));
+                    return asm.into_vec().map_err(missing);
                 }
                 Err(e) => e,
             };
@@ -580,8 +545,8 @@ impl Client {
     /// Caches file `id`'s placement after a located read that landed
     /// `asm`: the sums come from the integrity row the attempt held, when
     /// it describes this placement, else from the landed partitions — of
-    /// a file no larger than [`SUMMED_READ_MAX`]; a larger one stays
-    /// uncached.
+    /// a file no larger than [`SUMMED_READ_MAX`]; a larger one, or one
+    /// with a part not in hand, stays uncached.
     fn remember_read(&self, id: u64, servers: &[usize], row: Option<FileIntegrity>, asm: &Landing) {
         let k = servers.len();
         let row = row.filter(|r| r.sums.len() == k);
@@ -589,9 +554,9 @@ impl Client {
             Some(r) => r.sums.clone(),
             None if asm.size() > SUMMED_READ_MAX => return,
             None => {
-                let parts: Vec<&[u8]> = (0..k)
-                    .map(|j| asm.part(j).expect("a finished read holds every part"))
-                    .collect();
+                let Some(parts) = (0..k).map(|j| asm.part(j)).collect::<Option<Vec<_>>>() else {
+                    return;
+                };
                 spcache_integrity::sums(&parts)
             }
         };
@@ -668,7 +633,7 @@ impl Client {
             .map(|(j, &server)| {
                 let expect = fence.map_or(0, |sums| sums[j]);
                 let get = Request::Get { key: PartKey::new(id, j as u32) };
-                (server, get.stamped(Stamp { expect, ..Stamp::default() }), asm.region(j))
+                (server, get.stamped(Stamp { expect, ..Stamp::default() }), Some(asm.region(j)))
             })
             .collect();
         let mut join = self.io().fork_landing(gets)?;
@@ -693,12 +658,11 @@ impl Client {
 
         while have < k {
             let Some((i, landed)) = join.next(deadline) else {
-                if join.pending() == 0 {
-                    // Every route answered and fewer than k shards are
-                    // usable: the parity set cannot cover this failure.
-                    return Err(erasure.expect("only a widened attempt survives failed shards"));
-                }
-                // The slowest partition really is the read's fate (Eq. 9).
+                // Either the deadline passed — the slowest partition
+                // really is the read's fate (Eq. 9) — or every route
+                // answered with fewer than k usable shards, which only a
+                // widened attempt survives: the parity set cannot cover
+                // its erasure.
                 let late = join.expire();
                 return Err(erasure.unwrap_or(late));
             };
@@ -883,37 +847,14 @@ fn take_part(
         }
         asm.place(j, data);
     }
-    let part = asm.part(j).expect("taken just above");
+    let Some(part) = asm.part(j) else {
+        return Err(StoreError::Corrupt(key));
+    };
     if sum.is_some_and(|sum| !spcache_integrity::verify(part, sum)) {
         asm.reset(j);
         return Err(StoreError::Corrupt(key));
     }
     Ok(())
-}
-
-/// A file read without reassembly: its size and partition views in index
-/// order, each sharing the worker's cached allocation.
-#[derive(Debug, Clone)]
-pub struct ScatteredFile {
-    size: usize,
-    parts: Vec<Bytes>,
-}
-
-impl ScatteredFile {
-    /// File size in bytes: the views' lengths sum to it.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// The partition views in index order.
-    pub fn parts(&self) -> &[Bytes] {
-        &self.parts
-    }
-
-    /// Materializes the contiguous file content (one copy).
-    pub fn to_vec(&self) -> Vec<u8> {
-        join_shards_bytes(&self.parts, self.size)
-    }
 }
 
 #[cfg(test)]
@@ -922,6 +863,7 @@ mod tests {
     use crate::cluster::StoreCluster;
     use crate::config::StoreConfig;
     use crate::fault::{CorruptSite, FaultPlan};
+    use crate::landing::Region;
     use crossbeam::channel::Receiver;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -955,16 +897,21 @@ mod tests {
     }
 
     #[test]
-    fn scattered_read_shares_the_written_allocation() {
+    fn a_worker_serves_views_of_the_written_allocation() {
         // write_bytes → worker store → reply: one allocation end to end.
         let cluster = StoreCluster::spawn(StoreConfig::unthrottled(4));
         let c = cluster.client();
         let file = Bytes::from(payload(10_000));
         c.write_bytes(1, file.clone(), &[0, 1, 2]).unwrap();
-        let scattered = c.read_scattered(1).unwrap();
-        assert_eq!(scattered.to_vec(), payload(10_000));
         let base = file.as_ptr() as usize;
-        for part in scattered.parts() {
+        for j in 0..3 {
+            let get = Request::Get { key: PartKey::new(1, j as u32) };
+            let reply = cluster.transport().call(j, get, Duration::from_secs(5));
+            let Ok(Reply::Data(part)) = reply else {
+                panic!("worker {j} answered {reply:?}");
+            };
+            let r = spcache_core::online::partition_range(10_000, 3, j);
+            assert_eq!(part, file.slice(r.start as usize..r.end as usize));
             let p = part.as_ptr() as usize;
             assert!(
                 p >= base && p + part.len() <= base + file.len(),
@@ -1150,19 +1097,22 @@ mod tests {
             fn n_workers(&self) -> usize {
                 self.inner.n_workers()
             }
-            fn submit(
+            fn submit_landing(
                 &self,
-                worker: usize,
-                req: Request,
-            ) -> Result<Receiver<Reply>, StoreError> {
-                if matches!(req, Request::Get { .. })
-                    && self.failures.fetch_add(1, Ordering::Relaxed) < 2
-                {
-                    let (tx, rx) = crossbeam::channel::bounded(1);
-                    let _ = tx.send(Reply::Err(StoreError::Io(worker)));
-                    return Ok(rx);
-                }
-                self.inner.submit(worker, req)
+                reqs: Vec<(usize, Request, Option<Region>)>,
+            ) -> Result<Vec<Receiver<Reply>>, StoreError> {
+                reqs.into_iter()
+                    .map(|(worker, req, _)| {
+                        if matches!(req, Request::Get { .. })
+                            && self.failures.fetch_add(1, Ordering::Relaxed) < 2
+                        {
+                            let (tx, rx) = crossbeam::channel::bounded(1);
+                            let _ = tx.send(Reply::Err(StoreError::Io(worker)));
+                            return Ok(rx);
+                        }
+                        self.inner.submit(worker, req)
+                    })
+                    .collect()
             }
         }
         let cluster = StoreCluster::spawn(StoreConfig::unthrottled(2));
@@ -1440,13 +1390,10 @@ mod tests {
         plain.write(1, &data, &[0, 1, 2]).unwrap();
         let err = plain.read(1).unwrap_err();
         assert!(bent(err.clone()), "got {err:?}");
-        let err = plain.read_scattered(1).map(|f| f.to_vec()).unwrap_err();
-        assert!(bent(err.clone()), "got {err:?}");
 
         let coded = hand_built_fleet(5, bend).with_parity(2);
         coded.write(1, &data, &[0, 1, 2]).unwrap();
         assert_eq!(coded.read(1).unwrap(), data);
-        assert_eq!(coded.read_scattered(1).unwrap().to_vec(), data);
     }
 
     #[test]

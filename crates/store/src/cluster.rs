@@ -223,8 +223,9 @@ impl StoreCluster {
     /// Stops one worker — a simulated machine failure. It serves what it
     /// was sent before the `Shutdown`, then all its cached partitions are
     /// lost; later requests to it report [`StoreError::WorkerDown`]
-    /// (recoverable via [`crate::backing::read_or_recover`] when
-    /// checkpoints exist). The master learns of the death immediately.
+    /// (when checkpoints exist, a client with an under-store heals the
+    /// file before it retries, and a supervisor's sweep heals it too).
+    /// The master learns of the death immediately.
     pub fn kill_worker(&self, id: usize) {
         let _ = self.transport().call(id, Request::Shutdown, CONTROL_DEADLINE);
         self.master.mark_dead(id);

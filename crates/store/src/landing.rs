@@ -1,15 +1,15 @@
 //! Where a read's bytes land: one output allocation, carved into the
 //! file's partition regions, that replies are written straight into.
 //!
-//! A contiguous [`crate::Client::read`] allocates its output once,
-//! uninitialised, and hands each data `Get` of its fork that partition's
-//! [`Region`]. A transport that can land in place (`spcache-net`'s event
+//! A [`crate::Client::read`] allocates its output once, uninitialised,
+//! and hands each data `Get` of its fork that partition's [`Region`]. A transport that can land in place (`spcache-net`'s event
 //! loop) claims the region when the reply's frame header shows a `Data`
 //! payload of exactly the region's length, reads the payload from the
 //! socket into it, and lands it; the reply it delivers then carries no
 //! bytes. Bytes that arrive another way — the in-process transport's
-//! zero-copy views, a decode from parity — are placed by the client. So a partition's bytes cross user space
-//! once, and the join pass over the file is gone.
+//! zero-copy views, a decode from parity — are placed by the client. So a
+//! partition's bytes cross user space once, and the join pass over the
+//! file is gone.
 //!
 //! Each region moves `free → claimed → landed`, one atomic per region:
 //!
@@ -30,6 +30,10 @@
 //! file out.
 //! It returns the allocation itself only when every part landed in its
 //! region and no loop still holds a handle on it.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::ops::Range;
@@ -295,42 +299,27 @@ enum Part {
     Missing,
     /// Landed in its region of the allocation.
     Region,
-    /// Held beside the allocation: a zero-copy view (every part of a
-    /// scattered read), or bytes that arrived while a loop held the
-    /// region.
+    /// Held beside the allocation: bytes placed or decoded while a loop
+    /// held the region.
     Staged(Bytes),
 }
 
-/// One read attempt's parts: the owner's side of the landing.
-///
-/// Contiguous ([`Landing::new`]), it owns the output allocation and
-/// offers its [`Region`]s to the transport. Scattered
-/// ([`Landing::scattered`]), there is no allocation and every part is
-/// kept as the zero-copy view it arrived as.
+/// One read attempt's parts: the owner's side of the landing. It owns
+/// the output allocation and offers its [`Region`]s to the transport.
 #[derive(Debug)]
 pub struct Landing {
     size: usize,
-    /// `None` for a scattered read.
-    shared: Option<Arc<Shared>>,
+    shared: Arc<Shared>,
     parts: Vec<Part>,
 }
 
 impl Landing {
-    /// A contiguous read of a `size`-byte file in `k` partitions: one
-    /// uninitialised allocation of `size` bytes, `k` free regions.
+    /// A read of a `size`-byte file in `k` partitions: one uninitialised
+    /// allocation of `size` bytes, `k` free regions.
     pub fn new(size: usize, k: usize) -> Landing {
         Landing {
             size,
-            shared: Some(Arc::new(Shared::new(size, k))),
-            parts: vec![Part::Missing; k],
-        }
-    }
-
-    /// A scattered read: the parts are kept as the views they arrive as.
-    pub fn scattered(size: usize, k: usize) -> Landing {
-        Landing {
-            size,
-            shared: None,
+            shared: Arc::new(Shared::new(size, k)),
             parts: vec![Part::Missing; k],
         }
     }
@@ -346,13 +335,12 @@ impl Landing {
         r.start as usize..r.end as usize
     }
 
-    /// The region a transport may land part `j`'s reply in (`None` for a
-    /// scattered read).
-    pub fn region(&self, j: usize) -> Option<Region> {
-        self.shared.as_ref().map(|shared| Region {
-            shared: Arc::clone(shared),
+    /// The region a transport may land part `j`'s reply in.
+    pub fn region(&self, j: usize) -> Region {
+        Region {
+            shared: Arc::clone(&self.shared),
             index: j,
-        })
+        }
     }
 
     /// Whether part `j` is in hand.
@@ -364,7 +352,7 @@ impl Landing {
     pub fn part(&self, j: usize) -> Option<&[u8]> {
         match &self.parts[j] {
             Part::Missing => None,
-            Part::Region => self.shared.as_ref()?.landed(j),
+            Part::Region => self.shared.landed(j),
             Part::Staged(bytes) => Some(bytes),
         }
     }
@@ -372,7 +360,7 @@ impl Landing {
     /// Takes part `j` as landed in place, as a transport reported: `true`
     /// when its region really holds it.
     pub fn accept(&mut self, j: usize) -> bool {
-        let landed = self.shared.as_ref().is_some_and(|s| s.is_landed(j));
+        let landed = self.shared.is_landed(j);
         if landed {
             self.parts[j] = Part::Region;
         }
@@ -380,8 +368,8 @@ impl Landing {
     }
 
     /// Places part `j`, whose bytes arrived another way: copied into its
-    /// region when that is free, kept as the view it is when the read is
-    /// scattered or a loop still holds the region.
+    /// region when that is free, kept as the view it is when a loop still
+    /// holds the region.
     ///
     /// # Panics
     ///
@@ -392,8 +380,7 @@ impl Landing {
             self.range(j).len(),
             "part {j} of the wrong length"
         );
-        let claim = self.shared.as_ref().and_then(|s| s.claim(j));
-        self.parts[j] = match claim {
+        self.parts[j] = match self.shared.claim(j) {
             Some(mut claim) => {
                 claim.put(&data);
                 claim.land();
@@ -410,7 +397,7 @@ impl Landing {
     /// part `j` stays missing. Returns that answer.
     pub fn fill(&mut self, j: usize, f: impl FnOnce(&[Option<&[u8]>], &mut [u8]) -> bool) -> bool {
         debug_assert!(!self.has(j), "filling part {j}, which is in hand");
-        let claim = self.shared.as_ref().and_then(|s| s.claim(j));
+        let claim = self.shared.claim(j);
         let parts: Vec<Option<&[u8]>> = (0..self.parts.len()).map(|i| self.part(i)).collect();
         let held = match claim {
             // An unproved decode drops the claim: the region is free again.
@@ -433,49 +420,32 @@ impl Landing {
     /// again, a staged part forgotten.
     pub fn reset(&mut self, j: usize) {
         if matches!(self.parts[j], Part::Region) {
-            if let Some(shared) = &self.shared {
-                shared.slots[j].state.store(FREE, Ordering::Release);
-            }
+            self.shared.slots[j].state.store(FREE, Ordering::Release);
         }
         self.parts[j] = Part::Missing;
     }
 
-    /// The contiguous file, every part in hand: the allocation itself when
-    /// every part landed in its region and no loop still holds a handle on
-    /// it, else a copy of the parts.
+    /// The contiguous file: the allocation itself when every part landed
+    /// in its region and no loop still holds a handle on it, else a copy
+    /// of the parts.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a part is missing.
-    pub fn into_vec(mut self) -> Vec<u8> {
-        let in_place = self.parts.iter().all(|p| matches!(p, Part::Region));
-        if let Some(shared) = self.shared.take_if(|_| in_place) {
-            match Arc::try_unwrap(shared) {
-                Ok(shared) => return shared.into_vec(),
-                Err(shared) => self.shared = Some(shared),
+    /// The index of the first part not in hand.
+    pub fn into_vec(self) -> Result<Vec<u8>, usize> {
+        let this = if self.parts.iter().all(|p| matches!(p, Part::Region)) {
+            match Arc::try_unwrap(self.shared) {
+                Ok(shared) => return Ok(shared.into_vec()),
+                Err(shared) => Landing { shared, ..self },
             }
+        } else {
+            self
+        };
+        let mut out = Vec::with_capacity(this.size);
+        for j in 0..this.parts.len() {
+            out.extend_from_slice(this.part(j).ok_or(j)?);
         }
-        let mut out = Vec::with_capacity(self.size);
-        for j in 0..self.parts.len() {
-            out.extend_from_slice(self.part(j).expect("every part joined"));
-        }
-        out
-    }
-
-    /// A scattered read's parts, the zero-copy views they arrived as.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a part is missing or landed in a contiguous read's
-    /// allocation.
-    pub fn into_parts(self) -> Vec<Bytes> {
-        self.parts
-            .into_iter()
-            .map(|part| match part {
-                Part::Staged(bytes) => bytes,
-                _ => panic!("a scattered read holds every part as a view"),
-            })
-            .collect()
+        Ok(out)
     }
 }
 
@@ -489,7 +459,7 @@ mod tests {
 
     /// What a loop does with a whole payload: claim, write, land.
     fn land_as_loop(landing: &Landing, j: usize, data: &[u8]) -> bool {
-        let region = landing.region(j).expect("contiguous");
+        let region = landing.region(j);
         let Some(mut claim) = region.claim(data.len()) else {
             return false;
         };
@@ -506,8 +476,8 @@ mod tests {
             assert!(land_as_loop(&landing, j, &data[r]));
             assert!(landing.accept(j));
         }
-        let base = landing.shared.as_ref().unwrap().ptr as usize;
-        let out = landing.into_vec();
+        let base = landing.shared.ptr as usize;
+        let out = landing.into_vec().unwrap();
         assert_eq!(out, data);
         assert_eq!(out.as_ptr() as usize, base, "the allocation was copied");
     }
@@ -515,7 +485,7 @@ mod tests {
     #[test]
     fn a_region_is_claimed_once_and_only_at_its_length() {
         let landing = Landing::new(10, 2);
-        let region = landing.region(0).unwrap();
+        let region = landing.region(0);
         assert!(
             region.claim(4).is_none(),
             "a 4-byte reply for a 5-byte part"
@@ -533,7 +503,7 @@ mod tests {
     #[test]
     fn an_unfinished_claim_never_lands() {
         let mut landing = Landing::new(10, 2);
-        let mut claim = landing.region(1).unwrap().claim(5).unwrap();
+        let mut claim = landing.region(1).claim(5).unwrap();
         claim.put(b"abc");
         assert_eq!(claim.remaining(), 2);
         assert!(!claim.land(), "three of five bytes landed");
@@ -548,14 +518,14 @@ mod tests {
     #[should_panic(expected = "overruns")]
     fn a_claim_refuses_bytes_past_its_region() {
         let landing = Landing::new(10, 2);
-        let mut claim = landing.region(0).unwrap().claim(5).unwrap();
+        let mut claim = landing.region(0).claim(5).unwrap();
         claim.put(b"abcdef");
     }
 
     #[test]
     fn raw_fills_count_only_what_was_confirmed() {
         let mut landing = Landing::new(4, 1);
-        let mut claim = landing.region(0).unwrap().claim(4).unwrap();
+        let mut claim = landing.region(0).claim(4).unwrap();
         for (slot, b) in claim.spare().iter_mut().zip(b"wxyz") {
             slot.write(*b);
         }
@@ -563,7 +533,7 @@ mod tests {
         unsafe { claim.advance(4) };
         assert!(claim.land());
         assert!(landing.accept(0));
-        assert_eq!(landing.into_vec(), b"wxyz");
+        assert_eq!(landing.into_vec(), Ok(b"wxyz".to_vec()));
     }
 
     #[test]
@@ -574,25 +544,25 @@ mod tests {
         let data = file(999);
         let mut landing = Landing::new(999, 3);
         let r1 = landing.range(1);
-        let mut held = landing.region(1).unwrap().claim(r1.len()).unwrap();
+        let mut held = landing.region(1).claim(r1.len()).unwrap();
         held.put(&[0xEE; 10]);
         for j in 0..3 {
             landing.place(j, Bytes::from(data[landing.range(j)].to_vec()));
         }
         drop(held);
-        assert_eq!(landing.into_vec(), data);
+        assert_eq!(landing.into_vec(), Ok(data));
     }
 
     #[test]
     fn a_loop_still_holding_a_handle_forces_the_copy_out() {
         let data = file(64);
         let mut landing = Landing::new(64, 2);
-        let outstanding = landing.region(0).unwrap();
+        let outstanding = landing.region(0);
         for j in 0..2 {
             landing.place(j, Bytes::from(data[landing.range(j)].to_vec()));
         }
-        let base = landing.shared.as_ref().unwrap().ptr as usize;
-        let out = landing.into_vec();
+        let base = landing.shared.ptr as usize;
+        let out = landing.into_vec().unwrap();
         assert_eq!(out, data);
         assert_ne!(out.as_ptr() as usize, base);
         drop(outstanding);
@@ -622,7 +592,7 @@ mod tests {
             true
         });
         assert!(ok);
-        assert_eq!(landing.into_vec(), data);
+        assert_eq!(landing.into_vec(), Ok(data));
     }
 
     #[test]
@@ -634,7 +604,7 @@ mod tests {
         }));
         assert!(!landing.has(2));
         assert!(
-            landing.region(2).unwrap().claim(10).is_some(),
+            landing.region(2).claim(10).is_some(),
             "region still claimed"
         );
     }
@@ -646,30 +616,21 @@ mod tests {
             assert!(land_as_loop(&landing, j, &[]));
             assert!(landing.accept(j));
         }
-        assert_eq!(landing.into_vec(), Vec::<u8>::new());
+        assert_eq!(landing.into_vec(), Ok(Vec::<u8>::new()));
         // size < k: the tail parts are empty.
         let mut landing = Landing::new(2, 4);
         landing.place(0, Bytes::from(vec![1]));
         landing.place(1, Bytes::from(vec![2]));
         landing.place(2, Bytes::new());
         assert!(landing.fill(3, |_, out| out.is_empty()));
-        assert_eq!(landing.into_vec(), vec![1, 2]);
+        assert_eq!(landing.into_vec(), Ok(vec![1, 2]));
     }
 
     #[test]
-    fn a_scattered_read_keeps_the_views_it_was_given() {
-        let data = Bytes::from(file(100));
-        let mut landing = Landing::scattered(100, 2);
-        assert!(landing.region(0).is_none());
-        landing.place(0, data.slice(0..50));
-        assert!(!landing.accept(1));
-        assert!(landing.fill(1, |parts, out| {
-            assert_eq!(parts[0], Some(&data[..50]));
-            out.copy_from_slice(&data[50..]);
-            true
-        }));
-        let parts = landing.into_parts();
-        assert_eq!(parts[0].as_ptr(), data.as_ptr(), "the view was copied");
-        assert_eq!(parts[1], data.slice(50..100));
+    fn a_part_not_in_hand_is_named_not_joined() {
+        let mut landing = Landing::new(30, 3);
+        landing.place(0, Bytes::from(vec![1; 10]));
+        landing.place(2, Bytes::from(vec![3; 10]));
+        assert_eq!(landing.into_vec(), Err(1));
     }
 }

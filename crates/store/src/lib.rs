@@ -16,7 +16,7 @@
 //! * [`client::Client`] — the SP-Client: parallel fork-join partition
 //!   reads over crossbeam channels with byte-exact reassembly, and
 //!   (optionally split) writes,
-//! * [`landing`] — a contiguous read's one output allocation, whose
+//! * [`landing`] — a read's one output allocation, whose
 //!   partition regions replies land in directly,
 //! * [`repartitioner::run_parallel`] — Algorithm 2's executors: each
 //!   worker repartitions a disjoint set of files in parallel
@@ -49,7 +49,7 @@ pub mod throttle;
 pub mod transport;
 pub mod worker;
 
-pub use client::{Client, ScatteredFile};
+pub use client::Client;
 pub use cluster::StoreCluster;
 pub use config::{RetryPolicy, StoreConfig, SupervisorConfig};
 pub use fault::{FaultAction, FaultEvent, FaultLog, FaultPlan, FaultRecord};

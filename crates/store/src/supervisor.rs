@@ -465,6 +465,35 @@ mod tests {
     }
 
     #[test]
+    fn a_sweep_heals_checkpointed_files_and_reports_the_rest() {
+        let cluster =
+            StoreCluster::spawn(StoreConfig::unthrottled(4).with_retry(RetryPolicy::default()));
+        let client = cluster.client();
+        let data1 = payload(5_000);
+        let data2 = payload(1_234);
+        client.write(1, &data1, &[0, 1]).unwrap();
+        client.write(2, &data2, &[1]).unwrap();
+        client.write(3, &payload(100), &[1]).unwrap(); // never checkpointed
+        let under = Arc::new(UnderStore::new());
+        checkpoint(&client, &under, 1).unwrap();
+        checkpoint(&client, &under, 2).unwrap();
+
+        cluster.kill_worker(1);
+        let rec = manual_core(&cluster, Some(under))
+            .sweep()
+            .expect("files are degraded");
+        assert_eq!(rec.healed, vec![1, 2]);
+        assert_eq!(rec.unrecoverable, vec![3]);
+        assert_eq!(client.read_quiet(1).unwrap(), data1);
+        assert_eq!(client.read_quiet(2).unwrap(), data2);
+        // Healed placements avoid the dead worker.
+        for id in [1u64, 2] {
+            let (_, servers) = cluster.master().peek(id).unwrap();
+            assert!(servers.iter().all(|&s| s != 1), "file {id} on dead worker");
+        }
+    }
+
+    #[test]
     fn dropped_heartbeats_climb_the_ladder_and_readoption_fences() {
         let plan = FaultPlan::none()
             .drop_heartbeat(1, 0)

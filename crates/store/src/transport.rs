@@ -26,57 +26,60 @@ use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use crate::landing::Region;
 use crate::rpc::{Envelope, Reply, Request, StoreError};
 
-/// A route to a fleet of workers.
+/// A route to a fleet of workers. An implementation provides
+/// [`n_workers`](Transport::n_workers) and the one submission,
+/// [`submit_landing`](Transport::submit_landing); `submit`,
+/// `submit_batch` and `call` are shapes of it.
 pub trait Transport: Send + Sync + std::fmt::Debug {
     /// Number of workers addressable through this transport.
     fn n_workers(&self) -> usize;
 
-    /// Submits `req` to worker `worker`, returning the channel its
-    /// [`Reply`] will arrive on. The call only queues the request; the
-    /// caller decides how long to wait (and whether to select over many
-    /// receivers).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::WorkerDown`] when the in-process channel is closed;
-    /// [`StoreError::Io`] when a socket transport cannot reach the
-    /// worker.
-    fn submit(&self, worker: usize, req: Request) -> Result<Receiver<Reply>, StoreError>;
-
     /// Submits a batch of requests, returning one reply receiver per
-    /// request in order. The default is a fail-fast loop of
-    /// [`submit`](Transport::submit); socket transports override it to
-    /// hand the whole batch to their event loops in one wakeup so the
-    /// frames coalesce into shared `writev` calls.
+    /// request in order. The call only queues the requests; the caller
+    /// decides how long to wait (and whether to select over many
+    /// receivers). The `Data` reply to a request that rides with a
+    /// [`Region`] may land its payload in that region instead of a buffer
+    /// of its own; the reply then carries no bytes (see
+    /// [`crate::landing`]). A transport whose replies are zero-copy views
+    /// already (the in-process one) ignores the regions, and the client
+    /// places those bytes itself. Socket transports hand the whole batch
+    /// to their event loops in one wakeup, so the frames coalesce into
+    /// shared `writev` calls.
     ///
     /// # Errors
     ///
+    /// [`StoreError::WorkerDown`] when an in-process channel is closed;
+    /// [`StoreError::Io`] when a socket transport cannot reach a worker.
     /// The first submission error aborts the batch (requests already
     /// submitted stay in flight; their receivers are dropped).
+    fn submit_landing(
+        &self,
+        reqs: Vec<(usize, Request, Option<Region>)>,
+    ) -> Result<Vec<Receiver<Reply>>, StoreError>;
+
+    /// Submits `req` to worker `worker`, returning the channel its
+    /// [`Reply`] will arrive on: a batch of one, landing nowhere.
+    ///
+    /// # Errors
+    ///
+    /// As for [`submit_landing`](Transport::submit_landing).
+    fn submit(&self, worker: usize, req: Request) -> Result<Receiver<Reply>, StoreError> {
+        let mut routes = self.submit_landing(vec![(worker, req, None)])?;
+        routes.pop().ok_or_else(|| {
+            StoreError::Codec(format!("worker {worker}'s transport returned no route"))
+        })
+    }
+
+    /// Submits a batch of requests whose replies land nowhere.
+    ///
+    /// # Errors
+    ///
+    /// As for [`submit_landing`](Transport::submit_landing).
     fn submit_batch(
         &self,
         reqs: Vec<(usize, Request)>,
     ) -> Result<Vec<Receiver<Reply>>, StoreError> {
-        reqs.into_iter()
-            .map(|(worker, req)| self.submit(worker, req))
-            .collect()
-    }
-
-    /// [`submit_batch`](Transport::submit_batch) where the `Data` reply
-    /// to a request that rides with a [`Region`] may land its payload in
-    /// that region instead of a buffer of its own; the reply then carries
-    /// no bytes (see [`crate::landing`]). The default lands nothing: the
-    /// in-process transport's replies are zero-copy views already, and
-    /// the client places them itself.
-    ///
-    /// # Errors
-    ///
-    /// As for [`submit_batch`](Transport::submit_batch).
-    fn submit_landing(
-        &self,
-        reqs: Vec<(usize, Request, Option<Region>)>,
-    ) -> Result<Vec<Receiver<Reply>>, StoreError> {
-        self.submit_batch(reqs.into_iter().map(|(w, req, _)| (w, req)).collect())
+        self.submit_landing(reqs.into_iter().map(|(w, req)| (w, req, None)).collect())
     }
 
     /// Convenience blocking call: submit and wait up to `timeout`.
@@ -119,12 +122,19 @@ impl Transport for ChannelTransport {
         self.senders.len()
     }
 
-    fn submit(&self, worker: usize, req: Request) -> Result<Receiver<Reply>, StoreError> {
-        let (envelope, rx) = Envelope::channel(req);
-        self.senders[worker]
-            .send(envelope)
-            .map_err(|_| StoreError::WorkerDown(worker))?;
-        Ok(rx)
+    fn submit_landing(
+        &self,
+        reqs: Vec<(usize, Request, Option<Region>)>,
+    ) -> Result<Vec<Receiver<Reply>>, StoreError> {
+        reqs.into_iter()
+            .map(|(worker, req, _)| {
+                let (envelope, rx) = Envelope::channel(req);
+                self.senders[worker]
+                    .send(envelope)
+                    .map_err(|_| StoreError::WorkerDown(worker))?;
+                Ok(rx)
+            })
+            .collect()
     }
 }
 

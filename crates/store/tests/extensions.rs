@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use spcache_core::online::plan_adjust;
 use spcache_core::tuner::TunerConfig;
 use spcache_sim::Xoshiro256StarStar;
-use spcache_store::backing::{checkpoint, read_or_recover, UnderStore};
+use spcache_store::backing::{checkpoint, recover_file, UnderStore};
 use spcache_store::online::execute_adjust;
 use spcache_store::repartitioner::run_parallel;
 use spcache_store::rpc::StoreError;
@@ -86,8 +86,8 @@ fn checkpoint_survives_online_adjustment() {
     assert_eq!(reply, spcache_store::Reply::Flag(true));
 
     // Recovery still serves the original bytes.
-    let got = read_or_recover(&client, cluster.master().as_ref(), &under, 1, &[2, 4]).unwrap();
-    assert_eq!(got, payload(1, len));
+    recover_file(&client, cluster.master().as_ref(), &under, 1, &[2, 4]).unwrap();
+    assert_eq!(client.read(1).unwrap(), payload(1, len));
 }
 
 #[test]
@@ -101,7 +101,7 @@ fn recovery_then_online_adjust() {
 
     cluster.kill_worker(1);
     assert!(matches!(client.read(1), Err(StoreError::WorkerDown(1))));
-    read_or_recover(&client, cluster.master().as_ref(), &under, 1, &[0, 3]).unwrap();
+    recover_file(&client, cluster.master().as_ref(), &under, 1, &[0, 3]).unwrap();
 
     // The recovered file can be adjusted online like any other.
     let (_, servers) = cluster.master().peek(1).unwrap();

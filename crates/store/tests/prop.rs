@@ -165,14 +165,12 @@ proptest! {
         }
     }
 
-    /// Scatter-gather reads are byte-exact for arbitrary (ragged) sizes
-    /// and partition counts — `size % k != 0`, `size < k`, `size == 0`
-    /// all included — whichever way the file is consumed (scattered
-    /// views or the gathered contiguous buffer), and whether or not a
-    /// partition (`lost < k`) was erased first and has to be decoded
-    /// from the parity set.
+    /// Fork-join reads are byte-exact for arbitrary (ragged) sizes and
+    /// partition counts — `size % k != 0`, `size < k`, `size == 0` all
+    /// included — whether or not a partition (`lost < k`) was erased
+    /// first and has to be decoded from the parity set.
     #[test]
-    fn scattered_reads_are_byte_exact_for_ragged_shapes(
+    fn reads_are_byte_exact_for_ragged_shapes(
         data in proptest::collection::vec(any::<u8>(), 0..10_000),
         k in 1usize..9,
         lost in 0usize..16,
@@ -181,7 +179,7 @@ proptest! {
         let cluster = StoreCluster::spawn(StoreConfig::unthrottled(5).with_parity(1));
         let client = cluster.client();
         let servers: Vec<usize> = (0..k).map(|j| j % 4).collect();
-        // One file per way of reading, so each read meets the erasure
+        // Two files, each read once, so each read meets its own erasure
         // rather than the other's read repair.
         for id in [1, 2] {
             client.write(id, &data, &servers).unwrap();
@@ -191,10 +189,7 @@ proptest! {
                 prop_assert_eq!(gone, Ok(Reply::Flag(true)));
             }
         }
-        let file = client.read_scattered(1).unwrap();
-        prop_assert_eq!(file.size(), data.len());
-        prop_assert_eq!(file.parts().len(), k);
-        prop_assert_eq!(file.to_vec(), data.clone());
+        prop_assert_eq!(client.read_quiet(1).unwrap(), data.clone());
         prop_assert_eq!(client.read_quiet(2).unwrap(), data);
     }
 
@@ -294,9 +289,9 @@ proptest! {
     }
 
     /// The zero-copy write path never copies: every partition view a
-    /// subsequent scattered read returns points *into the caller's
-    /// original allocation* (checked by pointer range) — one shared
-    /// buffer from writer to workers to reader.
+    /// worker serves points *into the caller's original allocation*
+    /// (checked by pointer range) — one shared buffer from writer to
+    /// workers to the reply.
     #[test]
     fn zero_copy_write_shares_the_callers_allocation(
         len in 1usize..8_192,
@@ -310,17 +305,23 @@ proptest! {
         let client = cluster.client();
         let servers: Vec<usize> = (0..k).map(|j| j % 3).collect();
         client.write_bytes(7, backing.clone(), &servers).unwrap();
-        let file = client.read_scattered(7).unwrap();
-        for part in file.parts() {
+        let mut served = Vec::with_capacity(len);
+        for (j, &server) in servers.iter().enumerate() {
+            let get = Request::Get { key: PartKey::new(7, j as u32) };
+            let reply = cluster.transport().call(server, get, Duration::from_secs(5));
+            let Ok(Reply::Data(part)) = reply else {
+                panic!("part {j} answered {reply:?}");
+            };
             if !part.is_empty() {
                 let p = part.as_ptr() as usize;
                 prop_assert!(
                     p >= base && p + part.len() <= limit,
-                    "partition bytes were copied somewhere on the write/read path"
+                    "partition bytes were copied somewhere on the write path"
                 );
             }
+            served.extend_from_slice(&part);
         }
-        prop_assert_eq!(file.to_vec(), data);
+        prop_assert_eq!(served, data);
     }
 }
 
@@ -341,9 +342,6 @@ fn scatter_gather_edge_shapes() {
         let client = cluster.client();
         let servers: Vec<usize> = (0..k).map(|j| j % 4).collect();
         client.write(1, &data, &servers).unwrap();
-        let file = client.read_scattered(1).unwrap();
-        assert_eq!(file.size(), len, "size mismatch at len={len} k={k}");
-        assert_eq!(file.to_vec(), data, "bytes mismatch at len={len} k={k}");
-        assert_eq!(client.read_quiet(1).unwrap(), data, "gather mismatch at len={len} k={k}");
+        assert_eq!(client.read_quiet(1).unwrap(), data, "bytes mismatch at len={len} k={k}");
     }
 }

@@ -294,10 +294,9 @@ fn spawn() -> (StoreConfig, Option<Arc<UnderStore>>) {
 /// recovered master, data over the cluster's own transport.
 fn in_process_b(cluster: &StoreCluster) -> impl FnOnce(&Arc<Master>) -> Client + '_ {
     |master_b| {
-        Client::new(Arc::clone(master_b) as Arc<dyn MetaService>, cluster.transport().clone())
-            .with_retry(chaos_config().retry)
-            .with_fencing(true)
-            .with_under_store(Arc::clone(cluster.under_store().expect("under-store attached")))
+        let under = Arc::clone(cluster.under_store().expect("under-store attached"));
+        let meta = Arc::clone(master_b) as Arc<dyn MetaService>;
+        Client::from_config(meta, cluster.transport().clone(), &chaos_config(), Some(under))
     }
 }
 
@@ -327,10 +326,9 @@ fn failover_with_a_wire_successor(workload_seed: u64) -> RunTrace {
             let deadline = cluster.config().retry.deadline;
             let meta = MasterClient::connect(server.addr()).with_deadline(deadline);
             server_b = Some(server);
-            Client::new(Arc::new(meta) as Arc<dyn MetaService>, cluster.transport().clone())
-                .with_retry(chaos_config().retry)
-                .with_fencing(true)
-                .with_under_store(Arc::clone(cluster.under_store().expect("under-store attached")))
+            let under = Arc::clone(cluster.under_store().expect("under-store attached"));
+            let meta = Arc::new(meta) as Arc<dyn MetaService>;
+            Client::from_config(meta, cluster.transport().clone(), &chaos_config(), Some(under))
         },
         workload_seed,
     );
