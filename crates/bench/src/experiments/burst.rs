@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use spcache_core::online::plan_adjust;
 use spcache_metrics::Summary;
 use spcache_sim::Xoshiro256StarStar;
-use spcache_store::online::execute_adjust;
+use spcache_store::repartitioner::execute_adjust;
 use spcache_store::{StoreCluster, StoreConfig};
 use spcache_workload::dist::uniform_usize;
 

@@ -9,7 +9,7 @@
 //! repartitioner.
 
 use spcache_core::online::plan_adjust;
-use spcache_store::online::execute_adjust;
+use spcache_store::repartitioner::execute_adjust;
 use spcache_store::{StoreCluster, StoreConfig};
 
 use crate::table::{f2, print_table};

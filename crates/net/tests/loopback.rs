@@ -4,12 +4,16 @@
 //! leaving nothing listening.
 
 use bytes::Bytes;
+use spcache_core::online::plan_adjust;
+use spcache_core::partition::PartitionMap;
+use spcache_core::repartition::{RepartitionJob, RepartitionPlan};
 use spcache_net::master_net::{MetaReply, MetaRequest};
 use spcache_net::loopback::twin;
 use spcache_net::{MasterClient, MasterServer, TcpCluster};
 use spcache_store::fault::FaultAction;
 use spcache_store::landing::Region;
 use spcache_store::master::{Master, MetaService};
+use spcache_store::repartitioner::{execute_adjust, run_parallel};
 use spcache_store::rpc::{PartKey, Reply, Request, Stamp, StoreError};
 use spcache_store::throttle::TrafficClass;
 use spcache_store::transport::Transport;
@@ -566,4 +570,134 @@ fn a_late_reply_leaves_a_killed_worker_dead_until_a_probe_readopts_it() {
     let (in_process, over_tcp) = twin(|| (StoreConfig::unthrottled(N_WORKERS), None), check);
     assert_eq!(in_process, (N_WORKERS - 1, 1));
     assert_eq!(over_tcp, in_process);
+}
+
+/// Total resident partitions across the fleet.
+fn resident(cluster: &StoreCluster) -> usize {
+    cluster.worker_stats().unwrap().iter().map(|s| s.resident_parts).sum()
+}
+
+/// A one-job plan moving file index 0 from `old` onto `new`.
+fn one_job(old: Vec<usize>, new: Vec<usize>) -> RepartitionPlan {
+    RepartitionPlan {
+        jobs: vec![RepartitionJob {
+            file: 0,
+            executor: old[0],
+            old_servers: old,
+            new_servers: new.clone(),
+        }],
+        new_map: PartitionMap::new(vec![new], N_WORKERS),
+        unchanged: vec![],
+    }
+}
+
+/// A repartition and an online adjust each leave an integrity row of the
+/// new placement's width, so a verifying client verifies the moved file
+/// rather than nothing.
+#[test]
+fn every_layout_move_records_the_new_integrity_row_on_both_transports() {
+    fn check(cluster: &StoreCluster) {
+        let client = cluster.client().with_verify(true);
+        let (meta, transport) = (cluster.meta(), cluster.transport());
+        client.write(1, &payload(1, 9_000), &[0]).unwrap();
+        client.write(2, &payload(2, 7_000), &[1]).unwrap();
+        run_parallel(&one_job(vec![0], vec![1, 2, 3]), &[1], meta.as_ref(), transport.as_ref())
+            .unwrap();
+        let plan = plan_adjust(7_000, &[1], 3, &[0.0; N_WORKERS]);
+        execute_adjust(2, &plan, meta.as_ref(), transport.as_ref()).unwrap();
+        for (id, len) in [(1, 9_000), (2, 7_000)] {
+            let row = cluster.master().integrity(id).expect("a moved file keeps a row");
+            assert_eq!(row.sums.len(), 3, "file {id}");
+            assert_eq!(client.read_quiet(id).unwrap(), payload(id, len), "file {id}");
+        }
+    }
+    twin(|| (StoreConfig::unthrottled(N_WORKERS), None), check);
+}
+
+/// A pull source that dies mid-build (its first range reply is lost)
+/// fails the adjust with nothing staged: the fleet holds the old
+/// `k` partitions and the file reads byte-exact.
+#[test]
+fn an_adjust_whose_source_dies_mid_build_stages_nothing_on_both_transports() {
+    fn check(cluster: &StoreCluster) {
+        let client = cluster.client();
+        let data = payload(1, 10_000);
+        client.write(1, &data, &[0]).unwrap();
+        let plan = plan_adjust(10_000, &[0], 2, &[0.0; N_WORKERS]);
+        let (meta, transport) = (cluster.meta(), cluster.transport());
+        // A lost reply is its worker's death to the caller.
+        assert_eq!(
+            execute_adjust(1, &plan, meta.as_ref(), transport.as_ref()),
+            Err(StoreError::WorkerDown(0))
+        );
+        assert_eq!(resident(cluster), 1, "a staged partition outlived the failed build");
+        assert_eq!(cluster.master().peek(1).unwrap().1, vec![0]);
+        assert_eq!(client.read_quiet(1).unwrap(), data);
+    }
+    // Worker 0's op 0 is the write; op 1 is the first range pull.
+    let lost = || FaultPlan::none().lose_reply(0, 1);
+    let cfg = || StoreConfig::unthrottled(N_WORKERS).with_faults(lost());
+    twin(|| (cfg(), None), check);
+}
+
+/// An online adjust on a fleet with a background carve-out pays for its
+/// moves out of the background share, like every layout mover.
+#[test]
+fn an_adjust_rides_the_background_share_on_both_transports() {
+    fn check(cluster: &StoreCluster) {
+        let client = cluster.client();
+        client.write(1, &payload(1, 100_000), &[0]).unwrap();
+        let before = cluster.worker_stats().unwrap();
+        let plan = plan_adjust(100_000, &[0], 3, &[0.0; N_WORKERS]);
+        execute_adjust(1, &plan, cluster.meta().as_ref(), cluster.transport().as_ref()).unwrap();
+        let after = cluster.worker_stats().unwrap();
+        let delta = |f: fn(&spcache_store::WorkerStats) -> u64| -> u64 {
+            after.iter().zip(&before).map(|(a, b)| f(a) - f(b)).sum()
+        };
+        let (served, background) = (delta(|s| s.bytes_served), delta(|s| s.bytes_background));
+        assert!(served > 0, "the adjust pulled nothing");
+        assert!(background >= served, "{background} background bytes for {served} pulled");
+    }
+    let cfg = || StoreConfig::throttled(N_WORKERS, 1e9).with_background_fraction(0.5);
+    twin(|| (cfg(), None), check);
+}
+
+/// Workers that heard from a newer master bounce every move of the
+/// deposed one: its repartition ends in `StaleEpoch`, and the file keeps
+/// its placement and bytes.
+#[test]
+fn a_deposed_masters_repartition_moves_nothing_on_both_transports() {
+    fn check(cluster: &StoreCluster) {
+        let client = cluster.client();
+        let data = payload(1, 8_000);
+        client.write(1, &data, &[0]).unwrap();
+        let (master, transport) = (cluster.master(), cluster.transport());
+        let successor = Request::SetMasterEpoch(master.master_epoch() + 1);
+        for w in 0..N_WORKERS {
+            let announced = transport.call(w, successor.clone(), Duration::from_secs(5));
+            assert_eq!(announced, Ok(Reply::Done));
+        }
+        let plan = one_job(vec![0], vec![1, 2]);
+        let moved = run_parallel(&plan, &[1], master.as_ref(), transport.as_ref());
+        assert!(matches!(moved, Err(StoreError::StaleEpoch(_))), "got {moved:?}");
+        assert_eq!(master.peek(1).unwrap().1, vec![0]);
+        assert_eq!(client.read_quiet(1).unwrap(), data);
+        assert_eq!(resident(cluster), 1);
+    }
+    twin(|| (StoreConfig::unthrottled(N_WORKERS), None), check);
+}
+
+/// A range whose end runs past `u64::MAX` is clamped to the partition,
+/// and the worker serves on.
+#[test]
+fn a_range_running_past_u64_max_is_clamped_on_both_transports() {
+    fn check(cluster: &StoreCluster) {
+        cluster.client().write(1, b"hello", &[0]).unwrap();
+        let transport = cluster.transport();
+        let range = Request::GetRange { key: PartKey::new(1, 0), offset: 1, len: u64::MAX };
+        let reply = transport.call(0, range, Duration::from_secs(5)).unwrap();
+        assert_eq!(reply.bytes().unwrap().as_ref(), b"ello");
+        assert!(transport.call(0, Request::Ping, Duration::from_secs(5)).is_ok());
+    }
+    twin(|| (StoreConfig::unthrottled(N_WORKERS), None), check);
 }

@@ -27,9 +27,12 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use parking_lot::RwLock;
+use spcache_ec::split_shards_bytes;
 
-use crate::client::{split_rows, Client};
+use crate::client::Client;
+use crate::forkjoin::empty_placement;
 use crate::master::MetaService;
+use crate::repartitioner::relayout;
 use crate::rpc::{PartKey, StoreError};
 
 /// A stable storage tier holding whole-file copies, plus a **spill
@@ -294,22 +297,30 @@ pub fn checkpoint(client: &Client, under: &UnderStore, id: u64) -> Result<(), St
 /// `live` worker list, rotated by the file id so concurrent recoveries
 /// spread across the fleet instead of piling onto the lowest-indexed
 /// live servers. `k` is clamped to `live.len()`, so two partitions of
-/// one file never land on the same server.
+/// one file never land on the same server; no live worker means no
+/// targets, which [`recover_file`] refuses.
 pub fn recovery_targets(live: &[usize], k: usize, id: u64) -> Vec<usize> {
-    assert!(!live.is_empty(), "no live workers to recover onto");
+    if live.is_empty() {
+        return Vec::new();
+    }
     let k = k.clamp(1, live.len());
     let offset = (id % live.len() as u64) as usize;
     (0..k).map(|i| live[(offset + i) % live.len()]).collect()
 }
 
 /// Recovers a lost file from the under-store: re-splits it into
-/// `new_servers.len()` partitions on the given (live) servers, swaps the
-/// metadata, then garbage-collects partitions of the old layout.
+/// `new_servers.len()` partitions and moves them onto those servers
+/// through the one layout routine
+/// ([`crate::repartitioner::run_parallel`]'s and the online adjuster's
+/// too), under `client`'s worker-epoch fence and reply deadline.
 ///
-/// The swap is failure-safe: new partitions are fully pushed **before**
-/// the metadata changes, so an error part-way (e.g. a recovery target
-/// dying too) leaves the old placement — degraded but registered —
-/// intact for another attempt.
+/// The move is failure-safe: the new partitions are staged and only a
+/// completed build commits, so an error part-way (every target dying,
+/// with no live worker left to substitute) leaves the old placement —
+/// degraded but registered — intact for another attempt. The commit
+/// records a data-only integrity row of the new placement's width; the
+/// heal does not re-encode parity (the checkpoint remains the second
+/// copy until the next full write).
 ///
 /// Every heal first acquires the file's repair slot in the master's
 /// registry ([`MetaService::begin_repair`]) and releases it on exit —
@@ -321,11 +332,11 @@ pub fn recovery_targets(live: &[usize], k: usize, id: u64) -> Vec<usize> {
 ///
 /// [`StoreError::Degraded`] when another repair of this file is already
 /// in flight (not retryable — wait it out or shed the op);
-/// [`StoreError::UnknownFile`] if no checkpoint exists;
-/// [`StoreError::Corrupt`] when the checkpoint's bytes no longer match
-/// the file's integrity row (placement and row are left untouched);
 /// [`StoreError::Codec`] for an empty `new_servers` or one naming a
-/// worker outside the fleet; worker errors if a target is down too.
+/// worker outside the fleet; [`StoreError::UnknownFile`] if no
+/// checkpoint exists; [`StoreError::Corrupt`] when the checkpoint's
+/// bytes no longer match the file's integrity row (placement and row
+/// are left untouched); worker errors if no live target is left.
 pub fn recover_file(
     client: &Client,
     master: &dyn MetaService,
@@ -337,40 +348,24 @@ pub fn recover_file(
         return Err(StoreError::Degraded(id));
     }
     let result = (|| {
+        if new_servers.is_empty() {
+            return Err(empty_placement());
+        }
         let data = under.load(id).ok_or(StoreError::UnknownFile(id))?;
-        let (_, old_servers) = master.peek(id)?;
-        let mut rows = Vec::with_capacity(new_servers.len());
-        let sums = split_rows(id, &data, new_servers, &mut rows)?;
+        let (_, old) = master.peek(id)?;
+        let shards = split_shards_bytes(&data, new_servers.len());
         // A checkpoint is outside the cache's integrity domain: prove it
         // against the file's recorded sums (a row of this placement's
-        // width) before any Put leaves and it becomes the bytes every
-        // later read verifies against.
-        if let Some(row) = master.integrity(id).filter(|r| r.sums.len() == sums.len()) {
-            let rotted = |(&want, &got): (&u64, &u64)| {
-                want != spcache_integrity::UNVERIFIED && want != got
-            };
-            if let Some(j) = row.sums.iter().zip(&sums).position(rotted) {
+        // width) before it moves and becomes the bytes every later read
+        // verifies against.
+        if let Some(row) = master.integrity(id).filter(|r| r.sums.len() == shards.len()) {
+            let rotted = |(&want, shard): (&u64, &Bytes)| !spcache_integrity::verify(shard, want);
+            if let Some(j) = row.sums.iter().zip(&shards).position(rotted) {
                 return Err(StoreError::Corrupt(PartKey::new(id, j as u32)));
             }
         }
-        client.put_all(rows)?;
-        master.apply_placement(id, new_servers.to_vec())?;
-        // The placement swap invalidated the old integrity row; record
-        // a fresh data-only one so verified reads keep working. The heal
-        // does not re-encode parity (the checkpoint remains the second
-        // copy until the next full write); best-effort, like the GC.
-        let _ = master.set_integrity(id, crate::metalog::FileIntegrity::data_only(sums));
-        // GC partitions of the old layout that the new one did not
-        // overwrite (same index on the same server). Dead holders are
-        // skipped silently — their copies died with them.
-        let stale = old_servers.iter().enumerate();
-        client.discard(
-            stale
-                .filter(|&(j, server)| new_servers.get(j) != Some(server))
-                .map(|(j, &server)| (server, PartKey::new(id, j as u32)))
-                .collect(),
-        );
-        Ok(())
+        let (io, wait) = client.mover();
+        relayout(io, id, &old, new_servers, &shards, wait)
     })();
     master.end_repair(id);
     result
@@ -550,8 +545,9 @@ mod tests {
         let under = UnderStore::new();
         checkpoint(&client, &under, 1).unwrap();
         cluster.kill_worker(2);
-        // Recovery targeting the dead worker fails...
-        assert!(recover_file(&client, cluster.master().as_ref(), &under, 1, &[2]).is_err());
+        // Recovery targeting the dead worker, with no live worker left to
+        // substitute for it, fails...
+        assert!(recover_file(&client, cluster.master().as_ref(), &under, 1, &[0, 1, 2]).is_err());
         // ...but the file stays registered with its old placement.
         assert_eq!(cluster.master().peek(1).unwrap().1, vec![0, 1]);
         assert_eq!(client.read_quiet(1).unwrap(), data);

@@ -72,18 +72,6 @@ pub struct Client {
     /// fencing epoch ([`crate::rpc::Stamp::epoch`]); off by default — an
     /// unfenced client is wire-identical to the pre-supervisor store.
     fenced: bool,
-    /// The class this client's data requests are stamped with.
-    /// [`TrafficClass::Background`] requests are paced through the
-    /// background share of the workers' NICs: maintenance actors
-    /// (supervisor sweeps, repartitioners, heal pushes) use it, and
-    /// foreground clients do not.
-    class: TrafficClass,
-    /// Whether fenced stamps also carry the master's **master epoch**
-    /// (§4.14), so workers can detect traffic from a deposed master.
-    /// On for masters' own actors (the supervisor); off for plain
-    /// clients, whose stamps stay wire-identical to the pre-failover
-    /// store.
-    master_stamp: bool,
     /// Cached per-worker epoch table, shared across clones; refreshed
     /// from the master whenever a worker bounces a stale stamp.
     epochs: Arc<Mutex<Vec<u64>>>,
@@ -114,8 +102,6 @@ impl Client {
             retry: RetryPolicy::none(),
             under: None,
             fenced: false,
-            class: TrafficClass::Foreground,
-            master_stamp: false,
             epochs: Arc::new(Mutex::new(Vec::new())),
             verify: false,
             parity: 0,
@@ -155,29 +141,6 @@ impl Client {
         self
     }
 
-    /// Marks this client's data requests as background traffic (builder
-    /// style): workers pace them through the background share of their
-    /// NIC (§4.4), so maintenance streams never starve foreground
-    /// reads.
-    pub fn with_background(mut self, background: bool) -> Self {
-        self.class = if background {
-            TrafficClass::Background
-        } else {
-            TrafficClass::Foreground
-        };
-        self
-    }
-
-    /// Stamps every request with the metadata service's current master
-    /// epoch (builder style). A worker that has heard from a newer
-    /// master bounces the stamp with [`StoreError::StaleEpoch`] — how a
-    /// deposed master's supervisor learns it was fenced (§4.14). Plain
-    /// [`MetaService`] impls report epoch 0, which stamps nothing.
-    pub fn with_master_stamp(mut self, master_stamp: bool) -> Self {
-        self.master_stamp = master_stamp;
-        self
-    }
-
     /// Enables end-to-end read verification (builder style): every
     /// landed partition is checked against the master's checksum row,
     /// and a mismatch surfaces as a [`StoreError::Corrupt`] erasure
@@ -196,13 +159,6 @@ impl Client {
     pub fn with_parity(mut self, parity: usize) -> Self {
         self.parity = parity;
         self
-    }
-
-    /// A clone of this client whose requests are background-stamped —
-    /// handed to recovery and repartition paths running next to
-    /// foreground traffic.
-    pub fn as_background(&self) -> Client {
-        self.clone().with_background(true)
     }
 
     /// Number of workers visible to this client.
@@ -320,12 +276,10 @@ impl Client {
 
     /// Pushes `data` re-split into `servers.len()` partition views under
     /// this file's keys without touching metadata — the two steps
-    /// ([`split_rows`], then the Put fan-out) of [`Client::write_bytes`];
-    /// under-store recovery ([`crate::backing::recover_file`]) runs the
-    /// same two with its checkpoint proof between them. The views share
-    /// `data`'s allocation (see [`split_shards_bytes`]). Returns the
-    /// partitions' checksums (each Put is stamped with its shard's sum,
-    /// so workers can verify later reads and spill reloads).
+    /// ([`split_rows`], then the Put fan-out) of [`Client::write_bytes`].
+    /// The views share `data`'s allocation (see [`split_shards_bytes`]).
+    /// Returns the partitions' checksums (each Put is stamped with its
+    /// shard's sum, so workers can verify later reads and spill reloads).
     fn push_partitions(
         &self,
         id: u64,
@@ -381,17 +335,15 @@ impl Client {
     /// The one Put fan-out: forks `rows` as a single stamped batch and
     /// joins the acks under one shared deadline (the write is bounded by
     /// its slowest partition, not by the sum of per-partition waits).
-    pub(crate) fn put_all(&self, rows: Vec<PutRow>) -> Result<(), StoreError> {
+    fn put_all(&self, rows: Vec<PutRow>) -> Result<(), StoreError> {
         self.io().fork(puts(rows))?.acks(self.retry.deadline)
     }
 
-    /// Best-effort drop of partitions on their holders (delete, recovery
-    /// GC); returns how many were resident. Errors and dead workers are
+    /// Best-effort drop of partitions on their holders (a delete's GC);
+    /// returns how many were resident. Errors and dead workers are
     /// ignored. Deliberately unfenced (a stale epoch must not block GC)
-    /// and health-silent (a fenced zombie's answer must not revive it),
-    /// but background-stamped like the rest of a maintenance client's
-    /// traffic.
-    pub(crate) fn discard(&self, keys: Vec<(usize, PartKey)>) -> usize {
+    /// and health-silent (a fenced zombie's answer must not revive it).
+    fn discard(&self, keys: Vec<(usize, PartKey)>) -> usize {
         let deletes = keys
             .into_iter()
             .map(|(server, key)| (server, Request::Delete { key }))
@@ -404,10 +356,19 @@ impl Client {
     fn io(&self) -> Fanout<'_> {
         Fanout {
             fence: self.fenced.then_some(&*self.epochs),
-            class: self.class,
-            master_stamp: self.master_stamp,
             ..Fanout::plain(self.master.as_ref(), self.transport.as_ref())
         }
+    }
+
+    /// This client as a layout mover ([`Fanout::mover`]) under its own
+    /// worker-epoch fence, and the wait of each of its replies — how a
+    /// heal moves a file ([`crate::backing::recover_file`]).
+    pub(crate) fn mover(&self) -> (Fanout<'_>, Duration) {
+        let io = Fanout {
+            fence: self.fenced.then_some(&*self.epochs),
+            ..Fanout::mover(self.master.as_ref(), self.transport.as_ref())
+        };
+        (io, self.retry.deadline)
     }
 
     /// Reads a file: fetches its partitions in parallel and lands each
@@ -568,26 +529,16 @@ impl Client {
     /// of the same hole. A heal that fails leaves the retry loop to
     /// meet the hole again; a denied repair slot means someone else (the
     /// supervisor's sweep or another client) is already healing this
-    /// file, and the retry loop waits that repair out.
+    /// file, and the retry loop waits that repair out. The heal moves the
+    /// file as every layout mover does: background- and master-stamped,
+    /// under this client's own worker-epoch fence.
     fn heal(&self, id: u64, k: usize) {
         let Some(under) = self.under.as_ref().filter(|u| u.contains(id)) else {
             return;
         };
         let live = self.master.live_workers(self.transport.n_workers());
-        if live.is_empty() {
-            return;
-        }
         let targets = crate::backing::recovery_targets(&live, k, id);
-        // The heal's partition pushes are maintenance traffic riding
-        // next to this foreground read: stamp them background so the
-        // refill cannot starve other clients' reads.
-        let _ = crate::backing::recover_file(
-            &self.as_background(),
-            self.master.as_ref(),
-            under,
-            id,
-            &targets,
-        );
+        let _ = crate::backing::recover_file(self, self.master.as_ref(), under, id, &targets);
     }
 
     /// One fork-join read attempt against a fixed placement: *obtain any
@@ -797,7 +748,7 @@ impl Client {
 }
 
 /// One Put of a fan-out: `(target worker, key, shard, checksum)`.
-pub(crate) type PutRow = (usize, PartKey, Bytes, u64);
+type PutRow = (usize, PartKey, Bytes, u64);
 
 /// Turns Put rows into the requests of one batch.
 fn puts(rows: Vec<PutRow>) -> Vec<(usize, Request)> {
@@ -812,7 +763,7 @@ fn puts(rows: Vec<PutRow>) -> Vec<(usize, Request)> {
 /// # Errors
 ///
 /// [`StoreError::Codec`] for an empty placement (nothing to split over).
-pub(crate) fn split_rows(
+fn split_rows(
     id: u64,
     data: &Bytes,
     servers: &[usize],

@@ -1,8 +1,8 @@
 //! The store's one fork-join engine: stamped batch submit → ready-set
 //! join under caller-given timers → per-reply failure folding.
 //!
-//! Every worker interaction of the client, the repartitioner and the
-//! online adjuster is a [`Fanout::fork`] followed by reading the
+//! Every worker interaction of the client and of the layout movers
+//! ([`crate::repartitioner`]) is a [`Fanout::fork`] followed by reading the
 //! resulting [`Join`]: a read is "any `k` of the outstanding shards", a
 //! write is "all acks", a synchronous call is a fan-out of one. The
 //! placement check, the request stamps, the `Select` over reply routes
@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use crate::landing::Region;
 use crate::master::MetaService;
-use crate::rpc::{PartKey, Reply, Request, Stamp, StoreError};
+use crate::rpc::{Reply, Request, Stamp, StoreError};
 use crate::throttle::TrafficClass;
 use crate::transport::Transport;
 
@@ -75,13 +75,26 @@ impl<'a> Fanout<'a> {
         }
     }
 
+    /// The engine of every layout move — repartition, online adjust
+    /// and heal ([`crate::repartitioner::relayout`]): background-stamped,
+    /// so a move rides the workers' background NIC share (§4.13), and
+    /// stamped with the master's epoch, so a deposed master moves
+    /// nothing (§4.14).
+    pub fn mover(master: &'a dyn MetaService, transport: &'a dyn Transport) -> Self {
+        Fanout {
+            class: TrafficClass::Background,
+            master_stamp: true,
+            ..Fanout::plain(master, transport)
+        }
+    }
+
     /// This engine for best-effort maintenance (GC deletes, read
-    /// repair): unfenced — a stale epoch must not block it — and
-    /// health-silent.
+    /// repair): unfenced by worker epoch — a stale grant must not block
+    /// it — and health-silent. A master stamp stays: a deposed master
+    /// deletes nothing either.
     pub fn best_effort(self) -> Self {
         Fanout {
             fence: None,
-            master_stamp: false,
             health: false,
             ..self
         }
@@ -137,44 +150,6 @@ impl<'a> Fanout<'a> {
             .filter_map(|mut fork| fork.next(until))
             .filter(|(_, reply)| matches!(reply, Ok(Reply::Flag(true))))
             .count()
-    }
-
-    /// Commits a layout built under staged keys (the online adjuster's
-    /// and the repartitioner's last phase): drops `old_servers`' keys of
-    /// `file` best-effort, renames every staged partition `j` on
-    /// `new_servers[j]` to its final key, and installs `new_servers` as
-    /// the file's placement.
-    ///
-    /// A staged key can vanish between stage and commit (its worker
-    /// crash-restarted cold). The placement is applied all the same —
-    /// the file is then degraded, which the heal owns — and the first
-    /// such key is reported.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::NotFound`] naming the first staged key that was
-    /// missing at commit; transport errors of a rename (the placement is
-    /// then left as it was); metadata errors of the swap.
-    pub fn commit_staged(
-        self,
-        file: u64,
-        old_servers: &[usize],
-        new_servers: &[usize],
-        wait: Duration,
-    ) -> Result<(), StoreError> {
-        let old = old_servers.iter().enumerate();
-        let deletes = old.map(|(j, &s)| (s, Request::Delete { key: PartKey::new(file, j as u32) }));
-        self.discard(deletes.collect(), wait);
-        let mut lost = None;
-        for (j, &server) in new_servers.iter().enumerate() {
-            let key = PartKey::new(file, j as u32);
-            let rename = Request::Rename { from: key.staged(), to: key };
-            if !self.call(server, rename, wait)?.flag()? {
-                lost = lost.or(Some(key.staged()));
-            }
-        }
-        self.master.apply_placement(file, new_servers.to_vec())?;
-        lost.map_or(Ok(()), |key| Err(StoreError::NotFound(key)))
     }
 
     /// Stamps one batch: the master epoch is read once and the epoch

@@ -18,10 +18,16 @@
 //!   (optionally split) writes,
 //! * [`landing`] — a read's one output allocation, whose
 //!   partition regions replies land in directly,
-//! * [`repartitioner::run_parallel`] — Algorithm 2's executors: each
-//!   worker repartitions a disjoint set of files in parallel
-//!   (vs [`repartitioner::run_sequential`], the strawman that collects
-//!   every file at one node — Fig. 16's comparison),
+//! * [`repartitioner`] — every layout move: Algorithm 2's executors
+//!   ([`repartitioner::run_parallel`], each worker repartitioning a
+//!   disjoint set of files in parallel, vs
+//!   [`repartitioner::run_sequential`], the strawman that collects every
+//!   file at one node — Fig. 16's comparison), the §8 online granularity
+//!   adjustment ([`repartitioner::execute_adjust`]) and the heal's move,
+//!   all staged and committed by one routine,
+//! * [`backing`] — the §8 under-store: checkpoints, and
+//!   [`backing::recover_file`], the heal that re-splits a lost file from
+//!   its checkpoint onto live workers,
 //! * [`cluster::StoreCluster`] — wires it all together: the one cluster
 //!   harness, over worker threads here and over loopback servers in
 //!   `spcache-net`, behind a [`cluster::Fleet`],
@@ -40,7 +46,6 @@ pub mod landing;
 pub mod master;
 pub mod meta;
 pub mod metalog;
-pub mod online;
 mod placements;
 pub mod repartitioner;
 pub mod rpc;

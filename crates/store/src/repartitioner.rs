@@ -1,32 +1,40 @@
-//! Algorithm 2's executors: move bytes according to a
-//! [`spcache_core::repartition::RepartitionPlan`].
+//! Every layout move of the store, and Algorithm 2's executors.
 //!
-//! [`run_parallel`] is the paper's scheme (§6.2): each job runs on an
-//! executor thread standing in for the SP-Repartitioner of the worker that
-//! already holds one of the file's partitions; executors handle disjoint
-//! file sets concurrently. [`run_sequential`] is the strawman it is
-//! compared against in Fig. 16 — every file (changed or not) is collected
-//! and re-distributed one at a time through a single node.
+//! A file's layout changes in three places: Algorithm 2's repartition
+//! ([`run_parallel`], §6.2), the §8 online granularity adjustment
+//! ([`execute_adjust`]) and the §8 heal, which re-splits a lost file from
+//! the under-store ([`crate::backing::recover_file`]). Each caller only
+//! sources the bytes; [`relayout`] stages and commits the new layout for
+//! all three, with one set of failure rules.
 //!
-//! Executors are transport-agnostic: every byte moves through a
-//! [`Transport`], so the same code repartitions an in-process cluster
-//! and a fleet of `spcached` processes over TCP.
+//! [`run_parallel`] is the paper's scheme: each job runs on an executor
+//! thread standing in for the SP-Repartitioner of the worker that already
+//! holds one of the file's partitions; executors handle disjoint file
+//! sets concurrently. [`run_sequential`] is the strawman it is compared
+//! against in Fig. 16 — every file (changed or not) is collected and
+//! re-distributed one at a time through a single node.
 //!
-//! All executor traffic goes through one background [`Fanout`], which
-//! stamps every request [`TrafficClass::Background`]: repartition pulls
-//! and pushes ride the workers' background NIC share (§4.4), so a
-//! rebalance never starves the foreground read path it is trying to
-//! improve.
+//! Every byte moves through a [`Transport`], so the same code moves files
+//! on an in-process cluster and on a fleet of `spcached` processes over
+//! TCP, and through [`Fanout::mover`]: moves ride the workers' background
+//! NIC share (§4.4), so a rebalance never starves the foreground read
+//! path it is trying to improve, and carry the master's epoch, so a
+//! deposed master moves nothing.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use bytes::Bytes;
+use spcache_core::online::OnlinePlan;
 use spcache_core::repartition::{RepartitionJob, RepartitionPlan};
 use spcache_ec::{join_shards_bytes, split_shards_bytes};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crate::forkjoin::Fanout;
+use crate::forkjoin::{empty_placement, Fanout};
 use crate::master::MetaService;
+use crate::metalog::FileIntegrity;
 use crate::rpc::{PartKey, Reply, Request, StoreError, STAGE_BIT};
-use crate::throttle::TrafficClass;
 use crate::transport::Transport;
 
 /// How long an executor waits on any single worker reply before giving
@@ -36,163 +44,212 @@ use crate::transport::Transport;
 /// so a throttled push never outlives the executor that sent it.
 pub const DEFAULT_EXECUTOR_DEADLINE: Duration = Duration::from_secs(5);
 
-/// Whether an error means "this worker is unavailable" (dead, hung,
-/// unreachable, or restarted cold under a staged partition it had not
-/// committed yet) as opposed to a logic/metadata problem.
+/// Whether an error means "this job cannot go ahead now" — a worker is
+/// unavailable (dead, hung, unreachable, or restarted cold under a
+/// staged partition it had not committed yet), or the file moved since
+/// the job was planned — as opposed to a logic/metadata problem.
 fn is_availability(e: &StoreError) -> bool {
     match e {
-        StoreError::WorkerDown(_) | StoreError::Timeout(_) | StoreError::Io(_) => true,
+        StoreError::WorkerDown(_)
+        | StoreError::Timeout(_)
+        | StoreError::Io(_)
+        | StoreError::StalePlacement(_) => true,
         StoreError::NotFound(key) => key.part & STAGE_BIT != 0,
         _ => false,
     }
 }
 
-/// The executors' engine: every request background-stamped.
-fn background<'a>(master: &'a dyn MetaService, transport: &'a dyn Transport) -> Fanout<'a> {
-    Fanout {
-        class: TrafficClass::Background,
-        ..Fanout::plain(master, transport)
-    }
-}
-
-/// The Put of one shard, carrying its checksum.
-fn put(key: PartKey, shard: Bytes) -> Request {
-    let sum = spcache_integrity::sum(&shard);
-    Request::Put { key, data: shard, sum }
-}
-
-/// The `Get` of partition `j` of `file`.
-fn get(file: u64, j: usize) -> Request {
-    let key = PartKey::new(file, j as u32);
-    Request::Get { key }
-}
-
-/// The best-effort deletes of `file`'s staged partitions on `servers`,
-/// index by index.
-fn staged_deletes(file: u64, servers: &[usize]) -> Vec<(usize, Request)> {
-    let holders = servers.iter().enumerate();
-    holders
-        .map(|(j, &server)| {
-            let key = PartKey::new(file, j as u32).staged();
-            (server, Request::Delete { key })
-        })
-        .collect()
-}
-
-/// Executes one repartition job: pull old partitions, reassemble,
-/// re-split, push new partitions, delete old ones, and swap the metadata.
+/// Forks `reads` as one batch and returns their payloads in order.
 ///
-/// Target workers that die mid-job are skipped: their shard is re-pushed
-/// to the lowest-indexed live worker not already holding a partition of
-/// this file, and the metadata swap records the substitute. Source
-/// failures (an old partition's holder is gone) abort the job with the
-/// old placement untouched — the file is degraded and must heal through
-/// the under-store, since this cache keeps no second copy.
-fn execute_job(
-    job: &RepartitionJob,
-    file_id: u64,
+/// # Errors
+///
+/// The first failed reply to land, or the deadline's
+/// [`StoreError::Timeout`].
+fn pull(
     io: Fanout<'_>,
-    deadline: Duration,
-) -> Result<(), StoreError> {
-    let master = io.master;
-    let (size, _) = master.peek(file_id)?;
-
-    // Pull the old partitions (the executor's own partition needs no
-    // network hop in the real system; here every pull goes through the
-    // owning worker's throttle, which is also true of Alluxio's local
-    // short-circuit-free path).
-    let mut shards: Vec<Bytes> = Vec::with_capacity(job.old_servers.len());
-    for (j, &server) in job.old_servers.iter().enumerate() {
-        shards.push(io.call(server, get(file_id, j), deadline)?.bytes()?);
+    reads: Vec<(usize, Request)>,
+    wait: Duration,
+) -> Result<Vec<Bytes>, StoreError> {
+    let mut got = vec![Bytes::new(); reads.len()];
+    if reads.is_empty() {
+        return Ok(got);
     }
-    let data = join_shards_bytes(&shards, size);
+    let until = Instant::now() + wait;
+    let mut join = io.fork(reads)?;
+    while join.pending() > 0 {
+        match join.next(until) {
+            Some((i, reply)) => got[i] = reply?.bytes()?,
+            None => return Err(join.expire()),
+        }
+    }
+    Ok(got)
+}
 
-    // Targets may have died since planning; replace dead ones up front,
-    // keeping the distinct-server invariant within the file.
-    let mut targets = job.new_servers.clone();
-    let substitute_targets = |targets: &mut Vec<usize>, failed: Option<usize>| {
-        let live = master.live_workers(io.transport.n_workers());
-        for i in 0..targets.len() {
-            let dead = Some(targets[i]) == failed || !master.is_alive(targets[i]);
-            if dead {
-                if let Some(sub) = live
-                    .iter()
-                    .copied()
-                    .find(|w| Some(*w) != failed && !targets.contains(w))
-                {
-                    targets[i] = sub;
-                }
-                // No substitute available: leave it and let the push
-                // surface the error.
+/// Replaces each target that is dead, or is `failed`, by the
+/// lowest-indexed live worker neither `failed` nor already a target,
+/// keeping the file's partitions on distinct servers. A target with no
+/// such substitute — or outside the `n`-worker fleet — is left for its
+/// push to fail.
+fn substitute(master: &dyn MetaService, n: usize, targets: &mut [usize], failed: Option<usize>) {
+    let live = master.live_workers(n);
+    for i in 0..targets.len() {
+        let dead = targets[i] < n && !live.contains(&targets[i]);
+        if Some(targets[i]) == failed || dead {
+            let spare = live.iter().find(|&&w| Some(w) != failed && !targets.contains(&w));
+            if let Some(&sub) = spare {
+                targets[i] = sub;
             }
         }
-    };
-    substitute_targets(&mut targets, None);
+    }
+}
 
-    // Re-split and push to the target servers in parallel under STAGED
-    // keys: nothing in the readable (unstaged) key space changes until
-    // commit, so a job aborted here leaves the old layout intact and
-    // the file readable. A target failing mid-push gets its shard
-    // re-routed to a substitute.
-    let data = Bytes::from(data);
-    let new_shards: Vec<Bytes> = split_shards_bytes(&data, targets.len());
-    let staged = |j: usize| PartKey::new(file_id, j as u32).staged();
-    // Re-routes shard `j`, whose target `server` failed with `e`, to a
-    // live substitute.
+/// Moves `file` from `old` — the placement the caller read — to a new
+/// layout whose partition `j` is `shards[j]` on `targets[j]`. The one
+/// routine every layout change goes through:
+///
+/// 1. the master's placement must still be `old`;
+/// 2. each shard is pushed under its staged key, with its checksum —
+///    nothing readable changes yet;
+/// 3. a target that is dead, or fails its push, hands its shard to a
+///    live substitute;
+/// 4. a build that aborts discards its staged keys (best effort),
+///    leaving the old layout in place;
+/// 5. the commit drops `old`'s keys, renames the staged keys to their
+///    final names, applies the placement and records the new data-only
+///    integrity row (a re-split leaves no parity).
+///
+/// A staged key can vanish before its commit (its worker crash-restarted
+/// cold): the placement is applied all the same — the file is then
+/// degraded, which the heal owns — and the first such key is reported.
+///
+/// # Errors
+///
+/// [`StoreError::StalePlacement`] when the file moved since the caller
+/// read `old`; [`StoreError::Codec`] for no targets or a shard count that
+/// does not match them; a push error no substitute could absorb; at
+/// commit, [`StoreError::NotFound`] of the first staged key found
+/// missing, transport errors of a rename (the placement is then left as
+/// it was), and metadata errors of the swap.
+pub(crate) fn relayout(
+    io: Fanout<'_>,
+    file: u64,
+    old: &[usize],
+    targets: &[usize],
+    shards: &[Bytes],
+    wait: Duration,
+) -> Result<(), StoreError> {
+    let master = io.master;
+    if master.peek(file)?.1 != old {
+        return Err(StoreError::StalePlacement(PartKey::new(file, 0)));
+    }
+    if targets.is_empty() {
+        return Err(empty_placement());
+    }
+    if shards.len() != targets.len() {
+        return Err(StoreError::Codec(format!(
+            "{} shards for {} targets of file {file}",
+            shards.len(),
+            targets.len()
+        )));
+    }
+    let sums = spcache_integrity::sums(shards);
+    let staged = |j: usize| PartKey::new(file, j as u32).staged();
+    let put = |j: usize| Request::Put { key: staged(j), data: shards[j].clone(), sum: sums[j] };
+    let n = io.transport.n_workers();
+    let mut targets = targets.to_vec();
+    substitute(master, n, &mut targets, None);
+
+    // Pushes shard `j` again, to a substitute for `server`, which failed
+    // with `e`.
     let reroute = |targets: &mut Vec<usize>, j: usize, server: usize, e: StoreError| {
-        substitute_targets(targets, Some(server));
+        substitute(master, n, targets, Some(server));
         if targets[j] == server {
             return Err(e); // no live substitute left
         }
-        let retry = put(staged(j), new_shards[j].clone());
-        io.call(targets[j], retry, deadline)?.unit()
+        io.call(targets[j], put(j), wait)?.unit()
     };
-    let push_result = (|| {
+    let pushed = (|| {
         // One fork per shard, so a failed submit names its target.
-        let mut pending = Vec::with_capacity(new_shards.len());
-        for j in 0..new_shards.len() {
+        let mut pending = Vec::with_capacity(targets.len());
+        for j in 0..targets.len() {
             let server = targets[j];
-            match io.fork(vec![(server, put(staged(j), new_shards[j].clone()))]) {
+            match io.fork(vec![(server, put(j))]) {
                 Ok(push) => pending.push((j, server, push)),
                 Err(e) => reroute(&mut targets, j, server, e)?,
             }
         }
         for (j, server, push) in pending {
-            match push.one(deadline).and_then(Reply::unit) {
+            match push.one(wait).and_then(Reply::unit) {
                 Err(e) if is_availability(&e) => reroute(&mut targets, j, server, e)?,
                 acked => acked?,
             }
         }
         Ok(())
     })();
-    if let Err(e) = push_result {
-        // Abort: clear any staged keys (best effort) and leave the old
-        // layout — still fully readable — in place.
-        io.discard(staged_deletes(file_id, &targets), deadline);
+    if let Err(e) = pushed {
+        io.discard(each_part(file, &targets, |key| Request::Delete { key: key.staged() }), wait);
         return Err(e);
     }
 
-    // Commit: drop old keys, unstage new ones, swap the metadata. A
-    // target dying inside this window leaves the file degraded, which
-    // the under-store heal repairs.
-    io.commit_staged(file_id, &job.old_servers, &targets, deadline)
+    io.discard(each_part(file, old, |key| Request::Delete { key }), wait);
+    let mut lost = None;
+    let renames = each_part(file, &targets, |key| Request::Rename { from: key.staged(), to: key });
+    for (j, (server, rename)) in renames.into_iter().enumerate() {
+        if !io.call(server, rename, wait)?.flag()? {
+            lost = lost.or(Some(staged(j)));
+        }
+    }
+    master.apply_placement(file, targets)?;
+    // The swap dropped the old row; best effort, like the GC.
+    let _ = master.set_integrity(file, FileIntegrity::data_only(sums));
+    lost.map_or(Ok(()), |key| Err(StoreError::NotFound(key)))
+}
+
+/// One request per partition of `file`: `req` of partition `j`'s key,
+/// to `servers[j]`.
+fn each_part(
+    file: u64,
+    servers: &[usize],
+    req: impl Fn(PartKey) -> Request,
+) -> Vec<(usize, Request)> {
+    let holders = servers.iter().enumerate();
+    holders.map(|(j, &s)| (s, req(PartKey::new(file, j as u32)))).collect()
+}
+
+/// Executes one repartition job: collects `file` from `old` and moves
+/// it, re-split, onto `targets`.
+fn execute_job(
+    io: Fanout<'_>,
+    file: u64,
+    old: &[usize],
+    targets: &[usize],
+    wait: Duration,
+) -> Result<(), StoreError> {
+    let (size, _) = io.master.peek(file)?;
+    let shards = pull(io, each_part(file, old, |key| Request::Get { key }), wait)?;
+    let data = Bytes::from(join_shards_bytes(&shards, size));
+    let shards = split_shards_bytes(&data, targets.len().max(1));
+    relayout(io, file, old, targets, &shards, wait)
 }
 
 /// Runs the plan with one executor thread per involved worker, each
-/// processing its disjoint job set (the parallel scheme of §6.2).
-/// `ids[i]` maps the plan's dense file indices to store file ids.
+/// processing its disjoint job set (the parallel scheme of §6.2): a job
+/// forks the `k` old `Get`s, re-splits the file and moves it through
+/// [`relayout`]. `ids[i]` maps the plan's dense file indices to store
+/// file ids.
 ///
-/// Jobs that hit a dead or hung worker are **skipped**, not fatal: a
-/// dead target is substituted inside [`execute_job`], and a dead source
-/// leaves the file degraded (recoverable only through the under-store).
-/// Every blocking wait is bounded by [`DEFAULT_EXECUTOR_DEADLINE`], so
-/// a worker dying mid-repartition cannot deadlock the sweep. Skipped
-/// file ids are returned.
+/// Jobs that hit a dead or hung worker, or whose file moved since it
+/// was planned, are **skipped**, not fatal: a dead target is substituted
+/// inside [`relayout`], and a dead source leaves the file degraded
+/// (recoverable only through the under-store). Every blocking wait is
+/// bounded by [`DEFAULT_EXECUTOR_DEADLINE`], so a worker dying
+/// mid-repartition cannot deadlock the sweep. Skipped file ids are
+/// returned.
 ///
 /// # Errors
 ///
-/// Returns the first non-availability executor error (metadata
-/// inconsistencies and the like).
+/// Returns the first other executor error (a stale master epoch,
+/// metadata inconsistencies and the like).
 pub fn run_parallel(
     plan: &RepartitionPlan,
     ids: &[u64],
@@ -211,8 +268,11 @@ fn run_parallel_with_deadline(
     transport: &dyn Transport,
     deadline: Duration,
 ) -> Result<Vec<u64>, StoreError> {
-    let io = background(master, transport);
+    let io = Fanout::mover(master, transport);
     let by_executor = plan.jobs_by_executor(transport.n_workers());
+    let job = |job: &RepartitionJob| {
+        execute_job(io, ids[job.file], &job.old_servers, &job.new_servers, deadline)
+    };
     let results: Vec<Result<Vec<u64>, StoreError>> = std::thread::scope(|s| {
         let handles: Vec<_> = by_executor
             .into_iter()
@@ -220,12 +280,10 @@ fn run_parallel_with_deadline(
             .map(|jobs| {
                 s.spawn(move || {
                     let mut skipped = Vec::new();
-                    for job in jobs {
-                        match execute_job(job, ids[job.file], io, deadline) {
+                    for j in jobs {
+                        match job(j) {
                             Ok(()) => {}
-                            Err(e) if is_availability(&e) => {
-                                skipped.push(ids[job.file]);
-                            }
+                            Err(e) if is_availability(&e) => skipped.push(ids[j.file]),
                             Err(e) => return Err(e),
                         }
                     }
@@ -233,10 +291,8 @@ fn run_parallel_with_deadline(
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("executor panicked"))
-            .collect()
+        let panicked = || Err(StoreError::Codec("a repartition executor panicked".into()));
+        handles.into_iter().map(|h| h.join().unwrap_or_else(|_| panicked())).collect()
     });
     let mut skipped = Vec::new();
     for r in results {
@@ -260,30 +316,68 @@ pub fn run_sequential(
     transport: &dyn Transport,
 ) -> Result<(), StoreError> {
     let deadline = DEFAULT_EXECUTOR_DEADLINE;
+    let io = Fanout::mover(master, transport);
     // Unchanged files are still collected and re-written in place (that is
     // what makes the strawman slow).
-    let io = background(master, transport);
     for &i in &plan.unchanged {
-        let file_id = ids[i];
-        let (size, servers) = master.peek(file_id)?;
-        let mut shards: Vec<Bytes> = Vec::with_capacity(servers.len());
-        for (j, &server) in servers.iter().enumerate() {
-            shards.push(io.call(server, get(file_id, j), deadline)?.bytes()?);
-        }
-        let data = Bytes::from(join_shards_bytes(&shards, size));
-        for (j, (&server, shard)) in servers
-            .iter()
-            .zip(split_shards_bytes(&data, servers.len()))
-            .enumerate()
-        {
-            let rewrite = put(PartKey::new(file_id, j as u32), shard);
-            io.call(server, rewrite, deadline)?.unit()?;
-        }
+        let (_, servers) = master.peek(ids[i])?;
+        execute_job(io, ids[i], &servers, &servers, deadline)?;
     }
     for job in &plan.jobs {
-        execute_job(job, ids[job.file], io, deadline)?;
+        execute_job(io, ids[job.file], &job.old_servers, &job.new_servers, deadline)?;
     }
     Ok(())
+}
+
+/// Executes an online adjustment of `file` (the §8 extension,
+/// [`spcache_core::online`]): pulls, in one fork, only the byte
+/// sub-ranges each new partition needs from their current holders
+/// (`GetRange`), and moves the assembled partitions through
+/// [`relayout`] onto the plan's servers.
+///
+/// # Errors
+///
+/// [`StoreError::StalePlacement`] when the file's placement is no longer
+/// the one of `plan.old_k` partitions the plan was made against, or
+/// moved while the ranges were pulled; a pull's error — a dead or hung
+/// source fails the adjustment before anything is staged, so the
+/// caller should replan against the live fleet;
+/// [`StoreError::Corrupt`] of the source partition when a range comes
+/// back with the wrong length; otherwise [`relayout`]'s errors. A staged
+/// partition lost before its commit is [`StoreError::NotFound`] of its
+/// staged key, with the new placement applied and the file degraded.
+pub fn execute_adjust(
+    file: u64,
+    plan: &OnlinePlan,
+    master: &dyn MetaService,
+    transport: &dyn Transport,
+) -> Result<(), StoreError> {
+    let (_, old) = master.peek(file)?;
+    if old.len() != plan.old_k {
+        return Err(StoreError::StalePlacement(PartKey::new(file, 0)));
+    }
+    let io = Fanout::mover(master, transport);
+    let pulls: Vec<_> = plan.parts.iter().flat_map(|part| &part.pulls).collect();
+    let ranges = pulls
+        .iter()
+        .map(|pull| {
+            let (key, offset) = (PartKey::new(file, pull.from_part), pull.offset_in_part);
+            (pull.from_server, Request::GetRange { key, offset, len: pull.len })
+        })
+        .collect();
+    let mut pulled = pull(io, ranges, DEFAULT_EXECUTOR_DEADLINE)?.into_iter().zip(pulls);
+    let mut shards = Vec::with_capacity(plan.parts.len());
+    for part in &plan.parts {
+        let mut buf = Vec::with_capacity(part.range.len() as usize);
+        for (bytes, pull) in pulled.by_ref().take(part.pulls.len()) {
+            if bytes.len() as u64 != pull.len {
+                return Err(StoreError::Corrupt(PartKey::new(file, pull.from_part)));
+            }
+            buf.extend_from_slice(&bytes);
+        }
+        shards.push(Bytes::from(buf));
+    }
+    relayout(io, file, &old, &plan.new_servers(), &shards, DEFAULT_EXECUTOR_DEADLINE)
 }
 
 #[cfg(test)]
@@ -292,6 +386,7 @@ mod tests {
     use crate::cluster::StoreCluster;
     use crate::config::StoreConfig;
     use rand::SeedableRng;
+    use spcache_core::online::plan_adjust;
     use spcache_core::repartition::plan_repartition;
     use spcache_sim::Xoshiro256StarStar;
 
@@ -612,5 +707,197 @@ mod tests {
             seq > par * 2.0,
             "sequential {seq}s should be much slower than parallel {par}s"
         );
+    }
+
+    fn loads(n: usize) -> Vec<f64> {
+        vec![0.0; n]
+    }
+
+    /// Runs one adjustment and checks byte-exactness + placement.
+    fn roundtrip(n_workers: usize, initial: &[usize], new_k: usize, len: usize) {
+        let cluster = StoreCluster::spawn(StoreConfig::unthrottled(n_workers));
+        let client = cluster.client();
+        let data = payload(1, len);
+        client.write(1, &data, initial).unwrap();
+
+        let plan = plan_adjust(len as u64, initial, new_k, &loads(n_workers));
+        execute_adjust(
+            1,
+            &plan,
+            cluster.master().as_ref(),
+            cluster.transport().as_ref(),
+        )
+        .unwrap();
+
+        let (_, servers) = cluster.master().peek(1).unwrap();
+        assert_eq!(servers.len(), new_k);
+        assert_eq!(client.read_quiet(1).unwrap(), data, "bytes corrupted");
+        // No staged or stale partitions left.
+        let resident: usize = cluster
+            .worker_stats()
+            .unwrap()
+            .iter()
+            .map(|s| s.resident_parts)
+            .sum();
+        assert_eq!(resident, new_k);
+    }
+
+    #[test]
+    fn split_whole_file_online() {
+        roundtrip(6, &[2], 4, 10_001);
+    }
+
+    #[test]
+    fn combine_back_to_one() {
+        roundtrip(6, &[0, 1, 2, 3], 1, 8_000);
+    }
+
+    #[test]
+    fn resize_up_and_down() {
+        roundtrip(8, &[0, 3, 5], 7, 9_999);
+        roundtrip(8, &[0, 1, 2, 3, 4, 5, 6], 3, 9_999);
+    }
+
+    #[test]
+    fn identity_adjustment_is_noop_on_bytes() {
+        let cluster = StoreCluster::spawn(StoreConfig::unthrottled(4));
+        let client = cluster.client();
+        let data = payload(1, 5_000);
+        client.write(1, &data, &[1, 3]).unwrap();
+        let plan = plan_adjust(5_000, &[1, 3], 2, &loads(4));
+        assert_eq!(plan.network_bytes(), 0);
+        execute_adjust(
+            1,
+            &plan,
+            cluster.master().as_ref(),
+            cluster.transport().as_ref(),
+        )
+        .unwrap();
+        assert_eq!(client.read_quiet(1).unwrap(), data);
+        assert_eq!(cluster.master().peek(1).unwrap().1, vec![1, 3]);
+    }
+
+    #[test]
+    fn repeated_adjustments_stay_consistent() {
+        let n_workers = 8;
+        let cluster = StoreCluster::spawn(StoreConfig::unthrottled(n_workers));
+        let client = cluster.client();
+        let len = 12_345;
+        let data = payload(1, len);
+        client.write(1, &data, &[0]).unwrap();
+        let seq = [3usize, 8, 2, 5, 1, 6];
+        for &k in &seq {
+            let (_, servers) = cluster.master().peek(1).unwrap();
+            let plan = plan_adjust(len as u64, &servers, k, &loads(n_workers));
+            execute_adjust(
+                1,
+                &plan,
+                cluster.master().as_ref(),
+                cluster.transport().as_ref(),
+            )
+            .unwrap();
+            assert_eq!(client.read_quiet(1).unwrap(), data, "after k={k}");
+            assert_eq!(cluster.master().peek(1).unwrap().1.len(), k);
+        }
+    }
+
+    #[test]
+    fn a_staged_partition_lost_before_commit_is_reported_not_a_panic() {
+        // File 1 whole on worker 0, split in two online. The new
+        // partition's target crash-restarts cold between its staged Put
+        // (its op 0) and the commit's Rename (op 1): the rename finds
+        // nothing, the new placement is applied all the same (the file
+        // is degraded, which the heal owns), and the lost staged key is
+        // the error.
+        let (n, len) = (4, 10_000);
+        let plan = plan_adjust(len as u64, &[0], 2, &loads(n));
+        let target = plan.parts[1].server;
+        assert_ne!(target, 0, "the new partition lands on a worker holding nothing");
+        let cfg = StoreConfig::unthrottled(n)
+            .with_faults(crate::fault::FaultPlan::none().crash_restart(target, 1));
+        let cluster = StoreCluster::spawn(cfg);
+        let client = cluster.client();
+        client.write(1, &payload(1, len), &[0]).unwrap();
+        let (master, transport) = (cluster.master().as_ref(), cluster.transport().as_ref());
+        assert_eq!(
+            execute_adjust(1, &plan, master, transport),
+            Err(StoreError::NotFound(PartKey::new(1, 1).staged()))
+        );
+        assert_eq!(master.peek(1).unwrap().1, plan.new_servers());
+        assert_eq!(
+            client.read_quiet(1),
+            Err(StoreError::NotFound(PartKey::new(1, 1))),
+            "the degraded file is a typed erasure"
+        );
+    }
+
+    #[test]
+    fn online_moves_fewer_bytes_than_reassembly() {
+        // Measure actual served bytes for a 4 → 6 adjustment and compare
+        // against the reassembly estimate.
+        let n_workers = 8;
+        let cluster = StoreCluster::spawn(StoreConfig::unthrottled(n_workers));
+        let client = cluster.client();
+        let len = 100_000;
+        client.write(1, &payload(1, len), &[0, 1, 2, 3]).unwrap();
+        let served_before: f64 = cluster.served_bytes().unwrap().iter().sum();
+        let plan = plan_adjust(len as u64, &[0, 1, 2, 3], 6, &loads(n_workers));
+        execute_adjust(
+            1,
+            &plan,
+            cluster.master().as_ref(),
+            cluster.transport().as_ref(),
+        )
+        .unwrap();
+        let served_after: f64 = cluster.served_bytes().unwrap().iter().sum();
+        let moved = served_after - served_before;
+        assert!(
+            moved < plan.reassembly_bytes() as f64,
+            "online moved {moved} vs reassembly {}",
+            plan.reassembly_bytes()
+        );
+        // And matches the plan's own accounting (pulls include local ones
+        // in served bytes, so allow that slack).
+        let max_expected: u64 = plan.parts.iter().map(|p| p.range.len()).sum();
+        assert!(moved <= max_expected as f64 + 1.0);
+    }
+
+    #[test]
+    fn an_adjust_planned_for_another_layout_is_refused_not_a_panic() {
+        // A plan for a file of 2 partitions against one of 1: the file
+        // moved after it was planned.
+        let cluster = StoreCluster::spawn(StoreConfig::unthrottled(4));
+        let client = cluster.client();
+        let data = payload(1, 6_000);
+        client.write(1, &data, &[0]).unwrap();
+        let plan = plan_adjust(6_000, &[0, 1], 3, &loads(4));
+        let (master, transport) = (cluster.master().as_ref(), cluster.transport().as_ref());
+        assert_eq!(
+            execute_adjust(1, &plan, master, transport),
+            Err(StoreError::StalePlacement(PartKey::new(1, 0)))
+        );
+        assert_eq!(master.peek(1).unwrap().1, vec![0]);
+        assert_eq!(client.read_quiet(1).unwrap(), data);
+    }
+
+    #[test]
+    fn a_range_of_the_wrong_length_is_refused_not_a_panic() {
+        // Planned for twice the file's size: the second half's range
+        // comes back empty, and the adjust stages nothing.
+        let cluster = StoreCluster::spawn(StoreConfig::unthrottled(4));
+        let client = cluster.client();
+        let data = payload(1, 10_000);
+        client.write(1, &data, &[0]).unwrap();
+        let plan = plan_adjust(20_000, &[0], 2, &loads(4));
+        let (master, transport) = (cluster.master().as_ref(), cluster.transport().as_ref());
+        assert_eq!(
+            execute_adjust(1, &plan, master, transport),
+            Err(StoreError::Corrupt(PartKey::new(1, 0)))
+        );
+        assert_eq!(master.peek(1).unwrap().1, vec![0]);
+        let resident: usize =
+            cluster.worker_stats().unwrap().iter().map(|s| s.resident_parts).sum();
+        assert_eq!(resident, 1);
+        assert_eq!(client.read_quiet(1).unwrap(), data);
     }
 }

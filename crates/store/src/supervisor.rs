@@ -126,14 +126,9 @@ impl SupervisorCore {
         cfg: SupervisorConfig,
         retry: RetryPolicy,
     ) -> Self {
-        // Everything the supervisor pushes is maintenance traffic:
-        // stamp it background so recovery sweeps are paced through the
-        // workers' background NIC share (§4.4) instead of competing
-        // with foreground reads at full rate.
-        let client = Client::new(master.clone(), transport.clone())
-            .with_retry(retry)
-            .with_background(true)
-            .with_master_stamp(true);
+        // The sweep's heals move files through the layout movers'
+        // engine, background- and master-stamped (`recover_file`).
+        let client = Client::new(master.clone(), transport.clone()).with_retry(retry);
         SupervisorCore {
             master,
             transport,

@@ -512,9 +512,11 @@ impl ServeCtx {
                     Ok(d) => d,
                     Err(e) => return Reply::Err(e),
                 };
-                let start = (offset as usize).min(data.len());
-                let end = (start + len as usize).min(data.len());
-                let slice = data.slice(start..end);
+                // Both bounds come off the wire: clamp, never overflow.
+                let size = data.len() as u64;
+                let start = offset.min(size);
+                let end = start.saturating_add(len).min(size);
+                let slice = data.slice(start as usize..end as usize);
                 if let Err(refused) = self.transfer(slice.len(), class) {
                     return refused;
                 }
@@ -863,6 +865,7 @@ fn flipped(data: &Bytes, index: u64) -> Bytes {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
+    use proptest::prelude::{any, prop_assert_eq, Strategy};
 
     /// A worker with no faults, budget or spill, at `bandwidth` bytes/s.
     fn plain(id: usize, bandwidth: f64) -> WorkerHandle {
@@ -926,6 +929,45 @@ mod tests {
         let h = plain(0, f64::INFINITY);
         put(&h, PartKey::new(1, 0), b"hello");
         assert_eq!(get(&h, PartKey::new(1, 0)).unwrap().as_ref(), b"hello");
+    }
+
+    #[test]
+    fn a_range_running_past_u64_max_is_clamped_not_a_worker_kill() {
+        let h = plain(0, f64::INFINITY);
+        put(&h, PartKey::new(1, 0), b"hello");
+        let range = Request::GetRange { key: PartKey::new(1, 0), offset: 1, len: u64::MAX };
+        assert_eq!(call(&h, range).bytes().unwrap().as_ref(), b"ello");
+        assert!(call(&h, Request::Ping).pong_epoch().is_ok(), "the worker survives");
+    }
+
+    /// A range bound off the wire: near 0, near `u64::MAX`, or anywhere.
+    fn wire_bound() -> impl Strategy<Value = u64> {
+        (any::<u64>(), 0u8..3).prop_map(|(x, at)| match at {
+            0 => x % 12,
+            1 => u64::MAX - x % 12,
+            _ => x,
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Any `(offset, len)` a frame can carry gets the resident key's
+        /// clamped slice, never a panic.
+        #[test]
+        fn any_range_of_a_resident_key_is_its_clamped_slice(
+            offset in wire_bound(),
+            len in wire_bound(),
+        ) {
+            let data = b"0123456789";
+            let h = plain(0, f64::INFINITY);
+            put(&h, PartKey::new(1, 0), data);
+            let start = offset.min(10) as usize;
+            let end = (start as u64).saturating_add(len).min(10) as usize;
+            let range = Request::GetRange { key: PartKey::new(1, 0), offset, len };
+            let want = Bytes::copy_from_slice(&data[start..end]);
+            prop_assert_eq!(call(&h, range), Reply::Data(want));
+        }
     }
 
     #[test]

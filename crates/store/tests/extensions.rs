@@ -7,7 +7,7 @@ use spcache_core::online::plan_adjust;
 use spcache_core::tuner::TunerConfig;
 use spcache_sim::Xoshiro256StarStar;
 use spcache_store::backing::{checkpoint, recover_file, UnderStore};
-use spcache_store::online::execute_adjust;
+use spcache_store::repartitioner::execute_adjust;
 use spcache_store::repartitioner::run_parallel;
 use spcache_store::rpc::StoreError;
 use spcache_store::{StoreCluster, StoreConfig};

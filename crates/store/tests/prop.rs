@@ -9,7 +9,7 @@ use std::time::Duration;
 use spcache_core::online::plan_adjust;
 use spcache_store::backing::{checkpoint, recovery_targets, UnderStore};
 use spcache_store::fault::FaultRecord;
-use spcache_store::online::execute_adjust;
+use spcache_store::repartitioner::execute_adjust;
 use spcache_store::rpc::{PartKey, Reply, Request, StoreError};
 use spcache_store::{FaultPlan, RetryPolicy, StoreCluster, StoreConfig};
 
