@@ -14,29 +14,31 @@
 //! requester and echoed verbatim in the reply, which lets one connection
 //! multiplex any number of in-flight requests with out-of-order replies.
 //!
-//! A stamped data request is one flat body under one header, never a
-//! frame inside a frame:
-//!
-//! ```text
-//! | u64 LE: epoch | u64 LE: master | u64 LE: expect | u8: class | u8: inner opcode | inner body... |
-//! ```
-//!
-//! so a stamped `Put`'s payload is the frame's tail exactly as a plain
-//! one's is, and both leave zero-copy ([`encode_request_parts`]).
-//!
-//! Decoding is zero-copy on the receive side: a frame is read into one
-//! [`Bytes`] buffer and every payload (`Put` data, `Get` reply bytes)
-//! is a [`Bytes::slice`] view borrowing that buffer — no per-payload
-//! allocation or memcpy.
+//! This module is the framing only. The opcode and the body are the
+//! message's own row in its plane's table — `spcache_store::rpc`'s
+//! `Request`/`Reply` here, `spcache_store::meta`'s for the master
+//! protocol — written and read by the store's one field codec
+//! (`spcache_store::codec`). A `Put`'s payload and a `Data` reply's are
+//! the body's [`Tail`](spcache_store::codec::Tail): they leave as a
+//! zero-copy [`WireFrame`] payload ([`encode_request_parts`],
+//! [`encode_reply_parts`]) and decode as [`Bytes::slice`] views of the
+//! frame buffer — no per-payload allocation or memcpy. A stamped
+//! request is one flat body, the stamp then the inner request, so a
+//! stamped `Put`'s payload is the frame's tail exactly as a plain one's
+//! is.
 //!
 //! Malformed input never panics and never over-reads: every decode path
 //! returns [`StoreError::Codec`] (a *permanent* error — resending the
-//! same bytes reproduces the violation) with bounds-checked cursors.
+//! same bytes reproduces the violation).
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use crate::poll::WireFrame;
 use bytes::Bytes;
-use spcache_store::rpc::{PartKey, Reply, Request, Stamp, StoreError, WorkerStats};
-use spcache_store::throttle::TrafficClass;
+use spcache_store::codec::{codec_error, Message, Reader, Writer};
+use spcache_store::rpc::{Reply, Request, StoreError, DATA_REPLY};
 use std::io::{self, Read, Write};
 
 /// Protocol version stamped into every frame. Peers reject frames with
@@ -66,50 +68,6 @@ pub const MAX_FRAME: u32 = 1 << 30;
 /// req_id (8).
 pub const HEADER_LEN: usize = 10;
 
-// Worker-protocol opcodes. Requests sit in 0x01.., replies in 0x41..;
-// the master protocol (see `master_net`) uses 0x81../0xC1.. so a frame
-// arriving on the wrong port is an immediate codec error, not a
-// misinterpretation.
-pub(crate) const OP_PUT: u8 = 0x01;
-pub(crate) const OP_GET: u8 = 0x02;
-pub(crate) const OP_GET_RANGE: u8 = 0x03;
-pub(crate) const OP_RENAME: u8 = 0x04;
-pub(crate) const OP_DELETE: u8 = 0x05;
-pub(crate) const OP_STATS: u8 = 0x06;
-pub(crate) const OP_PING: u8 = 0x07;
-pub(crate) const OP_SHUTDOWN: u8 = 0x08;
-pub(crate) const OP_STAMPED: u8 = 0x09;
-pub(crate) const OP_SET_EPOCH: u8 = 0x0A;
-pub(crate) const OP_SET_MASTER_EPOCH: u8 = 0x0C;
-pub(crate) const OP_GET_PARITY: u8 = 0x0D;
-pub(crate) const OP_R_DONE: u8 = 0x41;
-pub(crate) const OP_R_DATA: u8 = 0x42;
-pub(crate) const OP_R_FLAG: u8 = 0x43;
-pub(crate) const OP_R_STATS: u8 = 0x44;
-pub(crate) const OP_R_PONG: u8 = 0x45;
-pub(crate) const OP_R_ERR: u8 = 0x46;
-
-// Traffic-class bytes of a stamp.
-const CLASS_FOREGROUND: u8 = 0;
-const CLASS_BACKGROUND: u8 = 1;
-
-// StoreError wire kinds (body of `OP_R_ERR` / `MOP_R_ERR`).
-const ERR_NOT_FOUND: u8 = 1;
-const ERR_WORKER_DOWN: u8 = 2;
-const ERR_UNKNOWN_FILE: u8 = 3;
-const ERR_ALREADY_EXISTS: u8 = 4;
-const ERR_TIMEOUT: u8 = 5;
-const ERR_IO: u8 = 6;
-const ERR_CODEC: u8 = 7;
-const ERR_STALE_EPOCH: u8 = 8;
-const ERR_DEGRADED: u8 = 9;
-const ERR_CORRUPT: u8 = 10;
-const ERR_STALE_PLACEMENT: u8 = 11;
-
-fn codec(msg: impl Into<String>) -> StoreError {
-    StoreError::Codec(msg.into())
-}
-
 /// A parsed frame: header fields plus a zero-copy handle on the raw
 /// buffer (everything after the length prefix).
 #[derive(Debug, Clone)]
@@ -130,29 +88,26 @@ impl Frame {
     /// [`StoreError::Codec`] on a short header or wrong version byte.
     pub fn parse(buf: Bytes) -> Result<Frame, StoreError> {
         if buf.len() < HEADER_LEN {
-            return Err(codec(format!("frame too short: {} bytes", buf.len())));
+            return Err(codec_error(format!("frame too short: {} bytes", buf.len())));
         }
-        if buf[0] != WIRE_VERSION {
-            return Err(codec(format!(
-                "unsupported wire version {} (want {WIRE_VERSION})",
-                buf[0]
+        let mut r = Reader::new(&buf);
+        let [version, opcode] = r.array()?;
+        if version != WIRE_VERSION {
+            return Err(codec_error(format!(
+                "unsupported wire version {version} (want {WIRE_VERSION})"
             )));
         }
-        let opcode = buf[1];
-        let req_id = u64::from_le_bytes(buf[2..10].try_into().expect("8 bytes"));
-        Ok(Frame {
-            opcode,
-            req_id,
-            buf,
-        })
+        let req_id = r.get::<u64>()?;
+        Ok(Frame { opcode, req_id, buf })
     }
 
-    /// Cursor over the body (bytes after the header), for decoding.
-    pub(crate) fn body_cursor(&self) -> Cursor<'_> {
-        Cursor {
-            buf: &self.buf,
-            pos: HEADER_LEN,
-        }
+    /// Decodes the body as the `M` its opcode names; the whole body,
+    /// trailing bytes refused.
+    pub(crate) fn decode<M: Message>(&self) -> Result<M, StoreError> {
+        let mut r = Reader::shared(&self.buf, HEADER_LEN);
+        let msg = M::get_body(self.opcode, &mut r)?;
+        r.finish()?;
+        Ok(msg)
     }
 }
 
@@ -161,247 +116,65 @@ impl Frame {
 /// version — the one reply whose payload may land in place; `None` for
 /// any other header.
 pub fn data_reply_id(header: &[u8]) -> Option<u64> {
-    let header: &[u8; HEADER_LEN] = header.try_into().ok()?;
-    (header[0] == WIRE_VERSION && header[1] == OP_R_DATA)
-        .then(|| u64::from_le_bytes(header[2..].try_into().expect("8 bytes")))
+    let mut r = Reader::new(header);
+    let [version, opcode] = r.array().ok()?;
+    let req_id = r.get::<u64>().ok()?;
+    (r.remaining() == 0 && version == WIRE_VERSION && opcode == DATA_REPLY).then_some(req_id)
 }
 
-/// Bounds-checked reader over a frame buffer. Payload reads return
-/// [`Bytes::slice`] views (zero-copy); every accessor fails with a
-/// codec error instead of reading past the end.
-pub(crate) struct Cursor<'a> {
-    buf: &'a Bytes,
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], StoreError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| codec("truncated frame body"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, StoreError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64, StoreError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    pub(crate) fn key(&mut self) -> Result<PartKey, StoreError> {
-        let file = self.u64()?;
-        let part = self.u32()?;
-        Ok(PartKey { file, part })
-    }
-
-    /// Remaining body as a zero-copy view of the frame buffer.
-    pub(crate) fn rest(&mut self) -> Bytes {
-        let s = self.buf.slice(self.pos..self.buf.len());
-        self.pos = self.buf.len();
-        s
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String, StoreError> {
-        let n = self.u32()? as usize;
-        let raw = self.take(n)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| codec("invalid utf-8 in string field"))
-    }
-
-    pub(crate) fn usize_list(&mut self) -> Result<Vec<usize>, StoreError> {
-        let n = self.u32()? as usize;
-        // A length claim larger than the bytes actually present is a lie;
-        // reject before reserving memory for it.
-        if n.saturating_mul(4) > self.buf.len() - self.pos {
-            return Err(codec("list length exceeds frame"));
-        }
-        (0..n).map(|_| Ok(self.u32()? as usize)).collect()
-    }
-
-    /// Reads a `u32` element count for a list whose entries occupy at
-    /// least `min_entry_bytes` each, rejecting counts that could not
-    /// possibly fit in the remaining body (a length lie).
-    pub(crate) fn guarded_count(&mut self, min_entry_bytes: usize) -> Result<usize, StoreError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_entry_bytes) > self.buf.len() - self.pos {
-            return Err(codec("list length exceeds frame"));
-        }
-        Ok(n)
-    }
-
-    pub(crate) fn u64_list(&mut self) -> Result<Vec<u64>, StoreError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(8) > self.buf.len() - self.pos {
-            return Err(codec("list length exceeds frame"));
-        }
-        (0..n).map(|_| self.u64()).collect()
-    }
-
-    /// Asserts the body was fully consumed (trailing garbage is a
-    /// protocol violation).
-    pub(crate) fn finish(self) -> Result<(), StoreError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(codec(format!(
-                "{} trailing bytes after message body",
-                self.buf.len() - self.pos
-            )))
-        }
-    }
-}
-
-/// Builder for an encoded frame; finishes into the full on-wire byte
-/// string (length prefix included).
-pub(crate) struct FrameBuilder {
-    out: Vec<u8>,
-}
-
-impl FrameBuilder {
-    pub(crate) fn new(opcode: u8, req_id: u64) -> Self {
-        let mut out = Vec::with_capacity(32);
-        out.extend_from_slice(&[0u8; 4]); // length patched in finish()
-        out.push(WIRE_VERSION);
-        out.push(opcode);
-        out.extend_from_slice(&req_id.to_le_bytes());
-        FrameBuilder { out }
-    }
-
-    pub(crate) fn u8(mut self, v: u8) -> Self {
-        self.out.push(v);
-        self
-    }
-
-    pub(crate) fn u32(mut self, v: u32) -> Self {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    pub(crate) fn u64(mut self, v: u64) -> Self {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    pub(crate) fn f64(self, v: f64) -> Self {
-        self.u64(v.to_bits())
-    }
-
-    pub(crate) fn key(self, k: PartKey) -> Self {
-        self.u64(k.file).u32(k.part)
-    }
-
-    pub(crate) fn bytes(mut self, b: &[u8]) -> Self {
-        self.out.extend_from_slice(b);
-        self
-    }
-
-    pub(crate) fn string(self, s: &str) -> Self {
-        self.u32(s.len() as u32).bytes(s.as_bytes())
-    }
-
-    pub(crate) fn usize_list(mut self, v: &[usize]) -> Self {
-        self = self.u32(v.len() as u32);
-        for &x in v {
-            self = self.u32(x as u32);
-        }
-        self
-    }
-
-    pub(crate) fn u64_list(mut self, v: &[u64]) -> Self {
-        self = self.u32(v.len() as u32);
-        for &x in v {
-            self = self.u64(x);
-        }
-        self
-    }
-
-    /// Bytes counted by the length prefix so far.
-    fn len(&self) -> usize {
-        self.out.len() - 4
-    }
-
-    /// Writes the length prefix for a frame of `len` counted bytes.
-    fn patch_len(&mut self, len: usize) {
-        assert!(len <= MAX_FRAME as usize, "frame exceeds MAX_FRAME");
-        self.out[..4].copy_from_slice(&(len as u32).to_le_bytes());
-    }
-
-    pub(crate) fn finish(mut self) -> Vec<u8> {
-        self.patch_len(self.len());
-        self.out
-    }
-
-    /// Finishes into a [`WireFrame`] whose payload tail is the given
-    /// zero-copy `Bytes` — the length prefix counts the payload but
-    /// the bytes are never appended to the header buffer, so bulk
-    /// data rides to the socket via `writev` without a memcpy.
-    pub(crate) fn finish_parts(mut self, payload: Bytes) -> WireFrame {
-        self.patch_len(self.len() + payload.len());
-        WireFrame {
-            header: self.out,
-            payload: Some(payload),
-        }
-    }
-}
-
-/// The opcode of a worker-protocol request.
-fn request_opcode(req: &Request) -> u8 {
-    match req {
-        Request::Put { .. } => OP_PUT,
-        Request::Get { .. } => OP_GET,
-        Request::GetParity { .. } => OP_GET_PARITY,
-        Request::GetRange { .. } => OP_GET_RANGE,
-        Request::Rename { .. } => OP_RENAME,
-        Request::Delete { .. } => OP_DELETE,
-        Request::Stats => OP_STATS,
-        Request::Ping => OP_PING,
-        Request::Shutdown => OP_SHUTDOWN,
-        Request::SetEpoch(_) => OP_SET_EPOCH,
-        Request::SetMasterEpoch(_) => OP_SET_MASTER_EPOCH,
-        Request::Stamped { .. } => OP_STAMPED,
-    }
-}
-
-/// Writes `req`'s body after the header in `b`, all but a `Put`'s
-/// payload, which is returned to go last: the zero-copy `rest()` decode
-/// needs it there. A stamp is flat: its four fields, then the inner
-/// request's opcode and body.
-fn request_body(b: FrameBuilder, req: &Request) -> (FrameBuilder, Option<&Bytes>) {
-    let b = match req {
-        Request::Put { key, data, sum } => return (b.key(*key).u64(*sum), Some(data)),
-        Request::Get { key } | Request::GetParity { key } | Request::Delete { key } => b.key(*key),
-        Request::GetRange { key, offset, len } => b.key(*key).u64(*offset).u64(*len),
-        Request::Rename { from, to } => b.key(*from).key(*to),
-        Request::Stats | Request::Ping | Request::Shutdown => b,
-        Request::SetEpoch(e) | Request::SetMasterEpoch(e) => b.u64(*e),
-        Request::Stamped { stamp, inner } => {
-            let class = match stamp.class {
-                TrafficClass::Foreground => CLASS_FOREGROUND,
-                TrafficClass::Background => CLASS_BACKGROUND,
-            };
-            let b = b.u64(stamp.epoch).u64(stamp.master).u64(stamp.expect).u8(class);
-            return request_body(b.u8(request_opcode(inner)), inner);
-        }
+/// `msg`'s frame under `req_id`, its tail (a `Put`'s or a `Data`
+/// reply's payload) left apart as the zero-copy payload.
+///
+/// # Errors
+///
+/// [`StoreError::Codec`] for a frame that would exceed [`MAX_FRAME`].
+pub(crate) fn encode<M: Message>(msg: &M, req_id: u64) -> Result<WireFrame, StoreError> {
+    let mut w = Writer::with_capacity(32);
+    w.put::<u32>(&0); // the length, patched below
+    w.put::<u8>(&WIRE_VERSION);
+    w.put::<u8>(&msg.code());
+    w.put::<u64>(&req_id);
+    msg.put_body(&mut w);
+    let (mut header, payload) = w.into_parts();
+    let len = header.len() - 4 + payload.as_ref().map_or(0, Bytes::len);
+    let Some(n) = u32::try_from(len).ok().filter(|&n| n <= MAX_FRAME) else {
+        return Err(codec_error(format!("a {len}-byte frame exceeds the {MAX_FRAME}-byte limit")));
     };
-    (b, None)
+    header[..4].copy_from_slice(&n.to_le_bytes());
+    Ok(WireFrame { header, payload })
 }
 
-/// `req`'s frame up to its payload tail, and the tail.
-fn request_head(req: &Request, req_id: u64) -> (FrameBuilder, Option<&Bytes>) {
-    request_body(FrameBuilder::new(request_opcode(req), req_id), req)
+/// A reply's frame. A reply too large for one frame is answered by the
+/// error that says so, through `err`, so the peer learns why.
+pub(crate) fn encode_answer<M: Message>(
+    reply: &M,
+    req_id: u64,
+    err: fn(StoreError) -> M,
+) -> WireFrame {
+    match encode(reply, req_id) {
+        Ok(frame) => frame,
+        // An error's frame is a few dozen bytes: it always fits, and an
+        // empty frame would only cost the peer its deadline.
+        Err(e) => encode(&err(e), req_id).unwrap_or_else(|_| WireFrame::contiguous(Vec::new())),
+    }
+}
+
+/// [`encode`] for the encoders whose public signatures cannot refuse.
+///
+/// # Panics
+///
+/// If the frame would exceed [`MAX_FRAME`].
+// The panic is the documented contract of `encode_request_parts`,
+// `encode_request` and `encode_meta_request`, whose infallible
+// signatures callers outside the workspace compile against; the
+// transports encode through `try_encode_request_parts` and `encode`,
+// which refuse instead.
+#[allow(clippy::panic)]
+pub(crate) fn encode_or_panic<M: Message>(msg: &M, req_id: u64) -> WireFrame {
+    match encode(msg, req_id) {
+        Ok(frame) => frame,
+        Err(e) => panic!("{e}"),
+    }
 }
 
 /// Encodes a request as a [`WireFrame`] for the vectored write path:
@@ -414,10 +187,7 @@ fn request_head(req: &Request, req_id: u64) -> (FrameBuilder, Option<&Bytes>) {
 /// If the frame would exceed [`MAX_FRAME`]; [`try_encode_request_parts`]
 /// refuses such a request instead.
 pub fn encode_request_parts(req: &Request, req_id: u64) -> WireFrame {
-    match try_encode_request_parts(req, req_id) {
-        Ok(frame) => frame,
-        Err(e) => panic!("{e}"),
-    }
+    encode_or_panic(req, req_id)
 }
 
 /// [`encode_request_parts`] for a caller that must not panic.
@@ -427,34 +197,24 @@ pub fn encode_request_parts(req: &Request, req_id: u64) -> WireFrame {
 /// [`StoreError::Codec`] for a request whose frame would exceed
 /// [`MAX_FRAME`] (a `Put` of a partition too large for one frame).
 pub fn try_encode_request_parts(req: &Request, req_id: u64) -> Result<WireFrame, StoreError> {
-    let (head, tail) = request_head(req, req_id);
-    let len = head.len() + tail.map_or(0, Bytes::len);
-    if len > MAX_FRAME as usize {
-        return Err(codec(format!(
-            "a {len}-byte request frame exceeds the {MAX_FRAME}-byte limit"
-        )));
-    }
-    Ok(match tail {
-        Some(data) => head.finish_parts(data.clone()),
-        None => WireFrame::contiguous(head.finish()),
-    })
+    encode(req, req_id)
 }
 
 /// Encodes a reply as a [`WireFrame`]: `Data` payloads become
-/// zero-copy `Bytes` tails, everything else is contiguous.
+/// zero-copy `Bytes` tails, everything else is contiguous. A reply too
+/// large for one frame leaves as the [`StoreError::Codec`] that says
+/// so.
 pub fn encode_reply_parts(reply: &Reply, req_id: u64) -> WireFrame {
-    match reply {
-        Reply::Data(d) => FrameBuilder::new(OP_R_DATA, req_id).finish_parts(d.clone()),
-        _ => WireFrame::contiguous(encode_reply(reply, req_id)),
-    }
+    encode_answer(reply, req_id, Reply::Err)
 }
 
 /// Encodes one worker-protocol request into a wire frame.
+///
+/// # Panics
+///
+/// As [`encode_request_parts`].
 pub fn encode_request(req: &Request, req_id: u64) -> Vec<u8> {
-    match request_head(req, req_id) {
-        (head, Some(data)) => head.bytes(data).finish(),
-        (head, None) => head.finish(),
-    }
+    encode_or_panic(req, req_id).to_contiguous()
 }
 
 /// Decodes a worker-protocol request frame. `Put` payloads are zero-copy
@@ -467,145 +227,12 @@ pub fn encode_request(req: &Request, req_id: u64) -> Vec<u8> {
 /// inner request is a control request or another stamp, or whose
 /// checksum fence sits on anything but a `Get`.
 pub fn decode_request(frame: &Frame) -> Result<Request, StoreError> {
-    let mut c = frame.body_cursor();
-    let req = decode_request_body(frame.opcode, &mut c)?;
-    c.finish()?;
-    Ok(req)
-}
-
-/// Decodes the body of a request with opcode `op` at the cursor.
-fn decode_request_body(op: u8, c: &mut Cursor) -> Result<Request, StoreError> {
-    Ok(match op {
-        OP_PUT => {
-            let key = c.key()?;
-            let sum = c.u64()?;
-            let data = c.rest();
-            Request::Put { key, data, sum }
-        }
-        OP_GET => Request::Get { key: c.key()? },
-        OP_GET_PARITY => Request::GetParity { key: c.key()? },
-        OP_GET_RANGE => Request::GetRange {
-            key: c.key()?,
-            offset: c.u64()?,
-            len: c.u64()?,
-        },
-        OP_RENAME => Request::Rename {
-            from: c.key()?,
-            to: c.key()?,
-        },
-        OP_DELETE => Request::Delete { key: c.key()? },
-        OP_STATS => Request::Stats,
-        OP_PING => Request::Ping,
-        OP_SHUTDOWN => Request::Shutdown,
-        OP_SET_EPOCH => Request::SetEpoch(c.u64()?),
-        OP_SET_MASTER_EPOCH => Request::SetMasterEpoch(c.u64()?),
-        OP_STAMPED => {
-            let epoch = c.u64()?;
-            let master = c.u64()?;
-            let expect = c.u64()?;
-            let class = match c.u8()? {
-                CLASS_FOREGROUND => TrafficClass::Foreground,
-                CLASS_BACKGROUND => TrafficClass::Background,
-                b => return Err(codec(format!("unknown traffic class {b}"))),
-            };
-            // One stamp per request, which also bounds decode recursion
-            // at one level.
-            let inner_op = c.u8()?;
-            if inner_op == OP_STAMPED {
-                return Err(codec("stamp inside a stamp"));
-            }
-            let inner = decode_request_body(inner_op, c)?;
-            // The worker serves control requests before it reads stamps,
-            // so a stamped one has no meaning.
-            if inner.is_control() {
-                return Err(codec("control request inside a stamp"));
-            }
-            // Only a read has a recorded sum to be fenced by.
-            if expect != 0 && !matches!(inner, Request::Get { .. }) {
-                return Err(codec("a checksum fence on a request that is not a Get"));
-            }
-            Request::Stamped {
-                stamp: Stamp { epoch, master, expect, class },
-                inner: Box::new(inner),
-            }
-        }
-        op => return Err(codec(format!("unknown request opcode {op:#04x}"))),
-    })
-}
-
-fn encode_err(b: FrameBuilder, e: &StoreError) -> FrameBuilder {
-    match e {
-        StoreError::NotFound(k) => b.u8(ERR_NOT_FOUND).key(*k),
-        StoreError::WorkerDown(w) => b.u8(ERR_WORKER_DOWN).u64(*w as u64),
-        StoreError::UnknownFile(id) => b.u8(ERR_UNKNOWN_FILE).u64(*id),
-        StoreError::AlreadyExists(id) => b.u8(ERR_ALREADY_EXISTS).u64(*id),
-        StoreError::Timeout(w) => b.u8(ERR_TIMEOUT).u64(*w as u64),
-        StoreError::Io(w) => b.u8(ERR_IO).u64(*w as u64),
-        StoreError::Codec(msg) => b.u8(ERR_CODEC).string(msg),
-        StoreError::StaleEpoch(w) => b.u8(ERR_STALE_EPOCH).u64(*w as u64),
-        StoreError::Degraded(id) => b.u8(ERR_DEGRADED).u64(*id),
-        StoreError::Corrupt(k) => b.u8(ERR_CORRUPT).key(*k),
-        StoreError::StalePlacement(k) => b.u8(ERR_STALE_PLACEMENT).key(*k),
-    }
-}
-
-impl Cursor<'_> {
-    /// Decodes a wire-encoded [`StoreError`] at the cursor.
-    pub(crate) fn store_error(&mut self) -> Result<StoreError, StoreError> {
-        decode_err(self)
-    }
-}
-
-/// Encodes a [`StoreError`]-bearing reply frame under `opcode`; shared
-/// with the master protocol so both error bodies stay byte-compatible.
-pub(crate) fn encode_err_frame(opcode: u8, req_id: u64, e: &StoreError) -> Vec<u8> {
-    encode_err(FrameBuilder::new(opcode, req_id), e).finish()
-}
-
-fn decode_err(c: &mut Cursor) -> Result<StoreError, StoreError> {
-    Ok(match c.u8()? {
-        ERR_NOT_FOUND => StoreError::NotFound(c.key()?),
-        ERR_WORKER_DOWN => StoreError::WorkerDown(c.u64()? as usize),
-        ERR_UNKNOWN_FILE => StoreError::UnknownFile(c.u64()?),
-        ERR_ALREADY_EXISTS => StoreError::AlreadyExists(c.u64()?),
-        ERR_TIMEOUT => StoreError::Timeout(c.u64()? as usize),
-        ERR_IO => StoreError::Io(c.u64()? as usize),
-        ERR_CODEC => StoreError::Codec(c.string()?),
-        ERR_STALE_EPOCH => StoreError::StaleEpoch(c.u64()? as usize),
-        ERR_DEGRADED => StoreError::Degraded(c.u64()?),
-        ERR_CORRUPT => StoreError::Corrupt(c.key()?),
-        ERR_STALE_PLACEMENT => StoreError::StalePlacement(c.key()?),
-        k => return Err(codec(format!("unknown error kind {k}"))),
-    })
+    frame.decode()
 }
 
 /// Encodes one worker-protocol reply into a wire frame.
 pub fn encode_reply(reply: &Reply, req_id: u64) -> Vec<u8> {
-    match reply {
-        Reply::Done => FrameBuilder::new(OP_R_DONE, req_id).finish(),
-        Reply::Data(d) => FrameBuilder::new(OP_R_DATA, req_id).bytes(d).finish(),
-        Reply::Flag(f) => FrameBuilder::new(OP_R_FLAG, req_id).u8(*f as u8).finish(),
-        Reply::Stats(s) => FrameBuilder::new(OP_R_STATS, req_id)
-            .u64(s.bytes_served)
-            .u64(s.bytes_stored)
-            .u64(s.gets)
-            .u64(s.puts)
-            .u64(s.resident_parts as u64)
-            .u64(s.bytes_background)
-            .u64(s.evictions)
-            .u64(s.spilled_bytes)
-            .u64(s.reloaded_bytes)
-            .u64(s.resident_bytes)
-            .u64(s.corruptions_detected)
-            .u64(s.parity_bytes)
-            .u64(s.decode_reconstructions)
-            .finish(),
-        Reply::Pong { worker, epoch } => FrameBuilder::new(OP_R_PONG, req_id)
-            .u64(*worker as u64)
-            .u64(*epoch)
-            .finish(),
-        Reply::Err(e) => encode_err_frame(OP_R_ERR, req_id, e),
-    }
+    encode_reply_parts(reply, req_id).to_contiguous()
 }
 
 /// Decodes a worker-protocol reply frame. `Data` payloads are zero-copy
@@ -616,35 +243,7 @@ pub fn encode_reply(reply: &Reply, req_id: u64) -> Vec<u8> {
 /// [`StoreError::Codec`] on unknown opcodes, truncated bodies or
 /// trailing garbage.
 pub fn decode_reply(frame: &Frame) -> Result<Reply, StoreError> {
-    let mut c = frame.body_cursor();
-    let reply = match frame.opcode {
-        OP_R_DONE => Reply::Done,
-        OP_R_DATA => Reply::Data(c.rest()),
-        OP_R_FLAG => Reply::Flag(c.u8()? != 0),
-        OP_R_STATS => Reply::Stats(WorkerStats {
-            bytes_served: c.u64()?,
-            bytes_stored: c.u64()?,
-            gets: c.u64()?,
-            puts: c.u64()?,
-            resident_parts: c.u64()? as usize,
-            bytes_background: c.u64()?,
-            evictions: c.u64()?,
-            spilled_bytes: c.u64()?,
-            reloaded_bytes: c.u64()?,
-            resident_bytes: c.u64()?,
-            corruptions_detected: c.u64()?,
-            parity_bytes: c.u64()?,
-            decode_reconstructions: c.u64()?,
-        }),
-        OP_R_PONG => Reply::Pong {
-            worker: c.u64()? as usize,
-            epoch: c.u64()?,
-        },
-        OP_R_ERR => Reply::Err(decode_err(&mut c)?),
-        op => return Err(codec(format!("unknown reply opcode {op:#04x}"))),
-    };
-    c.finish()?;
-    Ok(reply)
+    frame.decode()
 }
 
 /// Reads one frame (the bytes after the length prefix) from `r`.
@@ -659,23 +258,18 @@ pub fn decode_reply(frame: &Frame) -> Result<Reply, StoreError> {
 /// prefix is shorter than a header or exceeds [`MAX_FRAME`].
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Bytes>> {
     let mut len_buf = [0u8; 4];
-    // Hand-rolled first read so clean EOF before any byte is Ok(None),
-    // not an error.
-    let mut filled = 0;
-    while filled < 4 {
-        match r.read(&mut len_buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "eof inside frame length",
-                ))
-            }
-            Ok(n) => filled += n,
+    // Clean EOF before the first byte is `Ok(None)`; after it, the
+    // length must be finished.
+    let first = loop {
+        match r.read(&mut len_buf) {
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+            read => break read?,
         }
+    };
+    if first == 0 {
+        return Ok(None);
     }
+    r.read_exact(&mut len_buf[first..])?;
     let len = u32::from_le_bytes(len_buf);
     if len < HEADER_LEN as u32 || len > MAX_FRAME {
         return Err(io::Error::new(
@@ -702,6 +296,8 @@ pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spcache_store::rpc::{PartKey, Stamp, WorkerStats};
+    use spcache_store::throttle::TrafficClass;
 
     fn roundtrip_req(req: Request) {
         let wire = encode_request(&req, 77);

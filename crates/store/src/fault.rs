@@ -22,9 +22,14 @@
 //! The worker loop consults its [`WorkerScript`] (the per-worker slice of
 //! the plan) before serving each data-path request; see
 //! [`crate::worker`].
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
-use std::sync::Mutex;
 use std::time::Duration;
+
+use parking_lot::Mutex;
 
 use rand::Rng;
 use spcache_sim::Xoshiro256StarStar;
@@ -254,6 +259,10 @@ impl FaultPlan {
     /// keys used by `DropPartition` events (an empty slice disables that
     /// action). The result is a pure function of the arguments, so the
     /// same `(seed, shape)` always yields the same plan.
+    ///
+    /// # Panics
+    ///
+    /// If `n_workers` or `max_op` is 0: there is nothing to fire at.
     pub fn random(seed: u64, n_workers: usize, n_events: usize, max_op: u64, files: &[u64]) -> Self {
         assert!(n_workers > 0 && max_op > 0);
         let mut rng = Xoshiro256StarStar::seed(seed);
@@ -364,15 +373,12 @@ impl FaultLog {
 
     /// Appends a fired fault.
     pub fn record(&self, worker: usize, op: u64, action: FaultAction) {
-        self.records
-            .lock()
-            .expect("fault log poisoned")
-            .push(FaultRecord { worker, op, action });
+        self.records.lock().push(FaultRecord { worker, op, action });
     }
 
     /// Number of faults fired so far.
     pub fn len(&self) -> usize {
-        self.records.lock().expect("fault log poisoned").len()
+        self.records.lock().len()
     }
 
     /// Whether no fault has fired.
@@ -384,7 +390,7 @@ impl FaultLog {
     /// per-worker firing order preserved (the sort is stable and each
     /// worker appends its own records in op order).
     pub fn snapshot(&self) -> Vec<FaultRecord> {
-        let mut records = self.records.lock().expect("fault log poisoned").clone();
+        let mut records = self.records.lock().clone();
         records.sort_by_key(|r| (r.worker, r.op));
         records
     }

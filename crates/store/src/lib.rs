@@ -36,6 +36,9 @@
 //!   deadline per read attempt, bounded retry with under-store recovery,
 //!   and parity decode of erased partitions.
 
+#[macro_use]
+pub mod codec;
+
 pub mod backing;
 pub mod client;
 pub mod cluster;

@@ -31,6 +31,7 @@ use crate::forkjoin::empty_placement;
 pub use crate::meta::MetaService;
 use crate::meta::{MetaReply, MetaRequest};
 use crate::metalog::{FileIntegrity, MasterImage, MetaLog, MetaOp};
+use crate::repartitioner::substitute;
 use crate::rpc::{StoreError, MASTER_ENDPOINT};
 
 /// Metadata for one stored file.
@@ -901,8 +902,8 @@ impl Master {
             .collect();
         let mut rng = Xoshiro256StarStar::seed(seed);
         let mut plan = plan_repartition(&fileset, &map, &new_counts, &mut rng);
-        if live.len() < n_workers {
-            remap_dead_targets(&mut plan, &live);
+        for job in &mut plan.jobs {
+            substitute(&live, &mut job.new_servers, None);
         }
         Ok((ids, plan, tuned))
     }
@@ -1067,27 +1068,6 @@ impl MetaService for Master {
 
     fn master_epoch(&self) -> u64 {
         Master::master_epoch(self)
-    }
-}
-
-/// Rewrites a repartition plan so no job targets a dead worker: every
-/// dead target is replaced by the lowest-indexed live worker not already
-/// serving another partition of the same file, preserving the
-/// distinct-server invariant. Deterministic (no RNG), so replanning
-/// after the same failure yields the same placement. The caller has
-/// clamped every job to at most `live.len()` targets, so a replacement
-/// always exists.
-fn remap_dead_targets(plan: &mut RepartitionPlan, live: &[usize]) {
-    let is_live = |w: usize| live.binary_search(&w).is_ok();
-    for job in &mut plan.jobs {
-        for i in 0..job.new_servers.len() {
-            if is_live(job.new_servers[i]) {
-                continue;
-            }
-            if let Some(replacement) = live.iter().copied().find(|w| !job.new_servers.contains(w)) {
-                job.new_servers[i] = replacement;
-            }
-        }
     }
 }
 

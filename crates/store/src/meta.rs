@@ -9,218 +9,228 @@
 //! of the trait over `call`, written once here together with its
 //! answer when the reply is not the one it asked for (an unreachable
 //! master, a redirect, an error).
+//!
+//! Both enums are [`crate::codec`] tables: each row names its opcode
+//! (requests `0x81..`, replies `0xC1..`, disjoint from the data plane's)
+//! and its fields' shapes, which is its layout on the wire
+//! (DESIGN.md §4.10).
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
+use crate::codec::{Rest, Usize32};
 use crate::metalog::FileIntegrity;
 use crate::rpc::{StoreError, MASTER_ENDPOINT};
 
-/// One metadata request.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MetaRequest {
-    /// `MetaService::register`.
-    Register {
-        /// File id.
-        id: u64,
-        /// File size in bytes.
-        size: u64,
-        /// Placement (one server per partition).
-        servers: Vec<usize>,
-    },
-    /// `MetaService::unregister_file`.
-    Unregister {
-        /// File id.
-        id: u64,
-    },
-    /// `MetaService::locate` (counts an access).
-    Locate {
-        /// File id.
-        id: u64,
-    },
-    /// `MetaService::peek` (no access count).
-    Peek {
-        /// File id.
-        id: u64,
-    },
-    /// `MetaService::apply_placement`.
-    ApplyPlacement {
-        /// File id.
-        id: u64,
-        /// New placement.
-        servers: Vec<usize>,
-    },
-    /// `MetaService::mark_alive`.
-    MarkAlive {
-        /// Worker index.
-        w: u64,
-    },
-    /// `MetaService::mark_dead`.
-    MarkDead {
-        /// Worker index.
-        w: u64,
-    },
-    /// `MetaService::suspect`.
-    Suspect {
-        /// Worker index.
-        w: u64,
-    },
-    /// `MetaService::is_alive`.
-    IsAlive {
-        /// Worker index.
-        w: u64,
-    },
-    /// `MetaService::live_workers`.
-    LiveWorkers {
-        /// Fleet size.
-        n: u64,
-    },
-    /// `MetaService::degraded_files`.
-    Degraded,
-    /// Plan a rebalance (Algorithm 1 + 2) and execute it over the
-    /// master's worker transport. Only a master *server* owns one; an
-    /// in-process master refuses it.
-    Rebalance {
-        /// Per-worker NIC bandwidth, bytes/s.
-        bandwidth: f64,
-        /// Total arrival rate for the tuner.
-        lambda: f64,
-        /// Partition-placement RNG seed.
-        seed: u64,
-    },
-    /// `MetaService::worker_epochs`.
-    WorkerEpochs {
-        /// Fleet size.
-        n: u64,
-    },
-    /// `MetaService::register_worker` (the crash-restart rejoin path).
-    RegisterWorker {
-        /// Worker index.
-        w: u64,
-    },
-    /// `MetaService::begin_repair`.
-    BeginRepair {
-        /// File id.
-        id: u64,
-    },
-    /// `MetaService::end_repair`.
-    EndRepair {
-        /// File id.
-        id: u64,
-    },
-    /// Liveness/authority probe: master epoch, active-vs-fenced flag,
-    /// file count and journal head. Served even by a fenced master (a
-    /// standby polls it to measure lag and detect death).
-    Status,
-    /// Stream every journalled metadata op with `lsn >= from` — the
-    /// standby's replication pull (§4.14).
-    LogTail {
-        /// First LSN the caller has not yet applied.
-        from: u64,
-    },
-    /// A successor announces it has taken over at `epoch`; the receiver
-    /// fences itself and redirects future callers to `addr`.
-    Takeover {
-        /// The successor's (higher) master epoch.
-        epoch: u64,
-        /// The successor's listen address, `host:port`.
-        addr: String,
-    },
-    /// `MetaService::register_batch`: one metadata round-trip
-    /// registering a whole chunk of `(id, size, servers)` rows — the
-    /// million-file seeding path.
-    RegisterBatch {
-        /// The rows, in registration order.
-        entries: Vec<(u64, u64, Vec<usize>)>,
-    },
-    /// `MetaService::set_integrity` (§4.15): record or clear a file's
-    /// checksum + parity row.
-    SetIntegrity {
-        /// File id.
-        id: u64,
-        /// The row (empty = clear).
-        integrity: FileIntegrity,
-    },
-    /// `MetaService::integrity`: fetch a file's integrity row.
-    Integrity {
-        /// File id.
-        id: u64,
-    },
-    /// `MetaService::report_accesses`: the access counts of a client's
-    /// cached reads, one call per batch.
-    ReportAccesses {
-        /// `(file id, reads)` rows.
-        counts: Vec<(u64, u64)>,
-    },
-    /// Stop the master server.
-    Shutdown,
-}
+// The meta plane: one row per message, naming its opcode and its fields'
+// shapes in wire order.
+wire! {
+    /// One metadata request.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum MetaRequest else "unknown meta request opcode {:#04x}" {
+        /// `MetaService::register`.
+        Register {
+            /// File id.
+            id: u64,
+            /// File size in bytes.
+            size: u64,
+            /// Placement (one server per partition).
+            servers: Vec<usize> as Vec<Usize32>,
+        } = 0x81,
+        /// `MetaService::unregister_file`.
+        Unregister {
+            /// File id.
+            id: u64,
+        } = 0x82,
+        /// `MetaService::locate` (counts an access).
+        Locate {
+            /// File id.
+            id: u64,
+        } = 0x83,
+        /// `MetaService::peek` (no access count).
+        Peek {
+            /// File id.
+            id: u64,
+        } = 0x84,
+        /// `MetaService::apply_placement`.
+        ApplyPlacement {
+            /// File id.
+            id: u64,
+            /// New placement.
+            servers: Vec<usize> as Vec<Usize32>,
+        } = 0x85,
+        /// `MetaService::mark_alive`.
+        MarkAlive {
+            /// Worker index.
+            w: u64,
+        } = 0x86,
+        /// `MetaService::mark_dead`.
+        MarkDead {
+            /// Worker index.
+            w: u64,
+        } = 0x87,
+        /// `MetaService::suspect`.
+        Suspect {
+            /// Worker index.
+            w: u64,
+        } = 0x88,
+        /// `MetaService::is_alive`.
+        IsAlive {
+            /// Worker index.
+            w: u64,
+        } = 0x89,
+        /// `MetaService::live_workers`.
+        LiveWorkers {
+            /// Fleet size.
+            n: u64,
+        } = 0x8A,
+        /// `MetaService::degraded_files`.
+        Degraded = 0x8B,
+        /// Plan a rebalance (Algorithm 1 + 2) and execute it over the
+        /// master's worker transport. Only a master *server* owns one; an
+        /// in-process master refuses it.
+        Rebalance {
+            /// Per-worker NIC bandwidth, bytes/s.
+            bandwidth: f64,
+            /// Total arrival rate for the tuner.
+            lambda: f64,
+            /// Partition-placement RNG seed.
+            seed: u64,
+        } = 0x8C,
+        /// `MetaService::worker_epochs`.
+        WorkerEpochs {
+            /// Fleet size.
+            n: u64,
+        } = 0x8E,
+        /// `MetaService::register_worker` (the crash-restart rejoin path).
+        RegisterWorker {
+            /// Worker index.
+            w: u64,
+        } = 0x8F,
+        /// `MetaService::begin_repair`.
+        BeginRepair {
+            /// File id.
+            id: u64,
+        } = 0x90,
+        /// `MetaService::end_repair`.
+        EndRepair {
+            /// File id.
+            id: u64,
+        } = 0x91,
+        /// Liveness/authority probe: master epoch, active-vs-fenced flag,
+        /// file count and journal head. Served even by a fenced master (a
+        /// standby polls it to measure lag and detect death).
+        Status = 0x92,
+        /// Stream every journalled metadata op with `lsn >= from` — the
+        /// standby's replication pull (§4.14).
+        LogTail {
+            /// First LSN the caller has not yet applied.
+            from: u64,
+        } = 0x93,
+        /// A successor announces it has taken over at `epoch`; the receiver
+        /// fences itself and redirects future callers to `addr`.
+        Takeover {
+            /// The successor's (higher) master epoch.
+            epoch: u64,
+            /// The successor's listen address, `host:port`.
+            addr: String,
+        } = 0x94,
+        /// `MetaService::register_batch`: one metadata round-trip
+        /// registering a whole chunk of `(id, size, servers)` rows — the
+        /// million-file seeding path.
+        RegisterBatch {
+            /// The rows, in registration order.
+            entries: Vec<(u64, u64, Vec<usize>)> as Vec<(u64, u64, Vec<Usize32>)>,
+        } = 0x95,
+        /// `MetaService::set_integrity` (§4.15): record or clear a file's
+        /// checksum + parity row.
+        SetIntegrity {
+            /// File id.
+            id: u64,
+            /// The row (empty = clear).
+            integrity: FileIntegrity,
+        } = 0x96,
+        /// `MetaService::integrity`: fetch a file's integrity row.
+        Integrity {
+            /// File id.
+            id: u64,
+        } = 0x97,
+        /// `MetaService::report_accesses`: the access counts of a client's
+        /// cached reads, one call per batch.
+        ReportAccesses {
+            /// `(file id, reads)` rows.
+            counts: Vec<(u64, u64)>,
+        } = 0x98,
+        /// Stop the master server.
+        Shutdown = 0x8D,
+    }
 
-/// One metadata reply.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MetaReply {
-    /// Success without payload.
-    Done,
-    /// `(size, servers)` lookup result.
-    Info {
-        /// File size in bytes.
-        size: u64,
-        /// Placement.
-        servers: Vec<usize>,
-    },
-    /// Optional `(size, servers)` (unregister of a possibly-unknown id).
-    Maybe(Option<(u64, Vec<usize>)>),
-    /// Suspicion count.
-    Count(u32),
-    /// Boolean outcome.
-    Flag(bool),
-    /// Worker-index list.
-    Workers(Vec<usize>),
-    /// File-id list.
-    Files(Vec<u64>),
-    /// Fencing epoch table.
-    Epochs(Vec<u64>),
-    /// One granted fencing epoch.
-    Epoch(u64),
-    /// Rebalance outcome: `(files_repartitioned, skipped_file_ids)`.
-    Rebalanced {
-        /// Number of files the plan moved.
-        moved: u64,
-        /// Files skipped because a worker was unavailable.
-        skipped: Vec<u64>,
-    },
-    /// The receiver is a fenced (deposed) master: retry against `to`
-    /// (empty when the successor is unknown — the caller must
-    /// rediscover the master out of band).
-    Redirect {
-        /// The successor's listen address, `host:port`.
-        to: String,
-    },
-    /// `Status` result.
-    Status {
-        /// The master's current master epoch.
-        epoch: u64,
-        /// `false` once fenced by a takeover.
-        active: bool,
-        /// Registered file count.
-        files: u64,
-        /// The journal's next LSN (0 = no journal attached).
-        next_lsn: u64,
-    },
-    /// `LogTail` result: raw journal record bytes (the standby decodes
-    /// them with [`crate::metalog::decode_records`]).
-    Log {
-        /// First LSN **after** the returned records — the `from` of the
-        /// next poll.
-        next_lsn: u64,
-        /// Concatenated wire records, oldest first.
-        bytes: Vec<u8>,
-    },
-    /// `Integrity` result: the row, when one is recorded.
-    IntegrityRow(Option<FileIntegrity>),
-    /// The request failed.
-    Err(StoreError),
+    /// One metadata reply.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum MetaReply else "unknown meta reply opcode {:#04x}" {
+        /// Success without payload.
+        Done = 0xC1,
+        /// `(size, servers)` lookup result.
+        Info {
+            /// File size in bytes.
+            size: u64,
+            /// Placement.
+            servers: Vec<usize> as Vec<Usize32>,
+        } = 0xC2,
+        /// Optional `(size, servers)` (unregister of a possibly-unknown id).
+        Maybe(row: Option<(u64, Vec<usize>)> as Option<(u64, Vec<Usize32>)>) = 0xC3,
+        /// Suspicion count.
+        Count(n: u32) = 0xC4,
+        /// Boolean outcome.
+        Flag(flag: bool) = 0xC5,
+        /// Worker-index list.
+        Workers(live: Vec<usize> as Vec<Usize32>) = 0xC6,
+        /// File-id list.
+        Files(ids: Vec<u64>) = 0xC7,
+        /// Fencing epoch table.
+        Epochs(epochs: Vec<u64>) = 0xCA,
+        /// One granted fencing epoch.
+        Epoch(epoch: u64) = 0xCB,
+        /// Rebalance outcome: `(files_repartitioned, skipped_file_ids)`.
+        Rebalanced {
+            /// Number of files the plan moved.
+            moved: u64,
+            /// Files skipped because a worker was unavailable.
+            skipped: Vec<u64>,
+        } = 0xC8,
+        /// The receiver is a fenced (deposed) master: retry against `to`
+        /// (empty when the successor is unknown — the caller must
+        /// rediscover the master out of band).
+        Redirect {
+            /// The successor's listen address, `host:port`.
+            to: String,
+        } = 0xCC,
+        /// `Status` result.
+        Status {
+            /// The master's current master epoch.
+            epoch: u64,
+            /// `false` once fenced by a takeover.
+            active: bool,
+            /// Registered file count.
+            files: u64,
+            /// The journal's next LSN (0 = no journal attached).
+            next_lsn: u64,
+        } = 0xCD,
+        /// `LogTail` result: raw journal record bytes (the standby decodes
+        /// them with [`crate::metalog::decode_records`]).
+        Log {
+            /// First LSN **after** the returned records — the `from` of the
+            /// next poll.
+            next_lsn: u64,
+            /// Concatenated wire records, oldest first.
+            bytes: Vec<u8> as Rest,
+        } = 0xCE,
+        /// `Integrity` result: the row, when one is recorded.
+        IntegrityRow(row: Option<FileIntegrity>) = 0xCF,
+        /// The request failed.
+        Err(e: StoreError) = 0xC9,
+    }
 }
 
 impl MetaReply {

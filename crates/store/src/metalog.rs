@@ -18,11 +18,20 @@
 //!            ^ IEEE CRC-32 over lsn|tag|body
 //! ```
 //!
-//! All integers little-endian. A torn tail (kill -9 mid-append) or a
-//! corrupt record fails its length or checksum gate and replay stops at
-//! the last valid record — the log's prefix property. A whole record
-//! under a retired tag (10, the suspicion threshold the master no longer
+//! All integers little-endian. The tag and body are [`MetaOp`]'s row in
+//! its [`crate::codec`] table, written and read by the same field codec
+//! as the wire's; this module adds only the record framing (length,
+//! CRC, LSN) and the log. A torn tail (kill -9 mid-append) or a corrupt
+//! record fails its length or checksum gate and replay stops at the last
+//! valid record — the log's prefix property. A whole record under a
+//! retired tag (10, the suspicion threshold the master no longer
 //! journals) carries no op: replay skips it and goes on.
+//!
+//! The length field is the one cap on a record: the reader takes any
+//! length the bytes present can back, so every record the writer frames
+//! replays, a snapshot of a million files included. A record past the
+//! field's 4 GiB is not framed at all, and a snapshot that cannot be
+//! framed is not written and deletes nothing.
 //!
 //! ## Snapshots and compaction
 //!
@@ -45,141 +54,131 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::backing::UnderStore;
+use crate::codec::{codec_error, Message, Reader, Shape, Writer};
+use crate::rpc::StoreError;
 
 /// Rotate the active log segment after this many bytes.
 pub const SEGMENT_BYTES: usize = 64 << 10;
 /// Default records between snapshots (compaction cadence).
 pub const SNAPSHOT_EVERY: u64 = 512;
-/// Sanity cap on a single record's length field (1 MiB of body covers
-/// any snapshot this master can produce short of ~10k files; larger
-/// images still fit — the cap only gates obviously-garbage lengths).
-const MAX_RECORD: usize = 64 << 20;
-/// Bytes of the record header after the crc field: lsn (8) + tag (1).
-const RECORD_FIXED: usize = 9;
 
-// Record tags.
-const T_REGISTER_FILE: u8 = 1;
-const T_UNREGISTER_FILE: u8 = 2;
-const T_APPLY_PLACEMENT: u8 = 3;
-const T_REGISTER_WORKER: u8 = 4;
-const T_MARK_ALIVE: u8 = 5;
-const T_MARK_DEAD: u8 = 6;
-const T_SUSPECT: u8 = 7;
-const T_BEGIN_REPAIR: u8 = 8;
-const T_END_REPAIR: u8 = 9;
 /// Retired: the suspicion threshold is a constant now. Journals written
 /// before still hold these records, which decode to no op.
 const T_RETIRED_SET_THRESHOLD: u8 = 10;
-const T_MASTER_EPOCH: u8 = 11;
+/// The snapshot's tag, which [`MetaLog::snapshot`] writes without
+/// building a [`MetaOp`].
 const T_SNAPSHOT: u8 = 12;
-const T_SET_INTEGRITY: u8 = 13;
 
-/// One journalled master mutation. Values are **absolute** (the state
-/// after the mutation), never deltas, so replay is idempotent. The
-/// master journals an op only when applying it changes something.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MetaOp {
-    /// `Master::register`: a new file at placement version 1.
-    RegisterFile {
-        /// File id.
-        id: u64,
-        /// File size in bytes.
-        size: u64,
-        /// Placement (one server per partition).
-        servers: Vec<usize>,
-    },
-    /// `Master::unregister`.
-    UnregisterFile {
-        /// File id.
-        id: u64,
-    },
-    /// `Master::apply_placement`, carrying the *resulting* version.
-    ApplyPlacement {
-        /// File id.
-        id: u64,
-        /// New placement.
-        servers: Vec<usize>,
-        /// Placement version after the bump.
-        version: u64,
-    },
-    /// `Master::register_worker`: adoption with the granted epoch.
-    RegisterWorker {
-        /// Worker index.
-        w: u64,
-        /// Granted fencing epoch (applied as `max` on replay).
-        epoch: u64,
-    },
-    /// `Master::mark_alive` when it changes something: it clears the
-    /// worker's suspicion, revives a dead worker, or both.
-    MarkAlive {
-        /// Worker index.
-        w: u64,
-    },
-    /// `Master::mark_dead` on an alive→dead transition, carrying the
-    /// bumped epoch.
-    MarkDead {
-        /// Worker index.
-        w: u64,
-        /// Fencing epoch after the bump.
-        epoch: u64,
-    },
-    /// `Master::suspect`: the absolute suspicion count plus the
-    /// resulting liveness and epoch (a threshold kill bumps both).
-    Suspect {
-        /// Worker index.
-        w: u64,
-        /// Suspicion count after the increment.
-        count: u32,
-        /// Whether the worker is still alive afterwards.
-        alive: bool,
-        /// Fencing epoch afterwards.
-        epoch: u64,
-    },
-    /// `Master::begin_repair` (slot acquired).
-    BeginRepair {
-        /// File id.
-        id: u64,
-    },
-    /// `Master::end_repair`.
-    EndRepair {
-        /// File id.
-        id: u64,
-    },
-    /// A master-epoch transition: boot, takeover, or forced
-    /// reactivation. `addr` is the winner's listen address — a
-    /// restarted master finding a newer record from a *different*
-    /// address starts fenced.
-    MasterEpoch {
-        /// The new master epoch (applied as `max` on replay).
-        epoch: u64,
-        /// Listen address of the master that owns this epoch.
-        addr: String,
-    },
-    /// `Master::set_integrity`: the file's checksum/parity row (absolute
-    /// — an empty row clears).
-    SetIntegrity {
-        /// File id.
-        id: u64,
-        /// The row after the mutation.
-        integrity: FileIntegrity,
-    },
-    /// A full-state snapshot (compaction point).
-    Snapshot(MasterImage),
-}
+// The journal: one row per op, naming its record tag and its fields'
+// shapes in wire order.
+wire! {
+    /// One journalled master mutation. Values are **absolute** (the state
+    /// after the mutation), never deltas, so replay is idempotent. The
+    /// master journals an op only when applying it changes something.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum MetaOp else "unknown journal tag {}" {
+        /// `Master::register`: a new file at placement version 1.
+        RegisterFile {
+            /// File id.
+            id: u64,
+            /// File size in bytes.
+            size: u64,
+            /// Placement (one server per partition).
+            servers: Vec<usize>,
+        } = 1,
+        /// `Master::unregister`.
+        UnregisterFile {
+            /// File id.
+            id: u64,
+        } = 2,
+        /// `Master::apply_placement`, carrying the *resulting* version.
+        ApplyPlacement {
+            /// File id.
+            id: u64,
+            /// Placement version after the bump.
+            version: u64,
+            /// New placement.
+            servers: Vec<usize>,
+        } = 3,
+        /// `Master::register_worker`: adoption with the granted epoch.
+        RegisterWorker {
+            /// Worker index.
+            w: u64,
+            /// Granted fencing epoch (applied as `max` on replay).
+            epoch: u64,
+        } = 4,
+        /// `Master::mark_alive` when it changes something: it clears the
+        /// worker's suspicion, revives a dead worker, or both.
+        MarkAlive {
+            /// Worker index.
+            w: u64,
+        } = 5,
+        /// `Master::mark_dead` on an alive→dead transition, carrying the
+        /// bumped epoch.
+        MarkDead {
+            /// Worker index.
+            w: u64,
+            /// Fencing epoch after the bump.
+            epoch: u64,
+        } = 6,
+        /// `Master::suspect`: the absolute suspicion count plus the
+        /// resulting liveness and epoch (a threshold kill bumps both).
+        Suspect {
+            /// Worker index.
+            w: u64,
+            /// Suspicion count after the increment.
+            count: u32,
+            /// Whether the worker is still alive afterwards.
+            alive: bool,
+            /// Fencing epoch afterwards.
+            epoch: u64,
+        } = 7,
+        /// `Master::begin_repair` (slot acquired).
+        BeginRepair {
+            /// File id.
+            id: u64,
+        } = 8,
+        /// `Master::end_repair`.
+        EndRepair {
+            /// File id.
+            id: u64,
+        } = 9,
+        /// A master-epoch transition: boot, takeover, or forced
+        /// reactivation. `addr` is the winner's listen address — a
+        /// restarted master finding a newer record from a *different*
+        /// address starts fenced.
+        MasterEpoch {
+            /// The new master epoch (applied as `max` on replay).
+            epoch: u64,
+            /// Listen address of the master that owns this epoch.
+            addr: String,
+        } = 11,
+        /// `Master::set_integrity`: the file's checksum/parity row (absolute
+        /// — an empty row clears).
+        SetIntegrity {
+            /// File id.
+            id: u64,
+            /// The row after the mutation.
+            integrity: FileIntegrity,
+        } = 13,
+        /// A full-state snapshot (compaction point).
+        Snapshot(image: MasterImage) = T_SNAPSHOT,
+    }
 
-/// A file's integrity row (DESIGN.md §4.15): the CRC-64 tree checksum of
-/// each data partition plus where its Cauchy-RS parity partitions live.
-/// Written by the client after a verified write; cleared whenever the
-/// placement changes shape (a re-split invalidates every sum).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FileIntegrity {
-    /// Per-data-partition checksums, index order
-    /// ([`spcache_integrity::sum`] of each partition's bytes).
-    pub sums: Vec<u64>,
-    /// `(server, checksum)` per parity partition, index order. Parity
-    /// partition `p` of file `id` lives at `PartKey::parity(id, p)` on
-    /// `parity[p].0`.
-    pub parity: Vec<(usize, u64)>,
+    /// A file's integrity row (DESIGN.md §4.15): the CRC-64 tree checksum of
+    /// each data partition plus where its Cauchy-RS parity partitions live.
+    /// Written by the client after a verified write; cleared whenever the
+    /// placement changes shape (a re-split invalidates every sum).
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct FileIntegrity {
+        /// Per-data-partition checksums, index order
+        /// ([`spcache_integrity::sum`] of each partition's bytes).
+        pub sums: Vec<u64>,
+        /// `(server, checksum)` per parity partition, index order. Parity
+        /// partition `p` of file `id` lives at `PartKey::parity(id, p)` on
+        /// `parity[p].0`.
+        pub parity: Vec<(usize, u64)>,
+    }
 }
 
 impl FileIntegrity {
@@ -224,135 +223,51 @@ pub struct MasterImage {
     pub integrity: Vec<(u64, FileIntegrity)>,
 }
 
-// ---------------------------------------------------------------------
-// Byte-level codec (hand-rolled; the store crate must not depend on the
-// net crate's frame module).
-// ---------------------------------------------------------------------
+impl Shape for MasterImage {
+    type Value = Self;
+    const MIN: usize = 28;
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_servers(buf: &mut Vec<u8>, servers: &[usize]) {
-    put_u32(buf, servers.len() as u32);
-    for &s in servers {
-        put_u64(buf, s as u64);
-    }
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_integrity(buf: &mut Vec<u8>, integrity: &FileIntegrity) {
-    put_u32(buf, integrity.sums.len() as u32);
-    for &s in &integrity.sums {
-        put_u64(buf, s);
-    }
-    put_u32(buf, integrity.parity.len() as u32);
-    for &(server, sum) in &integrity.parity {
-        put_u64(buf, server as u64);
-        put_u64(buf, sum);
-    }
-}
-
-/// A bounds-checked reader over a record body; every getter returns
-/// `None` past the end, so corrupt bodies can never over-read.
-struct Rd<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Rd<'a> {
-    fn new(b: &'a [u8]) -> Self {
-        Rd { b, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.b.len() {
-            return None;
+    fn put(image: &Self, w: &mut Writer) {
+        w.put::<u32>(&(image.files.len() as u32));
+        for (id, size, servers, version) in &image.files {
+            w.put::<(u64, u64, u64)>(&(*id, *size, *version));
+            w.put::<Vec<usize>>(servers);
         }
-        let out = &self.b[self.pos..end];
-        self.pos = end;
-        Some(out)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn servers(&mut self) -> Option<Vec<usize>> {
-        let n = self.u32()? as usize;
-        // Length-lie guard: each entry takes 8 bytes.
-        if n > self.b.len().saturating_sub(self.pos) / 8 {
-            return None;
+        let workers = image.alive.len().min(image.suspicion.len()).min(image.epochs.len());
+        w.put::<u32>(&(workers as u32));
+        for i in 0..workers {
+            w.put::<(bool, u32, u64)>(&(image.alive[i], image.suspicion[i], image.epochs[i]));
         }
-        (0..n).map(|_| self.u64().map(|v| v as usize)).collect()
+        // The retired threshold word keeps the layout of every snapshot
+        // written before it became a constant.
+        w.put::<u32>(&crate::master::SUSPICION_THRESHOLD);
+        w.put::<Vec<u64>>(&image.repairing);
+        w.put::<u64>(&image.master_epoch);
+        w.put::<String>(&image.master_addr);
+        w.put::<Vec<(u64, FileIntegrity)>>(&image.integrity);
     }
 
-    fn string(&mut self) -> Option<String> {
-        let n = self.u32()? as usize;
-        String::from_utf8(self.take(n)?.to_vec()).ok()
-    }
-
-    fn sums(&mut self) -> Option<Vec<u64>> {
-        let n = self.u32()? as usize;
-        if n > self.b.len().saturating_sub(self.pos) / 8 {
-            return None;
+    fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        let mut image = MasterImage::default();
+        for _ in 0..r.count(28)? {
+            let (id, size, version) = r.get::<(u64, u64, u64)>()?;
+            image.files.push((id, size, r.get::<Vec<usize>>()?, version));
         }
-        (0..n).map(|_| self.u64()).collect()
-    }
-
-    fn integrity(&mut self) -> Option<FileIntegrity> {
-        let sums = self.sums()?;
-        let n = self.u32()? as usize;
-        // Length-lie guard: each parity entry takes 16 bytes.
-        if n > self.b.len().saturating_sub(self.pos) / 16 {
-            return None;
+        for (alive, suspicion, epoch) in r.get::<Vec<(bool, u32, u64)>>()? {
+            image.alive.push(alive);
+            image.suspicion.push(suspicion);
+            image.epochs.push(epoch);
         }
-        let parity = (0..n)
-            .map(|_| Some((self.u64()? as usize, self.u64()?)))
-            .collect::<Option<Vec<_>>>()?;
-        Some(FileIntegrity { sums, parity })
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.b.len()
-    }
-
-    /// The next whole record — its LSN, and its op unless the tag is
-    /// retired — or `None` at the end of the stream or at a truncated or
-    /// corrupt record.
-    fn record(&mut self) -> Option<(u64, Option<MetaOp>)> {
-        let len = self.u32()? as usize;
-        let crc = self.u32()?;
-        if !(RECORD_FIXED..=MAX_RECORD).contains(&len) {
-            return None;
+        r.get::<u32>()?; // the retired threshold word
+        image.repairing = r.get::<Vec<u64>>()?;
+        image.master_epoch = r.get::<u64>()?;
+        image.master_addr = r.get::<String>()?;
+        // Snapshots written before the integrity tier end here: their
+        // rows default empty.
+        if r.remaining() > 0 {
+            image.integrity = r.get::<Vec<(u64, FileIntegrity)>>()?;
         }
-        let payload = self.take(len)?;
-        if crc32(payload) != crc {
-            return None;
-        }
-        let mut head = Rd::new(payload);
-        let lsn = head.u64()?;
-        match head.u8()? {
-            T_RETIRED_SET_THRESHOLD => Some((lsn, None)),
-            tag => Some((lsn, Some(decode_body(tag, &payload[RECORD_FIXED..])?))),
-        }
+        Ok(image)
     }
 }
 
@@ -379,220 +294,67 @@ pub fn crc32(data: &[u8]) -> u32 {
     !c
 }
 
-fn encode_body(op: &MetaOp, buf: &mut Vec<u8>) -> u8 {
-    match op {
-        MetaOp::RegisterFile { id, size, servers } => {
-            put_u64(buf, *id);
-            put_u64(buf, *size);
-            put_servers(buf, servers);
-            T_REGISTER_FILE
-        }
-        MetaOp::UnregisterFile { id } => {
-            put_u64(buf, *id);
-            T_UNREGISTER_FILE
-        }
-        MetaOp::ApplyPlacement { id, servers, version } => {
-            put_u64(buf, *id);
-            put_u64(buf, *version);
-            put_servers(buf, servers);
-            T_APPLY_PLACEMENT
-        }
-        MetaOp::RegisterWorker { w, epoch } => {
-            put_u64(buf, *w);
-            put_u64(buf, *epoch);
-            T_REGISTER_WORKER
-        }
-        MetaOp::MarkAlive { w } => {
-            put_u64(buf, *w);
-            T_MARK_ALIVE
-        }
-        MetaOp::MarkDead { w, epoch } => {
-            put_u64(buf, *w);
-            put_u64(buf, *epoch);
-            T_MARK_DEAD
-        }
-        MetaOp::Suspect { w, count, alive, epoch } => {
-            put_u64(buf, *w);
-            put_u32(buf, *count);
-            buf.push(u8::from(*alive));
-            put_u64(buf, *epoch);
-            T_SUSPECT
-        }
-        MetaOp::BeginRepair { id } => {
-            put_u64(buf, *id);
-            T_BEGIN_REPAIR
-        }
-        MetaOp::EndRepair { id } => {
-            put_u64(buf, *id);
-            T_END_REPAIR
-        }
-        MetaOp::MasterEpoch { epoch, addr } => {
-            put_u64(buf, *epoch);
-            put_str(buf, addr);
-            T_MASTER_EPOCH
-        }
-        MetaOp::SetIntegrity { id, integrity } => {
-            put_u64(buf, *id);
-            put_integrity(buf, integrity);
-            T_SET_INTEGRITY
-        }
-        MetaOp::Snapshot(image) => {
-            put_u32(buf, image.files.len() as u32);
-            for (id, size, servers, version) in &image.files {
-                put_u64(buf, *id);
-                put_u64(buf, *size);
-                put_u64(buf, *version);
-                put_servers(buf, servers);
-            }
-            put_u32(buf, image.alive.len() as u32);
-            for w in 0..image.alive.len() {
-                buf.push(u8::from(image.alive[w]));
-                put_u32(buf, image.suspicion[w]);
-                put_u64(buf, image.epochs[w]);
-            }
-            // The retired threshold word keeps the layout of every
-            // snapshot written before it became a constant.
-            put_u32(buf, crate::master::SUSPICION_THRESHOLD);
-            put_u32(buf, image.repairing.len() as u32);
-            for id in &image.repairing {
-                put_u64(buf, *id);
-            }
-            put_u64(buf, image.master_epoch);
-            put_str(buf, &image.master_addr);
-            // Integrity tail section (pre-integrity decoders never see
-            // it: they were all replaced by this one; *this* decoder
-            // accepts snapshots without it).
-            put_u32(buf, image.integrity.len() as u32);
-            for (id, integrity) in &image.integrity {
-                put_u64(buf, *id);
-                put_integrity(buf, integrity);
-            }
-            T_SNAPSHOT
+/// One record: `lsn`, `tag` and the body `body` writes, under its length
+/// and CRC-32. Empty when the payload is too long for the `u32` length.
+fn seal(lsn: u64, tag: u8, body: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::with_capacity(40);
+    w.put::<u64>(&0); // length and crc, patched below
+    w.put::<u64>(&lsn);
+    w.put::<u8>(&tag);
+    body(&mut w);
+    let (mut rec, _) = w.into_parts(); // a journal body has no tail
+    let Ok(len) = u32::try_from(rec.len() - 8) else {
+        return Vec::new();
+    };
+    let crc = crc32(&rec[8..]);
+    rec[..4].copy_from_slice(&len.to_le_bytes());
+    rec[4..8].copy_from_slice(&crc.to_le_bytes());
+    rec
+}
+
+/// Encodes one `(lsn, op)` record, checksummed and length-prefixed —
+/// or nothing, for an op whose record would pass the length field's
+/// 4 GiB.
+pub fn encode_record(lsn: u64, op: &MetaOp) -> Vec<u8> {
+    seal(lsn, op.code(), |w| op.put_body(w))
+}
+
+/// The next whole record — its LSN, and its op unless the tag is
+/// retired — or an error at a truncated or corrupt record (or at the
+/// end of the stream).
+fn next_record(r: &mut Reader<'_>) -> Result<(u64, Option<MetaOp>), StoreError> {
+    let len = r.get::<u32>()? as usize;
+    let crc = r.get::<u32>()?;
+    let payload = r.take(len)?;
+    if crc32(payload) != crc {
+        return Err(codec_error("journal record fails its checksum"));
+    }
+    let mut p = Reader::new(payload);
+    let lsn = p.get::<u64>()?;
+    match p.get::<u8>()? {
+        T_RETIRED_SET_THRESHOLD => Ok((lsn, None)),
+        tag => {
+            let op = MetaOp::get_body(tag, &mut p)?;
+            p.finish()?;
+            Ok((lsn, Some(op)))
         }
     }
-}
-
-fn decode_body(tag: u8, body: &[u8]) -> Option<MetaOp> {
-    let mut r = Rd::new(body);
-    let op = match tag {
-        T_REGISTER_FILE => MetaOp::RegisterFile {
-            id: r.u64()?,
-            size: r.u64()?,
-            servers: r.servers()?,
-        },
-        T_UNREGISTER_FILE => MetaOp::UnregisterFile { id: r.u64()? },
-        T_APPLY_PLACEMENT => MetaOp::ApplyPlacement {
-            id: r.u64()?,
-            version: r.u64()?,
-            servers: r.servers()?,
-        },
-        T_REGISTER_WORKER => MetaOp::RegisterWorker {
-            w: r.u64()?,
-            epoch: r.u64()?,
-        },
-        T_MARK_ALIVE => MetaOp::MarkAlive { w: r.u64()? },
-        T_MARK_DEAD => MetaOp::MarkDead {
-            w: r.u64()?,
-            epoch: r.u64()?,
-        },
-        T_SUSPECT => MetaOp::Suspect {
-            w: r.u64()?,
-            count: r.u32()?,
-            alive: r.u8()? != 0,
-            epoch: r.u64()?,
-        },
-        T_BEGIN_REPAIR => MetaOp::BeginRepair { id: r.u64()? },
-        T_END_REPAIR => MetaOp::EndRepair { id: r.u64()? },
-        T_MASTER_EPOCH => MetaOp::MasterEpoch {
-            epoch: r.u64()?,
-            addr: r.string()?,
-        },
-        T_SET_INTEGRITY => MetaOp::SetIntegrity {
-            id: r.u64()?,
-            integrity: r.integrity()?,
-        },
-        T_SNAPSHOT => {
-            let n_files = r.u32()? as usize;
-            let mut files = Vec::new();
-            for _ in 0..n_files {
-                let id = r.u64()?;
-                let size = r.u64()?;
-                let version = r.u64()?;
-                let servers = r.servers()?;
-                files.push((id, size, servers, version));
-            }
-            let n_workers = r.u32()? as usize;
-            // Length-lie guard: each worker entry takes 13 bytes.
-            if n_workers > body.len() / 13 {
-                return None;
-            }
-            let (mut alive, mut suspicion, mut epochs) =
-                (Vec::new(), Vec::new(), Vec::new());
-            for _ in 0..n_workers {
-                alive.push(r.u8()? != 0);
-                suspicion.push(r.u32()?);
-                epochs.push(r.u64()?);
-            }
-            r.u32()?; // the retired threshold word
-            let n_repairing = r.u32()? as usize;
-            if n_repairing > body.len() / 8 {
-                return None;
-            }
-            let repairing = (0..n_repairing)
-                .map(|_| r.u64())
-                .collect::<Option<Vec<u64>>>()?;
-            MetaOp::Snapshot(MasterImage {
-                files,
-                alive,
-                suspicion,
-                epochs,
-                repairing,
-                master_epoch: r.u64()?,
-                master_addr: r.string()?,
-                // Snapshots written before the integrity tier carry no
-                // tail section: default the rows empty.
-                integrity: if r.done() {
-                    Vec::new()
-                } else {
-                    let n = r.u32()? as usize;
-                    if n > body.len() / 8 {
-                        return None;
-                    }
-                    let mut rows = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        rows.push((r.u64()?, r.integrity()?));
-                    }
-                    rows
-                },
-            })
-        }
-        _ => return None,
-    };
-    r.done().then_some(op)
-}
-
-/// Encodes one `(lsn, op)` record, checksummed and length-prefixed.
-pub fn encode_record(lsn: u64, op: &MetaOp) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(32);
-    put_u64(&mut payload, lsn);
-    payload.push(0); // tag placeholder
-    let tag = encode_body(op, &mut payload);
-    payload[8] = tag;
-    let mut rec = Vec::with_capacity(8 + payload.len());
-    put_u32(&mut rec, payload.len() as u32);
-    put_u32(&mut rec, crc32(&payload));
-    rec.extend_from_slice(&payload);
-    rec
 }
 
 /// Decodes every valid record from a byte stream, stopping at the first
 /// truncated or corrupt one (the torn-tail rule) and skipping records
 /// under a retired tag. Never panics.
 pub fn decode_records(bytes: &[u8]) -> Vec<(u64, MetaOp)> {
-    let mut r = Rd::new(bytes);
-    std::iter::from_fn(|| r.record())
+    let mut r = Reader::new(bytes);
+    std::iter::from_fn(|| next_record(&mut r).ok())
         .filter_map(|(lsn, op)| Some((lsn, op?)))
         .collect()
+}
+
+/// The blobs of `tier`'s metadata region whose names start with
+/// `prefix`, in name order.
+fn blobs<'a>(tier: &'a UnderStore, prefix: &str) -> impl Iterator<Item = Vec<u8>> + 'a {
+    tier.meta_list(prefix).into_iter().filter_map(|name| tier.meta_get(&name))
 }
 
 fn segment_name(base_lsn: u64) -> String {
@@ -628,14 +390,9 @@ impl MetaLog {
     /// Opens (or creates) the log held by `tier`'s metadata region,
     /// positioning the append cursor after the last valid record.
     pub fn open(tier: Arc<UnderStore>) -> Self {
-        let mut next_lsn = 1u64;
-        for name in tier.meta_list("snap-") {
-            if let Some(bytes) = tier.meta_get(&name) {
-                for (lsn, _) in decode_records(&bytes) {
-                    next_lsn = next_lsn.max(lsn + 1);
-                }
-            }
-        }
+        let mut next_lsn = blobs(&tier, "snap-")
+            .flat_map(|bytes| decode_records(&bytes))
+            .fold(1, |next, (lsn, _)| next.max(lsn + 1));
         let segments = tier.meta_list("log-");
         let mut active = None;
         let mut active_bytes = 0;
@@ -643,11 +400,11 @@ impl MetaLog {
         for name in &segments {
             if let Some(bytes) = tier.meta_get(name) {
                 // Every whole record spends its LSN, a retired one too.
-                let (mut r, mut valid) = (Rd::new(&bytes), 0);
-                while let Some((lsn, _)) = r.record() {
+                let (mut r, mut valid) = (Reader::new(&bytes), 0);
+                while let Ok((lsn, _)) = next_record(&mut r) {
                     records += 1;
                     next_lsn = next_lsn.max(lsn + 1);
-                    valid = r.pos;
+                    valid = bytes.len() - r.remaining();
                 }
                 // The append cursor sits after the last *valid* byte, so
                 // a torn tail is overwritten... it cannot be (appends
@@ -682,11 +439,6 @@ impl MetaLog {
         self
     }
 
-    /// The storage tier the log persists through.
-    pub fn tier(&self) -> &Arc<UnderStore> {
-        &self.tier
-    }
-
     /// Appends one op; returns its LSN. Rotates the active segment past
     /// [`SEGMENT_BYTES`].
     pub fn append(&self, op: &MetaOp) -> u64 {
@@ -717,12 +469,17 @@ impl MetaLog {
 
     /// Writes a compacted snapshot of `image` and deletes every older
     /// segment and snapshot — after this, replay is one snapshot record
-    /// plus whatever lands later.
+    /// plus whatever lands later. An image too large for one record
+    /// (past the length field's 4 GiB) is not written, and then nothing
+    /// is deleted: the log it would have replaced still replays.
     pub fn snapshot(&self, image: &MasterImage) {
         let mut inner = self.inner.lock();
         let lsn = inner.next_lsn;
+        let rec = seal(lsn, T_SNAPSHOT, |w| w.put::<MasterImage>(image));
+        if rec.is_empty() {
+            return;
+        }
         inner.next_lsn += 1;
-        let rec = encode_record(lsn, &MetaOp::Snapshot(image.clone()));
         let name = snapshot_name(lsn);
         self.tier.meta_put(&name, &rec);
         // Everything older is superseded: all log segments (every record
@@ -749,31 +506,16 @@ impl MetaLog {
     /// [`MetaLog::replay`] against a bare tier (no open log needed —
     /// the standby's read-only path).
     pub fn replay_tier(tier: &UnderStore) -> Vec<(u64, MetaOp)> {
-        let mut snap: Option<(u64, MetaOp)> = None;
-        for name in tier.meta_list("snap-") {
-            if let Some(bytes) = tier.meta_get(&name) {
-                if let Some((lsn, op)) = decode_records(&bytes).pop() {
-                    if snap.as_ref().is_none_or(|(l, _)| *l < lsn) {
-                        snap = Some((lsn, op));
-                    }
-                }
-            }
-        }
-        let snap_lsn = snap.as_ref().map_or(0, |(l, _)| *l);
-        let mut out: Vec<(u64, MetaOp)> = snap.into_iter().collect();
-        let mut tail = Vec::new();
-        for name in tier.meta_list("log-") {
-            if let Some(bytes) = tier.meta_get(&name) {
-                tail.extend(
-                    decode_records(&bytes)
-                        .into_iter()
-                        .filter(|(lsn, _)| *lsn > snap_lsn),
-                );
-            }
-        }
+        let snap = blobs(tier, "snap-")
+            .filter_map(|bytes| decode_records(&bytes).pop())
+            .max_by_key(|(lsn, _)| *lsn);
+        let snap_lsn = snap.as_ref().map_or(0, |(lsn, _)| *lsn);
+        let mut tail: Vec<(u64, MetaOp)> = blobs(tier, "log-")
+            .flat_map(|bytes| decode_records(&bytes))
+            .filter(|(lsn, _)| *lsn > snap_lsn)
+            .collect();
         tail.sort_by_key(|(lsn, _)| *lsn);
-        out.extend(tail);
-        out
+        snap.into_iter().chain(tail).collect()
     }
 
     /// Raw record bytes for every op with `lsn >= from_lsn` (the wire
@@ -798,6 +540,29 @@ impl MetaLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Appends one `S` to a hand-built record or body.
+    fn put<S: Shape>(buf: &mut Vec<u8>, v: &S::Value) {
+        let mut w = Writer::default();
+        w.put::<S>(v);
+        buf.extend(w.into_parts().0);
+    }
+
+    fn put_u32(buf: &mut Vec<u8>, v: u32) {
+        put::<u32>(buf, &v);
+    }
+
+    fn put_u64(buf: &mut Vec<u8>, v: u64) {
+        put::<u64>(buf, &v);
+    }
+
+    fn put_servers(buf: &mut Vec<u8>, servers: &[usize]) {
+        put::<Vec<usize>>(buf, &servers.to_vec());
+    }
+
+    fn put_str(buf: &mut Vec<u8>, s: &str) {
+        put::<String>(buf, &s.to_string());
+    }
 
     fn ops() -> Vec<MetaOp> {
         vec![
@@ -969,6 +734,21 @@ mod tests {
             encode_record(4, &MetaOp::Snapshot(image.clone())),
             raw_record(4, T_SNAPSHOT, &snapshot_body(SUSPICION_THRESHOLD))
         );
+    }
+
+    /// A snapshot past 64 MiB — about a million files' worth — replays
+    /// after it has replaced the log: what the writer frames, the reader
+    /// takes.
+    #[test]
+    fn an_oversize_snapshot_replays() {
+        let tier = Arc::new(UnderStore::new());
+        let log = MetaLog::open(Arc::clone(&tier));
+        log.append(&MetaOp::UnregisterFile { id: 1 });
+        let image = MasterImage { master_addr: "x".repeat((64 << 20) + 1), ..MasterImage::default() };
+        log.snapshot(&image);
+        let replayed = MetaLog::open(Arc::clone(&tier)).replay();
+        assert_eq!(replayed.len(), 1, "the snapshot no longer replays");
+        assert!(matches!(&replayed[0], (2, MetaOp::Snapshot(got)) if *got == image));
     }
 
     #[test]

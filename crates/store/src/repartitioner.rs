@@ -85,16 +85,16 @@ fn pull(
     Ok(got)
 }
 
-/// Replaces each target that is dead, or is `failed`, by the
-/// lowest-indexed live worker neither `failed` nor already a target,
-/// keeping the file's partitions on distinct servers. A target with no
-/// such substitute — or outside the `n`-worker fleet — is left for its
-/// push to fail.
-fn substitute(master: &dyn MetaService, n: usize, targets: &mut [usize], failed: Option<usize>) {
-    let live = master.live_workers(n);
+/// Replaces each target that is not in `live` (ascending), or is
+/// `failed`, by the lowest live worker neither `failed` nor already a
+/// target, keeping a file's partitions on distinct servers. A target with
+/// no such substitute is left for its push to fail. The one dead-target
+/// rule: a layout move applies it before and during its pushes, and a
+/// rebalance plan before it is run. Deterministic, so replanning after
+/// the same failure yields the same placement.
+pub(crate) fn substitute(live: &[usize], targets: &mut [usize], failed: Option<usize>) {
     for i in 0..targets.len() {
-        let dead = targets[i] < n && !live.contains(&targets[i]);
-        if Some(targets[i]) == failed || dead {
+        if Some(targets[i]) == failed || live.binary_search(&targets[i]).is_err() {
             let spare = live.iter().find(|&&w| Some(w) != failed && !targets.contains(&w));
             if let Some(&sub) = spare {
                 targets[i] = sub;
@@ -157,12 +157,12 @@ pub(crate) fn relayout(
     let put = |j: usize| Request::Put { key: staged(j), data: shards[j].clone(), sum: sums[j] };
     let n = io.transport.n_workers();
     let mut targets = targets.to_vec();
-    substitute(master, n, &mut targets, None);
+    substitute(&master.live_workers(n), &mut targets, None);
 
     // Pushes shard `j` again, to a substitute for `server`, which failed
     // with `e`.
     let reroute = |targets: &mut Vec<usize>, j: usize, server: usize, e: StoreError| {
-        substitute(master, n, targets, Some(server));
+        substitute(&master.live_workers(n), targets, Some(server));
         if targets[j] == server {
             return Err(e); // no live substitute left
         }

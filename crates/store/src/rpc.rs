@@ -12,21 +12,280 @@
 //! [`Request::Stamped`]. The fork-join engine ([`crate::forkjoin`])
 //! stamps each batch it forks; the only field a caller sets before that
 //! is a `Get`'s [`Stamp::expect`], which the engine keeps.
+//!
+//! Each message is declared once, as a row of [`crate::codec`]'s
+//! `wire!` table naming its opcode and its fields' shapes; that row is
+//! its wire layout (DESIGN.md §4.10). `spcache-net`'s `frame` adds only
+//! the frame header.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::time::Instant;
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender};
 
+use crate::codec::{codec_error, Message, Reader, Tail};
 use crate::throttle::TrafficClass;
 
-/// Identifies one cached partition: `(file, partition index)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PartKey {
-    /// File identifier.
-    pub file: u64,
-    /// Partition index within the file (0-based).
-    pub part: u32,
+/// The opcode of a stamped request, which its decoder refuses inside
+/// another.
+const STAMPED: u8 = 0x09;
+
+/// The opcode of a `Data` reply: the one reply whose payload may land
+/// in place.
+pub const DATA_REPLY: u8 = 0x42;
+
+// The data plane: one row per message, naming its opcode (or error kind)
+// and its fields' shapes in wire order.
+wire! {
+    /// Identifies one cached partition: `(file, partition index)`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub struct PartKey {
+        /// File identifier.
+        pub file: u64,
+        /// Partition index within the file (0-based).
+        pub part: u32,
+    }
+
+    /// Errors surfaced to clients. On the wire an error is its kind byte
+    /// (the row's code), then its payload.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum StoreError else "unknown error kind {}" {
+        /// The partition is not resident on the addressed worker.
+        NotFound(key: PartKey) = 1,
+        /// The worker is gone (channel closed / connection refused after the
+        /// listener shut down).
+        WorkerDown(w: usize) = 2,
+        /// The master has no metadata for this file.
+        UnknownFile(id: u64) = 3,
+        /// A file with this id already exists.
+        AlreadyExists(id: u64) = 4,
+        /// The worker did not answer within the read deadline (hung or
+        /// overloaded; the worker may still be alive).
+        Timeout(w: usize) = 5,
+        /// Transport-level I/O failure reaching endpoint `w` (connection
+        /// refused or reset, broken pipe, a frame cut off mid-stream). The
+        /// remote may be perfectly healthy — retrying after re-locating can
+        /// succeed, so this is classified retryable.
+        Io(w: usize) = 6,
+        /// Wire-protocol violation (bad version byte, unknown opcode,
+        /// malformed frame). Permanent: resending the same bytes would
+        /// produce the same violation.
+        Codec(msg: String) = 7,
+        /// An epoch-fenced request and the worker's registered epoch
+        /// disagree: either the client stamped an epoch the worker has
+        /// outlived (client metadata stale — refresh and retry) or the
+        /// worker itself is a fenced zombie that must not serve. Retryable:
+        /// refreshing the epoch table from the master resolves the
+        /// client-side case, and the zombie case heals through recovery.
+        StaleEpoch(w: usize) = 8,
+        /// The partition's bytes failed checksum verification (worker-side
+        /// on load/reload, or client-side on receive). The copy has been
+        /// dropped — corruption is converted into an **erasure**, never into
+        /// wrong bytes. Retryable: the reader falls back to parity decode
+        /// (when the file carries parity partitions) or an under-store heal.
+        Corrupt(key: PartKey) = 10,
+        /// The file is degraded and its recovery is already in flight
+        /// elsewhere (sweep or another client's lazy repair): the repair
+        /// slot [`crate::backing::recover_file`] asked for was denied.
+        /// Not retryable *by the issuing client's inner loop* — callers
+        /// decide whether to come back after the repair lands.
+        Degraded(id: u64) = 9,
+        /// A `Get` fenced by [`Stamp::expect`] found a copy of the key that
+        /// is not recorded under the expected checksum (or under none): the
+        /// reader's cached placement no longer describes the file. The copy
+        /// was not served. Retryable: re-locating through the master
+        /// resolves it.
+        StalePlacement(key: PartKey) = 11,
+    }
+
+    /// Per-worker service counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct WorkerStats {
+        /// Bytes served by `Get` requests.
+        pub bytes_served: u64,
+        /// Bytes accepted by `Put` requests.
+        pub bytes_stored: u64,
+        /// Number of `Get` requests handled.
+        pub gets: u64,
+        /// Number of `Put` requests handled.
+        pub puts: u64,
+        /// Partitions currently resident.
+        pub resident_parts: usize,
+        /// Bytes transferred under the background traffic class (recovery
+        /// sweeps, repartition pushes, spill writebacks and refills) — the
+        /// numerator of the §4.4 background-fraction bound.
+        pub bytes_background: u64,
+        /// Partitions evicted by the memory budget (spilled or dropped).
+        pub evictions: u64,
+        /// Bytes written back to the under-store's spill area on eviction.
+        pub spilled_bytes: u64,
+        /// Bytes reloaded from the spill area on reads of evicted partitions.
+        pub reloaded_bytes: u64,
+        /// Bytes currently resident in the partition map.
+        pub resident_bytes: u64,
+        /// Partitions whose bytes failed checksum verification and were
+        /// dropped (corruption-to-erasure conversions).
+        pub corruptions_detected: u64,
+        /// Bytes currently resident under parity keys (Cauchy-RS shards of
+        /// hot files — the integrity tier's redundancy footprint).
+        pub parity_bytes: u64,
+        /// Erased-as-corrupt partitions later re-admitted by a client's
+        /// parity-decode read-repair push-back.
+        pub decode_reconstructions: u64,
+    }
+
+    /// A request to a worker — pure data, identical over every transport.
+    ///
+    /// `Stats`, `Ping` and `Shutdown` are control-plane: they bypass fault
+    /// injection and do not advance the worker's data-path op counter, so
+    /// monitoring traffic never perturbs a scripted fault sequence.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Request else "unknown request opcode {:#04x}" {
+        /// Store a partition. The payload is the frame's tail, so it
+        /// leaves and lands zero-copy.
+        Put {
+            /// Partition key.
+            key: PartKey,
+            /// CRC-64 tree checksum of `data` (`spcache_integrity::sum`),
+            /// or `0` when the writer did not checksum (the unverified
+            /// sentinel — maintenance paths that re-split bytes, and the
+            /// pre-integrity wire behaviour).
+            sum: u64,
+            /// Partition bytes.
+            data: Bytes as Tail,
+        } = 0x01,
+        /// Fetch a partition.
+        Get {
+            /// Partition key.
+            key: PartKey,
+        } = 0x02,
+        /// Fetch a **parity** partition (a [`PartKey::parity`] key) during
+        /// corruption-to-erasure recovery. Kept distinct from `Get` on the
+        /// wire so parity traffic is observable and ordinary reads can never
+        /// address a parity slot by accident.
+        GetParity {
+            /// Parity partition key ([`PARITY_BIT`] set).
+            key: PartKey,
+        } = 0x0D,
+        /// Fetch a byte sub-range of a partition (the online-adjustment path:
+        /// only the bytes that change servers cross the network).
+        GetRange {
+            /// Partition key.
+            key: PartKey,
+            /// Offset within the partition.
+            offset: u64,
+            /// Bytes wanted.
+            len: u64,
+        } = 0x03,
+        /// Rename a resident partition key in place (no byte movement); used
+        /// to commit staged partitions. Replies `Flag(false)` if `from` is
+        /// absent.
+        Rename {
+            /// Current key.
+            from: PartKey,
+            /// New key (overwrites any existing entry).
+            to: PartKey,
+        } = 0x04,
+        /// Drop a partition; replies whether it was resident.
+        Delete {
+            /// Partition key.
+            key: PartKey,
+        } = 0x05,
+        /// Snapshot service counters.
+        Stats = 0x06,
+        /// Liveness probe: the worker echoes its id and its current epoch.
+        Ping = 0x07,
+        /// Graceful termination: the worker finishes every request queued
+        /// before this one (FIFO drain), acknowledges with [`Reply::Done`],
+        /// and exits. A TCP server closes its listener after the ack.
+        Shutdown = 0x08,
+        /// Control-plane epoch grant: the supervisor installs the epoch the
+        /// master assigned at registration. The worker adopts it and echoes
+        /// it in every subsequent `Pong`.
+        SetEpoch(epoch: u64) = 0x0A,
+        /// Control-plane **master**-epoch announcement: a master (booting,
+        /// or a standby taking over) tells the worker which master epoch
+        /// now rules. The worker raises its watermark and from then on
+        /// bounces traffic whose [`Stamp::master`] is any lower epoch.
+        /// A worker that has already seen a *higher* epoch answers
+        /// [`StoreError::StaleEpoch`] — the deposed sender must self-fence.
+        SetMasterEpoch(epoch: u64) = 0x0C,
+        /// A data request under a [`Stamp`]: the epochs it is fenced by and
+        /// the traffic class it is paced as. The worker checks the fence,
+        /// then serves `inner` under the class. Built by
+        /// [`Request::stamped`]; `inner` is a data request, never a control
+        /// request or another stamp. On the wire it is one flat body: the
+        /// stamp, then the inner request's opcode and body.
+        Stamped {
+            /// The stamp.
+            stamp: Stamp,
+            /// The stamped data request.
+            inner: Box<Request>,
+        } = STAMPED => decode_stamped,
+    }
+
+    /// What a data request carries besides itself: the epochs and the
+    /// checksum it is fenced by and the NIC class it is paced as. The
+    /// all-zero foreground stamp ([`Stamp::default`]) is the unstamped
+    /// request.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct Stamp {
+        /// The registration epoch the sender expects the worker to hold
+        /// (from the master's epoch table). A worker holding another one
+        /// answers [`StoreError::StaleEpoch`] instead of serving, so a
+        /// fenced zombie can neither serve pre-crash partitions nor absorb
+        /// writes meant for its successor. 0 = not epoch-fenced.
+        pub epoch: u64,
+        /// The **master epoch** the issuing control plane acts under
+        /// (DESIGN.md §4.14). A worker that has seen a higher one answers
+        /// [`StoreError::StaleEpoch`] — that is how a deposed master's
+        /// writes bounce forever; a higher one raises the worker's
+        /// watermark. 0 = unstamped (plain clients).
+        pub master: u64,
+        /// The checksum a `Get` expects its partition to be recorded under
+        /// (the sum the writer's `Put` stamped). A worker whose copy of the
+        /// key carries another sum, or none, answers
+        /// [`StoreError::StalePlacement`] instead of serving it — how a
+        /// reader's cached placement is kept from ever returning another
+        /// layout's or another file's bytes (DESIGN.md §4.7). 0 = not
+        /// sum-fenced; only a `Get` may carry another value.
+        pub expect: u64,
+        /// [`TrafficClass::Background`] for maintenance byte streams
+        /// (recovery sweeps, repartition traffic, read repair), which the
+        /// worker paces through the background share of its NIC
+        /// ([`crate::throttle::NicScheduler`]) so they cannot starve
+        /// foreground client traffic.
+        pub class: TrafficClass,
+    }
+
+    /// A worker's answer — pure data, one uniform type per transport stream
+    /// so fork-join readers can select over many outstanding replies.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Reply else "unknown reply opcode {:#04x}" {
+        /// Success without payload (`Put`, `Shutdown` ack).
+        Done = 0x41,
+        /// Payload bytes (`Get`, `GetRange`). Over TCP the view borrows the
+        /// receive frame's buffer (zero-copy).
+        Data(data: Bytes as Tail) = DATA_REPLY,
+        /// Boolean outcome (`Rename`: moved, `Delete`: was resident).
+        Flag(flag: bool) = 0x43,
+        /// Service counters (`Stats`).
+        Stats(stats: WorkerStats) = 0x44,
+        /// Liveness echo (`Ping`): the worker id and its current epoch
+        /// (0 = not yet registered with the master).
+        Pong {
+            /// The worker id.
+            worker: usize,
+            /// The worker's current epoch.
+            epoch: u64,
+        } = 0x45,
+        /// The request failed.
+        Err(e: StoreError) = 0x46,
+    }
 }
 
 impl PartKey {
@@ -64,57 +323,6 @@ pub const STAGE_BIT: u32 = 1 << 31;
 /// fetch them explicitly via [`Request::GetParity`] during
 /// corruption-to-erasure recovery.
 pub const PARITY_BIT: u32 = 1 << 30;
-
-/// Errors surfaced to clients.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StoreError {
-    /// The partition is not resident on the addressed worker.
-    NotFound(PartKey),
-    /// The worker is gone (channel closed / connection refused after the
-    /// listener shut down).
-    WorkerDown(usize),
-    /// The master has no metadata for this file.
-    UnknownFile(u64),
-    /// A file with this id already exists.
-    AlreadyExists(u64),
-    /// The worker did not answer within the read deadline (hung or
-    /// overloaded; the worker may still be alive).
-    Timeout(usize),
-    /// Transport-level I/O failure reaching endpoint `w` (connection
-    /// refused or reset, broken pipe, a frame cut off mid-stream). The
-    /// remote may be perfectly healthy — retrying after re-locating can
-    /// succeed, so this is classified retryable.
-    Io(usize),
-    /// Wire-protocol violation (bad version byte, unknown opcode,
-    /// malformed frame). Permanent: resending the same bytes would
-    /// produce the same violation.
-    Codec(String),
-    /// An epoch-fenced request and the worker's registered epoch
-    /// disagree: either the client stamped an epoch the worker has
-    /// outlived (client metadata stale — refresh and retry) or the
-    /// worker itself is a fenced zombie that must not serve. Retryable:
-    /// refreshing the epoch table from the master resolves the
-    /// client-side case, and the zombie case heals through recovery.
-    StaleEpoch(usize),
-    /// The partition's bytes failed checksum verification (worker-side
-    /// on load/reload, or client-side on receive). The copy has been
-    /// dropped — corruption is converted into an **erasure**, never into
-    /// wrong bytes. Retryable: the reader falls back to parity decode
-    /// (when the file carries parity partitions) or an under-store heal.
-    Corrupt(PartKey),
-    /// The file is degraded and its recovery is already in flight
-    /// elsewhere (sweep or another client's lazy repair): the repair
-    /// slot [`crate::backing::recover_file`] asked for was denied.
-    /// Not retryable *by the issuing client's inner loop* — callers
-    /// decide whether to come back after the repair lands.
-    Degraded(u64),
-    /// A `Get` fenced by [`Stamp::expect`] found a copy of the key that
-    /// is not recorded under the expected checksum (or under none): the
-    /// reader's cached placement no longer describes the file. The copy
-    /// was not served. Retryable: re-locating through the master
-    /// resolves it.
-    StalePlacement(PartKey),
-}
 
 impl StoreError {
     /// Whether a retry (after re-locating and possibly recovering from
@@ -181,162 +389,26 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// Per-worker service counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Bytes served by `Get` requests.
-    pub bytes_served: u64,
-    /// Bytes accepted by `Put` requests.
-    pub bytes_stored: u64,
-    /// Number of `Get` requests handled.
-    pub gets: u64,
-    /// Number of `Put` requests handled.
-    pub puts: u64,
-    /// Partitions currently resident.
-    pub resident_parts: usize,
-    /// Bytes transferred under the background traffic class (recovery
-    /// sweeps, repartition pushes, spill writebacks and refills) — the
-    /// numerator of the §4.4 background-fraction bound.
-    pub bytes_background: u64,
-    /// Partitions evicted by the memory budget (spilled or dropped).
-    pub evictions: u64,
-    /// Bytes written back to the under-store's spill area on eviction.
-    pub spilled_bytes: u64,
-    /// Bytes reloaded from the spill area on reads of evicted partitions.
-    pub reloaded_bytes: u64,
-    /// Bytes currently resident in the partition map.
-    pub resident_bytes: u64,
-    /// Partitions whose bytes failed checksum verification and were
-    /// dropped (corruption-to-erasure conversions).
-    pub corruptions_detected: u64,
-    /// Bytes currently resident under parity keys (Cauchy-RS shards of
-    /// hot files — the integrity tier's redundancy footprint).
-    pub parity_bytes: u64,
-    /// Erased-as-corrupt partitions later re-admitted by a client's
-    /// parity-decode read-repair push-back.
-    pub decode_reconstructions: u64,
-}
-
-/// A request to a worker — pure data, identical over every transport.
-///
-/// `Stats`, `Ping` and `Shutdown` are control-plane: they bypass fault
-/// injection and do not advance the worker's data-path op counter, so
-/// monitoring traffic never perturbs a scripted fault sequence.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
-    /// Store a partition.
-    Put {
-        /// Partition key.
-        key: PartKey,
-        /// Partition bytes.
-        data: Bytes,
-        /// CRC-64 tree checksum of `data` (`spcache_integrity::sum`),
-        /// or `0` when the writer did not checksum (the unverified
-        /// sentinel — maintenance paths that re-split bytes, and the
-        /// pre-integrity wire behaviour).
-        sum: u64,
-    },
-    /// Fetch a partition.
-    Get {
-        /// Partition key.
-        key: PartKey,
-    },
-    /// Fetch a **parity** partition (a [`PartKey::parity`] key) during
-    /// corruption-to-erasure recovery. Kept distinct from `Get` on the
-    /// wire so parity traffic is observable and ordinary reads can never
-    /// address a parity slot by accident.
-    GetParity {
-        /// Parity partition key ([`PARITY_BIT`] set).
-        key: PartKey,
-    },
-    /// Fetch a byte sub-range of a partition (the online-adjustment path:
-    /// only the bytes that change servers cross the network).
-    GetRange {
-        /// Partition key.
-        key: PartKey,
-        /// Offset within the partition.
-        offset: u64,
-        /// Bytes wanted.
-        len: u64,
-    },
-    /// Rename a resident partition key in place (no byte movement); used
-    /// to commit staged partitions. Replies `Flag(false)` if `from` is
-    /// absent.
-    Rename {
-        /// Current key.
-        from: PartKey,
-        /// New key (overwrites any existing entry).
-        to: PartKey,
-    },
-    /// Drop a partition; replies whether it was resident.
-    Delete {
-        /// Partition key.
-        key: PartKey,
-    },
-    /// Snapshot service counters.
-    Stats,
-    /// Liveness probe: the worker echoes its id and its current epoch.
-    Ping,
-    /// Graceful termination: the worker finishes every request queued
-    /// before this one (FIFO drain), acknowledges with [`Reply::Done`],
-    /// and exits. A TCP server closes its listener after the ack.
-    Shutdown,
-    /// Control-plane epoch grant: the supervisor installs the epoch the
-    /// master assigned at registration. The worker adopts it and echoes
-    /// it in every subsequent `Pong`.
-    SetEpoch(u64),
-    /// Control-plane **master**-epoch announcement: a master (booting,
-    /// or a standby taking over) tells the worker which master epoch
-    /// now rules. The worker raises its watermark and from then on
-    /// bounces traffic whose [`Stamp::master`] is any lower epoch.
-    /// A worker that has already seen a *higher* epoch answers
-    /// [`StoreError::StaleEpoch`] — the deposed sender must self-fence.
-    SetMasterEpoch(u64),
-    /// A data request under a [`Stamp`]: the epochs it is fenced by and
-    /// the traffic class it is paced as. The worker checks the fence,
-    /// then serves `inner` under the class. Built by
-    /// [`Request::stamped`]; `inner` is a data request, never a control
-    /// request or another stamp.
-    Stamped {
-        /// The stamp.
-        stamp: Stamp,
-        /// The stamped data request.
-        inner: Box<Request>,
-    },
-}
-
-/// What a data request carries besides itself: the epochs and the
-/// checksum it is fenced by and the NIC class it is paced as. The
-/// all-zero foreground stamp ([`Stamp::default`]) is the unstamped
-/// request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Stamp {
-    /// The registration epoch the sender expects the worker to hold
-    /// (from the master's epoch table). A worker holding another one
-    /// answers [`StoreError::StaleEpoch`] instead of serving, so a
-    /// fenced zombie can neither serve pre-crash partitions nor absorb
-    /// writes meant for its successor. 0 = not epoch-fenced.
-    pub epoch: u64,
-    /// The **master epoch** the issuing control plane acts under
-    /// (DESIGN.md §4.14). A worker that has seen a higher one answers
-    /// [`StoreError::StaleEpoch`] — that is how a deposed master's
-    /// writes bounce forever; a higher one raises the worker's
-    /// watermark. 0 = unstamped (plain clients).
-    pub master: u64,
-    /// The checksum a `Get` expects its partition to be recorded under
-    /// (the sum the writer's `Put` stamped). A worker whose copy of the
-    /// key carries another sum, or none, answers
-    /// [`StoreError::StalePlacement`] instead of serving it — how a
-    /// reader's cached placement is kept from ever returning another
-    /// layout's or another file's bytes (DESIGN.md §4.7). 0 = not
-    /// sum-fenced; only a `Get` may carry another value.
-    pub expect: u64,
-    /// [`TrafficClass::Background`] for maintenance byte streams
-    /// (recovery sweeps, repartition traffic, read repair), which the
-    /// worker paces through the background share of its NIC
-    /// ([`crate::throttle::NicScheduler`]) so they cannot starve
-    /// foreground client traffic.
-    pub class: TrafficClass,
+/// Decodes a stamped request's body: one stamp per request, which also
+/// bounds the recursion at one level, around a data request, whose
+/// checksum fence only a `Get` may carry.
+fn decode_stamped(r: &mut Reader<'_>) -> Result<Request, StoreError> {
+    let stamp = r.get::<Stamp>()?;
+    let op = r.get::<u8>()?;
+    if op == STAMPED {
+        return Err(codec_error("stamp inside a stamp"));
+    }
+    let inner = Request::get_body(op, r)?;
+    // The worker serves control requests before it reads stamps, so a
+    // stamped one has no meaning.
+    if inner.is_control() {
+        return Err(codec_error("control request inside a stamp"));
+    }
+    // Only a read has a recorded sum to be fenced by.
+    if stamp.expect != 0 && !matches!(inner, Request::Get { .. }) {
+        return Err(codec_error("a checksum fence on a request that is not a Get"));
+    }
+    Ok(Request::Stamped { stamp, inner: Box::new(inner) })
 }
 
 impl Request {
@@ -369,31 +441,6 @@ impl Request {
         };
         Request::Stamped { stamp, inner }
     }
-}
-
-/// A worker's answer — pure data, one uniform type per transport stream
-/// so fork-join readers can select over many outstanding replies.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Reply {
-    /// Success without payload (`Put`, `Shutdown` ack).
-    Done,
-    /// Payload bytes (`Get`, `GetRange`). Over TCP the view borrows the
-    /// receive frame's buffer (zero-copy).
-    Data(Bytes),
-    /// Boolean outcome (`Rename`: moved, `Delete`: was resident).
-    Flag(bool),
-    /// Service counters (`Stats`).
-    Stats(WorkerStats),
-    /// Liveness echo (`Ping`): the worker id and its current epoch
-    /// (0 = not yet registered with the master).
-    Pong {
-        /// The worker id.
-        worker: usize,
-        /// The worker's current epoch.
-        epoch: u64,
-    },
-    /// The request failed.
-    Err(StoreError),
 }
 
 impl Reply {

@@ -32,15 +32,18 @@
 
 use std::time::{Duration, Instant};
 
-/// Which class of traffic a transfer belongs to (see [`NicScheduler`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TrafficClass {
-    /// Client-facing data path: reads and writes.
-    #[default]
-    Foreground,
-    /// Maintenance byte streams: recovery sweeps, repartition pushes,
-    /// spill writebacks, refills of evicted partitions.
-    Background,
+wire! {
+    /// Which class of traffic a transfer belongs to (see [`NicScheduler`]).
+    /// On the wire it is a stamp's class byte.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub enum TrafficClass else "unknown traffic class {}" {
+        /// Client-facing data path: reads and writes.
+        #[default]
+        Foreground = 0,
+        /// Maintenance byte streams: recovery sweeps, repartition pushes,
+        /// spill writebacks, refills of evicted partitions.
+        Background = 1,
+    }
 }
 
 /// A token bucket paying out `rate` bytes per second.

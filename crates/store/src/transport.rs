@@ -18,6 +18,10 @@
 //!   failure there is an I/O error ([`StoreError::Io`]): the remote may
 //!   well be alive, so the error is retryable and feeds suspicion rather
 //!   than a death certificate.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::time::Duration;
 
@@ -110,9 +114,9 @@ pub struct ChannelTransport {
 }
 
 impl ChannelTransport {
-    /// Wraps the per-worker request channels.
+    /// Wraps the per-worker request channels. A worker index past them
+    /// is a worker that is down.
     pub fn new(senders: Vec<Sender<Envelope>>) -> Self {
-        assert!(!senders.is_empty(), "need at least one worker");
         ChannelTransport { senders }
     }
 }
@@ -129,9 +133,8 @@ impl Transport for ChannelTransport {
         reqs.into_iter()
             .map(|(worker, req, _)| {
                 let (envelope, rx) = Envelope::channel(req);
-                self.senders[worker]
-                    .send(envelope)
-                    .map_err(|_| StoreError::WorkerDown(worker))?;
+                let sender = self.senders.get(worker).ok_or(StoreError::WorkerDown(worker))?;
+                sender.send(envelope).map_err(|_| StoreError::WorkerDown(worker))?;
                 Ok(rx)
             })
             .collect()
@@ -151,6 +154,15 @@ mod tests {
             t.submit(0, Request::Ping).unwrap_err(),
             StoreError::WorkerDown(0)
         );
+    }
+
+    #[test]
+    fn a_worker_past_the_fleet_is_down() {
+        let (tx, _rx) = crossbeam::channel::unbounded::<Envelope>();
+        let t = ChannelTransport::new(vec![tx]);
+        assert_eq!(t.submit(5, Request::Ping).unwrap_err(), StoreError::WorkerDown(5));
+        let empty = ChannelTransport::new(Vec::new());
+        assert_eq!(empty.submit(0, Request::Ping).unwrap_err(), StoreError::WorkerDown(0));
     }
 
     #[test]
