@@ -5,6 +5,14 @@
 //! (identity on top of parity rows); any `k` surviving shards reconstruct
 //! everything by inverting the corresponding `k × k` row block — exactly
 //! the structure EC-Cache builds on ISA-L.
+//!
+//! Every parity shard and every decoded shard is one sweep of
+//! [`gf256::dot_prod`] over the `k` source views: the views may be
+//! ragged, and the zero padding to the shard length is virtual.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use bytes::Bytes;
 
@@ -23,12 +31,21 @@ pub enum RsError {
     },
     /// Shards have inconsistent lengths.
     ShardLengthMismatch,
-    /// Shard vector length differs from `n`.
+    /// Shard vector length differs from `n` (or from `k`, for the data
+    /// views of [`ReedSolomon::encode_parity`]).
     WrongShardCount {
         /// Shards supplied.
         got: usize,
-        /// Shards expected (`n`).
+        /// Shards expected.
         expected: usize,
+    },
+    /// A decode asked for a shard that is not a data shard (parity is
+    /// re-encoded, not decoded).
+    NotADataShard {
+        /// The shard asked for.
+        target: usize,
+        /// Data shards in the code (`k`).
+        k: usize,
     },
 }
 
@@ -41,6 +58,9 @@ impl std::fmt::Display for RsError {
             RsError::ShardLengthMismatch => write!(f, "shard lengths differ"),
             RsError::WrongShardCount { got, expected } => {
                 write!(f, "got {got} shards, expected {expected}")
+            }
+            RsError::NotADataShard { target, k } => {
+                write!(f, "shard {target} is not one of the {k} data shards")
             }
         }
     }
@@ -133,19 +153,60 @@ impl ReedSolomon {
 
     /// Splits `data` into `k` padded shards and appends `n − k` parity
     /// shards. Shard length is `ceil(len / k)` (the last data shard is
-    /// zero-padded).
+    /// zero-padded). The parity is [`encode_parity`](Self::encode_parity)'s.
     pub fn encode_bytes(&self, data: &[u8]) -> Vec<Vec<u8>> {
         let mut shards = split_into_shards(data, self.k);
-        let shard_len = shards[0].len();
-        for p in 0..self.parity_shards() {
-            let row = self.encode.row(self.k + p).to_vec();
-            let mut parity = vec![0u8; shard_len];
-            for (j, shard) in shards.iter().take(self.k).enumerate() {
-                gf256::mul_acc_slice(row[j], shard, &mut parity);
-            }
-            shards.push(parity);
-        }
+        let slot = data.len().div_ceil(self.k).max(1);
+        shards.extend(self.parity_of(&shards, slot));
         shards
+    }
+
+    /// Encodes the `n − k` parity shards of a file from its `k` data
+    /// views, each `slot` bytes long — `ceil(len / k).max(1)`, the slot
+    /// [`split_shards_bytes`] cuts. A view may be shorter than the slot
+    /// (the ragged last partition, or an empty one when the file is
+    /// shorter than `k`) and counts as zero-padded to it; nothing is
+    /// copied. The parity is byte-identical to
+    /// [`encode_bytes`](Self::encode_bytes)'.
+    ///
+    /// # Errors
+    ///
+    /// [`RsError::WrongShardCount`] unless there are `k` views;
+    /// [`RsError::ShardLengthMismatch`] for a view longer than `slot`.
+    pub fn encode_parity<B: AsRef<[u8]>>(
+        &self,
+        data: &[B],
+        slot: usize,
+    ) -> Result<Vec<Vec<u8>>, RsError> {
+        if data.len() != self.k {
+            return Err(RsError::WrongShardCount {
+                got: data.len(),
+                expected: self.k,
+            });
+        }
+        if data.iter().any(|d| d.as_ref().len() > slot) {
+            return Err(RsError::ShardLengthMismatch);
+        }
+        Ok(self.parity_of(data, slot))
+    }
+
+    /// The parity rows over `k` views no longer than `slot`, one sweep
+    /// of the kernel per parity shard.
+    fn parity_of<B: AsRef<[u8]>>(&self, data: &[B], slot: usize) -> Vec<Vec<u8>> {
+        (self.k..self.n)
+            .map(|row| {
+                let terms: Vec<(u8, &[u8])> = self
+                    .encode
+                    .row(row)
+                    .iter()
+                    .copied()
+                    .zip(data.iter().map(AsRef::as_ref))
+                    .collect();
+                let mut parity = vec![0u8; slot];
+                gf256::dot_prod(&terms, &mut parity, false);
+                parity
+            })
+            .collect()
     }
 
     /// Verifies that parity shards are consistent with the data shards.
@@ -160,18 +221,7 @@ impl ReedSolomon {
         if shards.iter().any(|s| s.len() != shard_len) {
             return Err(RsError::ShardLengthMismatch);
         }
-        let mut buf = vec![0u8; shard_len];
-        for p in 0..self.parity_shards() {
-            buf.fill(0);
-            let row = self.encode.row(self.k + p);
-            for j in 0..self.k {
-                gf256::mul_acc_slice(row[j], &shards[j], &mut buf);
-            }
-            if buf != shards[self.k + p] {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        Ok(self.parity_of(&shards[..self.k], shard_len) == shards[self.k..])
     }
 
     /// Decodes data shard `target` from any `k` of the `n` shard views
@@ -181,58 +231,65 @@ impl ReedSolomon {
     ///
     /// Views may be ragged — the last data partition of a file is short —
     /// and a view shorter than the shard counts as zero-padded to it. The
-    /// padding is virtual: a zero contributes nothing to a GF(2⁸) sum, so
-    /// each source is simply folded in over the bytes it has.
+    /// padding is virtual: a zero contributes nothing to a GF(2⁸) sum.
+    /// The decode is one sweep of [`gf256::dot_prod`] with the inverted
+    /// rows' coefficients: `out` is written once.
     ///
     /// # Errors
     ///
+    /// [`RsError::NotADataShard`] unless `target < k`;
     /// [`RsError::WrongShardCount`] unless `shards.len() == n`;
     /// [`RsError::TooFewShards`] with fewer than `k` views present.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `target < k` (parity is re-encoded, not decoded).
     pub fn decode_shard(
         &self,
         shards: &[Option<&[u8]>],
         target: usize,
         out: &mut [u8],
     ) -> Result<(), RsError> {
-        assert!(target < self.k, "shard {target} is not a data shard");
+        if target >= self.k {
+            return Err(RsError::NotADataShard { target, k: self.k });
+        }
         if shards.len() != self.n {
             return Err(RsError::WrongShardCount {
                 got: shards.len(),
                 expected: self.n,
             });
         }
-        out.fill(0);
         if let Some(src) = shards[target] {
             let m = src.len().min(out.len());
             out[..m].copy_from_slice(&src[..m]);
+            out[m..].fill(0);
             return Ok(());
         }
-        // Rows of the encoding matrix for the first k present shards,
-        // inverted: data_target = Σ_i inv[target][i] · shard(rows[i]).
-        let rows: Vec<usize> = (0..self.n)
-            .filter(|&i| shards[i].is_some())
+        // The first k present shards and their rows of the encoding
+        // matrix, inverted: data_target = Σ_i inv[target][i] · shard(rows[i]).
+        let (rows, srcs): (Vec<usize>, Vec<&[u8]>) = shards
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.map(|s| (i, s)))
             .take(self.k)
-            .collect();
+            .unzip();
         if rows.len() < self.k {
             return Err(RsError::TooFewShards {
                 present: rows.len(),
                 needed: self.k,
             });
         }
+        // Every constructor builds an MDS matrix (systematic Vandermonde
+        // over distinct points, or Cauchy), and `rows` are k distinct
+        // row indices, so their submatrix always inverts.
+        #[allow(clippy::expect_used)]
         let inv = self
             .encode
             .submatrix_rows(&rows)
             .inverted()
             .expect("any k rows of a systematic MDS matrix are invertible");
-        for (i, &r) in rows.iter().enumerate() {
-            let src = shards[r].expect("present");
-            let m = src.len().min(out.len());
-            gf256::mul_acc_slice(inv[(target, i)], &src[..m], &mut out[..m]);
-        }
+        let terms: Vec<(u8, &[u8])> = srcs
+            .into_iter()
+            .enumerate()
+            .map(|(i, src)| (inv[(target, i)], src))
+            .collect();
+        gf256::dot_prod(&terms, out, false);
         Ok(())
     }
 
@@ -247,21 +304,18 @@ impl ReedSolomon {
                 expected: self.n,
             });
         }
-        let present: Vec<usize> = (0..self.n).filter(|&i| shards[i].is_some()).collect();
-        if present.len() < self.k {
+        let lens: Vec<usize> = shards.iter().flatten().map(Vec::len).collect();
+        if lens.len() < self.k {
             return Err(RsError::TooFewShards {
-                present: present.len(),
+                present: lens.len(),
                 needed: self.k,
             });
         }
-        let shard_len = shards[present[0]].as_ref().expect("present").len();
-        if present
-            .iter()
-            .any(|&i| shards[i].as_ref().expect("present").len() != shard_len)
-        {
+        let shard_len = lens[0];
+        if lens.iter().any(|&len| len != shard_len) {
             return Err(RsError::ShardLengthMismatch);
         }
-        if present.len() == self.n {
+        if lens.len() == self.n {
             return Ok(()); // nothing missing
         }
 
@@ -280,18 +334,12 @@ impl ReedSolomon {
         }
 
         // Now all data shards exist; recompute any missing parity.
-        for p in 0..self.parity_shards() {
-            let idx = self.k + p;
-            if shards[idx].is_some() {
-                continue;
+        if shards[self.k..].iter().any(Option::is_none) {
+            let (data, parity) = shards.split_at_mut(self.k);
+            let data: Vec<&[u8]> = data.iter().flatten().map(Vec::as_slice).collect();
+            for (slot, p) in parity.iter_mut().zip(self.parity_of(&data, shard_len)) {
+                slot.get_or_insert(p);
             }
-            let row = self.encode.row(idx).to_vec();
-            let mut parity = vec![0u8; shard_len];
-            for (j, c) in row.iter().enumerate().take(self.k) {
-                let src = shards[j].as_ref().expect("data recovered");
-                gf256::mul_acc_slice(*c, src, &mut parity);
-            }
-            shards[idx] = Some(parity);
         }
         Ok(())
     }
@@ -300,12 +348,12 @@ impl ReedSolomon {
     /// padding added at encode time).
     pub fn reconstruct_data(&self, shards: &mut [Option<Vec<u8>>]) -> Result<Vec<u8>, RsError> {
         self.reconstruct(shards)?;
-        let shard_len = shards[0].as_ref().expect("reconstructed").len();
-        let mut out = Vec::with_capacity(self.k * shard_len);
-        for s in shards.iter().take(self.k) {
-            out.extend_from_slice(s.as_ref().expect("reconstructed"));
-        }
-        Ok(out)
+        let data: Vec<&[u8]> = shards[..self.k]
+            .iter()
+            .flatten()
+            .map(Vec::as_slice)
+            .collect();
+        Ok(data.concat())
     }
 }
 
@@ -541,7 +589,53 @@ mod tests {
         let data = sample_data(77);
         let shards = split_into_shards(&data, 3);
         let byte_shards: Vec<Bytes> = shards.iter().cloned().map(Bytes::from).collect();
-        assert_eq!(join_shards_bytes(&byte_shards, 77), join_shards(&shards, 77));
+        assert_eq!(
+            join_shards_bytes(&byte_shards, 77),
+            join_shards(&shards, 77)
+        );
+    }
+
+    #[test]
+    fn encode_parity_from_ragged_views_is_encode_bytes_parity() {
+        for (k, r) in [(1usize, 1usize), (3, 1), (4, 2), (10, 4), (16, 4)] {
+            let rs = ReedSolomon::new_cauchy(k, k + r);
+            for len in [0usize, 1, k - 1, k, k + 1, 3 * k + 1, 1003, 4099] {
+                let data = Bytes::from(sample_data(len));
+                let slot = len.div_ceil(k).max(1);
+                let views = split_shards_bytes(&data, k);
+                let parity = rs.encode_parity(&views, slot).unwrap();
+                assert_eq!(parity, rs.encode_bytes(&data)[k..], "k={k} r={r} len={len}");
+            }
+        }
+    }
+
+    #[test]
+    fn encode_parity_refuses_views_that_do_not_fit() {
+        let rs = ReedSolomon::new_cauchy(3, 4);
+        let views = [vec![1u8; 4], vec![2; 4], vec![3; 2]];
+        assert_eq!(
+            rs.encode_parity(&views[..2], 4),
+            Err(RsError::WrongShardCount {
+                got: 2,
+                expected: 3
+            })
+        );
+        assert_eq!(
+            rs.encode_parity(&views, 3),
+            Err(RsError::ShardLengthMismatch)
+        );
+    }
+
+    #[test]
+    fn decode_shard_refuses_a_parity_target() {
+        let rs = ReedSolomon::new_cauchy(2, 3);
+        let shards = rs.encode_bytes(b"abcd");
+        let held: Vec<Option<&[u8]>> = shards.iter().map(|s| Some(&s[..])).collect();
+        let mut out = [0u8; 2];
+        assert_eq!(
+            rs.decode_shard(&held, 2, &mut out),
+            Err(RsError::NotADataShard { target: 2, k: 2 })
+        );
     }
 
     #[test]
