@@ -5,6 +5,7 @@
 
 use bytes::Bytes;
 use spcache_core::online::plan_adjust;
+use spcache_ec::ReedSolomon;
 use spcache_core::partition::PartitionMap;
 use spcache_core::repartition::{RepartitionJob, RepartitionPlan};
 use spcache_net::master_net::{MetaReply, MetaRequest};
@@ -267,6 +268,43 @@ fn degraded_read_costs_k_plus_r_gets_on_both_transports() {
         assert_eq!(moved.iter().sum::<u64>(), 4, "k + r = 4 requests, got {moved:?}");
     }
     let cfg = || StoreConfig::unthrottled(5).with_verify_reads(true).with_parity(1);
+    twin(|| (cfg(), None), check);
+}
+
+/// The parity a writer stores is the codec's, byte for byte, and it
+/// rebuilds what was lost. A `k = 3, r = 1` write of each size — empty,
+/// one byte, k − 1, k + 1 and a ragged 2 MiB — leaves on the spare
+/// worker exactly the parity shard `encode_bytes` makes of the file;
+/// after partition 0 is deleted, a read decodes the file byte-exact and
+/// re-lands partition 0 on its holder. Same on both transports.
+#[test]
+fn stored_parity_is_the_codecs_and_rebuilds_a_lost_partition_on_both_transports() {
+    fn check(cluster: &StoreCluster) {
+        let (client, transport) = (cluster.client(), cluster.transport());
+        let wait = Duration::from_secs(5);
+        for (id, len) in [(1u64, 0usize), (2, 1), (3, 2), (4, 4), (5, 2 << 20)] {
+            let data = payload(id, len);
+            client.write(id, &data, &[0, 1, 2]).unwrap();
+            let row = cluster.master().integrity(id).unwrap();
+            assert_eq!(row.parity.len(), 1, "len {len}");
+            let (spare, _) = row.parity[0];
+            let key = PartKey::parity(id, 0);
+            let stored = transport.call(spare, Request::GetParity { key }, wait).unwrap();
+            let want = ReedSolomon::new_cauchy(3, 4).encode_bytes(&data).split_off(3);
+            assert_eq!(stored.bytes().unwrap()[..], want[0][..], "parity of len {len}");
+
+            let key = PartKey::new(id, 0);
+            let part0 = transport.call(0, Request::Get { key }, wait).unwrap().bytes().unwrap();
+            let gone = transport.call(0, Request::Delete { key }, wait);
+            assert_eq!(gone, Ok(Reply::Flag(true)), "len {len}");
+            assert_eq!(client.read(id).unwrap(), data, "degraded read of len {len}");
+            await_until("the repair of partition 0", wait, || {
+                let held = transport.call(0, Request::Get { key }, wait);
+                held.and_then(Reply::bytes).is_ok_and(|b| b == part0)
+            });
+        }
+    }
+    let cfg = || StoreConfig::unthrottled(N_WORKERS).with_verify_reads(true).with_parity(1);
     twin(|| (cfg(), None), check);
 }
 

@@ -1,5 +1,5 @@
 //! The SP-Client: parallel fork-join reads and writes over the store's
-//! one fork-join engine ([`crate::forkjoin`]) — a zero-copy data path
+//! one fork-join engine (`forkjoin`) — a zero-copy data path
 //! with a single per-attempt deadline, bounded retry and parity decode,
 //! all as "obtain any `k` of the outstanding shards".
 #![cfg_attr(
@@ -201,7 +201,10 @@ impl Client {
 
     /// Zero-copy write: `data`'s backing allocation is sliced into
     /// per-partition views that the workers store directly — no byte is
-    /// copied anywhere on the write path.
+    /// copied anywhere on the write path. With parity on, the parity
+    /// partitions are encoded from those same views and ride the same
+    /// Put fan-out; the file is registered, and its integrity row
+    /// recorded, only once every partition has landed.
     ///
     /// # Errors
     ///
@@ -210,18 +213,25 @@ impl Client {
     /// naming a worker outside the fleet.
     pub fn write_bytes(&self, id: u64, data: Bytes, servers: &[usize]) -> Result<(), StoreError> {
         let size = data.len();
-        let sums = self.push_partitions(id, &data, servers)?;
-        self.master.register(id, size, servers.to_vec())?;
-        let row = if self.verify || self.parity > 0 {
-            // Record the integrity row only after the file exists: the
-            // checksums describe exactly the partitions just pushed, and
-            // the parity map tells readers where the recovery set lives.
-            let parity = self.push_parity(id, &data, servers)?;
-            let row = FileIntegrity { sums: sums.clone(), parity };
-            self.master.set_integrity(id, row.clone())?;
-            Some(row)
+        let mut rows = Vec::with_capacity(servers.len() + self.parity);
+        let sums = split_rows(id, &data, servers, &mut rows)?;
+        // The parity map tells readers where the recovery set lives.
+        let parity = if self.verify || self.parity > 0 {
+            Some(self.parity_rows(id, size, servers, &mut rows)?)
         } else {
             None
+        };
+        self.put_all(rows)?;
+        self.master.register(id, size, servers.to_vec())?;
+        let row = match parity {
+            Some(parity) => {
+                // Recorded only after the file exists: the checksums
+                // describe exactly the partitions just pushed.
+                let row = FileIntegrity { sums: sums.clone(), parity };
+                self.master.set_integrity(id, row.clone())?;
+                Some(row)
+            }
+            None => None,
         };
         self.remember(id, size, servers, sums, row);
         Ok(())
@@ -274,47 +284,38 @@ impl Client {
         Ok(())
     }
 
-    /// Pushes `data` re-split into `servers.len()` partition views under
-    /// this file's keys without touching metadata — the two steps
-    /// ([`split_rows`], then the Put fan-out) of [`Client::write_bytes`].
-    /// The views share `data`'s allocation (see [`split_shards_bytes`]).
-    /// Returns the partitions' checksums (each Put is stamped with its
-    /// shard's sum, so workers can verify later reads and spill reloads).
-    fn push_partitions(
+    /// Encodes this file's Cauchy-RS parity partitions from the data
+    /// views already in `rows` and appends their Put rows, onto workers
+    /// *outside* its data placement, so no single worker holds both a
+    /// data partition and the parity needed to rebuild it. Returns the
+    /// `(server, checksum)` pair per parity index — the parity half of
+    /// the master's integrity row. The configured width is clamped to the
+    /// number of spare workers (a fleet with no spare gets no parity; the
+    /// read path then heals via the under-store) and to what a
+    /// `(k, k + r)` Cauchy code holds in GF(2⁸), `2k + r ≤ 256` (the
+    /// bound the read path checks before it decodes).
+    fn parity_rows(
         &self,
         id: u64,
-        data: &Bytes,
+        size: usize,
         servers: &[usize],
-    ) -> Result<Vec<u64>, StoreError> {
-        let mut rows = Vec::with_capacity(servers.len());
-        let sums = split_rows(id, data, servers, &mut rows)?;
-        self.put_all(rows)?;
-        Ok(sums)
-    }
-
-    /// Encodes and pushes this file's Cauchy-RS parity partitions onto
-    /// workers *outside* its data placement, so no single worker holds
-    /// both a data partition and the parity needed to rebuild it.
-    /// Returns the `(server, checksum)` pair per parity index — the
-    /// parity half of the master's integrity row. The configured width
-    /// is clamped to the number of spare workers (a fleet with no spare
-    /// gets no parity; the read path then heals via the under-store).
-    fn push_parity(
-        &self,
-        id: u64,
-        data: &Bytes,
-        servers: &[usize],
+        rows: &mut Vec<PutRow>,
     ) -> Result<Vec<(usize, u64)>, StoreError> {
         let k = servers.len();
         let spare: Vec<usize> = (0..self.transport.n_workers())
             .filter(|w| !servers.contains(w))
             .collect();
-        let r = self.parity.min(spare.len());
+        let r = self.parity.min(spare.len()).min(256usize.saturating_sub(2 * k));
         if r == 0 {
             return Ok(Vec::new());
         }
-        let mut shards = ReedSolomon::new_cauchy(k, k + r).encode_bytes(data);
-        let parity: Vec<Bytes> = shards.split_off(k).into_iter().map(Bytes::from).collect();
+        let views: Vec<&[u8]> = rows.iter().map(|(_, _, view, _)| &view[..]).collect();
+        let parity: Vec<Bytes> = ReedSolomon::new_cauchy(k, k + r)
+            .encode_parity(&views, size.div_ceil(k).max(1))
+            .map_err(|e| StoreError::Codec(format!("parity of file {id}: {e}")))?
+            .into_iter()
+            .map(Bytes::from)
+            .collect();
         let sums = spcache_integrity::sums(&parity);
         // Rotate the spare list by file id so parity load spreads across
         // the fleet instead of piling onto the lowest-indexed workers.
@@ -322,13 +323,8 @@ impl Client {
         let row: Vec<(usize, u64)> = (0..r)
             .map(|p| (spare[(rot + p) % spare.len()], sums[p]))
             .collect();
-        let rows = parity
-            .into_iter()
-            .zip(&row)
-            .enumerate()
-            .map(|(p, (shard, &(server, sum)))| (server, PartKey::parity(id, p as u32), shard, sum))
-            .collect();
-        self.put_all(rows)?;
+        let keyed = parity.into_iter().zip(&row).enumerate();
+        rows.extend(keyed.map(|(p, (shard, &(server, sum)))| (server, PartKey::parity(id, p as u32), shard, sum)));
         Ok(row)
     }
 
