@@ -1,11 +1,14 @@
 //! Regenerates the SP-Cache paper's tables and figures.
 //!
 //! Usage:
-//!   experiments [--quick] <id>...   run specific experiments
-//!   experiments [--quick] all       run everything in paper order
-//!   experiments [--serial] ...      disable the multi-experiment pool
-//!   experiments replay <file>       replay a plain-text workload spec
-//!   experiments list                list experiment ids
+//!
+//! ```text
+//! experiments [--quick] <id>...   run specific experiments
+//! experiments [--quick] all       run everything in paper order
+//! experiments [--serial] ...      disable the multi-experiment pool
+//! experiments replay <file>       replay a plain-text workload spec
+//! experiments list                list experiment ids
+//! ```
 //!
 //! Multi-experiment runs execute on a small process pool (experiments are
 //! independent, so wall time drops to roughly the longest experiment), but

@@ -1,5 +1,5 @@
 //! The fork-join mean-latency upper bound (paper Eq. 9, after Xiang et al.
-//! [45], Lemma 2).
+//! \[45\], Lemma 2).
 //!
 //! A read of file `i` forks into `k_i` partition reads and joins on the
 //! slowest, so `T̄_i = E[max_s Q_{i,s}]` — intractable exactly, but upper

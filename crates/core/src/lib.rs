@@ -5,7 +5,7 @@
 //!
 //! This crate is the paper's primary contribution:
 //!
-//! * [`file`] — the file/load model: `L_i = S_i · P_i` (size × popularity).
+//! * [`file`](mod@file) — the file/load model: `L_i = S_i · P_i` (size × popularity).
 //! * [`partition`] — selective partition (Eq. 1): `k_i = ceil(α · L_i)`,
 //!   so per-partition load is uniform `≈ 1/α` and random placement
 //!   balances servers.

@@ -199,7 +199,7 @@ const HEAD: usize = 4 + HEADER_LEN;
 /// the read that found the head held of the body is copied there out of
 /// the loop's [`ReadBuf`]; the rest is read straight into it by `read(2)`
 /// over uninitialised memory — never zeroed first. A head split across
-/// reads (< [`HEAD`] bytes at a read's tail) is buffered until the rest
+/// reads (< `HEAD` bytes at a read's tail) is buffered until the rest
 /// arrives.
 #[derive(Default)]
 pub struct FrameReader {

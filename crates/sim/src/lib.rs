@@ -12,7 +12,7 @@
 //!   (arrival time, service time) pair into (start, finish) times, which is
 //!   all an open-loop M/G/1 latency simulation needs,
 //! * [`rng::Xoshiro256StarStar`] — a from-scratch, seedable, splittable PRNG
-//!   implementing [`rand::RngCore`] so every experiment is reproducible
+//!   implementing [`rand::Rng`] so every experiment is reproducible
 //!   independent of the `rand` crate's internal algorithms.
 //!
 //! The kernel is intentionally free of any caching semantics; it knows about

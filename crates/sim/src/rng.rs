@@ -3,8 +3,9 @@
 //! Experiments must be exactly reproducible across machines and `rand`
 //! releases, so the kernel ships its own generator: **xoshiro256\*\***
 //! (Blackman & Vigna, 2018), seeded through SplitMix64. It implements
-//! [`rand::RngCore`], so all of `rand`'s adapters and the workload crate's
-//! samplers work on top of it.
+//! `rand_core::TryRng`, and rand's blanket impl gives it [`rand::Rng`],
+//! so all of `rand`'s adapters and the workload crate's samplers work on
+//! top of it.
 //!
 //! The generator is also *splittable* via [`Xoshiro256StarStar::split`]
 //! (implemented with the canonical `jump()` polynomial), which lets each

@@ -7,8 +7,9 @@
 //! bytes between threads, exercising the concurrent code paths the paper's
 //! implementation (§6) describes:
 //!
-//! * [`worker::Worker`] — one OS thread per cache server, owning a byte
-//!   store of partitions and a token-bucket NIC throttle,
+//! * [`worker::WorkerCore`] — one cache server's state machine, owning a
+//!   byte store of partitions and a token-bucket NIC throttle, driven by
+//!   one OS thread in process ([`worker::WorkerHandle`]),
 //! * [`master::Master`] — the SP-Master: file metadata (partition count,
 //!   server list), access counting for popularity tracking, and the
 //!   Algorithm 1 tuning entry point, served through [`meta`]'s one

@@ -4,7 +4,7 @@
 //! ([`run_parallel`], §6.2), the §8 online granularity adjustment
 //! ([`execute_adjust`]) and the §8 heal, which re-splits a lost file from
 //! the under-store ([`crate::backing::recover_file`]). Each caller only
-//! sources the bytes; [`relayout`] stages and commits the new layout for
+//! sources the bytes; `relayout` stages and commits the new layout for
 //! all three, with one set of failure rules.
 //!
 //! [`run_parallel`] is the paper's scheme: each job runs on an executor
@@ -16,7 +16,7 @@
 //!
 //! Every byte moves through a [`Transport`], so the same code moves files
 //! on an in-process cluster and on a fleet of `spcached` processes over
-//! TCP, and through [`Fanout::mover`]: moves ride the workers' background
+//! TCP, and through `Fanout::mover`: moves ride the workers' background
 //! NIC share (§4.4), so a rebalance never starves the foreground read
 //! path it is trying to improve, and carry the master's epoch, so a
 //! deposed master moves nothing.
@@ -235,12 +235,12 @@ fn execute_job(
 /// Runs the plan with one executor thread per involved worker, each
 /// processing its disjoint job set (the parallel scheme of §6.2): a job
 /// forks the `k` old `Get`s, re-splits the file and moves it through
-/// [`relayout`]. `ids[i]` maps the plan's dense file indices to store
+/// `relayout`. `ids[i]` maps the plan's dense file indices to store
 /// file ids.
 ///
 /// Jobs that hit a dead or hung worker, or whose file moved since it
 /// was planned, are **skipped**, not fatal: a dead target is substituted
-/// inside [`relayout`], and a dead source leaves the file degraded
+/// inside `relayout`, and a dead source leaves the file degraded
 /// (recoverable only through the under-store). Every blocking wait is
 /// bounded by [`DEFAULT_EXECUTOR_DEADLINE`], so a worker dying
 /// mid-repartition cannot deadlock the sweep. Skipped file ids are
@@ -333,7 +333,7 @@ pub fn run_sequential(
 /// [`spcache_core::online`]): pulls, in one fork, only the byte
 /// sub-ranges each new partition needs from their current holders
 /// (`GetRange`), and moves the assembled partitions through
-/// [`relayout`] onto the plan's servers.
+/// `relayout` onto the plan's servers.
 ///
 /// # Errors
 ///
@@ -343,7 +343,7 @@ pub fn run_sequential(
 /// source fails the adjustment before anything is staged, so the
 /// caller should replan against the live fleet;
 /// [`StoreError::Corrupt`] of the source partition when a range comes
-/// back with the wrong length; otherwise [`relayout`]'s errors. A staged
+/// back with the wrong length; otherwise `relayout`'s errors. A staged
 /// partition lost before its commit is [`StoreError::NotFound`] of its
 /// staged key, with the new placement applied and the file degraded.
 pub fn execute_adjust(

@@ -9,7 +9,7 @@
 //!
 //! A data request carries at most one flat [`Stamp`] — worker epoch,
 //! master epoch, expected checksum, traffic class — as
-//! [`Request::Stamped`]. The fork-join engine ([`crate::forkjoin`])
+//! [`Request::Stamped`]. The fork-join engine (`forkjoin`)
 //! stamps each batch it forks; the only field a caller sets before that
 //! is a `Get`'s [`Stamp::expect`], which the engine keeps.
 //!

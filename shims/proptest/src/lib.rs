@@ -245,7 +245,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Element-count specification for [`vec`]: an exact size or a
+    /// Element-count specification for [`vec()`]: an exact size or a
     /// half-open range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
