@@ -605,13 +605,17 @@ mod tests {
 
     #[test]
     fn dot_prod_pads_short_sources_and_clips_long_ones() {
-        // Ragged sources of 0..=3·out bytes, zero coefficients among
-        // them, against per-byte `mul` over the virtually padded inputs.
-        for nsrc in 1..=16usize {
+        // Ragged sources of 0..=3·out bytes — or all shorter than out,
+        // which leaves a tail no source reaches — with zero coefficients
+        // among them, against per-byte `mul` over the virtually padded
+        // inputs.
+        let shapes = (1..=16usize).flat_map(|nsrc| [(nsrc, false), (nsrc, true)]);
+        for (nsrc, short) in shapes {
             for out_len in [0usize, 1, 15, 16, 17, 33, 64, 65, 100, 200] {
+                let cap = if short { out_len.max(1) } else { 3 * out_len + 2 };
                 let srcs: Vec<Vec<u8>> = (0..nsrc)
                     .map(|j| {
-                        let len = (j * 37 + out_len * 3) % (3 * out_len + 2);
+                        let len = (j * 37 + out_len * 3) % cap;
                         (0..len).map(|i| (i * 7 + j * 13 + 3) as u8).collect()
                     })
                     .collect();
@@ -633,7 +637,8 @@ mod tests {
                     }
                     let mut out = init.clone();
                     dot_prod(&terms, &mut out, acc);
-                    assert_eq!(out, want, "{nsrc} sources, out {out_len}, acc {acc}");
+                    let case = format!("{nsrc} sources (short {short}), out {out_len}");
+                    assert_eq!(out, want, "{case}, acc {acc}");
                 }
             }
         }

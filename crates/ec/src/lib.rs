@@ -9,13 +9,14 @@
 //! reimplements the same algebra from scratch:
 //!
 //! * [`gf256`] — arithmetic in GF(2⁸) with the polynomial
-//!   `x⁸+x⁴+x³+x²+1` (0x11D), including the byte-slice kernel
-//!   (`mul_acc_slice`) that dominates encode/decode time,
+//!   `x⁸+x⁴+x³+x²+1` (0x11D), including the fused dot-product kernel
+//!   (`dot_prod`) that every encode and decode runs through,
 //! * [`matrix`] — dense matrices over GF(2⁸) with Gauss-Jordan inversion
 //!   and Cauchy/Vandermonde constructions,
-//! * [`rs`] — the systematic Reed–Solomon codec: encode, verify, decode
-//!   one data shard from any k borrowed (ragged) views into the caller's
-//!   buffer, reconstruct-from-any-k on top of it, plus the file
+//! * [`rs`] — the systematic Reed–Solomon codec: encode parity from k
+//!   borrowed (ragged) views, verify, decode one data shard from any k
+//!   such views into the caller's buffer, reconstruct-from-any-k on top
+//!   of it, plus the file
 //!   split/join helpers shared with SP-Cache's (coding-free) partitioner.
 //!
 //! The decode overhead measured on this codec regenerates the paper's

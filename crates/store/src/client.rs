@@ -324,7 +324,9 @@ impl Client {
             .map(|p| (spare[(rot + p) % spare.len()], sums[p]))
             .collect();
         let keyed = parity.into_iter().zip(&row).enumerate();
-        rows.extend(keyed.map(|(p, (shard, &(server, sum)))| (server, PartKey::parity(id, p as u32), shard, sum)));
+        rows.extend(keyed.map(|(p, (shard, &(server, sum)))| {
+            (server, PartKey::parity(id, p as u32), shard, sum)
+        }));
         Ok(row)
     }
 
