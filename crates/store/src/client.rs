@@ -213,7 +213,7 @@ impl Client {
     /// naming a worker outside the fleet.
     pub fn write_bytes(&self, id: u64, data: Bytes, servers: &[usize]) -> Result<(), StoreError> {
         let size = data.len();
-        let mut rows = Vec::with_capacity(servers.len() + self.parity);
+        let mut rows = Vec::with_capacity(servers.len());
         let sums = split_rows(id, &data, servers, &mut rows)?;
         // The parity map tells readers where the recovery set lives.
         let parity = if self.verify || self.parity > 0 {
