@@ -146,9 +146,9 @@ pub fn exp2(i: usize) -> u8 {
     TABLES.exp[i % 255]
 }
 
-/// `out = Σ_j c_j·src_j` over the `(c_j, src_j)` terms, XORed into
-/// `out` when `acc` is set and overwriting it otherwise — the one kernel
-/// of encode and decode, in the shape of ISA-L's `gf_vect_dot_prod`.
+/// `out = Σ_j c_j·src_j` over the `(c_j, src_j)` terms, overwriting
+/// `out` — the one kernel of encode and decode, in the shape of ISA-L's
+/// `gf_vect_dot_prod`.
 ///
 /// Each output block stays in a register while every source folds into
 /// it, so each source byte is read once and each output byte written
@@ -156,7 +156,7 @@ pub fn exp2(i: usize) -> u8 {
 /// padding is virtual: a zero adds nothing to a GF(2⁸) sum, so the
 /// output splits into runs over which a fixed set of sources is live.
 /// A source longer than `out` contributes its first `out.len()` bytes.
-pub fn dot_prod(terms: &[(u8, &[u8])], out: &mut [u8], acc: bool) {
+pub fn dot_prod(terms: &[(u8, &[u8])], out: &mut [u8]) {
     let mut live: Vec<Term<'_>> = terms
         .iter()
         .filter(|&&(c, src)| c != 0 && !src.is_empty())
@@ -175,13 +175,11 @@ pub fn dot_prod(terms: &[(u8, &[u8])], out: &mut [u8], acc: bool) {
                 src: &t.src[start..end],
                 ..*t
             }));
-            fused(&run, &mut out[start..end], acc);
+            fused(&run, &mut out[start..end], false);
             start = end;
         }
     }
-    if !acc {
-        out[start..].fill(0);
-    }
+    out[start..].fill(0);
 }
 
 /// `dst[i] ^= c * src[i]`: the kernel's one-source accumulate case.
@@ -234,17 +232,23 @@ fn fused(terms: &[Term<'_>], out: &mut [u8], acc: bool) {
     dot_bytes(terms, out, acc, done);
 }
 
-/// The scalar body: `out[from..]` one byte at a time, every source
-/// folded into the byte before it is stored. The whole portable path,
-/// and the tail of the SIMD ones.
+/// The scalar body over `out[from..]`, one 256-byte block of output at a
+/// time: the block stays in L1 while every source streams over it. The
+/// whole portable path, and the tail of the SIMD ones.
 fn dot_bytes(terms: &[Term<'_>], out: &mut [u8], acc: bool, from: usize) {
-    for (i, o) in out.iter_mut().enumerate().skip(from) {
-        let mut v = if acc { *o } else { 0 };
-        for t in terms {
-            let s = t.src[i];
-            v ^= t.lo[(s & 0x0F) as usize] ^ t.hi[(s >> 4) as usize];
+    const BLOCK: usize = 256;
+    let mut at = from;
+    for block in out[from..].chunks_mut(BLOCK) {
+        let end = at + block.len();
+        if !acc {
+            block.fill(0);
         }
-        *o = v;
+        for t in terms {
+            for (o, &s) in block.iter_mut().zip(&t.src[at..end]) {
+                *o ^= t.lo[(s & 0x0F) as usize] ^ t.hi[(s >> 4) as usize];
+            }
+        }
+        at = end;
     }
 }
 
@@ -627,19 +631,15 @@ mod tests {
                     .copied()
                     .zip(srcs.iter().map(Vec::as_slice))
                     .collect();
-                for acc in [true, false] {
-                    let init: Vec<u8> = (0..out_len).map(|i| (i * 29 + 1) as u8).collect();
-                    let mut want = if acc { init.clone() } else { vec![0; out_len] };
-                    for (&c, s) in coefs.iter().zip(&srcs) {
-                        for (w, &b) in want.iter_mut().zip(s) {
-                            *w ^= mul(c, b);
-                        }
+                let mut want = vec![0; out_len];
+                for (&c, s) in coefs.iter().zip(&srcs) {
+                    for (w, &b) in want.iter_mut().zip(s) {
+                        *w ^= mul(c, b);
                     }
-                    let mut out = init.clone();
-                    dot_prod(&terms, &mut out, acc);
-                    let case = format!("{nsrc} sources (short {short}), out {out_len}");
-                    assert_eq!(out, want, "{case}, acc {acc}");
                 }
+                let mut out: Vec<u8> = (0..out_len).map(|i| (i * 29 + 1) as u8).collect();
+                dot_prod(&terms, &mut out);
+                assert_eq!(out, want, "{nsrc} sources (short {short}), out {out_len}");
             }
         }
     }

@@ -157,7 +157,10 @@ impl ReedSolomon {
     pub fn encode_bytes(&self, data: &[u8]) -> Vec<Vec<u8>> {
         let mut shards = split_into_shards(data, self.k);
         let slot = data.len().div_ceil(self.k).max(1);
-        shards.extend(self.parity_of(&shards, slot));
+        let parity: Vec<Vec<u8>> = (self.k..self.n)
+            .map(|row| self.parity_row(row, &shards, slot))
+            .collect();
+        shards.extend(parity);
         shards
     }
 
@@ -187,26 +190,24 @@ impl ReedSolomon {
         if data.iter().any(|d| d.as_ref().len() > slot) {
             return Err(RsError::ShardLengthMismatch);
         }
-        Ok(self.parity_of(data, slot))
+        Ok((self.k..self.n)
+            .map(|row| self.parity_row(row, data, slot))
+            .collect())
     }
 
-    /// The parity rows over `k` views no longer than `slot`, one sweep
-    /// of the kernel per parity shard.
-    fn parity_of<B: AsRef<[u8]>>(&self, data: &[B], slot: usize) -> Vec<Vec<u8>> {
-        (self.k..self.n)
-            .map(|row| {
-                let terms: Vec<(u8, &[u8])> = self
-                    .encode
-                    .row(row)
-                    .iter()
-                    .copied()
-                    .zip(data.iter().map(AsRef::as_ref))
-                    .collect();
-                let mut parity = vec![0u8; slot];
-                gf256::dot_prod(&terms, &mut parity, false);
-                parity
-            })
-            .collect()
+    /// Parity shard `row` (`k <= row < n`) over `k` views no longer than
+    /// `slot`: one sweep of the kernel.
+    fn parity_row<B: AsRef<[u8]>>(&self, row: usize, data: &[B], slot: usize) -> Vec<u8> {
+        let terms: Vec<(u8, &[u8])> = self
+            .encode
+            .row(row)
+            .iter()
+            .copied()
+            .zip(data.iter().map(AsRef::as_ref))
+            .collect();
+        let mut parity = vec![0u8; slot];
+        gf256::dot_prod(&terms, &mut parity);
+        parity
     }
 
     /// Verifies that parity shards are consistent with the data shards.
@@ -221,7 +222,8 @@ impl ReedSolomon {
         if shards.iter().any(|s| s.len() != shard_len) {
             return Err(RsError::ShardLengthMismatch);
         }
-        Ok(self.parity_of(&shards[..self.k], shard_len) == shards[self.k..])
+        let data = &shards[..self.k];
+        Ok((self.k..self.n).all(|row| self.parity_row(row, data, shard_len) == shards[row]))
     }
 
     /// Decodes data shard `target` from any `k` of the `n` shard views
@@ -289,7 +291,7 @@ impl ReedSolomon {
             .enumerate()
             .map(|(i, src)| (inv[(target, i)], src))
             .collect();
-        gf256::dot_prod(&terms, out, false);
+        gf256::dot_prod(&terms, out);
         Ok(())
     }
 
@@ -333,12 +335,12 @@ impl ReedSolomon {
             shards[j] = Some(buf);
         }
 
-        // Now all data shards exist; recompute any missing parity.
-        if shards[self.k..].iter().any(Option::is_none) {
-            let (data, parity) = shards.split_at_mut(self.k);
-            let data: Vec<&[u8]> = data.iter().flatten().map(Vec::as_slice).collect();
-            for (slot, p) in parity.iter_mut().zip(self.parity_of(&data, shard_len)) {
-                slot.get_or_insert(p);
+        // Now all data shards exist; re-encode only the missing parity.
+        let (data, parity) = shards.split_at_mut(self.k);
+        let data: Vec<&[u8]> = data.iter().flatten().map(Vec::as_slice).collect();
+        for (row, slot) in (self.k..).zip(parity.iter_mut()) {
+            if slot.is_none() {
+                *slot = Some(self.parity_row(row, &data, shard_len));
             }
         }
         Ok(())
