@@ -1346,6 +1346,35 @@ mod tests {
     }
 
     #[test]
+    fn parity_wider_than_gf256_holds_is_clamped_and_still_decodes() {
+        // A (k, k + r) Cauchy code holds 2k + r ≤ 256 in GF(2⁸). Asked
+        // for 4 parity partitions with 4 spare workers, k = 127 writes 2
+        // and k = 128 none. The clamped row is the codec's parity, and a
+        // read decodes a short partition 0 around through it.
+        fn bend(key: PartKey, data: Bytes) -> Bytes {
+            match key.part {
+                0 => data.slice(0..data.len() - 1),
+                _ => data,
+            }
+        }
+        for (k, width) in [(127usize, 2usize), (128, 0)] {
+            let c = hand_built_fleet(k + 4, bend).with_parity(4);
+            let data = payload(k * 40 + 3);
+            let servers: Vec<usize> = (0..k).collect();
+            c.write(1, &data, &servers).unwrap();
+            let row = c.master().integrity(1).expect("row recorded");
+            assert_eq!(row.parity.len(), width, "k = {k}");
+            if width == 0 {
+                continue;
+            }
+            let shards = ReedSolomon::new_cauchy(k, k + width).encode_bytes(&data);
+            let sums: Vec<u64> = row.parity.iter().map(|&(_, sum)| sum).collect();
+            assert_eq!(sums, spcache_integrity::sums(&shards[k..]), "k = {k}");
+            assert_eq!(c.read(1).unwrap(), data, "k = {k}");
+        }
+    }
+
+    #[test]
     fn an_integrity_row_naming_too_much_parity_is_refused_not_decoded() {
         // k = 2 leaves room for 252 parity rows in GF(2⁸); the row names
         // 253, and the one that exists lands. The read must refuse the
