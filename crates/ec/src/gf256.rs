@@ -233,8 +233,9 @@ fn fused(terms: &[Term<'_>], out: &mut [u8], acc: bool) {
 }
 
 /// The scalar body over `out[from..]`, one 256-byte block of output at a
-/// time: the block stays in L1 while every source streams over it. The
-/// whole portable path, and the tail of the SIMD ones.
+/// time: the block stays in L1 while every source streams over it, and
+/// eight products are XORed into the block as one `u64`. The whole
+/// portable path, and the tail of the SIMD ones.
 fn dot_bytes(terms: &[Term<'_>], out: &mut [u8], acc: bool, from: usize) {
     const BLOCK: usize = 256;
     let mut at = from;
@@ -244,8 +245,18 @@ fn dot_bytes(terms: &[Term<'_>], out: &mut [u8], acc: bool, from: usize) {
             block.fill(0);
         }
         for t in terms {
-            for (o, &s) in block.iter_mut().zip(&t.src[at..end]) {
-                *o ^= t.lo[(s & 0x0F) as usize] ^ t.hi[(s >> 4) as usize];
+            let product = |s: u8| t.lo[(s & 0x0F) as usize] ^ t.hi[(s >> 4) as usize];
+            let mut outs = block.chunks_exact_mut(8);
+            let mut srcs = t.src[at..end].chunks_exact(8);
+            for (o, s) in (&mut outs).zip(&mut srcs) {
+                let mut word = [0u8; 8];
+                word.copy_from_slice(o);
+                let sum = u64::from_ne_bytes(word)
+                    ^ u64::from_ne_bytes(std::array::from_fn(|i| product(s[i])));
+                o.copy_from_slice(&sum.to_ne_bytes());
+            }
+            for (o, &s) in outs.into_remainder().iter_mut().zip(srcs.remainder()) {
+                *o ^= product(s);
             }
         }
         at = end;
