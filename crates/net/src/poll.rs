@@ -919,6 +919,13 @@ impl Conns {
         self.conns.values().all(|c| c.wq.is_empty())
     }
 
+    /// Whether no connection holds unsent bytes or a frame half read.
+    pub(crate) fn quiet(&self) -> bool {
+        self.conns
+            .values()
+            .all(|c| c.wq.is_empty() && !c.reader.mid_frame())
+    }
+
     /// Shuts every connection down and drops it.
     pub(crate) fn close_all(&mut self) {
         for (_, conn) in self.conns.drain() {

@@ -1,31 +1,65 @@
 //! Client-side TCP transport: [`TcpTransport`] implements the store's
-//! [`Transport`] trait over real sockets, driven by readiness-polled
-//! event loops instead of per-connection reader threads.
+//! [`Transport`] trait over real sockets, driven by the threads that
+//! wait for their replies instead of by per-connection reader threads.
 //!
 //! One connection per worker, lazily established and pooled.
-//! Connections are sharded across a small set of I/O loop threads
-//! (worker `w` lives on shard `w % N`, one shard per core by default);
-//! each loop keeps its sockets in the connection table the server loop
-//! uses too (`poll::Conns`: registration, write-interest arming,
-//! teardown) and multiplexes them with a [`mio::Poll`]er. Each in-flight
-//! request gets a fresh `req_id` and an entry in its loop's one pending
-//! map, `req_id → (worker, waiter)`; the loop demultiplexes reply frames
-//! back to the waiting [`Receiver`]s, so any number of requests overlap
-//! on one socket and replies may arrive out of order (the fork-join read
-//! path depends on this). A reply answers a request only if it arrived
-//! on the connection the request was sent on. When a connection dies,
-//! its reader goes first (so a half-landed payload releases its region)
-//! and then its worker's requests fail with the cause of death.
+//! Connections are sharded across a small set of I/O loops (worker `w`
+//! lives on shard `w % N`, one shard per core by default); each loop
+//! keeps its sockets in the connection table the server loop uses too
+//! (`poll::Conns`: registration, write-interest arming, teardown) and
+//! multiplexes them with a [`mio::Poll`]er. Each in-flight request gets
+//! a fresh `req_id` and an entry in its loop's one pending map,
+//! `req_id → (worker, waiter)`; the loop demultiplexes reply frames back
+//! to the waiting [`Receiver`]s, so any number of requests overlap on one
+//! socket and replies may arrive out of order (the fork-join read path
+//! depends on this). A reply answers a request only if it arrived on the
+//! connection the request was sent on. When a connection dies, its
+//! reader goes first (so a half-landed payload releases its region) and
+//! then its worker's requests fail with the cause of death.
+//!
+//! **Who drives a loop.** A loop's whole state — poller, connections,
+//! pending map, reap deadlines, read buffer — sits behind one lock, and
+//! whichever thread holds the lock drives it. A submitter that gets the
+//! lock queues its frames and flushes them itself. A caller waiting on
+//! its routes ([`Transport::ready`], which `Join::next` and
+//! [`Transport::call`] wait through) takes the lock and runs the loop's
+//! `poll` itself until one of its routes holds a reply or its deadline
+//! passes, handing replies that belong to other callers to their
+//! channels on the way. So a sequential request crosses no thread inside
+//! the transport: the thread that sent it reads its reply. A thread that
+//! finds the lock held queues its frames as a command, wakes the holder
+//! and waits on its channel: whoever drives routes the reply.
+//!
+//! Each shard keeps one standby thread for the work no caller waits
+//! for — the reply to a dropped receiver (read repair), a partial write
+//! left behind, a reap, a follower whose driver returned first. It
+//! sleeps on a poller of its own and is woken two ways, neither of which
+//! a sequential caller pays for:
+//!
+//! * a driver that lets go with others' work in flight arms the shard's
+//!   poller in the standby's for one event (`EPOLLONESHOT`); the caller
+//!   that next takes the lock disarms it;
+//! * a submitter that lets go with work in flight, and a join's waiter
+//!   whose own requests are all that is in flight, usually come back for
+//!   it at once; they set a hand-off timer instead. No caller cancels it
+//!   (a timer syscall costs about what the hand-off it replaces did).
+//!   When it fires after a caller drove, that caller minded what it
+//!   found, so the wake is put off and the wait doubles, from 200 µs up
+//!   to 50 ms; a wake that then answers a request resets it.
+//!
+//! Each wake drives one non-blocking turn and lets go as a driver does.
+//! The standby also wakes once per transport deadline while work is in
+//! flight, to reap.
 //!
 //! The data path is batched, and zero-copy outbound: submitters encode frames as
 //! header + [`bytes::Bytes`] payload parts ([`crate::frame::try_encode_request_parts`]),
-//! the loop gathers every frame queued since its last wakeup into
+//! every frame queued on a connection since its last flush leaves in
 //! shared `writev` calls ([`crate::poll::WriteQueue`]), and inbound
 //! frames are decoded incrementally off non-blocking reads
 //! ([`crate::poll::FrameReader`]). A burst of pipelined requests —
 //! e.g. the fork-join fan-out submitting k partition reads at once via
 //! [`Transport::submit_landing`] — shares one syscall round instead of
-//! paying one write and one thread handoff each.
+//! paying one write each.
 //!
 //! Inbound, a reply crosses user space once. A partition `Get` of a
 //! read rides with its [`Region`] of the read's output; when
@@ -46,33 +80,37 @@
 //!   healthy and a reconnect can succeed,
 //! * protocol violation in a reply → [`StoreError::Codec`] — permanent,
 //!   for every request in flight on that connection (framing is lost),
-//! * no reply within the deadline → the caller's `recv_timeout` yields
+//! * no reply within the deadline → the caller's wait yields
 //!   [`StoreError::Timeout`] exactly as with the in-process channel
-//!   transport.
+//!   transport,
+//! * a worker index outside the fleet — any index, for a transport
+//!   built over no address — → [`StoreError::Codec`] before anything is
+//!   sent.
 //!
 //! The configured [`deadline`](TcpTransport::with_deadline) (take it
 //! from `RetryPolicy::deadline`) bounds connection establishment, and a
 //! request still unanswered `2 * deadline` after its submission is
 //! reaped with [`StoreError::Timeout`], so the pending map cannot grow
 //! without bound. Each loop keeps its requests' deadlines in submit
-//! order and sleeps until the oldest *unanswered* one: a deadline
-//! leaves the queue with its reply, and a request that was answered
-//! never wakes the loop again.
+//! order and a driver sleeps at most until the oldest *unanswered* one:
+//! a deadline leaves the queue with its reply, and a request that was
+//! answered never wakes anyone again. With no caller driving, the
+//! standby reaps within one deadline of the due time.
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
-use mio::{Events, Poll, Waker};
-use parking_lot::Mutex;
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use mio::{Events, Interest, Poll, Registry, Timer, Token, Waker};
+use parking_lot::{Mutex, MutexGuard};
 use spcache_store::landing::{Claim, Region};
 use spcache_store::rpc::{Reply, Request, StoreError};
-use spcache_store::transport::Transport;
+use spcache_store::transport::{select, Transport};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -84,25 +122,36 @@ use crate::poll::{poll_with_waker, Conns, Inbound, ReadBuf, WireFrame, WAKER_TOK
 
 /// Worker `w`'s socket token is `WORKER_BASE + w`, past the waker's.
 const WORKER_BASE: usize = WAKER_TOK + 1;
+/// The shard's poller's token in its standby's poller, past the
+/// standby's own waker.
+const LOOP_TOK: usize = WAKER_TOK + 1;
+/// The hand-off timer's token in the standby's poller.
+const TIMER_TOK: usize = LOOP_TOK + 1;
+/// How long a submitter's requests wait for a caller to drive them
+/// before the standby does, at first: far longer than a caller takes
+/// from its submit to its wait, far shorter than any deadline. Each wake
+/// put off because a caller drove meanwhile, or spent on a turn that
+/// answered nothing, doubles the wait, up to [`HANDOFF_MAX`]; a turn
+/// that answers a request resets it.
+const HANDOFF_MIN: Duration = Duration::from_micros(200);
+const HANDOFF_MAX: Duration = Duration::from_millis(50);
 
-/// Work handed from submitters to a shard's event loop.
+/// Work for a shard from a thread that found its lock held.
 enum Cmd {
     /// Adopt a freshly connected socket for `worker`.
     Dial { worker: usize, stream: TcpStream },
-    /// Queue one encoded request frame on `worker`'s connection.
-    Submit {
-        worker: usize,
-        req_id: u64,
-        frame: WireFrame,
-        /// Reap the pending entry with `Timeout` at this instant.
-        reap_at: Instant,
-        waiter: Waiter,
-    },
-    /// Drain and exit (transport drop).
-    Shutdown,
-    /// Report how many deadlines the loop still holds.
-    #[cfg(test)]
-    Deadlines(Sender<usize>),
+    /// Queue one request on its worker's connection.
+    Submit(Sent),
+}
+
+/// One encoded request on its way to its worker's connection.
+struct Sent {
+    worker: usize,
+    req_id: u64,
+    frame: WireFrame,
+    /// Reap the pending entry with `Timeout` at this instant.
+    reap_at: Instant,
+    waiter: Waiter,
 }
 
 /// Who waits for one request's reply: its one-shot route, and the region
@@ -131,18 +180,58 @@ struct PeerShared {
     connected: Mutex<bool>,
 }
 
-/// Handle to one I/O loop thread.
+/// One I/O shard: its loop behind the lock its driver holds, and what
+/// reaches the loop without the lock.
 struct Shard {
+    io: Mutex<Loop>,
+    /// Commands of threads that found `io` held; whoever holds it takes
+    /// them.
     tx: Sender<Cmd>,
+    rx: Receiver<Cmd>,
+    /// Wakes a driver blocked in the loop's `poll`.
+    waker: Waker,
+    /// The standby's poller, in which the loop's poller is armed for one
+    /// event while a driver has let go with work in flight.
+    standby: Registry,
+    /// Whether the loop's poller is armed in `standby`. Changed under
+    /// `io`.
+    armed: AtomicBool,
+    /// Wakes the standby a hand-off wait after a submitter let go with
+    /// work in flight: the one wake no caller can cancel without a
+    /// syscall, so none does; a wake that finds nothing to do lengthens
+    /// the next wait instead.
+    timer: Timer,
+    /// Whether `timer` is set and not yet seen. Changed under `io`.
+    timed: AtomicBool,
+    /// The current hand-off wait, between [`HANDOFF_MIN`] and
+    /// [`HANDOFF_MAX`].
+    handoff: AtomicU64,
+    /// How many times a waiting caller has taken the loop (under `io`),
+    /// and that count when the hand-off timer was last set: a caller
+    /// that drove since the timer was set minds what it found in
+    /// flight, so the timer's wake is put off rather than spent on a
+    /// turn. Relaxed: they publish nothing, and a stale count only
+    /// spends one wake on a turn.
+    drives: AtomicU64,
+    timer_drives: AtomicU64,
+    /// The longest the standby sleeps: the transport deadline, in ms.
+    tick_ms: AtomicU64,
+    /// Set when the transport drops; the standby exits.
+    stop: AtomicBool,
+}
+
+/// The standby thread of one shard and the waker that stops it.
+struct Standby {
     waker: Waker,
     thread: Option<JoinHandle<()>>,
 }
 
-/// A [`Transport`] over real TCP connections, one per worker, served
-/// by sharded readiness event loops.
+/// A [`Transport`] over real TCP connections, one per worker, served by
+/// sharded readiness loops that the waiting callers drive.
 pub struct TcpTransport {
     peers: Arc<Vec<PeerShared>>,
-    shards: Vec<Shard>,
+    shards: Vec<Arc<Shard>>,
+    standbys: Vec<Standby>,
     next_id: AtomicU64,
     deadline: Duration,
 }
@@ -164,22 +253,23 @@ impl TcpTransport {
     ///
     /// # Panics
     ///
-    /// Panics if `addrs` is empty, or the OS refuses a loop its poller,
-    /// waker or thread.
+    /// Panics if the OS refuses a loop its poller, waker or standby
+    /// thread.
     pub fn connect(addrs: Vec<SocketAddr>) -> Self {
         let shards = crate::poll::default_io_shards().min(addrs.len().max(1));
         Self::connect_sharded(addrs, shards)
     }
 
     /// Like [`connect`](TcpTransport::connect) with an explicit I/O
-    /// shard count (the `spcached --io-shards` flag lands here).
+    /// shard count (the `spcached --io-shards` flag lands here), clamped
+    /// to `1..=addrs.len()`. A transport over no address refuses every
+    /// request as naming a worker outside the fleet.
     ///
     /// # Panics
     ///
-    /// Panics if `addrs` is empty, or the OS refuses a loop its poller,
-    /// waker or thread.
+    /// Panics if the OS refuses a loop its poller, waker or standby
+    /// thread.
     pub fn connect_sharded(addrs: Vec<SocketAddr>, io_shards: usize) -> Self {
-        assert!(!addrs.is_empty(), "need at least one worker address");
         crate::poll::tune_allocator_once();
         let peers: Arc<Vec<PeerShared>> = Arc::new(
             addrs
@@ -190,15 +280,17 @@ impl TcpTransport {
                 })
                 .collect(),
         );
-        let n = io_shards.clamp(1, peers.len());
-        let shards = (0..n)
-            .map(|i| spawn_shard(i, Arc::clone(&peers)))
-            .collect();
+        let deadline = Duration::from_secs(5);
+        let n = io_shards.min(peers.len()).max(1);
+        let (shards, standbys) = (0..n)
+            .map(|i| spawn_shard(i, Arc::clone(&peers), deadline))
+            .unzip();
         TcpTransport {
             peers,
             shards,
+            standbys,
             next_id: AtomicU64::new(1),
-            deadline: Duration::from_secs(5),
+            deadline,
         }
     }
 
@@ -208,6 +300,9 @@ impl TcpTransport {
     #[must_use]
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = deadline.max(Duration::from_millis(1));
+        for shard in &self.shards {
+            shard.tick_ms.store(tick_ms(self.deadline), Ordering::Relaxed);
+        }
         self
     }
 
@@ -216,7 +311,7 @@ impl TcpTransport {
         self.peers.iter().map(|p| p.addr).collect()
     }
 
-    /// Number of I/O loop threads serving this transport.
+    /// Number of I/O loops serving this transport.
     pub fn io_shards(&self) -> usize {
         self.shards.len()
     }
@@ -226,9 +321,11 @@ impl TcpTransport {
     }
 
     /// Ensures `worker`'s connection is live: if it is not, dials
-    /// synchronously and hands the stream to the loop as a `Dial`.
-    /// [`StoreError::Io`] when the dial fails or the loop is gone.
-    /// Serialises concurrent dial attempts on the peer's lock.
+    /// synchronously and hands the stream to its shard as a `Dial`
+    /// command, which the next holder of the shard takes before anything
+    /// it queues. [`StoreError::Io`] when the dial fails. Serialises
+    /// concurrent dial attempts on the peer's lock (and never waits for
+    /// a shard under it: a shard's holder takes peer locks).
     fn ensure_connected(&self, worker: usize) -> Result<(), StoreError> {
         let peer = &self.peers[worker];
         let mut connected = peer.connected.lock();
@@ -238,8 +335,7 @@ impl TcpTransport {
         let stream = TcpStream::connect_timeout(&peer.addr, self.deadline)
             .map_err(|_| StoreError::Io(worker))?;
         crate::poll::tune_socket(&stream);
-        let shard = self.shard_of(worker);
-        shard
+        self.shard_of(worker)
             .tx
             .send(Cmd::Dial { worker, stream })
             .map_err(|_| StoreError::Io(worker))?;
@@ -257,41 +353,18 @@ impl TcpTransport {
         Ok((req_id, try_encode_request_parts(req, req_id)?))
     }
 
-    /// Hands one encoded request to `worker`'s shard (with its reap
-    /// deadline and landing region) without waking it, and returns the
-    /// reply receiver.
-    fn enqueue(
-        &self,
-        worker: usize,
-        (req_id, frame): (u64, WireFrame),
-        region: Option<Region>,
-    ) -> Result<Receiver<Reply>, StoreError> {
-        self.ensure_connected(worker)?;
-        let (tx, rx) = bounded(1);
-        let cmd = Cmd::Submit {
-            worker,
-            req_id,
-            frame,
-            reap_at: Instant::now() + self.deadline * 2,
-            waiter: Waiter { reply: tx, region },
-        };
-        self.shard_of(worker)
-            .tx
-            .send(cmd)
-            .map_err(|_| StoreError::Io(worker))?;
-        Ok(rx)
-    }
-
     /// How many deadlines the loops still hold once the answered ones
     /// at the front are gone.
     #[cfg(test)]
     fn deadlines_held(&self) -> usize {
-        let (tx, rx) = unbounded();
-        for shard in &self.shards {
-            shard.tx.send(Cmd::Deadlines(tx.clone())).unwrap();
-            shard.waker.wake().unwrap();
-        }
-        self.shards.iter().map(|_| rx.recv().unwrap()).sum()
+        self.shards
+            .iter()
+            .map(|shard| {
+                let mut lp = shard.io.lock();
+                lp.next_reap();
+                lp.deadlines.len()
+            })
+            .sum()
     }
 
     /// Worker indices reach the transport from placements the master
@@ -313,12 +386,14 @@ impl Transport for TcpTransport {
         self.peers.len()
     }
 
-    /// Batched submission: every frame reaches its shard before a
-    /// single wake per shard, so the loop flushes the whole burst in
-    /// shared `writev` calls — this is what makes a k-way fork-join
-    /// read one syscall round instead of k. A request's region travels
-    /// with it to the loop that reads its reply. A bad worker index or an
-    /// oversized frame anywhere in the batch refuses all of it.
+    /// Batched submission: every frame of a shard is queued before one
+    /// flush, so the burst leaves in shared `writev` calls — this is
+    /// what makes a k-way fork-join read one syscall round instead of k.
+    /// A submitter that gets a shard's lock flushes itself; one that
+    /// finds it held queues the frames and wakes the holder. A request's
+    /// region travels with it to whoever reads its reply. A bad worker
+    /// index, an oversized frame or a failed dial anywhere in the batch
+    /// refuses all of it.
     fn submit_landing(
         &self,
         reqs: Vec<(usize, Request, Option<Region>)>,
@@ -328,35 +403,96 @@ impl Transport for TcpTransport {
             .into_iter()
             .map(|(worker, req, region)| Ok((worker, self.encode(&req)?, region)))
             .collect::<Result<Vec<_>, StoreError>>()?;
-        let mut receivers = Vec::with_capacity(encoded.len());
-        let mut woken = vec![false; self.shards.len()];
-        for (worker, frame, region) in encoded {
-            receivers.push(self.enqueue(worker, frame, region)?);
-            woken[worker % self.shards.len()] = true;
+        for &(worker, ..) in &encoded {
+            self.ensure_connected(worker)?;
         }
-        for (i, fire) in woken.into_iter().enumerate() {
-            if fire {
-                let _ = self.shards[i].waker.wake();
+        let reap_at = Instant::now() + self.deadline * 2;
+        let mut routes = Vec::with_capacity(encoded.len());
+        let mut by_shard: Vec<Vec<Sent>> = self.shards.iter().map(|_| Vec::new()).collect();
+        for (worker, (req_id, frame), region) in encoded {
+            let (reply, route) = bounded(1);
+            routes.push(route);
+            by_shard[worker % self.shards.len()].push(Sent {
+                worker,
+                req_id,
+                frame,
+                reap_at,
+                waiter: Waiter { reply, region },
+            });
+        }
+        for (shard, sents) in self.shards.iter().zip(by_shard) {
+            if !sents.is_empty() {
+                shard.send(sents, &self.peers);
             }
         }
-        Ok(receivers)
+        Ok(routes)
+    }
+
+    /// Drives the routes' shard until one of them holds its reply, when
+    /// they all live on one shard and no one else drives it; otherwise
+    /// waits on the routes while whoever drives routes the replies.
+    fn ready(&self, routes: &[(usize, &Receiver<Reply>)], until: Instant) -> Option<usize> {
+        let answered = || routes.iter().position(|(_, route)| !route.is_empty());
+        let (&(first, _), rest) = routes.split_first()?;
+        let shard = self.shard_of(first);
+        if rest.iter().any(|&(w, _)| !std::ptr::eq(self.shard_of(w), shard)) {
+            return select(routes, until);
+        }
+        loop {
+            if let Some(i) = answered() {
+                return Some(i);
+            }
+            if Instant::now() >= until {
+                return None;
+            }
+            let Some(mut lp) = shard.io.try_lock().filter(|lp| !lp.dead) else {
+                return select(routes, until);
+            };
+            shard.arm(&mut lp, false);
+            shard.drives.fetch_add(1, Ordering::Relaxed);
+            while answered().is_none() && !lp.dead {
+                let now = Instant::now();
+                if now >= until {
+                    break;
+                }
+                let wake = lp.next_reap().map_or(until, |at| at.min(until));
+                lp.turn(&shard.rx, &self.peers, Some(wake - now));
+            }
+            // A join comes back for its other routes at once.
+            let own = routes.iter().filter(|(_, route)| route.is_empty()).count();
+            let leaving = if lp.pending.len() <= own {
+                Leaving::Back
+            } else {
+                Leaving::Gone
+            };
+            shard.let_go(lp, &self.peers, leaving);
+        }
     }
 }
 
 impl Drop for TcpTransport {
     fn drop(&mut self) {
-        for shard in &mut self.shards {
-            let _ = shard.tx.send(Cmd::Shutdown);
-            let _ = shard.waker.wake();
-            if let Some(t) = shard.thread.take() {
+        for shard in &self.shards {
+            shard.stop.store(true, Ordering::Release);
+        }
+        for standby in &mut self.standbys {
+            let _ = standby.waker.wake();
+            if let Some(t) = standby.thread.take() {
                 let _ = t.join();
             }
+        }
+        // Fail whatever is still in flight or queued so no caller blocks
+        // forever.
+        for shard in &self.shards {
+            let mut lp = shard.io.lock();
+            lp.die();
+            lp.take(&shard.rx, &self.peers);
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// The shard event loop
+// The shard loop
 // ---------------------------------------------------------------------------
 
 /// A loop's requests in flight: `req_id → (worker, waiter)`. A request is
@@ -404,25 +540,255 @@ impl Inbound for Replies<'_> {
     }
 }
 
-/// Spawns one I/O loop over `peers`.
+/// `d` in whole nanoseconds.
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The standby's longest sleep for a transport `deadline`.
+fn tick_ms(deadline: Duration) -> u64 {
+    u64::try_from(deadline.as_millis()).unwrap_or(u64::MAX).max(1)
+}
+
+/// Builds one shard over `peers` and starts its standby thread.
 ///
 /// # Panics
 ///
-/// Panics if the OS refuses a poller, its waker or the thread (resource
+/// Panics if the OS refuses a poller, a waker or the thread (resource
 /// exhaustion; nothing a request carries reaches here), as
 /// [`TcpTransport::connect`] documents.
 #[allow(clippy::expect_used)]
-fn spawn_shard(index: usize, peers: Arc<Vec<PeerShared>>) -> Shard {
+fn spawn_shard(
+    index: usize,
+    peers: Arc<Vec<PeerShared>>,
+    deadline: Duration,
+) -> (Arc<Shard>, Standby) {
     let (poll, waker) = poll_with_waker().expect("create poller and waker");
+    let (standby_poll, standby_waker) = poll_with_waker().expect("create poller and waker");
+    let timer = Timer::new().expect("create hand-off timer");
+    standby_poll
+        .registry()
+        .register(&timer, Token(TIMER_TOK), Interest::READABLE)
+        .expect("register hand-off timer");
     let (tx, rx) = unbounded();
+    let shard = Arc::new(Shard {
+        io: Mutex::new(Loop::new(poll)),
+        tx,
+        rx,
+        waker,
+        standby: standby_poll.registry().clone(),
+        armed: AtomicBool::new(false),
+        timer,
+        timed: AtomicBool::new(false),
+        handoff: AtomicU64::new(nanos(HANDOFF_MIN)),
+        drives: AtomicU64::new(0),
+        timer_drives: AtomicU64::new(0),
+        tick_ms: AtomicU64::new(tick_ms(deadline)),
+        stop: AtomicBool::new(false),
+    });
+    let on_standby = Arc::clone(&shard);
     let thread = std::thread::Builder::new()
         .name(format!("spcache-net-io-{index}"))
-        .spawn(move || shard_loop(poll, rx, &peers))
-        .expect("spawn io shard");
-    Shard {
-        tx,
-        waker,
+        .spawn(move || standby(&on_standby, &peers, standby_poll))
+        .expect("spawn io shard standby");
+    let standby = Standby {
+        waker: standby_waker,
         thread: Some(thread),
+    };
+    (shard, standby)
+}
+
+/// The standby thread: sleeps until the armed loop has an event, the
+/// hand-off timer fires, the oldest unanswered request it saw is due, or
+/// one transport deadline passes, and then drives one non-blocking turn
+/// if anyone let go with work in flight and no one drives now.
+fn standby(shard: &Shard, peers: &[PeerShared], mut poll: Poll) {
+    let mut events = Events::with_capacity(4);
+    let mut due: Option<Instant> = None;
+    loop {
+        let tick = Duration::from_millis(shard.tick_ms.load(Ordering::Relaxed));
+        let sleep = due.map_or(tick, |at| at.saturating_duration_since(Instant::now()).min(tick));
+        if poll.poll(&mut events, Some(sleep)).is_err() {
+            std::thread::sleep(sleep);
+        }
+        if shard.stop.load(Ordering::Acquire) {
+            return;
+        }
+        due = None;
+        let mut timed_out = events.iter().any(|e| e.token().0 == TIMER_TOK);
+        let woken = events.iter().any(|e| e.token().0 == LOOP_TOK);
+        if timed_out {
+            shard.timer.acknowledge();
+            let drives = shard.drives.load(Ordering::Relaxed);
+            if shard.timer_drives.swap(drives, Ordering::Relaxed) != drives {
+                // A caller drove since the timer was set: put the wake
+                // off. The timer stays up, so nobody else sets it.
+                shard.slow_handoff();
+                let _ = shard.timer.set(Some(shard.handoff_wait()));
+                timed_out = false;
+                if !woken {
+                    continue;
+                }
+            }
+        }
+        // Whatever fired, or a tick while work is left in flight.
+        if !timed_out
+            && !woken
+            && !shard.armed.load(Ordering::Acquire)
+            && !shard.timed.load(Ordering::Acquire)
+        {
+            continue;
+        }
+        let lp = match shard.io.try_lock() {
+            Some(lp) => lp,
+            None => {
+                // Someone drives, and minds what is in flight when it
+                // lets go — once it sees that neither wake is pending.
+                if timed_out {
+                    shard.timed.store(false, Ordering::Release);
+                    shard.slow_handoff();
+                }
+                if woken {
+                    shard.armed.store(false, Ordering::Release);
+                }
+                // It may have let go before the flags came down.
+                match shard.io.try_lock() {
+                    Some(lp) => lp,
+                    None => continue,
+                }
+            }
+        };
+        let mut lp = lp;
+        if timed_out {
+            shard.timed.store(false, Ordering::Release);
+        }
+        let answered = lp.turn(&shard.rx, peers, Some(Duration::ZERO));
+        if timed_out {
+            if answered > 0 {
+                shard.handoff.store(nanos(HANDOFF_MIN), Ordering::Relaxed);
+            } else {
+                shard.slow_handoff();
+            }
+        }
+        due = lp.next_reap();
+        shard.let_go(lp, peers, Leaving::Gone);
+    }
+}
+
+/// How a thread lets go of a loop, which decides who minds the work it
+/// leaves in flight.
+#[derive(Clone, Copy)]
+enum Leaving {
+    /// It most likely comes back for that work — a submitter, or a
+    /// waiter whose own requests are all that is in flight: the standby
+    /// waits a hand-off wait before taking over.
+    Back,
+    /// It leaves others' work: the standby takes over at the loop's
+    /// next event.
+    Gone,
+}
+
+impl Shard {
+    /// Queues `sents` on their connections: flushed at once if no one
+    /// holds the loop, else handed to the holder, which is woken.
+    fn send(&self, sents: Vec<Sent>, peers: &[PeerShared]) {
+        if let Some(mut lp) = self.io.try_lock() {
+            // Sockets dialled meanwhile are adopted before anything is
+            // queued on them.
+            lp.take(&self.rx, peers);
+            for sent in sents {
+                lp.queue(sent);
+            }
+            self.let_go(lp, peers, Leaving::Back);
+            return;
+        }
+        for sent in sents {
+            // `rx` lives beside `tx`: the send cannot fail.
+            let _ = self.tx.send(Cmd::Submit(sent));
+        }
+        let _ = self.waker.wake();
+        // The holder may have let go before the commands were queued.
+        if let Some(lp) = self.io.try_lock() {
+            self.let_go(lp, peers, Leaving::Back);
+        }
+    }
+
+    /// Lets go of the loop. What threads that found it held queued goes
+    /// out first. Work then left in flight — a request, unsent bytes, a
+    /// frame half read — is the standby's once no caller drives it: the
+    /// hand-off timer is set behind a thread that comes back, the loop
+    /// armed behind one that is gone. An idle loop leaves the standby
+    /// asleep.
+    fn let_go<'a>(&'a self, mut lp: MutexGuard<'a, Loop>, peers: &[PeerShared], leaving: Leaving) {
+        loop {
+            lp.take(&self.rx, peers);
+            lp.flush(peers);
+            let idle = lp.idle();
+            match (idle, leaving) {
+                (true, _) => self.arm(&mut lp, false),
+                (false, Leaving::Back) => {
+                    if !self.armed.load(Ordering::Relaxed) {
+                        self.set_timer();
+                    }
+                }
+                (false, Leaving::Gone) => self.arm(&mut lp, true),
+            }
+            drop(lp);
+            // A thread that queued a command after the take above, and
+            // found the lock held, counts on this one to see it; so does
+            // a standby that took a wake down while this one held the
+            // lock.
+            let unminded = !idle
+                && !self.armed.load(Ordering::Acquire)
+                && !self.timed.load(Ordering::Acquire);
+            if !unminded && self.rx.is_empty() {
+                return;
+            }
+            let Some(next) = self.io.try_lock() else {
+                return; // its holder sees to both when it lets go
+            };
+            lp = next;
+        }
+    }
+
+    /// Arms the loop's poller in the standby's (`on`) for one event, or
+    /// disarms it. Arming always re-arms, since the standby's wake used
+    /// the last arming up. The flag is up before an arming and down only
+    /// after a disarming, so the standby never reads it down while it
+    /// may fire. Called with the loop's lock held.
+    fn arm(&self, lp: &mut Loop, on: bool) {
+        if on {
+            self.armed.store(true, Ordering::Release);
+            let _ = self.standby.arm_once(&lp.poll, Token(LOOP_TOK), true);
+        } else if self.armed.load(Ordering::Relaxed) {
+            let _ = self.standby.arm_once(&lp.poll, Token(LOOP_TOK), false);
+            self.armed.store(false, Ordering::Release);
+        }
+    }
+
+    /// Doubles the hand-off wait, up to [`HANDOFF_MAX`]: a timer wake
+    /// found every reply driven already.
+    fn slow_handoff(&self) {
+        let wait = self.handoff.load(Ordering::Relaxed);
+        let next = wait.saturating_mul(2).min(nanos(HANDOFF_MAX));
+        self.handoff.store(next, Ordering::Relaxed);
+    }
+
+    /// The current hand-off wait.
+    fn handoff_wait(&self) -> Duration {
+        Duration::from_nanos(self.handoff.load(Ordering::Relaxed))
+    }
+
+    /// Sets the hand-off timer unless it is set already, with its flag
+    /// ordered as `arm` orders the loop's. Called with the loop's lock
+    /// held.
+    fn set_timer(&self) {
+        if !self.timed.load(Ordering::Relaxed) {
+            self.timed.store(true, Ordering::Release);
+            let drives = self.drives.load(Ordering::Relaxed);
+            self.timer_drives.store(drives, Ordering::Relaxed);
+            let _ = self.timer.set(Some(self.handoff_wait()));
+        }
     }
 }
 
@@ -434,76 +800,108 @@ fn spawn_shard(index: usize, peers: Arc<Vec<PeerShared>>) -> Shard {
 /// so an entry outliving its request names nothing.
 type Deadlines = VecDeque<(Instant, u64)>;
 
-/// Discards the deadlines at the front whose requests were answered (or
-/// failed with their connection) and returns the oldest unanswered
-/// request's — the only instant the loop has to wake for.
-fn next_reap(deadlines: &mut Deadlines, pending: &Pending) -> Option<Instant> {
-    while let Some(&(at, req_id)) = deadlines.front() {
-        if pending.contains_key(&req_id) {
-            return Some(at);
-        }
-        deadlines.pop_front();
-    }
-    None
+/// One shard's loop state, driven by whoever holds its lock.
+struct Loop {
+    poll: Poll,
+    events: Events,
+    conns: Conns,
+    pending: Pending,
+    deadlines: Deadlines,
+    buf: ReadBuf,
+    frames: Vec<Bytes>,
+    landed: Vec<(u64, Claim)>,
+    /// The poller failed or the transport dropped: every connection is
+    /// closed and every request fails with `Io`.
+    dead: bool,
 }
 
-/// The readiness loop: drains submitter commands, pumps readable
-/// sockets through the incremental decoder, batch-flushes write
-/// queues, and reaps expired request deadlines — all on one thread,
-/// no per-connection threads anywhere.
-fn shard_loop(mut poll: Poll, rx: Receiver<Cmd>, peers: &[PeerShared]) {
-    let mut events = Events::with_capacity(256);
-    let mut conns = Conns::new();
-    let mut pending = Pending::new();
-    let mut deadlines = Deadlines::new();
-    let mut buf = ReadBuf::new();
-    let mut frames: Vec<Bytes> = Vec::new();
-    let mut landed: Vec<(u64, Claim)> = Vec::new();
-
-    'run: loop {
-        let timeout = next_reap(&mut deadlines, &pending)
-            .map(|at| at.saturating_duration_since(Instant::now()));
-        if poll.poll(&mut events, timeout).is_err() {
-            break 'run; // poller failure is fatal; drain below
+impl Loop {
+    fn new(poll: Poll) -> Self {
+        Loop {
+            poll,
+            events: Events::with_capacity(256),
+            conns: Conns::new(),
+            pending: Pending::new(),
+            deadlines: Deadlines::new(),
+            buf: ReadBuf::new(),
+            frames: Vec::new(),
+            landed: Vec::new(),
+            dead: false,
         }
+    }
 
-        // Commands first: frames submitted since the last wakeup land
-        // in the write queues before the single flush pass below.
-        loop {
-            match rx.try_recv() {
-                Ok(Cmd::Dial { worker, stream }) => {
-                    if !conns.adopt(&poll, WORKER_BASE + worker, stream) {
+    /// Takes the commands of threads that found the lock held: dialled
+    /// sockets are adopted and requests queued, in the order they came.
+    fn take(&mut self, rx: &Receiver<Cmd>, peers: &[PeerShared]) {
+        while let Ok(cmd) = rx.try_recv() {
+            match cmd {
+                Cmd::Dial { worker, stream } => {
+                    if self.dead || !self.conns.adopt(&self.poll, WORKER_BASE + worker, stream) {
                         *peers[worker].connected.lock() = false;
                     }
                 }
-                Ok(Cmd::Submit {
-                    worker,
-                    req_id,
-                    frame,
-                    reap_at,
-                    waiter,
-                }) => {
-                    if conns.push(WORKER_BASE + worker, frame) {
-                        pending.insert(req_id, (worker, waiter));
-                        deadlines.push_back((reap_at, req_id));
-                    } else {
-                        // The connection died between submit and delivery;
-                        // a retryable error sends the caller back around.
-                        waiter.answer(Reply::Err(StoreError::Io(worker)));
-                    }
-                }
-                Ok(Cmd::Shutdown) | Err(TryRecvError::Disconnected) => break 'run,
-                #[cfg(test)]
-                Ok(Cmd::Deadlines(held)) => {
-                    next_reap(&mut deadlines, &pending);
-                    let _ = held.send(deadlines.len());
-                }
-                Err(TryRecvError::Empty) => break,
+                Cmd::Submit(sent) => self.queue(sent),
             }
         }
+    }
 
-        // Socket readiness.
-        for ev in &events {
+    /// Queues one request on its worker's connection and records who
+    /// waits for its reply.
+    fn queue(&mut self, sent: Sent) {
+        let Sent {
+            worker,
+            req_id,
+            frame,
+            reap_at,
+            waiter,
+        } = sent;
+        if !self.dead && self.conns.push(WORKER_BASE + worker, frame) {
+            self.pending.insert(req_id, (worker, waiter));
+            self.deadlines.push_back((reap_at, req_id));
+        } else {
+            // The connection died between submit and delivery; a
+            // retryable error sends the caller back around.
+            waiter.answer(Reply::Err(StoreError::Io(worker)));
+        }
+    }
+
+    /// One flush per touched connection: everything queued since the
+    /// last flush goes out in batched vectored writes.
+    fn flush(&mut self, peers: &[PeerShared]) {
+        for token in self.conns.flush_dirty(&self.poll) {
+            let worker = token - WORKER_BASE;
+            fail_worker(&mut self.pending, peers, worker, &StoreError::Io(worker));
+        }
+    }
+
+    /// One turn: waits up to `timeout` for readiness, takes queued
+    /// commands, pumps readable sockets through the incremental decoder,
+    /// flushes, and reaps the requests whose deadline passed.
+    /// Returns how many requests it answered.
+    fn turn(&mut self, rx: &Receiver<Cmd>, peers: &[PeerShared], timeout: Option<Duration>) -> usize {
+        if self.dead {
+            return 0;
+        }
+        if self.poll.poll(&mut self.events, timeout).is_err() {
+            let lost = self.pending.len();
+            self.die(); // poller failure is fatal
+            return lost;
+        }
+        // Commands first: frames queued by other threads join the flush
+        // below.
+        self.take(rx, peers);
+        let waiting = self.pending.len();
+        let Loop {
+            poll,
+            events,
+            conns,
+            pending,
+            buf,
+            frames,
+            landed,
+            ..
+        } = self;
+        for ev in events.iter() {
             let token = ev.token().0;
             let Some(worker) = token.checked_sub(WORKER_BASE) else {
                 continue; // the waker
@@ -511,16 +909,14 @@ fn shard_loop(mut poll: Poll, rx: Receiver<Cmd>, peers: &[PeerShared]) {
             if (ev.is_readable() || ev.is_error()) && conns.is_open(token) {
                 let mut replies = Replies {
                     worker,
-                    pending: &pending,
-                    frames: &mut frames,
-                    landed: &mut landed,
+                    pending,
+                    frames,
+                    landed,
                 };
-                let open = conns.pump(token, &mut buf, &mut replies);
-                if let Some(death) =
-                    route_replies(&mut pending, worker, open, &mut frames, &mut landed)
-                {
-                    conns.close(&poll, token);
-                    fail_worker(&mut pending, peers, worker, &death);
+                let open = conns.pump(token, buf, &mut replies);
+                if let Some(death) = route_replies(pending, worker, open, frames, landed) {
+                    conns.close(poll, token);
+                    fail_worker(pending, peers, worker, &death);
                     continue;
                 }
             }
@@ -528,35 +924,54 @@ fn shard_loop(mut poll: Poll, rx: Receiver<Cmd>, peers: &[PeerShared]) {
                 conns.touch(token);
             }
         }
+        self.flush(peers);
+        self.reap(Instant::now());
+        waiting - self.pending.len()
+    }
 
-        // One flush per touched connection: everything queued above
-        // goes out in batched vectored writes.
-        for token in conns.flush_dirty(&poll) {
-            let worker = token - WORKER_BASE;
-            fail_worker(&mut pending, peers, worker, &StoreError::Io(worker));
-        }
-
-        // Reap the requests whose deadline passed unanswered.
-        let now = Instant::now();
-        while let Some(&(at, req_id)) = deadlines.front() {
+    /// Answers the requests whose deadline passed unanswered with
+    /// `Timeout`.
+    fn reap(&mut self, now: Instant) {
+        while let Some(&(at, req_id)) = self.deadlines.front() {
             if at > now {
                 break;
             }
-            deadlines.pop_front();
+            self.deadlines.pop_front();
             // A payload half landed for it finds no waiter when its frame
             // ends, and frees its region unlanded.
-            if let Some((worker, waiter)) = pending.remove(&req_id) {
+            if let Some((worker, waiter)) = self.pending.remove(&req_id) {
                 waiter.answer(Reply::Err(StoreError::Timeout(worker)));
             }
         }
     }
 
-    // Shutdown (or poller death): fail whatever is still in flight so
-    // no caller blocks forever. A submit that comes later finds the
-    // loop's queue gone and fails with `Io` too.
-    conns.close_all();
-    for (_, (worker, waiter)) in pending.drain() {
-        waiter.answer(Reply::Err(StoreError::Io(worker)));
+    /// Discards the deadlines at the front whose requests were answered
+    /// (or failed with their connection) and returns the oldest
+    /// unanswered request's — the latest a driver may sleep.
+    fn next_reap(&mut self) -> Option<Instant> {
+        while let Some(&(at, req_id)) = self.deadlines.front() {
+            if self.pending.contains_key(&req_id) {
+                return Some(at);
+            }
+            self.deadlines.pop_front();
+        }
+        None
+    }
+
+    /// Whether the loop holds nothing for a driver: no request in
+    /// flight, no unsent byte, no frame half read.
+    fn idle(&self) -> bool {
+        self.pending.is_empty() && self.conns.quiet()
+    }
+
+    /// Closes every connection and fails every request in flight; the
+    /// loop sends nothing again.
+    fn die(&mut self) {
+        self.dead = true;
+        self.conns.close_all();
+        for (_, (worker, waiter)) in self.pending.drain() {
+            waiter.answer(Reply::Err(StoreError::Io(worker)));
+        }
     }
 }
 
@@ -629,6 +1044,17 @@ mod tests {
             .expect_err("must fail");
         assert_eq!(err, StoreError::Io(0));
         assert!(err.is_retryable());
+    }
+
+    #[test]
+    fn a_transport_over_no_address_refuses_every_request() {
+        for t in [TcpTransport::connect(vec![]), TcpTransport::connect_sharded(vec![], 4)] {
+            assert_eq!((t.n_workers(), t.io_shards()), (0, 1));
+            let e = t.submit(0, Request::Ping).expect_err("a request to no worker was queued");
+            assert!(matches!(e, StoreError::Codec(_)) && !e.is_retryable(), "got {e:?}");
+            let e = t.call(0, Request::Ping, Duration::from_millis(50)).expect_err("answered");
+            assert!(matches!(e, StoreError::Codec(_)), "got {e:?}");
+        }
     }
 
     #[test]

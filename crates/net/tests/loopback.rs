@@ -652,6 +652,27 @@ fn every_layout_move_records_the_new_integrity_row_on_both_transports() {
     twin(|| (StoreConfig::unthrottled(N_WORKERS), None), check);
 }
 
+/// A repartition of a file written with parity leaves no parity
+/// partition behind: the new row names none, so the move discards the old
+/// ones, and the fleet holds exactly the new layout's partitions.
+#[test]
+fn a_layout_move_discards_the_files_old_parity_on_both_transports() {
+    fn check(cluster: &StoreCluster) -> usize {
+        let client = cluster.client().with_parity(1);
+        let (meta, transport) = (cluster.meta(), cluster.transport());
+        let data = payload(1, 9_000);
+        client.write(1, &data, &[0]).unwrap();
+        assert_eq!(resident(cluster), 2, "one data and one parity partition");
+        run_parallel(&one_job(vec![0], vec![2, 3]), &[1], meta.as_ref(), transport.as_ref())
+            .unwrap();
+        assert_eq!(client.read_quiet(1).unwrap(), data);
+        resident(cluster)
+    }
+    let (in_process, over_tcp) = twin(|| (StoreConfig::unthrottled(N_WORKERS), None), check);
+    assert_eq!(in_process, 2, "old parity partitions outlived the move");
+    assert_eq!(over_tcp, in_process);
+}
+
 /// A pull source that dies mid-build (its first range reply is lost)
 /// fails the adjust with nothing staged: the fleet holds the old
 /// `k` partitions and the file reads byte-exact.

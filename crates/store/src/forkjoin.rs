@@ -5,12 +5,13 @@
 //! ([`crate::repartitioner`]) is a [`Fanout::fork`] followed by reading the
 //! resulting [`Join`]: a read is "any `k` of the outstanding shards", a
 //! write is "all acks", a synchronous call is a fan-out of one. The
-//! placement check, the request stamps, the `Select` over reply routes
-//! and the `suspect` / `mark_dead` / epoch-refresh bookkeeping are
-//! written here once. A reply is never reported as a sign of life:
-//! only the supervisor's epoch-checked probe revives a worker
-//! (DESIGN.md §4.7), so a reply a worker sent before it died cannot
-//! bring it back.
+//! placement check, the request stamps, the wait on reply routes
+//! ([`Transport::ready`], which a socket transport answers by letting
+//! this thread drive its sockets) and the `suspect` / `mark_dead` /
+//! epoch-refresh bookkeeping are written here once. A reply is never
+//! reported as a sign of life: only the supervisor's epoch-checked probe
+//! revives a worker (DESIGN.md §4.7), so a reply a worker sent before it
+//! died cannot bring it back.
 //!
 //! This is the only place live traffic is stamped: each batch's
 //! requests get one flat [`Stamp`] apiece — the target's cached
@@ -23,7 +24,7 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-use crossbeam::channel::{Receiver, Select, TryRecvError};
+use crossbeam::channel::{Receiver, TryRecvError};
 use parking_lot::Mutex;
 use std::time::{Duration, Instant};
 
@@ -292,19 +293,17 @@ impl Join<'_> {
     /// unanswered yields [`StoreError::WorkerDown`]. `None` once `until`
     /// passes — or at once when nothing is outstanding.
     pub fn next(&mut self, until: Instant) -> Option<(usize, Result<Reply, StoreError>)> {
-        while self.pending() > 0 {
-            let ready = {
-                let mut sel = Select::new();
-                for (_, route) in &self.routes {
-                    if let Some(rx) = route {
-                        sel.recv(rx);
-                    }
-                }
-                sel.ready_deadline(until).ok()?
-            };
-            // `ready` indexes the outstanding routes the `Select` was
-            // built over, so both lookups succeed.
-            let i = self.outstanding().nth(ready)?;
+        loop {
+            let (indices, routes): (Vec<usize>, Vec<(usize, &Receiver<Reply>)>) = self
+                .routes
+                .iter()
+                .enumerate()
+                .filter_map(|(i, (worker, route))| Some((i, (*worker, route.as_ref()?))))
+                .unzip();
+            // The transport waits: a socket transport lets this thread
+            // drive the I/O that answers the routes.
+            let ready = self.io.transport.ready(&routes, until)?;
+            let i = *indices.get(ready)?;
             let (worker, route) = &mut self.routes[i];
             let landed = match route.as_ref()?.try_recv() {
                 Ok(reply) => self.io.fold(reply),
@@ -319,7 +318,6 @@ impl Join<'_> {
             *route = None;
             return Some((i, landed));
         }
-        None
     }
 
     /// The join's deadline passed with routes outstanding: suspects the

@@ -116,7 +116,8 @@ pub(crate) fn substitute(live: &[usize], targets: &mut [usize], failed: Option<u
 ///    leaving the old layout in place;
 /// 5. the commit drops `old`'s keys, renames the staged keys to their
 ///    final names, applies the placement and records the new data-only
-///    integrity row (a re-split leaves no parity).
+///    integrity row (a re-split leaves no parity), then drops the parity
+///    partitions the old row named (best effort, like `old`'s keys).
 ///
 /// A staged key can vanish before its commit (its worker crash-restarted
 /// cold): the placement is applied all the same — the file is then
@@ -191,6 +192,9 @@ pub(crate) fn relayout(
         return Err(e);
     }
 
+    // The swap drops the old row, the one record of the file's parity
+    // partitions: read it first.
+    let parity = master.integrity(file).map(|row| row.parity).unwrap_or_default();
     io.discard(each_part(file, old, |key| Request::Delete { key }), wait);
     let mut lost = None;
     let renames = each_part(file, &targets, |key| Request::Rename { from: key.staged(), to: key });
@@ -202,6 +206,10 @@ pub(crate) fn relayout(
     master.apply_placement(file, targets)?;
     // The swap dropped the old row; best effort, like the GC.
     let _ = master.set_integrity(file, FileIntegrity::data_only(sums));
+    // Nothing names the old parity now.
+    let holders = parity.iter().enumerate();
+    let parity = holders.map(|(p, &(s, _))| (s, Request::Delete { key: PartKey::parity(file, p as u32) }));
+    io.discard(parity.collect(), wait);
     lost.map_or(Ok(()), |key| Err(StoreError::NotFound(key)))
 }
 

@@ -40,7 +40,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::RecvTimeoutError;
 use parking_lot::Mutex;
 
 use crate::backing::{recover_file, UnderStore};
@@ -180,27 +179,21 @@ impl SupervisorCore {
         let n = self.transport.n_workers();
         let expected = self.master.worker_epochs(n);
         for w in 0..n {
-            match self.transport.submit(w, Request::Ping) {
+            match self.transport.call(w, Request::Ping, self.cfg.probe_timeout) {
                 Err(StoreError::WorkerDown(_)) => self.master.mark_dead(w),
                 Err(_) => {
                     self.master.suspect(w);
                 }
-                Ok(rx) => match rx.recv_timeout(self.cfg.probe_timeout) {
-                    Ok(reply) => match reply.pong_epoch() {
-                        Ok((_, have)) => {
-                            let want = expected.get(w).copied().unwrap_or(0);
-                            if have == want && want != 0 {
-                                self.master.mark_alive(w);
-                            } else {
-                                self.adopt(w);
-                            }
+                Ok(reply) => match reply.pong_epoch() {
+                    Ok((_, have)) => {
+                        let want = expected.get(w).copied().unwrap_or(0);
+                        if have == want && want != 0 {
+                            self.master.mark_alive(w);
+                        } else {
+                            self.adopt(w);
                         }
-                        Err(_) => {
-                            self.master.suspect(w);
-                        }
-                    },
-                    Err(RecvTimeoutError::Disconnected) => self.master.mark_dead(w),
-                    Err(RecvTimeoutError::Timeout) => {
+                    }
+                    Err(_) => {
                         self.master.suspect(w);
                     }
                 },

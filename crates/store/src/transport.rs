@@ -3,9 +3,12 @@
 //! Every data-plane interaction with a worker goes through
 //! [`Transport`]: submit a pure-data [`Request`] to worker `w`, get back
 //! a one-shot channel the single [`Reply`] will arrive on. The fork-join
-//! read path selects over many such channels at once, so the trait
+//! read path waits on many such channels at once, so the trait
 //! deliberately returns the receiver instead of blocking — a transport
-//! is a request router, not an RPC stub.
+//! is a request router, not an RPC stub. The wait itself is the
+//! transport's too ([`Transport::ready`]): by default a select over the
+//! routes; a socket transport lets the waiting thread drive the sockets
+//! that answer them, so a reply needs no thread but the one waiting.
 //!
 //! Two implementations exist:
 //!
@@ -14,18 +17,19 @@
 //!   worker thread is gone, which in-process is *definitive* death
 //!   ([`StoreError::WorkerDown`]).
 //! * `spcache_net::TcpTransport` — real sockets with length-prefixed
-//!   frames and per-connection request-id multiplexing. Submission
-//!   failure there is an I/O error ([`StoreError::Io`]): the remote may
-//!   well be alive, so the error is retryable and feeds suspicion rather
-//!   than a death certificate.
+//!   frames and per-connection request-id multiplexing, driven by the
+//!   callers that wait in `ready`. Submission failure there is an I/O
+//!   error ([`StoreError::Io`]): the remote may well be alive, so the
+//!   error is retryable and feeds suspicion rather than a death
+//!   certificate.
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, Select, Sender, TryRecvError};
 
 use crate::landing::Region;
 use crate::rpc::{Envelope, Reply, Request, StoreError};
@@ -33,7 +37,9 @@ use crate::rpc::{Envelope, Reply, Request, StoreError};
 /// A route to a fleet of workers. An implementation provides
 /// [`n_workers`](Transport::n_workers) and the one submission,
 /// [`submit_landing`](Transport::submit_landing); `submit`,
-/// `submit_batch` and `call` are shapes of it.
+/// `submit_batch` and `call` are shapes of it. Every wait for replies
+/// goes through [`ready`](Transport::ready), which a transport whose
+/// replies need a thread to drive its sockets overrides.
 pub trait Transport: Send + Sync + std::fmt::Debug {
     /// Number of workers addressable through this transport.
     fn n_workers(&self) -> usize;
@@ -86,6 +92,18 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
         self.submit_landing(reqs.into_iter().map(|(w, req)| (w, req, None)).collect())
     }
 
+    /// Waits until one of `routes` — `(worker, route)` pairs this
+    /// transport returned — can be received from without blocking, and
+    /// returns its index; `None` once `until` passes (at once for no
+    /// routes). Readiness may be spurious: the caller receives with
+    /// `try_recv` and waits again on `Empty`. The fork-join engine's
+    /// joins and [`call`](Transport::call) wait here. The default
+    /// [`select`]s over the routes; a socket transport lets the waiting
+    /// thread drive the I/O that answers them.
+    fn ready(&self, routes: &[(usize, &Receiver<Reply>)], until: Instant) -> Option<usize> {
+        select(routes, until)
+    }
+
     /// Convenience blocking call: submit and wait up to `timeout`.
     ///
     /// # Errors
@@ -94,13 +112,31 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
     /// time; [`StoreError::WorkerDown`] when the reply route dies
     /// unanswered (in-process: the worker dropped the reply sender).
     fn call(&self, worker: usize, req: Request, timeout: Duration) -> Result<Reply, StoreError> {
-        let rx = self.submit(worker, req)?;
-        match rx.recv_timeout(timeout) {
-            Ok(reply) => Ok(reply),
-            Err(RecvTimeoutError::Disconnected) => Err(StoreError::WorkerDown(worker)),
-            Err(RecvTimeoutError::Timeout) => Err(StoreError::Timeout(worker)),
+        let route = self.submit(worker, req)?;
+        let until = Instant::now() + timeout;
+        while self.ready(&[(worker, &route)], until).is_some() {
+            match route.try_recv() {
+                Ok(reply) => return Ok(reply),
+                Err(TryRecvError::Disconnected) => return Err(StoreError::WorkerDown(worker)),
+                Err(TryRecvError::Empty) => {} // spurious readiness
+            }
         }
+        Err(StoreError::Timeout(worker))
     }
+}
+
+/// Blocks until one of `routes` holds a reply or its sender is gone, and
+/// returns its index; `None` once `until` passes, or at once for no
+/// routes. The default [`Transport::ready`].
+pub fn select(routes: &[(usize, &Receiver<Reply>)], until: Instant) -> Option<usize> {
+    if routes.is_empty() {
+        return None;
+    }
+    let mut sel = Select::new();
+    for &(_, route) in routes {
+        sel.recv(route);
+    }
+    sel.ready_deadline(until).ok()
 }
 
 /// The in-process transport: one crossbeam channel per worker thread.

@@ -102,6 +102,9 @@ pub mod channel {
         queue: VecDeque<T>,
         senders: usize,
         receiver_alive: bool,
+        /// Receivers blocked in `recv`/`recv_timeout`: only they need
+        /// the condvar's wake-up (a notify is a syscall).
+        blocked: usize,
         /// Select waiters to wake on the next readiness change.
         waiters: Vec<Arc<SelectSignal>>,
     }
@@ -119,6 +122,7 @@ pub mod channel {
                     queue: VecDeque::new(),
                     senders: 1,
                     receiver_alive: true,
+                    blocked: 0,
                     waiters: Vec::new(),
                 }),
                 recv_cv: Condvar::new(),
@@ -131,7 +135,9 @@ pub mod channel {
 
         /// Wakes blocked receivers and any registered select waiters.
         fn announce(inner: &mut Inner<T>, recv_cv: &Condvar) {
-            recv_cv.notify_all();
+            if inner.blocked > 0 {
+                recv_cv.notify_all();
+            }
             for w in inner.waiters.drain(..) {
                 w.notify();
             }
@@ -212,11 +218,13 @@ pub mod channel {
                 if inner.senders == 0 {
                     return Err(RecvError);
                 }
+                inner.blocked += 1;
                 inner = self
                     .core
                     .recv_cv
                     .wait(inner)
                     .expect("channel poisoned");
+                inner.blocked -= 1;
             }
         }
 
@@ -235,12 +243,14 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
+                inner.blocked += 1;
                 let (guard, _) = self
                     .core
                     .recv_cv
                     .wait_timeout(inner, deadline - now)
                     .expect("channel poisoned");
                 inner = guard;
+                inner.blocked -= 1;
             }
         }
 
@@ -254,6 +264,12 @@ pub mod channel {
             } else {
                 Err(TryRecvError::Empty)
             }
+        }
+
+        /// Whether no message is queued (a disconnected channel with
+        /// nothing queued is empty too).
+        pub fn is_empty(&self) -> bool {
+            self.core.lock().queue.is_empty()
         }
 
         /// Iterates over messages until the channel disconnects.
@@ -470,6 +486,17 @@ mod tests {
         let (tx, rx) = bounded(1);
         tx.send(7u32).unwrap();
         assert_eq!(rx.recv().unwrap(), 7);
+    }
+
+    #[test]
+    fn is_empty_tracks_the_queue() {
+        let (tx, rx) = bounded(1);
+        assert!(rx.is_empty());
+        tx.send(1u8).unwrap();
+        assert!(!rx.is_empty());
+        rx.recv().unwrap();
+        drop(tx);
+        assert!(rx.is_empty(), "a disconnected channel with nothing queued");
     }
 
     #[test]

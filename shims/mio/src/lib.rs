@@ -173,10 +173,34 @@ mod sys {
     pub(crate) const EPOLLERR: u32 = 0x008;
     pub(crate) const EPOLLHUP: u32 = 0x010;
     pub(crate) const EPOLLRDHUP: u32 = 0x2000;
+    pub(crate) const EPOLLONESHOT: u32 = 1 << 30;
+    pub(crate) const ENOENT: i32 = 2;
     pub(crate) const EFD_CLOEXEC: i32 = 0x80000;
     pub(crate) const EFD_NONBLOCK: i32 = 0x800;
+    pub(crate) const CLOCK_MONOTONIC: i32 = 1;
+    pub(crate) const TFD_CLOEXEC: i32 = 0x80000;
+    pub(crate) const TFD_NONBLOCK: i32 = 0x800;
+
+    #[repr(C)]
+    pub(crate) struct TimeSpec {
+        pub tv_sec: i64,
+        pub tv_nsec: i64,
+    }
+
+    #[repr(C)]
+    pub(crate) struct ITimerSpec {
+        pub it_interval: TimeSpec,
+        pub it_value: TimeSpec,
+    }
 
     extern "C" {
+        pub(crate) fn timerfd_create(clockid: i32, flags: i32) -> i32;
+        pub(crate) fn timerfd_settime(
+            fd: i32,
+            flags: i32,
+            new: *const ITimerSpec,
+            old: *mut ITimerSpec,
+        ) -> i32;
         pub(crate) fn epoll_create1(flags: i32) -> i32;
         pub(crate) fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         pub(crate) fn epoll_wait(
@@ -280,6 +304,40 @@ impl Registry {
     #[cfg(target_os = "linux")]
     pub fn deregister(&self, source: &impl AsRawFd) -> io::Result<()> {
         self.ctl(sys::EPOLL_CTL_DEL, source.as_raw_fd(), Token(0), Interest(0))
+    }
+
+    /// Arms `source` for one readable event under `token` (`armed`), or
+    /// for none: a one-shot registration (`EPOLLONESHOT`), added on first
+    /// use, that reports at most one event per arming and then stays
+    /// quiet until armed again. Beyond mio's API: it nests one poller in
+    /// another, where a level-triggered registration taken out with
+    /// `deregister` while the outer poller reports it can go on reporting
+    /// until the inner one is drained.
+    ///
+    /// # Errors
+    ///
+    /// The underlying `epoll_ctl` failure; `Unsupported` off Linux.
+    #[cfg(target_os = "linux")]
+    pub fn arm_once(&self, source: &impl AsRawFd, token: Token, armed: bool) -> io::Result<()> {
+        let events = if armed { sys::EPOLLIN | sys::EPOLLONESHOT } else { 0 };
+        let fd = source.as_raw_fd();
+        let ctl = |op| {
+            let mut ev = sys::EpollEvent {
+                events,
+                data: token.0 as u64,
+            };
+            sys::cvt(unsafe { sys::epoll_ctl(self.inner.epfd, op, fd, &mut ev) })
+        };
+        match ctl(sys::EPOLL_CTL_MOD) {
+            Err(e) if e.raw_os_error() == Some(sys::ENOENT) => ctl(sys::EPOLL_CTL_ADD).map(|_| ()),
+            r => r.map(|_| ()),
+        }
+    }
+
+    #[cfg(not(target_os = "linux"))]
+    #[allow(missing_docs, clippy::missing_errors_doc)]
+    pub fn arm_once<S>(&self, _s: &S, _t: Token, _armed: bool) -> io::Result<()> {
+        Err(io::Error::from(io::ErrorKind::Unsupported))
     }
 
     #[cfg(not(target_os = "linux"))]
@@ -413,6 +471,15 @@ impl Poll {
     }
 }
 
+/// A poller is itself pollable: registered in another [`Poll`], it
+/// reads as ready while it holds events (epoll nests).
+#[cfg(unix)]
+impl AsRawFd for Poll {
+    fn as_raw_fd(&self) -> RawFd {
+        self.registry.inner.epfd
+    }
+}
+
 /// Wakes a [`Poll`] blocked in [`Poll::poll`] from another thread —
 /// an eventfd registered on the same epoll instance.
 #[derive(Debug)]
@@ -508,6 +575,93 @@ impl Drop for Waker {
     }
 }
 
+/// A one-shot timer a [`Poll`] can wait on (`timerfd`): it reads as
+/// ready once its time has passed, until it is set again. Beyond mio's
+/// API: it lets one thread move another's poll deadline without waking
+/// it.
+#[derive(Debug)]
+pub struct Timer {
+    fd: RawFd,
+}
+
+impl Timer {
+    /// A disarmed timer.
+    ///
+    /// # Errors
+    ///
+    /// `timerfd_create` failures; `Unsupported` off Linux.
+    pub fn new() -> io::Result<Timer> {
+        #[cfg(target_os = "linux")]
+        {
+            let fd = sys::cvt(unsafe {
+                sys::timerfd_create(sys::CLOCK_MONOTONIC, sys::TFD_CLOEXEC | sys::TFD_NONBLOCK)
+            })?;
+            Ok(Timer { fd })
+        }
+        #[cfg(not(target_os = "linux"))]
+        {
+            Err(io::Error::from(io::ErrorKind::Unsupported))
+        }
+    }
+
+    /// Fires `after` from now, or (`None`, or a zero duration) never;
+    /// either way a firing not yet seen is forgotten.
+    ///
+    /// # Errors
+    ///
+    /// `timerfd_settime` failures; `Unsupported` off Linux.
+    pub fn set(&self, after: Option<Duration>) -> io::Result<()> {
+        #[cfg(target_os = "linux")]
+        {
+            let after = after.unwrap_or(Duration::ZERO);
+            let spec = sys::ITimerSpec {
+                it_interval: sys::TimeSpec { tv_sec: 0, tv_nsec: 0 },
+                it_value: sys::TimeSpec {
+                    tv_sec: after.as_secs().min(i64::MAX as u64) as i64,
+                    tv_nsec: i64::from(after.subsec_nanos()),
+                },
+            };
+            sys::cvt(unsafe { sys::timerfd_settime(self.fd, 0, &spec, std::ptr::null_mut()) })
+                .map(|_| ())
+        }
+        #[cfg(not(target_os = "linux"))]
+        {
+            let _ = after;
+            Err(io::Error::from(io::ErrorKind::Unsupported))
+        }
+    }
+}
+
+impl Timer {
+    /// Takes a firing as seen, so the timer reads as not ready again,
+    /// without changing its setting. A no-op if it has not fired.
+    pub fn acknowledge(&self) {
+        #[cfg(target_os = "linux")]
+        {
+            let mut expirations = [0u8; 8];
+            unsafe {
+                let _ = sys::read(self.fd, expirations.as_mut_ptr(), 8);
+            }
+        }
+    }
+}
+
+#[cfg(unix)]
+impl AsRawFd for Timer {
+    fn as_raw_fd(&self) -> RawFd {
+        self.fd
+    }
+}
+
+impl Drop for Timer {
+    fn drop(&mut self) {
+        #[cfg(target_os = "linux")]
+        unsafe {
+            let _ = sys::close(self.fd);
+        }
+    }
+}
+
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
@@ -571,6 +725,59 @@ mod tests {
         poll.poll(&mut events, Some(Duration::from_secs(2))).unwrap();
         assert!(events.iter().any(|e| e.token() == Token(0)));
         t.join().unwrap();
+    }
+
+    #[test]
+    fn a_poller_armed_once_in_another_reports_one_event_per_arming() {
+        let mut inner = Poll::new().unwrap();
+        let waker = Waker::new(inner.registry(), Token(0)).unwrap();
+        let mut outer = Poll::new().unwrap();
+        let mut events = Events::with_capacity(8);
+        waker.wake().unwrap();
+        // Added disarmed: the inner poller's event wakes nobody outside.
+        outer.registry().arm_once(&inner, Token(5), false).unwrap();
+        outer.poll(&mut events, Some(Duration::from_millis(20))).unwrap();
+        assert!(events.is_empty());
+        outer.registry().arm_once(&inner, Token(5), true).unwrap();
+        outer.poll(&mut events, Some(Duration::from_secs(2))).unwrap();
+        assert!(events.iter().any(|e| e.token() == Token(5) && e.is_readable()));
+        // One event per arming, though the inner poller is still ready.
+        outer.poll(&mut events, Some(Duration::from_millis(20))).unwrap();
+        assert!(events.is_empty());
+        outer.registry().arm_once(&inner, Token(5), true).unwrap();
+        outer.registry().arm_once(&inner, Token(5), false).unwrap();
+        outer.poll(&mut events, Some(Duration::from_millis(20))).unwrap();
+        assert!(events.is_empty());
+        // The event was the inner poller's all along.
+        inner.poll(&mut events, Some(Duration::from_secs(2))).unwrap();
+        assert!(events.iter().any(|e| e.token() == Token(0)));
+    }
+
+    #[test]
+    fn a_timer_fires_once_its_time_passes_and_setting_it_forgets_a_firing() {
+        let mut poll = Poll::new().unwrap();
+        let timer = Timer::new().unwrap();
+        poll.registry().register(&timer, Token(2), Interest::READABLE).unwrap();
+        let mut events = Events::with_capacity(8);
+        poll.poll(&mut events, Some(Duration::from_millis(20))).unwrap();
+        assert!(events.is_empty(), "a disarmed timer fired");
+        timer.set(Some(Duration::from_millis(10))).unwrap();
+        let t0 = std::time::Instant::now();
+        poll.poll(&mut events, Some(Duration::from_secs(2))).unwrap();
+        assert!(events.iter().any(|e| e.token() == Token(2)));
+        assert!(t0.elapsed() >= Duration::from_millis(9));
+        timer.acknowledge();
+        poll.poll(&mut events, Some(Duration::from_millis(20))).unwrap();
+        assert!(events.is_empty(), "an acknowledged firing still reads ready");
+        timer.set(Some(Duration::from_millis(1))).unwrap();
+        std::thread::sleep(Duration::from_millis(5));
+        timer.set(None).unwrap();
+        poll.poll(&mut events, Some(Duration::from_millis(20))).unwrap();
+        assert!(events.is_empty(), "a forgotten firing still reads ready");
+        timer.set(Some(Duration::from_secs(60))).unwrap();
+        timer.set(None).unwrap();
+        poll.poll(&mut events, Some(Duration::from_millis(20))).unwrap();
+        assert!(events.is_empty(), "a cancelled timer fired");
     }
 
     #[test]

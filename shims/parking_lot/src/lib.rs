@@ -6,10 +6,11 @@
 //! passes the lock on), which matches parking_lot's behaviour of not
 //! poisoning at all.
 
-use std::sync::{self, LockResult};
+use std::sync::{self, LockResult, TryLockError};
 
-/// The guard [`RwLock::write`] returns (`parking_lot` names it the same).
-pub use std::sync::RwLockWriteGuard;
+/// The guards [`Mutex::lock`] and [`RwLock::write`] return
+/// (`parking_lot` names them the same).
+pub use std::sync::{MutexGuard, RwLockWriteGuard};
 
 fn unpoison<G>(r: LockResult<G>) -> G {
     match r {
@@ -81,6 +82,15 @@ impl<T: ?Sized> Mutex<T> {
         unpoison(self.inner.lock())
     }
 
+    /// Acquires the lock if no one holds it.
+    pub fn try_lock(&self) -> Option<sync::MutexGuard<'_, T>> {
+        match self.inner.try_lock() {
+            Ok(g) => Some(g),
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
     /// Mutable access without locking (requires `&mut self`).
     pub fn get_mut(&mut self) -> &mut T {
         unpoison(self.inner.get_mut())
@@ -110,6 +120,16 @@ mod tests {
         })
         .join();
         *m.lock() += 1;
+        assert_eq!(*m.lock(), 1);
+    }
+
+    #[test]
+    fn try_lock_fails_only_while_held() {
+        let m = Mutex::new(0);
+        let held = m.lock();
+        assert!(m.try_lock().is_none());
+        drop(held);
+        *m.try_lock().expect("free lock") += 1;
         assert_eq!(*m.lock(), 1);
     }
 }
