@@ -30,26 +30,26 @@
 //! finds the lock held queues its frames as a command, wakes the holder
 //! and waits on its channel: whoever drives routes the reply.
 //!
-//! Each shard keeps one standby thread for the work no caller waits
-//! for — the reply to a dropped receiver (read repair), a partial write
-//! left behind, a reap, a follower whose driver returned first. It
-//! sleeps on a poller of its own and is woken two ways, neither of which
-//! a sequential caller pays for:
-//!
-//! * a driver that lets go with others' work in flight arms the shard's
-//!   poller in the standby's for one event (`EPOLLONESHOT`); the caller
-//!   that next takes the lock disarms it;
-//! * a submitter that lets go with work in flight, and a join's waiter
-//!   whose own requests are all that is in flight, usually come back for
-//!   it at once; they set a hand-off timer instead. No caller cancels it
-//!   (a timer syscall costs about what the hand-off it replaces did).
-//!   When it fires after a caller drove, that caller minded what it
-//!   found, so the wake is put off and the wait doubles, from 200 µs up
-//!   to 50 ms; a wake that then answers a request resets it.
-//!
-//! Each wake drives one non-blocking turn and lets go as a driver does.
-//! The standby also wakes once per transport deadline while work is in
-//! flight, to reap.
+//! Each shard keeps one standby thread for the work no caller drives —
+//! the reply to a dropped receiver (read repair), a partial write left
+//! behind, a reap, a follower whose driver returned first, a wait whose
+//! routes span shards, a route received from directly. It sleeps on a
+//! poller of its own. Whoever lets go of the loop with work in flight
+//! arms the shard's poller in the standby's for one event
+//! (`EPOLLONESHOT`), and a caller that takes the lock to drive disarms
+//! it: so the loop is never left in flight with nobody to drive it, and
+//! a reply nobody drives is routed at the loop's first event, by one
+//! thread hop as every reply was before callers drove. One submitter
+//! arms nothing: one whose caller drives its requests in `ready` next
+//! ([`Transport::submit_awaited`], which joins and calls use), so a
+//! sequential caller makes no `epoll_ctl` and wakes no thread. A thread
+//! that finds the loop held but needs it handed over — the standby
+//! woken for it, a caller that follows another's drive, waits on routes
+//! of several shards, or stops waiting — raises a flag instead, and the
+//! holder drives one non-blocking turn and arms the loop before it lets
+//! go. Each standby wake drives one non-blocking turn and lets go as a
+//! driver does. The standby also wakes once per transport deadline
+//! while work is in flight, to reap.
 //!
 //! The data path is batched, and zero-copy outbound: submitters encode frames as
 //! header + [`bytes::Bytes`] payload parts ([`crate::frame::try_encode_request_parts`]),
@@ -102,7 +102,7 @@
 )]
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use mio::{Events, Interest, Poll, Registry, Timer, Token, Waker};
+use mio::{Events, Poll, Registry, Token, Waker};
 use parking_lot::{Mutex, MutexGuard};
 use spcache_store::landing::{Claim, Region};
 use spcache_store::rpc::{Reply, Request, StoreError};
@@ -110,7 +110,7 @@ use spcache_store::transport::{select, Transport};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -125,16 +125,6 @@ const WORKER_BASE: usize = WAKER_TOK + 1;
 /// The shard's poller's token in its standby's poller, past the
 /// standby's own waker.
 const LOOP_TOK: usize = WAKER_TOK + 1;
-/// The hand-off timer's token in the standby's poller.
-const TIMER_TOK: usize = LOOP_TOK + 1;
-/// How long a submitter's requests wait for a caller to drive them
-/// before the standby does, at first: far longer than a caller takes
-/// from its submit to its wait, far shorter than any deadline. Each wake
-/// put off because a caller drove meanwhile, or spent on a turn that
-/// answered nothing, doubles the wait, up to [`HANDOFF_MAX`]; a turn
-/// that answers a request resets it.
-const HANDOFF_MIN: Duration = Duration::from_micros(200);
-const HANDOFF_MAX: Duration = Duration::from_millis(50);
 
 /// Work for a shard from a thread that found its lock held.
 enum Cmd {
@@ -191,29 +181,17 @@ struct Shard {
     /// Wakes a driver blocked in the loop's `poll`.
     waker: Waker,
     /// The standby's poller, in which the loop's poller is armed for one
-    /// event while a driver has let go with work in flight.
+    /// event while nobody holds the loop with work in flight.
     standby: Registry,
     /// Whether the loop's poller is armed in `standby`. Changed under
-    /// `io`.
+    /// `io`; a standby's wake uses the kernel's arming up but leaves the
+    /// flag, since whoever lets go next re-arms anyway.
     armed: AtomicBool,
-    /// Wakes the standby a hand-off wait after a submitter let go with
-    /// work in flight: the one wake no caller can cancel without a
-    /// syscall, so none does; a wake that finds nothing to do lengthens
-    /// the next wait instead.
-    timer: Timer,
-    /// Whether `timer` is set and not yet seen. Changed under `io`.
-    timed: AtomicBool,
-    /// The current hand-off wait, between [`HANDOFF_MIN`] and
-    /// [`HANDOFF_MAX`].
-    handoff: AtomicU64,
-    /// How many times a waiting caller has taken the loop (under `io`),
-    /// and that count when the hand-off timer was last set: a caller
-    /// that drove since the timer was set minds what it found in
-    /// flight, so the timer's wake is put off rather than spent on a
-    /// turn. Relaxed: they publish nothing, and a stale count only
-    /// spends one wake on a turn.
-    drives: AtomicU64,
-    timer_drives: AtomicU64,
+    /// Someone who found the loop held wants it handed over — the
+    /// standby woken for it, or a caller that waits without driving: the
+    /// holder, which may be a submitter that never polls, drives a turn
+    /// and arms the loop before it lets go.
+    wanted: AtomicBool,
     /// The longest the standby sleeps: the transport deadline, in ms.
     tick_ms: AtomicU64,
     /// Set when the transport drops; the standby exits.
@@ -367,36 +345,20 @@ impl TcpTransport {
             .sum()
     }
 
-    /// Worker indices reach the transport from placements the master
-    /// sent over the wire: one outside the fleet is a typed, permanent
-    /// error, never an index panic.
-    fn check_workers(&self, mut workers: impl Iterator<Item = usize>) -> Result<(), StoreError> {
-        let n = self.peers.len();
-        match workers.find(|&w| w >= n) {
-            Some(w) => Err(StoreError::Codec(format!(
-                "request names worker {w} of a {n}-worker fleet"
-            ))),
-            None => Ok(()),
-        }
-    }
-}
-
-impl Transport for TcpTransport {
-    fn n_workers(&self) -> usize {
-        self.peers.len()
-    }
-
     /// Batched submission: every frame of a shard is queued before one
     /// flush, so the burst leaves in shared `writev` calls — this is
     /// what makes a k-way fork-join read one syscall round instead of k.
     /// A submitter that gets a shard's lock flushes itself; one that
     /// finds it held queues the frames and wakes the holder. A request's
-    /// region travels with it to whoever reads its reply. A bad worker
-    /// index, an oversized frame or a failed dial anywhere in the batch
-    /// refuses all of it.
-    fn submit_landing(
+    /// region travels with it to whoever reads its reply. A shard left
+    /// with work in flight is handed to its standby unless the caller
+    /// drives the routes in `ready` next (`awaited`). A bad worker index,
+    /// an oversized frame or a failed dial anywhere in the batch refuses
+    /// all of it.
+    fn queue(
         &self,
         reqs: Vec<(usize, Request, Option<Region>)>,
+        awaited: bool,
     ) -> Result<Vec<Receiver<Reply>>, StoreError> {
         self.check_workers(reqs.iter().map(|&(w, ..)| w))?;
         let encoded = reqs
@@ -422,51 +384,101 @@ impl Transport for TcpTransport {
         }
         for (shard, sents) in self.shards.iter().zip(by_shard) {
             if !sents.is_empty() {
-                shard.send(sents, &self.peers);
+                // An awaited batch keeps the loop for whatever it finds.
+                shard.send(sents, &self.peers, if awaited { usize::MAX } else { 0 });
             }
         }
         Ok(routes)
     }
 
+    /// Worker indices reach the transport from placements the master
+    /// sent over the wire: one outside the fleet is a typed, permanent
+    /// error, never an index panic.
+    fn check_workers(&self, mut workers: impl Iterator<Item = usize>) -> Result<(), StoreError> {
+        let n = self.peers.len();
+        match workers.find(|&w| w >= n) {
+            Some(w) => Err(StoreError::Codec(format!(
+                "request names worker {w} of a {n}-worker fleet"
+            ))),
+            None => Ok(()),
+        }
+    }
+}
+
+impl Transport for TcpTransport {
+    fn n_workers(&self) -> usize {
+        self.peers.len()
+    }
+
+    /// Batched submission: every frame of a shard leaves in shared
+    /// `writev` calls, and a shard left with work in flight is handed to
+    /// its standby should nobody drive it.
+    fn submit_landing(
+        &self,
+        reqs: Vec<(usize, Request, Option<Region>)>,
+    ) -> Result<Vec<Receiver<Reply>>, StoreError> {
+        self.queue(reqs, false)
+    }
+
+    /// A join's or a call's submission: its caller drives the requests
+    /// in `ready` next, so they are handed to no standby meanwhile.
+    fn submit_awaited(
+        &self,
+        reqs: Vec<(usize, Request, Option<Region>)>,
+    ) -> Result<Vec<Receiver<Reply>>, StoreError> {
+        self.queue(reqs, true)
+    }
+
     /// Drives the routes' shard until one of them holds its reply, when
-    /// they all live on one shard and no one else drives it; otherwise
-    /// waits on the routes while whoever drives routes the replies.
+    /// they all live on one shard and no one else drives it. Otherwise
+    /// hands each of their shards over — its holder routes the replies,
+    /// or the standby does at the shard's first event — and waits on the
+    /// routes. A deadline already past hands the shards over and waits
+    /// for nothing.
     fn ready(&self, routes: &[(usize, &Receiver<Reply>)], until: Instant) -> Option<usize> {
         let answered = || routes.iter().position(|(_, route)| !route.is_empty());
         let (&(first, _), rest) = routes.split_first()?;
         let shard = self.shard_of(first);
-        if rest.iter().any(|&(w, _)| !std::ptr::eq(self.shard_of(w), shard)) {
-            return select(routes, until);
-        }
-        loop {
+        let late = Instant::now() >= until;
+        let one_shard = rest.iter().all(|&(w, _)| std::ptr::eq(self.shard_of(w), shard));
+        let drive = if one_shard && !late {
             if let Some(i) = answered() {
                 return Some(i);
             }
-            if Instant::now() >= until {
-                return None;
-            }
-            let Some(mut lp) = shard.io.try_lock().filter(|lp| !lp.dead) else {
-                return select(routes, until);
-            };
-            shard.arm(&mut lp, false);
-            shard.drives.fetch_add(1, Ordering::Relaxed);
-            while answered().is_none() && !lp.dead {
-                let now = Instant::now();
-                if now >= until {
-                    break;
+            shard.claim()
+        } else {
+            for (i, &(w, _)) in routes.iter().enumerate() {
+                let other = self.shard_of(w);
+                if routes[..i].iter().any(|&(v, _)| std::ptr::eq(self.shard_of(v), other)) {
+                    continue;
                 }
-                let wake = lp.next_reap().map_or(until, |at| at.min(until));
-                lp.turn(&shard.rx, &self.peers, Some(wake - now));
+                if let Some(lp) = other.claim() {
+                    other.let_go(lp, &self.peers, 0);
+                }
             }
-            // A join comes back for its other routes at once.
-            let own = routes.iter().filter(|(_, route)| route.is_empty()).count();
-            let leaving = if lp.pending.len() <= own {
-                Leaving::Back
-            } else {
-                Leaving::Gone
-            };
-            shard.let_go(lp, &self.peers, leaving);
+            None
+        };
+        let Some(mut lp) = drive else {
+            return if late { answered() } else { select(routes, until) };
+        };
+        shard.arm(&mut lp, false);
+        while answered().is_none() && !lp.dead {
+            let now = Instant::now();
+            if now >= until {
+                break;
+            }
+            let wake = lp.next_reap().map_or(until, |at| at.min(until));
+            lp.turn(&shard.rx, &self.peers, Some(wake - now));
         }
+        // A join comes back for its unanswered routes at once, or passes
+        // them here again with a deadline already past.
+        let own = if Instant::now() >= until {
+            0
+        } else {
+            routes.iter().filter(|(_, route)| route.is_empty()).count()
+        };
+        shard.let_go(lp, &self.peers, own);
+        answered().or_else(|| select(routes, until))
     }
 }
 
@@ -540,11 +552,6 @@ impl Inbound for Replies<'_> {
     }
 }
 
-/// `d` in whole nanoseconds.
-fn nanos(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
 /// The standby's longest sleep for a transport `deadline`.
 fn tick_ms(deadline: Duration) -> u64 {
     u64::try_from(deadline.as_millis()).unwrap_or(u64::MAX).max(1)
@@ -565,11 +572,6 @@ fn spawn_shard(
 ) -> (Arc<Shard>, Standby) {
     let (poll, waker) = poll_with_waker().expect("create poller and waker");
     let (standby_poll, standby_waker) = poll_with_waker().expect("create poller and waker");
-    let timer = Timer::new().expect("create hand-off timer");
-    standby_poll
-        .registry()
-        .register(&timer, Token(TIMER_TOK), Interest::READABLE)
-        .expect("register hand-off timer");
     let (tx, rx) = unbounded();
     let shard = Arc::new(Shard {
         io: Mutex::new(Loop::new(poll)),
@@ -578,11 +580,7 @@ fn spawn_shard(
         waker,
         standby: standby_poll.registry().clone(),
         armed: AtomicBool::new(false),
-        timer,
-        timed: AtomicBool::new(false),
-        handoff: AtomicU64::new(nanos(HANDOFF_MIN)),
-        drives: AtomicU64::new(0),
-        timer_drives: AtomicU64::new(0),
+        wanted: AtomicBool::new(false),
         tick_ms: AtomicU64::new(tick_ms(deadline)),
         stop: AtomicBool::new(false),
     });
@@ -599,9 +597,9 @@ fn spawn_shard(
 }
 
 /// The standby thread: sleeps until the armed loop has an event, the
-/// hand-off timer fires, the oldest unanswered request it saw is due, or
-/// one transport deadline passes, and then drives one non-blocking turn
-/// if anyone let go with work in flight and no one drives now.
+/// oldest unanswered request it saw is due, or one transport deadline
+/// passes, and then drives one non-blocking turn if the loop was handed
+/// to it and no one drives now.
 fn standby(shard: &Shard, peers: &[PeerShared], mut poll: Poll) {
     let mut events = Events::with_capacity(4);
     let mut due: Option<Instant> = None;
@@ -615,83 +613,28 @@ fn standby(shard: &Shard, peers: &[PeerShared], mut poll: Poll) {
             return;
         }
         due = None;
-        let mut timed_out = events.iter().any(|e| e.token().0 == TIMER_TOK);
         let woken = events.iter().any(|e| e.token().0 == LOOP_TOK);
-        if timed_out {
-            shard.timer.acknowledge();
-            let drives = shard.drives.load(Ordering::Relaxed);
-            if shard.timer_drives.swap(drives, Ordering::Relaxed) != drives {
-                // A caller drove since the timer was set: put the wake
-                // off. The timer stays up, so nobody else sets it.
-                shard.slow_handoff();
-                let _ = shard.timer.set(Some(shard.handoff_wait()));
-                timed_out = false;
-                if !woken {
-                    continue;
-                }
-            }
-        }
-        // Whatever fired, or a tick while work is left in flight.
-        if !timed_out
-            && !woken
-            && !shard.armed.load(Ordering::Acquire)
-            && !shard.timed.load(Ordering::Acquire)
-        {
+        // A tick with the loop not handed over: its holder minds it.
+        if !woken && !shard.armed.load(Ordering::SeqCst) {
             continue;
         }
-        let lp = match shard.io.try_lock() {
-            Some(lp) => lp,
-            None => {
-                // Someone drives, and minds what is in flight when it
-                // lets go — once it sees that neither wake is pending.
-                if timed_out {
-                    shard.timed.store(false, Ordering::Release);
-                    shard.slow_handoff();
-                }
-                if woken {
-                    shard.armed.store(false, Ordering::Release);
-                }
-                // It may have let go before the flags came down.
-                match shard.io.try_lock() {
-                    Some(lp) => lp,
-                    None => continue,
-                }
-            }
+        // If someone holds the loop, it drives this event before it lets
+        // go: it may be a submitter that never polls, and hold the loop
+        // again before this thread gets a turn.
+        let Some(mut lp) = shard.claim() else {
+            continue;
         };
-        let mut lp = lp;
-        if timed_out {
-            shard.timed.store(false, Ordering::Release);
-        }
-        let answered = lp.turn(&shard.rx, peers, Some(Duration::ZERO));
-        if timed_out {
-            if answered > 0 {
-                shard.handoff.store(nanos(HANDOFF_MIN), Ordering::Relaxed);
-            } else {
-                shard.slow_handoff();
-            }
-        }
+        lp.turn(&shard.rx, peers, Some(Duration::ZERO));
         due = lp.next_reap();
-        shard.let_go(lp, peers, Leaving::Gone);
+        shard.let_go(lp, peers, 0);
     }
-}
-
-/// How a thread lets go of a loop, which decides who minds the work it
-/// leaves in flight.
-#[derive(Clone, Copy)]
-enum Leaving {
-    /// It most likely comes back for that work — a submitter, or a
-    /// waiter whose own requests are all that is in flight: the standby
-    /// waits a hand-off wait before taking over.
-    Back,
-    /// It leaves others' work: the standby takes over at the loop's
-    /// next event.
-    Gone,
 }
 
 impl Shard {
     /// Queues `sents` on their connections: flushed at once if no one
-    /// holds the loop, else handed to the holder, which is woken.
-    fn send(&self, sents: Vec<Sent>, peers: &[PeerShared]) {
+    /// holds the loop, else handed to the holder, which is woken. The
+    /// submitter comes back for `keep` requests (see `let_go`).
+    fn send(&self, sents: Vec<Sent>, peers: &[PeerShared], keep: usize) {
         if let Some(mut lp) = self.io.try_lock() {
             // Sockets dialled meanwhile are adopted before anything is
             // queued on them.
@@ -699,7 +642,7 @@ impl Shard {
             for sent in sents {
                 lp.queue(sent);
             }
-            self.let_go(lp, peers, Leaving::Back);
+            self.let_go(lp, peers, keep);
             return;
         }
         for sent in sents {
@@ -709,39 +652,54 @@ impl Shard {
         let _ = self.waker.wake();
         // The holder may have let go before the commands were queued.
         if let Some(lp) = self.io.try_lock() {
-            self.let_go(lp, peers, Leaving::Back);
+            self.let_go(lp, peers, keep);
         }
     }
 
-    /// Lets go of the loop. What threads that found it held queued goes
-    /// out first. Work then left in flight — a request, unsent bytes, a
-    /// frame half read — is the standby's once no caller drives it: the
-    /// hand-off timer is set behind a thread that comes back, the loop
-    /// armed behind one that is gone. An idle loop leaves the standby
-    /// asleep.
-    fn let_go<'a>(&'a self, mut lp: MutexGuard<'a, Loop>, peers: &[PeerShared], leaving: Leaving) {
+    /// Takes the loop, or, if someone holds it, has the holder hand it
+    /// over when it lets go.
+    fn claim(&self) -> Option<MutexGuard<'_, Loop>> {
+        self.io.try_lock().or_else(|| {
+            self.wanted.store(true, Ordering::SeqCst);
+            // It may have let go before the flag went up.
+            self.io.try_lock()
+        })
+    }
+
+    /// Lets go of the loop. If someone wanted it meanwhile, a turn drives
+    /// what is ready first; then what threads that found it held queued
+    /// goes out. Work then left in flight — a request, unsent bytes, a
+    /// frame half read — is handed to the standby: the loop is armed in
+    /// its poller, and an idle loop disarmed. A thread that comes back
+    /// to drive `keep` requests in `ready` at once keeps the loop while
+    /// no more than those are in flight: a join's waiter between two of
+    /// its replies, or a submitter whose caller drives its batch next
+    /// (`usize::MAX`). It never keeps a loop someone wanted or handed
+    /// over before: the standby's wake may have used that arming up, and
+    /// the turn above may have answered the caller, which then drives
+    /// nothing.
+    fn let_go<'a>(&'a self, mut lp: MutexGuard<'a, Loop>, peers: &[PeerShared], keep: usize) {
         loop {
+            let wanted = self.wanted.swap(false, Ordering::SeqCst);
+            if wanted {
+                lp.turn(&self.rx, peers, Some(Duration::ZERO));
+            }
             lp.take(&self.rx, peers);
             lp.flush(peers);
-            let idle = lp.idle();
-            match (idle, leaving) {
-                (true, _) => self.arm(&mut lp, false),
-                (false, Leaving::Back) => {
-                    if !self.armed.load(Ordering::Relaxed) {
-                        self.set_timer();
-                    }
-                }
-                (false, Leaving::Gone) => self.arm(&mut lp, true),
+            if keep == 0
+                || wanted
+                || lp.pending.len() > keep
+                || self.armed.load(Ordering::SeqCst)
+            {
+                let busy = !lp.idle();
+                self.arm(&mut lp, busy);
             }
             drop(lp);
             // A thread that queued a command after the take above, and
             // found the lock held, counts on this one to see it; so does
-            // a standby that took a wake down while this one held the
-            // lock.
-            let unminded = !idle
-                && !self.armed.load(Ordering::Acquire)
-                && !self.timed.load(Ordering::Acquire);
-            if !unminded && self.rx.is_empty() {
+            // one that wanted the loop while this one held it.
+            fence(Ordering::SeqCst);
+            if !self.wanted.load(Ordering::SeqCst) && self.rx.is_empty() {
                 return;
             }
             let Some(next) = self.io.try_lock() else {
@@ -752,42 +710,17 @@ impl Shard {
     }
 
     /// Arms the loop's poller in the standby's (`on`) for one event, or
-    /// disarms it. Arming always re-arms, since the standby's wake used
-    /// the last arming up. The flag is up before an arming and down only
-    /// after a disarming, so the standby never reads it down while it
-    /// may fire. Called with the loop's lock held.
+    /// disarms it. Arming always re-arms, since a standby's wake may have
+    /// used the last arming up. The flag is up before an arming and down
+    /// only after a disarming, so the standby never reads it down while
+    /// the arming may fire. Called with the loop's lock held.
     fn arm(&self, lp: &mut Loop, on: bool) {
         if on {
-            self.armed.store(true, Ordering::Release);
+            self.armed.store(true, Ordering::SeqCst);
             let _ = self.standby.arm_once(&lp.poll, Token(LOOP_TOK), true);
-        } else if self.armed.load(Ordering::Relaxed) {
+        } else if self.armed.load(Ordering::SeqCst) {
             let _ = self.standby.arm_once(&lp.poll, Token(LOOP_TOK), false);
-            self.armed.store(false, Ordering::Release);
-        }
-    }
-
-    /// Doubles the hand-off wait, up to [`HANDOFF_MAX`]: a timer wake
-    /// found every reply driven already.
-    fn slow_handoff(&self) {
-        let wait = self.handoff.load(Ordering::Relaxed);
-        let next = wait.saturating_mul(2).min(nanos(HANDOFF_MAX));
-        self.handoff.store(next, Ordering::Relaxed);
-    }
-
-    /// The current hand-off wait.
-    fn handoff_wait(&self) -> Duration {
-        Duration::from_nanos(self.handoff.load(Ordering::Relaxed))
-    }
-
-    /// Sets the hand-off timer unless it is set already, with its flag
-    /// ordered as `arm` orders the loop's. Called with the loop's lock
-    /// held.
-    fn set_timer(&self) {
-        if !self.timed.load(Ordering::Relaxed) {
-            self.timed.store(true, Ordering::Release);
-            let drives = self.drives.load(Ordering::Relaxed);
-            self.timer_drives.store(drives, Ordering::Relaxed);
-            let _ = self.timer.set(Some(self.handoff_wait()));
+            self.armed.store(false, Ordering::SeqCst);
         }
     }
 }

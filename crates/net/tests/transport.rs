@@ -1,18 +1,24 @@
 //! `TcpTransport` driven by the threads that wait on it: a sequential
 //! call crosses no thread inside the transport, concurrent callers share
-//! a shard byte-exactly, work no caller waits for still completes, and a
-//! caller whose reply is slow never holds up another's.
+//! a shard byte-exactly, work no caller waits for still completes, a
+//! caller whose reply is slow never holds up another's, and replies no
+//! caller drives — a wait over two shards, a route received from
+//! directly, a follower behind a thread that only submits — are routed
+//! at their first event.
 //!
 //! Every test here runs alone (`serial`): the no-hand-off test counts
 //! the context switches of the transport's `spcache-net-io-*` standby
 //! thread, and no other transport's may exist meanwhile.
 
+use crossbeam::channel::Receiver;
 use spcache_net::{TcpTransport, WorkerServer};
 use spcache_store::fault::{FaultLog, FaultPlan};
 use spcache_store::rpc::{PartKey, Reply, Request};
 use spcache_store::transport::Transport;
 use spcache_store::StoreConfig;
+use std::collections::VecDeque;
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -209,4 +215,144 @@ fn a_follower_whose_driver_returns_first_still_gets_its_reply() {
     let reply = follower.recv_timeout(WAIT).expect("nobody drove the follower's reply");
     assert!(matches!(reply, Reply::Err(_)), "a get of a missing key, got {reply:?}");
     assert!(t0.elapsed() < slow + Duration::from_secs(1));
+}
+
+/// The median of `samples`.
+fn median(mut samples: Vec<Duration>) -> Duration {
+    samples.sort_unstable();
+    samples[samples.len() / 2]
+}
+
+/// Waits through `ready` for every route of a fan-out, as a join does,
+/// and returns the replies in route order.
+fn join(t: &TcpTransport, workers: &[usize], routes: Vec<Receiver<Reply>>) -> Vec<Reply> {
+    let until = Instant::now() + WAIT;
+    let mut replies: Vec<Option<Reply>> = routes.iter().map(|_| None).collect();
+    while replies.iter().any(Option::is_none) {
+        let open: Vec<usize> = (0..routes.len()).filter(|&i| replies[i].is_none()).collect();
+        let waiting: Vec<(usize, &Receiver<Reply>)> =
+            open.iter().map(|&i| (workers[i], &routes[i])).collect();
+        let ready = t.ready(&waiting, until).expect("a fan-out reply missed its deadline");
+        if let Ok(reply) = routes[open[ready]].try_recv() {
+            replies[open[ready]] = Some(reply);
+        }
+    }
+    replies.into_iter().map(Option::unwrap).collect()
+}
+
+#[test]
+fn a_fan_out_across_two_shards_is_routed_at_its_first_event() {
+    let _alone = serial();
+    let (_servers, addrs) = workers(2, FaultPlan::none());
+    // Reaping, the standby's other wake, would come only after seconds.
+    let t = TcpTransport::connect_sharded(addrs, 2).with_deadline(Duration::from_secs(10));
+    assert_eq!(t.io_shards(), 2);
+    let keys = [PartKey::new(1, 0), PartKey::new(2, 0)];
+    let wants = [payload(1, 4096), payload(2, 4096)];
+    for w in 0..2 {
+        assert_eq!(t.call(w, put(keys[w], wants[w].clone()), WAIT), Ok(Reply::Done));
+    }
+    let gets = || vec![(0, get(keys[0])), (1, get(keys[1]))];
+    let (mut calls, mut joins, mut raw) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..300 {
+        // Each shard driven by this thread in turn.
+        let t0 = Instant::now();
+        for w in 0..2 {
+            assert_eq!(data(t.call(w, get(keys[w]), WAIT).unwrap()), wants[w]);
+        }
+        calls.push(t0.elapsed());
+        // One wait over both shards, submitted and waited on as a
+        // fork-join read does.
+        let t0 = Instant::now();
+        let awaited = gets().into_iter().map(|(w, req)| (w, req, None)).collect();
+        let replies = join(&t, &[0, 1], t.submit_awaited(awaited).unwrap());
+        joins.push(t0.elapsed());
+        assert_eq!(replies.into_iter().map(data).collect::<Vec<_>>(), wants);
+        // Received from directly, with no `ready` at all.
+        let t0 = Instant::now();
+        for (w, route) in t.submit_batch(gets()).unwrap().into_iter().enumerate() {
+            assert_eq!(data(route.recv_timeout(WAIT).unwrap()), wants[w]);
+        }
+        raw.push(t0.elapsed());
+    }
+    let (calls, joins, raw) = (median(calls), median(joins), median(raw));
+    eprintln!(
+        "two sequential calls {calls:?}, a two-shard join {joins:?}, two direct receives {raw:?}"
+    );
+    // The standbys route what no caller drives at the shards' first
+    // event: a wait over both shards costs no more than driving each in
+    // turn, plus a thread hop — never a timer.
+    let hop = Duration::from_micros(100);
+    assert!(joins < calls + hop, "a two-shard join took {joins:?}, two calls {calls:?}");
+    assert!(raw < calls + hop, "two direct receives took {raw:?}, two calls {calls:?}");
+}
+
+#[test]
+fn a_follower_behind_a_submitter_that_never_waits_is_still_driven() {
+    let _alone = serial();
+    let (_servers, addrs) = workers(1, FaultPlan::none());
+    // Reaping, the standby's other wake, would come only after the
+    // calls' own timeout.
+    let t = TcpTransport::connect_sharded(addrs, 1).with_deadline(Duration::from_secs(10));
+    let t = Arc::new(t);
+    let key = PartKey::new(1, 0);
+    let want = payload(1, 4096);
+    assert_eq!(t.call(0, put(key, want.clone()), WAIT), Ok(Reply::Done));
+    let stop = Arc::new(AtomicBool::new(false));
+    // Holds the shard only to queue and flush its puts, and never waits
+    // for their replies (a read repair's shape): it drops a route once
+    // whoever drives has answered it, and keeps at most 64 in flight so
+    // the calls below queue behind no unbounded backlog.
+    let submitter = {
+        let (t, stop) = (Arc::clone(&t), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let mut routes = VecDeque::new();
+            let mut n = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                if routes.len() == 64 {
+                    if routes.front().is_some_and(Receiver::is_empty) {
+                        std::thread::yield_now();
+                        continue;
+                    }
+                    routes.pop_front();
+                }
+                n += 1;
+                let key = PartKey::new(2 + n % 64, 0);
+                routes.push_back(t.submit(0, put(key, payload(n, 4096))).unwrap());
+            }
+            n
+        })
+    };
+    let mut took = Vec::new();
+    for _ in 0..2_000 {
+        let t0 = Instant::now();
+        assert_eq!(data(t.call(0, get(key), WAIT).unwrap()), want);
+        took.push(t0.elapsed());
+    }
+    stop.store(true, Ordering::Relaxed);
+    let puts = submitter.join().unwrap();
+    took.sort_unstable();
+    let slowest = took[took.len() - 1];
+    eprintln!(
+        "2 000 calls beside {puts} dropped puts: p50 {:?} p99 {:?} max {slowest:?}",
+        took[1000], took[1980]
+    );
+    assert!(slowest < Duration::from_secs(1), "a call waited {slowest:?}");
+}
+
+#[test]
+fn an_awaited_request_its_caller_stops_waiting_for_is_handed_over() {
+    let _alone = serial();
+    let (_servers, addrs) = workers(1, FaultPlan::none());
+    // Reaping, the standby's other wake, would come only after the
+    // receive below gave up.
+    let t = TcpTransport::connect_sharded(addrs, 1).with_deadline(Duration::from_secs(10));
+    let key = PartKey::new(3, 0);
+    let put = (0, put(key, payload(3, 4096)), None);
+    let route = t.submit_awaited(vec![put]).unwrap().pop().unwrap();
+    // The caller stops waiting, as a dropped join does: one pass with a
+    // deadline already past.
+    assert_eq!(t.ready(&[(0, &route)], Instant::now()), None);
+    assert_eq!(route.recv_timeout(WAIT), Ok(Reply::Done), "nobody drove the put");
+    assert_eq!(data(t.call(0, get(key), WAIT).unwrap()), payload(3, 4096));
 }

@@ -7,7 +7,9 @@
 //! write is "all acks", a synchronous call is a fan-out of one. The
 //! placement check, the request stamps, the wait on reply routes
 //! ([`Transport::ready`], which a socket transport answers by letting
-//! this thread drive its sockets) and the `suspect` / `mark_dead` /
+//! this thread drive its sockets; forks submit through
+//! [`Transport::submit_awaited`], and a join dropped early passes its
+//! routes to `ready` once more) and the `suspect` / `mark_dead` /
 //! epoch-refresh bookkeeping are written here once. A reply is never
 //! reported as a sign of life: only the supervisor's epoch-checked probe
 //! revives a worker (DESIGN.md §4.7), so a reply a worker sent before it
@@ -230,12 +232,30 @@ impl<'a> Fanout<'a> {
 }
 
 /// The outstanding set of one fork: a reply route per request, in
-/// submission order.
+/// submission order. Its routes are submitted through
+/// [`Transport::submit_awaited`], so a join dropped with routes
+/// outstanding passes them to [`Transport::ready`] once more, with a
+/// deadline already past.
 pub(crate) struct Join<'a> {
     io: Fanout<'a>,
     /// `(worker, route)`; the route is dropped once it has answered or
     /// been given up on.
     routes: Vec<(usize, Option<Receiver<Reply>>)>,
+}
+
+impl Drop for Join<'_> {
+    /// Stops waiting: a socket transport hands the requests still in
+    /// flight to whoever drives next.
+    fn drop(&mut self) {
+        let routes: Vec<(usize, &Receiver<Reply>)> = self
+            .routes
+            .iter()
+            .filter_map(|(worker, route)| Some((*worker, route.as_ref()?)))
+            .collect();
+        if !routes.is_empty() {
+            let _ = self.io.transport.ready(&routes, Instant::now());
+        }
+    }
 }
 
 impl Join<'_> {
@@ -268,7 +288,7 @@ impl Join<'_> {
         // the frames into shared `writev` rounds.
         let routes = io
             .transport
-            .submit_landing(reqs)
+            .submit_awaited(reqs)
             .inspect_err(|e| io.note_error(e))?;
         self.routes
             .extend(workers.into_iter().zip(routes.into_iter().map(Some)));

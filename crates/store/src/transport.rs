@@ -8,7 +8,10 @@
 //! is a request router, not an RPC stub. The wait itself is the
 //! transport's too ([`Transport::ready`]): by default a select over the
 //! routes; a socket transport lets the waiting thread drive the sockets
-//! that answer them, so a reply needs no thread but the one waiting.
+//! that answer them, so a reply needs no thread but the one waiting. A
+//! caller that waits there on every route it submits says so by
+//! submitting through [`Transport::submit_awaited`], and the transport
+//! then hands the requests to no other thread in between.
 //!
 //! Two implementations exist:
 //!
@@ -92,14 +95,35 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
         self.submit_landing(reqs.into_iter().map(|(w, req)| (w, req, None)).collect())
     }
 
+    /// [`submit_landing`](Transport::submit_landing) for a caller that
+    /// passes every route to [`ready`](Transport::ready) next: it waits
+    /// there, or, once it stops waiting with routes unanswered, passes
+    /// them once with a deadline already past. A socket transport whose
+    /// waiting thread drives its sockets then hands the requests to no
+    /// other thread in between. The fork-join engine and
+    /// [`call`](Transport::call) submit here; the default is
+    /// `submit_landing`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`submit_landing`](Transport::submit_landing).
+    fn submit_awaited(
+        &self,
+        reqs: Vec<(usize, Request, Option<Region>)>,
+    ) -> Result<Vec<Receiver<Reply>>, StoreError> {
+        self.submit_landing(reqs)
+    }
+
     /// Waits until one of `routes` — `(worker, route)` pairs this
     /// transport returned — can be received from without blocking, and
     /// returns its index; `None` once `until` passes (at once for no
-    /// routes). Readiness may be spurious: the caller receives with
-    /// `try_recv` and waits again on `Empty`. The fork-join engine's
-    /// joins and [`call`](Transport::call) wait here. The default
-    /// [`select`]s over the routes; a socket transport lets the waiting
-    /// thread drive the I/O that answers them.
+    /// routes, or for a deadline already past with nothing ready).
+    /// Readiness may be spurious: the caller receives with `try_recv`
+    /// and waits again on `Empty`. The fork-join engine's joins and
+    /// [`call`](Transport::call) wait here. The default [`select`]s over
+    /// the routes; a socket transport lets the waiting thread drive the
+    /// I/O that answers them, and, for a deadline already past, hands
+    /// that I/O to whoever drives next.
     fn ready(&self, routes: &[(usize, &Receiver<Reply>)], until: Instant) -> Option<usize> {
         select(routes, until)
     }
@@ -112,7 +136,12 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
     /// time; [`StoreError::WorkerDown`] when the reply route dies
     /// unanswered (in-process: the worker dropped the reply sender).
     fn call(&self, worker: usize, req: Request, timeout: Duration) -> Result<Reply, StoreError> {
-        let route = self.submit(worker, req)?;
+        let route = self
+            .submit_awaited(vec![(worker, req, None)])?
+            .pop()
+            .ok_or_else(|| {
+                StoreError::Codec(format!("worker {worker}'s transport returned no route"))
+            })?;
         let until = Instant::now() + timeout;
         while self.ready(&[(worker, &route)], until).is_some() {
             match route.try_recv() {
@@ -121,6 +150,8 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
                 Err(TryRecvError::Empty) => {} // spurious readiness
             }
         }
+        // Timed out: the last `ready` saw its deadline pass, which hands
+        // the request over.
         Err(StoreError::Timeout(worker))
     }
 }

@@ -177,30 +177,8 @@ mod sys {
     pub(crate) const ENOENT: i32 = 2;
     pub(crate) const EFD_CLOEXEC: i32 = 0x80000;
     pub(crate) const EFD_NONBLOCK: i32 = 0x800;
-    pub(crate) const CLOCK_MONOTONIC: i32 = 1;
-    pub(crate) const TFD_CLOEXEC: i32 = 0x80000;
-    pub(crate) const TFD_NONBLOCK: i32 = 0x800;
-
-    #[repr(C)]
-    pub(crate) struct TimeSpec {
-        pub tv_sec: i64,
-        pub tv_nsec: i64,
-    }
-
-    #[repr(C)]
-    pub(crate) struct ITimerSpec {
-        pub it_interval: TimeSpec,
-        pub it_value: TimeSpec,
-    }
 
     extern "C" {
-        pub(crate) fn timerfd_create(clockid: i32, flags: i32) -> i32;
-        pub(crate) fn timerfd_settime(
-            fd: i32,
-            flags: i32,
-            new: *const ITimerSpec,
-            old: *mut ITimerSpec,
-        ) -> i32;
         pub(crate) fn epoll_create1(flags: i32) -> i32;
         pub(crate) fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         pub(crate) fn epoll_wait(
@@ -575,93 +553,6 @@ impl Drop for Waker {
     }
 }
 
-/// A one-shot timer a [`Poll`] can wait on (`timerfd`): it reads as
-/// ready once its time has passed, until it is set again. Beyond mio's
-/// API: it lets one thread move another's poll deadline without waking
-/// it.
-#[derive(Debug)]
-pub struct Timer {
-    fd: RawFd,
-}
-
-impl Timer {
-    /// A disarmed timer.
-    ///
-    /// # Errors
-    ///
-    /// `timerfd_create` failures; `Unsupported` off Linux.
-    pub fn new() -> io::Result<Timer> {
-        #[cfg(target_os = "linux")]
-        {
-            let fd = sys::cvt(unsafe {
-                sys::timerfd_create(sys::CLOCK_MONOTONIC, sys::TFD_CLOEXEC | sys::TFD_NONBLOCK)
-            })?;
-            Ok(Timer { fd })
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            Err(io::Error::from(io::ErrorKind::Unsupported))
-        }
-    }
-
-    /// Fires `after` from now, or (`None`, or a zero duration) never;
-    /// either way a firing not yet seen is forgotten.
-    ///
-    /// # Errors
-    ///
-    /// `timerfd_settime` failures; `Unsupported` off Linux.
-    pub fn set(&self, after: Option<Duration>) -> io::Result<()> {
-        #[cfg(target_os = "linux")]
-        {
-            let after = after.unwrap_or(Duration::ZERO);
-            let spec = sys::ITimerSpec {
-                it_interval: sys::TimeSpec { tv_sec: 0, tv_nsec: 0 },
-                it_value: sys::TimeSpec {
-                    tv_sec: after.as_secs().min(i64::MAX as u64) as i64,
-                    tv_nsec: i64::from(after.subsec_nanos()),
-                },
-            };
-            sys::cvt(unsafe { sys::timerfd_settime(self.fd, 0, &spec, std::ptr::null_mut()) })
-                .map(|_| ())
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            let _ = after;
-            Err(io::Error::from(io::ErrorKind::Unsupported))
-        }
-    }
-}
-
-impl Timer {
-    /// Takes a firing as seen, so the timer reads as not ready again,
-    /// without changing its setting. A no-op if it has not fired.
-    pub fn acknowledge(&self) {
-        #[cfg(target_os = "linux")]
-        {
-            let mut expirations = [0u8; 8];
-            unsafe {
-                let _ = sys::read(self.fd, expirations.as_mut_ptr(), 8);
-            }
-        }
-    }
-}
-
-#[cfg(unix)]
-impl AsRawFd for Timer {
-    fn as_raw_fd(&self) -> RawFd {
-        self.fd
-    }
-}
-
-impl Drop for Timer {
-    fn drop(&mut self) {
-        #[cfg(target_os = "linux")]
-        unsafe {
-            let _ = sys::close(self.fd);
-        }
-    }
-}
-
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
@@ -751,33 +642,6 @@ mod tests {
         // The event was the inner poller's all along.
         inner.poll(&mut events, Some(Duration::from_secs(2))).unwrap();
         assert!(events.iter().any(|e| e.token() == Token(0)));
-    }
-
-    #[test]
-    fn a_timer_fires_once_its_time_passes_and_setting_it_forgets_a_firing() {
-        let mut poll = Poll::new().unwrap();
-        let timer = Timer::new().unwrap();
-        poll.registry().register(&timer, Token(2), Interest::READABLE).unwrap();
-        let mut events = Events::with_capacity(8);
-        poll.poll(&mut events, Some(Duration::from_millis(20))).unwrap();
-        assert!(events.is_empty(), "a disarmed timer fired");
-        timer.set(Some(Duration::from_millis(10))).unwrap();
-        let t0 = std::time::Instant::now();
-        poll.poll(&mut events, Some(Duration::from_secs(2))).unwrap();
-        assert!(events.iter().any(|e| e.token() == Token(2)));
-        assert!(t0.elapsed() >= Duration::from_millis(9));
-        timer.acknowledge();
-        poll.poll(&mut events, Some(Duration::from_millis(20))).unwrap();
-        assert!(events.is_empty(), "an acknowledged firing still reads ready");
-        timer.set(Some(Duration::from_millis(1))).unwrap();
-        std::thread::sleep(Duration::from_millis(5));
-        timer.set(None).unwrap();
-        poll.poll(&mut events, Some(Duration::from_millis(20))).unwrap();
-        assert!(events.is_empty(), "a forgotten firing still reads ready");
-        timer.set(Some(Duration::from_secs(60))).unwrap();
-        timer.set(None).unwrap();
-        poll.poll(&mut events, Some(Duration::from_millis(20))).unwrap();
-        assert!(events.is_empty(), "a cancelled timer fired");
     }
 
     #[test]
