@@ -2,6 +2,10 @@
 //! [`MasterServer`] behind the one `StoreCluster` harness, with every
 //! byte crossing a real socket — plus [`twin`], which runs the same test
 //! body on an in-process cluster and on this one.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use spcache_store::backing::UnderStore;
 use spcache_store::cluster::Fleet;
@@ -33,6 +37,15 @@ struct Loopback {
 }
 
 impl Loopback {
+    /// Binds `cfg.n_workers` worker servers and a master server on
+    /// ephemeral loopback ports, and connects a transport to the workers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a listener cannot bind, as [`TcpCluster::spawn`]
+    /// documents: the cluster harness that calls this has no way to
+    /// hand an error back.
+    #[allow(clippy::expect_used)]
     fn spawn(
         cfg: &StoreConfig,
         master: &Arc<Master>,

@@ -17,7 +17,11 @@
 //! and so does every shard of [`serve`], the one server loop:
 //! [`crate::server`] and [`crate::master_net`] each hand it a frame
 //! handler and nothing else. The server's delayed completions wait on a
-//! timer heap private to it.
+//! timer heap private to it, and so do the pieces of a paced frame: a
+//! reply the emulated NIC sends over a span of time leaves in
+//! [`READ_CHUNK`] pieces, each once the NIC has paid it off, so the
+//! loopback copy of its bytes overlaps the emulated transfer instead of
+//! following it.
 //!
 //! The raw-FFI `sys` module holds this crate's `unsafe`: `read(2)` into
 //! a frame body's uninitialised memory (the one way a body is filled
@@ -31,6 +35,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::ops::Range;
 use std::os::fd::{AsFd, BorrowedFd};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -241,8 +246,10 @@ impl FrameReader {
     ///
     /// `WouldBlock` is not an error — it ends the pump with
     /// [`PumpStatus::Open`]. `Interrupted` reads are retried. The pump
-    /// always reads until one of the two: with edge-triggered readiness
-    /// the read that finds nothing is also the one that finds EOF.
+    /// always reads until one of the two. Readiness is level-triggered,
+    /// so bytes left behind would wake the loop again, but that costs a
+    /// poll round per read, and the read that finds nothing is also the
+    /// one that finds EOF.
     ///
     /// # Errors
     ///
@@ -443,6 +450,19 @@ impl WireFrame {
         v
     }
 
+    /// Bytes `range` of the frame as a frame of their own: a copy of
+    /// what they hold of the header, a view of what they hold of the
+    /// payload.
+    fn piece(&self, range: Range<usize>) -> WireFrame {
+        let head = self.header.len();
+        let header = self.header[range.start.min(head)..range.end.min(head)].to_vec();
+        let payload = self.payload.as_ref().and_then(|p| {
+            let body = range.start.saturating_sub(head)..range.end.saturating_sub(head);
+            (!body.is_empty()).then(|| p.slice(body))
+        });
+        WireFrame { header, payload }
+    }
+
     /// The two wire slices in order, skipping the first `offset`
     /// already-written bytes. Returns up to two entries.
     fn slices(&self, offset: usize) -> impl Iterator<Item = &[u8]> {
@@ -519,18 +539,9 @@ impl WriteQueue {
 
     /// One gather-write over the first [`MAX_IOV`] slices of the queue.
     fn writev_front<W: Write + AsFd>(&self, w: &mut W) -> io::Result<usize> {
-        let mut iov: Vec<&[u8]> = Vec::with_capacity(MAX_IOV);
         let mut offset = self.offset;
-        'fill: for f in &self.queue {
-            for s in f.slices(offset) {
-                iov.push(s);
-                if iov.len() == MAX_IOV {
-                    break 'fill;
-                }
-            }
-            offset = 0;
-        }
-        sys::writev(w, &iov)
+        let slices = self.queue.iter().flat_map(|f| f.slices(std::mem::take(&mut offset)));
+        sys::writev(w, slices)
     }
 
     /// Pops fully written frames and tracks the partial offset into
@@ -563,7 +574,10 @@ mod sys {
 
     use spcache_store::landing::Claim;
 
+    use super::MAX_IOV;
+
     #[repr(C)]
+    #[derive(Clone, Copy)]
     struct IoVec {
         iov_base: *const u8,
         iov_len: usize,
@@ -663,19 +677,22 @@ mod sys {
         Ok(n)
     }
 
-    /// Gather-writes `slices` to `w`'s file descriptor in one syscall.
-    pub(super) fn writev<W: Write + AsFd>(w: &mut W, slices: &[&[u8]]) -> io::Result<usize> {
-        let iov: Vec<IoVec> = slices
-            .iter()
-            .map(|s| IoVec {
-                iov_base: s.as_ptr(),
-                iov_len: s.len(),
-            })
-            .collect();
+    /// Gather-writes the first [`MAX_IOV`] of `slices` to `w`'s file
+    /// descriptor in one syscall, from an iovec array on the stack.
+    pub(super) fn writev<'a, W: Write + AsFd>(
+        w: &mut W,
+        slices: impl Iterator<Item = &'a [u8]>,
+    ) -> io::Result<usize> {
+        let mut iov = [IoVec { iov_base: std::ptr::null(), iov_len: 0 }; MAX_IOV];
+        let mut n: i32 = 0;
+        for (slot, s) in iov.iter_mut().zip(slices) {
+            *slot = IoVec { iov_base: s.as_ptr(), iov_len: s.len() };
+            n += 1;
+        }
         let fd = w.as_fd().as_raw_fd();
-        // SAFETY: every iovec points into a live borrowed slice for
-        // the duration of the call; iovcnt matches the array length.
-        let rc = unsafe { c_writev(fd, iov.as_ptr(), iov.len() as i32) };
+        // SAFETY: the first `n` iovecs point into live borrowed slices
+        // for the duration of the call; iovcnt is `n`.
+        let rc = unsafe { c_writev(fd, iov.as_ptr(), n) };
         if rc < 0 {
             Err(io::Error::last_os_error())
         } else {
@@ -703,9 +720,12 @@ mod sys {
         Err(io::ErrorKind::Unsupported.into())
     }
 
-    pub(super) fn writev<W: Write + AsFd>(w: &mut W, slices: &[&[u8]]) -> io::Result<usize> {
+    pub(super) fn writev<'a, W: Write + AsFd>(
+        w: &mut W,
+        slices: impl Iterator<Item = &'a [u8]>,
+    ) -> io::Result<usize> {
         let mut total = 0;
-        for s in slices {
+        for s in slices.take(super::MAX_IOV) {
             let n = w.write(s)?;
             total += n;
             if n < s.len() {
@@ -754,6 +774,49 @@ pub fn default_io_shards() -> usize {
 // Conns: the connection table of one event loop
 // ---------------------------------------------------------------------------
 
+/// A frame written in [`READ_CHUNK`] pieces along a span, the way a
+/// NIC sends it: each piece leaves once the span's share of the frame up
+/// to the piece's last byte has passed, so the last byte leaves at the
+/// span's end and none before the bytes ahead of it are paid off.
+struct Paced {
+    frame: WireFrame,
+    /// Bytes of the frame already queued.
+    sent: usize,
+    span: Range<Instant>,
+}
+
+impl Paced {
+    /// When the first `end` bytes of the frame are paid off.
+    fn due(&self, end: usize) -> Instant {
+        let len = self.frame.len();
+        if end >= len {
+            return self.span.end;
+        }
+        let span = self.span.end.saturating_duration_since(self.span.start);
+        self.span.start + span.mul_f64(end as f64 / len as f64)
+    }
+
+    /// The end of the next piece.
+    fn next_end(&self) -> usize {
+        (self.sent + READ_CHUNK).min(self.frame.len())
+    }
+
+    /// When the next piece falls due; `None` once every byte is queued.
+    fn next_due(&self) -> Option<Instant> {
+        (self.sent < self.frame.len()).then(|| self.due(self.next_end()))
+    }
+
+    /// The pieces due by `now` — every unsent byte when `now` is `None`
+    /// — as one frame of their own, marked sent.
+    fn take_due(&mut self, now: Option<Instant>) -> Option<WireFrame> {
+        let from = self.sent;
+        while self.sent < self.frame.len() && now.is_none_or(|now| self.due(self.next_end()) <= now) {
+            self.sent = self.next_end();
+        }
+        (self.sent > from).then(|| self.frame.piece(from..self.sent))
+    }
+}
+
 /// One non-blocking connection owned by an event loop.
 struct Conn {
     stream: TcpStream,
@@ -764,6 +827,29 @@ struct Conn {
     /// Close the socket once the write queue drains (fault injection
     /// or protocol violation).
     closing: bool,
+    /// The frame being written piece by piece, once its first piece
+    /// has left: nothing else is queued until it is whole.
+    paced: Option<Paced>,
+    /// How many paced frames the connection has begun; the number of
+    /// the current one tags its piece timers.
+    paced_frames: u64,
+}
+
+impl Conn {
+    /// Queues what the paced frame has due by `now` — all of it when
+    /// `now` is `None`, ahead of a frame that must follow it whole — and
+    /// says when its next piece falls due, if any is left.
+    fn pace(&mut self, now: Option<Instant>) -> Option<Instant> {
+        let paced = self.paced.as_mut()?;
+        if let Some(piece) = paced.take_due(now) {
+            self.wq.push(piece);
+        }
+        let next = paced.next_due();
+        if next.is_none() {
+            self.paced = None;
+        }
+        next
+    }
 }
 
 /// The connections of one event loop — the client's and the server's
@@ -807,6 +893,8 @@ impl Conns {
                 wq: WriteQueue::new(),
                 writable_armed: false,
                 closing: false,
+                paced: None,
+                paced_frames: 0,
             },
         );
         true
@@ -843,7 +931,8 @@ impl Conns {
         )
     }
 
-    /// Queues `frame` on `token`; `false` (and the frame dropped) if the
+    /// Queues `frame` on `token`, behind every byte of a paced frame
+    /// begun before it; `false` (and the frame dropped) if the
     /// connection is gone or closing: a closing stream ends at its last
     /// queued byte, and appending a full frame behind a torn one would
     /// let the peer misparse those bytes as the torn frame's body.
@@ -851,9 +940,36 @@ impl Conns {
         let Some(conn) = self.conns.get_mut(&token).filter(|c| !c.closing) else {
             return false;
         };
+        conn.pace(None);
         conn.wq.push(frame);
         self.touch(token);
         true
+    }
+
+    /// Begins writing `paced` on `token` — behind every byte of a paced
+    /// frame begun before it — and queues what it has due by `now`.
+    /// Returns when its next piece falls due and the frame's number, for
+    /// [`pace`](Self::pace); `None` once it is whole, or if the
+    /// connection is gone or closing.
+    fn begin_paced(&mut self, token: usize, paced: Paced, now: Instant) -> Option<(Instant, u64)> {
+        let conn = self.conns.get_mut(&token).filter(|c| !c.closing)?;
+        conn.pace(None);
+        conn.paced = Some(paced);
+        conn.paced_frames += 1;
+        let number = conn.paced_frames;
+        let next = conn.pace(Some(now));
+        self.touch(token);
+        Some((next?, number))
+    }
+
+    /// Queues the pieces of `token`'s paced frame `number` due by `now`
+    /// and says when its next piece falls due. A frame that was
+    /// completed early — a frame queued behind it — has nothing left.
+    fn pace(&mut self, token: usize, number: u64, now: Instant) -> Option<Instant> {
+        let conn = self.conns.get_mut(&token).filter(|c| c.paced_frames == number)?;
+        let next = conn.pace(Some(now));
+        self.touch(token);
+        next
     }
 
     /// Queues `last` as the final bytes `token` will ever carry and cuts
@@ -916,14 +1032,14 @@ impl Conns {
 
     /// Whether no connection holds unsent bytes.
     fn drained(&self) -> bool {
-        self.conns.values().all(|c| c.wq.is_empty())
+        self.conns.values().all(|c| c.wq.is_empty() && c.paced.is_none())
     }
 
     /// Whether no connection holds unsent bytes or a frame half read.
     pub(crate) fn quiet(&self) -> bool {
         self.conns
             .values()
-            .all(|c| c.wq.is_empty() && !c.reader.mid_frame())
+            .all(|c| c.wq.is_empty() && c.paced.is_none() && !c.reader.mid_frame())
     }
 
     /// Shuts every connection down and drops it.
@@ -993,6 +1109,15 @@ pub enum Served {
     /// before the next frame is served when it is due already, off the
     /// shard's timer heap otherwise.
     At(Completion, Instant),
+    /// Write the frame in [`READ_CHUNK`] pieces along the span, as the
+    /// emulated NIC sends it: each piece once the span's pro-rata share
+    /// of the frame up to the piece's last byte has passed, the last
+    /// byte at the span's end. The frame takes its place in deadline
+    /// order when its first piece falls due: a frame due before that
+    /// goes ahead of it, and one due after it first releases every byte
+    /// the paced frame has left. A frame of one piece, or an empty
+    /// span, is [`Served::At`] the span's end.
+    Paced(WireFrame, Range<Instant>),
     /// The reply will arrive through a clone of the frame's [`ConnRef`].
     Pending,
     /// Protocol violation: these are the last bytes the connection
@@ -1145,8 +1270,9 @@ fn shard_loop<H: FnMut(Bytes, &ConnRef) -> Served>(
     let mut next_token = CONN_BASE;
     // Shard 0's round-robin dealing cursor.
     let mut dealt = 0usize;
-    // Delayed completions wait on the timer heap.
-    let mut timers: Timers<(usize, Completion)> = Timers::new();
+    // Delayed completions and paced frames' pieces wait on the timer
+    // heap.
+    let mut timers: Timers<(usize, Timed)> = Timers::new();
     let mut buf = ReadBuf::new();
     let mut inbound: Vec<Bytes> = Vec::new();
 
@@ -1167,7 +1293,7 @@ fn shard_loop<H: FnMut(Bytes, &ConnRef) -> Served>(
                     conns.complete(&poll, token, what);
                 }
                 Ok(Cmd::Complete { token, what, delay }) => {
-                    timers.insert(Instant::now() + delay, (token, what));
+                    timers.insert(Instant::now() + delay, (token, Timed::Complete(what)));
                 }
                 Ok(Cmd::Stop) | Err(TryRecvError::Disconnected) => break 'run,
                 Err(TryRecvError::Empty) => break,
@@ -1236,7 +1362,7 @@ fn shard_loop<H: FnMut(Bytes, &ConnRef) -> Served>(
 fn read_frames(
     poll: &Poll,
     conns: &mut Conns,
-    timers: &mut Timers<(usize, Completion)>,
+    timers: &mut Timers<(usize, Timed)>,
     conn: &ConnRef,
     buf: &mut ReadBuf,
     inbound: &mut Vec<Bytes>,
@@ -1245,26 +1371,53 @@ fn read_frames(
     inbound.clear();
     let open = conns.pump(conn.token, buf, inbound);
     for frame in inbound.drain(..) {
-        match handler(frame, conn) {
-            // Through the heap, so an answer due now still leaves behind
-            // every completion that fell due before it.
-            Served::At(what, at) => {
-                timers.insert(at, (conn.token, what));
-                release_due(poll, conns, timers, Instant::now());
+        let (at, what) = match handler(frame, conn) {
+            Served::At(what, at) => (at, Timed::Complete(what)),
+            Served::Paced(frame, span) if frame.len() <= READ_CHUNK || span.is_empty() => {
+                (span.end, Timed::Complete(Completion::Frame(frame)))
             }
-            Served::Pending => {}
+            Served::Paced(frame, span) => {
+                let paced = Paced { frame, sent: 0, span };
+                (paced.due(paced.next_end()), Timed::Begin(paced))
+            }
+            Served::Pending => continue,
             Served::Violation(last) => return conns.push_last(conn.token, last),
-        }
+        };
+        // Through the heap, so an answer due now still leaves behind
+        // every completion that fell due before it.
+        timers.insert(at, (conn.token, what));
+        release_due(poll, conns, timers, Instant::now());
     }
     if !open {
         conns.close(poll, conn.token);
     }
 }
 
-/// Carries out, in deadline order, every delayed completion due by `now`.
-fn release_due(poll: &Poll, conns: &mut Conns, timers: &mut Timers<(usize, Completion)>, now: Instant) {
+/// What a shard's timer heap carries out on a connection.
+enum Timed {
+    /// A delayed completion.
+    Complete(Completion),
+    /// A paced frame whose first piece falls due.
+    Begin(Paced),
+    /// The next piece of the connection's paced frame of this number.
+    Piece(u64),
+}
+
+/// Carries out, in deadline order, every delayed completion and paced
+/// piece due by `now`; a paced frame's next piece goes back on the heap.
+fn release_due(poll: &Poll, conns: &mut Conns, timers: &mut Timers<(usize, Timed)>, now: Instant) {
     while let Some((token, what)) = timers.pop_due(now) {
-        conns.complete(poll, token, what);
+        let next = match what {
+            Timed::Complete(what) => {
+                conns.complete(poll, token, what);
+                None
+            }
+            Timed::Begin(paced) => conns.begin_paced(token, paced, now),
+            Timed::Piece(number) => conns.pace(token, number, now).map(|at| (at, number)),
+        };
+        if let Some((at, number)) = next {
+            timers.insert(at, (token, Timed::Piece(number)));
+        }
     }
 }
 
@@ -1284,12 +1437,14 @@ fn poll_timeout(due: Option<Instant>, now: Instant) -> Option<Duration> {
 
 /// Min-heap of timers driving a server shard's poll timeout: the loop
 /// waits until [`next_deadline`](Timers::next_deadline) and carries out
-/// every delayed completion [`pop_due`](Timers::pop_due) yields. Timers
+/// every delayed completion and paced piece [`pop_due`](Timers::pop_due)
+/// yields. Timers
 /// due at the same instant fire in the order they were set.
 ///
 /// There is no cancel operation — nothing it holds is ever called off:
 /// a delayed completion whose connection died finds nothing to write
-/// to. It belongs to the server loop alone; the client loop's request
+/// to, and the piece timer of a paced frame a later frame completed
+/// early finds nothing left to write. It belongs to the server loop alone; the client loop's request
 /// deadlines, which a reply does call off, are a queue in
 /// [`crate::tcp`].
 struct Timers<T> {
@@ -1345,7 +1500,7 @@ impl<T> Timers<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{decode_reply, encode_reply, encode_request, Frame};
+    use crate::frame::{decode_reply, encode_reply, encode_reply_parts, encode_request, Frame};
     use spcache_store::landing::{Landing, Region};
     use spcache_store::rpc::{PartKey, Reply, Request};
     use std::time::Duration;
@@ -1796,7 +1951,7 @@ mod tests {
         // yet when the frame of op N is served and cut at once.
         let mut timers = Timers::new();
         let reply = WireFrame::contiguous(vec![1; 8]);
-        timers.insert(Instant::now(), (CONN_BASE, Completion::Frame(reply)));
+        timers.insert(Instant::now(), (CONN_BASE, Timed::Complete(Completion::Frame(reply))));
         peer.write_all(&encode_request(&Request::Ping, 7)).unwrap();
         std::thread::sleep(Duration::from_millis(5));
         let mut cut = |_: Bytes, _: &ConnRef| {
@@ -1809,5 +1964,72 @@ mod tests {
         let mut got = Vec::new();
         peer.read_to_end(&mut got).unwrap();
         assert_eq!(got, [vec![1u8; 8], vec![2; 4]].concat(), "the cut overtook reply N-1");
+    }
+
+    /// The bytes `peer` holds for reading once what was flushed has
+    /// crossed the loopback.
+    fn available(peer: &mut TcpStream) -> Vec<u8> {
+        std::thread::sleep(Duration::from_millis(20));
+        peer.set_nonblocking(true).unwrap();
+        let mut got = Vec::new();
+        let err = peer.read_to_end(&mut got).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        peer.set_nonblocking(false).unwrap();
+        got
+    }
+
+    #[test]
+    fn a_frame_due_mid_pace_leaves_after_the_paced_frames_last_byte() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let (poll, waker) = poll_with_waker().unwrap();
+        let mut conns = Conns::new();
+        assert!(conns.adopt(&poll, CONN_BASE, stream));
+        let (tx, _rx) = unbounded();
+        let conn = ConnRef { shards: Arc::from([ShardRef { tx, waker }]), shard: 0, token: CONN_BASE };
+        // Five pieces over 100 ms, an hour out, so only the instants the
+        // test hands `release_due` move the schedule.
+        let base = Instant::now() + Duration::from_secs(3600);
+        let at = |ms| base + Duration::from_millis(ms);
+        let data = Bytes::from((0..300_000u32).map(|i| (i * 7) as u8).collect::<Vec<_>>());
+        let reply = encode_reply_parts(&Reply::Data(data.clone()), 1);
+        assert_eq!(reply.len().div_ceil(READ_CHUNK), 5);
+        peer.write_all(&encode_request(&Request::Get { key: PartKey::new(1, 0) }, 1)).unwrap();
+        std::thread::sleep(Duration::from_millis(5));
+        let mut paced = |_: Bytes, _: &ConnRef| Served::Paced(reply.clone(), at(0)..at(100));
+        let (mut timers, mut buf, mut inbound) = (Timers::new(), ReadBuf::new(), Vec::new());
+        read_frames(&poll, &mut conns, &mut timers, &conn, &mut buf, &mut inbound, &mut paced);
+
+        // A frame due before the first piece (at 21.8 ms) goes ahead.
+        let early = encode_reply_parts(&Reply::Done, 2);
+        timers.insert(at(10), (CONN_BASE, Timed::Complete(Completion::Frame(early))));
+        release_due(&poll, &mut conns, &mut timers, at(10));
+        conns.flush_dirty(&poll);
+        let mut got = available(&mut peer);
+        assert_eq!(got, encode_reply(&Reply::Done, 2), "the early frame waited");
+        // Two pieces are paid off at 50 ms, and only they leave.
+        release_due(&poll, &mut conns, &mut timers, at(50));
+        conns.flush_dirty(&poll);
+        let two = available(&mut peer);
+        assert_eq!(two.len(), 2 * READ_CHUNK, "not two pieces by 50 ms");
+        got.extend(two);
+        // A frame due now, mid-transfer, leaves behind the rest at once.
+        let pong = encode_reply_parts(&Reply::Pong { worker: 0, epoch: 3 }, 3);
+        timers.insert(at(50), (CONN_BASE, Timed::Complete(Completion::Frame(pong))));
+        release_due(&poll, &mut conns, &mut timers, at(50));
+        conns.flush_dirty(&poll);
+        // The stale piece timers of the finished frame queue nothing.
+        release_due(&poll, &mut conns, &mut timers, at(200));
+        conns.flush_dirty(&poll);
+        assert_eq!(timers.next_deadline(), None);
+        conns.close(&poll, CONN_BASE);
+        peer.read_to_end(&mut got).unwrap();
+
+        let frames = pump_all(Script::new(got, vec![], true)).0;
+        let replies: Vec<Reply> =
+            frames.into_iter().map(|f| decode_reply(&Frame::parse(f).unwrap()).unwrap()).collect();
+        let pong = Reply::Pong { worker: 0, epoch: 3 };
+        assert_eq!(replies, vec![Reply::Done, Reply::Data(data), pong]);
     }
 }

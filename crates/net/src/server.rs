@@ -14,9 +14,15 @@
 //! next frame when it is due, and in release order — so replies and cuts
 //! leave each connection in op order:
 //!
-//! * a reply is queued at once, or at its release time off the shard's
-//!   timer heap — the instant the emulated NIC has paid the transfer off,
-//!   plus any scripted `DelayFrame` pause,
+//! * a reply is written as the emulated NIC sends it: off the shard's
+//!   timer heap in [`crate::poll::READ_CHUNK`] pieces along the span
+//!   [`Step::Answer`] gives, each once the NIC has paid it off, the last
+//!   byte at the transfer's pay-off — so the loopback copy of a partition
+//!   overlaps its emulated transfer. A reply of one piece, a control
+//!   reply and every reply of an unthrottled worker leave whole, at
+//!   once or at their release; a scripted `DelayFrame` pause holds the
+//!   reply back whole. A frame that falls due while a reply is part
+//!   sent (a `Pong`, a `WorkerDown`) first releases the rest of it,
 //! * `DropConnection` — the request is served, then the connection is
 //!   closed without the reply frame,
 //! * `TruncateFrame` — half the reply frame is written, then the
@@ -93,14 +99,15 @@ fn dispatch(id: usize, core: &Mutex<WorkerCore>, frame: Bytes, conn: &ConnRef) -
         step
     };
     let (what, release) = match step {
-        Step::Answer(reply, how, release) => {
+        Step::Answer(reply, how, sent) => {
             let what = match how {
-                Delivery::Reply => Completion::Frame(encode_reply_parts(&reply, req_id)),
+                // Written as the emulated NIC sends it.
+                Delivery::Reply => return Served::Paced(encode_reply_parts(&reply, req_id), sent),
                 Delivery::Truncate => Completion::Truncate(encode_reply_parts(&reply, req_id)),
                 Delivery::Close => Completion::Close,
                 Delivery::Lose => Completion::Frame(down(id, req_id)),
             };
-            (what, release)
+            (what, sent.end)
         }
         Step::Hold => return Served::Pending,
         Step::Stop(release) => {

@@ -239,8 +239,10 @@ impl TcpTransport {
     }
 
     /// Like [`connect`](TcpTransport::connect) with an explicit I/O
-    /// shard count (the `spcached --io-shards` flag lands here), clamped
-    /// to `1..=addrs.len()`. A transport over no address refuses every
+    /// shard count, clamped to `1..=addrs.len()`. (`spcached
+    /// --io-shards` sizes only the worker server's loops, see
+    /// [`crate::WorkerServer::spawn`]; a daemon's clients connect with
+    /// [`connect`](TcpTransport::connect).) A transport over no address refuses every
     /// request as naming a worker outside the fleet.
     ///
     /// # Panics

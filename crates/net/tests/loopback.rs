@@ -23,6 +23,7 @@ use spcache_store::{
 };
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -228,6 +229,45 @@ fn a_throttled_worker_paces_reads_and_answers_pings_at_once() {
         }
     });
     assert!(t0.elapsed() >= Duration::from_millis(900), "two reads took {:?}", t0.elapsed());
+}
+
+/// A throttled worker streams a reply as its NIC pays it off: the
+/// first piece of a 500 kB partition at 1 MB/s leaves after its own
+/// share of the transfer, long before the whole is paid off, and the
+/// last byte leaves no earlier than the pay-off.
+#[test]
+fn a_throttled_worker_streams_a_reply_as_its_nic_pays_it_off() {
+    let tcp = TcpCluster::spawn(StoreConfig::throttled(1, 1e6));
+    let data = payload(1, 500_000);
+    tcp.client().write(1, &data, &[0]).unwrap();
+    let pay_off = Duration::from_millis(500);
+
+    let mut raw = TcpStream::connect(tcp.worker_addrs()[0]).unwrap();
+    raw.set_nodelay(true).unwrap();
+    let get = spcache_net::frame::encode_request(&Request::Get { key: PartKey::new(1, 0) }, 7);
+    let t0 = Instant::now();
+    raw.write_all(&get).unwrap();
+    let mut frame = Vec::new();
+    let mut first = None;
+    let mut buf = vec![0u8; 1 << 20];
+    let whole = loop {
+        let n = raw.read(&mut buf).unwrap();
+        assert!(n > 0, "the worker closed mid-frame");
+        frame.extend_from_slice(&buf[..n]);
+        // The frame's head is a few dozen bytes: past a KiB is payload.
+        if frame.len() > 1024 {
+            first.get_or_insert_with(|| t0.elapsed());
+        }
+        let len = frame.first_chunk().map_or(usize::MAX, |p| u32::from_le_bytes(*p) as usize);
+        if frame.len() >= 4 + len {
+            break t0.elapsed();
+        }
+    };
+    let first = first.unwrap();
+    assert!(first < pay_off / 4, "the first payload bytes came after {first:?}");
+    assert!(whole + Duration::from_millis(5) >= pay_off, "the reply was whole after {whole:?}");
+    let reply = spcache_net::frame::Frame::parse(Bytes::from(frame.split_off(4))).unwrap();
+    assert_eq!(spcache_net::frame::decode_reply(&reply).unwrap(), Reply::Data(Bytes::from(data)));
 }
 
 /// `Stats` over the wire reflect the served workload.

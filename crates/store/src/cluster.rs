@@ -6,6 +6,10 @@
 //! that differ: where the workers run, and how a new client reaches the
 //! master. This crate's fleet runs worker threads in the process;
 //! `spcache-net`'s runs loopback servers behind the same cluster.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::fmt;
 use std::sync::Arc;

@@ -1,9 +1,12 @@
 //! Token-bucket bandwidth throttling and the two-class NIC scheduler.
 //!
 //! Workers emulate a NIC of a configured bandwidth: a `b`-byte transfer
-//! is paid off once the bucket has accumulated `b` tokens, and the
-//! worker releases its reply at that instant instead of sleeping until
-//! it. This is what turns the in-process store into a believable
+//! is paid off once the bucket has accumulated `b` tokens. The NIC takes
+//! a reply up when the transfer ahead of it is paid off, and the worker
+//! sends it over the span between the two instants instead of sleeping
+//! through it: over TCP in pieces, each released when the bucket has paid
+//! it off, so the last byte leaves at the pay-off; in process whole, at
+//! the pay-off. This is what turns the in-process store into a believable
 //! cluster — parallel partition reads genuinely overlap their "transfers"
 //! across workers, while one worker serving two clients halves each
 //! one's throughput.

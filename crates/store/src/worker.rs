@@ -11,10 +11,12 @@
 //! carried out by the driver.
 //!
 //! The emulated NIC never sleeps: a transfer is charged to the NIC's
-//! token buckets, and the reply is released at the instant it is paid
-//! off (a shard timer behind a socket, a sleep of the driving thread in
-//! process). Data replies are released in op order, as from the one
-//! FIFO server of the paper's model.
+//! token buckets, and the reply is sent over the span from the instant
+//! the NIC takes it up to the instant it is paid off. Behind a socket the
+//! shard writes the reply in pieces along that span, each when the NIC
+//! has paid it off; in process the driving thread sleeps to the span's
+//! end and hands the reply over whole. Data replies are released in op
+//! order, as from the one FIFO server of the paper's model.
 //!
 //! Workers are **memory-budgeted** (DESIGN.md §4.13): with
 //! [`StoreConfig::memory_budget`] set, a partition-granular LRU
@@ -38,6 +40,7 @@
 )]
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -121,10 +124,12 @@ pub fn spawn_worker(
 /// The thread driver: pops the queue in arrival order and carries out
 /// each step on the envelope's channel, sleeping until a reply's
 /// release — so the thread is busy for as long as the emulated NIC is.
+/// A reply is a view of the stored bytes, so nothing is gained by
+/// handing it over before its span ends.
 fn worker_loop(mut core: WorkerCore, rx: Receiver<Envelope>) {
     while let Ok(Envelope { req, reply }) = rx.recv() {
         match core.handle(req) {
-            Step::Answer(out, how, release) => reply.deliver(out, how, release),
+            Step::Answer(out, how, sent) => reply.deliver(out, how, sent.end),
             Step::Hold => core.hold(Box::new(reply)),
             Step::Stop(release) => {
                 reply.deliver(Reply::Done, Delivery::Reply, release);
@@ -139,11 +144,16 @@ fn worker_loop(mut core: WorkerCore, rx: Receiver<Envelope>) {
 /// What the worker made of one request: what its driver carries out.
 #[derive(Debug)]
 pub enum Step {
-    /// Carry out the [`Delivery`] with the [`Reply`] at the instant
-    /// given, at once when that has passed. A data reply is released
-    /// when its transfer is paid off and never before the data reply
-    /// ahead of it; a scripted `DelayFrame` holds it back further.
-    Answer(Reply, Delivery, Instant),
+    /// Carry out the [`Delivery`] with the [`Reply`] over the span
+    /// given: the NIC starts sending the reply at its start and has
+    /// paid the last byte off at its end, the release. A driver may
+    /// stream the reply's bytes pro rata along the span, or hand it over
+    /// whole at the end; at once when that has passed. A data reply's
+    /// span starts when the data reply ahead of it is released (or now,
+    /// on an idle NIC) and ends when its transfer is paid off. A
+    /// scripted `DelayFrame` holds the reply back further, whole: its
+    /// span is the one delayed instant. A control reply's span is now.
+    Answer(Reply, Delivery, Range<Instant>),
     /// Keep the request's route alive unanswered — a swallowed
     /// heartbeat, so the prober times out — by handing it to
     /// [`WorkerCore::hold`].
@@ -259,7 +269,7 @@ impl WorkerCore {
         // Control-plane requests bypass fault injection entirely —
         // except Ping, which consults the dedicated heartbeat script —
         // and are answered at once.
-        let answer = |reply| Step::Answer(reply, Delivery::Reply, now);
+        let answer = |reply| Step::Answer(reply, Delivery::Reply, now..now);
         match req {
             Request::Stats => {
                 let ctx = &mut self.ctx;
@@ -390,6 +400,8 @@ impl WorkerCore {
             Request::Stamped { stamp, inner } => (*inner, stamp),
             req => (req, Stamp::default()),
         };
+        // The NIC takes this reply up when the one ahead of it is sent.
+        let start = self.ctx.released.max(now);
         let stale_master = stamp.master != 0 && stamp.master < self.master_known;
         self.master_known = self.master_known.max(stamp.master);
         let stale_worker = stamp.epoch != 0 && stamp.epoch != self.epoch;
@@ -400,7 +412,9 @@ impl WorkerCore {
         };
         // Data replies leave in op order: none before the one ahead.
         self.ctx.released = self.ctx.released.max(now);
-        Step::Answer(reply, how, self.ctx.released + delay)
+        let release = self.ctx.released + delay;
+        let start = if delay.is_zero() { start } else { release };
+        Step::Answer(reply, how, start..release)
     }
 }
 

@@ -26,7 +26,8 @@ use std::os::fd::AsRawFd;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Identifies a registered event source in delivered [`Event`]s.
+/// Identifies a registered event source in delivered [`Event`]s. A
+/// token is below 2⁶³: the top bit of an event's data marks a waker's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Token(pub usize);
 
@@ -102,19 +103,26 @@ impl Event {
     }
 }
 
-/// A buffer of events filled by [`Poll::poll`].
+/// A buffer of events filled by [`Poll::poll`]. It also keeps the
+/// kernel's event array, so a loop that polls with one `Events`
+/// allocates nothing per poll.
 #[derive(Debug)]
 pub struct Events {
     capacity: usize,
     events: Vec<Event>,
+    #[cfg(target_os = "linux")]
+    raw: Vec<sys::EpollEvent>,
 }
 
 impl Events {
     /// An event buffer holding up to `capacity` events per poll.
     pub fn with_capacity(capacity: usize) -> Events {
+        let capacity = capacity.max(1);
         Events {
-            capacity: capacity.max(1),
-            events: Vec::with_capacity(capacity.max(1)),
+            capacity,
+            events: Vec::with_capacity(capacity),
+            #[cfg(target_os = "linux")]
+            raw: Vec::with_capacity(capacity),
         }
     }
 
@@ -153,12 +161,14 @@ mod sys {
     // x86_64 declares epoll_event packed in the kernel ABI.
     #[cfg(target_arch = "x86_64")]
     #[repr(C, packed)]
+    #[derive(Debug, Clone, Copy)]
     pub(crate) struct EpollEvent {
         pub events: u32,
         pub data: u64,
     }
     #[cfg(not(target_arch = "x86_64"))]
     #[repr(C)]
+    #[derive(Debug, Clone, Copy)]
     pub(crate) struct EpollEvent {
         pub events: u32,
         pub data: u64,
@@ -177,6 +187,8 @@ mod sys {
     pub(crate) const ENOENT: i32 = 2;
     pub(crate) const EFD_CLOEXEC: i32 = 0x80000;
     pub(crate) const EFD_NONBLOCK: i32 = 0x800;
+    /// Set in the event data of a waker's eventfd, above its token.
+    pub(crate) const WAKER_BIT: u64 = 1 << 63;
 
     extern "C" {
         pub(crate) fn epoll_create1(flags: i32) -> i32;
@@ -396,7 +408,8 @@ impl Poll {
                     }
                 }
             };
-            let mut raw: Vec<sys::EpollEvent> = Vec::with_capacity(events.capacity);
+            let raw = &mut events.raw;
+            raw.clear();
             let n = loop {
                 let r = unsafe {
                     sys::epoll_wait(
@@ -419,16 +432,22 @@ impl Poll {
             };
             // SAFETY: epoll_wait initialized the first `n` entries.
             unsafe { raw.set_len(n) };
-            let wakers = self.registry.inner.waker_fds.lock().expect("waker registry");
-            for ev in &raw {
-                let token = Token(ev.data as usize);
-                let bits = ev.events;
-                if let Some(&(_, wfd)) = wakers.iter().find(|&&(t, _)| t == token.0) {
-                    // Drain the eventfd so the level-triggered
-                    // registration goes quiet until the next wake.
-                    let mut buf = [0u8; 8];
-                    unsafe {
-                        let _ = sys::read(wfd, buf.as_mut_ptr(), 8);
+            // Taken at the first waker's event, if the poll has one.
+            let mut wakers = None;
+            for ev in raw.iter() {
+                let (data, bits) = (ev.data, ev.events);
+                let token = Token((data & !sys::WAKER_BIT) as usize);
+                if data & sys::WAKER_BIT != 0 {
+                    let wakers = wakers.get_or_insert_with(|| {
+                        self.registry.inner.waker_fds.lock().expect("waker registry")
+                    });
+                    if let Some(&(_, wfd)) = wakers.iter().find(|&&(t, _)| t == token.0) {
+                        // Drain the eventfd so the level-triggered
+                        // registration goes quiet until the next wake.
+                        let mut buf = [0u8; 8];
+                        unsafe {
+                            let _ = sys::read(wfd, buf.as_mut_ptr(), 8);
+                        }
                     }
                 }
                 events.events.push(Event {
@@ -479,7 +498,7 @@ impl Waker {
             let efd = sys::cvt(unsafe { sys::eventfd(0, sys::EFD_CLOEXEC | sys::EFD_NONBLOCK) })?;
             let mut ev = sys::EpollEvent {
                 events: sys::EPOLLIN,
-                data: token.0 as u64,
+                data: token.0 as u64 | sys::WAKER_BIT,
             };
             if let Err(e) =
                 sys::cvt(unsafe { sys::epoll_ctl(registry.inner.epfd, sys::EPOLL_CTL_ADD, efd, &mut ev) })
@@ -616,6 +635,48 @@ mod tests {
         poll.poll(&mut events, Some(Duration::from_secs(2))).unwrap();
         assert!(events.iter().any(|e| e.token() == Token(0)));
         t.join().unwrap();
+    }
+
+    #[test]
+    fn one_events_buffer_serves_many_polls_without_growing() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
+        let mut poll = Poll::new().unwrap();
+        poll.registry().register(&server, Token(7), Interest::READABLE).unwrap();
+        let waker = Waker::new(poll.registry(), Token(0)).unwrap();
+        let mut events = Events::with_capacity(4);
+        let (raw, delivered) = (events.raw.as_ptr(), events.events.as_ptr());
+        let mut byte = [0u8; 1];
+        for round in 0..200 {
+            // Each round delivers what it made ready, and nothing of the
+            // round before.
+            let want: &[usize] = match round % 3 {
+                0 => &[0],
+                1 => &[7],
+                _ => &[0, 7],
+            };
+            if want.contains(&0) {
+                waker.wake().unwrap();
+            }
+            if want.contains(&7) {
+                client.write_all(b"x").unwrap();
+            }
+            let mut got: Vec<usize> = Vec::new();
+            while got.len() < want.len() {
+                poll.poll(&mut events, Some(Duration::from_secs(2))).unwrap();
+                assert!(!events.is_empty(), "round {round} timed out");
+                got.extend(events.iter().map(|e| e.token().0));
+            }
+            got.sort_unstable();
+            assert_eq!(got, want, "round {round}");
+            if want.contains(&7) {
+                assert_eq!(std::io::Read::read(&mut &server, &mut byte).unwrap(), 1);
+            }
+        }
+        assert_eq!((events.raw.as_ptr(), events.events.as_ptr()), (raw, delivered));
+        assert_eq!((events.raw.capacity(), events.events.capacity()), (4, 4));
     }
 
     #[test]
